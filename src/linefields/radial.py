@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import NotInImageError
 from .linefield import LineField, validate_line_field
-from .surface import SurfaceComplex, delete_edge_merge_faces, fresh_id, split_face
+from .surface import SurfaceComplex, _merged_walk, _split_walk, fresh_id
 from .vectorfield import VectorField
 
 
@@ -60,8 +60,9 @@ def radial_decomposition(S: SurfaceComplex) -> RadialComplex:
 
     faces: dict[str, tuple] = {}
     face_origin: dict[str, str] = {}
+    slots = _edge_slots(S)
     for e in sorted(S.edges):
-        (f1, i1), (f2, i2) = S.edge_occurrences(e)
+        (f1, i1), (f2, i2) = slots[e]
         s1 = side[(f1, i1)]
         s2 = side[(f1, (i1 + 1) % len(S.faces[f1]))]
         s3 = side[(f2, i2)]
@@ -78,6 +79,18 @@ def radial_decomposition(S: SurfaceComplex) -> RadialComplex:
         frozenset(vertex_origin), edges, faces, name=f"radial_{S.name}"
     )
     return RadialComplex(R, vertex_origin, face_origin)
+
+
+def _edge_slots(S: SurfaceComplex) -> dict[str, list[tuple[str, int]]]:
+    """Each edge's (face, position) slots in sorted face order, in one pass.
+
+    Agrees with S.edge_occurrences(e) for every edge e.
+    """
+    slots: dict[str, list[tuple[str, int]]] = {e: [] for e in S.edges}
+    for f in sorted(S.faces):
+        for i, (_s, e) in enumerate(S.faces[f]):
+            slots[e].append((f, i))
+    return slots
 
 
 def _bipartition(S: SurfaceComplex):
@@ -129,28 +142,39 @@ def dvf_to_dlf(V: VectorField) -> LineField:
     Each matched pair splits the quadrilateral of its edge cell along the
     diagonal at the other cell's radial vertex and matches that vertex
     with the diagonal.  Pairs touch disjoint quadrilaterals, so the
-    splits never interfere.
+    splits never interfere.  All splits edit plain cell dicts and one
+    complex is built at the end; identifiers are the ones that splitting
+    pair by pair, in sorted order with split_face, would choose.
     """
     S = V.complex
     R = radial_decomposition(S)
     T = R.complex
     quad_of = {e: q for q, e in R.face_origin.items()}
     vertex_of = {c: w for w, c in R.vertex_origin.items()}
+    edges = dict(T.edges)
+    faces = dict(T.faces)
+    taken = {cid for cid, _d in T.cells()}
     pairs = []
     for lo, up in sorted(V.matching):
         e, other = (lo, up) if lo in S.edges else (up, lo)
         quad = quad_of[e]
         anchor = vertex_of[other]
-        k = min(i for i in range(4) if T.corner_vertex(quad, i) == anchor)
-        taken = {cid for cid, _d in T.cells()}
+        walk = faces[quad]
+        k = min(i for i in range(4) if T.occ_source(walk[i]) == anchor)
+        opposite = (k + 2) % 4
         diag = fresh_id(f"d_{e}", taken)
         taken.add(diag)
         half_a = fresh_id(f"{quad}_0", taken)
         taken.add(half_a)
         half_b = fresh_id(f"{quad}_1", taken)
-        T = split_face(T, quad, k, (k + 2) % 4, diag, half_a, half_b)
+        taken.add(half_b)
+        taken.remove(quad)
+        edges[diag] = (anchor, T.occ_source(walk[opposite]))
+        del faces[quad]
+        faces[half_a], faces[half_b] = _split_walk(walk, k, opposite, diag)
         pairs.append((anchor, diag))
-    return LineField(T, frozenset(pairs))
+    image = SurfaceComplex(T.vertices, edges, faces, name=T.name)
+    return LineField(image, frozenset(pairs))
 
 
 def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
@@ -161,23 +185,40 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
     dual complex, each quadrilateral an edge, and each vertex of the
     opposite class a face read off the link cycle.  Raises
     NotInImageError when any step refuses.
+
+    The diagonals are deleted in sorted order on plain cell dicts and one
+    complex is built before the radial check; merged faces get the
+    identifiers, and refusals the messages, that deleting them one at a
+    time with delete_edge_merge_faces would give.
     """
     if validate_line_field(L):
         raise NotInImageError("not a valid line field")
     T = L.complex
+    slots = _edge_slots(T)
+    edges = dict(T.edges)
+    faces = dict(T.faces)
+    taken = {cid for cid, _dim in T.cells()}
+    # Each face already merged, mapped to the face that replaced it; slots
+    # read from T stay valid on every face not in here.
+    merged_into: dict[str, str] = {}
     merged_quad: dict[str, str] = {}
     for _v, d in sorted(L.matching, key=lambda pair: pair[1]):
-        occs = T.edge_occurrences(d)
-        if len(occs) != 2 or occs[0][0] == occs[1][0]:
+        occs = slots[d]
+        live = [merged_into.get(f, f) for f, _i in occs]
+        if len(occs) != 2 or live[0] == live[1]:
             raise NotInImageError(f"matched edge {d} is not a face diagonal")
-        if any(len(T.faces[f]) != 3 for f, _i in occs):
+        if any(len(faces[f]) != 3 for f in live):
             raise NotInImageError(
                 f"matched edge {d} does not split a quadrilateral"
             )
-        taken = {cid for cid, _dim in T.cells()}
+        (f1, p1), (f2, p2) = occs
         qid = fresh_id(f"m_{d}", taken)
-        T = delete_edge_merge_faces(T, d, qid)
+        taken.difference_update((d, f1, f2))
+        taken.add(qid)
+        faces[qid] = _merged_walk(faces.pop(f1), p1, faces.pop(f2), p2, edges.pop(d))
+        merged_into[f1] = merged_into[f2] = qid
         merged_quad[d] = qid
+    T = SurfaceComplex(T.vertices, edges, faces, name=T.name)
     if not is_radial(T):
         raise NotInImageError("unmatched edges do not form a radial refinement")
     first, second = _bipartition(T)

@@ -375,6 +375,56 @@ class HasseDiagram:
 
 
 # ---- walk surgery --------------------------------------------------------
+#
+# _split_walk and _merged_walk hold the walk arithmetic of the two surgery
+# moves on plain walks, so that a caller applying many moves can edit cell
+# dicts in place and construct one complex at the end.
+
+
+def _split_walk(
+    walk: tuple[Occurrence, ...], p: int, q: int, diag_id: str
+) -> tuple[tuple[Occurrence, ...], tuple[Occurrence, ...]]:
+    """The two walks of a face split by a diagonal from corner p to corner q.
+
+    The first takes positions p..q-1 followed by the diagonal traversed
+    backwards; the second takes positions q..p-1 followed by the diagonal
+    forwards.
+    """
+    n = len(walk)
+    part_a = tuple(walk[(p + k) % n] for k in range((q - p) % n)) + ((-1, diag_id),)
+    part_b = tuple(walk[(q + k) % n] for k in range((p - q) % n)) + ((1, diag_id),)
+    return part_a, part_b
+
+
+def _merged_walk(
+    wa: tuple[Occurrence, ...],
+    p1: int,
+    wb: tuple[Occurrence, ...],
+    p2: int,
+    ends: tuple[str, str],
+) -> tuple[Occurrence, ...]:
+    """The walk left when the edge at wa[p1] and wb[p2] is deleted.
+
+    `ends` is the edge's (tail, head).  The rest of wb replaces the
+    occurrence in wa, reversed when both occurrences run between the same
+    endpoints in the same direction; a loop runs both ways at once and is
+    never reversed.  Raises DegenerateOperationError when nothing is left.
+    """
+    def source_target(sign):
+        return ends if sign > 0 else (ends[1], ends[0])
+
+    src_a, tgt_a = source_target(wa[p1][0])
+    rest_b = wb[p2 + 1 :] + wb[:p2]
+    if source_target(wb[p2][0]) == (tgt_a, src_a):
+        middle = rest_b
+    else:
+        middle = reversed_walk(rest_b)
+    merged = wa[:p1] + middle + wa[p1 + 1 :]
+    if not merged:
+        raise DegenerateOperationError(
+            f"deleting {wa[p1][1]} would leave a face with an empty boundary"
+        )
+    return merged
 
 
 def split_face(
@@ -393,18 +443,12 @@ def split_face(
     backwards; face B takes positions q..p-1 followed by the diagonal forwards.
     """
     walk = S.faces[face]
-    n = len(walk)
-    if n < 2 or p == q:
+    if len(walk) < 2 or p == q:
         raise DegenerateOperationError(f"cannot split face {face} at positions {p}, {q}")
-    a = S.corner_vertex(face, p)
-    b = S.corner_vertex(face, q)
-    part_a = tuple(walk[(p + k) % n] for k in range((q - p) % n)) + ((-1, diag_id),)
-    part_b = tuple(walk[(q + k) % n] for k in range((p - q) % n)) + ((1, diag_id),)
     edges = dict(S.edges)
-    edges[diag_id] = (a, b)
+    edges[diag_id] = (S.corner_vertex(face, p), S.corner_vertex(face, q))
     faces = {g: w for g, w in S.faces.items() if g != face}
-    faces[face_a_id] = part_a
-    faces[face_b_id] = part_b
+    faces[face_a_id], faces[face_b_id] = _split_walk(walk, p, q, diag_id)
     return replace(S, edges=edges, faces=faces)
 
 
@@ -423,22 +467,7 @@ def delete_edge_merge_faces(S: SurfaceComplex, edge: str, merged_id: str) -> Sur
         raise DegenerateOperationError(
             f"both occurrences of {edge} lie on face {f1}; deletion would not merge two faces"
         )
-    wa, wb = S.faces[f1], S.faces[f2]
-    occ_a, occ_b = wa[p1], wb[p2]
-    src_a, tgt_a = S.occ_source(occ_a), S.occ_target(occ_a)
-    src_b, tgt_b = S.occ_source(occ_b), S.occ_target(occ_b)
-    rest_b = wb[p2 + 1 :] + wb[:p2]
-    if (src_b, tgt_b) == (tgt_a, src_a):
-        middle = rest_b
-    elif (src_b, tgt_b) == (src_a, tgt_a):
-        middle = reversed_walk(rest_b)
-    else:  # pragma: no cover - construction guarantees shared endpoints
-        raise DegenerateOperationError(f"occurrences of {edge} do not share endpoints")
-    merged = wa[:p1] + middle + wa[p1 + 1 :]
-    if not merged:
-        raise DegenerateOperationError(
-            f"deleting {edge} would leave a face with an empty boundary"
-        )
+    merged = _merged_walk(S.faces[f1], p1, S.faces[f2], p2, S.edges[edge])
     edges = {e: ep for e, ep in S.edges.items() if e != edge}
     faces = {g: w for g, w in S.faces.items() if g not in (f1, f2)}
     faces[merged_id] = merged

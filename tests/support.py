@@ -115,18 +115,27 @@ def theta_sphere():
 
 
 def grid_torus(rows, cols):
-    """Torus cut into a rows-by-cols grid of square faces."""
-    vertices = {f"v{r}{c}" for r in range(rows) for c in range(cols)}
+    """Torus cut into a rows-by-cols grid of square faces.
+
+    Row and column numbers are zero-padded to a common width so that
+    identifiers stay distinct from 10x10 up; below that they are unpadded.
+    """
+    width = len(str(max(rows, cols) - 1))
+
+    def at(r, c):
+        return f"{r % rows:0{width}}{c % cols:0{width}}"
+
+    vertices = {f"v{at(r, c)}" for r in range(rows) for c in range(cols)}
     edges = {}
     for r in range(rows):
         for c in range(cols):
-            edges[f"h{r}{c}"] = (f"v{r}{c}", f"v{r}{(c + 1) % cols}")
-            edges[f"u{r}{c}"] = (f"v{r}{c}", f"v{(r + 1) % rows}{c}")
+            edges[f"h{at(r, c)}"] = (f"v{at(r, c)}", f"v{at(r, c + 1)}")
+            edges[f"u{at(r, c)}"] = (f"v{at(r, c)}", f"v{at(r + 1, c)}")
     faces = {}
     for r in range(rows):
         for c in range(cols):
-            faces[f"q{r}{c}"] = w(
-                f"+h{r}{c} +u{r}{(c + 1) % cols} -h{(r + 1) % rows}{c} -u{r}{c}"
+            faces[f"q{at(r, c)}"] = w(
+                f"+h{at(r, c)} +u{at(r, c + 1)} -h{at(r + 1, c)} -u{at(r, c)}"
             )
     return SurfaceComplex(
         vertices=frozenset(vertices), edges=edges, faces=faces, name=f"grid{rows}x{cols}"

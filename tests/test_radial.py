@@ -1,4 +1,7 @@
+import contextlib
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -6,20 +9,29 @@ import support
 from linefields import (
     LineField,
     NotInImageError,
+    OperationError,
+    SurfaceComplex,
     VectorField,
     complexes_isomorphic,
+    delete_edge_merge_faces,
     dlf_to_dvf,
     dualize,
     dvf_to_dlf,
+    emit_line_field,
+    emit_vector_field,
     euler_sum,
     euler_sum_dvf,
+    fresh_id,
     is_acyclic,
     is_acyclic_dvf,
     is_radial,
     line_fields_isomorphic,
     radial_decomposition,
+    split_face,
+    validate_line_field,
     vector_fields_isomorphic,
 )
+from linefields.radial import _bipartition, _edge_slots, _factor
 
 
 def small_builders():
@@ -234,16 +246,36 @@ def test_round_trip_exhaustive_small_complexes():
             )
 
 
+@contextlib.contextmanager
+def recursion_limit(depth):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, depth))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
 def test_round_trip_random_larger_instances():
     rng = random.Random(812)
+    fields = []
     for S in support.random_corpus(813, 12, max_moves=3):
         for _ in range(2):
-            V = VectorField(
-                S, support.sample_matching(support.vector_field_pairs(S), rng)
+            fields.append(
+                VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
             )
-            A, B = dlf_to_dvf(dvf_to_dlf(V))
-            strip = strip_map(S)
-            dual_strip = {f"w_{f}": f for f in S.faces}
+    big = support.grid_torus(12, 12)
+    fields.append(
+        VectorField(big, support.sample_matching(support.vector_field_pairs(big), rng))
+    )
+    for V in fields:
+        S = V.complex
+        A, B = dlf_to_dvf(dvf_to_dlf(V))
+        strip = strip_map(S)
+        dual_strip = {f"w_{f}": f for f in S.faces}
+        # The isomorphism search recurses about once per cell, which the
+        # 576 cells of the 12x12 torus take past the default limit.
+        with recursion_limit(4000):
             assert (
                 vector_fields_isomorphic(A, V, vertex_map=strip)
                 and vector_fields_isomorphic(B, dualize(V), vertex_map=dual_strip)
@@ -261,6 +293,210 @@ def test_image_ignores_dualization():
             L2 = dvf_to_dlf(dualize(V))
             fixed = {v: v for v in L1.complex.vertices}
             assert line_fields_isomorphic(L1, L2, vertex_map=fixed)
+
+
+# ---- differential check against the move-by-move bridge ------------------
+#
+# The reference applies one split_face or delete_edge_merge_faces per pair,
+# building a complex after every move, and recomputes the taken names from
+# the live cells each time.  The library's bridge must emit the same text
+# and refuse with the same exception and message.
+
+
+def reference_dvf_to_dlf(V):
+    S = V.complex
+    R = radial_decomposition(S)
+    T = R.complex
+    quad_of = {e: q for q, e in R.face_origin.items()}
+    vertex_of = {c: w for w, c in R.vertex_origin.items()}
+    pairs = []
+    for lo, up in sorted(V.matching):
+        e, other = (lo, up) if lo in S.edges else (up, lo)
+        quad = quad_of[e]
+        anchor = vertex_of[other]
+        k = min(i for i in range(4) if T.corner_vertex(quad, i) == anchor)
+        taken = {cid for cid, _d in T.cells()}
+        diag = fresh_id(f"d_{e}", taken)
+        taken.add(diag)
+        half_a = fresh_id(f"{quad}_0", taken)
+        taken.add(half_a)
+        half_b = fresh_id(f"{quad}_1", taken)
+        T = split_face(T, quad, k, (k + 2) % 4, diag, half_a, half_b)
+        pairs.append((anchor, diag))
+    return LineField(T, frozenset(pairs))
+
+
+def reference_dlf_to_dvf(L):
+    if validate_line_field(L):
+        raise NotInImageError("not a valid line field")
+    T = L.complex
+    merged_quad = {}
+    for _v, d in sorted(L.matching, key=lambda pair: pair[1]):
+        occs = T.edge_occurrences(d)
+        if len(occs) != 2 or occs[0][0] == occs[1][0]:
+            raise NotInImageError(f"matched edge {d} is not a face diagonal")
+        if any(len(T.faces[f]) != 3 for f, _i in occs):
+            raise NotInImageError(f"matched edge {d} does not split a quadrilateral")
+        taken = {cid for cid, _dim in T.cells()}
+        qid = fresh_id(f"m_{d}", taken)
+        T = delete_edge_merge_faces(T, d, qid)
+        merged_quad[d] = qid
+    if not is_radial(T):
+        raise NotInImageError("unmatched edges do not form a radial refinement")
+    first, second = _bipartition(T)
+    return (
+        _factor(T, first, second, L.matching, merged_quad, f"{T.name}_a"),
+        _factor(T, second, first, L.matching, merged_quad, f"{T.name}_b"),
+    )
+
+
+def outcome(bridge, field):
+    """(None, emitted text) for a bridge's result, or (class, message) for
+    what it raised."""
+    try:
+        result = bridge(field)
+    except OperationError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, LineField):
+        return None, emit_line_field(result)
+    return None, tuple(emit_vector_field(X) for X in result)
+
+
+def assert_same_image(V):
+    assert outcome(dvf_to_dlf, V) == outcome(reference_dvf_to_dlf, V)
+
+
+def assert_same_factors(L):
+    got = outcome(dlf_to_dvf, L)
+    assert got == outcome(reference_dlf_to_dvf, L)
+    return got
+
+
+def differential_corpus():
+    return [b() for b in support.all_seed_builders()] + support.random_corpus(
+        821, 40, max_moves=4
+    )
+
+
+def test_edge_slots_agree_with_edge_occurrences():
+    for S in differential_corpus():
+        assert _edge_slots(S) == {e: S.edge_occurrences(e) for e in S.edges}
+
+
+def test_bridge_matches_move_by_move_on_random_fields():
+    rng = random.Random(822)
+    corpus = differential_corpus()
+    assert any(S.is_loop(e) for S in corpus for e in S.edges)
+    assert any(
+        S.faces[f1][i1][0] == S.faces[f2][i2][0]
+        for S in corpus
+        for (f1, i1), (f2, i2) in _edge_slots(S).values()
+    )
+    for S in corpus:
+        for _ in range(4):
+            V = VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
+            assert_same_image(V)
+            assert assert_same_factors(dvf_to_dlf(V))[0] is None
+
+
+def refusal_after_merge(L, message):
+    """Whether the diagonal named in `message` shares an original face with
+    a diagonal deleted before it."""
+    d = message.split()[2]
+    earlier = {e for _v, e in L.matching if e < d}
+    faces = {f for f, _i in L.complex.edge_occurrences(d)}
+    return any(
+        f in faces for e in earlier for f, _i in L.complex.edge_occurrences(e)
+    )
+
+
+def test_factoring_matches_move_by_move_on_adversarial_fields():
+    rng = random.Random(823)
+    kinds = Counter()
+    for S in differential_corpus():
+        V = VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
+        image = dvf_to_dlf(V)
+        cases = []
+        for T in (image.complex, radial_decomposition(S).complex):
+            for _ in range(3):
+                pairs = support.line_field_pairs(T)
+                cases.append(LineField(T, support.sample_matching(pairs, rng)))
+        free = [
+            (v, e)
+            for v, e in support.line_field_pairs(image.complex)
+            if v not in image.matched_vertices() and e not in image.matched_edges()
+        ]
+        if free:
+            cases.append(LineField(image.complex, image.matching | {rng.choice(free)}))
+        for L in cases:
+            got = assert_same_factors(L)
+            if got[0] is None:
+                kinds["factored"] += 1
+                continue
+            message = got[1]
+            kind = message.split(" ", 3)[-1] if message.startswith("matched") else message
+            kinds[kind] += 1
+            if "quadrilateral" in message and refusal_after_merge(L, message):
+                kinds["refused after a merge"] += 1
+    assert set(kinds) == {
+        "factored",
+        "is not a face diagonal",
+        "does not split a quadrilateral",
+        "unmatched edges do not form a radial refinement",
+        "refused after a merge",
+    }
+
+
+def collision_sphere():
+    """Three parallel edges a, a_0, c between u and w: the halves of q_a are
+    named like the quadrilateral q_a_0."""
+    return SurfaceComplex(
+        vertices=frozenset({"u", "w"}),
+        edges={"a": ("u", "w"), "a_0": ("u", "w"), "c": ("u", "w")},
+        faces={
+            "f0": support.w("+a -a_0"),
+            "f1": support.w("+a_0 -c"),
+            "f2": support.w("+c -a"),
+        },
+        name="collide",
+    )
+
+
+def renamed(L, names):
+    def r(cell):
+        return names.get(cell, cell)
+
+    S = L.complex
+    return LineField(
+        SurfaceComplex(
+            frozenset(r(v) for v in S.vertices),
+            {r(e): (r(t), r(h)) for e, (t, h) in S.edges.items()},
+            {r(f): tuple((s, r(e)) for s, e in walk) for f, walk in S.faces.items()},
+            name=S.name,
+        ),
+        frozenset((r(v), r(e)) for v, e in L.matching),
+    )
+
+
+def test_bridge_identifier_collisions_match_move_by_move():
+    S = collision_sphere()
+    # q_a is split while q_a_0 is live, so its first half takes a suffix.
+    live = VectorField(S, frozenset({("u", "a"), ("w", "a_0")}))
+    assert_same_image(live)
+    L = dvf_to_dlf(live)
+    assert {"q_a_0_2", "q_a_1", "q_a_0_0", "q_a_0_1"} <= set(L.complex.faces)
+    # q_a_0 is split first, so the name is free again when q_a splits.
+    dead = VectorField(S, frozenset({("a_0", "f1"), ("u", "a")}))
+    assert_same_image(dead)
+    assert len(dvf_to_dlf(dead).complex.faces["q_a_0"]) == 3
+
+    # A live cell m_d_a pushes the merge of d_a to m_d_a_2; the half of
+    # q_a renamed m_d_a_0 is merged away by d_a, freeing that name for d_a_0.
+    X = renamed(L, {"w_f2": "m_d_a", "q_a_1": "m_d_a_0"})
+    assert {"d_a", "d_a_0"} <= set(X.complex.edges)
+    assert assert_same_factors(X)[0] is None
+    A, _B = dlf_to_dvf(X)
+    assert {"m_d_a_2", "m_d_a_0"} <= set(A.complex.edges)
 
 
 # ---- acyclicity across the bridge ----------------------------------------

@@ -165,6 +165,10 @@ def test_euler_characteristic_values():
     assert support.theta_sphere().euler_characteristic() == 2
     assert support.grid_torus(2, 2).euler_characteristic() == 0
     assert support.grid_torus(3, 1).euler_characteristic() == 0
+    big = support.grid_torus(12, 12)
+    assert len(big.vertices) == 144
+    assert big.validate() == []
+    assert big.euler_characteristic() == 0
 
 
 def test_corner_count_is_twice_edges():
