@@ -215,7 +215,8 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
         qid = fresh_id(f"m_{d}", taken)
         taken.difference_update((d, f1, f2))
         taken.add(qid)
-        faces[qid] = _merged_walk(faces.pop(f1), p1, faces.pop(f2), p2, edges.pop(d))
+        faces[qid] = _merged_walk(faces.pop(f1), p1, faces.pop(f2), p2)
+        del edges[d]
         merged_into[f1] = merged_into[f2] = qid
         merged_quad[d] = qid
     T = SurfaceComplex(T.vertices, edges, faces, name=T.name)

@@ -401,24 +401,16 @@ def _merged_walk(
     p1: int,
     wb: tuple[Occurrence, ...],
     p2: int,
-    ends: tuple[str, str],
 ) -> tuple[Occurrence, ...]:
     """The walk left when the edge at wa[p1] and wb[p2] is deleted.
 
-    `ends` is the edge's (tail, head).  The rest of wb replaces the
-    occurrence in wa, reversed when both occurrences run between the same
-    endpoints in the same direction; a loop runs both ways at once and is
-    never reversed.  Raises DegenerateOperationError when nothing is left.
+    The rest of wb replaces the occurrence in wa, reversed when both
+    occurrences carry the same sign, so the merged walk runs through the
+    edge's endpoints the way wa did.  For a loop this keeps the vertex
+    link one cycle.  Raises DegenerateOperationError when nothing is left.
     """
-    def source_target(sign):
-        return ends if sign > 0 else (ends[1], ends[0])
-
-    src_a, tgt_a = source_target(wa[p1][0])
     rest_b = wb[p2 + 1 :] + wb[:p2]
-    if source_target(wb[p2][0]) == (tgt_a, src_a):
-        middle = rest_b
-    else:
-        middle = reversed_walk(rest_b)
+    middle = reversed_walk(rest_b) if wa[p1][0] == wb[p2][0] else rest_b
     merged = wa[:p1] + middle + wa[p1 + 1 :]
     if not merged:
         raise DegenerateOperationError(
@@ -467,7 +459,7 @@ def delete_edge_merge_faces(S: SurfaceComplex, edge: str, merged_id: str) -> Sur
         raise DegenerateOperationError(
             f"both occurrences of {edge} lie on face {f1}; deletion would not merge two faces"
         )
-    merged = _merged_walk(S.faces[f1], p1, S.faces[f2], p2, S.edges[edge])
+    merged = _merged_walk(S.faces[f1], p1, S.faces[f2], p2)
     edges = {e: ep for e, ep in S.edges.items() if e != edge}
     faces = {g: w for g, w in S.faces.items() if g not in (f1, f2)}
     faces[merged_id] = merged

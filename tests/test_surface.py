@@ -335,6 +335,23 @@ def test_delete_edge_merges_walks():
     assert T.faces["m"] == w("+e12 +e23 +e34 -e14")
 
 
+def test_delete_same_sign_loop_keeps_one_link_cycle():
+    # A projective plane at one vertex: both occurrences of the loop a
+    # carry the same sign, so the rest of F2 must be reversed; keeping it
+    # forward would give -b +b and pinch the vertex into two link cycles.
+    S = SurfaceComplex(
+        vertices=frozenset({"v"}),
+        edges={"a": ("v", "v"), "b": ("v", "v")},
+        faces={"F1": w("+a +b"), "F2": w("+a -b")},
+    )
+    assert S.validate() == []
+    assert len(S.vertex_link_cycles()["v"]) == 1
+    T = delete_edge_merge_faces(S, "a", "m")
+    assert T.faces["m"] == w("+b +b")
+    assert T.validate() == []
+    assert len(T.vertex_link_cycles()["v"]) == 1
+
+
 def test_delete_edge_refuses_single_face():
     with pytest.raises(DegenerateOperationError):
         delete_edge_merge_faces(support.torus_one(), "a", "m")
