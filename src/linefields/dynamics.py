@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CyclicFieldError, OperationError
-from .linefield import LineField, critical_cells, unmatched_boundary_count
+from .linefield import LineField, critical_cells
 
 
 @dataclass(frozen=True)
@@ -216,29 +216,28 @@ def topological_graph(L: LineField) -> TopologicalGraph:
 
 def _corridor_structure(L: LineField):
     """Per-face unmatched counts, the partner map pairing the two
-    occurrences of each unmatched edge, and the sibling map pairing the two
-    unmatched occurrences of each count-2 face."""
+    occurrences of each unmatched edge, the sibling map pairing the two
+    unmatched occurrences of each count-2 face, and each face's unmatched
+    positions."""
     S = L.complex
     matched = L.matched_edges()
-    counts = {f: unmatched_boundary_count(L, f) for f in S.faces}
     partner: dict[tuple[str, int], tuple[str, int]] = {}
-    for e in S.edges:
+    for e, occs in S.occurrence_index.items():
         if e in matched:
             continue
-        occs = S.edge_occurrences(e)
         partner[occs[0]] = occs[1]
         partner[occs[1]] = occs[0]
-    sibling: dict[tuple[str, int], tuple[str, int]] = {}
-    for f, walk in S.faces.items():
-        if counts[f] != 2:
-            continue
-        a, b = [(f, i) for i, (_s, e) in enumerate(walk) if e not in matched]
-        sibling[a] = b
-        sibling[b] = a
     unmatched_positions = {
-        f: [i for i, (_s, e) in enumerate(S.faces[f]) if e not in matched]
-        for f in S.faces
+        f: [i for i, (_s, e) in enumerate(walk) if e not in matched]
+        for f, walk in S.faces.items()
     }
+    counts = {f: len(positions) for f, positions in unmatched_positions.items()}
+    sibling: dict[tuple[str, int], tuple[str, int]] = {}
+    for f, positions in unmatched_positions.items():
+        if len(positions) == 2:
+            a, b = (f, positions[0]), (f, positions[1])
+            sibling[a] = b
+            sibling[b] = a
     return counts, partner, sibling, unmatched_positions
 
 

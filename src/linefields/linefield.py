@@ -11,6 +11,7 @@ characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .surface import SurfaceComplex
 
@@ -29,23 +30,36 @@ class LineField:
     def __post_init__(self):
         object.__setattr__(self, "matching", frozenset((v, e) for v, e in self.matching))
 
-    def matched_vertices(self) -> set[str]:
-        return {v for v, _e in self.matching}
+    def matched_vertices(self) -> frozenset[str]:
+        return self._matched_vertices
 
-    def matched_edges(self) -> set[str]:
-        return {e for _v, e in self.matching}
+    def matched_edges(self) -> frozenset[str]:
+        return self._matched_edges
 
     def edge_matched_to(self, vertex: str) -> str | None:
-        for v, e in self.matching:
-            if v == vertex:
-                return e
-        return None
+        return self._edge_of.get(vertex)
 
     def vertex_matched_to(self, edge: str) -> str | None:
-        for v, e in self.matching:
-            if e == edge:
-                return v
-        return None
+        return self._vertex_of.get(edge)
+
+    # The matching never changes after construction, so each lookup table
+    # is built once, on first use.
+
+    @cached_property
+    def _edge_of(self) -> dict[str, str]:
+        return {v: e for v, e in self.matching}
+
+    @cached_property
+    def _vertex_of(self) -> dict[str, str]:
+        return {e: v for v, e in self.matching}
+
+    @cached_property
+    def _matched_vertices(self) -> frozenset[str]:
+        return frozenset(self._edge_of)
+
+    @cached_property
+    def _matched_edges(self) -> frozenset[str]:
+        return frozenset(self._vertex_of)
 
 
 def validate_line_field(L: LineField) -> list[str]:

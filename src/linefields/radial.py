@@ -60,9 +60,8 @@ def radial_decomposition(S: SurfaceComplex) -> RadialComplex:
 
     faces: dict[str, tuple] = {}
     face_origin: dict[str, str] = {}
-    slots = _edge_slots(S)
     for e in sorted(S.edges):
-        (f1, i1), (f2, i2) = slots[e]
+        (f1, i1), (f2, i2) = S.occurrence_index[e]
         s1 = side[(f1, i1)]
         s2 = side[(f1, (i1 + 1) % len(S.faces[f1]))]
         s3 = side[(f2, i2)]
@@ -79,18 +78,6 @@ def radial_decomposition(S: SurfaceComplex) -> RadialComplex:
         frozenset(vertex_origin), edges, faces, name=f"radial_{S.name}"
     )
     return RadialComplex(R, vertex_origin, face_origin)
-
-
-def _edge_slots(S: SurfaceComplex) -> dict[str, list[tuple[str, int]]]:
-    """Each edge's (face, position) slots in sorted face order, in one pass.
-
-    Agrees with S.edge_occurrences(e) for every edge e.
-    """
-    slots: dict[str, list[tuple[str, int]]] = {e: [] for e in S.edges}
-    for f in sorted(S.faces):
-        for i, (_s, e) in enumerate(S.faces[f]):
-            slots[e].append((f, i))
-    return slots
 
 
 def _bipartition(S: SurfaceComplex):
@@ -194,7 +181,6 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
     if validate_line_field(L):
         raise NotInImageError("not a valid line field")
     T = L.complex
-    slots = _edge_slots(T)
     edges = dict(T.edges)
     faces = dict(T.faces)
     taken = {cid for cid, _dim in T.cells()}
@@ -203,7 +189,7 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
     merged_into: dict[str, str] = {}
     merged_quad: dict[str, str] = {}
     for _v, d in sorted(L.matching, key=lambda pair: pair[1]):
-        occs = slots[d]
+        occs = T.occurrence_index[d]
         live = [merged_into.get(f, f) for f, _i in occs]
         if len(occs) != 2 or live[0] == live[1]:
             raise NotInImageError(f"matched edge {d} is not a face diagonal")

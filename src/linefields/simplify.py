@@ -11,6 +11,7 @@ new field together with a cell correspondence.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 
 from .dynamics import _maximal_chain, _require_acyclic, _step_maps, corridors_from
@@ -20,7 +21,13 @@ from .errors import (
     OperationError,
 )
 from .linefield import LineField, critical_cells, unmatched_boundary_count
-from .surface import SurfaceComplex, delete_edge_merge_faces, fresh_id, split_face
+from .surface import (
+    SurfaceComplex,
+    delete_edge_merge_faces,
+    fresh_id,
+    reversed_walk,
+    split_face,
+)
 
 
 @dataclass(frozen=True)
@@ -135,61 +142,132 @@ def collapse_noncritical_face(
 
 
 def _contraction_order(L: LineField) -> list[tuple[str, str]]:
-    """Pairs ordered so no pair's path target is contracted after it."""
-    S = L.complex
-    partner = dict(L.matching)
-    remaining = set(partner)
+    """Pairs ordered so no pair's path target is contracted after it; of
+    the pairs ready at each point, the least vertex goes first."""
+    step, witness = _step_maps(L)
+    waiting: dict[str, list[str]] = {}
+    ready = []
+    for v, target in step.items():
+        if target in step:
+            waiting.setdefault(target, []).append(v)
+        else:
+            ready.append(v)
+    heapq.heapify(ready)
     order = []
-    while remaining:
-        ready = []
-        for v in remaining:
-            tail, head = S.edges[partner[v]]
-            if (head if v == tail else tail) not in remaining:
-                ready.append(v)
-        v = min(ready)
-        order.append((v, partner[v]))
-        remaining.discard(v)
+    while ready:
+        v = heapq.heappop(ready)
+        order.append((v, witness[v]))
+        for u in waiting.get(v, ()):
+            heapq.heappush(ready, u)
     return order
+
+
+def _root(parent: dict[str, str], cell: str) -> str:
+    """The cell that finally absorbed `cell`, compressing the path to it."""
+    path = []
+    while cell in parent:
+        path.append(cell)
+        cell = parent[cell]
+    for c in path:
+        parent[c] = cell
+    return cell
 
 
 def homotopy_core(L: LineField) -> CoreResult:
     """Contract every matched pair, then collapse every removable face.
 
     The result has an empty matching and, unless a degenerate face stops
-    the collapse phase, only critical faces.  Critical cells, their
-    indices, and the topological graph survive under the correspondence.
+    simplification, only critical faces.  Critical cells, their indices,
+    and the topological graph survive under the correspondence.
+
+    The moves are those of contracting pairs in _contraction_order and then
+    collapsing the least removable bigon until none is left, but they are
+    applied in one pass to plain cell dicts and one complex is built at the
+    end.  A contracted vertex and its edge map to the end of the vertex's
+    matched chain, and matched occurrences drop from every walk at once.  A
+    face whose walk holds only matched edges would be left empty by the
+    contraction of its last edge in that order; the first such contraction
+    stops simplification, the result being the field just before it and
+    the least face it would empty.  Collapsing a bigon keeps every walk's
+    length, so no bigon becomes removable later and one pass over the
+    bigons in sorted order collapses exactly what the move-by-move loop
+    would; a bigon that is degenerate when its turn comes (one edge twice)
+    stays so, and the least of these stops simplification.  The
+    correspondence follows each cell's chain of absorbing cells.
     """
     _require_acyclic(L)
-    cur = L
-    mapping = {c: c for c, _d in L.complex.cells()}
-    for v, e in _contraction_order(L):
-        try:
-            cur, step = contract_matched_pair(cur, v, e)
-        except DegenerateOperationError:
-            bad = min(
-                fc
-                for fc, walk in cur.complex.faces.items()
-                if all(ee == e for _s, ee in walk)
-            )
-            return CoreResult(cur, CellCorrespondence(mapping), degenerate_face=bad)
-        mapping = {c: step.mapping[img] for c, img in mapping.items()}
-    while True:
-        bigons = [
-            fc for fc in sorted(cur.complex.faces) if len(cur.complex.faces[fc]) == 2
-        ]
-        removable = [
-            fc
-            for fc in bigons
-            if cur.complex.faces[fc][0][1] != cur.complex.faces[fc][1][1]
-        ]
-        if not removable:
-            return CoreResult(
-                cur,
-                CellCorrespondence(mapping),
-                degenerate_face=bigons[0] if bigons else None,
-            )
-        cur, step = collapse_noncritical_face(cur, removable[0])
-        mapping = {c: step.mapping[img] for c, img in mapping.items()}
+    S = L.complex
+    matched = L.matched_edges()
+    contracted = L.matching
+    degenerate = None
+    doomed = [f for f, walk in S.faces.items() if all(e in matched for _s, e in walk)]
+    if doomed and matched:
+        order = _contraction_order(L)
+        rank = {e: i for i, (_v, e) in enumerate(order)}
+        emptied = {f: max((rank[e] for _s, e in S.faces[f]), default=0) for f in doomed}
+        stop = min(emptied.values())
+        degenerate = min(f for f in doomed if emptied[f] == stop)
+        contracted = frozenset(order[:stop])
+        matched = {e for _v, e in contracted}
+
+    parent: dict[str, str] = {}
+    for v, e in contracted:
+        tail, head = S.edges[e]
+        parent[v] = parent[e] = head if v == tail else tail
+    edges = {
+        e: (_root(parent, tail), _root(parent, head))
+        for e, (tail, head) in S.edges.items()
+        if e not in matched
+    }
+    walks = {f: [occ for occ in walk if occ[1] not in matched] for f, walk in S.faces.items()}
+    if degenerate is None:
+        degenerate = _collapse_bigons(edges, walks, parent)
+    T = SurfaceComplex(S.vertices - parent.keys(), edges, walks, name=S.name)
+    mapping = {c: _root(parent, c) for c, _d in S.cells()}
+    return CoreResult(
+        LineField(T, L.matching - contracted), CellCorrespondence(mapping), degenerate
+    )
+
+
+def _collapse_bigons(edges, walks, parent) -> str | None:
+    """Collapse every removable bigon of an unmatched field in place.
+
+    `walks` maps each face to a list of occurrences; on return every walk
+    is a tuple.  Each collapse deletes the bigon's smaller edge and writes
+    the bigon's other occurrence into the neighbour's slot of the deleted
+    edge, which is what delete_edge_merge_faces leaves once the neighbour's
+    walk is read in the right direction: the neighbour's walk is reversed
+    when both occurrences of the deleted edge carry the same sign and the
+    bigon sorts first, since the first face in sorted order keeps its
+    direction.  A reversed face is kept as its stored list read backwards
+    with every sign flipped.  Records the absorbing cells in `parent` and
+    returns the least bigon left, which is degenerate, or None.
+    """
+    slots: dict[str, list[tuple[str, int]]] = {e: [] for e in edges}
+    for f, walk in walks.items():
+        for i, (_s, e) in enumerate(walk):
+            slots[e].append((f, i))
+    backwards: set[str] = set()
+    bigons = sorted(f for f, walk in walks.items() if len(walk) == 2)
+    for f in bigons:
+        walk = walks[f]
+        if walk[0][1] == walk[1][1]:
+            continue
+        i = 0 if walk[0][1] < walk[1][1] else 1
+        sign, gone = walk[i]
+        keep_sign, keep = walk[1 - i]
+        g, j = next(slot for slot in slots.pop(gone) if slot[0] != f)
+        other_sign = walks[g][j][0]
+        walks[g][j] = (-keep_sign * sign * other_sign, keep)
+        slots[keep][slots[keep].index((f, 1 - i))] = (g, j)
+        same = sign * other_sign == (-1 if (f in backwards) != (g in backwards) else 1)
+        if same and f < g:
+            backwards ^= {g}
+        del walks[f], edges[gone]
+        parent[f] = parent[gone] = g
+    for f, walk in walks.items():
+        walks[f] = reversed_walk(walk) if f in backwards else tuple(walk)
+    return next((f for f in bigons if f in walks), None)
 
 
 # ---- cancellation --------------------------------------------------------
@@ -202,7 +280,10 @@ def merge_critical_faces(
 
     All crossing edges of the corridor are deleted; f, g, and the interior
     faces become one face whose doubled index is the sum of the two
-    inputs'.  The matching is untouched, so acyclicity is preserved.
+    inputs'.  The matching is untouched, so acyclicity is preserved.  The
+    merged walk is the one that deleting the crossings one at a time with
+    delete_edge_merge_faces would leave, built in one pass (see
+    _corridor_walk), and the result must pass validate().
     """
     S = L.complex
     for x in (f, g):
@@ -222,21 +303,71 @@ def merge_critical_faces(
             f"merging needs a unique corridor from {f} to {g}; found {len(hits)}"
         )
     corridor = hits[0]
-    merged_id = fresh_id(f"m_{f}_{g}", {c for c, _d in S.cells()})
-    T = S
-    for crossing in corridor.crossings:
-        T = delete_edge_merge_faces(T, crossing.edge, merged_id)
+    merged_id = fresh_id(f"m_{f}_{g}", S.vertices | S.edges.keys() | S.faces.keys())
+    absorbed = {f, g, *corridor.interior, *(c.edge for c in corridor.crossings)}
+    edges = {e: ends for e, ends in S.edges.items() if e not in absorbed}
+    faces = {h: walk for h, walk in S.faces.items() if h not in absorbed}
+    faces[merged_id] = _corridor_walk(S, corridor, merged_id)
+    T = SurfaceComplex(S.vertices, edges, faces, name=S.name)
     problems = T.validate()
     if problems:
         raise DegenerateOperationError(
             f"merging {f} and {g} breaks the complex: {problems[0]}"
         )
-    mapping = {c: c for c, _d in S.cells()}
-    for cell in (f, g, *corridor.interior):
-        mapping[cell] = merged_id
-    for crossing in corridor.crossings:
-        mapping[crossing.edge] = merged_id
+    mapping = {c: merged_id if c in absorbed else c for c, _d in S.cells()}
     return LineField(T, L.matching), CellCorrespondence(mapping)
+
+
+def _corridor_walk(S: SurfaceComplex, corridor, merged_id: str) -> tuple:
+    """The walk left by deleting the corridor's crossings in order.
+
+    Deleting a crossing puts the rest of the next face's walk in the
+    crossing's slot, reversed when the two occurrences carry the same sign
+    as read in the merged walk so far.  The splices nest: in the direction
+    of the start face the walk is the start face's rest, then each interior
+    face's part before its exit crossing, the end face's rest, and the
+    interior parts after the exits in reverse order.  delete_edge_merge_faces
+    keeps the face first in sorted order forward, so a deletion that
+    reverses a rest whose face sorts before the merged one reverses the
+    whole walk.  Raises DegenerateOperationError at the first deletion that
+    would leave an empty walk.
+    """
+    crossings = corridor.crossings
+    start, p = crossings[0].depart
+    walk = S.faces[start]
+    head = list(walk[p + 1 :] + walk[:p])
+    tails = []
+    sign = walk[p][0]  # of the next crossing's slot, in the start face's direction
+    backwards = False
+    name, length = start, len(walk)
+    for i, crossing in enumerate(crossings):
+        face, q = crossing.arrive
+        walk = S.faces[face]
+        length += len(walk) - 2
+        if not length:
+            raise DegenerateOperationError(
+                f"deleting {crossing.edge} would leave a face with an empty boundary"
+            )
+        same = sign == walk[q][0]
+        if same != backwards and face < name:
+            backwards = not backwards
+        name = merged_id
+        rest = walk[q + 1 :] + walk[:q]
+        if same:
+            rest = reversed_walk(rest)
+        if i + 1 == len(crossings):
+            head.extend(rest)
+            break
+        exit_at = (crossings[i + 1].depart[1] - q - 1) % len(walk)
+        if same:
+            exit_at = len(walk) - 2 - exit_at
+        head.extend(rest[:exit_at])
+        tails.append(rest[exit_at + 1 :])
+        sign = rest[exit_at][0]
+    for tail in reversed(tails):
+        head.extend(tail)
+    merged = tuple(head)
+    return reversed_walk(merged) if backwards else merged
 
 
 def cancel_vertex_face(

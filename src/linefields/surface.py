@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import DegenerateOperationError, InvalidComplexError
 
@@ -32,13 +33,43 @@ def reversed_walk(walk: tuple[Occurrence, ...]) -> tuple[Occurrence, ...]:
 
 
 def _canonical_rotation(walk: tuple[Occurrence, ...]) -> tuple[Occurrence, ...]:
-    # Rotate to start at the lexicographically least signed occurrence so
-    # corner positions are reproducible.
+    # Rotate to start at the lexicographically least rotation of the
+    # signed-occurrence texts so corner positions are reproducible.
     if len(walk) < 2:
         return walk
     keys = [occ_text(o) for o in walk]
-    best = min(range(len(walk)), key=lambda i: (keys[i], [keys[(i + j) % len(walk)] for j in range(len(walk))]))
-    return walk[best:] + walk[:best]
+    least = min(keys)
+    if keys.count(least) == 1:
+        k = keys.index(least)
+    else:
+        k = _least_rotation(keys)
+    return walk[k:] + walk[:k]
+
+
+def _least_rotation(keys: list[str]) -> int:
+    """Start of a lexicographically least rotation of `keys`, in O(len(keys)).
+
+    K. S. Booth, Lexicographically least circular substrings, IPL 10 (1980):
+    a failure function over the doubled sequence, as in Knuth-Morris-Pratt,
+    moves the candidate start k forward whenever a smaller key shows up.
+    """
+    doubled = keys + keys
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        key = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and key != doubled[k + i + 1]:
+            if key < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if key != doubled[k + i + 1]:
+            if key < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def fresh_id(base: str, taken) -> str:
@@ -135,14 +166,22 @@ class SurfaceComplex:
                 out.append((self.corner_vertex(f, i), f, i))
         return out
 
-    def edge_occurrences(self, edge: str) -> list[tuple[str, int]]:
-        """(face, position) slots where `edge` occurs, in sorted face order."""
-        out = []
+    @cached_property
+    def occurrence_index(self) -> dict[str, tuple[tuple[str, int], ...]]:
+        """Each edge's (face, position) slots in sorted face order.
+
+        Built in one pass over the walks on first use and kept with the
+        complex, which never changes after construction.
+        """
+        slots: dict[str, list[tuple[str, int]]] = {e: [] for e in self.edges}
         for f in sorted(self.faces):
             for i, (_s, e) in enumerate(self.faces[f]):
-                if e == edge:
-                    out.append((f, i))
-        return out
+                slots[e].append((f, i))
+        return {e: tuple(occs) for e, occs in slots.items()}
+
+    def edge_occurrences(self, edge: str) -> list[tuple[str, int]]:
+        """(face, position) slots where `edge` occurs, in sorted face order."""
+        return list(self.occurrence_index.get(edge, ()))
 
     # ---- invariants ------------------------------------------------------
 
@@ -317,12 +356,9 @@ class SurfaceComplex:
         if problems:
             raise InvalidComplexError(f"cannot dualize: {problems[0]}")
         dual_edges = {}
-        occ_order: dict[str, list[tuple[str, int]]] = {}
-        for e in self.edges:
-            occs = self.edge_occurrences(e)
+        for e, occs in self.occurrence_index.items():
             if len(occs) != 2:
                 raise InvalidComplexError(f"cannot dualize: edge {e} occurs {len(occs)} time(s)")
-            occ_order[e] = occs
             dual_edges[e] = (occs[0][0], occs[1][0])
         dual_faces = {}
         links = self.vertex_link_cycles()
@@ -335,7 +371,7 @@ class SurfaceComplex:
             walk = []
             for step in cycles[0]:
                 e = step["end"][0]
-                first, second = occ_order[e]
+                first, second = self.occurrence_index[e]
                 src = step["occ_in"]
                 dst = step["occ_out"]
                 assert {src, dst} == {first, second}

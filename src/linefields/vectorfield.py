@@ -11,7 +11,7 @@ cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .dynamics import Separatrix, TopologicalGraph
 from .errors import CancellationError, CyclicFieldError, OperationError
@@ -55,20 +55,29 @@ class VectorField:
             pairs.append((a, b))
         object.__setattr__(self, "matching", frozenset(pairs))
 
-    def matched_cells(self) -> set[str]:
-        return {c for pair in self.matching for c in pair}
+    def matched_cells(self) -> frozenset[str]:
+        return self._matched_cells
 
     def upper_of(self, lower: str) -> str | None:
-        for lo, up in self.matching:
-            if lo == lower:
-                return up
-        return None
+        return self._upper_of.get(lower)
 
     def lower_of(self, upper: str) -> str | None:
-        for lo, up in self.matching:
-            if up == upper:
-                return lo
-        return None
+        return self._lower_of.get(upper)
+
+    # The matching never changes after construction, so each lookup table
+    # is built once, on first use.
+
+    @cached_property
+    def _upper_of(self) -> dict[str, str]:
+        return {lo: up for lo, up in self.matching}
+
+    @cached_property
+    def _lower_of(self) -> dict[str, str]:
+        return {up: lo for lo, up in self.matching}
+
+    @cached_property
+    def _matched_cells(self) -> frozenset[str]:
+        return frozenset(c for pair in self.matching for c in pair)
 
 
 def validate_vector_field(V: VectorField) -> list[str]:

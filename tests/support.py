@@ -142,6 +142,35 @@ def grid_torus(rows, cols):
     )
 
 
+def grid_klein(rows, cols):
+    """Klein bottle cut into a rows-by-cols grid of square faces.
+
+    Like grid_torus, except that the last row of faces is glued to row 0
+    with the columns reflected, so the horizontal edges of row 0 occur with
+    the same sign on both of their faces.
+    """
+    width = len(str(max(rows, cols) - 1))
+
+    def at(r, c):
+        return f"{r % rows:0{width}}{c % cols:0{width}}"
+
+    vertices = {f"v{at(r, c)}" for r in range(rows) for c in range(cols)}
+    edges = {}
+    for r in range(rows):
+        for c in range(cols):
+            edges[f"h{at(r, c)}"] = (f"v{at(r, c)}", f"v{at(r, c + 1)}")
+            below = at(r + 1, c) if r + 1 < rows else at(0, -c)
+            edges[f"u{at(r, c)}"] = (f"v{at(r, c)}", f"v{below}")
+    faces = {}
+    for r in range(rows):
+        for c in range(cols):
+            top = f"-h{at(r + 1, c)}" if r + 1 < rows else f"+h{at(0, -c - 1)}"
+            faces[f"q{at(r, c)}"] = w(f"+h{at(r, c)} +u{at(r, c + 1)} {top} -u{at(r, c)}")
+    return SurfaceComplex(
+        vertices=frozenset(vertices), edges=edges, faces=faces, name=f"klein{rows}x{cols}"
+    )
+
+
 def pinched_spheres():
     """Two disk-spheres sharing their vertex; passes validate, has no dual."""
     return SurfaceComplex(

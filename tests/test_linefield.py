@@ -122,3 +122,21 @@ def test_adding_a_pair_preserves_the_sum():
         for v, e in free:
             extended = LineField(S, L.matching | {(v, e)})
             assert euler_sum(extended) == euler_sum(L)
+
+
+def test_matching_lookups_agree_with_pairs():
+    rng = random.Random(405)
+    for S in support.random_corpus(seed=405, count=20):
+        L = LineField(S, support.sample_matching(support.line_field_pairs(S), rng))
+        for v in S.vertices:
+            want = [e for u, e in L.matching if u == v]
+            assert L.edge_matched_to(v) == (want[0] if want else None)
+        for e in S.edges:
+            want = [v for v, f in L.matching if f == e]
+            assert L.vertex_matched_to(e) == (want[0] if want else None)
+        # The cached sets are frozen, and caching leaves equality alone.
+        assert L.matched_vertices() == frozenset(v for v, _e in L.matching)
+        assert L.matched_edges() == frozenset(e for _v, e in L.matching)
+        assert isinstance(L.matched_vertices(), frozenset)
+        assert isinstance(L.matched_edges(), frozenset)
+        assert L == LineField(S, L.matching)

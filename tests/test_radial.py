@@ -31,7 +31,7 @@ from linefields import (
     validate_line_field,
     vector_fields_isomorphic,
 )
-from linefields.radial import _bipartition, _edge_slots, _factor
+from linefields.radial import _bipartition, _factor
 
 
 def small_builders():
@@ -379,8 +379,18 @@ def differential_corpus():
 
 
 def test_edge_slots_agree_with_edge_occurrences():
+    # The cached index against a scan of every walk for each edge.
     for S in differential_corpus():
-        assert _edge_slots(S) == {e: S.edge_occurrences(e) for e in S.edges}
+        for e in S.edges:
+            scan = [
+                (f, i)
+                for f in sorted(S.faces)
+                for i, (_s, x) in enumerate(S.faces[f])
+                if x == e
+            ]
+            assert S.occurrence_index[e] == tuple(scan)
+            assert S.edge_occurrences(e) == scan
+        assert S.occurrence_index.keys() == S.edges.keys()
 
 
 def test_bridge_matches_move_by_move_on_random_fields():
@@ -390,7 +400,7 @@ def test_bridge_matches_move_by_move_on_random_fields():
     assert any(
         S.faces[f1][i1][0] == S.faces[f2][i2][0]
         for S in corpus
-        for (f1, i1), (f2, i2) in _edge_slots(S).values()
+        for (f1, i1), (f2, i2) in S.occurrence_index.values()
     )
     for S in corpus:
         for _ in range(4):

@@ -5,19 +5,26 @@ import pytest
 import support
 from linefields import (
     CancellationError,
+    CellCorrespondence,
+    CoreResult,
     DegenerateOperationError,
     LineField,
     OperationError,
     cancel_vertex_face,
     collapse_noncritical_face,
     contract_matched_pair,
+    corridors_from,
     critical_cells,
+    delete_edge_merge_faces,
+    emit_line_field,
     euler_sum,
+    fresh_id,
     homotopy_core,
     is_acyclic,
     merge_critical_faces,
     split_face,
     subdivide_edge,
+    SurfaceComplex,
     topological_graph,
     unmatched_boundary_count,
     validate_line_field,
@@ -438,3 +445,234 @@ def test_cancel_invariants_on_random_fields():
                 assert after.get(part_entry, 0) == crit[f] + 2
                 assert len(after) == len(crit) - (2 if crit[f] == -2 else 1)
     assert applied >= 5
+
+
+# ---- differential check against the move-by-move core --------------------
+#
+# The reference applies one contract_matched_pair, collapse_noncritical_face
+# or delete_edge_merge_faces per move, building a complex and composing the
+# correspondence after every move.  The library's one-pass core and merge
+# must emit the same text and mapping, stop at the same degenerate face,
+# and refuse with the same exception and message.
+
+
+def reference_contraction_order(L):
+    S = L.complex
+    partner = dict(L.matching)
+    remaining = set(partner)
+    order = []
+    while remaining:
+        ready = []
+        for v in remaining:
+            tail, head = S.edges[partner[v]]
+            if (head if v == tail else tail) not in remaining:
+                ready.append(v)
+        v = min(ready)
+        order.append((v, partner[v]))
+        remaining.discard(v)
+    return order
+
+
+def reference_core(L, branches):
+    """The move-by-move homotopy core; adds to `branches` how it stopped."""
+    assert is_acyclic(L)
+    cur = L
+    mapping = {c: c for c, _d in L.complex.cells()}
+    for v, e in reference_contraction_order(L):
+        try:
+            cur, step = contract_matched_pair(cur, v, e)
+        except DegenerateOperationError:
+            bad = min(
+                fc
+                for fc, walk in cur.complex.faces.items()
+                if all(ee == e for _s, ee in walk)
+            )
+            branches.add("degenerate contraction")
+            return CoreResult(cur, CellCorrespondence(mapping), degenerate_face=bad)
+        mapping = {c: step.mapping[img] for c, img in mapping.items()}
+    first_removable = None
+    while True:
+        faces = cur.complex.faces
+        bigons = [fc for fc in sorted(faces) if len(faces[fc]) == 2]
+        removable = [fc for fc in bigons if faces[fc][0][1] != faces[fc][1][1]]
+        if first_removable is None:
+            first_removable = set(removable)
+        if not removable:
+            bad = bigons[0] if bigons else None
+            if bad is not None:
+                branches.add(
+                    "bigon degenerated by a collapse"
+                    if bad in first_removable
+                    else "degenerate bigon from the start"
+                )
+            return CoreResult(cur, CellCorrespondence(mapping), degenerate_face=bad)
+        cur, step = collapse_noncritical_face(cur, removable[0])
+        mapping = {c: step.mapping[img] for c, img in mapping.items()}
+
+
+def reference_merge(L, f, g, branches):
+    """The move-by-move merge_critical_faces; adds to `branches` the shape
+    of each corridor it merges along."""
+    S = L.complex
+    for x in (f, g):
+        if x not in S.faces:
+            raise OperationError(f"{x} is not a face of the complex")
+    if f == g:
+        raise OperationError("cannot merge a face with itself")
+    crit = critical_cells(L)
+    for x in (f, g):
+        if x not in crit:
+            raise OperationError(f"face {x} is not critical")
+    hits = [c for c in corridors_from(L, f) if c.end == g]
+    if not hits:
+        raise CancellationError(f"no corridor from {f} to {g}")
+    if len(hits) > 1:
+        raise CancellationError(
+            f"merging needs a unique corridor from {f} to {g}; found {len(hits)}"
+        )
+    corridor = hits[0]
+    if corridor.interior:
+        branches.add("merge through interior faces")
+    merged_id = fresh_id(f"m_{f}_{g}", {c for c, _d in S.cells()})
+    T = S
+    for crossing in corridor.crossings:
+        (f1, p1), (f2, p2) = T.edge_occurrences(crossing.edge)
+        if merged_id in (f1, f2):
+            other = f2 if f1 == merged_id else f1
+            if merged_id < other:
+                branches.add("merged face sorts first")
+                if T.faces[f1][p1][0] == T.faces[f2][p2][0]:
+                    branches.add("merged face sorts first, rest reversed")
+        T = delete_edge_merge_faces(T, crossing.edge, merged_id)
+    problems = T.validate()
+    if problems:
+        raise DegenerateOperationError(
+            f"merging {f} and {g} breaks the complex: {problems[0]}"
+        )
+    mapping = {c: c for c, _d in S.cells()}
+    for cell in (f, g, *corridor.interior):
+        mapping[cell] = merged_id
+    for crossing in corridor.crossings:
+        mapping[crossing.edge] = merged_id
+    return LineField(T, L.matching), CellCorrespondence(mapping)
+
+
+def core_outcome(core):
+    return (
+        emit_line_field(core.field),
+        core.correspondence.mapping,
+        core.degenerate_face,
+    )
+
+
+def merge_outcome(merge, L, f, g):
+    try:
+        field, corr = merge(L, f, g)
+    except OperationError as exc:
+        return type(exc), str(exc)
+    return emit_line_field(field), corr.mapping
+
+
+def forest_field(S, rng, keep):
+    """An acyclic field: a random spanning tree of the 1-skeleton, each
+    non-root vertex matched to the edge towards its parent, with each pair
+    kept with probability `keep`."""
+    parent = {v: v for v in S.vertices}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    adjacent = {v: [] for v in S.vertices}
+    edges = sorted(S.edges)
+    rng.shuffle(edges)
+    for e in edges:
+        tail, head = S.edges[e]
+        if root(tail) != root(head):
+            parent[root(tail)] = root(head)
+            adjacent[tail].append((head, e))
+            adjacent[head].append((tail, e))
+    pairs = set()
+    start = min(S.vertices)
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for x, e in adjacent[u]:
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+                if rng.random() < keep:
+                    pairs.add((x, e))
+    return LineField(S, frozenset(pairs))
+
+
+def faces_renamed(S, prefix):
+    """S with every face renamed so the merged face m_... sorts before it."""
+    return SurfaceComplex(
+        S.vertices, S.edges, {prefix + f: walk for f, walk in S.faces.items()}, name=S.name
+    )
+
+
+def differential_fields():
+    rng = random.Random(831)
+    fields = [
+        LineField(support.slit_sphere(), frozenset({("u", "e")})),
+        LineField(support.proj_plane()),
+        LineField(support.slit_sphere()),
+        two_pair_tetra(),
+        LineField(support.theta_sphere(), frozenset({("u", "a")})),
+        LineField(support.disk_sphere()),
+    ]
+    corpus = support.random_corpus(832, 60, max_moves=4)
+    for S in corpus + [faces_renamed(S, "z") for S in corpus]:
+        for keep in (0.3, 0.7):
+            L = LineField(
+                S, support.sample_matching(support.line_field_pairs(S), rng, keep=keep)
+            )
+            if is_acyclic(L):
+                fields.append(L)
+    for rows, cols in ((2, 3), (3, 3), (4, 6), (8, 8), (12, 12), (16, 16)):
+        S = support.grid_torus(rows, cols)
+        fields += [forest_field(S, rng, keep) for keep in (1.0, 0.6, 0.25)]
+    # The twisted row of a Klein grid gives corridors whose crossings carry
+    # the same sign on both faces.
+    for rows, cols in ((3, 4), (5, 5), (8, 8)):
+        S = support.grid_klein(rows, cols)
+        fields += [forest_field(S, rng, keep) for keep in (1.0, 1.0, 0.9, 0.6)]
+    return fields
+
+
+def test_core_matches_move_by_move():
+    branches = set()
+    for L in differential_fields():
+        assert core_outcome(homotopy_core(L)) == core_outcome(reference_core(L, branches))
+    assert branches == {
+        "degenerate contraction",
+        "degenerate bigon from the start",
+        "bigon degenerated by a collapse",
+    }
+
+
+def test_merge_matches_move_by_move():
+    branches = set()
+    merged = 0
+    for L in differential_fields():
+        crit = critical_cells(L)
+        faces = [f for f in sorted(crit) if f in L.complex.faces][:12]
+        for f in faces:
+            for g in faces:
+                got = merge_outcome(merge_critical_faces, L, f, g)
+                want = merge_outcome(
+                    lambda *args: reference_merge(*args, branches), L, f, g
+                )
+                assert got == want
+                merged += got[0] is not CancellationError
+    assert merged >= 50
+    assert branches == {
+        "merge through interior faces",
+        "merged face sorts first",
+        "merged face sorts first, rest reversed",
+    }

@@ -9,8 +9,10 @@ from support import w
 from linefields.errors import DegenerateOperationError, InvalidComplexError
 from linefields.surface import (
     SurfaceComplex,
+    _canonical_rotation,
     delete_edge_merge_faces,
     fresh_id,
+    occ_text,
     split_face,
     subdivide_edge,
 )
@@ -69,6 +71,33 @@ def test_walks_canonically_rotated():
     )
     assert S.faces["F"] == w("+a +b -a -b")
     assert S == support.torus_one()
+
+
+def reference_rotation(walk):
+    """The least rotation by comparing every rotation in full, O(k^2)."""
+    if len(walk) < 2:
+        return walk
+    keys = [occ_text(o) for o in walk]
+    n = len(walk)
+    best = min(range(n), key=lambda i: (keys[i], [keys[(i + j) % n] for j in range(n)]))
+    return walk[best:] + walk[:best]
+
+
+def random_walk(rng, edges, length):
+    return tuple((rng.choice((1, -1)), rng.choice(edges)) for _ in range(length))
+
+
+def test_least_rotation_matches_full_comparison():
+    rng = random.Random(841)
+    walks = [(), w("+a"), w("-a"), w("+a +a"), w("-b +a"), w("+a -b +a -b")]
+    for _ in range(400):
+        # Two edges and a few repeats make ties, and so Booth's slow path,
+        # common.
+        block = random_walk(rng, "ab", rng.randrange(1, 5))
+        walks.append(block * rng.randrange(1, 4))
+        walks.append(random_walk(rng, "abc", rng.randrange(13)))
+    for walk in walks:
+        assert _canonical_rotation(walk) == reference_rotation(walk)
 
 
 def test_occurrence_endpoints():

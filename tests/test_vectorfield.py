@@ -53,6 +53,20 @@ def test_construction_reorders_pairs_by_dimension():
     assert V.upper_of("v2") is None
 
 
+def test_matching_lookups_agree_with_pairs():
+    rng = random.Random(406)
+    for S in support.random_corpus(seed=406, count=20):
+        V = VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
+        for cell, _d in S.cells():
+            up = [u for lo, u in V.matching if lo == cell]
+            lo = [lo for lo, u in V.matching if u == cell]
+            assert V.upper_of(cell) == (up[0] if up else None)
+            assert V.lower_of(cell) == (lo[0] if lo else None)
+        assert V.matched_cells() == frozenset(c for pair in V.matching for c in pair)
+        assert isinstance(V.matched_cells(), frozenset)
+        assert V == VectorField(S, V.matching)
+
+
 def test_critical_cells_empty_matching():
     V = VectorField(support.tetra())
     crit = critical_cells_dvf(V)
