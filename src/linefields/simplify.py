@@ -180,20 +180,17 @@ def homotopy_core(L: LineField) -> CoreResult:
     simplification, only critical faces.  Critical cells, their indices,
     and the topological graph survive under the correspondence.
 
-    The moves are those of contracting pairs in _contraction_order and then
-    collapsing the least removable bigon until none is left, but they are
-    applied in one pass to plain cell dicts and one complex is built at the
-    end.  A contracted vertex and its edge map to the end of the vertex's
-    matched chain, and matched occurrences drop from every walk at once.  A
-    face whose walk holds only matched edges would be left empty by the
-    contraction of its last edge in that order; the first such contraction
-    stops simplification, the result being the field just before it and
-    the least face it would empty.  Collapsing a bigon keeps every walk's
-    length, so no bigon becomes removable later and one pass over the
-    bigons in sorted order collapses exactly what the move-by-move loop
-    would; a bigon that is degenerate when its turn comes (one edge twice)
-    stays so, and the least of these stops simplification.  The
-    correspondence follows each cell's chain of absorbing cells.
+    The moves edit plain cell dicts and one complex is built at the end,
+    equal to what contracting the pairs one at a time in
+    _contraction_order, then collapsing the least removable bigon until
+    none is left, would give.  A contracted vertex and its edge map to the
+    end of the vertex's matched chain.  When some walk holds only matched
+    edges, contraction stops just before the first pair in that order that
+    would empty a walk, and the least face it would empty is the
+    degenerate face.  Otherwise, as a collapse keeps every walk's length,
+    no bigon becomes removable later and one pass over the bigons in
+    sorted order suffices; the least bigon left, which repeats one edge,
+    is the degenerate face.
     """
     _require_acyclic(L)
     S = L.complex
@@ -232,16 +229,15 @@ def homotopy_core(L: LineField) -> CoreResult:
 def _collapse_bigons(edges, walks, parent) -> str | None:
     """Collapse every removable bigon of an unmatched field in place.
 
-    `walks` maps each face to a list of occurrences; on return every walk
-    is a tuple.  Each collapse deletes the bigon's smaller edge and writes
-    the bigon's other occurrence into the neighbour's slot of the deleted
-    edge, which is what delete_edge_merge_faces leaves once the neighbour's
-    walk is read in the right direction: the neighbour's walk is reversed
-    when both occurrences of the deleted edge carry the same sign and the
-    bigon sorts first, since the first face in sorted order keeps its
-    direction.  A reversed face is kept as its stored list read backwards
-    with every sign flipped.  Records the absorbing cells in `parent` and
-    returns the least bigon left, which is degenerate, or None.
+    Each collapse deletes the bigon's smaller edge and writes its other
+    occurrence into the neighbour's slot of the deleted edge, an O(1) edit
+    through an edge -> slots index.  delete_edge_merge_faces would also
+    reverse the neighbour's walk when both occurrences of the edge carry
+    the same sign and the bigon sorts first; such a face is kept as its
+    list read backwards with every sign flipped, and the flags cancel out
+    of the sign written into the slot.  `walks` maps faces to lists and
+    ends up mapping them to tuples; absorbed cells go into `parent`.
+    Returns the least bigon left, which is degenerate, or None.
     """
     slots: dict[str, list[tuple[str, int]]] = {e: [] for e in edges}
     for f, walk in walks.items():
@@ -321,16 +317,17 @@ def merge_critical_faces(
 def _corridor_walk(S: SurfaceComplex, corridor, merged_id: str) -> tuple:
     """The walk left by deleting the corridor's crossings in order.
 
-    Deleting a crossing puts the rest of the next face's walk in the
-    crossing's slot, reversed when the two occurrences carry the same sign
-    as read in the merged walk so far.  The splices nest: in the direction
-    of the start face the walk is the start face's rest, then each interior
-    face's part before its exit crossing, the end face's rest, and the
-    interior parts after the exits in reverse order.  delete_edge_merge_faces
-    keeps the face first in sorted order forward, so a deletion that
-    reverses a rest whose face sorts before the merged one reverses the
-    whole walk.  Raises DegenerateOperationError at the first deletion that
-    would leave an empty walk.
+    Read in the start face's direction, deleting a crossing puts the rest
+    of the next face's walk in the crossing's slot, reversed when the two
+    occurrences of the crossing carry the same sign.  The splices nest: the
+    walk is the start face's rest, then each interior face's part before
+    its exit crossing, the end face's rest, and the interior parts after
+    the exits in reverse order.  delete_edge_merge_faces keeps the walk of
+    the face first in sorted order forward, so every deletion that reverses
+    the rest of a face sorting before the merged one, judged in the merged
+    walk's own direction, reverses the merged walk.  Raises
+    DegenerateOperationError at the first deletion that would leave an
+    empty walk.
     """
     crossings = corridor.crossings
     start, p = crossings[0].depart

@@ -10,6 +10,7 @@ from linefields import (
     DegenerateOperationError,
     LineField,
     OperationError,
+    SurfaceComplex,
     cancel_vertex_face,
     collapse_noncritical_face,
     contract_matched_pair,
@@ -24,7 +25,6 @@ from linefields import (
     merge_critical_faces,
     split_face,
     subdivide_edge,
-    SurfaceComplex,
     topological_graph,
     unmatched_boundary_count,
     validate_line_field,
