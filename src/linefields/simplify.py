@@ -23,6 +23,7 @@ from .errors import (
 from .linefield import LineField, critical_cells, unmatched_boundary_count
 from .surface import (
     SurfaceComplex,
+    _merged_walk,
     delete_edge_merge_faces,
     fresh_id,
     reversed_walk,
@@ -216,7 +217,10 @@ def homotopy_core(L: LineField) -> CoreResult:
         for e, (tail, head) in S.edges.items()
         if e not in matched
     }
-    walks = {f: [occ for occ in walk if occ[1] not in matched] for f, walk in S.faces.items()}
+    walks = {
+        f: tuple(occ for occ in walk if occ[1] not in matched)
+        for f, walk in S.faces.items()
+    }
     if degenerate is None:
         degenerate = _collapse_bigons(edges, walks, parent)
     T = SurfaceComplex(S.vertices - parent.keys(), edges, walks, name=S.name)
@@ -229,40 +233,36 @@ def homotopy_core(L: LineField) -> CoreResult:
 def _collapse_bigons(edges, walks, parent) -> str | None:
     """Collapse every removable bigon of an unmatched field in place.
 
-    Each collapse deletes the bigon's smaller edge and writes its other
-    occurrence into the neighbour's slot of the deleted edge, an O(1) edit
-    through an edge -> slots index.  delete_edge_merge_faces would also
-    reverse the neighbour's walk when both occurrences of the edge carry
-    the same sign and the bigon sorts first; such a face is kept as its
-    list read backwards with every sign flipped, and the flags cancel out
-    of the sign written into the slot.  `walks` maps faces to lists and
-    ends up mapping them to tuples; absorbed cells go into `parent`.
-    Returns the least bigon left, which is degenerate, or None.
+    Each collapse deletes the bigon's smaller edge and merges the bigon
+    into the edge's other face g with _merged_walk, in sorted face order
+    as delete_edge_merge_faces does; g keeps its length, so refreshing the
+    edge -> slots index over g's walk costs no more than the longest face.
+    Absorbed cells go into `parent`.  Returns the least bigon left, which
+    repeats one edge and is degenerate, or None.
     """
     slots: dict[str, list[tuple[str, int]]] = {e: [] for e in edges}
     for f, walk in walks.items():
         for i, (_s, e) in enumerate(walk):
             slots[e].append((f, i))
-    backwards: set[str] = set()
     bigons = sorted(f for f, walk in walks.items() if len(walk) == 2)
     for f in bigons:
         walk = walks[f]
         if walk[0][1] == walk[1][1]:
             continue
         i = 0 if walk[0][1] < walk[1][1] else 1
-        sign, gone = walk[i]
-        keep_sign, keep = walk[1 - i]
+        gone = walk[i][1]
         g, j = next(slot for slot in slots.pop(gone) if slot[0] != f)
-        other_sign = walks[g][j][0]
-        walks[g][j] = (-keep_sign * sign * other_sign, keep)
-        slots[keep][slots[keep].index((f, 1 - i))] = (g, j)
-        same = sign * other_sign == (-1 if (f in backwards) != (g in backwards) else 1)
-        if same and f < g:
-            backwards ^= {g}
+        if f < g:
+            merged = _merged_walk(walk, i, walks[g], j)
+        else:
+            merged = _merged_walk(walks[g], j, walk, i)
+        for _s, e in merged:
+            slots[e] = [slot for slot in slots[e] if slot[0] not in (f, g)]
+        for k, (_s, e) in enumerate(merged):
+            slots[e].append((g, k))
+        walks[g] = merged
         del walks[f], edges[gone]
         parent[f] = parent[gone] = g
-    for f, walk in walks.items():
-        walks[f] = reversed_walk(walk) if f in backwards else tuple(walk)
     return next((f for f in bigons if f in walks), None)
 
 

@@ -35,14 +35,7 @@ def reversed_walk(walk: tuple[Occurrence, ...]) -> tuple[Occurrence, ...]:
 def _canonical_rotation(walk: tuple[Occurrence, ...]) -> tuple[Occurrence, ...]:
     # Rotate to start at the lexicographically least rotation of the
     # signed-occurrence texts so corner positions are reproducible.
-    if len(walk) < 2:
-        return walk
-    keys = [occ_text(o) for o in walk]
-    least = min(keys)
-    if keys.count(least) == 1:
-        k = keys.index(least)
-    else:
-        k = _least_rotation(keys)
+    k = _least_rotation([occ_text(o) for o in walk])
     return walk[k:] + walk[:k]
 
 
