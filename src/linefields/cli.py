@@ -16,6 +16,7 @@ from pathlib import Path
 from .dynamics import closed_l_path, l_paths
 from .errors import InvalidComplexError, OperationError, ParseError
 from .formats import (
+    _critical_json,
     emit_complex,
     emit_line_field,
     emit_vector_field,
@@ -26,14 +27,13 @@ from .formats import (
     parse_vector_field,
     report_json,
 )
-from .linefield import LineField, critical_cells, euler_sum, validate_line_field
+from .linefield import LineField, euler_sum, validate_line_field
 from .radial import dlf_to_dvf, dvf_to_dlf
 from .simplify import cancel_vertex_face, homotopy_core, merge_critical_faces
 from .vectorfield import (
     VectorField,
     closed_x_path,
     count_x_paths,
-    critical_cells_dvf,
     euler_sum_dvf,
     validate_vector_field,
     x_paths,
@@ -121,12 +121,7 @@ def _cmd_critical(args) -> int:
     field = _read_field(args.file, args.dvf)
     if not _valid_or_report(field):
         return 1
-    S = field.complex
-    crit = (critical_cells if isinstance(field, LineField) else critical_cells_dvf)(field)
-    entries = [
-        {"cell": c, "dim": S.dim_of(c), "doubled_index": crit[c]} for c in sorted(crit)
-    ]
-    print(json.dumps(entries, indent=2))
+    print(json.dumps(_critical_json(field), indent=2))
     return 0
 
 
@@ -302,7 +297,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OperationError, InvalidComplexError) as exc:

@@ -6,6 +6,12 @@ at its corners; corridors leave a critical face through an unmatched
 boundary occurrence and tunnel through faces with exactly two unmatched
 occurrences until they reach a critical face again.  Corridors that never
 touch a critical face close up into cycles and mark periodic behaviour.
+
+L-paths here and X-paths in vectorfield.py run on one path engine over a
+step relation `options(cell) -> [(label, next cell)]`: `_find_cycle` finds
+a closed-path witness, `_maximal_walks` lists walks depth first in option
+order, and `_count_walks` counts them with a memoised DP.  Each keeps its
+own stack, so path length is bounded by memory, not by recursion depth.
 """
 
 from __future__ import annotations
@@ -96,6 +102,88 @@ class DecompositionReport:
     flags: tuple[str, ...]
 
 
+# ---- path engine ----------------------------------------------------------
+
+
+def _find_cycle(roots, options):
+    """The first closed walk a depth-first search from `roots`, in order,
+    runs into: (cells, labels) from the re-entered cell back to itself,
+    or None when the relation is acyclic on everything reachable."""
+    state: dict = {}  # 1 while on the current walk, 2 once finished
+    for root in roots:
+        if root in state:
+            continue
+        state[root] = 1
+        cells, labels = [root], []
+        stack = [iter(options(root))]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                state[cells.pop()] = 2
+                del labels[-1:]
+                stack.pop()
+                continue
+            label, nxt = step
+            seen = state.get(nxt)
+            if seen == 1:
+                k = cells.index(nxt)
+                return tuple(cells[k:]) + (nxt,), tuple(labels[k:]) + (label,)
+            if seen is None:
+                state[nxt] = 1
+                cells.append(nxt)
+                labels.append(label)
+                stack.append(iter(options(nxt)))
+    return None
+
+
+def _maximal_walks(start, options):
+    """Every walk from `start` that steps until a cell with no options, as
+    (cells, labels) tuples, depth first in option order.  The relation must
+    be acyclic."""
+    cells, labels = [start], []
+    stack = [iter(options(start))]
+    leaf = True
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            if leaf:
+                yield tuple(cells), tuple(labels)
+                leaf = False
+            cells.pop()
+            del labels[-1:]
+            stack.pop()
+            continue
+        label, nxt = step
+        cells.append(nxt)
+        labels.append(label)
+        stack.append(iter(options(nxt)))
+        leaf = True
+
+
+def _count_walks(options, target):
+    """`ways(cell)`: how many maximal walks from `cell` end at `target`,
+    memoised across calls.  The relation must be acyclic."""
+    memo: dict = {}
+
+    def ways(cell) -> int:
+        stack = [cell]
+        while stack:
+            c = stack[-1]
+            if c in memo:
+                stack.pop()
+                continue
+            steps = options(c)
+            todo = [nxt for _label, nxt in steps if nxt not in memo]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            memo[c] = sum(memo[nxt] for _label, nxt in steps) if steps else int(c == target)
+        return memo[cell]
+
+    return ways
+
+
 # ---- L-paths --------------------------------------------------------------
 
 
@@ -109,30 +197,21 @@ def _step_maps(L: LineField) -> tuple[dict[str, str], dict[str, str]]:
     return step, witness
 
 
+def _l_options(L: LineField):
+    """The L-path step relation: a matched vertex steps across its edge."""
+    step, witness = _step_maps(L)
+    steps = {v: ((witness[v], w),) for v, w in step.items()}
+    return lambda v: steps.get(v, ())
+
+
 def closed_l_path(L: LineField) -> LPath | None:
     """A closed L-path, rotated to start at its least vertex, or None."""
-    step, witness = _step_maps(L)
-    done: set[str] = set()
-    for start in sorted(step):
-        if start in done:
-            continue
-        chain = [start]
-        on_chain = {start}
-        while True:
-            nxt = step.get(chain[-1])
-            if nxt is None or nxt in done:
-                break
-            if nxt in on_chain:
-                k = chain.index(nxt)
-                cycle = chain[k:]
-                m = cycle.index(min(cycle))
-                cycle = cycle[m:] + cycle[:m]
-                cycle.append(cycle[0])
-                return LPath(tuple(cycle), tuple(witness[v] for v in cycle[:-1]))
-            chain.append(nxt)
-            on_chain.add(nxt)
-        done.update(chain)
-    return None
+    cycle = _find_cycle(sorted(v for v, _e in L.matching), _l_options(L))
+    if cycle is None:
+        return None
+    ring, edges = cycle[0][:-1], cycle[1]
+    m = ring.index(min(ring))
+    return LPath(ring[m:] + ring[: m + 1], edges[m:] + edges[:m])
 
 
 def is_acyclic(L: LineField) -> bool:
@@ -155,26 +234,11 @@ def l_paths(L: LineField, source: str, target: str) -> list[LPath]:
     for v in (source, target):
         if v not in L.complex.vertices:
             raise OperationError(f"{v} is not a vertex of the complex")
-    step, witness = _step_maps(L)
-    cells = [source]
-    edges = []
-    while True:
-        cur = cells[-1]
-        if cur == target:
-            return [LPath(tuple(cells), tuple(edges))]
-        if cur not in step:
-            return []
-        edges.append(witness[cur])
-        cells.append(step[cur])
-
-
-def _maximal_chain(step, witness, start: str) -> LPath:
-    cells = [start]
-    edges = []
-    while cells[-1] in step:
-        edges.append(witness[cells[-1]])
-        cells.append(step[cells[-1]])
-    return LPath(tuple(cells), tuple(edges))
+    cells, edges = next(_maximal_walks(source, _l_options(L)))
+    if target not in cells:
+        return []
+    k = cells.index(target)
+    return [LPath(cells[: k + 1], edges[:k])]
 
 
 # ---- topological graph ----------------------------------------------------
@@ -195,7 +259,7 @@ def topological_graph(L: LineField) -> TopologicalGraph:
     S = L.complex
     crit = critical_cells(L)
     matched = L.matched_edges()
-    step, witness = _step_maps(L)
+    options = _l_options(L)
     chains: dict[str, LPath] = {}
     edges = []
     for f in sorted(c for c in crit if c in S.faces):
@@ -205,7 +269,7 @@ def topological_graph(L: LineField) -> TopologicalGraph:
                 continue
             u = S.corner_vertex(f, i)
             if u not in chains:
-                chains[u] = _maximal_chain(step, witness, u)
+                chains[u] = LPath(*next(_maximal_walks(u, options)))
             path = chains[u]
             edges.append(Separatrix(f, path.vertices[-1], i, path))
     return TopologicalGraph(tuple(sorted(crit)), tuple(edges))

@@ -236,10 +236,12 @@ def _index_label(cell: str, doubled: int) -> str:
     return f"{cell} (idx={doubled}/2)"
 
 
-def _graph_and_critical(field):
+def _doubled_critical(field) -> dict[str, int]:
+    """Critical cells mapped to twice their index.  Line-field indices come
+    doubled already; vector-field indices (-1)^dim are doubled here."""
     if isinstance(field, LineField):
-        return topological_graph(field), critical_cells(field)
-    return topological_graph_dvf(field), critical_cells_dvf(field)
+        return critical_cells(field)
+    return {c: 2 * i for c, i in critical_cells_dvf(field).items()}
 
 
 _SHAPES = {0: "circle", 1: "diamond", 2: "box"}
@@ -252,7 +254,8 @@ def graph_dot(field) -> str:
     critical edges diamonds.  Node order follows the sorted critical set;
     edge order follows walk positions of the source cells.
     """
-    graph, crit = _graph_and_critical(field)
+    graph = (topological_graph if isinstance(field, LineField) else topological_graph_dvf)(field)
+    crit = _doubled_critical(field)
     S = field.complex
     lines = ["digraph topological_graph {"]
     for cell in graph.vertices:
@@ -273,7 +276,8 @@ def _complex_json(S: SurfaceComplex) -> dict:
     }
 
 
-def _critical_json(S: SurfaceComplex, crit: dict[str, int]) -> list[dict]:
+def _critical_json(field) -> list[dict]:
+    S, crit = field.complex, _doubled_critical(field)
     return [
         {"cell": c, "dim": S.dim_of(c), "doubled_index": crit[c]} for c in sorted(crit)
     ]
@@ -306,8 +310,7 @@ def report_json(field) -> str:
     """
     if isinstance(field, LineField):
         report = ms_decomposition(field)
-        graph, crit = report.graph, critical_cells(field)
-        matching = [list(p) for p in sorted(field.matching)]
+        graph = report.graph
         corridors = [
             {
                 "start": c.start,
@@ -325,15 +328,11 @@ def report_json(field) -> str:
             for c in report.closed_corridors
         ]
     else:
-        graph, crit = _graph_and_critical(field)
-        matching = [list(p) for p in sorted(field.matching)]
-        corridors = []
-        closed = []
-    S = field.complex
+        graph, corridors, closed = topological_graph_dvf(field), [], []
     payload = {
-        "complex": _complex_json(S),
-        "matching": matching,
-        "critical": _critical_json(S, crit),
+        "complex": _complex_json(field.complex),
+        "matching": [list(p) for p in sorted(field.matching)],
+        "critical": _critical_json(field),
         "separatrices": [_separatrix_json(s) for s in graph.edges],
         "corridors": corridors,
         "closed_corridors": closed,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 
-from .dynamics import _maximal_chain, _require_acyclic, _step_maps, corridors_from
+from .dynamics import _l_options, _maximal_walks, _require_acyclic, _step_maps, corridors_from
 from .errors import (
     CancellationError,
     DegenerateOperationError,
@@ -395,22 +395,22 @@ def cancel_vertex_face(
             f"face {f} has doubled index {2 - c}; cancellation needs a negative index"
         )
     _require_acyclic(L)
-    step, edge_of = _step_maps(L)
+    options = _l_options(L)
     walk = S.faces[f]
     n = len(walk)
     hits = []
     for pos in range(n):
-        chain = _maximal_chain(step, edge_of, S.corner_vertex(f, pos))
-        if chain.vertices[-1] == v:
-            hits.append((pos, chain))
+        cells, edges = next(_maximal_walks(S.corner_vertex(f, pos), options))
+        if cells[-1] == v:
+            hits.append((pos, cells, edges))
     if not hits:
         raise CancellationError(f"no path from {f} to {v}")
     if len(hits) > 1:
         raise CancellationError(
             f"cancellation needs a unique path from {f} to {v}; found {len(hits)}"
         )
-    p, path = hits[0]
-    u1 = path.vertices[0]
+    p, cells, edges = hits[0]
+    u1 = cells[0]
     matched = L.matched_edges()
     q = None
     for k in range(1, n):
@@ -437,9 +437,9 @@ def cancel_vertex_face(
     part_off = fresh_id(f"{f}_0", taken)
     T = split_face(S, f, p, q, diag, part_entry, part_off)
     pairs = set(L.matching)
-    for i, e_i in enumerate(path.edges):
-        pairs.discard((path.vertices[i], e_i))
-        pairs.add((path.vertices[i + 1], e_i))
+    for i, e_i in enumerate(edges):
+        pairs.discard((cells[i], e_i))
+        pairs.add((cells[i + 1], e_i))
     pairs.add((u1, diag))
     mapping = {cid: cid for cid, _d in S.cells()}
     mapping[f] = part_entry

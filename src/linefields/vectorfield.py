@@ -11,9 +11,9 @@ cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .dynamics import Separatrix, TopologicalGraph
+from .dynamics import Separatrix, TopologicalGraph, _count_walks, _find_cycle, _maximal_walks
 from .errors import CancellationError, CyclicFieldError, OperationError
 from .surface import SurfaceComplex
 
@@ -79,6 +79,16 @@ class VectorField:
     def _matched_cells(self) -> frozenset[str]:
         return frozenset(c for pair in self.matching for c in pair)
 
+    @cached_property
+    def _step_options(self):
+        """The X-path step relation: a cell matched upward steps to every
+        other cell on its partner's boundary, as ((witness, key), next)."""
+        steps = {
+            lo: [((up, key), c) for key, c in _boundary_occurrences(self.complex, up) if c != lo]
+            for lo, up in self.matching
+        }
+        return lambda cell: steps.get(cell, ())
+
 
 def validate_vector_field(V: VectorField) -> list[str]:
     """Violations of the matching conditions; empty when V is a discrete
@@ -128,63 +138,14 @@ def euler_sum_dvf(V: VectorField) -> int:
 # ---- X-paths --------------------------------------------------------------
 
 
-def _step_options(V: VectorField, cell: str, dim: int) -> list[tuple[str, int, str]]:
-    """(witness, occurrence key, next cell) triples leaving `cell`."""
-    upper = V.upper_of(cell)
-    if upper is None:
-        return []
-    if dim == 0:
-        tail, head = V.complex.edges[upper]
-        return [
-            (upper, slot, v)
-            for slot, v in ((0, tail), (1, head))
-            if v != cell
-        ]
-    return [
-        (upper, i, e)
-        for i, (_s, e) in enumerate(V.complex.faces[upper])
-        if e != cell
-    ]
-
-
 def closed_x_path(V: VectorField) -> XPath | None:
     """A closed X-path in either dimension, or None when the step relation
     is acyclic."""
     for p in (0, 1):
-        lowers = sorted(
-            lo for lo, _up in V.matching if V.complex.dim_of(lo) == p
-        )
-        color: dict[str, int] = {}
-        for root in lowers:
-            if color.get(root):
-                continue
-            color[root] = 1
-            stack = [(root, iter(_step_options(V, root, p)))]
-            steps: list[tuple[str, int]] = []
-            while stack:
-                node, options = stack[-1]
-                advanced = False
-                for tau, key, nxt in options:
-                    state = color.get(nxt)
-                    if state == 1:
-                        cells = [n for n, _o in stack]
-                        k = cells.index(nxt)
-                        return XPath(
-                            p,
-                            tuple(cells[k:]) + (nxt,),
-                            tuple(steps[k:]) + ((tau, key),),
-                        )
-                    if state is None:
-                        color[nxt] = 1
-                        stack.append((nxt, iter(_step_options(V, nxt, p))))
-                        steps.append((tau, key))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-                    if steps:
-                        steps.pop()
+        lowers = sorted(lo for lo, _up in V.matching if V.complex.dim_of(lo) == p)
+        cycle = _find_cycle(lowers, V._step_options)
+        if cycle is not None:
+            return XPath(p, *cycle)
     return None
 
 
@@ -210,23 +171,7 @@ def _boundary_occurrences(S: SurfaceComplex, cell: str) -> list[tuple[int, str]]
 
 
 def _start_cells(S: SurfaceComplex, cell: str) -> list[str]:
-    seen = []
-    for _key, c in _boundary_occurrences(S, cell):
-        if c not in seen:
-            seen.append(c)
-    return seen
-
-
-def _complete_paths(V: VectorField, dim: int, cell: str):
-    """All X-paths from `cell` to unmatched cells, in occurrence order."""
-    if V.upper_of(cell) is None:
-        yield XPath(dim, (cell,), ())
-        return
-    for tau, key, nxt in _step_options(V, cell, dim):
-        for tail_path in _complete_paths(V, dim, nxt):
-            yield XPath(
-                dim, (cell,) + tail_path.cells, ((tau, key),) + tail_path.witnesses
-            )
+    return list(dict.fromkeys(c for _key, c in _boundary_occurrences(S, cell)))
 
 
 def _check_path_query(V: VectorField, source: str, target: str) -> int:
@@ -256,27 +201,18 @@ def x_paths(V: VectorField, source: str, target: str):
 
     def generate():
         for start in _start_cells(V.complex, source):
-            for path in _complete_paths(V, p, start):
-                if path.cells[-1] == target:
-                    yield path
+            for cells, witnesses in _maximal_walks(start, V._step_options):
+                if cells[-1] == target:
+                    yield XPath(p, cells, witnesses)
 
     return generate()
 
 
 def count_x_paths(V: VectorField, source: str, target: str) -> int:
     """Number of X-paths x_paths would yield, without enumerating them."""
-    p = _check_path_query(V, source, target)
-    return sum(_path_counter(V, p, target)(c) for c in _start_cells(V.complex, source))
-
-
-def _path_counter(V: VectorField, dim: int, target: str):
-    @lru_cache(maxsize=None)
-    def ways(cell: str) -> int:
-        if V.upper_of(cell) is None:
-            return 1 if cell == target else 0
-        return sum(ways(nxt) for _t, _k, nxt in _step_options(V, cell, dim))
-
-    return ways
+    _check_path_query(V, source, target)
+    ways = _count_walks(V._step_options, target)
+    return sum(ways(c) for c in _start_cells(V.complex, source))
 
 
 # ---- topological graph and cancellation -----------------------------------
@@ -294,11 +230,12 @@ def topological_graph_dvf(V: VectorField) -> TopologicalGraph:
         if dim == 0:
             continue
         for key, cell in _boundary_occurrences(S, upper):
-            for path in _complete_paths(V, dim - 1, cell):
-                # A path may also die in a cell matched downward; only ends
-                # at critical cells give separatrices.
-                if path.cells[-1] in crit:
-                    edges.append(Separatrix(upper, path.cells[-1], key, path))
+            for cells, witnesses in _maximal_walks(cell, V._step_options):
+                # A walk may also end in a matched cell; only ends at
+                # critical cells give separatrices.
+                if cells[-1] in crit:
+                    path = XPath(dim - 1, cells, witnesses)
+                    edges.append(Separatrix(upper, cells[-1], key, path))
     return TopologicalGraph(tuple(sorted(crit)), tuple(edges))
 
 
@@ -310,8 +247,8 @@ def cancel_dvf(V: VectorField, upper: str, lower: str) -> VectorField:
     matching drops each {si, ti}, adds {s(i+1), ti}, and adds {s1, upper};
     the critical count drops by exactly two.
     """
-    p = _check_path_query(V, upper, lower)
-    ways = _path_counter(V, p, lower)
+    _check_path_query(V, upper, lower)
+    ways = _count_walks(V._step_options, lower)
     total = sum(ways(cell) for _key, cell in _boundary_occurrences(V.complex, upper))
     if total == 0:
         raise CancellationError(f"no X-path from {upper} to {lower}")

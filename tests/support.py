@@ -7,7 +7,11 @@ generated complexes valid by construction.
 """
 
 import random
+import sys
+from collections import deque
+from contextlib import contextmanager
 
+from linefields import LineField, VectorField
 from linefields.surface import (
     SurfaceComplex,
     fresh_id,
@@ -23,6 +27,18 @@ def w(text):
         sign = 1 if token[0] == "+" else -1
         out.append((sign, token[1:]))
     return tuple(out)
+
+
+@contextmanager
+def recursion_limit(depth):
+    """Raise the interpreter's recursion limit to at least `depth` for the
+    body of a with-block, restoring it afterwards."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, depth))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def is_rotation(walk, other):
@@ -330,3 +346,103 @@ def sample_matching(pairs, rng, keep=0.5):
         used.add(b)
         out.append((a, b))
     return frozenset(out)
+
+
+def forest_field(S, rng, keep):
+    """An acyclic field: a random spanning tree of the 1-skeleton, each
+    non-root vertex matched to the edge towards its parent, with each pair
+    kept with probability `keep`."""
+    parent = {v: v for v in S.vertices}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    adjacent = {v: [] for v in S.vertices}
+    edges = sorted(S.edges)
+    rng.shuffle(edges)
+    for e in edges:
+        tail, head = S.edges[e]
+        if root(tail) != root(head):
+            parent[root(tail)] = root(head)
+            adjacent[tail].append((head, e))
+            adjacent[head].append((tail, e))
+    pairs = set()
+    start = min(S.vertices)
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for x, e in adjacent[u]:
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+                if rng.random() < keep:
+                    pairs.add((x, e))
+    return LineField(S, frozenset(pairs))
+
+
+def tree_cotree(S, tree, first_critical=None):
+    """Gradient vector field pairs of a vertex forest plus a dual tree.
+
+    After Lewiner, Lopes and Tavares, Optimal discrete Morse functions for
+    2-manifolds (2003): each vertex in `tree` (vertex -> edge towards its
+    parent) pairs with its edge, and a breadth-first tree, from the least
+    face, of the dual graph on the remaining edges but `first_critical`
+    pairs every other face with the edge towards its parent face.  Returns
+    None when that dual graph is disconnected.
+    """
+    tree_edges = set(tree.values())
+    dual = {f: [] for f in S.faces}
+    for e, ((f, _i), (g, _j)) in sorted(S.occurrence_index.items()):
+        if e not in tree_edges and e != first_critical and f != g:
+            dual[f].append((e, g))
+            dual[g].append((e, f))
+    root = min(S.faces)
+    seen = {root}
+    pairs = set(tree.items())
+    queue = deque([root])
+    while queue:
+        f = queue.popleft()
+        for e, g in dual[f]:
+            if g not in seen:
+                seen.add(g)
+                pairs.add((e, g))
+                queue.append(g)
+    return frozenset(pairs) if len(seen) == len(S.faces) else None
+
+
+def serpentine_torus(rows, cols):
+    """A tree-cotree vector field on grid_torus(rows, cols) whose vertex
+    tree is a snake through every vertex, left to right on even rows and
+    back on odd ones.  An edge at the snake's head stays critical, so the
+    gradient path from it visits every vertex.  Returns (field, that edge).
+    """
+    S = grid_torus(rows, cols)
+    right, left, down = {}, {}, {}
+    for e, (tail, head) in S.edges.items():
+        if e.startswith("h"):
+            right[tail] = (e, head)
+            left[head] = (e, tail)
+        else:
+            down[tail] = (e, head)
+    head = v = min(S.vertices)
+    tree = {}
+    for r in range(rows):
+        for c in range(cols):
+            if c < cols - 1:
+                e, nxt = (right if r % 2 == 0 else left)[v]
+            elif r < rows - 1:
+                e, nxt = down[v]
+            else:
+                break
+            tree[v] = e
+            v = nxt
+    for e in sorted(S.edges):
+        if head in S.edges[e] and e not in tree.values():
+            pairs = tree_cotree(S, tree, first_critical=e)
+            if pairs is not None:
+                return VectorField(S, pairs), e
+    raise AssertionError(f"no admissible critical edge at {head}")

@@ -64,6 +64,14 @@ def test_missing_file_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unreadable_input_exit_1(tmp_path, capsys):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    for path in (binary, tmp_path):
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_dvf_flag_rejects_match_lines(tmp_path, capsys):
     path = tetra_file(tmp_path, frozenset({("v1", "e12")}))
     assert main(["validate", path, "--dvf"]) == 1
@@ -102,6 +110,21 @@ def test_critical_matches_library(tmp_path, capsys):
     entries = json.loads(capsys.readouterr().out)
     assert {e["cell"]: e["doubled_index"] for e in entries} == critical_cells(L)
     assert all(set(e) == {"cell", "dim", "doubled_index"} for e in entries)
+
+
+def test_dvf_indices_are_doubled(tmp_path, capsys):
+    path = write(tmp_path, "tetra.txt", emit_complex(support.tetra()))
+    assert main(["critical", path, "--dvf"]) == 0
+    entries = json.loads(capsys.readouterr().out)
+    assert {(e["dim"], e["doubled_index"]) for e in entries} == {(0, 2), (1, -2), (2, 2)}
+    assert sum(e["doubled_index"] for e in entries) == 2 * support.tetra().euler_characteristic()
+    assert main(["ms-graph", path, "--dvf"]) == 0
+    dot = capsys.readouterr().out
+    assert '"v1" [shape=circle, label="v1 (idx=1)"]' in dot
+    assert '"e12" [shape=diamond, label="e12 (idx=-1)"]' in dot
+    assert '"f123" [shape=box, label="f123 (idx=1)"]' in dot
+    assert main(["ms-graph", path, "--dvf", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["critical"] == entries
 
 
 # ---- check-acyclic and paths ----------------------------------------------

@@ -1,6 +1,4 @@
-import contextlib
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -246,16 +244,6 @@ def test_round_trip_exhaustive_small_complexes():
             )
 
 
-@contextlib.contextmanager
-def recursion_limit(depth):
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, depth))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 def test_round_trip_random_larger_instances():
     rng = random.Random(812)
     fields = []
@@ -275,7 +263,7 @@ def test_round_trip_random_larger_instances():
         dual_strip = {f"w_{f}": f for f in S.faces}
         # The isomorphism search recurses about once per cell, which the
         # 576 cells of the 12x12 torus take past the default limit.
-        with recursion_limit(4000):
+        with support.recursion_limit(4000):
             assert (
                 vector_fields_isomorphic(A, V, vertex_map=strip)
                 and vector_fields_isomorphic(B, dualize(V), vertex_map=dual_strip)

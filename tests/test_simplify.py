@@ -573,42 +573,6 @@ def merge_outcome(merge, L, f, g):
     return emit_line_field(field), corr.mapping
 
 
-def forest_field(S, rng, keep):
-    """An acyclic field: a random spanning tree of the 1-skeleton, each
-    non-root vertex matched to the edge towards its parent, with each pair
-    kept with probability `keep`."""
-    parent = {v: v for v in S.vertices}
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    adjacent = {v: [] for v in S.vertices}
-    edges = sorted(S.edges)
-    rng.shuffle(edges)
-    for e in edges:
-        tail, head = S.edges[e]
-        if root(tail) != root(head):
-            parent[root(tail)] = root(head)
-            adjacent[tail].append((head, e))
-            adjacent[head].append((tail, e))
-    pairs = set()
-    start = min(S.vertices)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for x, e in adjacent[u]:
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-                if rng.random() < keep:
-                    pairs.add((x, e))
-    return LineField(S, frozenset(pairs))
-
-
 def faces_renamed(S, prefix):
     """S with every face renamed so the merged face m_... sorts before it."""
     return SurfaceComplex(
@@ -636,12 +600,12 @@ def differential_fields():
                 fields.append(L)
     for rows, cols in ((2, 3), (3, 3), (4, 6), (8, 8), (12, 12), (16, 16)):
         S = support.grid_torus(rows, cols)
-        fields += [forest_field(S, rng, keep) for keep in (1.0, 0.6, 0.25)]
+        fields += [support.forest_field(S, rng, keep) for keep in (1.0, 0.6, 0.25)]
     # The twisted row of a Klein grid gives corridors whose crossings carry
     # the same sign on both faces.
     for rows, cols in ((3, 4), (5, 5), (8, 8)):
         S = support.grid_klein(rows, cols)
-        fields += [forest_field(S, rng, keep) for keep in (1.0, 1.0, 0.9, 0.6)]
+        fields += [support.forest_field(S, rng, keep) for keep in (1.0, 1.0, 0.9, 0.6)]
     return fields
 
 
@@ -676,3 +640,47 @@ def test_merge_matches_move_by_move():
         "merged face sorts first",
         "merged face sorts first, rest reversed",
     }
+
+
+# ---- no surgery pinches a vertex ------------------------------------------
+
+
+def test_surgery_keeps_one_link_cycle_per_vertex():
+    """validate() accepts a vertex whose link falls into two cycles, so
+    check the link of every vertex the core, merge and cancel moves emit."""
+    rng = random.Random(861)
+    fields = []
+    for S in support.random_corpus(862, 40, max_moves=4):
+        for keep in (0.2, 0.6):
+            L = LineField(
+                S, support.sample_matching(support.line_field_pairs(S), rng, keep=keep)
+            )
+            if is_acyclic(L):
+                fields.append(L)
+    for rows, cols in ((3, 4), (5, 5), (8, 8)):
+        S = support.grid_klein(rows, cols)
+        fields += [support.forest_field(S, rng, keep) for keep in (1.0, 0.9, 0.6, 0.25)]
+    made = {"core": 0, "merge": 0, "cancel": 0}
+
+    def check(kind, field):
+        links = field.complex.vertex_link_cycles()
+        assert all(len(cycles) == 1 for cycles in links.values()), kind
+        made[kind] += 1
+
+    for L in fields:
+        check("core", homotopy_core(L).field)
+        crit = critical_cells(L)
+        faces = [f for f in sorted(crit) if f in L.complex.faces][:6]
+        vertices = [v for v in sorted(crit) if v in L.complex.vertices][:6]
+        for f in faces:
+            for kind, move, others in (
+                ("merge", merge_critical_faces, faces),
+                ("cancel", lambda L, f, v: cancel_vertex_face(L, v, f), vertices),
+            ):
+                for other in others:
+                    try:
+                        field, _corr = move(L, f, other)
+                    except OperationError:
+                        continue
+                    check(kind, field)
+    assert made["core"] >= 50 and made["merge"] >= 50 and made["cancel"] >= 20
