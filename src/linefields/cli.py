@@ -17,6 +17,8 @@ from .dynamics import closed_l_path, l_paths
 from .errors import InvalidComplexError, OperationError, ParseError
 from .formats import (
     _critical_json,
+    _doubled_critical,
+    _half_text,
     emit_complex,
     emit_line_field,
     emit_vector_field,
@@ -27,14 +29,13 @@ from .formats import (
     parse_vector_field,
     report_json,
 )
-from .linefield import LineField, euler_sum, validate_line_field
+from .linefield import LineField, validate_line_field
 from .radial import dlf_to_dvf, dvf_to_dlf
 from .simplify import cancel_vertex_face, homotopy_core, merge_critical_faces
 from .vectorfield import (
     VectorField,
     closed_x_path,
     count_x_paths,
-    euler_sum_dvf,
     validate_vector_field,
     x_paths,
 )
@@ -73,10 +74,6 @@ def _write(text: str, path: str | None):
         Path(path).write_text(text)
 
 
-def _half_text(doubled: int) -> str:
-    return str(doubled // 2) if doubled % 2 == 0 else f"{doubled}/2"
-
-
 def _path_text(path) -> str:
     if hasattr(path, "vertices"):
         cells, steps = path.vertices, path.edges
@@ -102,18 +99,11 @@ def _cmd_euler(args) -> int:
     field = _read_field(args.file, args.dvf)
     if not _valid_or_report(field):
         return 1
-    S = field.complex
-    chi = len(S.vertices) - len(S.edges) + len(S.faces)
-    if isinstance(field, LineField):
-        doubled = euler_sum(field)
-        matches = doubled == 2 * chi
-        shown = _half_text(doubled)
-    else:
-        total = euler_sum_dvf(field)
-        matches = total == chi
-        shown = str(total)
+    chi = field.complex.euler_characteristic()
+    doubled = sum(_doubled_critical(field).values())
+    matches = doubled == 2 * chi
     verdict = "OK" if matches else "MISMATCH"
-    print(f"chi={chi} index_sum={shown} {verdict}")
+    print(f"chi={chi} index_sum={_half_text(doubled)} {verdict}")
     return 0 if matches else 2
 
 
@@ -235,6 +225,17 @@ def _cmd_import_off(args) -> int:
 
 # ---- parser ---------------------------------------------------------------
 
+def _cap(text: str) -> int:
+    """A --max value: a number of paths, so not negative."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"expected a whole number of paths, got {text!r}")
+    return cap
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linefields",
@@ -262,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", required=True, help="source cell")
     p.add_argument("--to", dest="target", required=True, help="target cell")
     p.add_argument("--count-only", action="store_true", help="print only the path count")
-    p.add_argument("--max", type=int, default=100, help="cap on listed paths")
+    p.add_argument("--max", type=_cap, default=100, help="cap on listed paths")
 
     p = add("ms-graph", _cmd_ms_graph, help="emit the topological graph")
     p.add_argument("--dvf", action="store_true", help="read a bare complex as a vector field")

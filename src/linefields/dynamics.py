@@ -393,8 +393,7 @@ def ms_decomposition(L: LineField) -> DecompositionReport:
     them up to direction.  Closed corridors are flagged as periodic
     components.
     """
-    _require_acyclic(L)
-    graph = topological_graph(L)
+    graph = topological_graph(L)  # refuses a cyclic field
     S = L.complex
     counts, partner, sibling, positions = _corridor_structure(L)
     visited: set[tuple[str, int]] = set()

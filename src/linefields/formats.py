@@ -230,10 +230,9 @@ def parse_off(text: str) -> SurfaceComplex:
 
 # ---- DOT and JSON export --------------------------------------------------
 
-def _index_label(cell: str, doubled: int) -> str:
-    if doubled % 2 == 0:
-        return f"{cell} (idx={doubled // 2})"
-    return f"{cell} (idx={doubled}/2)"
+def _half_text(doubled: int) -> str:
+    """Half of `doubled`, as an integer or as k/2."""
+    return str(doubled // 2) if doubled % 2 == 0 else f"{doubled}/2"
 
 
 def _doubled_critical(field) -> dict[str, int]:
@@ -260,7 +259,7 @@ def graph_dot(field) -> str:
     lines = ["digraph topological_graph {"]
     for cell in graph.vertices:
         shape = _SHAPES[S.dim_of(cell)]
-        lines.append(f'  "{cell}" [shape={shape}, label="{_index_label(cell, crit[cell])}"];')
+        lines.append(f'  "{cell}" [shape={shape}, label="{cell} (idx={_half_text(crit[cell])})"];')
     for sep in graph.edges:
         lines.append(f'  "{sep.source}" -> "{sep.target}";')
     lines.append("}")

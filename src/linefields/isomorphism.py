@@ -4,161 +4,108 @@ The encoding fixes choices an isomorphism must be free to undo: each edge
 has an arbitrary direction (so edges map together with a sign), and each
 boundary walk an arbitrary starting point and direction (so faces align up
 to rotation and reversal).  Signs matter: two complexes can agree in every
-count and still differ only in how occurrence signs line up, so the search
-tries sign assignments rather than comparing sign-free summaries.
+count and still differ only in how occurrence signs line up.
 
-The search backtracks over vertex images with signature pruning, then over
-edge images within parallel classes, then checks faces.  Intended for the
-small complexes that appear in tests and interactive use.
+On a connected surface, aligning one face fixes the whole map, as in the
+dart propagation behind isomorphism of combinatorial maps (Gosselin,
+Damiand and Solnon, Efficient search of combinatorial maps using
+signatures, TCS 2011).  The search aligns the least face of S1 with every
+face of S2 of the same length, at every start position and in both
+directions, and spreads each alignment across shared edges with a work
+list; a candidate is dropped at its first conflict.  There is no
+backtracking: at most 2k|F| candidates, k the length of that face, each
+propagated in time linear in the size of S1.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
-from .surface import _canonical_rotation, reversed_walk
+from .errors import InvalidComplexError
 
 
-def _vertex_signatures(S):
-    deg = {v: 0 for v in S.vertices}
-    loops = {v: 0 for v in S.vertices}
-    for _e, (t, h) in S.edges.items():
-        deg[t] += 1
-        deg[h] += 1
-        if t == h:
-            loops[t] += 1
-    corner_lengths = {v: [] for v in S.vertices}
-    for v, f, _i in S.corners():
-        corner_lengths[v].append(len(S.faces[f]))
-    return {
-        v: (deg[v], loops[v], tuple(sorted(corner_lengths[v]))) for v in S.vertices
-    }
-
-
-def _walk_variants(walk):
-    return (_canonical_rotation(walk), _canonical_rotation(reversed_walk(walk)))
+def _propagate(S1, S2, f0, start, pinned):
+    """The isomorphism aligning position i of face f0 with position
+    j + d*i of face g, where start = (g, j, d), or None on a conflict."""
+    vertices, edges, signs = {}, {}, {}
+    align = {f0: start}
+    work = [f0]
+    while work:
+        f = work.pop()
+        g, j, d = align[f]
+        walk, target = S1.faces[f], S2.faces[g]
+        n = len(walk)
+        if len(target) != n:
+            return None
+        for p, (s, e) in enumerate(walk):
+            # Read in direction d, occurrence (s, e) lands on (d*s2, e2),
+            # so e maps to e2 with sign d*s*s2.
+            q = (j + d * p) % n
+            s2, e2 = target[q]
+            sign = d * s * s2
+            if edges.setdefault(e, e2) != e2 or signs.setdefault(e, sign) != sign:
+                return None
+            tail, head = S2.edges[e2]
+            for v, u in zip(S1.edges[e], (tail, head) if sign > 0 else (head, tail)):
+                if vertices.setdefault(v, u) != u or pinned.get(v, u) != u:
+                    return None
+            # e's other occurrence lands on e2's other occurrence, which
+            # fixes the alignment of the face holding it.  A face reached
+            # again with another alignment fails a slot check when it is
+            # processed, or the face map is not injective.
+            fo, po = next(x for x in S1.occurrence_index[e] if x != (f, p))
+            go, qo = next(x for x in S2.occurrence_index[e2] if x != (g, q))
+            if fo not in align:
+                do = sign * S1.faces[fo][po][0] * S2.faces[go][qo][0]
+                align[fo] = (go, (qo - do * po) % len(S1.faces[fo]), do)
+                work.append(fo)
+    if len(align) < len(S1.faces):
+        raise InvalidComplexError(
+            f"cannot search isomorphisms of {S1.name}: its faces are not joined through edges"
+        )
+    faces = {f: g for f, (g, _j, _d) in align.items()}
+    if any(len(set(m.values())) < len(m) for m in (vertices, edges, faces)):
+        return None
+    return {"vertices": vertices, "edges": edges, "signs": signs, "faces": faces}
 
 
 def isomorphisms(S1, S2, vertex_map=None):
-    """Yield isomorphisms from S1 to S2.
+    """Yield isomorphisms from S1 to S2, each once.
 
     Each result is {"vertices", "edges", "signs", "faces"}: three cell
     bijections plus the per-edge sign (+1 keeps the edge's direction).
     `vertex_map` pins chosen vertex images; the search fills in the rest.
+    Both complexes must pass validate(), which makes them connected;
+    InvalidComplexError otherwise.  So does a propagation that ends with
+    faces of S1 unreached: they meet the rest only at pinched vertices.
     """
-    if (
-        len(S1.vertices) != len(S2.vertices)
-        or len(S1.edges) != len(S2.edges)
-        or len(S1.faces) != len(S2.faces)
-    ):
-        return
-    lengths1 = sorted(len(walk) for walk in S1.faces.values())
-    lengths2 = sorted(len(walk) for walk in S2.faces.values())
-    if lengths1 != lengths2:
-        return
-    sig1 = _vertex_signatures(S1)
-    sig2 = _vertex_signatures(S2)
-    if sorted(sig1.values()) != sorted(sig2.values()):
+    for S in (S1, S2):
+        problems = S.validate()
+        if problems:
+            raise InvalidComplexError(f"cannot search isomorphisms of {S.name}: {problems[0]}")
+    sizes = [(len(S.vertices), len(S.edges), len(S.faces)) for S in (S1, S2)]
+    if sizes[0] != sizes[1]:
         return
     pinned = dict(vertex_map) if vertex_map else {}
-    for v, img in pinned.items():
-        if v not in S1.vertices or img not in S2.vertices:
-            return
-
-    order = sorted(S1.vertices, key=lambda v: (v not in pinned, -sig1[v][0], v))
-    face_walks2 = {f: S2.faces[f] for f in S2.faces}
-
-    def vertex_stage(i, phi, used):
-        if i == len(order):
-            yield from edge_stage(dict(phi))
-            return
-        v = order[i]
-        if v in pinned:
-            candidates = [pinned[v]]
-        else:
-            candidates = [u for u in sorted(S2.vertices) if sig2[u] == sig1[v]]
-        for u in candidates:
-            if u in used or sig2.get(u) != sig1[v]:
-                continue
-            phi[v] = u
-            yield from vertex_stage(i + 1, phi, used | {u})
-            del phi[v]
-
-    def edge_stage(phi):
-        groups1 = {}
-        for e, (t, h) in S1.edges.items():
-            groups1.setdefault(frozenset({t, h}), []).append(e)
-        groups2 = {}
-        for e, (t, h) in S2.edges.items():
-            groups2.setdefault(frozenset({t, h}), []).append(e)
-        keys = sorted(groups1, key=sorted)
-        targets = []
-        for k in keys:
-            img = frozenset(phi[x] for x in k)
-            if img not in groups2 or len(groups2[img]) != len(groups1[k]):
-                return
-            targets.append(groups2[img])
-
-        def group_stage(gi, edge_map, signs):
-            if gi == len(keys):
-                yield from face_stage(phi, dict(edge_map), dict(signs))
-                return
-            sources = sorted(groups1[keys[gi]])
-            for perm in permutations(sorted(targets[gi])):
-                assignments = list(zip(sources, perm))
-                yield from sign_stage(gi, assignments, 0, edge_map, signs)
-
-        def sign_stage(gi, assignments, ai, edge_map, signs):
-            if ai == len(assignments):
-                yield from group_stage(gi + 1, edge_map, signs)
-                return
-            e1, e2 = assignments[ai]
-            t1, h1 = S1.edges[e1]
-            t2, h2 = S2.edges[e2]
-            options = []
-            if (phi[t1], phi[h1]) == (t2, h2):
-                options.append(1)
-            if (phi[t1], phi[h1]) == (h2, t2):
-                options.append(-1)
-            for s in options:
-                edge_map[e1] = e2
-                signs[e1] = s
-                yield from sign_stage(gi, assignments, ai + 1, edge_map, signs)
-                del edge_map[e1]
-                del signs[e1]
-
-        yield from group_stage(0, {}, {})
-
-    def face_stage(phi, edge_map, signs):
-        mapped = {}
-        for f, walk in S1.faces.items():
-            image = tuple((s * signs[e], edge_map[e]) for s, e in walk)
-            mapped[f] = _walk_variants(image)
-
-        faces1 = sorted(S1.faces, key=lambda f: (-len(S1.faces[f]), f))
-
-        def assign(fi, face_map, used):
-            if fi == len(faces1):
-                yield {
-                    "vertices": dict(phi),
-                    "edges": dict(edge_map),
-                    "signs": dict(signs),
-                    "faces": dict(face_map),
-                }
-                return
-            f = faces1[fi]
-            fwd, rev = mapped[f]
-            for g in sorted(face_walks2):
-                if g in used:
+    if not all(v in S1.vertices and u in S2.vertices for v, u in pinned.items()):
+        return
+    if not S1.faces:  # valid without faces: a lone vertex (or nothing)
+        vertices = dict(zip(S1.vertices, S2.vertices))
+        if pinned.items() <= vertices.items():
+            yield {"vertices": vertices, "edges": {}, "signs": {}, "faces": {}}
+        return
+    f0 = min(S1.faces)
+    seen = set()
+    for g in sorted(S2.faces):
+        for j in range(len(S1.faces[f0])):
+            for d in (1, -1):
+                iso = _propagate(S1, S2, f0, (g, j, d), pinned)
+                if iso is None:
                     continue
-                if face_walks2[g] == fwd or face_walks2[g] == rev:
-                    face_map[f] = g
-                    yield from assign(fi + 1, face_map, used | {g})
-                    del face_map[f]
-
-        yield from assign(0, {}, frozenset())
-
-    yield from vertex_stage(0, {}, frozenset())
+                # A walk with symmetries gives the same map from several
+                # alignments.
+                key = tuple(frozenset(m.items()) for m in iso.values())
+                if key not in seen:
+                    seen.add(key)
+                    yield iso
 
 
 def complexes_isomorphic(S1, S2, vertex_map=None):

@@ -193,19 +193,19 @@ def _check_path_query(V: VectorField, source: str, target: str) -> int:
     return d_target
 
 
+def _x_walks(V: VectorField, p: int, source: str, target: str):
+    """x_paths without the query checks; the field must be acyclic."""
+    for start in _start_cells(V.complex, source):
+        for cells, witnesses in _maximal_walks(start, V._step_options):
+            if cells[-1] == target:
+                yield XPath(p, cells, witnesses)
+
+
 def x_paths(V: VectorField, source: str, target: str):
     """All X-paths starting at a cell incident to the critical cell
     `source` and ending at the critical cell `target`, lazily, in
     deterministic order.  Trivial one-cell paths count."""
-    p = _check_path_query(V, source, target)
-
-    def generate():
-        for start in _start_cells(V.complex, source):
-            for cells, witnesses in _maximal_walks(start, V._step_options):
-                if cells[-1] == target:
-                    yield XPath(p, cells, witnesses)
-
-    return generate()
+    return _x_walks(V, _check_path_query(V, source, target), source, target)
 
 
 def count_x_paths(V: VectorField, source: str, target: str) -> int:
@@ -247,7 +247,7 @@ def cancel_dvf(V: VectorField, upper: str, lower: str) -> VectorField:
     matching drops each {si, ti}, adds {s(i+1), ti}, and adds {s1, upper};
     the critical count drops by exactly two.
     """
-    _check_path_query(V, upper, lower)
+    p = _check_path_query(V, upper, lower)
     ways = _count_walks(V._step_options, lower)
     total = sum(ways(cell) for _key, cell in _boundary_occurrences(V.complex, upper))
     if total == 0:
@@ -256,7 +256,7 @@ def cancel_dvf(V: VectorField, upper: str, lower: str) -> VectorField:
         raise CancellationError(
             f"cancellation needs a unique X-path from {upper} to {lower}; found {total}"
         )
-    path = next(iter(x_paths(V, upper, lower)))
+    path = next(_x_walks(V, p, upper, lower))
     removed = {(path.cells[i], path.witnesses[i][0]) for i in range(len(path.witnesses))}
     added = {(path.cells[i + 1], path.witnesses[i][0]) for i in range(len(path.witnesses))}
     matching = (V.matching - removed) | added | {(path.cells[0], upper)}

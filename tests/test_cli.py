@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import pytest
 import support
 
 from linefields import (
@@ -101,6 +102,9 @@ def test_euler_dvf_counts_plain_characteristic(tmp_path, capsys):
     path = write(tmp_path, "q1.txt", emit_complex(support.torus_one()))
     assert main(["euler", path, "--dvf"]) == 0
     assert capsys.readouterr().out == "chi=0 index_sum=0 OK\n"
+    path = write(tmp_path, "tetra.txt", emit_complex(support.tetra()))
+    assert main(["euler", path, "--dvf"]) == 0
+    assert capsys.readouterr().out == "chi=2 index_sum=2 OK\n"
 
 
 def test_critical_matches_library(tmp_path, capsys):
@@ -166,6 +170,9 @@ def test_paths_dvf_count_and_cap(tmp_path, capsys):
     assert capsys.readouterr().out == "e12\n"
     assert main(["paths", path, "--dvf", "--from", "f123", "--to", "e12", "--max", "0"]) == 0
     assert capsys.readouterr().out == "capped at 0\n"
+    with pytest.raises(SystemExit) as exited:
+        main(["paths", path, "--dvf", "--from", "f123", "--to", "e12", "--max", "-1"])
+    assert exited.value.code == 2 and "--max" in capsys.readouterr().err
 
 
 def test_paths_bad_query_exit_2(tmp_path, capsys):

@@ -18,16 +18,19 @@ from linefields import (
     LPath,
     VectorField,
     XPath,
+    cancel_dvf,
     closed_l_path,
     closed_x_path,
     count_x_paths,
     critical_cells_dvf,
     emit_vector_field,
     l_paths,
+    ms_decomposition,
     topological_graph,
     topological_graph_dvf,
     x_paths,
 )
+from linefields import dynamics, vectorfield
 from linefields.cli import main
 
 # ---- a gradient path through every vertex ---------------------------------
@@ -54,6 +57,32 @@ def test_serpentine_paths_need_no_recursion(tmp_path, capsys):
     assert main(["ms-graph", str(path), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["separatrices"]) == len(graph.edges)
+
+
+# ---- one acyclicity check per operation ----------------------------------
+
+
+def test_one_acyclicity_check_per_operation(monkeypatch):
+    calls = []
+
+    def counting(check):
+        def wrapper(field):
+            calls.append(check.__name__)
+            return check(field)
+
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "closed_l_path", counting(dynamics.closed_l_path))
+    monkeypatch.setattr(vectorfield, "closed_x_path", counting(vectorfield.closed_x_path))
+    rng = random.Random(4)
+    S = support.grid_torus(4, 4)
+    ms_decomposition(support.forest_field(S, rng, 0.7))
+    assert calls == ["closed_l_path"]
+    calls.clear()
+    V = VectorField(support.tetra(), frozenset({("v1", "e12")}))
+    out = cancel_dvf(V, "e13", "v2")
+    assert out.matching == frozenset({("v2", "e12"), ("v1", "e13")})
+    assert calls == ["closed_x_path"]
 
 
 # ---- the recursive traversals the engine replaced (test-only copies) ------

@@ -261,16 +261,13 @@ def test_round_trip_random_larger_instances():
         A, B = dlf_to_dvf(dvf_to_dlf(V))
         strip = strip_map(S)
         dual_strip = {f"w_{f}": f for f in S.faces}
-        # The isomorphism search recurses about once per cell, which the
-        # 576 cells of the 12x12 torus take past the default limit.
-        with support.recursion_limit(4000):
-            assert (
-                vector_fields_isomorphic(A, V, vertex_map=strip)
-                and vector_fields_isomorphic(B, dualize(V), vertex_map=dual_strip)
-            ) or (
-                vector_fields_isomorphic(B, V, vertex_map=strip)
-                and vector_fields_isomorphic(A, dualize(V), vertex_map=dual_strip)
-            )
+        assert (
+            vector_fields_isomorphic(A, V, vertex_map=strip)
+            and vector_fields_isomorphic(B, dualize(V), vertex_map=dual_strip)
+        ) or (
+            vector_fields_isomorphic(B, V, vertex_map=strip)
+            and vector_fields_isomorphic(A, dualize(V), vertex_map=dual_strip)
+        )
 
 
 def test_image_ignores_dualization():
