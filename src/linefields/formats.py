@@ -39,7 +39,7 @@ class Document:
 
 def parse_document(text: str) -> Document:
     name = None
-    vertices: list[str] = []
+    vertices: set[str] = set()
     edges: dict[str, tuple[str, str]] = {}
     faces: dict[str, tuple] = {}
     match: list[tuple[str, str]] = []
@@ -71,7 +71,7 @@ def parse_document(text: str) -> Document:
             if tokens[1] in seen:
                 raise ParseError(f"duplicate id {tokens[1]}", line=num)
             seen.add(tokens[1])
-            vertices.append(tokens[1])
+            vertices.add(tokens[1])
         elif keyword == "edge":
             if len(tokens) != 4:
                 raise ParseError("edge line needs id, tail, head", line=num)

@@ -14,7 +14,8 @@ face of S2 of the same length, at every start position and in both
 directions, and spreads each alignment across shared edges with a work
 list; a candidate is dropped at its first conflict.  There is no
 backtracking: at most 2k|F| candidates, k the length of that face, each
-propagated in time linear in the size of S1.
+propagated in time linear in the size of S1.  A pair that differs in
+orientability, found in linear time first, gets no candidate at all.
 """
 
 from __future__ import annotations
@@ -67,6 +68,28 @@ def _propagate(S1, S2, f0, start, pinned):
     return {"vertices": vertices, "edges": edges, "signs": signs, "faces": faces}
 
 
+def _orientable(S):
+    """Whether the faces of S can be directed to cross each edge once each
+    way: a two-colouring across shared edges from the least face.  None
+    when faces meet the rest only at pinched vertices, which the
+    propagation reports."""
+    f0 = min(S.faces)
+    direction = {f0: 1}
+    work = [f0]
+    consistent = True
+    while work:
+        f = work.pop()
+        for p, (s, e) in enumerate(S.faces[f]):
+            g, q = next(x for x in S.occurrence_index[e] if x != (f, p))
+            d = -direction[f] * s * S.faces[g][q][0]
+            if g not in direction:
+                direction[g] = d
+                work.append(g)
+            elif direction[g] != d:
+                consistent = False
+    return consistent if len(direction) == len(S.faces) else None
+
+
 def isomorphisms(S1, S2, vertex_map=None):
     """Yield isomorphisms from S1 to S2, each once.
 
@@ -91,6 +114,9 @@ def isomorphisms(S1, S2, vertex_map=None):
         vertices = dict(zip(S1.vertices, S2.vertices))
         if pinned.items() <= vertices.items():
             yield {"vertices": vertices, "edges": {}, "signs": {}, "faces": {}}
+        return
+    orientable = _orientable(S1)
+    if orientable is not None and orientable != _orientable(S2):
         return
     f0 = min(S1.faces)
     seen = set()

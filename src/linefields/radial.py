@@ -235,9 +235,8 @@ def _factor(R, kept, opposite, matching, merged_quad, name):
     for u in sorted(opposite):
         (cycle,) = link[u]
         walk = []
-        for step in cycle:
-            z, pos = step["corner"]
-            source = (pos - 1) % 4 if step["corner_side"] == "in" else (pos + 1) % 4
+        for z, pos, side in cycle:
+            source = (pos - 1) % 4 if side == "in" else (pos + 1) % 4
             walk.append((1 if source == tail_corner[z] else -1, z))
         faces[u] = tuple(walk)
 

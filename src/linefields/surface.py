@@ -18,6 +18,9 @@ from .errors import DegenerateOperationError, InvalidComplexError
 # An occurrence is (sign, edge_id) with sign +1 or -1.
 Occurrence = tuple[int, str]
 
+# A link slot is (face, corner position, "in" or "out").
+Slot = tuple[str, int, str]
+
 
 def occ_text(occ: Occurrence) -> str:
     sign, edge = occ
@@ -251,90 +254,61 @@ class SurfaceComplex:
 
     # ---- vertex links ----------------------------------------------------
 
-    def vertex_link_cycles(self) -> dict[str, list[list[dict]]]:
-        """The cyclic fan of edge-ends and corners around each vertex.
+    @cached_property
+    def _link_cycles(self) -> dict[str, tuple[tuple[Slot, ...], ...]]:
+        # An occurrence leaves the corner at its source through an "out"
+        # slot and enters the next corner through an "in" slot; the two
+        # occurrences of an edge put each of its ends in two slots.
+        partner: dict[Slot, Slot] = {}
+        starts: list[tuple[str, Slot]] = []
+        for e in sorted(self.edges):
+            occs = self.occurrence_index[e]
+            if len(occs) != 2:
+                raise InvalidComplexError(
+                    f"vertex links need every edge twice: edge {e} occurs {len(occs)} time(s)"
+                )
+            by_end = []
+            for f, p in occs:
+                leave, enter = (f, p, "out"), (f, (p + 1) % len(self.faces[f]), "in")
+                by_end.append((leave, enter) if self.faces[f][p][0] > 0 else (enter, leave))
+            for vertex, (a, b) in zip(self.edges[e], zip(*by_end)):
+                partner[a], partner[b] = b, a
+                starts += [(vertex, min(a, b)), (vertex, max(a, b))]
+        cycles: dict[str, list[tuple[Slot, ...]]] = {v: [] for v in self.vertices}
+        seen: set[Slot] = set()
+        for vertex, first in starts:
+            if first in seen:
+                continue
+            cycle = []
+            slot = first
+            while True:
+                f, i, side = slot
+                arrive = (f, i, "out" if side == "in" else "in")
+                slot = partner[arrive]
+                seen.update((arrive, slot))
+                cycle.append(slot)
+                if slot == first:
+                    break
+            cycles[vertex].append(tuple(cycle))
+        return {v: tuple(cs) for v, cs in cycles.items()}
 
-        Each edge has two ends, (edge, 0) at the tail and (edge, 1) at the
-        head.  Every corner joins the end entering it to the end leaving it;
-        each end sits in exactly two corners, so the ends at a vertex chain
-        into disjoint cycles.  A genuine surface point has exactly one.
+    def vertex_link_cycles(self) -> dict[str, tuple[tuple[Slot, ...], ...]]:
+        """The cyclic fan of edge ends and corners around each vertex.
 
-        Returns, per vertex, a list of cycles; a cycle is a list of steps
-        {"end", "occ_in", "occ_out", "corner", "corner_side"} where the occ
-        fields are the (face, position) occurrence slots flanking the crossing
-        of that end, "corner" is the (face, position) corner left through, and
-        "corner_side" is the slot side ("in" or "out") it was entered by.
+        Each corner (face, position) has an "in" slot, holding the end of
+        the edge entering it, and an "out" slot, holding the end of the
+        edge leaving it.  A link step crosses a corner from one slot to
+        the other, then crosses that edge end to its other slot: two
+        fixed-point-free involutions applied in turn, as in a signed
+        rotation system.  A genuine surface point has exactly one cycle.
+
+        Returns, per vertex, its cycles; a cycle is the tuple of
+        (face, position, side) slots it leaves corners through.  Cycles
+        start at the least unused slot of the edge ends in sorted order.
+        Built once per complex; raises InvalidComplexError unless every
+        edge occurs exactly twice.
         """
-        # Slots: each corner contributes one "in" slot and one "out" slot.
-        end_slots: dict[tuple[str, int], list[tuple[str, int, str]]] = {}
-        for e, (tail, head) in self.edges.items():
-            end_slots[(e, 0)] = []
-            end_slots[(e, 1)] = []
-        corner_of: dict[tuple[str, int], tuple] = {}
-        for f in sorted(self.faces):
-            walk = self.faces[f]
-            n = len(walk)
-            for i in range(n):
-                prev = walk[(i - 1) % n]
-                cur = walk[i]
-                in_end = (prev[1], 1 if prev[0] > 0 else 0)
-                out_end = (cur[1], 0 if cur[0] > 0 else 1)
-                corner_of[(f, i)] = (in_end, out_end)
-                end_slots[in_end].append((f, i, "in"))
-                end_slots[out_end].append((f, i, "out"))
-
-        def end_vertex(end):
-            return self.edges[end[0]][end[1]]
-
-        def slot_occ(f, i, side):
-            n = len(self.faces[f])
-            return (f, (i - 1) % n) if side == "in" else (f, i)
-
-        cycles_by_vertex: dict[str, list[list[dict]]] = {v: [] for v in self.vertices}
-        consumed: set[tuple] = set()
-        for end in sorted(end_slots):
-            for first in sorted(end_slots[end]):
-                if (end, first) in consumed:
-                    continue
-                cycle = []
-                cur_end, depart = end, first
-                while True:
-                    consumed.add((cur_end, depart))
-                    f, i, side = depart
-                    other_side = "out" if side == "in" else "in"
-                    in_end, out_end = corner_of[(f, i)]
-                    nxt_end = out_end if other_side == "out" else in_end
-                    arrive = (f, i, other_side)
-                    consumed.add((nxt_end, arrive))
-                    # pick the other slot at nxt_end to depart through
-                    nxt_depart = None
-                    for slot in sorted(end_slots[nxt_end]):
-                        if (nxt_end, slot) not in consumed:
-                            nxt_depart = slot
-                            break
-                    cycle.append(
-                        {
-                            "end": nxt_end,
-                            "occ_in": slot_occ(*arrive),
-                            "occ_out": None,  # filled below
-                            "corner": None,
-                            "corner_side": None,
-                        }
-                    )
-                    if nxt_depart is None:
-                        break
-                    cycle[-1]["occ_out"] = slot_occ(*nxt_depart)
-                    cycle[-1]["corner"] = (nxt_depart[0], nxt_depart[1])
-                    cycle[-1]["corner_side"] = nxt_depart[2]
-                    cur_end, depart = nxt_end, nxt_depart
-                # close the cycle: the final arrival's departure is the slot
-                # we started from
-                cycle[-1]["occ_out"] = slot_occ(*first)
-                cycle[-1]["corner"] = (first[0], first[1])
-                cycle[-1]["corner_side"] = first[2]
-                v = end_vertex(end)
-                cycles_by_vertex[v].append(cycle)
-        return cycles_by_vertex
+        return self._link_cycles
 
     # ---- dual ------------------------------------------------------------
 
@@ -342,17 +316,14 @@ class SurfaceComplex:
         """The dual complex: a vertex per face, an edge per edge, a face per
         vertex, all keeping their identifiers.
 
-        Requires every vertex link to be a single cycle; a complex that
-        pinches two umbrellas into one vertex has no dual in this encoding.
+        Requires a complex that passes validate() with one link cycle at
+        every vertex; a vertex pinching two umbrellas together has no dual
+        in this encoding.
         """
         problems = self.validate()
         if problems:
             raise InvalidComplexError(f"cannot dualize: {problems[0]}")
-        dual_edges = {}
-        for e, occs in self.occurrence_index.items():
-            if len(occs) != 2:
-                raise InvalidComplexError(f"cannot dualize: edge {e} occurs {len(occs)} time(s)")
-            dual_edges[e] = (occs[0][0], occs[1][0])
+        dual_edges = {e: (occs[0][0], occs[1][0]) for e, occs in self.occurrence_index.items()}
         dual_faces = {}
         links = self.vertex_link_cycles()
         for v in sorted(self.vertices):
@@ -362,14 +333,12 @@ class SurfaceComplex:
                     f"cannot dualize: link of vertex {v} has {len(cycles)} cycles"
                 )
             walk = []
-            for step in cycles[0]:
-                e = step["end"][0]
-                first, second = self.occurrence_index[e]
-                src = step["occ_in"]
-                dst = step["occ_out"]
-                assert {src, dst} == {first, second}
-                sign = 1 if (src, dst) == (first, second) else -1
-                walk.append((sign, e))
+            for f, i, side in cycles[0]:
+                # The step crosses edge e from its other occurrence to
+                # the occurrence at position p of face f.
+                p = (i - 1) % len(self.faces[f]) if side == "in" else i
+                e = self.faces[f][p][1]
+                walk.append((1 if (f, p) == self.occurrence_index[e][1] else -1, e))
             dual_faces[v] = tuple(walk)
         return SurfaceComplex(
             vertices=frozenset(self.faces),

@@ -95,6 +95,7 @@ def test_document_kind():
         ("surface s\nvertex v\nvertex v\n", "line 3: duplicate id v"),
         ("surface s\nvertex v\nedge v v v\n", "line 3: duplicate id v"),
         ("surface s\nvertex v\nedge e v w\n", "line 3: edge e references unknown vertex w"),
+        ("surface s\nvertex v\nedge e v v\nedge g e v\n", "line 4: edge g references unknown vertex e"),
         ("surface s\nvertex v\nedge e v v\nface F walk +e -g\n", "line 4: walk references unknown edge g"),
         ("surface s\nvertex v\nedge e v v\nface F walk e e\n", "line 4: occurrence e needs a +/- sign"),
         ("surface s\nsurface t\n", "line 2: second surface line"),

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 import support
+from linefields import isomorphism
 from linefields.errors import InvalidComplexError
 from linefields.isomorphism import (
     complexes_isomorphic,
@@ -148,8 +149,32 @@ def test_shuffled_torus_isomorphic_without_pins():
     assert complexes_isomorphic(S, shuffled(S, random.Random(3))) is not None
 
 
-def test_torus_and_klein_grids_not_isomorphic():
-    assert complexes_isomorphic(support.grid_torus(8, 8), support.grid_klein(8, 8)) is None
+def test_torus_and_klein_grids_not_isomorphic(monkeypatch):
+    # Orientability refuses the pair before any alignment is propagated.
+    calls = []
+    original = isomorphism._propagate
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(isomorphism, "_propagate", counting)
+    for n in (8, 24):
+        assert complexes_isomorphic(support.grid_torus(n, n), support.grid_klein(n, n)) is None
+        assert complexes_isomorphic(support.grid_klein(n, n), support.grid_torus(n, n)) is None
+    assert calls == []
+    assert complexes_isomorphic(support.grid_klein(8, 8), support.grid_klein(8, 8)) is not None
+    assert calls
+
+
+def test_orientability_of_named_complexes():
+    non_orientable = {"proj_plane", "klein", "klein3x4"}
+    for S in [build() for build in support.all_seed_builders()] + [
+        support.grid_torus(3, 4),
+        support.grid_klein(3, 4),
+    ]:
+        assert isomorphism._orientable(S) is (S.name not in non_orientable), S.name
+    assert isomorphism._orientable(support.pinched_spheres()) is None
 
 
 def test_double_cover_of_a_pinched_part_not_isomorphic():

@@ -227,6 +227,23 @@ def test_round_trip_worked():
     assert vector_fields_isomorphic(other, dualize(V))
 
 
+def test_factoring_builds_one_link_index(monkeypatch):
+    """The radial check and both factors read the links of one complex,
+    which builds them once: every call returns the same object."""
+    L = dvf_to_dlf(VectorField(support.grid_torus(3, 3), frozenset({("v00", "h00")})))
+    original = SurfaceComplex.vertex_link_cycles
+    calls = []
+
+    def recording(self):
+        links = original(self)
+        calls.append(links)
+        return links
+
+    monkeypatch.setattr(SurfaceComplex, "vertex_link_cycles", recording)
+    dlf_to_dvf(L)
+    assert calls and len({id(links) for links in calls}) == 1
+
+
 def test_round_trip_exhaustive_small_complexes():
     for builder in small_builders():
         S = builder()

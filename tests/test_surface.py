@@ -7,6 +7,7 @@ import pytest
 import support
 from support import w
 from linefields.errors import DegenerateOperationError, InvalidComplexError
+from linefields.radial import radial_decomposition
 from linefields.surface import (
     SurfaceComplex,
     _canonical_rotation,
@@ -258,6 +259,114 @@ def test_pinched_complex_passes_validate_but_has_no_dual():
     assert len(S.vertex_link_cycles()["v"]) == 2
     with pytest.raises(InvalidComplexError):
         S.dual()
+
+
+def test_link_cycles_need_every_edge_twice():
+    S = SurfaceComplex(
+        vertices=frozenset({"v"}),
+        edges={"a": ("v", "v"), "b": ("v", "v")},
+        faces={"F": w("+a +b +b")},
+    )
+    with pytest.raises(InvalidComplexError, match="edge a occurs 1 time"):
+        S.vertex_link_cycles()
+
+
+# ---- differential check against the per-step link walk ------------------
+#
+# A copy of the earlier vertex_link_cycles: it walks the edge ends with one
+# dict per step, sorting each end's slots to pick the next departure.  The
+# cached slot-partner index must give the same cycles, in the same order.
+
+
+def _reference_link_cycles(S):
+    end_slots = {}
+    for e in S.edges:
+        end_slots[(e, 0)] = []
+        end_slots[(e, 1)] = []
+    corner_of = {}
+    for f in sorted(S.faces):
+        walk = S.faces[f]
+        n = len(walk)
+        for i in range(n):
+            prev = walk[(i - 1) % n]
+            cur = walk[i]
+            in_end = (prev[1], 1 if prev[0] > 0 else 0)
+            out_end = (cur[1], 0 if cur[0] > 0 else 1)
+            corner_of[(f, i)] = (in_end, out_end)
+            end_slots[in_end].append((f, i, "in"))
+            end_slots[out_end].append((f, i, "out"))
+
+    def slot_occ(f, i, side):
+        n = len(S.faces[f])
+        return (f, (i - 1) % n) if side == "in" else (f, i)
+
+    cycles_by_vertex = {v: [] for v in S.vertices}
+    consumed = set()
+    for end in sorted(end_slots):
+        for first in sorted(end_slots[end]):
+            if (end, first) in consumed:
+                continue
+            cycle = []
+            cur_end, depart = end, first
+            while True:
+                consumed.add((cur_end, depart))
+                f, i, side = depart
+                other_side = "out" if side == "in" else "in"
+                in_end, out_end = corner_of[(f, i)]
+                nxt_end = out_end if other_side == "out" else in_end
+                arrive = (f, i, other_side)
+                consumed.add((nxt_end, arrive))
+                nxt_depart = None
+                for slot in sorted(end_slots[nxt_end]):
+                    if (nxt_end, slot) not in consumed:
+                        nxt_depart = slot
+                        break
+                cycle.append({"end": nxt_end, "occ_in": slot_occ(*arrive)})
+                if nxt_depart is None:
+                    break
+                cycle[-1]["occ_out"] = slot_occ(*nxt_depart)
+                cycle[-1]["corner"] = (nxt_depart[0], nxt_depart[1])
+                cycle[-1]["corner_side"] = nxt_depart[2]
+                cur_end, depart = nxt_end, nxt_depart
+            cycle[-1]["occ_out"] = slot_occ(*first)
+            cycle[-1]["corner"] = (first[0], first[1])
+            cycle[-1]["corner_side"] = first[2]
+            cycles_by_vertex[S.edges[end[0]][end[1]]].append(cycle)
+    return cycles_by_vertex
+
+
+def _reference_step(S, step):
+    """A (face, position, side) step in the reference's dict form."""
+    f, i, side = step
+    p = (i - 1) % len(S.faces[f]) if side == "in" else i
+    sign, e = S.faces[f][p]
+    (other,) = [occ for occ in S.occurrence_index[e] if occ != (f, p)]
+    return {
+        "end": (e, 0 if (sign > 0) == (side == "out") else 1),
+        "occ_in": other,
+        "occ_out": (f, p),
+        "corner": (f, i),
+        "corner_side": side,
+    }
+
+
+def test_link_cycles_match_reference_walk():
+    inputs = [build() for build in support.all_seed_builders()]
+    inputs += support.random_corpus(seed=23, count=40)
+    for rows, cols in ((1, 1), (1, 3), (2, 5), (3, 3), (4, 7), (10, 10)):
+        inputs += [support.grid_torus(rows, cols), support.grid_klein(rows, cols)]
+    inputs.append(support.pinched_spheres())
+    inputs += [radial_decomposition(S).complex for S in inputs]
+    steps = 0
+    for S in inputs:
+        got = S.vertex_link_cycles()
+        want = _reference_link_cycles(S)
+        assert set(got) == set(want) == S.vertices, S.name
+        for v in sorted(S.vertices):
+            cycles = [[_reference_step(S, step) for step in cycle] for cycle in got[v]]
+            assert cycles == want[v], (S.name, v)
+            steps += sum(map(len, cycles))
+    assert len(inputs) == 122 and steps >= 5000
 
 
 def test_dual_of_invalid_complex_rejected():
