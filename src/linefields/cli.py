@@ -13,11 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from .dynamics import closed_l_path, l_paths
-from .errors import InvalidComplexError, OperationError, ParseError
+from .errors import CyclicFieldError, InvalidComplexError, OperationError, ParseError
 from .formats import (
     _critical_json,
-    _doubled_critical,
     _half_text,
     emit_complex,
     emit_line_field,
@@ -29,16 +27,10 @@ from .formats import (
     parse_vector_field,
     report_json,
 )
-from .linefield import LineField, validate_line_field
+from .linefield import LineField
 from .radial import dlf_to_dvf, dvf_to_dlf
 from .simplify import cancel_vertex_face, homotopy_core, merge_critical_faces
-from .vectorfield import (
-    VectorField,
-    closed_x_path,
-    count_x_paths,
-    validate_vector_field,
-    x_paths,
-)
+from .vectorfield import VectorField
 
 
 def _read_field(path: str, dvf: bool):
@@ -51,17 +43,7 @@ def _read_field(path: str, dvf: bool):
     return LineField(doc.complex, doc.match)
 
 
-def _problems(field) -> list[str]:
-    out = field.complex.validate()
-    if isinstance(field, LineField):
-        out += validate_line_field(field)
-    else:
-        out += validate_vector_field(field)
-    return out
-
-
-def _valid_or_report(field) -> bool:
-    problems = _problems(field)
+def _valid_or_report(problems: list[str]) -> bool:
     for p in problems:
         print(p, file=sys.stderr)
     return not problems
@@ -75,12 +57,8 @@ def _write(text: str, path: str | None):
 
 
 def _path_text(path) -> str:
-    if hasattr(path, "vertices"):
-        cells, steps = path.vertices, path.edges
-    else:
-        cells, steps = path.cells, [w[0] for w in path.witnesses]
-    out = cells[0]
-    for step, cell in zip(steps, cells[1:]):
+    out = path.cells[0]
+    for step, cell in zip(path.steps, path.cells[1:]):
         out += f" -{step}-> {cell}"
     return out
 
@@ -89,7 +67,7 @@ def _path_text(path) -> str:
 
 def _cmd_validate(args) -> int:
     field = _read_field(args.file, args.dvf)
-    if not _valid_or_report(field):
+    if not _valid_or_report(field.problems()):
         return 1
     print("OK")
     return 0
@@ -97,10 +75,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_euler(args) -> int:
     field = _read_field(args.file, args.dvf)
-    if not _valid_or_report(field):
+    if not _valid_or_report(field.problems()):
         return 1
     chi = field.complex.euler_characteristic()
-    doubled = sum(_doubled_critical(field).values())
+    doubled = sum(field.doubled_critical().values())
     matches = doubled == 2 * chi
     verdict = "OK" if matches else "MISMATCH"
     print(f"chi={chi} index_sum={_half_text(doubled)} {verdict}")
@@ -109,7 +87,7 @@ def _cmd_euler(args) -> int:
 
 def _cmd_critical(args) -> int:
     field = _read_field(args.file, args.dvf)
-    if not _valid_or_report(field):
+    if not _valid_or_report(field.problems()):
         return 1
     print(json.dumps(_critical_json(field), indent=2))
     return 0
@@ -117,9 +95,9 @@ def _cmd_critical(args) -> int:
 
 def _cmd_check_acyclic(args) -> int:
     field = _read_field(args.file, args.dvf)
-    if not _valid_or_report(field):
+    if not _valid_or_report(field.problems()):
         return 1
-    witness = (closed_l_path if isinstance(field, LineField) else closed_x_path)(field)
+    witness = field.closed_path()
     if witness is None:
         print("acyclic")
         return 0
@@ -129,32 +107,22 @@ def _cmd_check_acyclic(args) -> int:
 
 def _cmd_paths(args) -> int:
     field = _read_field(args.file, args.dvf)
-    if not _valid_or_report(field):
+    if not _valid_or_report(field.problems()):
         return 1
-    if isinstance(field, LineField):
-        found = l_paths(field, args.source, args.target)
-        if args.count_only:
-            print(len(found))
-            return 0
-        found = iter(found)
-    else:
-        if args.count_only:
-            print(count_x_paths(field, args.source, args.target))
-            return 0
-        found = x_paths(field, args.source, args.target)
-    shown = 0
-    for path in found:
+    if args.count_only:
+        print(field.count_paths(args.source, args.target))
+        return 0
+    for shown, path in enumerate(field.paths(args.source, args.target)):
         if shown == args.max:
             print(f"capped at {args.max}")
             break
         print(_path_text(path))
-        shown += 1
     return 0
 
 
 def _cmd_ms_graph(args) -> int:
     field = _read_field(args.file, args.dvf)
-    if not _valid_or_report(field):
+    if not _valid_or_report(field.problems()):
         return 1
     text = graph_dot(field) if args.format == "dot" else report_json(field)
     _write(text, args.out)
@@ -168,7 +136,7 @@ def _emit_result(field: LineField, correspondence, args) -> None:
 
 def _cmd_simplify(args) -> int:
     L = parse_line_field(Path(args.file).read_text())
-    if not _valid_or_report(L):
+    if not _valid_or_report(L.problems()):
         return 1
     result = homotopy_core(L)
     _emit_result(result.field, result.correspondence, args)
@@ -179,11 +147,12 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_cancel(args) -> int:
-    if (args.faces is None) == (args.vertex is None or args.face is None):
+    given = (args.faces is not None, args.vertex is not None, args.face is not None)
+    if given not in ((True, False, False), (False, True, True)):
         print("error: give either --faces F G or --vertex V --face F", file=sys.stderr)
         return 2
     L = parse_line_field(Path(args.file).read_text())
-    if not _valid_or_report(L):
+    if not _valid_or_report(L.problems()):
         return 1
     if args.faces is not None:
         field, correspondence = merge_critical_faces(L, args.faces[0], args.faces[1])
@@ -195,7 +164,7 @@ def _cmd_cancel(args) -> int:
 
 def _cmd_from_dvf(args) -> int:
     V = parse_vector_field(Path(args.file).read_text())
-    if not _valid_or_report(V):
+    if not _valid_or_report(V.problems()):
         return 1
     _write(emit_line_field(dvf_to_dlf(V)), args.out)
     return 0
@@ -203,7 +172,7 @@ def _cmd_from_dvf(args) -> int:
 
 def _cmd_to_dvf(args) -> int:
     L = parse_line_field(Path(args.file).read_text())
-    if not _valid_or_report(L):
+    if not _valid_or_report(L.problems()):
         return 1
     primal, dual = dlf_to_dvf(L)
     _write(emit_vector_field(primal), args.out)
@@ -214,10 +183,7 @@ def _cmd_to_dvf(args) -> int:
 
 def _cmd_import_off(args) -> int:
     S = parse_off(Path(args.file).read_text())
-    problems = S.validate()
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
+    if not _valid_or_report(S.validate()):
         return 1
     _write(emit_complex(S), args.out)
     return 0
@@ -243,30 +209,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
+    def add(name, handler, dvf=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("file", help="input file in the native format")
+        if dvf:
+            p.add_argument(
+                "--dvf", action="store_true", help="read a bare complex as a vector field"
+            )
         p.set_defaults(func=handler)
         return p
 
-    for name, handler, text in [
-        ("validate", _cmd_validate, "report every structural violation"),
-        ("euler", _cmd_euler, "compare the index sum with the Euler characteristic"),
-        ("critical", _cmd_critical, "list critical cells with doubled indices"),
-        ("check-acyclic", _cmd_check_acyclic, "print a closed path if one exists"),
-    ]:
-        p = add(name, handler, help=text)
-        p.add_argument("--dvf", action="store_true", help="read a bare complex as a vector field")
+    add("validate", _cmd_validate, dvf=True, help="report every structural violation")
+    add("euler", _cmd_euler, dvf=True, help="compare the index sum with the Euler characteristic")
+    add("critical", _cmd_critical, dvf=True, help="list critical cells with doubled indices")
+    add("check-acyclic", _cmd_check_acyclic, dvf=True, help="print a closed path if one exists")
 
-    p = add("paths", _cmd_paths, help="enumerate paths between two critical cells")
-    p.add_argument("--dvf", action="store_true", help="read a bare complex as a vector field")
+    p = add("paths", _cmd_paths, dvf=True, help="enumerate paths between two critical cells")
     p.add_argument("--from", dest="source", required=True, help="source cell")
     p.add_argument("--to", dest="target", required=True, help="target cell")
     p.add_argument("--count-only", action="store_true", help="print only the path count")
     p.add_argument("--max", type=_cap, default=100, help="cap on listed paths")
 
-    p = add("ms-graph", _cmd_ms_graph, help="emit the topological graph")
-    p.add_argument("--dvf", action="store_true", help="read a bare complex as a vector field")
+    p = add("ms-graph", _cmd_ms_graph, dvf=True, help="emit the topological graph")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("-o", "--out", help="output path (default stdout)")
 
@@ -301,6 +265,10 @@ def main(argv=None) -> int:
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CyclicFieldError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(f"witness: {_path_text(exc.witness)}", file=sys.stderr)
+        return 2
     except (OperationError, InvalidComplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,24 +17,43 @@ own stack, so path length is bounded by memory, not by recursion depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import CyclicFieldError, OperationError
-from .linefield import LineField, critical_cells
+
+if TYPE_CHECKING:
+    from .linefield import LineField
+
+
+class _PathView:
+    """The view LPath and XPath share: the `cells` a path visits, the
+    `steps` taken between them, and json(), its keys in the JSON report."""
+
+    def is_trivial(self) -> bool:
+        return not self.steps
+
+    def is_closed(self) -> bool:
+        return len(self.cells) > 1 and self.cells[0] == self.cells[-1]
 
 
 @dataclass(frozen=True)
-class LPath:
+class LPath(_PathView):
     """Vertices v1..vk with witness edges e1..e(k-1); {vi, ei} is matched
     and v(i+1) is the other endpoint of ei (vi itself for a loop)."""
 
     vertices: tuple[str, ...]
     edges: tuple[str, ...]
 
-    def is_trivial(self) -> bool:
-        return not self.edges
+    @property
+    def cells(self) -> tuple[str, ...]:
+        return self.vertices
 
-    def is_closed(self) -> bool:
-        return len(self.vertices) > 1 and self.vertices[0] == self.vertices[-1]
+    @property
+    def steps(self) -> tuple[str, ...]:
+        return self.edges
+
+    def json(self) -> dict:
+        return {"vertices": list(self.vertices), "edges": list(self.edges)}
 
 
 @dataclass(frozen=True)
@@ -257,7 +276,7 @@ def topological_graph(L: LineField) -> TopologicalGraph:
     """
     _require_acyclic(L)
     S = L.complex
-    crit = critical_cells(L)
+    crit = L.doubled_critical()
     matched = L.matched_edges()
     options = _l_options(L)
     chains: dict[str, LPath] = {}
@@ -305,23 +324,26 @@ def _corridor_structure(L: LineField):
     return counts, partner, sibling, unmatched_positions
 
 
-def _trace_corridor(S, counts, partner, sibling, start_occ, visited=None) -> Corridor:
+def _trace_corridor(S, counts, partner, sibling, start_occ, visited):
+    """Cross from `start_occ` and tunnel through count-2 faces, adding each
+    occurrence passed to `visited`: a Corridor when a face with another
+    count is reached, a ClosedCorridor when the trace is back at its start."""
     crossings = []
-    interior = []
+    faces = []
     cur = start_occ
     while True:
-        if visited is not None:
-            visited.add(cur)
+        visited.add(cur)
         edge = S.faces[cur[0]][cur[1]][1]
         arrive = partner[cur]
-        if visited is not None:
-            visited.add(arrive)
+        visited.add(arrive)
         crossings.append(Crossing(edge, cur, arrive))
         g = arrive[0]
         if counts[g] != 2:
-            return Corridor(start_occ[0], g, tuple(crossings), tuple(interior))
-        interior.append(g)
+            return Corridor(start_occ[0], g, tuple(crossings), tuple(faces))
+        faces.append(g)
         cur = sibling[arrive]
+        if cur == start_occ:
+            return ClosedCorridor(tuple(faces), tuple(crossings))
 
 
 def corridors_from(L: LineField, face: str) -> list[Corridor]:
@@ -338,9 +360,34 @@ def corridors_from(L: LineField, face: str) -> list[Corridor]:
     if counts[face] == 2:
         raise OperationError(f"face {face} is not critical")
     return [
-        _trace_corridor(S, counts, partner, sibling, (face, i))
+        _trace_corridor(S, counts, partner, sibling, (face, i), set())
         for i in positions[face]
     ]
+
+
+def _all_corridors(L: LineField) -> tuple[tuple[Corridor, ...], tuple[ClosedCorridor, ...]]:
+    """Every corridor, traced from each unmatched occurrence of each
+    critical face in face order, and every closed corridor, traced from the
+    least occurrence no earlier trace passed.  Needs no acyclicity."""
+    S = L.complex
+    counts, partner, sibling, positions = _corridor_structure(L)
+    visited: set[tuple[str, int]] = set()
+    corridors = tuple(
+        _trace_corridor(S, counts, partner, sibling, (f, i), visited)
+        for f in sorted(S.faces)
+        if counts[f] != 2
+        for i in positions[f]
+    )
+    # The membership test runs after every earlier trace has filled
+    # `visited`, so each cycle is traced once.
+    closed = tuple(
+        _trace_corridor(S, counts, partner, sibling, (f, i), visited)
+        for f in sorted(S.faces)
+        if counts[f] == 2
+        for i in positions[f]
+        if (f, i) not in visited
+    )
+    return corridors, closed
 
 
 def scan_closed_corridors(L: LineField) -> list[ClosedCorridor]:
@@ -349,41 +396,7 @@ def scan_closed_corridors(L: LineField) -> list[ClosedCorridor]:
     Works for cyclic fields too; a closed corridor is a property of the
     unmatched occurrence structure alone.
     """
-    S = L.complex
-    counts, partner, sibling, positions = _corridor_structure(L)
-    visited: set[tuple[str, int]] = set()
-    for f in sorted(S.faces):
-        if counts[f] == 2:
-            continue
-        for i in positions[f]:
-            _trace_corridor(S, counts, partner, sibling, (f, i), visited)
-    return _collect_cycles(S, counts, partner, sibling, positions, visited)
-
-
-def _collect_cycles(S, counts, partner, sibling, positions, visited):
-    out = []
-    for f in sorted(S.faces):
-        if counts[f] != 2:
-            continue
-        for i in positions[f]:
-            start = (f, i)
-            if start in visited:
-                continue
-            crossings = []
-            faces = []
-            cur = start
-            while True:
-                visited.add(cur)
-                edge = S.faces[cur[0]][cur[1]][1]
-                arrive = partner[cur]
-                visited.add(arrive)
-                crossings.append(Crossing(edge, cur, arrive))
-                faces.append(arrive[0])
-                cur = sibling[arrive]
-                if cur == start:
-                    break
-            out.append(ClosedCorridor(tuple(faces), tuple(crossings)))
-    return out
+    return list(_all_corridors(L)[1])
 
 
 def ms_decomposition(L: LineField) -> DecompositionReport:
@@ -394,18 +407,7 @@ def ms_decomposition(L: LineField) -> DecompositionReport:
     components.
     """
     graph = topological_graph(L)  # refuses a cyclic field
-    S = L.complex
-    counts, partner, sibling, positions = _corridor_structure(L)
-    visited: set[tuple[str, int]] = set()
-    corridors = []
-    for f in sorted(S.faces):
-        if counts[f] == 2:
-            continue
-        for i in positions[f]:
-            corridors.append(
-                _trace_corridor(S, counts, partner, sibling, (f, i), visited)
-            )
-    closed = _collect_cycles(S, counts, partner, sibling, positions, visited)
+    corridors, closed = _all_corridors(L)
     undirected = set()
     for corr in corridors:
         key = tuple((c.depart, c.arrive) for c in corr.crossings)
@@ -414,8 +416,8 @@ def ms_decomposition(L: LineField) -> DecompositionReport:
     return DecompositionReport(
         field=L,
         graph=graph,
-        corridors=tuple(corridors),
-        closed_corridors=tuple(closed),
+        corridors=corridors,
+        closed_corridors=closed,
         regions=len(undirected),
         flags=("periodic component",) if closed else (),
     )

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .dynamics import TopologicalGraph, ms_decomposition, topological_graph
+from .dynamics import Separatrix, TopologicalGraph
 from .errors import ParseError
-from .linefield import LineField, critical_cells
+from .linefield import LineField
 from .surface import SurfaceComplex, occ_text
-from .vectorfield import VectorField, critical_cells_dvf, topological_graph_dvf
+from .vectorfield import VectorField
 
 _SECTIONS = {"surface": 0, "vertex": 1, "edge": 2, "face": 3, "match": 4, "vmatch": 4}
 
@@ -235,14 +235,6 @@ def _half_text(doubled: int) -> str:
     return str(doubled // 2) if doubled % 2 == 0 else f"{doubled}/2"
 
 
-def _doubled_critical(field) -> dict[str, int]:
-    """Critical cells mapped to twice their index.  Line-field indices come
-    doubled already; vector-field indices (-1)^dim are doubled here."""
-    if isinstance(field, LineField):
-        return critical_cells(field)
-    return {c: 2 * i for c, i in critical_cells_dvf(field).items()}
-
-
 _SHAPES = {0: "circle", 1: "diamond", 2: "box"}
 
 
@@ -253,8 +245,8 @@ def graph_dot(field) -> str:
     critical edges diamonds.  Node order follows the sorted critical set;
     edge order follows walk positions of the source cells.
     """
-    graph = (topological_graph if isinstance(field, LineField) else topological_graph_dvf)(field)
-    crit = _doubled_critical(field)
+    graph = field.graph()
+    crit = field.doubled_critical()
     S = field.complex
     lines = ["digraph topological_graph {"]
     for cell in graph.vertices:
@@ -276,21 +268,10 @@ def _complex_json(S: SurfaceComplex) -> dict:
 
 
 def _critical_json(field) -> list[dict]:
-    S, crit = field.complex, _doubled_critical(field)
+    S, crit = field.complex, field.doubled_critical()
     return [
         {"cell": c, "dim": S.dim_of(c), "doubled_index": crit[c]} for c in sorted(crit)
     ]
-
-
-def _separatrix_json(sep) -> dict:
-    entry = {"source": sep.source, "target": sep.target, "occurrence": sep.occurrence}
-    if hasattr(sep.path, "vertices"):
-        entry["vertices"] = list(sep.path.vertices)
-        entry["edges"] = list(sep.path.edges)
-    else:
-        entry["cells"] = list(sep.path.cells)
-        entry["witnesses"] = [list(w) for w in sep.path.witnesses]
-    return entry
 
 
 def _crossing_json(crossing) -> dict:
@@ -307,42 +288,35 @@ def report_json(field) -> str:
     Cell matchings have no corridor notion, so those arrays stay empty for
     them.  All index values are doubled integers.
     """
-    if isinstance(field, LineField):
-        report = ms_decomposition(field)
-        graph = report.graph
-        corridors = [
+    graph = field.graph()
+    corridors, closed = field.corridors()
+    payload = {
+        "complex": _complex_json(field.complex),
+        "matching": [list(p) for p in sorted(field.matching)],
+        "critical": _critical_json(field),
+        "separatrices": [
+            {"source": s.source, "target": s.target, "occurrence": s.occurrence, **s.path.json()}
+            for s in graph.edges
+        ],
+        "corridors": [
             {
                 "start": c.start,
                 "end": c.end,
                 "interior": list(c.interior),
                 "crossings": [_crossing_json(x) for x in c.crossings],
             }
-            for c in report.corridors
-        ]
-        closed = [
-            {
-                "faces": list(c.faces),
-                "crossings": [_crossing_json(x) for x in c.crossings],
-            }
-            for c in report.closed_corridors
-        ]
-    else:
-        graph, corridors, closed = topological_graph_dvf(field), [], []
-    payload = {
-        "complex": _complex_json(field.complex),
-        "matching": [list(p) for p in sorted(field.matching)],
-        "critical": _critical_json(field),
-        "separatrices": [_separatrix_json(s) for s in graph.edges],
-        "corridors": corridors,
-        "closed_corridors": closed,
+            for c in corridors
+        ],
+        "closed_corridors": [
+            {"faces": list(c.faces), "crossings": [_crossing_json(x) for x in c.crossings]}
+            for c in closed
+        ],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def parse_graph_json(text: str) -> TopologicalGraph:
     """Rebuild the multigraph recorded by report_json, witnesses dropped."""
-    from .dynamics import Separatrix
-
     payload = json.loads(text)
     vertices = tuple(entry["cell"] for entry in payload["critical"])
     edges = tuple(

@@ -149,7 +149,10 @@ def _cell_image(iso, S1, cell):
     return iso["faces"][cell]
 
 
-def _fields_isomorphic(F1, F2, vertex_map):
+def line_fields_isomorphic(F1, F2, vertex_map=None):
+    """Isomorphism of the underlying complexes carrying one matching to the
+    other, or None.  Serves line fields and vector fields alike, so it is
+    also importable as vector_fields_isomorphic."""
     S1 = F1.complex
     if len(F1.matching) != len(F2.matching):
         return None
@@ -163,11 +166,4 @@ def _fields_isomorphic(F1, F2, vertex_map):
     return None
 
 
-def line_fields_isomorphic(L1, L2, vertex_map=None):
-    """Isomorphism of the underlying complexes carrying one matching to the
-    other, or None."""
-    return _fields_isomorphic(L1, L2, vertex_map)
-
-
-def vector_fields_isomorphic(X1, X2, vertex_map=None):
-    return _fields_isomorphic(X1, X2, vertex_map)
+vector_fields_isomorphic = line_fields_isomorphic

@@ -6,6 +6,11 @@ unless exactly two of its boundary occurrences use unmatched edges; edges
 are never critical.  Cell indices are half-integers, so they are kept
 doubled throughout and the doubled total always equals twice the Euler
 characteristic.
+
+LineField and VectorField share one field protocol: problems(),
+doubled_critical(), closed_path(), graph(), corridors(), paths(a, b) and
+count_paths(a, b).  The CLI and the formats module reach the algorithms
+only through these methods.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .dynamics import _all_corridors, closed_l_path, l_paths, topological_graph
 from .surface import SurfaceComplex
 
 
@@ -41,6 +47,23 @@ class LineField:
 
     def vertex_matched_to(self, edge: str) -> str | None:
         return self._vertex_of.get(edge)
+
+    # ---- field protocol, shared with VectorField ----
+
+    def problems(self) -> list[str]:
+        """Structural violations of the complex, then of the matching."""
+        return self.complex.validate() + validate_line_field(self)
+
+    def doubled_critical(self) -> dict[str, int]:
+        return critical_cells(self)
+
+    closed_path = closed_l_path
+    graph = topological_graph
+    corridors = _all_corridors
+    paths = l_paths
+
+    def count_paths(self, source: str, target: str) -> int:
+        return len(l_paths(self, source, target))
 
     # The matching never changes after construction, so each lookup table
     # is built once, on first use.

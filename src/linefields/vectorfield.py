@@ -6,6 +6,9 @@ boundary cell of its partner, never stepping back to the same cell, and
 record which boundary occurrence each step uses so parallel paths stay
 distinct.  Cancellation reverses the unique path joining two critical
 cells.
+
+VectorField has the field protocol of LineField (see linefield.py); the
+CLI and the formats module use only those methods.
 """
 
 from __future__ import annotations
@@ -13,13 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dynamics import Separatrix, TopologicalGraph, _count_walks, _find_cycle, _maximal_walks
+from .dynamics import (
+    Separatrix,
+    TopologicalGraph,
+    _PathView,
+    _count_walks,
+    _find_cycle,
+    _maximal_walks,
+)
 from .errors import CancellationError, CyclicFieldError, OperationError
 from .surface import SurfaceComplex
 
 
 @dataclass(frozen=True)
-class XPath:
+class XPath(_PathView):
     """Cells s1..sk of one dimension with witnesses (t1, key1)..; {si, ti}
     is matched and s(i+1) occurs on the boundary of ti at the keyed slot
     (endpoint slot for edges, walk position for faces)."""
@@ -28,11 +38,12 @@ class XPath:
     cells: tuple[str, ...]
     witnesses: tuple[tuple[str, int], ...]
 
-    def is_trivial(self) -> bool:
-        return not self.witnesses
+    @property
+    def steps(self) -> tuple[str, ...]:
+        return tuple(t for t, _key in self.witnesses)
 
-    def is_closed(self) -> bool:
-        return len(self.cells) > 1 and self.cells[0] == self.cells[-1]
+    def json(self) -> dict:
+        return {"cells": list(self.cells), "witnesses": [list(w) for w in self.witnesses]}
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,31 @@ class VectorField:
 
     def lower_of(self, upper: str) -> str | None:
         return self._lower_of.get(upper)
+
+    # ---- field protocol (see linefield.py) ----
+
+    def problems(self) -> list[str]:
+        return self.complex.validate() + validate_vector_field(self)
+
+    def doubled_critical(self) -> dict[str, int]:
+        """Critical cells with twice their index, as line fields keep it."""
+        return {c: 2 * i for c, i in critical_cells_dvf(self).items()}
+
+    def closed_path(self) -> XPath | None:
+        return closed_x_path(self)
+
+    def graph(self) -> TopologicalGraph:
+        return topological_graph_dvf(self)
+
+    def corridors(self) -> tuple[tuple, tuple]:
+        """Cell matchings have no corridors."""
+        return (), ()
+
+    def paths(self, source: str, target: str):
+        return x_paths(self, source, target)
+
+    def count_paths(self, source: str, target: str) -> int:
+        return count_x_paths(self, source, target)
 
     # The matching never changes after construction, so each lookup table
     # is built once, on first use.

@@ -209,6 +209,22 @@ def test_ms_graph_cyclic_field_exit_2(tmp_path, capsys):
     assert "closed path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stem,argv,message,witness", [
+    ("cyclic_line", ["ms-graph"], "line field has a closed path through v00",
+     "v00 -h00-> v01 -h01-> v00"),
+    ("cyclic_line", ["simplify"], "line field has a closed path through v00",
+     "v00 -h00-> v01 -h01-> v00"),
+    ("cyclic_vector", ["paths", "--from", "q01", "--to", "h10"],
+     "vector field has a closed X-path through v00", "v00 -h00-> v01 -h01-> v00"),
+], ids=["line-ms-graph", "line-simplify", "vector-paths"])
+def test_cyclic_refusal_prints_witness(stem, argv, message, witness, capsys):
+    path = str(GOLD / "fields" / f"{stem}.txt")
+    assert main([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\nwitness: {witness}\n"
+
+
 # ---- simplify and cancel --------------------------------------------------
 
 def test_simplify_two_pair_tetra(tmp_path, capsys):
@@ -266,6 +282,17 @@ def test_cancel_flag_misuse_exit_2(tmp_path, capsys):
     path = tetra_file(tmp_path)
     assert main(["cancel", path]) == 2
     assert main(["cancel", path, "--faces", "f123", "f134", "--vertex", "v4", "--face", "f134"]) == 2
+
+
+def test_cancel_mixed_modes_exit_2(tmp_path, capsys):
+    path = tetra_file(tmp_path, frozenset({("v1", "e12"), ("v2", "e23")}))
+    out = str(tmp_path / "out.txt")
+    for mix in (["--faces", "f123", "f134", "--vertex", "v4"],
+                ["--faces", "f123", "f134", "--face", "f134"],
+                ["--vertex", "v4"], ["--face", "f134"]):
+        assert main(["cancel", path, *mix, "-o", out]) == 2
+        assert capsys.readouterr().err == "error: give either --faces F G or --vertex V --face F\n"
+        assert not Path(out).exists()
 
 
 def test_cancel_no_path_exit_2(tmp_path, capsys):

@@ -1,0 +1,219 @@
+"""The field protocol and the one corridor tracer, against what they replaced.
+
+LineField and VectorField reach the algorithms through the same methods;
+each method must equal the module function it stands for.  Open and closed
+corridors come from one tracer; `reference_corridors` is a copy of the
+earlier scan, an open-corridor trace followed by a separate cycle
+collection, kept here to compare against.
+"""
+
+import random
+
+import pytest
+
+import support
+from linefields import (
+    ClosedCorridor,
+    Corridor,
+    Crossing,
+    CyclicFieldError,
+    LineField,
+    OperationError,
+    VectorField,
+    closed_l_path,
+    closed_x_path,
+    corridors_from,
+    count_x_paths,
+    critical_cells,
+    critical_cells_dvf,
+    l_paths,
+    ms_decomposition,
+    scan_closed_corridors,
+    topological_graph,
+    topological_graph_dvf,
+    validate_line_field,
+    validate_vector_field,
+    x_paths,
+)
+from linefields.dynamics import _corridor_structure
+
+
+def reference_corridors(L):
+    """(corridors, closed corridors) as the two separate loops found them."""
+    S = L.complex
+    counts, partner, sibling, positions = _corridor_structure(L)
+    visited = set()
+    corridors = []
+    for f in sorted(S.faces):
+        if counts[f] == 2:
+            continue
+        for i in positions[f]:
+            crossings, interior = [], []
+            cur = (f, i)
+            while True:
+                visited.add(cur)
+                arrive = partner[cur]
+                visited.add(arrive)
+                crossings.append(Crossing(S.faces[cur[0]][cur[1]][1], cur, arrive))
+                g = arrive[0]
+                if counts[g] != 2:
+                    corridors.append(Corridor(f, g, tuple(crossings), tuple(interior)))
+                    break
+                interior.append(g)
+                cur = sibling[arrive]
+    closed = []
+    for f in sorted(S.faces):
+        if counts[f] != 2:
+            continue
+        for i in positions[f]:
+            start = (f, i)
+            if start in visited:
+                continue
+            crossings, faces = [], []
+            cur = start
+            while True:
+                visited.add(cur)
+                arrive = partner[cur]
+                visited.add(arrive)
+                crossings.append(Crossing(S.faces[cur[0]][cur[1]][1], cur, arrive))
+                faces.append(arrive[0])
+                cur = sibling[arrive]
+                if cur == start:
+                    break
+            closed.append(ClosedCorridor(tuple(faces), tuple(crossings)))
+    return corridors, closed
+
+
+def fields():
+    """Line and vector fields: random-corpus matchings (cyclic ones too),
+    forest and tree-cotree fields on the corpus and on grid tori and grid
+    Klein bottles, a few invalid matchings, and a serpentine field."""
+    rng = random.Random(1701)
+    lines, vectors = [], []
+    for S in support.random_corpus(1702, 40, max_moves=4):
+        lines.append(LineField(S, support.sample_matching(support.line_field_pairs(S), rng)))
+        vectors.append(
+            VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
+        )
+        lines.append(support.forest_field(S, rng, rng.choice([0.5, 1.0])))
+    grids = [build(n, m) for build in (support.grid_torus, support.grid_klein)
+             for n, m in ((1, 3), (2, 3), (3, 3), (4, 5))]
+    for S in grids:
+        lines.append(LineField(S, support.sample_matching(support.line_field_pairs(S), rng)))
+        for keep in (1.0, 0.5):
+            forest = support.forest_field(S, rng, keep)
+            lines.append(forest)
+            pairs = support.tree_cotree(S, dict(forest.matching))
+            if pairs is not None:
+                vectors.append(VectorField(S, pairs))
+    S = support.tetra()
+    lines.append(LineField(S, frozenset({("v1", "e34"), ("v2", "e23"), ("v3", "e23")})))
+    vectors.append(VectorField(S, frozenset({("v1", "f123"), ("e12", "f123")})))
+    vectors.append(support.serpentine_torus(4, 4)[0])
+    return lines, vectors
+
+
+LINES, VECTORS = fields()
+
+
+def outcome(call):
+    """What call() returns, or the type and message of the OperationError
+    it raises, so refusals are compared too."""
+    try:
+        return call()
+    except OperationError as exc:
+        return type(exc), str(exc)
+
+
+def test_one_tracer_matches_reference_scan():
+    closed_total = 0
+    decomposed_with_closed = 0
+    for L in LINES:
+        want_open, want_closed = reference_corridors(L)
+        assert scan_closed_corridors(L) == want_closed
+        assert L.corridors() == (tuple(want_open), tuple(want_closed))
+        closed_total += len(want_closed)
+        counts, _partner, _sibling, _positions = _corridor_structure(L)
+        for f in sorted(f for f in L.complex.faces if counts[f] != 2):
+            assert corridors_from(L, f) == [c for c in want_open if c.start == f]
+        if closed_l_path(L) is None:
+            report = ms_decomposition(L)
+            assert report.corridors == tuple(want_open)
+            assert report.closed_corridors == tuple(want_closed)
+            decomposed_with_closed += bool(want_closed)
+    assert closed_total > 0 and decomposed_with_closed > 0
+
+
+def test_line_field_methods_equal_functions():
+    acyclic = 0
+    for L in LINES:
+        assert L.problems() == L.complex.validate() + validate_line_field(L)
+        if L.problems():
+            continue
+        assert L.doubled_critical() == critical_cells(L)
+        assert L.closed_path() == closed_l_path(L)
+        assert outcome(L.graph) == outcome(lambda: topological_graph(L))
+        vertices = sorted(L.complex.vertices)
+        for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+            assert outcome(lambda: L.paths(a, b)) == outcome(lambda: l_paths(L, a, b))
+            assert outcome(lambda: L.count_paths(a, b)) == outcome(lambda: len(l_paths(L, a, b)))
+        acyclic += L.closed_path() is None
+    assert 0 < acyclic < len(LINES)
+
+
+def test_vector_field_methods_equal_functions():
+    acyclic = 0
+    for V in VECTORS:
+        assert V.problems() == V.complex.validate() + validate_vector_field(V)
+        if V.problems():
+            continue
+        crit = critical_cells_dvf(V)
+        assert V.doubled_critical() == {c: 2 * i for c, i in crit.items()}
+        assert V.closed_path() == closed_x_path(V)
+        assert V.corridors() == ((), ())
+        assert outcome(V.graph) == outcome(lambda: topological_graph_dvf(V))
+        S = V.complex
+        for upper in sorted(c for c in crit if S.dim_of(c) > 0)[:4]:
+            for lower in sorted(c for c in crit if S.dim_of(c) == S.dim_of(upper) - 1)[:3]:
+                assert outcome(lambda: list(V.paths(upper, lower))) == outcome(
+                    lambda: list(x_paths(V, upper, lower))
+                )
+                assert outcome(lambda: V.count_paths(upper, lower)) == outcome(
+                    lambda: count_x_paths(V, upper, lower)
+                )
+        acyclic += V.closed_path() is None
+    assert 0 < acyclic < len(VECTORS)
+
+
+def test_path_view_of_both_kinds():
+    seen = {"line": 0, "vector": 0}
+    for field in LINES + VECTORS:
+        if field.problems() or field.closed_path() is not None:
+            continue
+        for sep in field.graph().edges:
+            path = sep.path
+            if isinstance(field, LineField):
+                assert (path.cells, path.steps) == (path.vertices, path.edges)
+                assert path.json() == {"vertices": list(path.vertices), "edges": list(path.edges)}
+                seen["line"] += 1
+            else:
+                assert path.steps == tuple(t for t, _key in path.witnesses)
+                assert path.json() == {
+                    "cells": list(path.cells),
+                    "witnesses": [list(w) for w in path.witnesses],
+                }
+                seen["vector"] += 1
+            assert path.is_trivial() == (len(path.cells) == 1)
+            assert path.is_closed() == (len(path.cells) > 1 and path.cells[0] == path.cells[-1])
+    assert seen["line"] > 0 and seen["vector"] > 0
+
+
+def test_cyclic_refusal_carries_the_closed_path():
+    for field in LINES + VECTORS:
+        closed = None if field.problems() else field.closed_path()
+        if closed is None:
+            continue
+        with pytest.raises(CyclicFieldError) as info:
+            field.graph()
+        assert info.value.witness == closed
+        assert str(info.value).endswith(f" through {closed.cells[0]}")
