@@ -7,10 +7,10 @@ boundary occurrence and tunnel through faces with exactly two unmatched
 occurrences until they reach a critical face again.  Corridors that never
 touch a critical face close up into cycles and mark periodic behaviour.
 
-L-paths here and X-paths in vectorfield.py run on one path engine over a
-step relation `options(cell) -> [(label, next cell)]`: `_find_cycle` finds
-a closed-path witness, `_maximal_walks` lists walks depth first in option
-order, and `_count_walks` counts them with a memoised DP.  Each keeps its
+Both field kinds build their step table `{cell: ((label, next), ...)}`
+once, as `_steps`, and share one path engine: `_find_cycle` finds a
+closed-path witness, `_maximal_walks` lists walks depth first in step
+order, and `_count_walks` counts them with a memoised DP; each keeps its
 own stack, so path length is bounded by memory, not by recursion depth.
 """
 
@@ -124,7 +124,7 @@ class DecompositionReport:
 # ---- path engine ----------------------------------------------------------
 
 
-def _find_cycle(roots, options):
+def _find_cycle(roots, steps):
     """The first closed walk a depth-first search from `roots`, in order,
     runs into: (cells, labels) from the re-entered cell back to itself,
     or None when the relation is acyclic on everything reachable."""
@@ -134,7 +134,7 @@ def _find_cycle(roots, options):
             continue
         state[root] = 1
         cells, labels = [root], []
-        stack = [iter(options(root))]
+        stack = [iter(steps.get(root, ()))]
         while stack:
             step = next(stack[-1], None)
             if step is None:
@@ -151,35 +151,43 @@ def _find_cycle(roots, options):
                 state[nxt] = 1
                 cells.append(nxt)
                 labels.append(label)
-                stack.append(iter(options(nxt)))
+                stack.append(iter(steps.get(nxt, ())))
     return None
 
 
-def _maximal_walks(start, options):
-    """Every walk from `start` that steps until a cell with no options, as
-    (cells, labels) tuples, depth first in option order.  The relation must
-    be acyclic."""
+def _maximal_walks(start, steps):
+    """Every walk from `start` that steps until a cell with no steps, as
+    (cells, labels) tuples, depth first in step order.  The relation must
+    be acyclic.  Only a cell with several steps leaves a branch point, so
+    a chain of single steps is never unwound."""
     cells, labels = [start], []
-    stack = [iter(options(start))]
-    leaf = True
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            if leaf:
-                yield tuple(cells), tuple(labels)
-                leaf = False
-            cells.pop()
-            del labels[-1:]
-            stack.pop()
-            continue
+    branches = []  # (depth, iterator over the steps not taken yet)
+    out = steps.get(start, ())
+    while True:
+        while out:
+            if len(out) > 1:
+                branches.append((len(labels), iter(out[1:])))
+            label, nxt = out[0]
+            cells.append(nxt)
+            labels.append(label)
+            out = steps.get(nxt, ())
+        yield tuple(cells), tuple(labels)
+        while branches:
+            depth, rest = branches[-1]
+            step = next(rest, None)
+            if step is not None:
+                break
+            branches.pop()
+        else:
+            return
+        del cells[depth + 1 :], labels[depth:]
         label, nxt = step
         cells.append(nxt)
         labels.append(label)
-        stack.append(iter(options(nxt)))
-        leaf = True
+        out = steps.get(nxt, ())
 
 
-def _count_walks(options, target):
+def _count_walks(steps, target):
     """`ways(cell)`: how many maximal walks from `cell` end at `target`,
     memoised across calls.  The relation must be acyclic."""
     memo: dict = {}
@@ -191,13 +199,13 @@ def _count_walks(options, target):
             if c in memo:
                 stack.pop()
                 continue
-            steps = options(c)
-            todo = [nxt for _label, nxt in steps if nxt not in memo]
+            out = steps.get(c, ())
+            todo = [nxt for _label, nxt in out if nxt not in memo]
             if todo:
                 stack += todo
                 continue
             stack.pop()
-            memo[c] = sum(memo[nxt] for _label, nxt in steps) if steps else int(c == target)
+            memo[c] = sum(memo[nxt] for _label, nxt in out) if out else int(c == target)
         return memo[cell]
 
     return ways
@@ -206,44 +214,21 @@ def _count_walks(options, target):
 # ---- L-paths --------------------------------------------------------------
 
 
-def _step_maps(L: LineField) -> tuple[dict[str, str], dict[str, str]]:
-    step = {}
-    witness = {}
-    for v, e in L.matching:
-        tail, head = L.complex.edges[e]
-        step[v] = head if v == tail else tail
-        witness[v] = e
-    return step, witness
-
-
-def _l_options(L: LineField):
-    """The L-path step relation: a matched vertex steps across its edge."""
-    step, witness = _step_maps(L)
-    steps = {v: ((witness[v], w),) for v, w in step.items()}
-    return lambda v: steps.get(v, ())
-
-
 def closed_l_path(L: LineField) -> LPath | None:
-    """A closed L-path, rotated to start at its least vertex, or None."""
-    cycle = _find_cycle(sorted(v for v, _e in L.matching), _l_options(L))
-    if cycle is None:
-        return None
-    ring, edges = cycle[0][:-1], cycle[1]
-    m = ring.index(min(ring))
-    return LPath(ring[m:] + ring[: m + 1], edges[m:] + edges[:m])
+    """A closed L-path, rotated to start at its least vertex, or None.
+    The field searches once and keeps the verdict."""
+    return L._closed
 
 
 def is_acyclic(L: LineField) -> bool:
     return closed_l_path(L) is None
 
 
-def _require_acyclic(L: LineField):
-    closed = closed_l_path(L)
+def _require_acyclic(field):
+    """Raise CyclicFieldError, witnessed by its closed path, for a cyclic field of either kind."""
+    closed = field.closed_path()
     if closed is not None:
-        raise CyclicFieldError(
-            "line field has a closed path through " + closed.vertices[0],
-            witness=closed,
-        )
+        raise CyclicFieldError(field._cyclic_text + closed.cells[0], witness=closed)
 
 
 def l_paths(L: LineField, source: str, target: str) -> list[LPath]:
@@ -253,7 +238,7 @@ def l_paths(L: LineField, source: str, target: str) -> list[LPath]:
     for v in (source, target):
         if v not in L.complex.vertices:
             raise OperationError(f"{v} is not a vertex of the complex")
-    cells, edges = next(_maximal_walks(source, _l_options(L)))
+    cells, edges = next(_maximal_walks(source, L._steps))
     if target not in cells:
         return []
     k = cells.index(target)
@@ -263,34 +248,32 @@ def l_paths(L: LineField, source: str, target: str) -> list[LPath]:
 # ---- topological graph ----------------------------------------------------
 
 
-def topological_graph(L: LineField) -> TopologicalGraph:
-    """Separatrices from each critical face to the critical vertices its
-    corner chains reach.
+def topological_graph(field) -> TopologicalGraph:
+    """Separatrices of a line or vector field: one per exit slot
+    `(key, start)` of a critical cell and maximal walk from `start` to a
+    critical cell, which is its witness.  Walks are memoised per start.
 
-    One separatrix per unmatched occurrence on the face's walk, witnessed
-    by the chain from the vertex where that occurrence starts.  Matched
-    occurrences carry none: simplification contracts them out of the walk,
-    merging their corners into neighbours, so counting them (or dropping
-    anything else) would break the graph-preservation property of
-    homotopy_core.  A critical face therefore emits exactly c separatrices.
+    A line field's exits are the unmatched occurrences on a critical
+    face's walk, from their corners.  Matched occurrences carry none:
+    simplification contracts them out of the walk, merging their corners
+    into neighbours, so counting them (or dropping anything else) would
+    break the graph-preservation property of homotopy_core; a critical face
+    emits exactly c.  A vector field's exits are the boundary occurrences
+    of a critical edge or face.
     """
-    _require_acyclic(L)
-    S = L.complex
-    crit = L.doubled_critical()
-    matched = L.matched_edges()
-    options = _l_options(L)
-    chains: dict[str, LPath] = {}
+    _require_acyclic(field)
+    crit = field.doubled_critical()
+    paths: dict[str, list] = {}
     edges = []
-    for f in sorted(c for c in crit if c in S.faces):
-        walk = S.faces[f]
-        for i, (_sign, e) in enumerate(walk):
-            if e in matched:
-                continue
-            u = S.corner_vertex(f, i)
-            if u not in chains:
-                chains[u] = LPath(*next(_maximal_walks(u, options)))
-            path = chains[u]
-            edges.append(Separatrix(f, path.vertices[-1], i, path))
+    for source in sorted(crit):
+        for key, start in field._exits(source):
+            if start not in paths:
+                paths[start] = [
+                    field._path(cells, steps)
+                    for cells, steps in _maximal_walks(start, field._steps)
+                    if cells[-1] in crit
+                ]
+            edges += (Separatrix(source, p.cells[-1], key, p) for p in paths[start])
     return TopologicalGraph(tuple(sorted(crit)), tuple(edges))
 
 
@@ -302,26 +285,22 @@ def _corridor_structure(L: LineField):
     occurrences of each unmatched edge, the sibling map pairing the two
     unmatched occurrences of each count-2 face, and each face's unmatched
     positions."""
-    S = L.complex
     matched = L.matched_edges()
     partner: dict[tuple[str, int], tuple[str, int]] = {}
-    for e, occs in S.occurrence_index.items():
+    for e, occs in L.complex.occurrence_index.items():
         if e in matched:
             continue
         partner[occs[0]] = occs[1]
         partner[occs[1]] = occs[0]
-    unmatched_positions = {
-        f: [i for i, (_s, e) in enumerate(walk) if e not in matched]
-        for f, walk in S.faces.items()
-    }
-    counts = {f: len(positions) for f, positions in unmatched_positions.items()}
+    positions = L._unmatched
+    counts = {f: len(at) for f, at in positions.items()}
     sibling: dict[tuple[str, int], tuple[str, int]] = {}
-    for f, positions in unmatched_positions.items():
-        if len(positions) == 2:
-            a, b = (f, positions[0]), (f, positions[1])
+    for f, at in positions.items():
+        if len(at) == 2:
+            a, b = (f, at[0]), (f, at[1])
             sibling[a] = b
             sibling[b] = a
-    return counts, partner, sibling, unmatched_positions
+    return counts, partner, sibling, positions
 
 
 def _trace_corridor(S, counts, partner, sibling, start_occ, visited):

@@ -11,14 +11,16 @@ dart propagation behind isomorphism of combinatorial maps (Gosselin,
 Damiand and Solnon, Efficient search of combinatorial maps using
 signatures, TCS 2011).  The search aligns the least face of S1 with every
 face of S2 of the same length, at every start position and in both
-directions, and spreads each alignment across shared edges with a work
-list; a candidate is dropped at its first conflict.  There is no
+directions, and spreads each alignment breadth first across shared
+edges, so a candidate is dropped at a conflict near its start.  There is no
 backtracking: at most 2k|F| candidates, k the length of that face, each
 propagated in time linear in the size of S1.  A pair that differs in
 orientability, found in linear time first, gets no candidate at all.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .errors import InvalidComplexError
 
@@ -28,9 +30,9 @@ def _propagate(S1, S2, f0, start, pinned):
     j + d*i of face g, where start = (g, j, d), or None on a conflict."""
     vertices, edges, signs = {}, {}, {}
     align = {f0: start}
-    work = [f0]
+    work = deque([f0])
     while work:
-        f = work.pop()
+        f = work.popleft()
         g, j, d = align[f]
         walk, target = S1.faces[f], S2.faces[g]
         n = len(walk)

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dynamics import _all_corridors, closed_l_path, l_paths, topological_graph
+from . import dynamics
+from .dynamics import LPath, _all_corridors, _find_cycle, l_paths, topological_graph
 from .surface import SurfaceComplex
 
 
@@ -57,13 +58,23 @@ class LineField:
     def doubled_critical(self) -> dict[str, int]:
         return critical_cells(self)
 
-    closed_path = closed_l_path
+    def closed_path(self) -> LPath | None:
+        return dynamics.closed_l_path(self)
+
     graph = topological_graph
     corridors = _all_corridors
     paths = l_paths
 
     def count_paths(self, source: str, target: str) -> int:
         return len(l_paths(self, source, target))
+
+    # ---- hooks of topological_graph and _require_acyclic ----
+
+    _path = LPath
+    _cyclic_text = "line field has a closed path through "
+
+    def _exits(self, cell: str) -> list[tuple[int, str]]:
+        return [(i, self.complex.corner_vertex(cell, i)) for i in self._unmatched.get(cell, ())]
 
     # The matching never changes after construction, so each lookup table
     # is built once, on first use.
@@ -83,6 +94,34 @@ class LineField:
     @cached_property
     def _matched_edges(self) -> frozenset[str]:
         return frozenset(self._vertex_of)
+
+    @cached_property
+    def _steps(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """The L-step relation, vertex -> ((edge, next),): a matched vertex
+        steps across its edge to the other endpoint; a loop steps to itself."""
+        steps = {}
+        for v, e in self.matching:
+            tail, head = self.complex.edges[e]
+            steps[v] = ((e, head if v == tail else tail),)
+        return steps
+
+    @cached_property
+    def _unmatched(self) -> dict[str, tuple[int, ...]]:
+        """Each face's walk positions holding an unmatched edge."""
+        matched = self._matched_edges
+        return {
+            f: tuple(i for i, (_s, e) in enumerate(walk) if e not in matched)
+            for f, walk in self.complex.faces.items()
+        }
+
+    @cached_property
+    def _closed(self) -> LPath | None:
+        cycle = _find_cycle(sorted(self._steps), self._steps)
+        if cycle is None:
+            return None
+        ring, edges = cycle[0][:-1], cycle[1]
+        m = ring.index(min(ring))
+        return LPath(ring[m:] + ring[: m + 1], edges[m:] + edges[:m])
 
 
 def validate_line_field(L: LineField) -> list[str]:
@@ -116,9 +155,7 @@ def validate_line_field(L: LineField) -> list[str]:
 
 def unmatched_boundary_count(L: LineField, face: str) -> int:
     """Occurrences of unmatched edges on the face's walk, with multiplicity."""
-    walk = L.complex.faces[face]
-    matched = L.matched_edges()
-    return sum(1 for _s, e in walk if e not in matched)
+    return len(L._unmatched[face])
 
 
 def critical_cells(L: LineField) -> dict[str, int]:
@@ -134,7 +171,7 @@ def critical_cells(L: LineField) -> dict[str, int]:
         if v not in matched_v:
             out[v] = 2
     for f in sorted(L.complex.faces):
-        c = unmatched_boundary_count(L, f)
+        c = len(L._unmatched[f])
         if c != 2:
             out[f] = 2 - c
     return out

@@ -14,13 +14,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 
-from .dynamics import _l_options, _maximal_walks, _require_acyclic, _step_maps, corridors_from
+from .dynamics import _maximal_walks, _require_acyclic, corridors_from
 from .errors import (
     CancellationError,
     DegenerateOperationError,
     OperationError,
 )
-from .linefield import LineField, critical_cells, unmatched_boundary_count
+from .linefield import LineField, critical_cells
 from .surface import (
     SurfaceComplex,
     _merged_walk,
@@ -47,16 +47,6 @@ class CellCorrespondence:
 
     def preimages(self, cell: str) -> tuple[str, ...]:
         return tuple(sorted(c for c, img in self.mapping.items() if img == cell))
-
-    def then(self, later: CellCorrespondence) -> CellCorrespondence:
-        """Composition: self first, `later` applied to the images."""
-        return CellCorrespondence(
-            {c: later.mapping[img] for c, img in self.mapping.items()}
-        )
-
-    @classmethod
-    def identity(cls, S: SurfaceComplex) -> CellCorrespondence:
-        return cls({c: c for c, _d in S.cells()})
 
 
 @dataclass(frozen=True)
@@ -145,11 +135,11 @@ def collapse_noncritical_face(
 def _contraction_order(L: LineField) -> list[tuple[str, str]]:
     """Pairs ordered so no pair's path target is contracted after it; of
     the pairs ready at each point, the least vertex goes first."""
-    step, witness = _step_maps(L)
+    steps = L._steps
     waiting: dict[str, list[str]] = {}
     ready = []
-    for v, target in step.items():
-        if target in step:
+    for v, ((_e, target),) in steps.items():
+        if target in steps:
             waiting.setdefault(target, []).append(v)
         else:
             ready.append(v)
@@ -157,7 +147,7 @@ def _contraction_order(L: LineField) -> list[tuple[str, str]]:
     order = []
     while ready:
         v = heapq.heappop(ready)
-        order.append((v, witness[v]))
+        order.append((v, steps[v][0][0]))
         for u in waiting.get(v, ()):
             heapq.heappush(ready, u)
     return order
@@ -198,7 +188,7 @@ def homotopy_core(L: LineField) -> CoreResult:
     matched = L.matched_edges()
     contracted = L.matching
     degenerate = None
-    doomed = [f for f, walk in S.faces.items() if all(e in matched for _s, e in walk)]
+    doomed = [f for f, at in L._unmatched.items() if not at]
     if doomed and matched:
         order = _contraction_order(L)
         rank = {e: i for i, (_v, e) in enumerate(order)}
@@ -389,18 +379,17 @@ def cancel_vertex_face(
         raise OperationError(f"{f} is not a face of the complex")
     if v in L.matched_vertices():
         raise OperationError(f"{v} is matched, not critical")
-    c = unmatched_boundary_count(L, f)
+    c = len(L._unmatched[f])
     if c < 3:
         raise OperationError(
             f"face {f} has doubled index {2 - c}; cancellation needs a negative index"
         )
     _require_acyclic(L)
-    options = _l_options(L)
     walk = S.faces[f]
     n = len(walk)
     hits = []
     for pos in range(n):
-        cells, edges = next(_maximal_walks(S.corner_vertex(f, pos), options))
+        cells, edges = next(_maximal_walks(S.corner_vertex(f, pos), L._steps))
         if cells[-1] == v:
             hits.append((pos, cells, edges))
     if not hits:
@@ -411,15 +400,11 @@ def cancel_vertex_face(
         )
     p, cells, edges = hits[0]
     u1 = cells[0]
-    matched = L.matched_edges()
     q = None
     for k in range(1, n):
         cand = (p + k) % n
-        count = sum(
-            1
-            for j in range((p - cand) % n)
-            if walk[(cand + j) % n][1] not in matched
-        )
+        # Unmatched positions among cand, cand + 1, ..., p - 1 (mod n).
+        count = sum(1 for i in L._unmatched[f] if (i - cand) % n < (p - cand) % n)
         if count < 2:
             break
         if count == 2 and S.corner_vertex(f, cand) != u1:

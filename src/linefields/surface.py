@@ -147,9 +147,6 @@ class SurfaceComplex:
         tail, head = self.edges[occ[1]]
         return head if occ[0] > 0 else tail
 
-    def walk(self, face: str) -> tuple[Occurrence, ...]:
-        return self.faces[face]
-
     def corner_vertex(self, face: str, position: int) -> str:
         walk = self.faces[face]
         return self.occ_source(walk[position % len(walk)])
@@ -362,9 +359,6 @@ class HasseDiagram:
 
     def multiplicity(self, lower: str, upper: str) -> int:
         return self.incidences.get((lower, upper), 0)
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return sorted(self.incidences)
 
     def level_total(self, lower_dim: int) -> int:
         return sum(

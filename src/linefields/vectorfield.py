@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .dynamics import (
-    Separatrix,
-    TopologicalGraph,
     _PathView,
     _count_walks,
     _find_cycle,
     _maximal_walks,
+    _require_acyclic,
+    topological_graph,
 )
-from .errors import CancellationError, CyclicFieldError, OperationError
+from .errors import CancellationError, OperationError
 from .surface import SurfaceComplex
 
 
@@ -87,8 +87,7 @@ class VectorField:
     def closed_path(self) -> XPath | None:
         return closed_x_path(self)
 
-    def graph(self) -> TopologicalGraph:
-        return topological_graph_dvf(self)
+    graph = topological_graph
 
     def corridors(self) -> tuple[tuple, tuple]:
         """Cell matchings have no corridors."""
@@ -99,6 +98,22 @@ class VectorField:
 
     def count_paths(self, source: str, target: str) -> int:
         return count_x_paths(self, source, target)
+
+    # ---- hooks of topological_graph and _require_acyclic ----
+
+    _cyclic_text = "vector field has a closed X-path through "
+
+    def _exits(self, cell: str) -> list[tuple[int, str]]:
+        """(occurrence key, boundary cell) pairs of an edge or face, in
+        order; none for a vertex."""
+        S = self.complex
+        if cell in S.edges:
+            tail, head = S.edges[cell]
+            return [(0, tail), (1, head)]
+        return [(i, e) for i, (_s, e) in enumerate(S.faces.get(cell, ()))]
+
+    def _path(self, cells, witnesses) -> XPath:
+        return XPath(self.complex.dim_of(cells[0]), cells, witnesses)
 
     # The matching never changes after construction, so each lookup table
     # is built once, on first use.
@@ -116,14 +131,21 @@ class VectorField:
         return frozenset(c for pair in self.matching for c in pair)
 
     @cached_property
-    def _step_options(self):
+    def _steps(self) -> dict[str, tuple[tuple[tuple[str, int], str], ...]]:
         """The X-path step relation: a cell matched upward steps to every
         other cell on its partner's boundary, as ((witness, key), next)."""
-        steps = {
-            lo: [((up, key), c) for key, c in _boundary_occurrences(self.complex, up) if c != lo]
+        return {
+            lo: tuple(((up, key), c) for key, c in self._exits(up) if c != lo)
             for lo, up in self.matching
         }
-        return lambda cell: steps.get(cell, ())
+
+    @cached_property
+    def _closed(self) -> XPath | None:
+        # Steps stay within one dimension, so one search from the matched
+        # vertices, then the matched edges, finds a cycle of either.
+        dim_of = self.complex.dim_of
+        cycle = _find_cycle(sorted(self._steps, key=lambda c: (dim_of(c), c)), self._steps)
+        return None if cycle is None else self._path(*cycle)
 
 
 def validate_vector_field(V: VectorField) -> list[str]:
@@ -176,38 +198,16 @@ def euler_sum_dvf(V: VectorField) -> int:
 
 def closed_x_path(V: VectorField) -> XPath | None:
     """A closed X-path in either dimension, or None when the step relation
-    is acyclic."""
-    for p in (0, 1):
-        lowers = sorted(lo for lo, _up in V.matching if V.complex.dim_of(lo) == p)
-        cycle = _find_cycle(lowers, V._step_options)
-        if cycle is not None:
-            return XPath(p, *cycle)
-    return None
+    is acyclic.  The field searches once and keeps the verdict."""
+    return V._closed
 
 
 def is_acyclic_dvf(V: VectorField) -> bool:
     return closed_x_path(V) is None
 
 
-def _require_acyclic_dvf(V: VectorField):
-    closed = closed_x_path(V)
-    if closed is not None:
-        raise CyclicFieldError(
-            "vector field has a closed X-path through " + closed.cells[0],
-            witness=closed,
-        )
-
-
-def _boundary_occurrences(S: SurfaceComplex, cell: str) -> list[tuple[int, str]]:
-    """(occurrence key, boundary cell) pairs of an edge or face, in order."""
-    if cell in S.edges:
-        tail, head = S.edges[cell]
-        return [(0, tail), (1, head)]
-    return [(i, e) for i, (_s, e) in enumerate(S.faces[cell])]
-
-
-def _start_cells(S: SurfaceComplex, cell: str) -> list[str]:
-    return list(dict.fromkeys(c for _key, c in _boundary_occurrences(S, cell)))
+def _start_cells(V: VectorField, cell: str) -> list[str]:
+    return list(dict.fromkeys(c for _key, c in V._exits(cell)))
 
 
 def _check_path_query(V: VectorField, source: str, target: str) -> int:
@@ -225,14 +225,14 @@ def _check_path_query(V: VectorField, source: str, target: str) -> int:
     for c in (source, target):
         if c in matched:
             raise OperationError(f"{c} is matched, not critical")
-    _require_acyclic_dvf(V)
+    _require_acyclic(V)
     return d_target
 
 
 def _x_walks(V: VectorField, p: int, source: str, target: str):
     """x_paths without the query checks; the field must be acyclic."""
-    for start in _start_cells(V.complex, source):
-        for cells, witnesses in _maximal_walks(start, V._step_options):
+    for start in _start_cells(V, source):
+        for cells, witnesses in _maximal_walks(start, V._steps):
             if cells[-1] == target:
                 yield XPath(p, cells, witnesses)
 
@@ -247,32 +247,14 @@ def x_paths(V: VectorField, source: str, target: str):
 def count_x_paths(V: VectorField, source: str, target: str) -> int:
     """Number of X-paths x_paths would yield, without enumerating them."""
     _check_path_query(V, source, target)
-    ways = _count_walks(V._step_options, target)
-    return sum(ways(c) for c in _start_cells(V.complex, source))
+    ways = _count_walks(V._steps, target)
+    return sum(ways(c) for c in _start_cells(V, source))
 
 
 # ---- topological graph and cancellation -----------------------------------
 
 
-def topological_graph_dvf(V: VectorField) -> TopologicalGraph:
-    """Separatrices from each critical edge or face down one dimension: one
-    per (boundary occurrence, X-path) witness pair."""
-    _require_acyclic_dvf(V)
-    S = V.complex
-    crit = critical_cells_dvf(V)
-    edges = []
-    for upper in sorted(crit):
-        dim = S.dim_of(upper)
-        if dim == 0:
-            continue
-        for key, cell in _boundary_occurrences(S, upper):
-            for cells, witnesses in _maximal_walks(cell, V._step_options):
-                # A walk may also end in a matched cell; only ends at
-                # critical cells give separatrices.
-                if cells[-1] in crit:
-                    path = XPath(dim - 1, cells, witnesses)
-                    edges.append(Separatrix(upper, cells[-1], key, path))
-    return TopologicalGraph(tuple(sorted(crit)), tuple(edges))
+topological_graph_dvf = topological_graph
 
 
 def cancel_dvf(V: VectorField, upper: str, lower: str) -> VectorField:
@@ -284,8 +266,8 @@ def cancel_dvf(V: VectorField, upper: str, lower: str) -> VectorField:
     the critical count drops by exactly two.
     """
     p = _check_path_query(V, upper, lower)
-    ways = _count_walks(V._step_options, lower)
-    total = sum(ways(cell) for _key, cell in _boundary_occurrences(V.complex, upper))
+    ways = _count_walks(V._steps, lower)
+    total = sum(ways(cell) for _key, cell in V._exits(upper))
     if total == 0:
         raise CancellationError(f"no X-path from {upper} to {lower}")
     if total > 1:

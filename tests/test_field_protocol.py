@@ -8,9 +8,11 @@ collection, kept here to compare against.
 """
 
 import random
+from types import ModuleType
 
 import pytest
 
+import linefields
 import support
 from linefields import (
     ClosedCorridor,
@@ -217,3 +219,12 @@ def test_cyclic_refusal_carries_the_closed_path():
             field.graph()
         assert info.value.witness == closed
         assert str(info.value).endswith(f" through {closed.cells[0]}")
+
+
+def test_every_public_name_is_exported():
+    names = {
+        n
+        for n, value in vars(linefields).items()
+        if not n.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert names == set(linefields.__all__)

@@ -167,6 +167,12 @@ def test_torus_and_klein_grids_not_isomorphic(monkeypatch):
     assert calls
 
 
+def test_tori_alike_in_every_count_not_isomorphic():
+    # Counts, orientability, face lengths and degrees agree, so every one of
+    # the 2k|F| alignments is propagated until it conflicts.
+    assert complexes_isomorphic(support.grid_torus(6, 24), support.grid_torus(12, 12)) is None
+
+
 def test_orientability_of_named_complexes():
     non_orientable = {"proj_plane", "klein", "klein3x4"}
     for S in [build() for build in support.all_seed_builders()] + [

@@ -30,7 +30,7 @@ from linefields import (
     topological_graph_dvf,
     x_paths,
 )
-from linefields import dynamics, vectorfield
+from linefields import dynamics, linefield, vectorfield
 from linefields.cli import main
 
 # ---- a gradient path through every vertex ---------------------------------
@@ -83,6 +83,36 @@ def test_one_acyclicity_check_per_operation(monkeypatch):
     out = cancel_dvf(V, "e13", "v2")
     assert out.matching == frozenset({("v2", "e12"), ("v1", "e13")})
     assert calls == ["closed_x_path"]
+
+
+def test_one_cycle_search_per_field(monkeypatch):
+    """A field keeps its closed-path verdict: a graph and ten path counts
+    search the step relation once."""
+    calls = []
+
+    def counting(module):
+        original = module._find_cycle
+
+        def wrapper(roots, steps):
+            calls.append(module.__name__)
+            return original(roots, steps)
+
+        monkeypatch.setattr(module, "_find_cycle", wrapper)
+
+    counting(vectorfield)
+    V, head = support.serpentine_torus(4, 4)
+    (root,) = [c for c in V.doubled_critical() if c in V.complex.vertices]
+    V.graph()
+    assert [V.count_paths(head, root) for _ in range(10)] == [2] * 10
+    assert calls == ["linefields.vectorfield"]
+    calls.clear()
+    counting(linefield)
+    L = support.forest_field(support.grid_torus(4, 4), random.Random(4), 0.7)
+    vertices = sorted(L.complex.vertices)
+    L.graph()
+    for a, b in zip(vertices[:10], vertices[1:]):
+        L.count_paths(a, b)
+    assert calls == ["linefields.linefield"]
 
 
 # ---- the recursive traversals the engine replaced (test-only copies) ------
