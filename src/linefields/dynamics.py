@@ -12,6 +12,10 @@ once, as `_steps`, and share one path engine: `_find_cycle` finds a
 closed-path witness, `_maximal_walks` lists walks depth first in step
 order, and `_count_walks` counts them with a memoised DP; each keeps its
 own stack, so path length is bounded by memory, not by recursion depth.
+
+The corridor tracer builds nothing per call.  It reads each face's count
+and the sibling of an unmatched occurrence from the field's `_unmatched`
+positions, and each crossing from the complex's `opposite` slot pairing.
 """
 
 from __future__ import annotations
@@ -280,47 +284,24 @@ def topological_graph(field) -> TopologicalGraph:
 # ---- corridors ------------------------------------------------------------
 
 
-def _corridor_structure(L: LineField):
-    """Per-face unmatched counts, the partner map pairing the two
-    occurrences of each unmatched edge, the sibling map pairing the two
-    unmatched occurrences of each count-2 face, and each face's unmatched
-    positions."""
-    matched = L.matched_edges()
-    partner: dict[tuple[str, int], tuple[str, int]] = {}
-    for e, occs in L.complex.occurrence_index.items():
-        if e in matched:
-            continue
-        partner[occs[0]] = occs[1]
-        partner[occs[1]] = occs[0]
-    positions = L._unmatched
-    counts = {f: len(at) for f, at in positions.items()}
-    sibling: dict[tuple[str, int], tuple[str, int]] = {}
-    for f, at in positions.items():
-        if len(at) == 2:
-            a, b = (f, at[0]), (f, at[1])
-            sibling[a] = b
-            sibling[b] = a
-    return counts, partner, sibling, positions
-
-
-def _trace_corridor(S, counts, partner, sibling, start_occ, visited):
+def _trace_corridor(L: LineField, start_occ, visited):
     """Cross from `start_occ` and tunnel through count-2 faces, adding each
     occurrence passed to `visited`: a Corridor when a face with another
     count is reached, a ClosedCorridor when the trace is back at its start."""
+    S = L.complex
     crossings = []
     faces = []
     cur = start_occ
     while True:
-        visited.add(cur)
-        edge = S.faces[cur[0]][cur[1]][1]
-        arrive = partner[cur]
-        visited.add(arrive)
-        crossings.append(Crossing(edge, cur, arrive))
-        g = arrive[0]
-        if counts[g] != 2:
+        arrive = S.opposite[cur]
+        visited.update((cur, arrive))
+        crossings.append(Crossing(S.faces[cur[0]][cur[1]][1], cur, arrive))
+        g, q = arrive
+        at = L._unmatched[g]
+        if len(at) != 2:
             return Corridor(start_occ[0], g, tuple(crossings), tuple(faces))
         faces.append(g)
-        cur = sibling[arrive]
+        cur = (g, at[1] if at[0] == q else at[0])
         if cur == start_occ:
             return ClosedCorridor(tuple(faces), tuple(crossings))
 
@@ -332,37 +313,33 @@ def corridors_from(L: LineField, face: str) -> list[Corridor]:
     tunnelling through count-2 faces via their other unmatched occurrence;
     it always terminates on a critical face, possibly the starting one.
     """
-    S = L.complex
-    if face not in S.faces:
+    if face not in L.complex.faces:
         raise OperationError(f"{face} is not a face of the complex")
-    counts, partner, sibling, positions = _corridor_structure(L)
-    if counts[face] == 2:
+    positions = L._unmatched[face]
+    if len(positions) == 2:
         raise OperationError(f"face {face} is not critical")
-    return [
-        _trace_corridor(S, counts, partner, sibling, (face, i), set())
-        for i in positions[face]
-    ]
+    return [_trace_corridor(L, (face, i), set()) for i in positions]
 
 
 def _all_corridors(L: LineField) -> tuple[tuple[Corridor, ...], tuple[ClosedCorridor, ...]]:
     """Every corridor, traced from each unmatched occurrence of each
     critical face in face order, and every closed corridor, traced from the
     least occurrence no earlier trace passed.  Needs no acyclicity."""
-    S = L.complex
-    counts, partner, sibling, positions = _corridor_structure(L)
+    positions = L._unmatched
+    faces = sorted(positions)
     visited: set[tuple[str, int]] = set()
     corridors = tuple(
-        _trace_corridor(S, counts, partner, sibling, (f, i), visited)
-        for f in sorted(S.faces)
-        if counts[f] != 2
+        _trace_corridor(L, (f, i), visited)
+        for f in faces
+        if len(positions[f]) != 2
         for i in positions[f]
     )
     # The membership test runs after every earlier trace has filled
     # `visited`, so each cycle is traced once.
     closed = tuple(
-        _trace_corridor(S, counts, partner, sibling, (f, i), visited)
-        for f in sorted(S.faces)
-        if counts[f] == 2
+        _trace_corridor(L, (f, i), visited)
+        for f in faces
+        if len(positions[f]) == 2
         for i in positions[f]
         if (f, i) not in visited
     )

@@ -189,6 +189,8 @@ def parse_off(text: str) -> SurfaceComplex:
         n_vertices, n_faces, _n_edges = (int(t) for t in rows[pos][1])
     except ValueError:
         raise ParseError("counts are not integers", line=rows[pos][0])
+    if min(n_vertices, n_faces, _n_edges) < 0:
+        raise ParseError("counts must not be negative", line=rows[pos][0])
     pos += 1
     if len(rows) - pos < n_vertices + n_faces:
         raise ParseError(f"expected {n_vertices} vertex and {n_faces} face lines")

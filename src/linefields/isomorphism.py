@@ -54,8 +54,8 @@ def _propagate(S1, S2, f0, start, pinned):
             # fixes the alignment of the face holding it.  A face reached
             # again with another alignment fails a slot check when it is
             # processed, or the face map is not injective.
-            fo, po = next(x for x in S1.occurrence_index[e] if x != (f, p))
-            go, qo = next(x for x in S2.occurrence_index[e2] if x != (g, q))
+            fo, po = S1.opposite[(f, p)]
+            go, qo = S2.opposite[(g, q)]
             if fo not in align:
                 do = sign * S1.faces[fo][po][0] * S2.faces[go][qo][0]
                 align[fo] = (go, (qo - do * po) % len(S1.faces[fo]), do)
@@ -81,8 +81,8 @@ def _orientable(S):
     consistent = True
     while work:
         f = work.pop()
-        for p, (s, e) in enumerate(S.faces[f]):
-            g, q = next(x for x in S.occurrence_index[e] if x != (f, p))
+        for p, (s, _e) in enumerate(S.faces[f]):
+            g, q = S.opposite[(f, p)]
             d = -direction[f] * s * S.faces[g][q][0]
             if g not in direction:
                 direction[g] = d

@@ -121,7 +121,7 @@ def collapse_noncritical_face(
             f"face {f} repeats {ea} twice; collapsing needs two distinct edges"
         )
     gone = min(ea, eb)
-    neighbor = next(fc for fc, _p in S.edge_occurrences(gone) if fc != f)
+    neighbor, _q = S.opposite[(f, [ea, eb].index(gone))]
     T = delete_edge_merge_faces(S, gone, neighbor)
     mapping = {c: c for c, _d in S.cells()}
     mapping[f] = neighbor
@@ -307,54 +307,46 @@ def merge_critical_faces(
 def _corridor_walk(S: SurfaceComplex, corridor, merged_id: str) -> tuple:
     """The walk left by deleting the corridor's crossings in order.
 
-    Read in the start face's direction, deleting a crossing puts the rest
-    of the next face's walk in the crossing's slot, reversed when the two
-    occurrences of the crossing carry the same sign.  The splices nest: the
-    walk is the start face's rest, then each interior face's part before
-    its exit crossing, the end face's rest, and the interior parts after
-    the exits in reverse order.  delete_edge_merge_faces keeps the walk of
-    the face first in sorted order forward, so every deletion that reverses
-    the rest of a face sorting before the merged one, judged in the merged
-    walk's own direction, reverses the merged walk.  Raises
-    DegenerateOperationError at the first deletion that would leave an
-    empty walk.
+    It is the boundary of the joined faces, walked once.  Each face is read
+    forward or backward relative to the start face: a crossing whose two
+    occurrences carry the same sign, read that way, flips the next face.
+    The walk leaves the start face across the first crossing, jumps to the
+    opposite slot at every crossing occurrence it meets, and stops back at
+    the start slot.  delete_edge_merge_faces keeps the walk of the face
+    first in sorted order forward, so every deletion that flips a face
+    sorting before the merged one, judged in the merged walk's own
+    direction, reverses the merged walk.  Interior faces keep two
+    occurrences, so only the last deletion can leave an empty walk, which
+    raises DegenerateOperationError.
     """
     crossings = corridor.crossings
-    start, p = crossings[0].depart
-    walk = S.faces[start]
-    head = list(walk[p + 1 :] + walk[:p])
-    tails = []
-    sign = walk[p][0]  # of the next crossing's slot, in the start face's direction
-    backwards = False
-    name, length = start, len(walk)
-    for i, crossing in enumerate(crossings):
-        face, q = crossing.arrive
-        walk = S.faces[face]
-        length += len(walk) - 2
-        if not length:
-            raise DegenerateOperationError(
-                f"deleting {crossing.edge} would leave a face with an empty boundary"
-            )
-        same = sign == walk[q][0]
-        if same != backwards and face < name:
+    gone = {c.edge for c in crossings}
+    start = crossings[0].depart
+    turn = {start[0]: 1}
+    backwards, name = False, start[0]
+    for c in crossings:
+        (f, p), (g, q) = c.depart, c.arrive
+        turn[g] = -turn[f] * S.faces[f][p][0] * S.faces[g][q][0]
+        if (turn[g] < 0) != backwards and g < name:
             backwards = not backwards
         name = merged_id
-        rest = walk[q + 1 :] + walk[:q]
-        if same:
-            rest = reversed_walk(rest)
-        if i + 1 == len(crossings):
-            head.extend(rest)
+    merged = []
+    f, i = start
+    while True:
+        f, i = S.opposite[(f, i)]
+        walk, d = S.faces[f], turn[f]
+        i = (i + d) % len(walk)
+        while walk[i][1] not in gone:
+            s, e = walk[i]
+            merged.append((d * s, e))
+            i = (i + d) % len(walk)
+        if (f, i) == start:
             break
-        exit_at = (crossings[i + 1].depart[1] - q - 1) % len(walk)
-        if same:
-            exit_at = len(walk) - 2 - exit_at
-        head.extend(rest[:exit_at])
-        tails.append(rest[exit_at + 1 :])
-        sign = rest[exit_at][0]
-    for tail in reversed(tails):
-        head.extend(tail)
-    merged = tuple(head)
-    return reversed_walk(merged) if backwards else merged
+    if not merged:
+        raise DegenerateOperationError(
+            f"deleting {crossings[-1].edge} would leave a face with an empty boundary"
+        )
+    return reversed_walk(merged) if backwards else tuple(merged)
 
 
 def cancel_vertex_face(

@@ -172,6 +172,21 @@ class SurfaceComplex:
                 slots[e].append((f, i))
         return {e: tuple(occs) for e, occs in slots.items()}
 
+    @cached_property
+    def opposite(self) -> dict[tuple[str, int], tuple[str, int]]:
+        """Each (face, position) slot mapped to the other slot of its edge.
+
+        The slot pairing of a combinatorial map, read once from
+        occurrence_index; an edge that does not occur exactly twice has no
+        entry.
+        """
+        pairs = {}
+        for occs in self.occurrence_index.values():
+            if len(occs) == 2:
+                a, b = occs
+                pairs[a], pairs[b] = b, a
+        return pairs
+
     def edge_occurrences(self, edge: str) -> list[tuple[str, int]]:
         """(face, position) slots where `edge` occurs, in sorted face order."""
         return list(self.occurrence_index.get(edge, ()))

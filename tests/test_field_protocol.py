@@ -4,7 +4,9 @@ LineField and VectorField reach the algorithms through the same methods;
 each method must equal the module function it stands for.  Open and closed
 corridors come from one tracer; `reference_corridors` is a copy of the
 earlier scan, an open-corridor trace followed by a separate cycle
-collection, kept here to compare against.
+collection, kept here to compare against.  It builds its own partner,
+sibling and count maps from the walks and the matching, so it shares no
+index with the tracer.
 """
 
 import random
@@ -37,13 +39,39 @@ from linefields import (
     validate_vector_field,
     x_paths,
 )
-from linefields.dynamics import _corridor_structure
+
+
+def corridor_maps(L):
+    """Per-face unmatched counts, the partner map pairing the two
+    occurrences of each unmatched edge, the sibling map pairing the two
+    unmatched occurrences of each count-2 face, and each face's unmatched
+    positions, read off the walks and the matching alone."""
+    S = L.complex
+    matched = {e for _v, e in L.matching}
+    positions = {
+        f: [i for i, (_s, e) in enumerate(S.faces[f]) if e not in matched]
+        for f in sorted(S.faces)
+    }
+    slots = {}
+    for f, at in positions.items():
+        for i in at:
+            slots.setdefault(S.faces[f][i][1], []).append((f, i))
+    partner = {}
+    for a, b in slots.values():
+        partner[a], partner[b] = b, a
+    sibling = {}
+    for f, at in positions.items():
+        if len(at) == 2:
+            a, b = (f, at[0]), (f, at[1])
+            sibling[a], sibling[b] = b, a
+    counts = {f: len(at) for f, at in positions.items()}
+    return counts, partner, sibling, positions
 
 
 def reference_corridors(L):
     """(corridors, closed corridors) as the two separate loops found them."""
     S = L.complex
-    counts, partner, sibling, positions = _corridor_structure(L)
+    counts, partner, sibling, positions = corridor_maps(L)
     visited = set()
     corridors = []
     for f in sorted(S.faces):
@@ -135,7 +163,7 @@ def test_one_tracer_matches_reference_scan():
         assert scan_closed_corridors(L) == want_closed
         assert L.corridors() == (tuple(want_open), tuple(want_closed))
         closed_total += len(want_closed)
-        counts, _partner, _sibling, _positions = _corridor_structure(L)
+        counts, _partner, _sibling, _positions = corridor_maps(L)
         for f in sorted(f for f in L.complex.faces if counts[f] != 2):
             assert corridors_from(L, f) == [c for c in want_open if c.start == f]
         if closed_l_path(L) is None:

@@ -175,6 +175,16 @@ def test_off_index_out_of_range():
         parse_off(text)
 
 
+@pytest.mark.parametrize(
+    "text", ["OFF\n-1 -1 0\n", "OFF\n0 -3 0\n", "OFF\n-2 1 0\n3 0 1 2\n", "OFF\n0 0 -1\n"]
+)
+def test_off_negative_counts(text):
+    # Refused on the count line: a negative face count used to parse as an
+    # empty complex, and a negative vertex count moved the read back.
+    with pytest.raises(ParseError, match="line 2: counts must not be negative"):
+        parse_off(text)
+
+
 def test_off_face_color_fields_ignored():
     text = "OFF\n3 2 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 255 0 0\n3 0 2 1 0 255 0\n"
     assert parse_off(text).validate() == []

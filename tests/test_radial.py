@@ -381,7 +381,8 @@ def differential_corpus():
 
 
 def test_edge_slots_agree_with_edge_occurrences():
-    # The cached index against a scan of every walk for each edge.
+    # The cached index against a scan of every walk for each edge, and the
+    # slot pairing against the index.
     for S in differential_corpus():
         for e in S.edges:
             scan = [
@@ -392,7 +393,18 @@ def test_edge_slots_agree_with_edge_occurrences():
             ]
             assert S.occurrence_index[e] == tuple(scan)
             assert S.edge_occurrences(e) == scan
+            a, b = scan
+            assert S.opposite[a] == b and S.opposite[b] == a
         assert S.occurrence_index.keys() == S.edges.keys()
+        assert all(S.opposite[slot] != slot for slot in S.opposite)
+        assert len(S.opposite) == 2 * len(S.edges)
+    # Edge a occurs once and has no entry; b occurs twice on one face.
+    S = SurfaceComplex(
+        vertices=frozenset({"v"}),
+        edges={"a": ("v", "v"), "b": ("v", "v")},
+        faces={"F": ((1, "a"), (1, "b"), (1, "b"))},
+    )
+    assert S.opposite == {("F", 1): ("F", 2), ("F", 2): ("F", 1)}
 
 
 def test_bridge_matches_move_by_move_on_random_fields():

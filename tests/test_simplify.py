@@ -278,6 +278,18 @@ def test_merge_through_interior_faces():
     assert corr.image_of("b") == corr.image_of("c") == "m_fab_fca"
 
 
+def test_merge_refuses_empty_walk_at_last_crossing():
+    # Two one-sided disks joined through a bigon: deleting a leaves +b,
+    # and deleting b then leaves nothing.
+    S = SurfaceComplex(
+        vertices=frozenset({"v"}),
+        edges={"a": ("v", "v"), "b": ("v", "v")},
+        faces={"n": support.w("+a"), "mid": support.w("-a +b"), "s": support.w("-b")},
+    )
+    with pytest.raises(DegenerateOperationError, match="deleting b would leave a face"):
+        merge_critical_faces(LineField(S), "n", "s")
+
+
 def test_merge_rejects_same_face():
     with pytest.raises(OperationError, match="itself"):
         merge_critical_faces(two_pair_tetra(), "f134", "f134")
@@ -543,6 +555,8 @@ def reference_merge(L, f, g, branches):
                 branches.add("merged face sorts first")
                 if T.faces[f1][p1][0] == T.faces[f2][p2][0]:
                     branches.add("merged face sorts first, rest reversed")
+            elif T.faces[f1][p1][0] == T.faces[f2][p2][0]:
+                branches.add("merged face sorts last, its rest reversed")
         T = delete_edge_merge_faces(T, crossing.edge, merged_id)
     problems = T.validate()
     if problems:
@@ -639,6 +653,33 @@ def test_merge_matches_move_by_move():
         "merge through interior faces",
         "merged face sorts first",
         "merged face sorts first, rest reversed",
+    }
+
+
+def test_merge_matches_move_by_move_when_merged_face_sorts_last():
+    # Faces named a... sort before the merged face m_a..., so from the
+    # second crossing on, delete_edge_merge_faces keeps the other face's
+    # walk forward, and a same-sign crossing reverses the merged rest.
+    rng = random.Random(834)
+    branches = set()
+    merged = 0
+    for rows, cols in ((3, 4), (5, 5), (6, 7)):
+        S = faces_renamed(support.grid_klein(rows, cols), "a")
+        for keep in (1.0, 0.9, 0.6):
+            L = support.forest_field(S, rng, keep)
+            faces = [f for f in sorted(critical_cells(L)) if f in S.faces][:12]
+            for f in faces:
+                for g in faces:
+                    got = merge_outcome(merge_critical_faces, L, f, g)
+                    want = merge_outcome(
+                        lambda *args: reference_merge(*args, branches), L, f, g
+                    )
+                    assert got == want
+                    merged += got[0] is not CancellationError
+    assert merged >= 50
+    assert branches == {
+        "merge through interior faces",
+        "merged face sorts last, its rest reversed",
     }
 
 
