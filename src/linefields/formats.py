@@ -240,6 +240,11 @@ def _half_text(doubled: int) -> str:
 _SHAPES = {0: "circle", 1: "diamond", 2: "box"}
 
 
+def _dot_string(text: str) -> str:
+    """`text` as a quoted DOT string; cell ids may hold quotes and backslashes."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def graph_dot(field) -> str:
     """Topological graph in DOT, byte stable for a given field.
 
@@ -250,12 +255,14 @@ def graph_dot(field) -> str:
     graph = field.graph()
     crit = field.doubled_critical()
     S = field.complex
+    node = {cell: _dot_string(cell) for cell in graph.vertices}
     lines = ["digraph topological_graph {"]
     for cell in graph.vertices:
         shape = _SHAPES[S.dim_of(cell)]
-        lines.append(f'  "{cell}" [shape={shape}, label="{cell} (idx={_half_text(crit[cell])})"];')
+        label = _dot_string(f"{cell} (idx={_half_text(crit[cell])})")
+        lines.append(f"  {node[cell]} [shape={shape}, label={label}];")
     for sep in graph.edges:
-        lines.append(f'  "{sep.source}" -> "{sep.target}";')
+        lines.append(f"  {node[sep.source]} -> {node[sep.target]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

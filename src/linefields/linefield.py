@@ -38,10 +38,10 @@ class LineField:
         object.__setattr__(self, "matching", frozenset((v, e) for v, e in self.matching))
 
     def matched_vertices(self) -> frozenset[str]:
-        return self._matched_vertices
+        return frozenset(self._edge_of)
 
     def matched_edges(self) -> frozenset[str]:
-        return self._matched_edges
+        return frozenset(self._vertex_of)
 
     def edge_matched_to(self, vertex: str) -> str | None:
         return self._edge_of.get(vertex)
@@ -88,14 +88,6 @@ class LineField:
         return {e: v for v, e in self.matching}
 
     @cached_property
-    def _matched_vertices(self) -> frozenset[str]:
-        return frozenset(self._edge_of)
-
-    @cached_property
-    def _matched_edges(self) -> frozenset[str]:
-        return frozenset(self._vertex_of)
-
-    @cached_property
     def _steps(self) -> dict[str, tuple[tuple[str, str], ...]]:
         """The L-step relation, vertex -> ((edge, next),): a matched vertex
         steps across its edge to the other endpoint; a loop steps to itself."""
@@ -108,7 +100,7 @@ class LineField:
     @cached_property
     def _unmatched(self) -> dict[str, tuple[int, ...]]:
         """Each face's walk positions holding an unmatched edge."""
-        matched = self._matched_edges
+        matched = self._vertex_of
         return {
             f: tuple(i for i, (_s, e) in enumerate(walk) if e not in matched)
             for f, walk in self.complex.faces.items()
@@ -166,9 +158,8 @@ def critical_cells(L: LineField) -> dict[str, int]:
     appear.
     """
     out: dict[str, int] = {}
-    matched_v = L.matched_vertices()
     for v in sorted(L.complex.vertices):
-        if v not in matched_v:
+        if v not in L._edge_of:
             out[v] = 2
     for f in sorted(L.complex.faces):
         c = len(L._unmatched[f])

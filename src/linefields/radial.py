@@ -7,6 +7,12 @@ coincide, which is what lets a vector field trade its edge pairs for
 vertex-diagonal pairs of a line field on the refinement, and lets the
 factorization below take such a line field back to the primal and dual
 vector fields it came from.
+
+Radial cells are named after the cells they stand on: w_<cell> for the
+vertex on a vertex or face, r_<face>_<position> for the edge across a
+corner, q_<edge> for the quadrilateral around an edge.  dvf_to_dlf adds
+the diagonal d_<edge> and the halves q_<edge>_0 and q_<edge>_1, which take
+a fresh_id suffix when the name is taken.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ from dataclasses import dataclass
 
 from .errors import NotInImageError
 from .linefield import LineField, validate_line_field
-from .surface import SurfaceComplex, _merged_walk, _split_walk, fresh_id
+from .surface import (
+    SurfaceComplex, _canonical_rotation, _merged_walk, _split_walk, fresh_id
+)
 from .vectorfield import VectorField
 
 
@@ -32,52 +40,43 @@ class RadialComplex:
     face_origin: dict[str, str]
 
 
-def radial_decomposition(S: SurfaceComplex) -> RadialComplex:
-    """Refine S into one quadrilateral per edge.
+def _radial_cells(S: SurfaceComplex):
+    """The radial refinement of S as plain maps.
+
+    Returns the radial vertex w_<cell> of each vertex and face, the corner
+    edges r_<face>_<position> from the corner's vertex to its face, and the
+    quadrilaterals q_<edge>.  Cell ids are distinct and positions hold no
+    "_", so no two ids collide.
 
     The quadrilateral of an edge strings together the four corner edges
     flanking the edge's two walk occurrences.  When the occurrences carry
     opposite signs the two flanks chain head-to-tail; when they carry the
     same sign the second flank is traversed the other way around.
     """
-    names: set[str] = set()
-    radial_vertex: dict[str, str] = {}
-    vertex_origin: dict[str, str] = {}
-    for cell in sorted(S.vertices) + sorted(S.faces):
-        wid = fresh_id(f"w_{cell}", names)
-        names.add(wid)
-        radial_vertex[cell] = wid
-        vertex_origin[wid] = cell
-
-    side: dict[tuple[str, int], str] = {}
+    vertex = {cell: f"w_{cell}" for cell in sorted(S.vertices) + sorted(S.faces)}
     edges: dict[str, tuple[str, str]] = {}
     for f in sorted(S.faces):
         for i in range(len(S.faces[f])):
-            rid = fresh_id(f"r_{f}_{i}", names)
-            names.add(rid)
-            side[(f, i)] = rid
-            edges[rid] = (radial_vertex[S.corner_vertex(f, i)], radial_vertex[f])
-
-    faces: dict[str, tuple] = {}
-    face_origin: dict[str, str] = {}
+            edges[f"r_{f}_{i}"] = (vertex[S.corner_vertex(f, i)], vertex[f])
+    quads: dict[str, tuple] = {}
     for e in sorted(S.edges):
         (f1, i1), (f2, i2) = S.occurrence_index[e]
-        s1 = side[(f1, i1)]
-        s2 = side[(f1, (i1 + 1) % len(S.faces[f1]))]
-        s3 = side[(f2, i2)]
-        s4 = side[(f2, (i2 + 1) % len(S.faces[f2]))]
-        qid = fresh_id(f"q_{e}", names)
-        names.add(qid)
+        s1, s2 = f"r_{f1}_{i1}", f"r_{f1}_{(i1 + 1) % len(S.faces[f1])}"
+        s3, s4 = f"r_{f2}_{i2}", f"r_{f2}_{(i2 + 1) % len(S.faces[f2])}"
         if S.faces[f1][i1][0] != S.faces[f2][i2][0]:
-            faces[qid] = ((1, s1), (-1, s2), (1, s3), (-1, s4))
+            quads[f"q_{e}"] = ((1, s1), (-1, s2), (1, s3), (-1, s4))
         else:
-            faces[qid] = ((1, s1), (-1, s2), (1, s4), (-1, s3))
-        face_origin[qid] = e
+            quads[f"q_{e}"] = ((1, s1), (-1, s2), (1, s4), (-1, s3))
+    return vertex, edges, quads
 
-    R = SurfaceComplex(
-        frozenset(vertex_origin), edges, faces, name=f"radial_{S.name}"
+
+def radial_decomposition(S: SurfaceComplex) -> RadialComplex:
+    """Refine S into one quadrilateral per edge (see _radial_cells)."""
+    vertex, edges, quads = _radial_cells(S)
+    R = SurfaceComplex(frozenset(vertex.values()), edges, quads, name=f"radial_{S.name}")
+    return RadialComplex(
+        R, {w: cell for cell, w in vertex.items()}, {f"q_{e}": e for e in S.edges}
     )
-    return RadialComplex(R, vertex_origin, face_origin)
 
 
 def _bipartition(S: SurfaceComplex):
@@ -129,26 +128,23 @@ def dvf_to_dlf(V: VectorField) -> LineField:
     Each matched pair splits the quadrilateral of its edge cell along the
     diagonal at the other cell's radial vertex and matches that vertex
     with the diagonal.  Pairs touch disjoint quadrilaterals, so the
-    splits never interfere.  All splits edit plain cell dicts and one
-    complex is built at the end; identifiers are the ones that splitting
-    pair by pair, in sorted order with split_face, would choose.
+    splits never interfere.  All splits edit the maps of _radial_cells and
+    one complex is built at the end; identifiers are the ones that
+    splitting pair by pair, in sorted order with split_face, would choose.
     """
     S = V.complex
-    R = radial_decomposition(S)
-    T = R.complex
-    quad_of = {e: q for q, e in R.face_origin.items()}
-    vertex_of = {c: w for w, c in R.vertex_origin.items()}
-    edges = dict(T.edges)
-    faces = dict(T.faces)
-    taken = {cid for cid, _d in T.cells()}
+    vertex, edges, faces = _radial_cells(S)
+    taken = {*vertex.values(), *edges, *faces}
     pairs = []
     for lo, up in sorted(V.matching):
         e, other = (lo, up) if lo in S.edges else (up, lo)
-        quad = quad_of[e]
-        anchor = vertex_of[other]
-        walk = faces[quad]
-        k = min(i for i in range(4) if T.occ_source(walk[i]) == anchor)
-        opposite = (k + 2) % 4
+        quad = f"q_{e}"
+        anchor = vertex[other]
+        # Number the corners as the built complex will: a loop, or an edge
+        # twice on one face, puts the anchor at two corners.
+        walk = _canonical_rotation(faces.pop(quad))
+        corners = [edges[r][0] if s > 0 else edges[r][1] for s, r in walk]
+        k = corners.index(anchor)
         diag = fresh_id(f"d_{e}", taken)
         taken.add(diag)
         half_a = fresh_id(f"{quad}_0", taken)
@@ -156,11 +152,12 @@ def dvf_to_dlf(V: VectorField) -> LineField:
         half_b = fresh_id(f"{quad}_1", taken)
         taken.add(half_b)
         taken.remove(quad)
-        edges[diag] = (anchor, T.occ_source(walk[opposite]))
-        del faces[quad]
-        faces[half_a], faces[half_b] = _split_walk(walk, k, opposite, diag)
+        edges[diag] = (anchor, corners[(k + 2) % 4])
+        faces[half_a], faces[half_b] = _split_walk(walk, k, (k + 2) % 4, diag)
         pairs.append((anchor, diag))
-    image = SurfaceComplex(T.vertices, edges, faces, name=T.name)
+    image = SurfaceComplex(
+        frozenset(vertex.values()), edges, faces, name=f"radial_{S.name}"
+    )
     return LineField(image, frozenset(pairs))
 
 

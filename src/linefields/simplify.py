@@ -20,7 +20,7 @@ from .errors import (
     DegenerateOperationError,
     OperationError,
 )
-from .linefield import LineField, critical_cells
+from .linefield import LineField
 from .surface import (
     SurfaceComplex,
     _merged_walk,
@@ -185,7 +185,7 @@ def homotopy_core(L: LineField) -> CoreResult:
     """
     _require_acyclic(L)
     S = L.complex
-    matched = L.matched_edges()
+    matched = L._vertex_of
     contracted = L.matching
     degenerate = None
     doomed = [f for f, at in L._unmatched.items() if not at]
@@ -212,7 +212,7 @@ def homotopy_core(L: LineField) -> CoreResult:
         for f, walk in S.faces.items()
     }
     if degenerate is None:
-        degenerate = _collapse_bigons(edges, walks, parent)
+        degenerate = _collapse_bigons(S, edges, walks, parent)
     T = SurfaceComplex(S.vertices - parent.keys(), edges, walks, name=S.name)
     mapping = {c: _root(parent, c) for c, _d in S.cells()}
     return CoreResult(
@@ -220,20 +220,17 @@ def homotopy_core(L: LineField) -> CoreResult:
     )
 
 
-def _collapse_bigons(edges, walks, parent) -> str | None:
+def _collapse_bigons(S, edges, walks, parent) -> str | None:
     """Collapse every removable bigon of an unmatched field in place.
 
     Each collapse deletes the bigon's smaller edge and merges the bigon
     into the edge's other face g with _merged_walk, in sorted face order
-    as delete_edge_merge_faces does; g keeps its length, so refreshing the
-    edge -> slots index over g's walk costs no more than the longest face.
-    Absorbed cells go into `parent`.  Returns the least bigon left, which
-    repeats one edge and is degenerate, or None.
+    as delete_edge_merge_faces does.  Contraction moves no occurrence to
+    another face, so g is the root of whichever face of the edge's two
+    slots in S does not resolve to the bigon; one scan of g's walk finds
+    the edge.  Absorbed cells go into `parent`.  Returns the least bigon
+    left, which repeats one edge and is degenerate, or None.
     """
-    slots: dict[str, list[tuple[str, int]]] = {e: [] for e in edges}
-    for f, walk in walks.items():
-        for i, (_s, e) in enumerate(walk):
-            slots[e].append((f, i))
     bigons = sorted(f for f, walk in walks.items() if len(walk) == 2)
     for f in bigons:
         walk = walks[f]
@@ -241,15 +238,13 @@ def _collapse_bigons(edges, walks, parent) -> str | None:
             continue
         i = 0 if walk[0][1] < walk[1][1] else 1
         gone = walk[i][1]
-        g, j = next(slot for slot in slots.pop(gone) if slot[0] != f)
+        roots = [_root(parent, h) for h, _p in S.occurrence_index[gone]]
+        g = roots[1] if roots[0] == f else roots[0]
+        j = next(k for k, (_s, e) in enumerate(walks[g]) if e == gone)
         if f < g:
             merged = _merged_walk(walk, i, walks[g], j)
         else:
             merged = _merged_walk(walks[g], j, walk, i)
-        for _s, e in merged:
-            slots[e] = [slot for slot in slots[e] if slot[0] not in (f, g)]
-        for k, (_s, e) in enumerate(merged):
-            slots[e].append((g, k))
         walks[g] = merged
         del walks[f], edges[gone]
         parent[f] = parent[gone] = g
@@ -277,9 +272,8 @@ def merge_critical_faces(
             raise OperationError(f"{x} is not a face of the complex")
     if f == g:
         raise OperationError("cannot merge a face with itself")
-    crit = critical_cells(L)
     for x in (f, g):
-        if x not in crit:
+        if len(L._unmatched[x]) == 2:
             raise OperationError(f"face {x} is not critical")
     hits = [c for c in corridors_from(L, f) if c.end == g]
     if not hits:
@@ -369,7 +363,7 @@ def cancel_vertex_face(
         raise OperationError(f"{v} is not a vertex of the complex")
     if f not in S.faces:
         raise OperationError(f"{f} is not a face of the complex")
-    if v in L.matched_vertices():
+    if v in L._edge_of:
         raise OperationError(f"{v} is matched, not critical")
     c = len(L._unmatched[f])
     if c < 3:

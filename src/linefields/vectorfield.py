@@ -67,7 +67,7 @@ class VectorField:
         object.__setattr__(self, "matching", frozenset(pairs))
 
     def matched_cells(self) -> frozenset[str]:
-        return self._matched_cells
+        return frozenset(self._upper_of.keys() | self._lower_of.keys())
 
     def upper_of(self, lower: str) -> str | None:
         return self._upper_of.get(lower)
@@ -127,10 +127,6 @@ class VectorField:
         return {up: lo for lo, up in self.matching}
 
     @cached_property
-    def _matched_cells(self) -> frozenset[str]:
-        return frozenset(c for pair in self.matching for c in pair)
-
-    @cached_property
     def _steps(self) -> dict[str, tuple[tuple[tuple[str, int], str], ...]]:
         """The X-path step relation: a cell matched upward steps to every
         other cell on its partner's boundary, as ((witness, key), next)."""
@@ -180,11 +176,11 @@ def validate_vector_field(V: VectorField) -> list[str]:
 
 def critical_cells_dvf(V: VectorField) -> dict[str, int]:
     """Unmatched cells mapped to their index (-1)^dim."""
-    matched = V.matched_cells()
+    upper, lower = V._upper_of, V._lower_of
     return {
         cell: 1 if dim % 2 == 0 else -1
         for cell, dim in V.complex.cells()
-        if cell not in matched
+        if cell not in upper and cell not in lower
     }
 
 
@@ -221,9 +217,8 @@ def _check_path_query(V: VectorField, source: str, target: str) -> int:
             f"dimension mismatch: {source} has dimension {d_source},"
             f" {target} has dimension {d_target}"
         )
-    matched = V.matched_cells()
     for c in (source, target):
-        if c in matched:
+        if c in V._upper_of or c in V._lower_of:
             raise OperationError(f"{c} is matched, not critical")
     _require_acyclic(V)
     return d_target

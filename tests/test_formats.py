@@ -229,6 +229,36 @@ def test_dot_multiplicity_repeats_edge_lines():
     assert text.count('"F" -> "v";') == 4
 
 
+QUOTED_IDS = """surface q
+vertex v"1
+vertex w\\
+edge e v"1 w\\
+edge f v"1 w\\
+face A walk +e -f
+face B walk +f -e
+"""
+
+
+@pytest.mark.parametrize(
+    "match, escaped",
+    [('match w\\ e', 'v\\"1'), ('match v"1 e', 'w\\\\')],
+    ids=["quote", "backslash"],
+)
+def test_dot_escapes_quotes_and_backslashes(match, escaped):
+    # The one critical vertex holds a quote or a backslash; both faces
+    # reach it by a separatrix, so node, label and edge strings all carry it.
+    L = parse_line_field(QUOTED_IDS + match + "\n")
+    assert graph_dot(L) == (
+        "digraph topological_graph {\n"
+        '  "A" [shape=box, label="A (idx=1/2)"];\n'
+        '  "B" [shape=box, label="B (idx=1/2)"];\n'
+        f'  "{escaped}" [shape=circle, label="{escaped} (idx=1)"];\n'
+        f'  "A" -> "{escaped}";\n'
+        f'  "B" -> "{escaped}";\n'
+        "}\n"
+    )
+
+
 def test_graph_json_reparse_line_field():
     L = LineField(support.tetra(), frozenset({("v1", "e12"), ("v2", "e23")}))
     graph = topological_graph(L)

@@ -244,6 +244,52 @@ def test_factoring_builds_one_link_index(monkeypatch):
     assert calls and len({id(links) for links in calls}) == 1
 
 
+def test_image_builds_one_complex(monkeypatch):
+    """dvf_to_dlf splits the quadrilaterals on plain maps and constructs
+    only the image, not the bare refinement first."""
+    V = VectorField(support.grid_torus(3, 3), frozenset({("v00", "h00"), ("v11", "h11")}))
+    original = SurfaceComplex.__post_init__
+    calls = []
+
+    def recording(self):
+        calls.append(self.name)
+        original(self)
+
+    monkeypatch.setattr(SurfaceComplex, "__post_init__", recording)
+    dvf_to_dlf(V)
+    assert len(calls) == 1
+
+
+def prefixed_ids_sphere():
+    """Three parallel edges whose ids, and the faces', look like radial ids
+    and fresh_id suffixes of one another."""
+    return SurfaceComplex(
+        vertices=frozenset({"u", "w_u"}),
+        edges={"e": ("u", "w_u"), "e_0": ("u", "w_u"), "q_e": ("u", "w_u")},
+        faces={
+            "a": support.w("+e -e_0"),
+            "a_1": support.w("+e_0 -q_e"),
+            "r_a": support.w("+q_e -e"),
+        },
+        name="prefixed",
+    )
+
+
+def test_radial_ids_follow_the_naming_contract():
+    # Nothing renames a radial id: w_<cell>, r_<face>_<position>, q_<edge>.
+    for S in differential_corpus() + [prefixed_ids_sphere()]:
+        R = radial_decomposition(S)
+        assert R.vertex_origin == {f"w_{c}": c for c in [*S.vertices, *S.faces]}
+        assert R.face_origin == {f"q_{e}": e for e in S.edges}
+        assert set(R.complex.edges) == {
+            f"r_{f}_{i}" for f, walk in S.faces.items() for i in range(len(walk))
+        }
+        for f, walk in S.faces.items():
+            for i in range(len(walk)):
+                ends = (f"w_{S.corner_vertex(f, i)}", f"w_{f}")
+                assert R.complex.edges[f"r_{f}_{i}"] == ends
+
+
 def test_round_trip_exhaustive_small_complexes():
     for builder in small_builders():
         S = builder()

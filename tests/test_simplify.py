@@ -518,7 +518,11 @@ def reference_core(L, branches):
                     else "degenerate bigon from the start"
                 )
             return CoreResult(cur, CellCorrespondence(mapping), degenerate_face=bad)
+        bigon = faces[removable[0]]
+        gone = min(bigon[0][1], bigon[1][1])
         cur, step = collapse_noncritical_face(cur, removable[0])
+        if step.mapping[gone] not in {fc for fc, _i in L.complex.occurrence_index[gone]}:
+            branches.add("collapse into a face that absorbed a bigon")
         mapping = {c: step.mapping[img] for c, img in mapping.items()}
 
 
@@ -631,6 +635,7 @@ def test_core_matches_move_by_move():
         "degenerate contraction",
         "degenerate bigon from the start",
         "bigon degenerated by a collapse",
+        "collapse into a face that absorbed a bigon",
     }
 
 
