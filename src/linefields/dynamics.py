@@ -224,10 +224,6 @@ def closed_l_path(L: LineField) -> LPath | None:
     return L._closed
 
 
-def is_acyclic(L: LineField) -> bool:
-    return closed_l_path(L) is None
-
-
 def _require_acyclic(field):
     """Raise CyclicFieldError, witnessed by its closed path, for a cyclic field of either kind."""
     closed = field.closed_path()
@@ -344,15 +340,6 @@ def _all_corridors(L: LineField) -> tuple[tuple[Corridor, ...], tuple[ClosedCorr
         if (f, i) not in visited
     )
     return corridors, closed
-
-
-def scan_closed_corridors(L: LineField) -> list[ClosedCorridor]:
-    """Corridor cycles disjoint from every critical face.
-
-    Works for cyclic fields too; a closed corridor is a property of the
-    unmatched occurrence structure alone.
-    """
-    return list(_all_corridors(L)[1])
 
 
 def ms_decomposition(L: LineField) -> DecompositionReport:

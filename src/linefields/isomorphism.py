@@ -153,8 +153,7 @@ def _cell_image(iso, S1, cell):
 
 def line_fields_isomorphic(F1, F2, vertex_map=None):
     """Isomorphism of the underlying complexes carrying one matching to the
-    other, or None.  Serves line fields and vector fields alike, so it is
-    also importable as vector_fields_isomorphic."""
+    other, or None.  Serves line fields and vector fields alike."""
     S1 = F1.complex
     if len(F1.matching) != len(F2.matching):
         return None
@@ -166,6 +165,3 @@ def line_fields_isomorphic(F1, F2, vertex_map=None):
         if image == want:
             return iso
     return None
-
-
-vector_fields_isomorphic = line_fields_isomorphic

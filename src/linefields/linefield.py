@@ -145,34 +145,15 @@ def validate_line_field(L: LineField) -> list[str]:
     return problems
 
 
-def unmatched_boundary_count(L: LineField, face: str) -> int:
-    """Occurrences of unmatched edges on the face's walk, with multiplicity."""
-    return len(L._unmatched[face])
-
-
 def critical_cells(L: LineField) -> dict[str, int]:
     """Map from critical cell to its doubled index.
 
     Unmatched vertices score +2.  A face with c unmatched boundary
     occurrences scores 2 - c, recorded only when c != 2.  Edges never
-    appear.
+    appear.  Only the critical cells are sorted, vertices before faces.
     """
-    out: dict[str, int] = {}
-    for v in sorted(L.complex.vertices):
-        if v not in L._edge_of:
-            out[v] = 2
-    for f in sorted(L.complex.faces):
-        c = len(L._unmatched[f])
-        if c != 2:
-            out[f] = 2 - c
+    edge_of, unmatched = L._edge_of, L._unmatched
+    out = {v: 2 for v in sorted(v for v in L.complex.vertices if v not in edge_of)}
+    for f in sorted(f for f, at in unmatched.items() if len(at) != 2):
+        out[f] = 2 - len(unmatched[f])
     return out
-
-
-def euler_sum(L: LineField) -> int:
-    """Total doubled index over the critical cells.
-
-    Equals 2 * euler_characteristic for every matching, valid or not a
-    maximal one; the identity needs only that each edge has two boundary
-    occurrences.
-    """
-    return sum(critical_cells(L).values())

@@ -12,7 +12,7 @@ new field together with a cell correspondence.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .dynamics import _maximal_walks, _require_acyclic, corridors_from
 from .errors import (
@@ -24,7 +24,6 @@ from .linefield import LineField
 from .surface import (
     SurfaceComplex,
     _merged_walk,
-    delete_edge_merge_faces,
     fresh_id,
     reversed_walk,
     split_face,
@@ -57,76 +56,6 @@ class CoreResult:
     field: LineField
     correspondence: CellCorrespondence
     degenerate_face: str | None = None
-
-
-# ---- elementary moves ----------------------------------------------------
-
-
-def contract_matched_pair(
-    L: LineField, v: str, e: str
-) -> tuple[LineField, CellCorrespondence]:
-    """Contract the matched edge e, merging v into its other endpoint.
-
-    The occurrences of e disappear from all walks; every other pair stays
-    matched and valid.  A face whose walk consists of e alone cannot
-    survive the contraction and raises DegenerateOperationError.
-    """
-    S = L.complex
-    if (v, e) not in L.matching:
-        raise OperationError(f"({v}, {e}) is not a matched pair")
-    tail, head = S.edges[e]
-    if tail == head:
-        raise OperationError(f"cannot contract the matched loop {e}")
-    keep = head if v == tail else tail
-    faces = {}
-    for f, walk in S.faces.items():
-        trimmed = tuple(occ for occ in walk if occ[1] != e)
-        if not trimmed:
-            raise DegenerateOperationError(
-                f"contracting {e} would leave face {f} with an empty boundary"
-            )
-        faces[f] = trimmed
-    edges = {
-        eid: (keep if t == v else t, keep if h == v else h)
-        for eid, (t, h) in S.edges.items()
-        if eid != e
-    }
-    T = replace(S, vertices=S.vertices - {v}, edges=edges, faces=faces)
-    mapping = {c: c for c, _d in S.cells()}
-    mapping[v] = keep
-    mapping[e] = keep
-    return LineField(T, L.matching - {(v, e)}), CellCorrespondence(mapping)
-
-
-def collapse_noncritical_face(
-    L: LineField, f: str
-) -> tuple[LineField, CellCorrespondence]:
-    """Remove a two-sided face by deleting the smaller of its two edges.
-
-    Applicable once the matching is empty, so a non-critical face is
-    exactly a walk of length two.  The deleted edge's other face absorbs f
-    and keeps its identifier.
-    """
-    S = L.complex
-    if L.matching:
-        raise OperationError("matched pairs remain; contract them before collapsing")
-    if f not in S.faces:
-        raise OperationError(f"{f} is not a face of the complex")
-    walk = S.faces[f]
-    if len(walk) != 2:
-        raise OperationError(f"face {f} is critical")
-    ea, eb = walk[0][1], walk[1][1]
-    if ea == eb:
-        raise DegenerateOperationError(
-            f"face {f} repeats {ea} twice; collapsing needs two distinct edges"
-        )
-    gone = min(ea, eb)
-    neighbor, _q = S.opposite[(f, [ea, eb].index(gone))]
-    T = delete_edge_merge_faces(S, gone, neighbor)
-    mapping = {c: c for c, _d in S.cells()}
-    mapping[f] = neighbor
-    mapping[gone] = neighbor
-    return LineField(T, frozenset()), CellCorrespondence(mapping)
 
 
 # ---- homotopy core -------------------------------------------------------

@@ -27,12 +27,8 @@ def occ_text(occ: Occurrence) -> str:
     return ("+" if sign > 0 else "-") + edge
 
 
-def occ_reversed(occ: Occurrence) -> Occurrence:
-    return (-occ[0], occ[1])
-
-
 def reversed_walk(walk: tuple[Occurrence, ...]) -> tuple[Occurrence, ...]:
-    return tuple(occ_reversed(o) for o in reversed(walk))
+    return tuple((-sign, e) for sign, e in reversed(walk))
 
 
 def _canonical_rotation(walk: tuple[Occurrence, ...]) -> tuple[Occurrence, ...]:
@@ -151,14 +147,6 @@ class SurfaceComplex:
         walk = self.faces[face]
         return self.occ_source(walk[position % len(walk)])
 
-    def corners(self) -> list[tuple[str, str, int]]:
-        """All (vertex, face, walk-position) triples; 2|E| of them when valid."""
-        out = []
-        for f in sorted(self.faces):
-            for i in range(len(self.faces[f])):
-                out.append((self.corner_vertex(f, i), f, i))
-        return out
-
     @cached_property
     def occurrence_index(self) -> dict[str, tuple[tuple[str, int], ...]]:
         """Each edge's (face, position) slots in sorted face order.
@@ -187,6 +175,8 @@ class SurfaceComplex:
                 pairs[a], pairs[b] = b, a
         return pairs
 
+    # The package reads occurrence_index; this list copy stays because
+    # perfbench/jobs.py times surface.edge_occurrences by name.
     def edge_occurrences(self, edge: str) -> list[tuple[str, int]]:
         """(face, position) slots where `edge` occurs, in sorted face order."""
         return list(self.occurrence_index.get(edge, ()))
@@ -250,19 +240,6 @@ class SurfaceComplex:
                         seen.add(nxt)
                         queue.append(nxt)
         return components
-
-    # ---- Hasse diagram ---------------------------------------------------
-
-    def hasse_diagram(self) -> "HasseDiagram":
-        incidences: Counter = Counter()
-        for e, (tail, head) in self.edges.items():
-            incidences[(tail, e)] += 1
-            incidences[(head, e)] += 1
-        for f in self.faces:
-            for _s, e in self.faces[f]:
-                incidences[(e, f)] += 1
-        dims = {cell: d for cell, d in self.cells()}
-        return HasseDiagram(dims=dims, incidences=dict(incidences))
 
     # ---- vertex links ----------------------------------------------------
 
@@ -360,27 +337,6 @@ class SurfaceComplex:
         )
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
-    """Cells tagged with dimension plus incidence multiplicities.
-
-    A loop is incident to its vertex with multiplicity 2, and an edge
-    occurring twice on one walk is incident to that face with multiplicity 2;
-    both incidence levels total 2|E|.
-    """
-
-    dims: dict[str, int]
-    incidences: dict[tuple[str, str], int]
-
-    def multiplicity(self, lower: str, upper: str) -> int:
-        return self.incidences.get((lower, upper), 0)
-
-    def level_total(self, lower_dim: int) -> int:
-        return sum(
-            m for (lo, _up), m in self.incidences.items() if self.dims[lo] == lower_dim
-        )
-
-
 # ---- walk surgery --------------------------------------------------------
 #
 # _split_walk and _merged_walk hold the walk arithmetic of the two surgery
@@ -458,7 +414,7 @@ def delete_edge_merge_faces(S: SurfaceComplex, edge: str, merged_id: str) -> Sur
     (deleting would split it or change the Euler characteristic) or when the
     merged boundary walk would be empty.
     """
-    occs = S.edge_occurrences(edge)
+    occs = S.occurrence_index.get(edge, ())
     if len(occs) != 2:
         raise DegenerateOperationError(f"edge {edge} occurs {len(occs)} time(s), expected 2")
     (f1, p1), (f2, p2) = occs
@@ -471,25 +427,3 @@ def delete_edge_merge_faces(S: SurfaceComplex, edge: str, merged_id: str) -> Sur
     faces = {g: w for g, w in S.faces.items() if g not in (f1, f2)}
     faces[merged_id] = merged
     return replace(S, edges=edges, faces=faces)
-
-
-def subdivide_edge(
-    S: SurfaceComplex, edge: str, vertex_id: str, edge_a_id: str, edge_b_id: str
-) -> SurfaceComplex:
-    """Replace `edge` by two edges through a new midpoint vertex."""
-    tail, head = S.edges[edge]
-    edges = {e: ep for e, ep in S.edges.items() if e != edge}
-    edges[edge_a_id] = (tail, vertex_id)
-    edges[edge_b_id] = (vertex_id, head)
-    faces = {}
-    for f, walk in S.faces.items():
-        w: list[Occurrence] = []
-        for sign, e in walk:
-            if e != edge:
-                w.append((sign, e))
-            elif sign > 0:
-                w.extend([(1, edge_a_id), (1, edge_b_id)])
-            else:
-                w.extend([(-1, edge_b_id), (-1, edge_a_id)])
-        faces[f] = tuple(w)
-    return replace(S, vertices=S.vertices | {vertex_id}, edges=edges, faces=faces)

@@ -175,18 +175,14 @@ def validate_vector_field(V: VectorField) -> list[str]:
 
 
 def critical_cells_dvf(V: VectorField) -> dict[str, int]:
-    """Unmatched cells mapped to their index (-1)^dim."""
-    upper, lower = V._upper_of, V._lower_of
-    return {
-        cell: 1 if dim % 2 == 0 else -1
-        for cell, dim in V.complex.cells()
-        if cell not in upper and cell not in lower
-    }
-
-
-def euler_sum_dvf(V: VectorField) -> int:
-    """Index total over critical cells; equals the Euler characteristic."""
-    return sum(critical_cells_dvf(V).values())
+    """Unmatched cells mapped to their index (-1)^dim, by dimension, then
+    id.  Only the critical cells are sorted."""
+    S, upper, lower = V.complex, V._upper_of, V._lower_of
+    out: dict[str, int] = {}
+    for cells, index in ((S.vertices, 1), (S.edges, -1), (S.faces, 1)):
+        for cell in sorted(c for c in cells if c not in upper and c not in lower):
+            out[cell] = index
+    return out
 
 
 # ---- X-paths --------------------------------------------------------------
@@ -196,10 +192,6 @@ def closed_x_path(V: VectorField) -> XPath | None:
     """A closed X-path in either dimension, or None when the step relation
     is acyclic.  The field searches once and keeps the verdict."""
     return V._closed
-
-
-def is_acyclic_dvf(V: VectorField) -> bool:
-    return closed_x_path(V) is None
 
 
 def _start_cells(V: VectorField, cell: str) -> list[str]:
@@ -249,6 +241,8 @@ def count_x_paths(V: VectorField, source: str, target: str) -> int:
 # ---- topological graph and cancellation -----------------------------------
 
 
+# Not exported: perfbench/jobs.py times vectorfield.topological_graph_dvf
+# under this name.
 topological_graph_dvf = topological_graph
 
 

@@ -8,15 +8,19 @@ generated complexes valid by construction.
 
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 from linefields import LineField, VectorField
+from linefields.errors import DegenerateOperationError, OperationError
+from linefields.simplify import CellCorrespondence
 from linefields.surface import (
+    Occurrence,
     SurfaceComplex,
+    delete_edge_merge_faces,
     fresh_id,
     split_face,
-    subdivide_edge,
 )
 
 
@@ -46,6 +50,144 @@ def is_rotation(walk, other):
     return len(walk) == len(other) and any(
         walk == other[i:] + other[:i] for i in range(max(len(other), 1))
     )
+
+
+# ---- primitives only the tests use -----------------------------------------
+#
+# contract_matched_pair and collapse_noncritical_face apply one move of
+# homotopy_core at a time: the move-by-move reference its one-pass result is
+# compared against.
+
+
+def subdivide_edge(
+    S: SurfaceComplex, edge: str, vertex_id: str, edge_a_id: str, edge_b_id: str
+) -> SurfaceComplex:
+    """Replace `edge` by two edges through a new midpoint vertex."""
+    tail, head = S.edges[edge]
+    edges = {e: ep for e, ep in S.edges.items() if e != edge}
+    edges[edge_a_id] = (tail, vertex_id)
+    edges[edge_b_id] = (vertex_id, head)
+    faces = {}
+    for f, walk in S.faces.items():
+        w: list[Occurrence] = []
+        for sign, e in walk:
+            if e != edge:
+                w.append((sign, e))
+            elif sign > 0:
+                w.extend([(1, edge_a_id), (1, edge_b_id)])
+            else:
+                w.extend([(-1, edge_b_id), (-1, edge_a_id)])
+        faces[f] = tuple(w)
+    return replace(S, vertices=S.vertices | {vertex_id}, edges=edges, faces=faces)
+
+
+def corners(S: SurfaceComplex) -> list[tuple[str, str, int]]:
+    """All (vertex, face, walk-position) triples; 2|E| of them when valid."""
+    out = []
+    for f in sorted(S.faces):
+        for i in range(len(S.faces[f])):
+            out.append((S.corner_vertex(f, i), f, i))
+    return out
+
+
+@dataclass(frozen=True)
+class HasseDiagram:
+    """Cells tagged with dimension plus incidence multiplicities.
+
+    A loop is incident to its vertex with multiplicity 2, and an edge
+    occurring twice on one walk is incident to that face with multiplicity 2;
+    both incidence levels total 2|E|.
+    """
+
+    dims: dict[str, int]
+    incidences: dict[tuple[str, str], int]
+
+    def multiplicity(self, lower: str, upper: str) -> int:
+        return self.incidences.get((lower, upper), 0)
+
+    def level_total(self, lower_dim: int) -> int:
+        return sum(
+            m for (lo, _up), m in self.incidences.items() if self.dims[lo] == lower_dim
+        )
+
+
+def hasse_diagram(S: SurfaceComplex) -> HasseDiagram:
+    incidences: Counter = Counter()
+    for e, (tail, head) in S.edges.items():
+        incidences[(tail, e)] += 1
+        incidences[(head, e)] += 1
+    for f in S.faces:
+        for _s, e in S.faces[f]:
+            incidences[(e, f)] += 1
+    dims = {cell: d for cell, d in S.cells()}
+    return HasseDiagram(dims=dims, incidences=dict(incidences))
+
+
+def contract_matched_pair(
+    L: LineField, v: str, e: str
+) -> tuple[LineField, CellCorrespondence]:
+    """Contract the matched edge e, merging v into its other endpoint.
+
+    The occurrences of e disappear from all walks; every other pair stays
+    matched and valid.  A face whose walk consists of e alone cannot
+    survive the contraction and raises DegenerateOperationError.
+    """
+    S = L.complex
+    if (v, e) not in L.matching:
+        raise OperationError(f"({v}, {e}) is not a matched pair")
+    tail, head = S.edges[e]
+    if tail == head:
+        raise OperationError(f"cannot contract the matched loop {e}")
+    keep = head if v == tail else tail
+    faces = {}
+    for f, walk in S.faces.items():
+        trimmed = tuple(occ for occ in walk if occ[1] != e)
+        if not trimmed:
+            raise DegenerateOperationError(
+                f"contracting {e} would leave face {f} with an empty boundary"
+            )
+        faces[f] = trimmed
+    edges = {
+        eid: (keep if t == v else t, keep if h == v else h)
+        for eid, (t, h) in S.edges.items()
+        if eid != e
+    }
+    T = replace(S, vertices=S.vertices - {v}, edges=edges, faces=faces)
+    mapping = {c: c for c, _d in S.cells()}
+    mapping[v] = keep
+    mapping[e] = keep
+    return LineField(T, L.matching - {(v, e)}), CellCorrespondence(mapping)
+
+
+def collapse_noncritical_face(
+    L: LineField, f: str
+) -> tuple[LineField, CellCorrespondence]:
+    """Remove a two-sided face by deleting the smaller of its two edges.
+
+    Applicable once the matching is empty, so a non-critical face is
+    exactly a walk of length two.  The deleted edge's other face absorbs f
+    and keeps its identifier.
+    """
+    S = L.complex
+    if L.matching:
+        raise OperationError("matched pairs remain; contract them before collapsing")
+    if f not in S.faces:
+        raise OperationError(f"{f} is not a face of the complex")
+    walk = S.faces[f]
+    if len(walk) != 2:
+        raise OperationError(f"face {f} is critical")
+    ea, eb = walk[0][1], walk[1][1]
+    if ea == eb:
+        raise DegenerateOperationError(
+            f"face {f} repeats {ea} twice; collapsing needs two distinct edges"
+        )
+    gone = min(ea, eb)
+    neighbor, _q = S.opposite[(f, [ea, eb].index(gone))]
+    T = delete_edge_merge_faces(S, gone, neighbor)
+    mapping = {c: c for c, _d in S.cells()}
+    mapping[f] = neighbor
+    mapping[gone] = neighbor
+    return LineField(T, frozenset()), CellCorrespondence(mapping)
 
 
 # ---- named complexes -----------------------------------------------------
@@ -312,7 +454,7 @@ def line_field_pairs(S):
 
 def vector_field_pairs(S):
     """All incident (lower, upper) cell pairs available to a vector field."""
-    return sorted(set(S.hasse_diagram().incidences))
+    return sorted(set(hasse_diagram(S).incidences))
 
 
 def all_matchings(pairs):

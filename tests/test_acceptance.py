@@ -30,10 +30,7 @@ from linefields import (
     dualize,
     dvf_to_dlf,
     emit_complex,
-    euler_sum,
-    euler_sum_dvf,
     homotopy_core,
-    is_acyclic,
     l_paths,
     line_fields_isomorphic,
     merge_critical_faces,
@@ -42,7 +39,6 @@ from linefields import (
     topological_graph,
     validate_line_field,
     validate_vector_field,
-    vector_fields_isomorphic,
     x_paths,
 )
 from linefields.cli import main
@@ -77,7 +73,7 @@ def test_criterion_1_euler_line_fields():
         for _ in range(22):
             L = LineField(S, support.sample_matching(pairs, rng))
             assert validate_line_field(L) == []
-            assert euler_sum(L) == doubled
+            assert sum(L.doubled_critical().values()) == doubled
             checked += 1
     elapsed = time.monotonic() - start
     assert checked >= 1000
@@ -93,7 +89,7 @@ def test_criterion_2_euler_vector_fields():
         for _ in range(22):
             V = VectorField(S, support.sample_matching(pairs, rng))
             assert validate_vector_field(V) == []
-            assert euler_sum_dvf(V) == chi(S)
+            assert sum(critical_cells_dvf(V).values()) == chi(S)
             checked += 1
     assert checked >= 1000
     print(f"criterion 2: PASS ({checked} matchings)")
@@ -128,7 +124,7 @@ def test_criterion_4_homotopy_theorem():
         fields = [frozenset()] + [support.sample_matching(pairs, rng) for _ in range(6)]
         for matching in fields:
             L = LineField(S, matching)
-            if not is_acyclic(L):
+            if L.closed_path() is not None:
                 continue
             out = homotopy_core(L)
             if out.degenerate_face is not None:
@@ -162,10 +158,10 @@ def round_trip_holds(V):
     primal = {f"w_{v}": v for v in S.vertices}
     dual = {f"w_{f}": f for f in S.faces}
     Vd = dualize(V)
-    forward = vector_fields_isomorphic(A, V, vertex_map=primal) and vector_fields_isomorphic(
+    forward = line_fields_isomorphic(A, V, vertex_map=primal) and line_fields_isomorphic(
         B, Vd, vertex_map=dual
     )
-    swapped = vector_fields_isomorphic(B, V, vertex_map=primal) and vector_fields_isomorphic(
+    swapped = line_fields_isomorphic(B, V, vertex_map=primal) and line_fields_isomorphic(
         A, Vd, vertex_map=dual
     )
     assert forward or swapped
@@ -211,7 +207,7 @@ def test_criterion_6_cancellation_soundness():
         matchings |= {support.sample_matching(pairs, rng, keep=0.3) for _ in range(4)}
         for matching in matchings:
             L = LineField(S, matching)
-            if not is_acyclic(L):
+            if L.closed_path() is not None:
                 continue
             crit = critical_cells(L)
             faces = [c for c in crit if c in S.faces]
@@ -229,8 +225,8 @@ def test_criterion_6_cancellation_soundness():
                         continue  # merged walk would break the complex
                     assert out.complex.validate() == []
                     assert validate_line_field(out) == []
-                    assert is_acyclic(out)
-                    assert euler_sum(out) == doubled
+                    assert out.closed_path() is None
+                    assert sum(out.doubled_critical().values()) == doubled
                     assert len(critical_cells(out)) < len(crit)
                     merges += 1
             # cancel instances: applicability read off direct matching chases
@@ -257,8 +253,8 @@ def test_criterion_6_cancellation_soundness():
                         continue  # every admissible diagonal was a loop
                     assert out.complex.validate() == []
                     assert validate_line_field(out) == []
-                    assert is_acyclic(out)
-                    assert euler_sum(out) == doubled
+                    assert out.closed_path() is None
+                    assert sum(out.doubled_critical().values()) == doubled
                     assert len(critical_cells(out)) < len(crit)
                     cancels += 1
     assert merges >= 30 and cancels >= 10
@@ -320,7 +316,9 @@ def test_criterion_7_forman_cancellation():
                         out = cancel_dvf(V, upper, lower)
                         assert closed_x_path(out) is None
                         assert validate_vector_field(out) == []
-                        assert euler_sum_dvf(out) == euler_sum_dvf(V)
+                        assert sum(critical_cells_dvf(out).values()) == sum(
+                            critical_cells_dvf(V).values()
+                        )
                         assert len(critical_cells_dvf(out)) == len(crit) - 2
                         done += 1
                     else:
@@ -404,7 +402,7 @@ def test_criterion_8_path_oracles():
         assert len(S.edges) <= 8
         for matching in matchings_up_to(support.line_field_pairs(S), 4):
             L = LineField(S, matching)
-            if not is_acyclic(L):
+            if L.closed_path() is not None:
                 continue
             for source in sorted(S.vertices):
                 for target in sorted(S.vertices):

@@ -13,11 +13,11 @@ from linefields import (
     emit_complex,
     emit_line_field,
     emit_vector_field,
+    line_fields_isomorphic,
     parse_complex,
     parse_graph_json,
     parse_line_field,
     parse_vector_field,
-    vector_fields_isomorphic,
 )
 from linefields.cli import main
 
@@ -316,7 +316,7 @@ def test_from_dvf_to_dvf_round_trip(tmp_path):
         parse_vector_field(Path(dual).read_text()),
     ]
     strip = {f"w_{v}": v for v in V.complex.vertices}
-    assert any(vector_fields_isomorphic(A, V, vertex_map=strip) for A in factors)
+    assert any(line_fields_isomorphic(A, V, vertex_map=strip) for A in factors)
 
 
 def test_to_dvf_not_in_image_exit_2(tmp_path, capsys):

@@ -13,12 +13,9 @@ from linefields import (
     closed_l_path,
     corridors_from,
     critical_cells,
-    is_acyclic,
     l_paths,
     ms_decomposition,
-    scan_closed_corridors,
     topological_graph,
-    unmatched_boundary_count,
     validate_line_field,
 )
 
@@ -35,7 +32,7 @@ def test_matched_loop_closes_immediately():
     closed = closed_l_path(L)
     assert closed == LPath(("v", "v"), ("a",))
     assert closed.is_closed()
-    assert not is_acyclic(L)
+    assert L.closed_path() is not None
 
 
 def test_triangle_cycle_is_found_and_rotated():
@@ -48,7 +45,7 @@ def test_triangle_cycle_is_found_and_rotated():
 
 def test_two_pair_field_is_acyclic():
     assert closed_l_path(two_pair_tetra()) is None
-    assert is_acyclic(two_pair_tetra())
+    assert two_pair_tetra().closed_path() is None
 
 
 def test_cyclic_error_carries_witness():
@@ -175,7 +172,7 @@ def test_corridors_need_a_critical_face():
 
 def test_fully_matched_face_has_no_corridors():
     L = LineField(support.theta_sphere(), frozenset({("u", "a"), ("w", "b")}))
-    assert unmatched_boundary_count(L, "fab") == 0
+    assert len(L._unmatched["fab"]) == 0
     assert corridors_from(L, "fab") == []
 
 
@@ -239,10 +236,10 @@ def test_scan_finds_cycles_of_cyclic_fields():
         ),
     )
     assert validate_line_field(L) == []
-    assert not is_acyclic(L)
+    assert L.closed_path() is not None
     with pytest.raises(CyclicFieldError):
         ms_decomposition(L)
-    closed = scan_closed_corridors(L)
+    closed = list(L.corridors()[1])
     assert len(closed) == 2
     for cycle in closed:
         assert len(cycle.crossings) == 2
@@ -260,7 +257,7 @@ def sampled_line_fields(corpus_seed, rng_seed, count, keep=0.45):
 
 def test_separatrices_are_sound_on_random_fields():
     for L in sampled_line_fields(701, 702, 8):
-        if not is_acyclic(L):
+        if L.closed_path() is not None:
             continue
         S = L.complex
         crit = critical_cells(L)
@@ -281,14 +278,14 @@ def test_separatrices_are_sound_on_random_fields():
                 assert path.vertices[i + 1] == (head if path.vertices[i] == tail else tail)
         for f in sorted(c for c in crit if c in S.faces):
             outgoing = sum(1 for sep in graph.edges if sep.source == f)
-            assert outgoing == unmatched_boundary_count(L, f)
+            assert outgoing == len(L._unmatched[f])
 
 
 def test_corridors_are_sound_on_random_fields():
     for L in sampled_line_fields(703, 704, 8):
         S = L.complex
         matched = L.matched_edges()
-        counts = {f: unmatched_boundary_count(L, f) for f in S.faces}
+        counts = {f: len(L._unmatched[f]) for f in S.faces}
         for f in sorted(S.faces):
             if counts[f] == 2:
                 continue
@@ -306,7 +303,7 @@ def test_corridors_are_sound_on_random_fields():
 
 def test_every_region_is_traced_from_both_ends():
     for L in sampled_line_fields(705, 706, 8):
-        if not is_acyclic(L):
+        if L.closed_path() is not None:
             continue
         report = ms_decomposition(L)
         keys = {
@@ -317,7 +314,7 @@ def test_every_region_is_traced_from_both_ends():
             assert tuple((b, a) for a, b in reversed(key)) in keys
         assert report.regions <= len(report.corridors)
         if all(
-            unmatched_boundary_count(L, f) == 2 for f in L.complex.faces
+            len(L._unmatched[f]) == 2 for f in L.complex.faces
         ):
             assert report.corridors == ()
             assert report.closed_corridors != ()
@@ -325,7 +322,7 @@ def test_every_region_is_traced_from_both_ends():
 
 
 def test_loop_free_fields_agree_with_vector_field_cycles():
-    from linefields import VectorField, is_acyclic_dvf
+    from linefields import VectorField
 
     for L in sampled_line_fields(707, 708, 10):
         if any(
@@ -333,4 +330,6 @@ def test_loop_free_fields_agree_with_vector_field_cycles():
             for e in L.matched_edges()
         ):
             continue
-        assert is_acyclic(L) == is_acyclic_dvf(VectorField(L.complex, L.matching))
+        assert (L.closed_path() is None) == (
+            VectorField(L.complex, L.matching).closed_path() is None
+        )

@@ -32,9 +32,7 @@ from linefields import (
     critical_cells_dvf,
     l_paths,
     ms_decomposition,
-    scan_closed_corridors,
     topological_graph,
-    topological_graph_dvf,
     validate_line_field,
     validate_vector_field,
     x_paths,
@@ -160,7 +158,7 @@ def test_one_tracer_matches_reference_scan():
     decomposed_with_closed = 0
     for L in LINES:
         want_open, want_closed = reference_corridors(L)
-        assert scan_closed_corridors(L) == want_closed
+        assert list(L.corridors()[1]) == want_closed
         assert L.corridors() == (tuple(want_open), tuple(want_closed))
         closed_total += len(want_closed)
         counts, _partner, _sibling, _positions = corridor_maps(L)
@@ -201,7 +199,7 @@ def test_vector_field_methods_equal_functions():
         assert V.doubled_critical() == {c: 2 * i for c, i in crit.items()}
         assert V.closed_path() == closed_x_path(V)
         assert V.corridors() == ((), ())
-        assert outcome(V.graph) == outcome(lambda: topological_graph_dvf(V))
+        assert outcome(V.graph) == outcome(lambda: topological_graph(V))
         S = V.complex
         for upper in sorted(c for c in crit if S.dim_of(c) > 0)[:4]:
             for lower in sorted(c for c in crit if S.dim_of(c) == S.dim_of(upper) - 1)[:3]:
@@ -218,6 +216,9 @@ def test_vector_field_methods_equal_functions():
 def test_path_view_of_both_kinds():
     seen = {"line": 0, "vector": 0}
     for field in LINES + VECTORS:
+        # Critical cells come by dimension, then id, as cells() lists them.
+        crit = field.doubled_critical()
+        assert list(crit) == [c for c, _d in field.complex.cells() if c in crit]
         if field.problems() or field.closed_path() is not None:
             continue
         for sep in field.graph().edges:
@@ -249,6 +250,92 @@ def test_cyclic_refusal_carries_the_closed_path():
         assert str(info.value).endswith(f" through {closed.cells[0]}")
 
 
+# The public surface: the field types, the field protocol's functions and
+# the paper's operations.  A change to it shows up as a diff here.
+PUBLIC = [
+    "CancellationError",
+    "CellCorrespondence",
+    "ClosedCorridor",
+    "CoreResult",
+    "Corridor",
+    "Crossing",
+    "CyclicFieldError",
+    "DecompositionReport",
+    "DegenerateOperationError",
+    "Document",
+    "InvalidComplexError",
+    "LPath",
+    "LineField",
+    "NotInImageError",
+    "OperationError",
+    "ParseError",
+    "RadialComplex",
+    "Separatrix",
+    "SurfaceComplex",
+    "TopologicalGraph",
+    "VectorField",
+    "XPath",
+    "cancel_dvf",
+    "cancel_vertex_face",
+    "closed_l_path",
+    "closed_x_path",
+    "complexes_isomorphic",
+    "corridors_from",
+    "count_x_paths",
+    "critical_cells",
+    "critical_cells_dvf",
+    "delete_edge_merge_faces",
+    "dlf_to_dvf",
+    "dualize",
+    "dvf_to_dlf",
+    "emit_complex",
+    "emit_line_field",
+    "emit_vector_field",
+    "fresh_id",
+    "graph_dot",
+    "homotopy_core",
+    "is_radial",
+    "isomorphisms",
+    "l_paths",
+    "line_fields_isomorphic",
+    "merge_critical_faces",
+    "ms_decomposition",
+    "occ_text",
+    "parse_complex",
+    "parse_document",
+    "parse_graph_json",
+    "parse_line_field",
+    "parse_off",
+    "parse_vector_field",
+    "radial_decomposition",
+    "report_json",
+    "reversed_walk",
+    "split_face",
+    "topological_graph",
+    "validate_line_field",
+    "validate_vector_field",
+    "x_paths",
+]
+
+# Other names for a public name, one-line expressions of the field protocol,
+# and helpers only the tests call (kept in tests/support.py).
+REMOVED = [
+    "HasseDiagram",
+    "collapse_noncritical_face",
+    "contract_matched_pair",
+    "euler_sum",
+    "euler_sum_dvf",
+    "is_acyclic",
+    "is_acyclic_dvf",
+    "occ_reversed",
+    "scan_closed_corridors",
+    "subdivide_edge",
+    "topological_graph_dvf",
+    "unmatched_boundary_count",
+    "vector_fields_isomorphic",
+]
+
+
 def test_every_public_name_is_exported():
     names = {
         n
@@ -256,3 +343,5 @@ def test_every_public_name_is_exported():
         if not n.startswith("_") and not isinstance(value, ModuleType)
     }
     assert names == set(linefields.__all__)
+    assert sorted(linefields.__all__) == PUBLIC
+    assert [n for n in REMOVED if hasattr(linefields, n)] == []

@@ -26,7 +26,6 @@ from linefields import (
     parse_vector_field,
     report_json,
     topological_graph,
-    topological_graph_dvf,
 )
 
 GOLD = Path(__file__).parent / "golden"
@@ -274,7 +273,7 @@ def test_graph_json_reparse_vector_field():
     assert payload["corridors"] == [] and payload["closed_corridors"] == []
     back = parse_graph_json(report_json(V))
     assert set(back.vertices) == set(critical_cells_dvf(V))
-    assert len(back.edges) == len(topological_graph_dvf(V).edges)
+    assert len(back.edges) == len(topological_graph(V).edges)
 
 
 def test_json_closed_corridor_reported():

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 import support
+from support import corners
 from linefields import isomorphism
 from linefields.errors import InvalidComplexError
 from linefields.isomorphism import (
@@ -238,7 +239,7 @@ def _reference_vertex_signatures(S):
         if t == h:
             loops[t] += 1
     corner_lengths = {v: [] for v in S.vertices}
-    for v, f, _i in S.corners():
+    for v, f, _i in corners(S):
         corner_lengths[v].append(len(S.faces[f]))
     return {
         v: (deg[v], loops[v], tuple(sorted(corner_lengths[v]))) for v in S.vertices

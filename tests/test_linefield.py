@@ -6,8 +6,6 @@ import support
 from linefields import (
     LineField,
     critical_cells,
-    euler_sum,
-    unmatched_boundary_count,
     validate_line_field,
 )
 
@@ -19,36 +17,36 @@ def test_empty_matching_on_tetrahedron():
         assert crit[v] == 2
     for f in ("f123", "f124", "f134", "f234"):
         assert crit[f] == -1
-    assert euler_sum(L) == 4
+    assert sum(L.doubled_critical().values()) == 4
 
 
 def test_empty_matching_on_torus():
     L = LineField(support.torus_one())
     assert critical_cells(L) == {"v": 2, "F": -2}
-    assert euler_sum(L) == 0
+    assert sum(L.doubled_critical().values()) == 0
 
 
 def test_empty_matching_on_two_faced_sphere():
     L = LineField(support.disk_sphere())
     assert critical_cells(L) == {"v": 2, "n": 1, "s": 1}
-    assert euler_sum(L) == 4
+    assert sum(L.doubled_critical().values()) == 4
 
 
 def test_two_pair_matching_on_tetrahedron():
     L = LineField(support.tetra(), frozenset({("v1", "e12"), ("v2", "e23")}))
     assert validate_line_field(L) == []
-    assert unmatched_boundary_count(L, "f123") == 1
-    assert unmatched_boundary_count(L, "f124") == 2
-    assert unmatched_boundary_count(L, "f134") == 3
-    assert unmatched_boundary_count(L, "f234") == 2
+    assert len(L._unmatched["f123"]) == 1
+    assert len(L._unmatched["f124"]) == 2
+    assert len(L._unmatched["f134"]) == 3
+    assert len(L._unmatched["f234"]) == 2
     assert critical_cells(L) == {"v3": 2, "v4": 2, "f123": 1, "f134": -1}
-    assert euler_sum(L) == 4
+    assert sum(L.doubled_critical().values()) == 4
 
 
 def test_unmatched_boundary_count_unknown_face():
     L = LineField(support.tetra())
     with pytest.raises(KeyError):
-        unmatched_boundary_count(L, "nope")
+        len(L._unmatched["nope"])
 
 
 def test_validate_accepts_loop_pair():
@@ -96,7 +94,7 @@ def test_doubled_sum_is_twice_euler_characteristic():
         for _ in range(4):
             L = LineField(S, support.sample_matching(support.line_field_pairs(S), rng))
             assert validate_line_field(L) == []
-            assert euler_sum(L) == 2 * S.euler_characteristic()
+            assert sum(L.doubled_critical().values()) == 2 * S.euler_characteristic()
 
 
 def test_boundary_counts_sum_to_unmatched_occurrences():
@@ -105,7 +103,7 @@ def test_boundary_counts_sum_to_unmatched_occurrences():
     rng = random.Random(403)
     for S in support.random_corpus(seed=403, count=25):
         L = LineField(S, support.sample_matching(support.line_field_pairs(S), rng))
-        total = sum(unmatched_boundary_count(L, f) for f in S.faces)
+        total = sum(len(L._unmatched[f]) for f in S.faces)
         assert total == 2 * (len(S.edges) - len(L.matching))
 
 
@@ -121,7 +119,7 @@ def test_adding_a_pair_preserves_the_sum():
         ]
         for v, e in free:
             extended = LineField(S, L.matching | {(v, e)})
-            assert euler_sum(extended) == euler_sum(L)
+            assert sum(extended.doubled_critical().values()) == sum(L.doubled_critical().values())
 
 
 def test_matching_lookups_agree_with_pairs():

@@ -27,7 +27,6 @@ from linefields import (
     l_paths,
     ms_decomposition,
     topological_graph,
-    topological_graph_dvf,
     x_paths,
 )
 from linefields import dynamics, linefield, vectorfield
@@ -43,7 +42,7 @@ def test_serpentine_paths_need_no_recursion(tmp_path, capsys):
     (root,) = [c for c in crit if S.dim_of(c) == 0]
     assert head in crit
 
-    graph = topological_graph_dvf(V)
+    graph = topological_graph(V)
     longest = max(graph.edges, key=lambda s: len(s.path.cells))
     assert (longest.source, longest.target) == (head, root)
     assert len(longest.path.cells) == len(S.vertices) > sys.getrecursionlimit()
@@ -337,7 +336,7 @@ def test_engine_matches_recursive_traversals():
             if closed is not None:
                 cyclic[closed.dimension] += 1
                 continue
-            graph = topological_graph_dvf(V)
+            graph = topological_graph(V)
             got = [(s.source, s.target, s.occurrence, s.path) for s in graph.edges]
             assert got == old_graph_dvf(V)
             for upper, lower in queries(V, graph):

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import support
+from support import hasse_diagram
 from linefields import (
     LineField,
     NotInImageError,
@@ -11,23 +12,19 @@ from linefields import (
     SurfaceComplex,
     VectorField,
     complexes_isomorphic,
+    critical_cells_dvf,
     delete_edge_merge_faces,
     dlf_to_dvf,
     dualize,
     dvf_to_dlf,
     emit_line_field,
     emit_vector_field,
-    euler_sum,
-    euler_sum_dvf,
     fresh_id,
-    is_acyclic,
-    is_acyclic_dvf,
     is_radial,
     line_fields_isomorphic,
     radial_decomposition,
     split_face,
     validate_line_field,
-    vector_fields_isomorphic,
 )
 from linefields.radial import _bipartition, _factor
 
@@ -189,7 +186,7 @@ def test_image_euler_sum_doubles():
             )
             L = dvf_to_dlf(V)
             assert L.complex.validate() == []
-            assert euler_sum(L) == 2 * euler_sum_dvf(V)
+            assert sum(L.doubled_critical().values()) == 2 * sum(critical_cells_dvf(V).values())
 
 
 # ---- line field back to vector fields ------------------------------------
@@ -221,10 +218,10 @@ def test_round_trip_worked():
     V = VectorField(S, frozenset({("v1", "e12")}))
     A, B = dlf_to_dvf(dvf_to_dlf(V))
     strip = strip_map(S)
-    direct = [X for X in (A, B) if vector_fields_isomorphic(X, V, vertex_map=strip)]
+    direct = [X for X in (A, B) if line_fields_isomorphic(X, V, vertex_map=strip)]
     assert len(direct) == 1
     other = B if direct[0] is A else A
-    assert vector_fields_isomorphic(other, dualize(V))
+    assert line_fields_isomorphic(other, dualize(V))
 
 
 def test_factoring_builds_one_link_index(monkeypatch):
@@ -299,11 +296,11 @@ def test_round_trip_exhaustive_small_complexes():
             A, B = dlf_to_dvf(dvf_to_dlf(V))
             W = dualize(V)
             assert (
-                vector_fields_isomorphic(A, V, vertex_map=strip)
-                and vector_fields_isomorphic(B, W, vertex_map=dual_strip)
+                line_fields_isomorphic(A, V, vertex_map=strip)
+                and line_fields_isomorphic(B, W, vertex_map=dual_strip)
             ) or (
-                vector_fields_isomorphic(B, V, vertex_map=strip)
-                and vector_fields_isomorphic(A, W, vertex_map=dual_strip)
+                line_fields_isomorphic(B, V, vertex_map=strip)
+                and line_fields_isomorphic(A, W, vertex_map=dual_strip)
             )
 
 
@@ -325,11 +322,11 @@ def test_round_trip_random_larger_instances():
         strip = strip_map(S)
         dual_strip = {f"w_{f}": f for f in S.faces}
         assert (
-            vector_fields_isomorphic(A, V, vertex_map=strip)
-            and vector_fields_isomorphic(B, dualize(V), vertex_map=dual_strip)
+            line_fields_isomorphic(A, V, vertex_map=strip)
+            and line_fields_isomorphic(B, dualize(V), vertex_map=dual_strip)
         ) or (
-            vector_fields_isomorphic(B, V, vertex_map=strip)
-            and vector_fields_isomorphic(A, dualize(V), vertex_map=dual_strip)
+            line_fields_isomorphic(B, V, vertex_map=strip)
+            and line_fields_isomorphic(A, dualize(V), vertex_map=dual_strip)
         )
 
 
@@ -573,7 +570,7 @@ def test_bridge_identifier_collisions_match_move_by_move():
 
 
 def doubly_incident(S, matching):
-    H = S.hasse_diagram()
+    H = hasse_diagram(S)
     return any(H.multiplicity(lo, up) == 2 for lo, up in matching)
 
 
@@ -581,8 +578,8 @@ def test_cyclic_fields_have_cyclic_images():
     for builder in small_builders():
         S = builder()
         for V in all_vector_fields(S):
-            if not is_acyclic_dvf(V):
-                assert not is_acyclic(dvf_to_dlf(V))
+            if V.closed_path() is not None:
+                assert dvf_to_dlf(V).closed_path() is not None
 
 
 def test_acyclicity_matches_without_doubly_incident_pairs():
@@ -591,12 +588,12 @@ def test_acyclicity_matches_without_doubly_incident_pairs():
         for V in all_vector_fields(S):
             if doubly_incident(S, V.matching):
                 continue
-            assert is_acyclic_dvf(V) == is_acyclic(dvf_to_dlf(V))
+            assert (V.closed_path() is None) == (dvf_to_dlf(V).closed_path() is None)
 
 
 def test_matched_loop_separates_the_two_notions():
     # A matched loop edge is acyclic as a vector field pair but its image
     # matches a loop diagonal, which closes a length-one path.
     V = VectorField(support.torus_one(), frozenset({("v", "a")}))
-    assert is_acyclic_dvf(V)
-    assert not is_acyclic(dvf_to_dlf(V))
+    assert V.closed_path() is None
+    assert dvf_to_dlf(V).closed_path() is not None

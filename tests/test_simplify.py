@@ -3,6 +3,7 @@ import random
 import pytest
 
 import support
+from support import collapse_noncritical_face, contract_matched_pair, subdivide_edge
 from linefields import (
     CancellationError,
     CellCorrespondence,
@@ -12,21 +13,15 @@ from linefields import (
     OperationError,
     SurfaceComplex,
     cancel_vertex_face,
-    collapse_noncritical_face,
-    contract_matched_pair,
     corridors_from,
     critical_cells,
     delete_edge_merge_faces,
     emit_line_field,
-    euler_sum,
     fresh_id,
     homotopy_core,
-    is_acyclic,
     merge_critical_faces,
     split_face,
-    subdivide_edge,
     topological_graph,
-    unmatched_boundary_count,
     validate_line_field,
 )
 
@@ -76,7 +71,7 @@ def test_contract_preserves_invariants():
     assert out.complex.validate() == []
     assert validate_line_field(out) == []
     assert out.complex.euler_characteristic() == L.complex.euler_characteristic()
-    assert euler_sum(out) == euler_sum(L)
+    assert sum(out.doubled_critical().values()) == sum(L.doubled_critical().values())
     before = critical_cells(L)
     after = critical_cells(out)
     assert {corr.image_of(c): i for c, i in before.items()} == after
@@ -117,7 +112,7 @@ def test_collapse_removes_face_and_edge():
     assert corr.image_of("f124") == "f134"
     assert corr.image_of("e14") == "f134"
     assert S.validate() == []
-    assert euler_sum(out) == euler_sum(L)
+    assert sum(out.doubled_critical().values()) == sum(L.doubled_critical().values())
 
 
 def test_collapse_requires_empty_matching():
@@ -217,14 +212,14 @@ def test_core_is_idempotent_and_sound_on_random_fields():
     rng = random.Random(801)
     for S in support.random_corpus(802, 10, max_moves=3):
         L = LineField(S, support.sample_matching(support.line_field_pairs(S), rng))
-        if not is_acyclic(L):
+        if L.closed_path() is not None:
             continue
         core = homotopy_core(L)
         out = core.field
         assert out.complex.validate() == []
         assert validate_line_field(out) == []
         assert out.complex.euler_characteristic() == S.euler_characteristic()
-        assert euler_sum(out) == euler_sum(L)
+        assert sum(out.doubled_critical().values()) == sum(L.doubled_critical().values())
         corr = core.correspondence
         cells_after = dict(out.complex.cells())
         for cell, _d in S.cells():
@@ -255,10 +250,10 @@ def test_merge_deletes_corridor_edge():
     )
     assert "e13" not in S.edges
     assert out.matching == L.matching
-    assert unmatched_boundary_count(out, "m_f123_f134") == 2
+    assert len(out._unmatched["m_f123_f134"]) == 2
     assert critical_cells(out) == {"v3": 2, "v4": 2}
-    assert euler_sum(out) == euler_sum(L)
-    assert is_acyclic(out)
+    assert sum(out.doubled_critical().values()) == sum(L.doubled_critical().values())
+    assert out.closed_path() is None
     assert S.validate() == []
     assert corr.image_of("f123") == "m_f123_f134"
     assert corr.image_of("f134") == "m_f123_f134"
@@ -271,9 +266,9 @@ def test_merge_through_interior_faces():
     S = out.complex
     assert sorted(S.faces) == ["m_fab_fca"]
     assert support.is_rotation(S.faces["m_fab_fca"], support.w("+a -a"))
-    assert unmatched_boundary_count(out, "m_fab_fca") == 0
+    assert len(out._unmatched["m_fab_fca"]) == 0
     assert critical_cells(out) == {"w": 2, "m_fab_fca": 2}
-    assert euler_sum(out) == 4
+    assert sum(out.doubled_critical().values()) == 4
     assert corr.image_of("fbc") == "m_fab_fca"
     assert corr.image_of("b") == corr.image_of("c") == "m_fab_fca"
 
@@ -322,7 +317,7 @@ def test_merge_invariants_on_random_fields():
         L = LineField(
             S, support.sample_matching(support.line_field_pairs(S), rng, keep=0.35)
         )
-        if not is_acyclic(L):
+        if L.closed_path() is not None:
             continue
         crit = critical_cells(L)
         faces = [f for f in sorted(crit) if f in S.faces]
@@ -338,15 +333,15 @@ def test_merge_invariants_on_random_fields():
                 tried += 1
                 applied += 1
                 merged = corr.image_of(f)
-                doubled = 2 - unmatched_boundary_count(out, merged)
+                doubled = 2 - len(out._unmatched[merged])
                 assert doubled == crit[f] + crit[g]
-                assert euler_sum(out) == euler_sum(L)
+                assert sum(out.doubled_critical().values()) == sum(L.doubled_critical().values())
                 after = critical_cells(out)
                 assert after.get(merged, 0) == doubled
                 assert len(after) == len(crit) - (1 if doubled != 0 else 2)
                 assert out.complex.validate() == []
                 assert validate_line_field(out) == []
-                assert is_acyclic(out)
+                assert out.closed_path() is None
     assert applied >= 10
 
 
@@ -365,8 +360,8 @@ def test_cancel_with_trivial_witness():
         {("v1", "e12"), ("v2", "e23"), ("v4", "d_f134")}
     )
     assert critical_cells(out) == {"v3": 2, "f123": 1, "f134_1": 1}
-    assert euler_sum(out) == 4
-    assert is_acyclic(out)
+    assert sum(out.doubled_critical().values()) == 4
+    assert out.closed_path() is None
     assert S.validate() == []
     assert validate_line_field(out) == []
 
@@ -382,8 +377,8 @@ def test_cancel_reverses_longer_witness():
         out.complex.faces["f123_0"], support.w("+e12 +e23 +d_f123")
     )
     assert corr.image_of("f123") == "f123_1"
-    assert is_acyclic(out)
-    assert euler_sum(out) == euler_sum(L) == 4
+    assert out.closed_path() is None
+    assert sum(out.doubled_critical().values()) == sum(L.doubled_critical().values()) == 4
     assert len(critical_cells(out)) == len(critical_cells(L)) - 1
 
 
@@ -410,7 +405,7 @@ def test_cancel_counts_chains_through_own_boundary():
     L = LineField(
         S, frozenset({("v01", "u11"), ("v10", "u00"), ("v11", "q10d")})
     )
-    assert is_acyclic(L)
+    assert L.closed_path() is None
     with pytest.raises(CancellationError, match="found 4"):
         cancel_vertex_face(L, "v00", "q00")
 
@@ -434,7 +429,7 @@ def test_cancel_invariants_on_random_fields():
         L = LineField(
             S, support.sample_matching(support.line_field_pairs(S), rng, keep=0.2)
         )
-        if not is_acyclic(L):
+        if L.closed_path() is not None:
             continue
         crit = critical_cells(L)
         for f in sorted(c for c in crit if c in S.faces and crit[c] < 0):
@@ -446,8 +441,8 @@ def test_cancel_invariants_on_random_fields():
                 applied += 1
                 assert validate_line_field(out) == []
                 assert out.complex.validate() == []
-                assert is_acyclic(out)
-                assert euler_sum(out) == euler_sum(L)
+                assert out.closed_path() is None
+                assert sum(out.doubled_critical().values()) == sum(L.doubled_critical().values())
                 after = critical_cells(out)
                 assert v not in after
                 part_entry = corr.image_of(f)
@@ -487,7 +482,7 @@ def reference_contraction_order(L):
 
 def reference_core(L, branches):
     """The move-by-move homotopy core; adds to `branches` how it stopped."""
-    assert is_acyclic(L)
+    assert L.closed_path() is None
     cur = L
     mapping = {c: c for c, _d in L.complex.cells()}
     for v, e in reference_contraction_order(L):
@@ -614,7 +609,7 @@ def differential_fields():
             L = LineField(
                 S, support.sample_matching(support.line_field_pairs(S), rng, keep=keep)
             )
-            if is_acyclic(L):
+            if L.closed_path() is None:
                 fields.append(L)
     for rows, cols in ((2, 3), (3, 3), (4, 6), (8, 8), (12, 12), (16, 16)):
         S = support.grid_torus(rows, cols)
@@ -701,7 +696,7 @@ def test_surgery_keeps_one_link_cycle_per_vertex():
             L = LineField(
                 S, support.sample_matching(support.line_field_pairs(S), rng, keep=keep)
             )
-            if is_acyclic(L):
+            if L.closed_path() is None:
                 fields.append(L)
     for rows, cols in ((3, 4), (5, 5), (8, 8)):
         S = support.grid_klein(rows, cols)

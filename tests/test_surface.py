@@ -5,7 +5,7 @@ import random
 import pytest
 
 import support
-from support import w
+from support import corners, hasse_diagram, subdivide_edge, w
 from linefields.errors import DegenerateOperationError, InvalidComplexError
 from linefields.radial import radial_decomposition
 from linefields.surface import (
@@ -15,7 +15,6 @@ from linefields.surface import (
     fresh_id,
     occ_text,
     split_face,
-    subdivide_edge,
 )
 
 
@@ -203,12 +202,12 @@ def test_euler_characteristic_values():
 
 def test_corner_count_is_twice_edges():
     for S in support.random_corpus(seed=2, count=25):
-        assert len(S.corners()) == 2 * len(S.edges)
+        assert len(corners(S)) == 2 * len(S.edges)
 
 
 def test_corner_vertices_on_tetra():
     S = support.tetra()
-    at = {(f, i): v for v, f, i in S.corners()}
+    at = {(f, i): v for v, f, i in corners(S)}
     assert at[("f123", 0)] == "v1"
     assert at[("f123", 1)] == "v2"
     assert at[("f123", 2)] == "v3"
@@ -216,21 +215,21 @@ def test_corner_vertices_on_tetra():
 
 
 def test_hasse_multiplicities():
-    H = support.tetra().hasse_diagram()
+    H = hasse_diagram(support.tetra())
     assert H.level_total(0) == 12
     assert H.level_total(1) == 12
     assert H.multiplicity("v1", "e12") == 1
     assert H.multiplicity("e12", "f123") == 1
     assert H.multiplicity("v1", "e23") == 0
-    loopy = support.disk_sphere().hasse_diagram()
+    loopy = hasse_diagram(support.disk_sphere())
     assert loopy.multiplicity("v", "e") == 2
-    doubled = support.proj_plane().hasse_diagram()
+    doubled = hasse_diagram(support.proj_plane())
     assert doubled.multiplicity("a", "F") == 2
 
 
 def test_hasse_totals_on_corpus():
     for S in support.random_corpus(seed=3, count=25):
-        H = S.hasse_diagram()
+        H = hasse_diagram(S)
         assert H.level_total(0) == 2 * len(S.edges)
         assert H.level_total(1) == 2 * len(S.edges)
 
@@ -442,7 +441,7 @@ def test_dual_preserves_euler_characteristic_on_corpus():
         D = S.dual()
         assert D.validate() == []
         assert D.euler_characteristic() == S.euler_characteristic()
-        assert len(D.corners()) == len(S.corners())
+        assert len(corners(D)) == len(corners(S))
 
 
 # ---- walk surgery --------------------------------------------------------

@@ -15,11 +15,9 @@ from linefields import (
     count_x_paths,
     critical_cells_dvf,
     dualize,
-    euler_sum_dvf,
-    is_acyclic_dvf,
-    topological_graph_dvf,
+    line_fields_isomorphic,
+    topological_graph,
     validate_vector_field,
-    vector_fields_isomorphic,
     x_paths,
 )
 
@@ -77,7 +75,7 @@ def test_critical_cells_empty_matching():
         assert crit[e] == -1
     for f in ("f123", "f124", "f134", "f234"):
         assert crit[f] == 1
-    assert euler_sum_dvf(V) == 2
+    assert sum(critical_cells_dvf(V).values()) == 2
 
 
 def test_critical_cells_drop_matched_pair():
@@ -85,7 +83,7 @@ def test_critical_cells_drop_matched_pair():
     crit = critical_cells_dvf(V)
     assert len(crit) == 12
     assert "v1" not in crit and "e12" not in crit
-    assert euler_sum_dvf(V) == 2
+    assert sum(critical_cells_dvf(V).values()) == 2
 
 
 def test_validate_accepts_mixed_field():
@@ -146,7 +144,7 @@ def test_vertex_cycle_is_detected():
     assert closed.is_closed()
     assert closed.cells == ("v1", "v2", "v3", "v1")
     assert_valid_xpath(V, closed)
-    assert not is_acyclic_dvf(V)
+    assert V.closed_path() is not None
 
 
 def test_edge_cycle_is_detected():
@@ -167,7 +165,7 @@ def test_matched_loop_is_acyclic_for_vector_fields():
     # matched at its only endpoint leads nowhere; the corresponding line
     # field is cyclic.
     S = support.torus_one()
-    assert is_acyclic_dvf(VectorField(S, frozenset({("v", "a")})))
+    assert VectorField(S, frozenset({("v", "a")})).closed_path() is None
     assert closed_l_path(LineField(S, frozenset({("v", "a")}))) is not None
 
 
@@ -237,7 +235,7 @@ def test_paths_are_deterministic():
 
 def test_topological_graph_of_empty_field_on_tetrahedron():
     V = VectorField(support.tetra())
-    graph = topological_graph_dvf(V)
+    graph = topological_graph(V)
     assert len(graph.vertices) == 14
     assert len(graph.edges) == 24
     assert graph.multiplicity("e12", "v1") == 1
@@ -251,7 +249,7 @@ def test_topological_graph_of_empty_field_on_tetrahedron():
 
 def test_topological_graph_counts_loop_occurrences_twice():
     V = VectorField(support.torus_one())
-    graph = topological_graph_dvf(V)
+    graph = topological_graph(V)
     assert len(graph.edges) == 8
     assert graph.multiplicity("a", "v") == 2
     assert graph.multiplicity("F", "a") == 2
@@ -273,9 +271,9 @@ def test_cancel_reverses_single_step_path():
     out = cancel_dvf(V, "e13", "v2")
     assert out.matching == frozenset({("v2", "e12"), ("v1", "e13")})
     assert validate_vector_field(out) == []
-    assert is_acyclic_dvf(out)
+    assert out.closed_path() is None
     assert len(critical_cells_dvf(out)) == 10
-    assert euler_sum_dvf(out) == 2
+    assert sum(critical_cells_dvf(out).values()) == 2
 
 
 def test_cancel_requires_some_path():
@@ -299,14 +297,14 @@ def test_dualize_swaps_pair_roles():
     assert W.matching == frozenset({("e12", "v1")})
     assert W.complex.dim_of("v1") == 2
     assert len(critical_cells_dvf(W)) == len(critical_cells_dvf(V))
-    assert euler_sum_dvf(W) == euler_sum_dvf(V)
+    assert sum(critical_cells_dvf(W).values()) == sum(critical_cells_dvf(V).values())
 
 
 def test_dualize_twice_round_trips():
     V = VectorField(support.tetra(), frozenset({("v1", "e12"), ("e23", "f123")}))
     W = dualize(dualize(V))
     assert W.matching == V.matching
-    assert vector_fields_isomorphic(W, V)
+    assert line_fields_isomorphic(W, V)
 
 
 def test_dual_path_counts_match():
@@ -320,10 +318,10 @@ def test_dual_path_counts_match_on_random_fields():
     rng = random.Random(601)
     for S in support.random_corpus(602, 6, max_moves=2):
         V = VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng, keep=0.4))
-        if validate_vector_field(V) or not is_acyclic_dvf(V):
+        if validate_vector_field(V) or V.closed_path() is not None:
             continue
         W = dualize(V)
-        assert is_acyclic_dvf(W)
+        assert W.closed_path() is None
         crit = sorted(critical_cells_dvf(V))
         uppers = [c for c in crit if S.dim_of(c) >= 1]
         lowers = [c for c in crit if S.dim_of(c) <= 1]
@@ -377,7 +375,7 @@ def test_paths_agree_with_direct_search_on_seed_complexes():
         pairs = support.vector_field_pairs(S)
         for _ in range(3):
             V = VectorField(S, support.sample_matching(pairs, rng, keep=0.35))
-            if not is_acyclic_dvf(V):
+            if V.closed_path() is not None:
                 continue
             crit = sorted(critical_cells_dvf(V))
             for source in crit:
@@ -397,10 +395,10 @@ def test_graph_separatrices_are_sound_on_random_fields():
     rng = random.Random(604)
     for S in support.random_corpus(605, 5, max_moves=2):
         V = VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng, keep=0.4))
-        if not is_acyclic_dvf(V):
+        if V.closed_path() is not None:
             continue
         crit = critical_cells_dvf(V)
-        graph = topological_graph_dvf(V)
+        graph = topological_graph(V)
         assert graph.vertices == tuple(sorted(crit))
         for sep in graph.edges:
             assert sep.source in crit and sep.target in crit
@@ -421,4 +419,4 @@ def test_euler_sum_matches_characteristic_on_random_fields():
         for _ in range(3):
             V = VectorField(S, support.sample_matching(pairs, rng))
             assert validate_vector_field(V) == []
-            assert euler_sum_dvf(V) == S.euler_characteristic()
+            assert sum(critical_cells_dvf(V).values()) == S.euler_characteristic()
