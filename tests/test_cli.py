@@ -8,6 +8,7 @@ import support
 
 from linefields import (
     LineField,
+    SurfaceComplex,
     VectorField,
     critical_cells,
     emit_complex,
@@ -17,6 +18,7 @@ from linefields import (
     parse_complex,
     parse_graph_json,
     parse_line_field,
+    parse_off,
     parse_vector_field,
 )
 from linefields.cli import main
@@ -354,3 +356,49 @@ def test_import_off_non_manifold_exit_1(tmp_path, capsys):
     path = write(tmp_path, "bad.off", text)
     assert main(["import-off", path]) == 1
     assert "three faces" in capsys.readouterr().err
+
+
+# ---- every subcommand refuses invalid input before computing ---------------
+
+# subcommand -> (flags, output files it would write)
+SUBCOMMANDS = {
+    "validate": ([], []),
+    "euler": ([], []),
+    "critical": ([], []),
+    "check-acyclic": ([], []),
+    "paths": (["--from", "v1", "--to", "v2"], []),
+    "ms-graph": (["-o", "out.txt"], ["out.txt"]),
+    "simplify": (["-o", "out.txt", "--map", "map.json"], ["out.txt", "map.json"]),
+    "cancel": (["--faces", "f123", "f134", "-o", "out.txt", "--map", "map.json"],
+               ["out.txt", "map.json"]),
+    "from-dvf": (["-o", "out.txt"], ["out.txt"]),
+    "to-dvf": (["-o", "out.txt", "--dual-out", "dual.txt"], ["out.txt", "dual.txt"]),
+    "import-off": (["-o", "out.txt"], ["out.txt"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_invalid_input_refused_before_computing(command, tmp_path, capsys):
+    if command == "import-off":
+        text = "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+        problems = parse_off(text).validate()
+    else:
+        S = support.tetra()
+        S = SurfaceComplex(S.vertices, S.edges, {f: S.faces[f] for f in S.faces if f != "f234"})
+        text = emit_complex(S)
+        problems = S.validate()
+    assert problems
+    path = write(tmp_path, "input.txt", text)
+    flags, outputs = SUBCOMMANDS[command]
+    argv = [command, path] + [str(tmp_path / f) if f in outputs else f for f in flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(f"{p}\n" for p in problems)
+    assert not any((tmp_path / f).exists() for f in outputs)
+
+
+def test_cancel_flags_checked_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "absent.txt")
+    assert main(["cancel", missing, "--faces", "a", "b", "--vertex", "v"]) == 2
+    assert capsys.readouterr().err == "error: give either --faces F G or --vertex V --face F\n"

@@ -5,7 +5,11 @@ import pytest
 import support
 from linefields import (
     LineField,
+    OperationError,
+    cancel_vertex_face,
+    corridors_from,
     critical_cells,
+    merge_critical_faces,
     validate_line_field,
 )
 
@@ -44,9 +48,17 @@ def test_two_pair_matching_on_tetrahedron():
 
 
 def test_unmatched_boundary_count_unknown_face():
+    """Operations that read a face's unmatched boundary count refuse a face
+    the complex does not have, by name, rather than fail on a lookup."""
     L = LineField(support.tetra())
-    with pytest.raises(KeyError):
-        len(L._unmatched["nope"])
+    for call in (
+        lambda: corridors_from(L, "nope"),
+        lambda: merge_critical_faces(L, "nope", "f123"),
+        lambda: merge_critical_faces(L, "f123", "nope"),
+        lambda: cancel_vertex_face(L, "v1", "nope"),
+    ):
+        with pytest.raises(OperationError, match="nope is not a face"):
+            call()
 
 
 def test_validate_accepts_loop_pair():
