@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Every subcommand parses its input, validates it, and only then computes.
-Exit status 0 means success, 1 a parse or validation failure, 2 an
+That policy lives in `main`: it reads the input file with the subcommand's
+reader, prints each problem validation finds to stderr and exits 1 before
+the handler runs.  A handler gets the valid input and only computes and
+writes.  Exit status 0 means success, 1 a parse or validation failure, 2 an
 operation whose precondition failed (cyclic field, missing path, mesh that
 is not in the image of the bridge, and so on).
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import methodcaller
 from pathlib import Path
 
 from .errors import CyclicFieldError, InvalidComplexError, OperationError, ParseError
@@ -30,23 +34,17 @@ from .formats import (
 from .linefield import LineField
 from .radial import dlf_to_dvf, dvf_to_dlf
 from .simplify import cancel_vertex_face, homotopy_core, merge_critical_faces
+from .surface import SurfaceComplex
 from .vectorfield import VectorField
 
 
-def _read_field(path: str, dvf: bool):
-    text = Path(path).read_text()
-    if dvf:
-        return parse_vector_field(text)
+def _read_field(text: str):
+    """The field a native file holds: a vector field when it has vmatch
+    lines, else a line field."""
     doc = parse_document(text)
     if doc.vmatch:
         return VectorField(doc.complex, doc.vmatch)
     return LineField(doc.complex, doc.match)
-
-
-def _valid_or_report(problems: list[str]) -> bool:
-    for p in problems:
-        print(p, file=sys.stderr)
-    return not problems
 
 
 def _write(text: str, path: str | None):
@@ -65,18 +63,12 @@ def _path_text(path) -> str:
 
 # ---- subcommand handlers --------------------------------------------------
 
-def _cmd_validate(args) -> int:
-    field = _read_field(args.file, args.dvf)
-    if not _valid_or_report(field.problems()):
-        return 1
+def _cmd_validate(field, args) -> int:
     print("OK")
     return 0
 
 
-def _cmd_euler(args) -> int:
-    field = _read_field(args.file, args.dvf)
-    if not _valid_or_report(field.problems()):
-        return 1
+def _cmd_euler(field, args) -> int:
     chi = field.complex.euler_characteristic()
     doubled = sum(field.doubled_critical().values())
     matches = doubled == 2 * chi
@@ -85,18 +77,12 @@ def _cmd_euler(args) -> int:
     return 0 if matches else 2
 
 
-def _cmd_critical(args) -> int:
-    field = _read_field(args.file, args.dvf)
-    if not _valid_or_report(field.problems()):
-        return 1
+def _cmd_critical(field, args) -> int:
     print(json.dumps(_critical_json(field), indent=2))
     return 0
 
 
-def _cmd_check_acyclic(args) -> int:
-    field = _read_field(args.file, args.dvf)
-    if not _valid_or_report(field.problems()):
-        return 1
+def _cmd_check_acyclic(field, args) -> int:
     witness = field.closed_path()
     if witness is None:
         print("acyclic")
@@ -105,10 +91,7 @@ def _cmd_check_acyclic(args) -> int:
     return 2
 
 
-def _cmd_paths(args) -> int:
-    field = _read_field(args.file, args.dvf)
-    if not _valid_or_report(field.problems()):
-        return 1
+def _cmd_paths(field, args) -> int:
     if args.count_only:
         print(field.count_paths(args.source, args.target))
         return 0
@@ -120,10 +103,7 @@ def _cmd_paths(args) -> int:
     return 0
 
 
-def _cmd_ms_graph(args) -> int:
-    field = _read_field(args.file, args.dvf)
-    if not _valid_or_report(field.problems()):
-        return 1
+def _cmd_ms_graph(field, args) -> int:
     text = graph_dot(field) if args.format == "dot" else report_json(field)
     _write(text, args.out)
     return 0
@@ -134,10 +114,7 @@ def _emit_result(field: LineField, correspondence, args) -> None:
     _write(json.dumps(dict(sorted(correspondence.mapping.items())), indent=2) + "\n", args.map)
 
 
-def _cmd_simplify(args) -> int:
-    L = parse_line_field(Path(args.file).read_text())
-    if not _valid_or_report(L.problems()):
-        return 1
+def _cmd_simplify(L, args) -> int:
     result = homotopy_core(L)
     _emit_result(result.field, result.correspondence, args)
     if result.degenerate_face is not None:
@@ -146,14 +123,14 @@ def _cmd_simplify(args) -> int:
     return 0
 
 
-def _cmd_cancel(args) -> int:
+def _cancel_flags(args) -> None:
+    """Refuse a mix of the two cancel modes, before the file is read."""
     given = (args.faces is not None, args.vertex is not None, args.face is not None)
     if given not in ((True, False, False), (False, True, True)):
-        print("error: give either --faces F G or --vertex V --face F", file=sys.stderr)
-        return 2
-    L = parse_line_field(Path(args.file).read_text())
-    if not _valid_or_report(L.problems()):
-        return 1
+        raise OperationError("give either --faces F G or --vertex V --face F")
+
+
+def _cmd_cancel(L, args) -> int:
     if args.faces is not None:
         field, correspondence = merge_critical_faces(L, args.faces[0], args.faces[1])
     else:
@@ -162,18 +139,12 @@ def _cmd_cancel(args) -> int:
     return 0
 
 
-def _cmd_from_dvf(args) -> int:
-    V = parse_vector_field(Path(args.file).read_text())
-    if not _valid_or_report(V.problems()):
-        return 1
+def _cmd_from_dvf(V, args) -> int:
     _write(emit_line_field(dvf_to_dlf(V)), args.out)
     return 0
 
 
-def _cmd_to_dvf(args) -> int:
-    L = parse_line_field(Path(args.file).read_text())
-    if not _valid_or_report(L.problems()):
-        return 1
+def _cmd_to_dvf(L, args) -> int:
     primal, dual = dlf_to_dvf(L)
     _write(emit_vector_field(primal), args.out)
     if args.dual_out is not None:
@@ -181,10 +152,7 @@ def _cmd_to_dvf(args) -> int:
     return 0
 
 
-def _cmd_import_off(args) -> int:
-    S = parse_off(Path(args.file).read_text())
-    if not _valid_or_report(S.validate()):
-        return 1
+def _cmd_import_off(S, args) -> int:
     _write(emit_complex(S), args.out)
     return 0
 
@@ -209,50 +177,60 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, dvf=False, **kwargs):
+    def add(name, handler, read=_read_field, problems=methodcaller("problems"),
+            check_flags=lambda args: None, **kwargs):
+        """A subcommand on one input file: main runs `check_flags` on the
+        options, `read` on the file's text and `problems` on what it read,
+        then the handler.  --dvf switches the field reader to vector fields."""
         p = sub.add_parser(name, **kwargs)
         p.add_argument("file", help="input file in the native format")
-        if dvf:
+        if read is _read_field:
             p.add_argument(
-                "--dvf", action="store_true", help="read a bare complex as a vector field"
+                "--dvf", dest="read", action="store_const", const=parse_vector_field,
+                help="read a bare complex as a vector field",
             )
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, read=read, problems=problems, check_flags=check_flags)
         return p
 
-    add("validate", _cmd_validate, dvf=True, help="report every structural violation")
-    add("euler", _cmd_euler, dvf=True, help="compare the index sum with the Euler characteristic")
-    add("critical", _cmd_critical, dvf=True, help="list critical cells with doubled indices")
-    add("check-acyclic", _cmd_check_acyclic, dvf=True, help="print a closed path if one exists")
+    add("validate", _cmd_validate, help="report every structural violation")
+    add("euler", _cmd_euler, help="compare the index sum with the Euler characteristic")
+    add("critical", _cmd_critical, help="list critical cells with doubled indices")
+    add("check-acyclic", _cmd_check_acyclic, help="print a closed path if one exists")
 
-    p = add("paths", _cmd_paths, dvf=True, help="enumerate paths between two critical cells")
+    p = add("paths", _cmd_paths, help="enumerate paths between two critical cells")
     p.add_argument("--from", dest="source", required=True, help="source cell")
     p.add_argument("--to", dest="target", required=True, help="target cell")
     p.add_argument("--count-only", action="store_true", help="print only the path count")
     p.add_argument("--max", type=_cap, default=100, help="cap on listed paths")
 
-    p = add("ms-graph", _cmd_ms_graph, dvf=True, help="emit the topological graph")
+    p = add("ms-graph", _cmd_ms_graph, help="emit the topological graph")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("-o", "--out", help="output path (default stdout)")
 
-    p = add("simplify", _cmd_simplify, help="contract and collapse to the homotopy core")
+    p = add("simplify", _cmd_simplify, read=parse_line_field,
+            help="contract and collapse to the homotopy core")
     p.add_argument("-o", "--out", help="simplified field output path")
     p.add_argument("--map", help="correspondence table output path")
 
-    p = add("cancel", _cmd_cancel, help="merge two faces or cancel a vertex against a face")
+    p = add("cancel", _cmd_cancel, read=parse_line_field, check_flags=_cancel_flags,
+            help="merge two faces or cancel a vertex against a face")
     p.add_argument("--faces", nargs=2, metavar=("F", "G"), help="critical faces to merge")
     p.add_argument("--vertex", help="critical vertex to cancel")
     p.add_argument("--face", help="critical face to cancel against")
     p.add_argument("-o", "--out", help="result field output path")
     p.add_argument("--map", help="correspondence table output path")
 
-    p = add("from-dvf", _cmd_from_dvf, help="turn a vector field into a line field")
+    p = add("from-dvf", _cmd_from_dvf, read=parse_vector_field,
+            help="turn a vector field into a line field")
     p.add_argument("-o", "--out", help="output path (default stdout)")
 
-    p = add("to-dvf", _cmd_to_dvf, help="factor a radial line field into vector fields")
+    p = add("to-dvf", _cmd_to_dvf, read=parse_line_field,
+            help="factor a radial line field into vector fields")
     p.add_argument("-o", "--out", help="first factor output path")
     p.add_argument("--dual-out", help="second factor output path")
 
-    p = add("import-off", _cmd_import_off, help="convert an OFF triangle mesh")
+    p = add("import-off", _cmd_import_off, read=parse_off, problems=SurfaceComplex.validate,
+            help="convert an OFF triangle mesh")
     p.add_argument("-o", "--out", help="output path (default stdout)")
 
     return parser
@@ -261,7 +239,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.check_flags(args)
+        field = args.read(Path(args.file).read_text())
+        problems = args.problems(field)
+        for p in problems:
+            print(p, file=sys.stderr)
+        if problems:
+            return 1
+        return args.func(field, args)
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

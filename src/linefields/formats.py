@@ -29,13 +29,6 @@ class Document:
     match: frozenset[tuple[str, str]]
     vmatch: frozenset[tuple[str, str]]
 
-    def kind(self) -> str:
-        if self.vmatch:
-            return "vector"
-        if self.match:
-            return "line"
-        return "complex"
-
 
 def parse_document(text: str) -> Document:
     name = None

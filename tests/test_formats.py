@@ -79,13 +79,6 @@ def test_vector_field_roundtrip():
     assert back.matching == V.matching
 
 
-def test_document_kind():
-    base = emit_complex(support.torus_one())
-    assert parse_document(base).kind() == "complex"
-    assert parse_document(base + "match v a\n").kind() == "line"
-    assert parse_document(base + "vmatch v a\n").kind() == "vector"
-
-
 @pytest.mark.parametrize(
     "text,fragment",
     [
