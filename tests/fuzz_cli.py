@@ -6,10 +6,9 @@ subcommand on each mutant through `linefields.cli.main`.  Each call must
 return 0, 1 or 2, or exit with one of them through argparse; an exception
 that escapes `main` fails the run.
 
-    PYTHONPATH=src python tests/fuzz_cli.py [--count N] [--seed S]
+    PYTHONPATH=src python tests/fuzz_cli.py
 """
 
-import argparse
 import io
 import random
 import sys
@@ -25,6 +24,9 @@ import support  # noqa: E402
 from linefields import LineField, VectorField, emit_line_field, emit_vector_field  # noqa: E402
 from linefields.cli import main  # noqa: E402
 from sweep import TETRA_OFF, workdir  # noqa: E402
+
+COUNT = 2000  # mutants per run
+SEED = 1
 
 
 def seeds():
@@ -86,7 +88,7 @@ def argvs(name, text, rng):
     ]
 
 
-def fuzz(count, seed) -> list[str]:
+def fuzz(count=COUNT, seed=SEED) -> list[str]:
     """Run `count` mutants; return a report line per call that misbehaved."""
     rng = random.Random(seed)
     texts = seeds()
@@ -108,15 +110,11 @@ def fuzz(count, seed) -> list[str]:
     return failures
 
 
-def main_fuzz(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Mutation fuzz of the CLI.")
-    parser.add_argument("--count", type=int, default=2000, help="mutants to run")
-    parser.add_argument("--seed", type=int, default=1, help="random seed")
-    args = parser.parse_args(argv)
-    failures = fuzz(args.count, args.seed)
+def main_fuzz() -> int:
+    failures = fuzz()
     for line in failures:
         print(line)
-    print(f"{args.count} mutants, {len(failures)} calls misbehaved")
+    print(f"{COUNT} mutants, {len(failures)} calls misbehaved")
     return 1 if failures else 0
 
 

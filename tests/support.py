@@ -214,6 +214,17 @@ def tetra():
     )
 
 
+def tetra_without_face():
+    """The tetrahedron with face f234 deleted: it parses but fails validate."""
+    S = tetra()
+    faces = {f: walk for f, walk in S.faces.items() if f != "f234"}
+    return SurfaceComplex(S.vertices, S.edges, faces, name=S.name)
+
+
+# A single triangle in OFF: it parses but fails validate (open edges).
+OPEN_OFF = "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+
+
 def torus_one():
     """One-vertex torus: two loops, one square face."""
     return SurfaceComplex(

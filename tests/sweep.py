@@ -39,7 +39,6 @@ from linefields import (  # noqa: E402
     LineField,
     OperationError,
     ParseError,
-    SurfaceComplex,
     VectorField,
     dvf_to_dlf,
     emit_complex,
@@ -54,19 +53,13 @@ OUTPUTS = ("out.txt", "map.json", "dual.txt")
 
 TETRA_OFF = "OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
 INVALID_OFF = {
-    "open.off": "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    "open.off": support.OPEN_OFF,
     "three_faces.off": "OFF\n4 3 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n3 0 2 1\n3 0 1 3\n",
     "negative.off": "OFF\n-1 0 0\n",
     "short.off": "OFF\n4 4 6\n0 0 0\n",
     "counts.off": "OFF\nfour 4 6\n",
     "empty.off": "",
 }
-
-
-def _tetra_without_face():
-    S = support.tetra()
-    faces = {f: walk for f, walk in S.faces.items() if f != "f234"}
-    return SurfaceComplex(S.vertices, S.edges, faces, name=S.name)
 
 
 def inputs():
@@ -112,7 +105,7 @@ def inputs():
     files.extend(INVALID_OFF.items())
     tetra = emit_complex(support.tetra())
     files += [
-        ("no_face.txt", emit_complex(_tetra_without_face())),
+        ("no_face.txt", emit_complex(support.tetra_without_face())),
         ("bad_pair.txt", tetra + "match v1 e34\n"),
         ("twice.txt", tetra + "match v1 e12\nmatch v1 e13\n"),
         ("bad_vpair.txt", tetra + "vmatch v1 f123\n"),

@@ -8,7 +8,6 @@ import support
 
 from linefields import (
     LineField,
-    SurfaceComplex,
     VectorField,
     critical_cells,
     emit_complex,
@@ -380,11 +379,10 @@ SUBCOMMANDS = {
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_invalid_input_refused_before_computing(command, tmp_path, capsys):
     if command == "import-off":
-        text = "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+        text = support.OPEN_OFF
         problems = parse_off(text).validate()
     else:
-        S = support.tetra()
-        S = SurfaceComplex(S.vertices, S.edges, {f: S.faces[f] for f in S.faces if f != "f234"})
+        S = support.tetra_without_face()
         text = emit_complex(S)
         problems = S.validate()
     assert problems

@@ -4,13 +4,14 @@ import random
 
 import sweep
 
+FILES = sweep.inputs()
+
 
 def test_digest_file_lists_every_call():
-    argvs = sweep.calls(sweep.inputs())
+    argvs = sweep.calls(FILES)
     assert list(sweep.read_digests()) == [" ".join(argv) for argv in argvs]
 
 
 def test_sweep_slice_matches_digests():
-    files = sweep.inputs()
-    argvs = random.Random(12).sample(sweep.calls(files), 600)
-    assert sweep.mismatches(sweep.run(argvs, files)) == []
+    argvs = random.Random(12).sample(sweep.calls(FILES), 600)
+    assert sweep.mismatches(sweep.run(argvs, FILES)) == []
