@@ -96,6 +96,12 @@ def test_vector_field_roundtrip():
         ("surface s\nvertex v\nedge e v v\nface F +e\n", "line 4: face line needs id, walk keyword"),
         ("surface s\nvertex v v2\n", "line 2: vertex line needs exactly one id"),
         ("", "missing surface line"),
+        ("surface\n", "line 1: surface line needs exactly one name"),
+        ("surface s\nvertex v\nedge e v\n", "line 3: edge line needs id, tail, head"),
+        ("surface s\nvertex v\nedge e v v\nface e walk +e -e\n", "line 4: duplicate id e"),
+        ("surface s\nvertex v\nedge e v v\nface F walk +e +e\nvmatch v e\nmatch v e\n", "line 6: match line in a vmatch file"),
+        ("surface s\nvertex v\nedge e v v\nface F walk +e +e\nmatch v\n", "line 5: match line needs vertex and edge"),
+        ("surface s\nvertex v\nedge e v v\nface F walk +e +e\nvmatch v e F\n", "line 5: vmatch line needs lower and upper cell"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -175,6 +181,24 @@ def test_off_negative_counts(text):
     # empty complex, and a negative vertex count moved the read back.
     with pytest.raises(ParseError, match="line 2: counts must not be negative"):
         parse_off(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty OFF file"),
+        ("# a comment\n\n   \n", "empty OFF file"),
+        ("OFF\n", "line 1: missing vertex/face/edge count line"),
+        ("OFF\n3 x 1\n", "line 2: counts are not integers"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n", "expected 3 vertex and 1 face lines"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 z\n", "line 6: bad face line"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n\n", "expected 3 vertex and 1 face lines"),
+    ],
+)
+def test_off_parse_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_off(text)
+    assert str(err.value) == message
 
 
 def test_off_face_color_fields_ignored():
