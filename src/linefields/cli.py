@@ -2,11 +2,14 @@
 
 Every subcommand parses its input, validates it, and only then computes.
 That policy lives in `main`: it reads the input file with the subcommand's
-reader, prints each problem validation finds to stderr and exits 1 before
-the handler runs.  A handler gets the valid input and only computes and
-writes.  Exit status 0 means success, 1 a parse or validation failure, 2 an
-operation whose precondition failed (cyclic field, missing path, mesh that
-is not in the image of the bridge, and so on).
+reader, prints each problem the field's `problems()` finds to stderr and
+exits 1 before the handler runs (an OFF mesh is read as a field with no
+matching, so its problems are the complex's).  A handler gets the valid
+input and only computes and writes.  The argument parser is built once per
+process, when the module is imported.  Exit status 0 means success, 1 a
+parse or validation failure, 2 an operation whose precondition failed
+(cyclic field, missing path, mesh that is not in the image of the bridge,
+and so on).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import methodcaller
 from pathlib import Path
 
 from .errors import CyclicFieldError, InvalidComplexError, OperationError, ParseError
@@ -34,7 +36,6 @@ from .formats import (
 from .linefield import LineField
 from .radial import dlf_to_dvf, dvf_to_dlf
 from .simplify import cancel_vertex_face, homotopy_core, merge_critical_faces
-from .surface import SurfaceComplex
 from .vectorfield import VectorField
 
 
@@ -152,8 +153,8 @@ def _cmd_to_dvf(L, args) -> int:
     return 0
 
 
-def _cmd_import_off(S, args) -> int:
-    _write(emit_complex(S), args.out)
+def _cmd_import_off(field, args) -> int:
+    _write(emit_complex(field.complex), args.out)
     return 0
 
 
@@ -177,11 +178,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, read=_read_field, problems=methodcaller("problems"),
-            check_flags=lambda args: None, **kwargs):
+    def add(name, handler, read=_read_field, check_flags=lambda args: None, **kwargs):
         """A subcommand on one input file: main runs `check_flags` on the
-        options, `read` on the file's text and `problems` on what it read,
-        then the handler.  --dvf switches the field reader to vector fields."""
+        options, `read` on the file's text and `problems()` on the field it
+        read, then the handler.  --dvf switches the field reader to vector
+        fields."""
         p = sub.add_parser(name, **kwargs)
         p.add_argument("file", help="input file in the native format")
         if read is _read_field:
@@ -189,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--dvf", dest="read", action="store_const", const=parse_vector_field,
                 help="read a bare complex as a vector field",
             )
-        p.set_defaults(func=handler, read=read, problems=problems, check_flags=check_flags)
+        p.set_defaults(func=handler, read=read, check_flags=check_flags)
         return p
 
     add("validate", _cmd_validate, help="report every structural violation")
@@ -229,19 +230,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="first factor output path")
     p.add_argument("--dual-out", help="second factor output path")
 
-    p = add("import-off", _cmd_import_off, read=parse_off, problems=SurfaceComplex.validate,
+    p = add("import-off", _cmd_import_off, read=lambda text: LineField(parse_off(text)),
             help="convert an OFF triangle mesh")
     p.add_argument("-o", "--out", help="output path (default stdout)")
 
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         args.check_flags(args)
         field = args.read(Path(args.file).read_text())
-        problems = args.problems(field)
+        problems = field.problems()
         for p in problems:
             print(p, file=sys.stderr)
         if problems:

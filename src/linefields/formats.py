@@ -18,7 +18,17 @@ from .linefield import LineField
 from .surface import SurfaceComplex, occ_text
 from .vectorfield import VectorField
 
-_SECTIONS = {"surface": 0, "vertex": 1, "edge": 2, "face": 3, "match": 4, "vmatch": 4}
+# Each directive's section rank, token count and refusal of a line with
+# another count.  A face line has no fixed count (0): it needs an id, the
+# `walk` keyword and at least one occurrence.
+_DIRECTIVES = {
+    "surface": (0, 2, "surface line needs exactly one name"),
+    "vertex": (1, 2, "vertex line needs exactly one id"),
+    "edge": (2, 4, "edge line needs id, tail, head"),
+    "face": (3, 0, "face line needs id, walk keyword, occurrences"),
+    "match": (4, 3, "match line needs vertex and edge"),
+    "vmatch": (4, 3, "vmatch line needs lower and upper cell"),
+}
 
 
 @dataclass(frozen=True)
@@ -30,58 +40,55 @@ class Document:
     vmatch: frozenset[tuple[str, str]]
 
 
+def _rows(text: str):
+    """(line number, tokens) of each non-blank line, its `#` comment cut off."""
+    for num, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield num, tokens
+
+
 def parse_document(text: str) -> Document:
+    """A native file's complex and matching lines.  Each line is refused at
+    the first of the checks below that fails, in the order written."""
     name = None
     vertices: set[str] = set()
     edges: dict[str, tuple[str, str]] = {}
     faces: dict[str, tuple] = {}
-    match: list[tuple[str, str]] = []
-    vmatch: list[tuple[str, str]] = []
+    pairs: dict[str, list[tuple[str, str]]] = {}  # the file's matching keyword: its pairs
     seen: set[str] = set()
     rank = -1
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for num, tokens in _rows(text):
         keyword = tokens[0]
-        if keyword not in _SECTIONS:
+        if keyword not in _DIRECTIVES:
             raise ParseError(f"unknown directive {keyword}", line=num)
-        if _SECTIONS[keyword] < rank:
+        section, count, usage = _DIRECTIVES[keyword]
+        if section < rank:
             raise ParseError(f"{keyword} line out of section order", line=num)
-        rank = _SECTIONS[keyword]
+        rank = section
+        if keyword == "surface" and name is not None:
+            raise ParseError("second surface line", line=num)
+        if keyword == "vertex" and name is None:
+            raise ParseError("vertex line before the surface line", line=num)
+        if section == 4 and pairs and keyword not in pairs:
+            raise ParseError(f"{keyword} line in a {next(iter(pairs))} file", line=num)
+        if (len(tokens) != count) if count else (len(tokens) < 4 or tokens[2] != "walk"):
+            raise ParseError(usage, line=num)
+        cid = tokens[1]
+        if 0 < section < 4:  # a cell: vertex, edge or face
+            if cid in seen:
+                raise ParseError(f"duplicate id {cid}", line=num)
+            seen.add(cid)
         if keyword == "surface":
-            if name is not None:
-                raise ParseError("second surface line", line=num)
-            if len(tokens) != 2:
-                raise ParseError("surface line needs exactly one name", line=num)
-            name = tokens[1]
+            name = cid
         elif keyword == "vertex":
-            if name is None:
-                raise ParseError("vertex line before the surface line", line=num)
-            if len(tokens) != 2:
-                raise ParseError("vertex line needs exactly one id", line=num)
-            if tokens[1] in seen:
-                raise ParseError(f"duplicate id {tokens[1]}", line=num)
-            seen.add(tokens[1])
-            vertices.add(tokens[1])
+            vertices.add(cid)
         elif keyword == "edge":
-            if len(tokens) != 4:
-                raise ParseError("edge line needs id, tail, head", line=num)
-            eid, tail, head = tokens[1:]
-            if eid in seen:
-                raise ParseError(f"duplicate id {eid}", line=num)
-            for v in (tail, head):
+            for v in tokens[2:]:
                 if v not in vertices:
-                    raise ParseError(f"edge {eid} references unknown vertex {v}", line=num)
-            seen.add(eid)
-            edges[eid] = (tail, head)
+                    raise ParseError(f"edge {cid} references unknown vertex {v}", line=num)
+            edges[cid] = (tokens[2], tokens[3])
         elif keyword == "face":
-            if len(tokens) < 4 or tokens[2] != "walk":
-                raise ParseError("face line needs id, walk keyword, occurrences", line=num)
-            fid = tokens[1]
-            if fid in seen:
-                raise ParseError(f"duplicate id {fid}", line=num)
             walk = []
             for tok in tokens[3:]:
                 if len(tok) < 2 or tok[0] not in "+-":
@@ -89,24 +96,13 @@ def parse_document(text: str) -> Document:
                 if tok[1:] not in edges:
                     raise ParseError(f"walk references unknown edge {tok[1:]}", line=num)
                 walk.append((1 if tok[0] == "+" else -1, tok[1:]))
-            seen.add(fid)
-            faces[fid] = tuple(walk)
-        elif keyword == "match":
-            if vmatch:
-                raise ParseError("match line in a vmatch file", line=num)
-            if len(tokens) != 3:
-                raise ParseError("match line needs vertex and edge", line=num)
-            match.append((tokens[1], tokens[2]))
+            faces[cid] = tuple(walk)
         else:
-            if match:
-                raise ParseError("vmatch line in a match file", line=num)
-            if len(tokens) != 3:
-                raise ParseError("vmatch line needs lower and upper cell", line=num)
-            vmatch.append((tokens[1], tokens[2]))
+            pairs.setdefault(keyword, []).append((cid, tokens[2]))
     if name is None:
         raise ParseError("missing surface line")
     S = SurfaceComplex(frozenset(vertices), edges, faces, name=name)
-    return Document(S, frozenset(match), frozenset(vmatch))
+    return Document(S, frozenset(pairs.get("match", ())), frozenset(pairs.get("vmatch", ())))
 
 
 def parse_complex(text: str) -> SurfaceComplex:
@@ -166,11 +162,7 @@ def parse_off(text: str) -> SurfaceComplex:
     only one is left for validation to report, so near-miss meshes still
     parse.
     """
-    rows = []
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((num, line.split()))
+    rows = list(_rows(text))
     if not rows:
         raise ParseError("empty OFF file")
     pos = 0

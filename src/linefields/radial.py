@@ -180,7 +180,7 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
     T = L.complex
     edges = dict(T.edges)
     faces = dict(T.faces)
-    taken = {cid for cid, _dim in T.cells()}
+    taken = {*T.vertices, *T.edges, *T.faces}
     # Each face already merged, mapped to the face that replaced it; slots
     # read from T stay valid on every face not in here.
     merged_into: dict[str, str] = {}
@@ -223,7 +223,8 @@ def _factor(R, kept, opposite, matching, merged_quad, name):
     tail_corner: dict[str, int] = {}
     edges: dict[str, tuple[str, str]] = {}
     for z in sorted(R.faces):
-        k = min(i for i in range(4) if R.corner_vertex(z, i) in kept)
+        # corners alternate between the two classes, so a kept corner is 0 or 1
+        k = 0 if R.corner_vertex(z, 0) in kept else 1
         tail_corner[z] = k
         edges[z] = (R.corner_vertex(z, k), R.corner_vertex(z, (k + 2) % 4))
 

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and emitted artifacts."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -400,3 +401,21 @@ def test_cancel_flags_checked_before_reading(tmp_path, capsys):
     missing = str(tmp_path / "absent.txt")
     assert main(["cancel", missing, "--faces", "a", "b", "--vertex", "v"]) == 2
     assert capsys.readouterr().err == "error: give either --faces F G or --vertex V --face F\n"
+
+
+def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    # The argparse tree is built once, when the module is imported; a call
+    # that rebuilt it would construct one parser and eleven subparsers.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = tetra_file(tmp_path)
+    assert main(["validate", path]) == 0
+    assert main(["euler", path, "--dvf"]) == 0
+    assert built == []
+    assert capsys.readouterr().out == "OK\nchi=2 index_sum=2 OK\n"
