@@ -299,6 +299,53 @@ def test_json_closed_corridor_reported():
     assert payload["separatrices"] == []
 
 
+# A square on the sphere whose ids hold a quote, a backslash, a non-ASCII
+# letter and an astral-plane character (U+1F600), as vertex, edge and face
+# ids; vé's edge is matched, so one separatrix lists vertices and edges.
+ESCAPED_IDS = """surface s
+vertex q"
+vertex b\\
+vertex vé
+vertex v\U0001F600
+edge e" q" b\\
+edge e\\ b\\ vé
+edge eé vé v\U0001F600
+edge e\U0001F600 v\U0001F600 q"
+face F" walk +e" +e\\ +eé +e\U0001F600
+face Gé\U0001F600\\ walk -e\U0001F600 -eé -e\\ -e"
+match vé eé
+"""
+
+
+def test_json_escapes_ids_in_keys_and_items():
+    text = report_json(parse_line_field(ESCAPED_IDS))
+    assert text.isascii()
+    lines = text.splitlines()
+    # List items: the complex's vertices, a separatrix's vertices and edges.
+    for line in (
+        r'      "b\\",',
+        r'      "q\"",',
+        r'      "v\u00e9",',
+        r'      "v\ud83d\ude00"',
+        r'        "v\u00e9",',
+        r'        "e\u00e9"',
+        r'      "source": "G\u00e9\ud83d\ude00\\",',
+    ):
+        assert line in lines, line
+    # Dict keys: edge and face ids.
+    for line in (
+        r'      "e\"": [',
+        r'      "e\\": [',
+        r'      "e\u00e9": [',
+        r'      "e\ud83d\ude00": [',
+        r'      "F\"": [',
+        r'      "G\u00e9\ud83d\ude00\\": [',
+    ):
+        assert line in lines, line
+    faces = json.loads(text)["complex"]["faces"]
+    assert list(faces) == ['F"', "Gé\U0001F600\\"]
+
+
 def test_emit_parse_fuzz_matchings():
     rng = random.Random(902)
     for S in support.random_corpus(903, 6):
