@@ -31,7 +31,7 @@ from .formats import (
     parse_line_field,
     parse_off,
     parse_vector_field,
-    report_json,
+    write_report,
 )
 from .linefield import LineField
 from .radial import dlf_to_dvf, dvf_to_dlf
@@ -105,8 +105,15 @@ def _cmd_paths(field, args) -> int:
 
 
 def _cmd_ms_graph(field, args) -> int:
-    text = graph_dot(field) if args.format == "dot" else report_json(field)
-    _write(text, args.out)
+    if args.format == "dot":
+        _write(graph_dot(field), args.out)
+        return 0
+    field.graph()  # refuses a cyclic field before the output file is opened
+    if args.out is None:
+        write_report(field, sys.stdout)
+    else:
+        with open(args.out, "w") as fp:
+            write_report(field, fp)
     return 0
 
 

@@ -10,8 +10,15 @@ touch a critical face close up into cycles and mark periodic behaviour.
 Both field kinds build their step table `{cell: ((label, next), ...)}`
 once, as `_steps`, and share one path engine: `_find_cycle` finds a
 closed-path witness, `_maximal_walks` lists walks depth first in step
-order, and `_count_walks` counts them with a memoised DP; each keeps its
-own stack, so path length is bounded by memory, not by recursion depth.
+order, and `_fold_walks` folds a value over all walks from a cell in one
+memoised post-order pass, which counts walks (`_count_walks`) and finds
+where separatrices end; each keeps its own stack, so path length is
+bounded by memory, not by recursion depth.
+
+Each field builds its topological graph once and keeps it.  The graph
+holds no walks: a separatrix keeps its start and rank, and its `path` is
+walked again from the ends table each time it is read, so the graph costs
+O(cells + separatrices) however long its paths are.
 
 The corridor tracer builds nothing per call.  It reads each face's count
 and the sibling of an unmatched occurrence from the field's `_unmatched`
@@ -21,6 +28,8 @@ positions, and each crossing from the complex's `opposite` slot pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import CyclicFieldError, OperationError
@@ -60,20 +69,50 @@ class LPath(_PathView):
         return {"vertices": list(self.vertices), "edges": list(self.edges)}
 
 
-@dataclass(frozen=True)
 class Separatrix:
     """One edge of the topological graph, from `source` down to `target`.
 
     `occurrence` names the boundary occurrence of the path's first cell on
     the source cell (a walk position, or an endpoint slot for vector
     fields), so parallel separatrices stay distinct.  `path` is the LPath
-    or XPath witness.
+    or XPath witness.  A separatrix of a field's graph builds its path each
+    time it is read and keeps none.  Separatrices compare and hash by
+    (source, target, occurrence, path).
     """
 
-    source: str
-    target: str
-    occurrence: int
-    path: object
+    __slots__ = ("source", "target", "occurrence", "_witness", "_walk")
+
+    def __init__(self, source: str, target: str, occurrence: int, path: object):
+        self.source = source
+        self.target = target
+        self.occurrence = occurrence
+        self._witness = path
+        self._walk = None
+
+    @classmethod
+    def _walked(cls, source: str, target: str, occurrence: int, walk) -> Separatrix:
+        """A separatrix whose path is `walk()`."""
+        sep = cls(source, target, occurrence, None)
+        sep._walk = walk
+        return sep
+
+    @property
+    def path(self):
+        return self._witness if self._walk is None else self._walk()
+
+    def _fields(self) -> tuple:
+        return (self.source, self.target, self.occurrence, self.path)
+
+    def __eq__(self, other):
+        if other.__class__ is not Separatrix:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "Separatrix(source=%r, target=%r, occurrence=%r, path=%r)" % self._fields()
 
 
 @dataclass(frozen=True)
@@ -159,17 +198,20 @@ def _find_cycle(roots, steps):
     return None
 
 
-def _maximal_walks(start, steps):
-    """Every walk from `start` that steps until a cell with no steps, as
-    (cells, labels) tuples, depth first in step order.  The relation must
-    be acyclic.  Only a cell with several steps leaves a branch point, so
-    a chain of single steps is never unwound."""
+def _maximal_walks(start, steps, ways):
+    """The walks from `start` to a cell with no steps that `ways`, a
+    _count_walks table with ways[start] > 0, counts, as (cells, labels)
+    tuples, depth first in step order.  The relation must be acyclic.
+    Only a cell with several steps leaves a branch point, and only there
+    are steps into cells `ways` maps to 0 dropped: the one step of any
+    other cell on a counted walk stays on one."""
     cells, labels = [start], []
-    branches = []  # (depth, iterator over the steps not taken yet)
+    branches = []  # (depth, iterator over the live steps not taken yet)
     out = steps.get(start, ())
     while True:
         while out:
             if len(out) > 1:
+                out = [step for step in out if ways[step[1]]]
                 branches.append((len(labels), iter(out[1:])))
             label, nxt = out[0]
             cells.append(nxt)
@@ -191,28 +233,78 @@ def _maximal_walks(start, steps):
         out = steps.get(nxt, ())
 
 
-def _count_walks(steps, target):
-    """`ways(cell)`: how many maximal walks from `cell` end at `target`,
-    memoised across calls.  The relation must be acyclic."""
-    memo: dict = {}
+def _chain(start, steps, stop=None):
+    """The walk from `start` on a relation with at most one step per cell
+    (a line field's), as (cells, labels), up to `stop` or the first cell
+    with no step."""
+    cells, labels = [start], []
+    cell = start
+    while cell != stop and cell in steps:
+        ((label, cell),) = steps[cell]
+        cells.append(cell)
+        labels.append(label)
+    return tuple(cells), tuple(labels)
 
-    def ways(cell) -> int:
-        stack = [cell]
+
+def _fold_walks(steps, roots, leaves, other, join) -> dict:
+    """A value for every cell reachable from `roots`: at a cell with no
+    steps its value in `leaves`, or `other` when it has none there; at a
+    cell with one step its successor's value, shared (the walks from it
+    are the successor's); else `join` of the list of its successors'
+    values in step order.  One iterative post-order pass; the relation
+    must be acyclic."""
+    memo: dict = {}
+    for root in roots:
+        if root in memo:
+            continue
+        stack = [root]
         while stack:
             c = stack[-1]
             if c in memo:
                 stack.pop()
                 continue
-            out = steps.get(c, ())
-            todo = [nxt for _label, nxt in out if nxt not in memo]
-            if todo:
-                stack += todo
-                continue
+            out = steps.get(c)
+            if not out:
+                memo[c] = leaves.get(c, other)
+            elif len(out) == 1:
+                nxt = out[0][1]
+                if nxt not in memo:
+                    stack.append(nxt)
+                    continue
+                memo[c] = memo[nxt]
+            else:
+                todo = [nxt for _label, nxt in out if nxt not in memo]
+                if todo:
+                    stack += todo
+                    continue
+                memo[c] = join([memo[nxt] for _label, nxt in out])
             stack.pop()
-            memo[c] = sum(memo[nxt] for _label, nxt in out) if out else int(c == target)
-        return memo[cell]
+    return memo
 
-    return ways
+
+def _count_walks(steps, roots, target) -> dict:
+    """How many maximal walks from each cell reachable from `roots` end at
+    `target`."""
+    return _fold_walks(steps, roots, {target: 1}, 0, sum)
+
+
+def _nth_walk(steps, ends, start, k, make):
+    """`make(cells, labels)` of the k-th walk from `start`, in step order,
+    among those `ends` lists: at each cell it takes the step whose block of
+    `ends` holds the k-th entry, so it costs the walk's length."""
+    cells, labels = [start], []
+    out = steps.get(start, ())
+    while out:
+        label, nxt = out[0]
+        if len(out) > 1:
+            for label, nxt in out:
+                if k < len(ends[nxt]):
+                    break
+                k -= len(ends[nxt])
+        cells.append(nxt)
+        labels.append(label)
+        out = steps.get(nxt, ())
+    return make(tuple(cells), tuple(labels))
 
 
 # ---- L-paths --------------------------------------------------------------
@@ -238,11 +330,8 @@ def l_paths(L: LineField, source: str, target: str) -> list[LPath]:
     for v in (source, target):
         if v not in L.complex.vertices:
             raise OperationError(f"{v} is not a vertex of the complex")
-    cells, edges = next(_maximal_walks(source, L._steps))
-    if target not in cells:
-        return []
-    k = cells.index(target)
-    return [LPath(cells[: k + 1], edges[:k])]
+    cells, edges = _chain(source, L._steps, target)
+    return [LPath(cells, edges)] if cells[-1] == target else []
 
 
 # ---- topological graph ----------------------------------------------------
@@ -251,7 +340,8 @@ def l_paths(L: LineField, source: str, target: str) -> list[LPath]:
 def topological_graph(field) -> TopologicalGraph:
     """Separatrices of a line or vector field: one per exit slot
     `(key, start)` of a critical cell and maximal walk from `start` to a
-    critical cell, which is its witness.  Walks are memoised per start.
+    critical cell, which is its witness.  The field builds the graph once
+    and keeps it.
 
     A line field's exits are the unmatched occurrences on a critical
     face's walk, from their corners.  Matched occurrences carry none:
@@ -262,19 +352,28 @@ def topological_graph(field) -> TopologicalGraph:
     of a critical edge or face.
     """
     _require_acyclic(field)
+    return field._graph
+
+
+def _build_graph(field) -> TopologicalGraph:
+    """topological_graph without the acyclicity check.  One post-order pass
+    over the steps from every exit finds, for each cell, the critical ends
+    of its walks in walk order (one per cell on a line field), so the graph
+    costs O(cells + separatrices); each separatrix walks its path only when
+    it is read."""
     crit = field.doubled_critical()
-    paths: dict[str, list] = {}
-    edges = []
-    for source in sorted(crit):
-        for key, start in field._exits(source):
-            if start not in paths:
-                paths[start] = [
-                    field._path(cells, steps)
-                    for cells, steps in _maximal_walks(start, field._steps)
-                    if cells[-1] in crit
-                ]
-            edges += (Separatrix(source, p.cells[-1], key, p) for p in paths[start])
-    return TopologicalGraph(tuple(sorted(crit)), tuple(edges))
+    steps, make = field._steps, field._path
+    exits = [(source, key, start) for source in sorted(crit) for key, start in field._exits(source)]
+    starts = (start for _s, _k, start in exits)
+    ends = _fold_walks(
+        steps, starts, {c: (c,) for c in crit}, (), lambda parts: tuple(chain.from_iterable(parts))
+    )
+    edges = tuple(
+        Separatrix._walked(source, target, key, partial(_nth_walk, steps, ends, start, k, make))
+        for source, key, start in exits
+        for k, target in enumerate(ends[start])
+    )
+    return TopologicalGraph(tuple(sorted(crit)), edges)
 
 
 # ---- corridors ------------------------------------------------------------
@@ -349,8 +448,8 @@ def ms_decomposition(L: LineField) -> DecompositionReport:
     them up to direction.  Closed corridors are flagged as periodic
     components.
     """
-    graph = topological_graph(L)  # refuses a cyclic field
-    corridors, closed = _all_corridors(L)
+    graph = L.graph()  # refuses a cyclic field
+    corridors, closed = L.corridors()
     undirected = set()
     for corr in corridors:
         key = tuple((c.depart, c.arrive) for c in corr.crossings)

@@ -9,6 +9,7 @@ across one dimension.  A file may carry one kind of matching, not both.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
@@ -269,44 +270,86 @@ def _critical_json(field) -> list[dict]:
 
 
 def _crossing_json(crossing) -> dict:
+    return {"edge": crossing.edge, "depart": crossing.depart, "arrive": crossing.arrive}
+
+
+def _separatrix_json(s) -> dict:
+    return {"source": s.source, "target": s.target, "occurrence": s.occurrence, **s.path.json()}
+
+
+def _corridor_json(c) -> dict:
     return {
-        "edge": crossing.edge,
-        "depart": list(crossing.depart),
-        "arrive": list(crossing.arrive),
+        "start": c.start,
+        "end": c.end,
+        "interior": c.interior,
+        "crossings": [_crossing_json(x) for x in c.crossings],
     }
 
 
+def _closed_corridor_json(c) -> dict:
+    return {"faces": c.faces, "crossings": [_crossing_json(x) for x in c.crossings]}
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _dump(value, pad: str) -> str:
+    """`value`, made of str, int, list, tuple and dict, as json.dumps(...,
+    indent=2) writes it on a line indented by `pad`.  An array of strings
+    is joined in one call."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is dict:
+        body = sep.join(f"{_string(k)}: {_dump(v, inner)}" for k, v in value.items())
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if set(map(type, value)) == {str}:
+        body = sep.join(map(_string, value))
+    else:
+        body = sep.join(_dump(v, inner) for v in value)
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
+def write_report(field, fp) -> None:
+    """Write report_json's text to `fp`: the complex, then each list of the
+    report one entry at a time, so no separatrix path is held longer than
+    it takes to write it.  A cyclic field is refused before the first
+    byte."""
+    graph = field.graph()
+    corridors, closed = field.corridors()
+    fp.write('{\n  "complex": ' + _dump(_complex_json(field.complex), "  "))
+    for key, entries in (
+        ("matching", sorted(field.matching)),
+        ("critical", _critical_json(field)),
+        ("separatrices", map(_separatrix_json, graph.edges)),
+        ("corridors", map(_corridor_json, corridors)),
+        ("closed_corridors", map(_closed_corridor_json, closed)),
+    ):
+        fp.write(f',\n  "{key}": ')
+        opening = "[\n    "
+        for entry in entries:
+            fp.write(opening + _dump(entry, "    "))
+            opening = ",\n    "
+        fp.write("[]" if opening == "[\n    " else "\n  ]")
+    fp.write("\n}\n")
+
+
 def report_json(field) -> str:
-    """Full decomposition report as deterministic JSON.
+    """Full decomposition report as deterministic JSON, the text
+    json.dumps(payload, indent=2) gives plus a newline.
 
     Cell matchings have no corridor notion, so those arrays stay empty for
     them.  All index values are doubled integers.
     """
-    graph = field.graph()
-    corridors, closed = field.corridors()
-    payload = {
-        "complex": _complex_json(field.complex),
-        "matching": [list(p) for p in sorted(field.matching)],
-        "critical": _critical_json(field),
-        "separatrices": [
-            {"source": s.source, "target": s.target, "occurrence": s.occurrence, **s.path.json()}
-            for s in graph.edges
-        ],
-        "corridors": [
-            {
-                "start": c.start,
-                "end": c.end,
-                "interior": list(c.interior),
-                "crossings": [_crossing_json(x) for x in c.crossings],
-            }
-            for c in corridors
-        ],
-        "closed_corridors": [
-            {"faces": list(c.faces), "crossings": [_crossing_json(x) for x in c.crossings]}
-            for c in closed
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    out = io.StringIO()
+    write_report(field, out)
+    return out.getvalue()
 
 
 def parse_graph_json(text: str) -> TopologicalGraph:

@@ -62,8 +62,11 @@ class LineField:
         return dynamics.closed_l_path(self)
 
     graph = topological_graph
-    corridors = _all_corridors
     paths = l_paths
+
+    def corridors(self):
+        """(corridors, closed corridors), traced once per field."""
+        return self._corridors
 
     def count_paths(self, source: str, target: str) -> int:
         return len(l_paths(self, source, target))
@@ -114,6 +117,14 @@ class LineField:
         ring, edges = cycle[0][:-1], cycle[1]
         m = ring.index(min(ring))
         return LPath(ring[m:] + ring[: m + 1], edges[m:] + edges[:m])
+
+    @cached_property
+    def _graph(self):
+        return dynamics._build_graph(self)
+
+    @cached_property
+    def _corridors(self):
+        return _all_corridors(self)
 
 
 def validate_line_field(L: LineField) -> list[str]:

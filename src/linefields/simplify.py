@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .dynamics import _maximal_walks, _require_acyclic, corridors_from
+from .dynamics import _chain, _require_acyclic, corridors_from
 from .errors import (
     CancellationError,
     DegenerateOperationError,
@@ -304,7 +304,7 @@ def cancel_vertex_face(
     n = len(walk)
     hits = []
     for pos in range(n):
-        cells, edges = next(_maximal_walks(S.corner_vertex(f, pos), L._steps))
+        cells, edges = _chain(S.corner_vertex(f, pos), L._steps)
         if cells[-1] == v:
             hits.append((pos, cells, edges))
     if not hits:

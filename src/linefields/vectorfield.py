@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import dynamics
 from .dynamics import (
     _PathView,
     _count_walks,
@@ -112,8 +113,12 @@ class VectorField:
             return [(0, tail), (1, head)]
         return [(i, e) for i, (_s, e) in enumerate(S.faces.get(cell, ()))]
 
-    def _path(self, cells, witnesses) -> XPath:
-        return XPath(self.complex.dim_of(cells[0]), cells, witnesses)
+    @cached_property
+    def _path(self):
+        """`(cells, witnesses) -> XPath`.  It holds the complex, not the
+        field, so a kept graph's separatrices do not refer back to it."""
+        dim_of = self.complex.dim_of
+        return lambda cells, witnesses: XPath(dim_of(cells[0]), cells, witnesses)
 
     # The matching never changes after construction, so each lookup table
     # is built once, on first use.
@@ -142,6 +147,10 @@ class VectorField:
         dim_of = self.complex.dim_of
         cycle = _find_cycle(sorted(self._steps, key=lambda c: (dim_of(c), c)), self._steps)
         return None if cycle is None else self._path(*cycle)
+
+    @cached_property
+    def _graph(self):
+        return dynamics._build_graph(self)
 
 
 def validate_vector_field(V: VectorField) -> list[str]:
@@ -216,11 +225,12 @@ def _check_path_query(V: VectorField, source: str, target: str) -> int:
     return d_target
 
 
-def _x_walks(V: VectorField, p: int, source: str, target: str):
-    """x_paths without the query checks; the field must be acyclic."""
-    for start in _start_cells(V, source):
-        for cells, witnesses in _maximal_walks(start, V._steps):
-            if cells[-1] == target:
+def _x_walks(V: VectorField, p: int, starts, ways):
+    """The X-paths from `starts` that `ways`, a _count_walks table, counts,
+    in x_paths order; no walk that misses the target is listed."""
+    for start in starts:
+        if ways[start]:
+            for cells, witnesses in _maximal_walks(start, V._steps, ways):
                 yield XPath(p, cells, witnesses)
 
 
@@ -228,14 +238,17 @@ def x_paths(V: VectorField, source: str, target: str):
     """All X-paths starting at a cell incident to the critical cell
     `source` and ending at the critical cell `target`, lazily, in
     deterministic order.  Trivial one-cell paths count."""
-    return _x_walks(V, _check_path_query(V, source, target), source, target)
+    p = _check_path_query(V, source, target)
+    starts = _start_cells(V, source)
+    return _x_walks(V, p, starts, _count_walks(V._steps, starts, target))
 
 
 def count_x_paths(V: VectorField, source: str, target: str) -> int:
     """Number of X-paths x_paths would yield, without enumerating them."""
     _check_path_query(V, source, target)
-    ways = _count_walks(V._steps, target)
-    return sum(ways(c) for c in _start_cells(V, source))
+    starts = _start_cells(V, source)
+    ways = _count_walks(V._steps, starts, target)
+    return sum(ways[c] for c in starts)
 
 
 # ---- topological graph and cancellation -----------------------------------
@@ -255,15 +268,16 @@ def cancel_dvf(V: VectorField, upper: str, lower: str) -> VectorField:
     the critical count drops by exactly two.
     """
     p = _check_path_query(V, upper, lower)
-    ways = _count_walks(V._steps, lower)
-    total = sum(ways(cell) for _key, cell in V._exits(upper))
+    starts = _start_cells(V, upper)
+    ways = _count_walks(V._steps, starts, lower)
+    total = sum(ways[cell] for _key, cell in V._exits(upper))
     if total == 0:
         raise CancellationError(f"no X-path from {upper} to {lower}")
     if total > 1:
         raise CancellationError(
             f"cancellation needs a unique X-path from {upper} to {lower}; found {total}"
         )
-    path = next(_x_walks(V, p, upper, lower))
+    path = next(_x_walks(V, p, starts, ways))
     removed = {(path.cells[i], path.witnesses[i][0]) for i in range(len(path.witnesses))}
     added = {(path.cells[i + 1], path.witnesses[i][0]) for i in range(len(path.witnesses))}
     matching = (V.matching - removed) | added | {(path.cells[0], upper)}

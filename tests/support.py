@@ -567,12 +567,11 @@ def tree_cotree(S, tree, first_critical=None):
     return frozenset(pairs) if len(seen) == len(S.faces) else None
 
 
-def serpentine_torus(rows, cols):
-    """A tree-cotree vector field on grid_torus(rows, cols) whose vertex
-    tree is a snake through every vertex, left to right on even rows and
-    back on odd ones.  An edge at the snake's head stays critical, so the
-    gradient path from it visits every vertex.  Returns (field, that edge).
-    """
+def snake(rows, cols):
+    """grid_torus(rows, cols) and a snake through every vertex, left to
+    right on even rows and back on odd ones: (complex, tree, head), where
+    the tree maps each vertex but the last to its edge towards the next
+    and `head` is the first vertex."""
     S = grid_torus(rows, cols)
     right, left, down = {}, {}, {}
     for e, (tail, head) in S.edges.items():
@@ -593,6 +592,24 @@ def serpentine_torus(rows, cols):
                 break
             tree[v] = e
             v = nxt
+    return S, tree, head
+
+
+def serpentine_line_field(rows, cols):
+    """The snake of `snake(rows, cols)` as a line field: one gradient chain
+    through every vertex, so the separatrix paths total about
+    faces x vertices / 2 cells."""
+    S, tree, _head = snake(rows, cols)
+    return LineField(S, frozenset(tree.items()))
+
+
+def serpentine_torus(rows, cols):
+    """A tree-cotree vector field on grid_torus(rows, cols) whose vertex
+    tree is the snake of `snake(rows, cols)`.  An edge at the snake's head
+    stays critical, so the gradient path from it visits every vertex.
+    Returns (field, that edge).
+    """
+    S, tree, head = snake(rows, cols)
     for e in sorted(S.edges):
         if head in S.edges[e] and e not in tree.values():
             pairs = tree_cotree(S, tree, first_critical=e)

@@ -211,6 +211,17 @@ def test_ms_graph_cyclic_field_exit_2(tmp_path, capsys):
     assert "closed path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stem", ["cyclic_line", "cyclic_vector"])
+def test_ms_graph_json_refuses_cyclic_field_before_opening_output(stem, tmp_path, capsys):
+    # The JSON report is streamed into the -o file, so the refusal must
+    # come before the file is opened.
+    out = tmp_path / "report.json"
+    argv = ["ms-graph", str(GOLD / "fields" / f"{stem}.txt"), "--format", "json", "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stem,argv,message,witness", [
     ("cyclic_line", ["ms-graph"], "line field has a closed path through v00",
      "v00 -h00-> v01 -h01-> v00"),

@@ -13,11 +13,14 @@ from linefields import (
     closed_l_path,
     corridors_from,
     critical_cells,
+    graph_dot,
     l_paths,
     ms_decomposition,
+    report_json,
     topological_graph,
     validate_line_field,
 )
+from linefields import dynamics
 
 
 def two_pair_tetra():
@@ -112,6 +115,41 @@ def test_graph_drops_chains_touching_the_walk():
     assert [s for s in graph.edges if s.source == "f123"] == [
         Separatrix("f123", "v3", 2, LPath(("v3",), ()))
     ]
+
+
+def test_graph_is_built_once_and_holds_no_paths(monkeypatch):
+    """On the snake field of a 24x24 torus, one chain through all 576
+    vertices: DOT walks no separatrix path, and ms_decomposition and the
+    JSON report share one graph, whose paths the report walks once each."""
+    built, graphs = [], []
+
+    def make_path(cells, steps):
+        built.append(cells)
+        return LPath(cells, steps)
+
+    build_graph = dynamics._build_graph
+
+    def counting_build(field):
+        graphs.append(field)
+        return build_graph(field)
+
+    monkeypatch.setattr(LineField, "_path", staticmethod(make_path))
+    monkeypatch.setattr(dynamics, "_build_graph", counting_build)
+    L = support.serpentine_line_field(24, 24)
+    graph_dot(L)
+    assert built == [] and len(graphs) == 1
+    graphs.clear()
+    L = support.serpentine_line_field(24, 24)
+    report = ms_decomposition(L)
+    report_json(L)
+    assert len(graphs) == 1 and L.graph() is report.graph
+    assert len(built) == len(report.graph.edges)
+    assert max(map(len, built)) == len(L.complex.vertices)
+    graphs.clear()
+    V, _head = support.serpentine_torus(6, 6)
+    topological_graph(V)
+    report_json(V)
+    assert len(graphs) == 1
 
 
 # ---- corridors -----------------------------------------------------------

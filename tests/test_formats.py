@@ -8,6 +8,7 @@ import pytest
 import support
 
 from linefields import (
+    CyclicFieldError,
     LineField,
     ParseError,
     VectorField,
@@ -18,6 +19,7 @@ from linefields import (
     emit_line_field,
     emit_vector_field,
     graph_dot,
+    occ_text,
     parse_complex,
     parse_document,
     parse_graph_json,
@@ -344,6 +346,78 @@ def test_json_escapes_ids_in_keys_and_items():
         assert line in lines, line
     faces = json.loads(text)["complex"]["faces"]
     assert list(faces) == ['F"', "Gé\U0001F600\\"]
+
+
+def reference_report(field) -> dict:
+    """The report's payload as a dict tree, for json.dumps to encode."""
+    S, crit = field.complex, field.doubled_critical()
+    corridors, closed = field.corridors()
+
+    def crossings(c):
+        return [{"edge": x.edge, "depart": list(x.depart), "arrive": list(x.arrive)} for x in c.crossings]
+
+    return {
+        "complex": {
+            "name": S.name,
+            "vertices": sorted(S.vertices),
+            "edges": {e: list(S.edges[e]) for e in sorted(S.edges)},
+            "faces": {f: [occ_text(o) for o in S.faces[f]] for f in sorted(S.faces)},
+        },
+        "matching": [list(p) for p in sorted(field.matching)],
+        "critical": [
+            {"cell": c, "dim": S.dim_of(c), "doubled_index": crit[c]} for c in sorted(crit)
+        ],
+        "separatrices": [
+            {"source": s.source, "target": s.target, "occurrence": s.occurrence, **s.path.json()}
+            for s in topological_graph(field).edges
+        ],
+        "corridors": [
+            {"start": c.start, "end": c.end, "interior": list(c.interior), "crossings": crossings(c)}
+            for c in corridors
+        ],
+        "closed_corridors": [{"faces": list(c.faces), "crossings": crossings(c)} for c in closed],
+    }
+
+
+def report_fields():
+    """Random-corpus fields of both kinds, forest and tree-cotree fields on
+    6x6 grids, the golden fields and the escaped-id field."""
+    rng = random.Random(1401)
+    fields = [parse_line_field(ESCAPED_IDS)]
+    for S in support.random_corpus(1402, 30):
+        fields.append(LineField(S, support.sample_matching(support.line_field_pairs(S), rng)))
+        fields.append(
+            VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
+        )
+    for S in (support.grid_torus(6, 6), support.grid_klein(6, 6)):
+        forest = support.forest_field(S, rng, 1.0)
+        fields.append(forest)
+        pairs = support.tree_cotree(S, dict(forest.matching))
+        if pairs is not None:
+            fields.append(VectorField(S, pairs))
+    fields += [LineField(S) for _stem, S in golden_pairs()]
+    for path in sorted((GOLD / "fields").glob("*.txt")):
+        doc = parse_document(path.read_text())
+        fields.append(
+            VectorField(doc.complex, doc.vmatch) if doc.vmatch else LineField(doc.complex, doc.match)
+        )
+    return fields
+
+
+def test_streamed_report_equals_json_dumps():
+    reported = {LineField: 0, VectorField: 0}
+    refused = 0
+    for field in report_fields():
+        if field.problems():
+            continue
+        if field.closed_path() is not None:
+            with pytest.raises(CyclicFieldError):
+                report_json(field)
+            refused += 1
+            continue
+        assert report_json(field) == json.dumps(reference_report(field), indent=2) + "\n"
+        reported[type(field)] += 1
+    assert min(reported.values()) >= 15 and refused >= 5
 
 
 def test_emit_parse_fuzz_matchings():

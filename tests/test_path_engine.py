@@ -114,6 +114,41 @@ def test_one_cycle_search_per_field(monkeypatch):
     assert calls == ["linefields.linefield"]
 
 
+# ---- path queries list no dead walks --------------------------------------
+
+
+def test_path_queries_list_no_dead_walks(monkeypatch):
+    """On a tree-cotree field most walks from a critical face end on a tree
+    edge; x_paths lists only walks that reach the target, and its first
+    path costs one walk."""
+    S = support.grid_torus(8, 8)
+    forest = support.forest_field(S, random.Random(7), 1.0)
+    V = VectorField(S, support.tree_cotree(S, dict(forest.matching)))
+    crit = critical_cells_dvf(V)
+    (face,) = [c for c in crit if c in S.faces]
+    edges = sorted(c for c in crit if c in S.edges)
+    walks = []
+    engine = vectorfield._maximal_walks
+
+    def counting(start, steps, ways):
+        for walk in engine(start, steps, ways):
+            walks.append(walk)
+            yield walk
+
+    monkeypatch.setattr(vectorfield, "_maximal_walks", counting)
+    starts = list(dict.fromkeys(e for _s, e in S.faces[face]))
+    walks_from = dynamics._fold_walks(V._steps, starts, {}, 1, sum)
+    every_walk = sum(walks_from[start] for start in starts)
+    for edge in edges:
+        walks.clear()
+        found = list(x_paths(V, face, edge))
+        assert found and len(walks) == len(found) == count_x_paths(V, face, edge)
+        assert every_walk > 4 * len(found)
+        walks.clear()
+        next(x_paths(V, face, edge))
+        assert len(walks) == 1
+
+
 # ---- the recursive traversals the engine replaced (test-only copies) ------
 
 
