@@ -350,6 +350,26 @@ def pinched_spheres():
     )
 
 
+def suffixed(S, suffix):
+    """S with `suffix` appended to every cell id."""
+    return SurfaceComplex(
+        vertices=frozenset(v + suffix for v in S.vertices),
+        edges={e + suffix: (t + suffix, h + suffix) for e, (t, h) in S.edges.items()},
+        faces={
+            f + suffix: tuple((s, e + suffix) for s, e in walk)
+            for f, walk in S.faces.items()
+        },
+    )
+
+
+def disjoint_union(A, B):
+    return SurfaceComplex(
+        vertices=A.vertices | B.vertices,
+        edges={**A.edges, **B.edges},
+        faces={**A.faces, **B.faces},
+    )
+
+
 def all_seed_builders():
     return [
         tetra,

@@ -26,7 +26,6 @@ from linefields import (
     split_face,
     validate_line_field,
 )
-from linefields.radial import _bipartition, _factor
 
 
 def small_builders():
@@ -344,8 +343,10 @@ def test_image_ignores_dualization():
 #
 # The reference applies one split_face or delete_edge_merge_faces per pair,
 # building a complex after every move, and recomputes the taken names from
-# the live cells each time.  The library's bridge must emit the same text
-# and refuse with the same exception and message.
+# the live cells each time; it then checks radiality with validate(), a
+# two-colouring and the link cycles, and builds each factor in its own
+# pass.  The library's bridge must emit the same text and refuse with the
+# same exception and message.
 
 
 def reference_dvf_to_dlf(V):
@@ -386,13 +387,73 @@ def reference_dlf_to_dvf(L):
         qid = fresh_id(f"m_{d}", taken)
         T = delete_edge_merge_faces(T, d, qid)
         merged_quad[d] = qid
-    if not is_radial(T):
+    if not reference_is_radial(T):
         raise NotInImageError("unmatched edges do not form a radial refinement")
-    first, second = _bipartition(T)
+    first, second = reference_bipartition(T)
     return (
-        _factor(T, first, second, L.matching, merged_quad, f"{T.name}_a"),
-        _factor(T, second, first, L.matching, merged_quad, f"{T.name}_b"),
+        reference_factor(T, first, second, L.matching, merged_quad, f"{T.name}_a"),
+        reference_factor(T, second, first, L.matching, merged_quad, f"{T.name}_b"),
     )
+
+
+def reference_bipartition(S):
+    """Two-colour the 1-skeleton; None when an odd cycle obstructs.  The
+    class holding the least vertex comes first."""
+    adj = {v: [] for v in S.vertices}
+    for tail, head in S.edges.values():
+        adj[tail].append(head)
+        adj[head].append(tail)
+    color = {}
+    for start in sorted(S.vertices):
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for x in adj[u]:
+                if x not in color:
+                    color[x] = 1 - color[u]
+                    stack.append(x)
+                elif color[x] == color[u]:
+                    return None
+    first = frozenset(v for v, c in color.items() if c == 0)
+    return first, frozenset(S.vertices - first)
+
+
+def reference_is_radial(S):
+    """A closed surface of bipartite quadrilaterals with one link cycle at
+    every vertex."""
+    if S.validate():
+        return False
+    if any(len(walk) != 4 for walk in S.faces.values()):
+        return False
+    if reference_bipartition(S) is None:
+        return False
+    return all(len(cycles) == 1 for cycles in S.vertex_link_cycles().values())
+
+
+def reference_factor(R, kept, opposite, matching, merged_quad, name):
+    """Collapse a radial refinement onto the complex of one vertex class:
+    quadrilaterals become edges between their kept corners, and each
+    opposite-class vertex a face following its link cycle."""
+    tail_corner = {}
+    edges = {}
+    for z in sorted(R.faces):
+        k = 0 if R.corner_vertex(z, 0) in kept else 1
+        tail_corner[z] = k
+        edges[z] = (R.corner_vertex(z, k), R.corner_vertex(z, (k + 2) % 4))
+    link = R.vertex_link_cycles()
+    faces = {}
+    for u in sorted(opposite):
+        (cycle,) = link[u]
+        walk = []
+        for z, pos, side in cycle:
+            source = (pos - 1) % 4 if side == "in" else (pos + 1) % 4
+            walk.append((1 if source == tail_corner[z] else -1, z))
+        faces[u] = tuple(walk)
+    S = SurfaceComplex(frozenset(kept), edges, faces, name=name)
+    return VectorField(S, frozenset((v, merged_quad[d]) for v, d in matching))
 
 
 def outcome(bridge, field):
@@ -421,6 +482,30 @@ def differential_corpus():
     return [b() for b in support.all_seed_builders()] + support.random_corpus(
         821, 40, max_moves=4
     )
+
+
+def test_is_radial_matches_reference():
+    rng = random.Random(824)
+    cases = [SurfaceComplex(frozenset(), {}, {})]
+    for S in differential_corpus():
+        R = radial_decomposition(S).complex
+        image = dvf_to_dlf(
+            VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
+        ).complex
+        cases += [S, R, image]
+        diagonals = sorted(e for e in image.edges if e.startswith("d_"))
+        if diagonals:
+            cases.append(delete_edge_merge_faces(image, diagonals[0], "merged"))
+    R = radial_decomposition(support.tetra()).complex
+    cases.append(support.disjoint_union(R, support.suffixed(R, "_z")))
+    cases.append(SurfaceComplex(R.vertices | {"lone"}, R.edges, R.faces))
+    cases.append(radial_decomposition(support.pinched_spheres()).complex)
+    verdicts = Counter()
+    for T in cases:
+        verdict = is_radial(T)
+        assert verdict == reference_is_radial(T), T.name
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_edge_slots_agree_with_edge_occurrences():

@@ -1,11 +1,12 @@
 """Construction, validation, duality, and walk surgery on surface complexes."""
 
 import random
+import re
 
 import pytest
 
 import support
-from support import corners, hasse_diagram, subdivide_edge, w
+from support import corners, disjoint_union, hasse_diagram, subdivide_edge, suffixed, w
 from linefields.errors import DegenerateOperationError, InvalidComplexError
 from linefields.radial import radial_decomposition
 from linefields.surface import (
@@ -18,48 +19,57 @@ from linefields.surface import (
 )
 
 
-def renamed(S, suffix):
-    return SurfaceComplex(
-        vertices=frozenset(v + suffix for v in S.vertices),
-        edges={e + suffix: (t + suffix, h + suffix) for e, (t, h) in S.edges.items()},
-        faces={
-            f + suffix: tuple((s, e + suffix) for s, e in walk)
-            for f, walk in S.faces.items()
-        },
-    )
-
-
-def disjoint_union(A, B):
-    return SurfaceComplex(
-        vertices=A.vertices | B.vertices,
-        edges={**A.edges, **B.edges},
-        faces={**A.faces, **B.faces},
-    )
-
-
 # ---- construction --------------------------------------------------------
 
 
 def test_unknown_vertex_rejected():
-    with pytest.raises(InvalidComplexError):
+    with pytest.raises(InvalidComplexError, match="^edge e references unknown vertex$"):
         SurfaceComplex(vertices=frozenset({"v"}), edges={"e": ("v", "x")}, faces={})
 
 
 def test_unknown_edge_rejected():
-    with pytest.raises(InvalidComplexError):
+    with pytest.raises(InvalidComplexError, match="^face F references unknown edge e$"):
         SurfaceComplex(vertices=frozenset({"v"}), edges={}, faces={"F": w("+e")})
 
 
 def test_bad_sign_rejected():
-    with pytest.raises(InvalidComplexError):
+    with pytest.raises(InvalidComplexError, match="^face F has occurrence with sign 2$"):
         SurfaceComplex(
             vertices=frozenset({"v"}), edges={"e": ("v", "v")}, faces={"F": ((2, "e"),)}
         )
 
 
 def test_identifier_collision_rejected():
-    with pytest.raises(InvalidComplexError):
+    with pytest.raises(InvalidComplexError, match="^identifier 'x' used for more than one cell$"):
         SurfaceComplex(vertices=frozenset({"x"}), edges={"x": ("x", "x")}, faces={})
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, faces, message",
+    [
+        # an edge and a face share an id
+        ({"v"}, {"x": ("v", "v")}, {"x": w("+x")}, "identifier 'x' used for more than one cell"),
+        # a vertex and a face share an id
+        ({"x"}, {"e": ("x", "x")}, {"x": w("+e")}, "identifier 'x' used for more than one cell"),
+        # an unknown edge with a bad sign: the edge is reported
+        ({"v"}, {"e": ("v", "v")}, {"F": ((1, "e"), (2, "z"))}, "face F references unknown edge z"),
+    ],
+)
+def test_constructor_refusal_messages(vertices, edges, faces, message):
+    with pytest.raises(InvalidComplexError, match=f"^{re.escape(message)}$"):
+        SurfaceComplex(vertices=frozenset(vertices), edges=edges, faces=faces)
+
+
+def test_list_cells_stored_as_tuples():
+    S = SurfaceComplex(
+        vertices=frozenset({"v"}),
+        edges={"a": ["v", "v"], "b": ["v", "v"]},
+        faces={"F": [[-1, "a"], [-1, "b"], [1, "a"], [1, "b"]]},
+    )
+    assert S.edges == {"a": ("v", "v"), "b": ("v", "v")}
+    assert S.faces["F"] == w("+a +b -a -b")
+    assert type(S.faces["F"]) is tuple
+    assert {type(x) for x in (*S.edges.values(), *S.faces["F"])} == {tuple}
 
 
 def test_walks_canonically_rotated():
@@ -140,7 +150,7 @@ def test_validate_reports_broken_chain():
 
 
 def test_validate_reports_disconnection():
-    S = disjoint_union(support.torus_one(), renamed(support.proj_plane(), "_p"))
+    S = disjoint_union(support.torus_one(), suffixed(support.proj_plane(), "_p"))
     msgs = S.validate()
     assert any("disconnected" in m for m in msgs)
 
@@ -176,7 +186,7 @@ def test_validate_agrees_with_independent_check():
                 faces={**S.faces, fl: tuple(flipped)},
             )
         )
-        variants.append(disjoint_union(S, renamed(support.slit_sphere(), "_z")))
+        variants.append(disjoint_union(S, suffixed(support.slit_sphere(), "_z")))
         for T in variants:
             assert (T.validate() == []) == support.is_closed_surface(T), T.faces
 
