@@ -56,7 +56,8 @@ class LineField:
         return self.complex.validate() + validate_line_field(self)
 
     def doubled_critical(self) -> dict[str, int]:
-        return critical_cells(self)
+        """critical_cells, computed once per field; callers only read it."""
+        return self._critical
 
     def closed_path(self) -> LPath | None:
         return dynamics.closed_l_path(self)
@@ -108,6 +109,10 @@ class LineField:
             f: tuple(i for i, (_s, e) in enumerate(walk) if e not in matched)
             for f, walk in self.complex.faces.items()
         }
+
+    @cached_property
+    def _critical(self) -> dict[str, int]:
+        return critical_cells(self)
 
     @cached_property
     def _closed(self) -> LPath | None:

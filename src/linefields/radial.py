@@ -79,32 +79,51 @@ def radial_decomposition(S: SurfaceComplex) -> RadialComplex:
     )
 
 
-def _bipartition(S: SurfaceComplex):
-    """Two-color the 1-skeleton; None when an odd cycle obstructs.
+def _radial_classes(S: SurfaceComplex):
+    """The two vertex classes of S when S is a radial refinement, else None.
 
-    The class holding the lexicographically least vertex comes first, so
-    the primal/dual labeling below is deterministic.
+    S must be a closed surface of quadrilaterals whose 1-skeleton is
+    connected and two-coloured, with one link cycle at every vertex, so
+    that pinched points are refused.  Every walk has four occurrences, so
+    the incidence structure is connected exactly when the 1-skeleton is;
+    an isolated vertex is a component of its own.  The class holding the
+    least vertex comes first, so the primal/dual labeling is deterministic.
     """
+    edges = S.edges
+    for walk in S.faces.values():
+        if len(walk) != 4:
+            return None
+        (a0, a1), (b0, b1), (c0, c1), (d0, d1) = (
+            edges[e] if s > 0 else edges[e][::-1] for s, e in walk
+        )
+        if a1 != b0 or b1 != c0 or c1 != d0 or d1 != a0:
+            return None
+    if any(len(occs) != 2 for occs in S.occurrence_index.values()):
+        return None
+    if not S.vertices:
+        return frozenset(), frozenset()
     adj: dict[str, list[str]] = {v: [] for v in S.vertices}
-    for tail, head in S.edges.values():
+    for tail, head in edges.values():
         adj[tail].append(head)
         adj[head].append(tail)
-    color: dict[str, int] = {}
-    for start in sorted(S.vertices):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for x in adj[u]:
-                if x not in color:
-                    color[x] = 1 - color[u]
-                    stack.append(x)
-                elif color[x] == color[u]:
-                    return None
+    start = min(S.vertices)
+    color = {start: 0}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        c = 1 - color[u]
+        for x in adj[u]:
+            if x not in color:
+                color[x] = c
+                stack.append(x)
+            elif color[x] != c:
+                return None
+    if len(color) != len(S.vertices):
+        return None
+    if any(len(cycles) != 1 for cycles in S.vertex_link_cycles().values()):
+        return None
     first = frozenset(v for v, c in color.items() if c == 0)
-    return first, frozenset(S.vertices - first)
+    return first, S.vertices - first
 
 
 def is_radial(S: SurfaceComplex) -> bool:
@@ -113,13 +132,7 @@ def is_radial(S: SurfaceComplex) -> bool:
     Checks the bipartite quadrilateral characterization, plus a single
     link cycle at every vertex so that pinched points are refused.
     """
-    if S.validate():
-        return False
-    if any(len(walk) != 4 for walk in S.faces.values()):
-        return False
-    if _bipartition(S) is None:
-        return False
-    return all(len(cycles) == 1 for cycles in S.vertex_link_cycles().values())
+    return _radial_classes(S) is not None
 
 
 def dvf_to_dlf(V: VectorField) -> LineField:
@@ -203,40 +216,48 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
         merged_into[f1] = merged_into[f2] = qid
         merged_quad[d] = qid
     T = SurfaceComplex(T.vertices, edges, faces, name=T.name)
-    if not is_radial(T):
+    classes = _radial_classes(T)
+    if classes is None:
         raise NotInImageError("unmatched edges do not form a radial refinement")
-    first, second = _bipartition(T)
-    return (
-        _factor(T, first, second, L.matching, merged_quad, f"{T.name}_a"),
-        _factor(T, second, first, L.matching, merged_quad, f"{T.name}_b"),
-    )
+    return _factors(T, *classes, L.matching, merged_quad)
 
 
-def _factor(R, kept, opposite, matching, merged_quad, name):
-    """Collapse a radial refinement onto the complex of one vertex class.
+def _factors(R, first, second, matching, merged_quad):
+    """Collapse a radial refinement onto the complexes of its two vertex
+    classes, first then second.
 
-    Quadrilaterals become edges between their two kept corners; each
-    opposite-class vertex becomes a face whose walk follows the link
-    cycle, oriented +1 exactly when the crossing starts at the corner
-    chosen as the edge's tail.
+    Each quadrilateral becomes an edge of both: between its two first-class
+    corners, tail at corner k (0 or 1, as corners alternate), and between
+    its second-class corners, tail at corner 1 - k.  Each vertex becomes a
+    face of the other class's complex whose walk follows its link cycle,
+    oriented +1 exactly when the crossing starts at the edge's tail.
     """
-    tail_corner: dict[str, int] = {}
-    edges: dict[str, tuple[str, str]] = {}
+    tail_first: dict[str, int] = {}
+    edges_first: dict[str, tuple[str, str]] = {}
+    edges_second: dict[str, tuple[str, str]] = {}
+    ends = R.edges
     for z in sorted(R.faces):
-        # corners alternate between the two classes, so a kept corner is 0 or 1
-        k = 0 if R.corner_vertex(z, 0) in kept else 1
-        tail_corner[z] = k
-        edges[z] = (R.corner_vertex(z, k), R.corner_vertex(z, (k + 2) % 4))
+        c = [ends[e][0] if s > 0 else ends[e][1] for s, e in R.faces[z]]
+        k = 0 if c[0] in first else 1
+        tail_first[z] = k
+        edges_first[z] = (c[k], c[k + 2])
+        edges_second[z] = (c[1 - k], c[3 - k])
 
     link = R.vertex_link_cycles()
-    faces: dict[str, tuple] = {}
-    for u in sorted(opposite):
+    faces_first: dict[str, tuple] = {}
+    faces_second: dict[str, tuple] = {}
+    for u in sorted(R.vertices):
         (cycle,) = link[u]
+        # u is a face of the other class's complex.
+        flip, faces = (1, faces_second) if u in first else (0, faces_first)
         walk = []
         for z, pos, side in cycle:
             source = (pos - 1) % 4 if side == "in" else (pos + 1) % 4
-            walk.append((1 if source == tail_corner[z] else -1, z))
+            walk.append((1 if source == tail_first[z] ^ flip else -1, z))
         faces[u] = tuple(walk)
 
-    S = SurfaceComplex(frozenset(kept), edges, faces, name=name)
-    return VectorField(S, frozenset((v, merged_quad[d]) for v, d in matching))
+    pairs = frozenset((v, merged_quad[d]) for v, d in matching)
+    return (
+        VectorField(SurfaceComplex(first, edges_first, faces_first, name=f"{R.name}_a"), pairs),
+        VectorField(SurfaceComplex(second, edges_second, faces_second, name=f"{R.name}_b"), pairs),
+    )

@@ -41,10 +41,16 @@ def _canonical_rotation(walk: tuple[Occurrence, ...]) -> tuple[Occurrence, ...]:
 def _least_rotation(keys: list[str]) -> int:
     """Start of a lexicographically least rotation of `keys`, in O(len(keys)).
 
+    When the least key occurs once, the rotation starts there.  Otherwise
     K. S. Booth, Lexicographically least circular substrings, IPL 10 (1980):
     a failure function over the doubled sequence, as in Knuth-Morris-Pratt,
     moves the candidate start k forward whenever a smaller key shows up.
     """
+    if not keys:
+        return 0
+    least = min(keys)
+    if keys.count(least) == 1:
+        return keys.index(least)
     doubled = keys + keys
     fail = [-1] * len(doubled)
     k = 0
@@ -84,28 +90,40 @@ class SurfaceComplex:
     name: str = field(default="surface", compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        seen: set[str] = set()
-        for cell in list(self.vertices) + list(self.edges) + list(self.faces):
-            if cell in seen:
-                raise InvalidComplexError(f"identifier {cell!r} used for more than one cell")
-            seen.add(cell)
+        vertices = frozenset(self.vertices)
+        object.__setattr__(self, "vertices", vertices)
+        if len(vertices.union(self.edges, self.faces)) != (
+            len(vertices) + len(self.edges) + len(self.faces)
+        ):
+            seen: set[str] = set()
+            for cell in [*vertices, *self.edges, *self.faces]:
+                if cell in seen:
+                    raise InvalidComplexError(
+                        f"identifier {cell!r} used for more than one cell"
+                    )
+                seen.add(cell)
         edges = {}
         for e, (tail, head) in self.edges.items():
-            if tail not in self.vertices or head not in self.vertices:
+            if tail not in vertices or head not in vertices:
                 raise InvalidComplexError(f"edge {e} references unknown vertex")
             edges[e] = (tail, head)
         faces = {}
         for f, walk in self.faces.items():
+            # One pass checks each occurrence and builds its rotation key.
             w = []
-            for occ in walk:
-                sign, e = occ
+            keys = []
+            for sign, e in walk:
                 if e not in edges:
                     raise InvalidComplexError(f"face {f} references unknown edge {e}")
-                if sign not in (1, -1):
+                if sign == 1:
+                    keys.append("+" + e)
+                elif sign == -1:
+                    keys.append("-" + e)
+                else:
                     raise InvalidComplexError(f"face {f} has occurrence with sign {sign}")
                 w.append((sign, e))
-            faces[f] = _canonical_rotation(tuple(w))
+            k = _least_rotation(keys)
+            faces[f] = tuple(w[k:] + w[:k])
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "faces", faces)
 
@@ -247,34 +265,42 @@ class SurfaceComplex:
     def _link_cycles(self) -> dict[str, tuple[tuple[Slot, ...], ...]]:
         # An occurrence leaves the corner at its source through an "out"
         # slot and enters the next corner through an "in" slot; the two
-        # occurrences of an edge put each of its ends in two slots.
-        partner: dict[Slot, Slot] = {}
-        starts: list[tuple[str, Slot]] = []
+        # occurrences of an edge put each of its ends in two slots, which
+        # partner each other.  step maps a slot to partner(flip(slot)).
+        faces = self.faces
+        step: dict[Slot, Slot] = {}
+        # Per edge end: its vertex and its two slots, least first.  A cycle
+        # from the least slot passes both, so the other never starts one.
+        starts: list[tuple[str, Slot, Slot]] = []
         for e in sorted(self.edges):
             occs = self.occurrence_index[e]
             if len(occs) != 2:
                 raise InvalidComplexError(
                     f"vertex links need every edge twice: edge {e} occurs {len(occs)} time(s)"
                 )
-            by_end = []
+            ends = []
             for f, p in occs:
-                leave, enter = (f, p, "out"), (f, (p + 1) % len(self.faces[f]), "in")
-                by_end.append((leave, enter) if self.faces[f][p][0] > 0 else (enter, leave))
-            for vertex, (a, b) in zip(self.edges[e], zip(*by_end)):
-                partner[a], partner[b] = b, a
-                starts += [(vertex, min(a, b)), (vertex, max(a, b))]
+                q = (p + 1) % len(faces[f])
+                # (tail slot, head slot, and the other slot of each corner)
+                if faces[f][p][0] > 0:
+                    ends.append(((f, p, "out"), (f, q, "in"), (f, p, "in"), (f, q, "out")))
+                else:
+                    ends.append(((f, q, "in"), (f, p, "out"), (f, q, "out"), (f, p, "in")))
+            (a0, a1, fa0, fa1), (b0, b1, fb0, fb1) = ends
+            step[fa0], step[fb0], step[fa1], step[fb1] = b0, a0, b1, a1
+            tail, head = self.edges[e]
+            starts.append((tail, a0, b0) if a0 < b0 else (tail, b0, a0))
+            starts.append((head, a1, b1) if a1 < b1 else (head, b1, a1))
         cycles: dict[str, list[tuple[Slot, ...]]] = {v: [] for v in self.vertices}
         seen: set[Slot] = set()
-        for vertex, first in starts:
-            if first in seen:
+        for vertex, first, other in starts:
+            if first in seen or other in seen:
                 continue
             cycle = []
             slot = first
             while True:
-                f, i, side = slot
-                arrive = (f, i, "out" if side == "in" else "in")
-                slot = partner[arrive]
-                seen.update((arrive, slot))
+                slot = step[slot]
+                seen.add(slot)
                 cycle.append(slot)
                 if slot == first:
                     break

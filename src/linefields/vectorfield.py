@@ -56,13 +56,11 @@ class VectorField:
     matching: frozenset[tuple[str, str]] = frozenset()
 
     def __post_init__(self):
+        # Cell ids are unique across kinds, so membership gives dimensions.
+        S = self.complex
         pairs = []
         for a, b in self.matching:
-            if (
-                self.complex.has_cell(a)
-                and self.complex.has_cell(b)
-                and self.complex.dim_of(a) == self.complex.dim_of(b) + 1
-            ):
+            if a in S.edges and b in S.vertices or a in S.faces and b in S.edges:
                 a, b = b, a
             pairs.append((a, b))
         object.__setattr__(self, "matching", frozenset(pairs))
@@ -82,8 +80,9 @@ class VectorField:
         return self.complex.validate() + validate_vector_field(self)
 
     def doubled_critical(self) -> dict[str, int]:
-        """Critical cells with twice their index, as line fields keep it."""
-        return {c: 2 * i for c, i in critical_cells_dvf(self).items()}
+        """Critical cells with twice their index, as line fields keep it;
+        computed once per field, and callers only read it."""
+        return self._critical
 
     def closed_path(self) -> XPath | None:
         return closed_x_path(self)
@@ -139,6 +138,10 @@ class VectorField:
             lo: tuple(((up, key), c) for key, c in self._exits(up) if c != lo)
             for lo, up in self.matching
         }
+
+    @cached_property
+    def _critical(self) -> dict[str, int]:
+        return {c: 2 * i for c, i in critical_cells_dvf(self).items()}
 
     @cached_property
     def _closed(self) -> XPath | None:

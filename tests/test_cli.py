@@ -211,6 +211,25 @@ def test_ms_graph_cyclic_field_exit_2(tmp_path, capsys):
     assert "closed path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stem", ["forest_torus", "tree_cotree_torus"])
+def test_ms_graph_computes_critical_cells_once(stem, monkeypatch, capsys):
+    # The graph and the DOT or JSON writer read one critical set per field.
+    from linefields import linefield, vectorfield
+
+    calls = []
+    for module, name in ((linefield, "critical_cells"), (vectorfield, "critical_cells_dvf")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda field, f=original: calls.append(field) or f(field)
+        )
+    path = str(GOLD / "fields" / f"{stem}.txt")
+    for fmt in ("dot", "json"):
+        calls.clear()
+        assert main(["ms-graph", path, "--format", fmt]) == 0
+        assert capsys.readouterr().out == (GOLD / "fields" / f"{stem}.ms-graph.{fmt}.out").read_text()
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("stem", ["cyclic_line", "cyclic_vector"])
 def test_ms_graph_json_refuses_cyclic_field_before_opening_output(stem, tmp_path, capsys):
     # The JSON report is streamed into the -o file, so the refusal must

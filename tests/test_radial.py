@@ -256,6 +256,31 @@ def test_image_builds_one_complex(monkeypatch):
     assert len(calls) == 1
 
 
+def test_factoring_builds_three_complexes_without_validate(monkeypatch):
+    """dlf_to_dvf constructs the complex left after deleting the diagonals
+    and the two factors, and checks radiality without validate()."""
+    L = dvf_to_dlf(
+        VectorField(support.grid_torus(3, 3), frozenset({("v00", "h00"), ("v11", "h11")}))
+    )
+    built, checked = [], []
+
+    def recording(name):
+        original = getattr(SurfaceComplex, name)
+
+        def wrapper(self):
+            (built if name == "__post_init__" else checked).append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(SurfaceComplex, name, wrapper)
+
+    for name in ("__post_init__", "validate", "_incidence_components"):
+        recording(name)
+    dlf_to_dvf(L)
+    T = L.complex.name
+    assert built == [T, f"{T}_a", f"{T}_b"]
+    assert checked == []
+
+
 def prefixed_ids_sphere():
     """Three parallel edges whose ids, and the faces', look like radial ids
     and fresh_id suffixes of one another."""
