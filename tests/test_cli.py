@@ -226,7 +226,8 @@ def test_ms_graph_computes_critical_cells_once(stem, monkeypatch, capsys):
     for fmt in ("dot", "json"):
         calls.clear()
         assert main(["ms-graph", path, "--format", fmt]) == 0
-        assert capsys.readouterr().out == (GOLD / "fields" / f"{stem}.ms-graph.{fmt}.out").read_text()
+        golden = GOLD / "fields" / f"{stem}.ms-graph.{fmt}.out"
+        assert capsys.readouterr().out == golden.read_text()
         assert len(calls) == 1
 
 

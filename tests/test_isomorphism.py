@@ -17,17 +17,6 @@ from linefields.isomorphism import (
 from linefields.surface import SurfaceComplex, _canonical_rotation, reversed_walk
 
 
-def renamed(S, suffix):
-    return SurfaceComplex(
-        vertices=frozenset(v + suffix for v in S.vertices),
-        edges={e + suffix: (t + suffix, h + suffix) for e, (t, h) in S.edges.items()},
-        faces={
-            f + suffix: tuple((s, e + suffix) for s, e in walk)
-            for f, walk in S.faces.items()
-        },
-    )
-
-
 def test_identity_isomorphism():
     S = support.tetra()
     iso = complexes_isomorphic(S, S)
@@ -38,7 +27,7 @@ def test_identity_isomorphism():
 def test_renamed_complexes_isomorphic():
     for build in support.all_seed_builders():
         S = build()
-        iso = complexes_isomorphic(S, renamed(S, "_r"))
+        iso = complexes_isomorphic(S, support.suffixed(S, "_r"))
         assert iso is not None, S.name
 
 
@@ -62,7 +51,7 @@ def test_sphere_triangulations_with_different_shapes_not_isomorphic():
 
 def test_vertex_map_pinning():
     S = support.slit_sphere()
-    T = renamed(S, "_r")
+    T = support.suffixed(S, "_r")
     assert complexes_isomorphic(S, T, vertex_map={"u": "u_r", "w": "w_r"}) is not None
     assert complexes_isomorphic(S, T, vertex_map={"u": "w_r", "w": "u_r"}) is not None
     assert complexes_isomorphic(S, T, vertex_map={"u": "u_r", "w": "u_r"}) is None
@@ -103,7 +92,7 @@ def test_line_field_isomorphism_respects_matching():
 
 def test_matching_isomorphism_on_renamed_tetra():
     S = support.tetra()
-    T = renamed(S, "_r")
+    T = support.suffixed(S, "_r")
     rng = random.Random(9)
     for _ in range(10):
         M = support.sample_matching(support.line_field_pairs(S), rng)
@@ -203,7 +192,7 @@ def test_double_cover_of_a_pinched_part_not_isomorphic():
 
 def test_invalid_disconnected_or_pinched_input_rejected():
     S = support.tetra()
-    T = renamed(S, "_r")
+    T = support.suffixed(S, "_r")
     apart = SurfaceComplex(S.vertices | T.vertices, {**S.edges, **T.edges}, {**S.faces, **T.faces})
     for pair in ((apart, apart), (S, apart), (apart, S)):
         with pytest.raises(InvalidComplexError, match="disconnected"):

@@ -524,6 +524,16 @@ def test_is_radial_matches_reference():
     R = radial_decomposition(support.tetra()).complex
     cases.append(support.disjoint_union(R, support.suffixed(R, "_z")))
     cases.append(SurfaceComplex(R.vertices | {"lone"}, R.edges, R.faces))
+    # Each edge of the removed quadrilateral then occurs once.
+    cases.append(SurfaceComplex(R.vertices, R.edges, dict(sorted(R.faces.items())[1:])))
+    # Swapping one occurrence between two quadrilaterals breaks both walks,
+    # at two corners each, and keeps one link cycle per vertex.
+    for (f, i), (g, j) in ((("q_e12", 0), ("q_e13", 1)), (("q_e13", 3), ("q_e34", 0))):
+        walks = {f: list(R.faces[f]), g: list(R.faces[g])}
+        walks[f][i], walks[g][j] = walks[g][j], walks[f][i]
+        T = SurfaceComplex(R.vertices, R.edges, {**R.faces, f: walks[f], g: walks[g]})
+        assert all(len(cycles) == 1 for cycles in T.vertex_link_cycles().values())
+        cases.append(T)
     cases.append(radial_decomposition(support.pinched_spheres()).complex)
     verdicts = Counter()
     for T in cases:

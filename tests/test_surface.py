@@ -106,8 +106,12 @@ def test_least_rotation_matches_full_comparison():
         block = random_walk(rng, "ab", rng.randrange(1, 5))
         walks.append(block * rng.randrange(1, 4))
         walks.append(random_walk(rng, "abc", rng.randrange(13)))
+    loops = {e: ("v", "v") for e in "abc"}
     for walk in walks:
         assert _canonical_rotation(walk) == reference_rotation(walk)
+        # The constructor builds the rotation keys in its own pass.
+        S = SurfaceComplex(frozenset({"v"}), loops, {"F": walk})
+        assert S.faces["F"] == reference_rotation(walk)
 
 
 def test_occurrence_endpoints():
