@@ -9,11 +9,11 @@ touch a critical face close up into cycles and mark periodic behaviour.
 
 Both field kinds build their step table `{cell: ((label, next), ...)}`
 once, as `_steps`, and share one path engine: `_find_cycle` finds a
-closed-path witness, `_maximal_walks` lists walks depth first in step
-order, and `_fold_walks` folds a value over all walks from a cell in one
-memoised post-order pass, which counts walks (`_count_walks`) and finds
-where separatrices end; each keeps its own stack, so path length is
-bounded by memory, not by recursion depth.
+closed-path witness, `_fold_walks` folds a value over all walks from a
+cell in one memoised post-order pass, which counts walks (`_count_walks`)
+and finds where separatrices end, and `_nth_walk` builds every listed
+path as the walk of its rank in such a count; none recurses, so path
+length is bounded by memory, not by recursion depth.
 
 Each field builds its topological graph once and keeps it.  The graph
 holds no walks: a separatrix keeps its start and rank, and its `path` is
@@ -198,41 +198,6 @@ def _find_cycle(roots, steps):
     return None
 
 
-def _maximal_walks(start, steps, ways):
-    """The walks from `start` to a cell with no steps that `ways`, a
-    _count_walks table with ways[start] > 0, counts, as (cells, labels)
-    tuples, depth first in step order.  The relation must be acyclic.
-    Only a cell with several steps leaves a branch point, and only there
-    are steps into cells `ways` maps to 0 dropped: the one step of any
-    other cell on a counted walk stays on one."""
-    cells, labels = [start], []
-    branches = []  # (depth, iterator over the live steps not taken yet)
-    out = steps.get(start, ())
-    while True:
-        while out:
-            if len(out) > 1:
-                out = [step for step in out if ways[step[1]]]
-                branches.append((len(labels), iter(out[1:])))
-            label, nxt = out[0]
-            cells.append(nxt)
-            labels.append(label)
-            out = steps.get(nxt, ())
-        yield tuple(cells), tuple(labels)
-        while branches:
-            depth, rest = branches[-1]
-            step = next(rest, None)
-            if step is not None:
-                break
-            branches.pop()
-        else:
-            return
-        del cells[depth + 1 :], labels[depth:]
-        label, nxt = step
-        cells.append(nxt)
-        labels.append(label)
-        out = steps.get(nxt, ())
-
-
 def _chain(start, steps, stop=None):
     """The walk from `start` on a relation with at most one step per cell
     (a line field's), as (cells, labels), up to `stop` or the first cell
@@ -288,19 +253,20 @@ def _count_walks(steps, roots, target) -> dict:
     return _fold_walks(steps, roots, {target: 1}, 0, sum)
 
 
-def _nth_walk(steps, ends, start, k, make):
+def _nth_walk(steps, ways, start, k, make):
     """`make(cells, labels)` of the k-th walk from `start`, in step order,
-    among those `ends` lists: at each cell it takes the step whose block of
-    `ends` holds the k-th entry, so it costs the walk's length."""
+    among those `ways` counts (a walk count per cell, as _count_walks
+    gives): at each branch it takes the step whose block of counted walks
+    holds the k-th, so it costs the walk's length."""
     cells, labels = [start], []
     out = steps.get(start, ())
     while out:
         label, nxt = out[0]
         if len(out) > 1:
             for label, nxt in out:
-                if k < len(ends[nxt]):
+                if k < ways[nxt]:
                     break
-                k -= len(ends[nxt])
+                k -= ways[nxt]
         cells.append(nxt)
         labels.append(label)
         out = steps.get(nxt, ())
@@ -368,8 +334,9 @@ def _build_graph(field) -> TopologicalGraph:
     ends = _fold_walks(
         steps, starts, {c: (c,) for c in crit}, (), lambda parts: tuple(chain.from_iterable(parts))
     )
+    ways = {c: len(targets) for c, targets in ends.items()}
     edges = tuple(
-        Separatrix._walked(source, target, key, partial(_nth_walk, steps, ends, start, k, make))
+        Separatrix._walked(source, target, key, partial(_nth_walk, steps, ways, start, k, make))
         for source, key, start in exits
         for k, target in enumerate(ends[start])
     )

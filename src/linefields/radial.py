@@ -120,7 +120,7 @@ def _radial_classes(S: SurfaceComplex):
                 return None
     if len(color) != len(S.vertices):
         return None
-    if any(len(cycles) != 1 for cycles in S.vertex_link_cycles().values()):
+    if S._pinched_vertex() is not None:
         return None
     first = frozenset(v for v, c in color.items() if c == 0)
     return first, S.vertices - first

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .dynamics import _chain, _require_acyclic, corridors_from
+from .dynamics import _chain, _count_walks, _require_acyclic, corridors_from
 from .errors import (
     CancellationError,
     DegenerateOperationError,
@@ -285,7 +285,8 @@ def cancel_vertex_face(
     Uniqueness is counted over the chains of every corner occurrence of f,
     including chains that revisit f's own boundary edges.  Counting only
     graph separatrices would admit reversals that close a cycle through an
-    excluded chain.
+    excluded chain.  One memoised pass finds which corners' chains reach
+    v, and only the one path reversed is built.
     """
     S = L.complex
     if v not in S.vertices:
@@ -300,20 +301,18 @@ def cancel_vertex_face(
             f"face {f} has doubled index {2 - c}; cancellation needs a negative index"
         )
     _require_acyclic(L)
-    walk = S.faces[f]
-    n = len(walk)
-    hits = []
-    for pos in range(n):
-        cells, edges = _chain(S.corner_vertex(f, pos), L._steps)
-        if cells[-1] == v:
-            hits.append((pos, cells, edges))
+    n = len(S.faces[f])
+    corners = [S.corner_vertex(f, pos) for pos in range(n)]
+    reaches = _count_walks(L._steps, corners, v)
+    hits = [pos for pos, u in enumerate(corners) if reaches[u]]
     if not hits:
         raise CancellationError(f"no path from {f} to {v}")
     if len(hits) > 1:
         raise CancellationError(
             f"cancellation needs a unique path from {f} to {v}; found {len(hits)}"
         )
-    p, cells, edges = hits[0]
+    p = hits[0]
+    cells, edges = _chain(corners[p], L._steps)
     u1 = cells[0]
     q = None
     for k in range(1, n):

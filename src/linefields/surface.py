@@ -325,6 +325,12 @@ class SurfaceComplex:
         """
         return self._link_cycles
 
+    def _pinched_vertex(self) -> str | None:
+        """The least vertex whose link is not a single cycle (see
+        vertex_link_cycles), or None when every vertex is a surface point."""
+        links = self.vertex_link_cycles()
+        return min((v for v, cycles in links.items() if len(cycles) != 1), default=None)
+
     # ---- dual ------------------------------------------------------------
 
     def dual(self) -> "SurfaceComplex":
@@ -341,14 +347,14 @@ class SurfaceComplex:
         dual_edges = {e: (occs[0][0], occs[1][0]) for e, occs in self.occurrence_index.items()}
         dual_faces = {}
         links = self.vertex_link_cycles()
+        pinched = self._pinched_vertex()
+        if pinched is not None:
+            raise InvalidComplexError(
+                f"cannot dualize: link of vertex {pinched} has {len(links[pinched])} cycles"
+            )
         for v in sorted(self.vertices):
-            cycles = links[v]
-            if len(cycles) != 1:
-                raise InvalidComplexError(
-                    f"cannot dualize: link of vertex {v} has {len(cycles)} cycles"
-                )
             walk = []
-            for f, i, side in cycles[0]:
+            for f, i, side in links[v][0]:
                 # The step crosses edge e from its other occurrence to
                 # the occurrence at position p of face f.
                 p = (i - 1) % len(self.faces[f]) if side == "in" else i

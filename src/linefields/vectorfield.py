@@ -14,14 +14,14 @@ CLI and the formats module use only those methods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import dynamics
 from .dynamics import (
     _PathView,
     _count_walks,
     _find_cycle,
-    _maximal_walks,
+    _nth_walk,
     _require_acyclic,
     topological_graph,
 )
@@ -206,11 +206,10 @@ def closed_x_path(V: VectorField) -> XPath | None:
     return V._closed
 
 
-def _start_cells(V: VectorField, cell: str) -> list[str]:
-    return list(dict.fromkeys(c for _key, c in V._exits(cell)))
-
-
-def _check_path_query(V: VectorField, source: str, target: str) -> int:
+def _x_query(V: VectorField, source: str, target: str) -> tuple[int, list[str], dict]:
+    """An X-path query's dimension, start cells (those on the boundary of
+    `source`, each once) and _count_walks table to `target`; refuses a
+    cell that is unknown or matched, a dimension mismatch, a cyclic field."""
     S = V.complex
     for c in (source, target):
         if not S.has_cell(c):
@@ -225,32 +224,25 @@ def _check_path_query(V: VectorField, source: str, target: str) -> int:
         if c in V._upper_of or c in V._lower_of:
             raise OperationError(f"{c} is matched, not critical")
     _require_acyclic(V)
-    return d_target
-
-
-def _x_walks(V: VectorField, p: int, starts, ways):
-    """The X-paths from `starts` that `ways`, a _count_walks table, counts,
-    in x_paths order; no walk that misses the target is listed."""
-    for start in starts:
-        if ways[start]:
-            for cells, witnesses in _maximal_walks(start, V._steps, ways):
-                yield XPath(p, cells, witnesses)
+    starts = list(dict.fromkeys(c for _key, c in V._exits(source)))
+    return d_target, starts, _count_walks(V._steps, starts, target)
 
 
 def x_paths(V: VectorField, source: str, target: str):
     """All X-paths starting at a cell incident to the critical cell
     `source` and ending at the critical cell `target`, lazily, in
-    deterministic order.  Trivial one-cell paths count."""
-    p = _check_path_query(V, source, target)
-    starts = _start_cells(V, source)
-    return _x_walks(V, p, starts, _count_walks(V._steps, starts, target))
+    deterministic order: each start cell's walks by rank.  Trivial
+    one-cell paths count.  A bad query is refused at the call."""
+    p, starts, ways = _x_query(V, source, target)
+    make = partial(XPath, p)
+    return (
+        _nth_walk(V._steps, ways, start, k, make) for start in starts for k in range(ways[start])
+    )
 
 
 def count_x_paths(V: VectorField, source: str, target: str) -> int:
     """Number of X-paths x_paths would yield, without enumerating them."""
-    _check_path_query(V, source, target)
-    starts = _start_cells(V, source)
-    ways = _count_walks(V._steps, starts, target)
+    _p, starts, ways = _x_query(V, source, target)
     return sum(ways[c] for c in starts)
 
 
@@ -270,9 +262,7 @@ def cancel_dvf(V: VectorField, upper: str, lower: str) -> VectorField:
     matching drops each {si, ti}, adds {s(i+1), ti}, and adds {s1, upper};
     the critical count drops by exactly two.
     """
-    p = _check_path_query(V, upper, lower)
-    starts = _start_cells(V, upper)
-    ways = _count_walks(V._steps, starts, lower)
+    p, starts, ways = _x_query(V, upper, lower)
     total = sum(ways[cell] for _key, cell in V._exits(upper))
     if total == 0:
         raise CancellationError(f"no X-path from {upper} to {lower}")
@@ -280,7 +270,8 @@ def cancel_dvf(V: VectorField, upper: str, lower: str) -> VectorField:
         raise CancellationError(
             f"cancellation needs a unique X-path from {upper} to {lower}; found {total}"
         )
-    path = next(_x_walks(V, p, starts, ways))
+    start = next(c for c in starts if ways[c])
+    path = _nth_walk(V._steps, ways, start, 0, partial(XPath, p))
     removed = {(path.cells[i], path.witnesses[i][0]) for i in range(len(path.witnesses))}
     added = {(path.cells[i + 1], path.witnesses[i][0]) for i in range(len(path.witnesses))}
     matching = (V.matching - removed) | added | {(path.cells[0], upper)}

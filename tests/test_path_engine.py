@@ -19,6 +19,7 @@ from linefields import (
     VectorField,
     XPath,
     cancel_dvf,
+    cancel_vertex_face,
     closed_l_path,
     closed_x_path,
     count_x_paths,
@@ -29,7 +30,7 @@ from linefields import (
     topological_graph,
     x_paths,
 )
-from linefields import dynamics, linefield, vectorfield
+from linefields import dynamics, linefield, simplify, vectorfield
 from linefields.cli import main
 
 # ---- a gradient path through every vertex ---------------------------------
@@ -117,9 +118,24 @@ def test_one_cycle_search_per_field(monkeypatch):
 # ---- path queries list no dead walks --------------------------------------
 
 
+def counting_walks(monkeypatch, module, name):
+    """Wrap the walk builder `module.name` so that each walk it returns is
+    also appended to the list returned here."""
+    walks = []
+    engine = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        walk = engine(*args, **kwargs)
+        walks.append(walk)
+        return walk
+
+    monkeypatch.setattr(module, name, counting)
+    return walks
+
+
 def test_path_queries_list_no_dead_walks(monkeypatch):
     """On a tree-cotree field most walks from a critical face end on a tree
-    edge; x_paths lists only walks that reach the target, and its first
+    edge; x_paths builds only walks that reach the target, and its first
     path costs one walk."""
     S = support.grid_torus(8, 8)
     forest = support.forest_field(S, random.Random(7), 1.0)
@@ -127,15 +143,7 @@ def test_path_queries_list_no_dead_walks(monkeypatch):
     crit = critical_cells_dvf(V)
     (face,) = [c for c in crit if c in S.faces]
     edges = sorted(c for c in crit if c in S.edges)
-    walks = []
-    engine = vectorfield._maximal_walks
-
-    def counting(start, steps, ways):
-        for walk in engine(start, steps, ways):
-            walks.append(walk)
-            yield walk
-
-    monkeypatch.setattr(vectorfield, "_maximal_walks", counting)
+    walks = counting_walks(monkeypatch, vectorfield, "_nth_walk")
     starts = list(dict.fromkeys(e for _s, e in S.faces[face]))
     walks_from = dynamics._fold_walks(V._steps, starts, {}, 1, sum)
     every_walk = sum(walks_from[start] for start in starts)
@@ -147,6 +155,26 @@ def test_path_queries_list_no_dead_walks(monkeypatch):
         walks.clear()
         next(x_paths(V, face, edge))
         assert len(walks) == 1
+
+
+def test_cancel_dvf_builds_one_walk(monkeypatch):
+    """cancel_dvf counts the paths, then builds only the one it reverses."""
+    V = VectorField(support.tetra(), frozenset({("v1", "e12")}))
+    walks = counting_walks(monkeypatch, vectorfield, "_nth_walk")
+    out = cancel_dvf(V, "e13", "v2")
+    assert walks == [XPath(0, ("v1", "v2"), (("e12", 1),))]
+    assert out.matching == frozenset({("v2", "e12"), ("v1", "e13")})
+
+
+def test_cancel_vertex_face_walks_one_chain(monkeypatch):
+    """cancel_vertex_face finds which corners reach the vertex in one pass
+    and walks only the chain it reverses, not one chain per corner."""
+    S = support.subdivide_edge(support.tetra(), "e34", "m", "e34a", "e34b")
+    L = LineField(S, frozenset({("v3", "e34a")}))
+    chains = counting_walks(monkeypatch, simplify, "_chain")
+    out, _corr = cancel_vertex_face(L, "m", "f123")
+    assert chains == [(("v3", "m"), ("e34a",))]
+    assert out.matching == frozenset({("m", "e34a"), ("v3", "d_f123")})
 
 
 # ---- the recursive traversals the engine replaced (test-only copies) ------

@@ -270,8 +270,27 @@ def test_pinched_complex_passes_validate_but_has_no_dual():
     S = support.pinched_spheres()
     assert S.validate() == []
     assert len(S.vertex_link_cycles()["v"]) == 2
-    with pytest.raises(InvalidComplexError):
+    with pytest.raises(
+        InvalidComplexError, match="^cannot dualize: link of vertex v has 2 cycles$"
+    ):
         S.dual()
+    # Two bigon spheres sharing both their vertices: the least is named.
+    T = SurfaceComplex(
+        vertices=frozenset({"p", "q"}),
+        edges={e: ("p", "q") for e in ("a1", "b1", "a2", "b2")},
+        faces={
+            "n1": w("+a1 -b1"),
+            "s1": w("+b1 -a1"),
+            "n2": w("+a2 -b2"),
+            "s2": w("+b2 -a2"),
+        },
+    )
+    assert T.validate() == []
+    assert [len(T.vertex_link_cycles()[v]) for v in "pq"] == [2, 2]
+    with pytest.raises(
+        InvalidComplexError, match="^cannot dualize: link of vertex p has 2 cycles$"
+    ):
+        T.dual()
 
 
 def test_link_cycles_need_every_edge_twice():

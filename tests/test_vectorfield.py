@@ -225,6 +225,29 @@ def test_path_query_rejects_unknown_cell():
         count_x_paths(V, "e12", "nope")
 
 
+@pytest.mark.parametrize(
+    "pairs, source, target, error, message",
+    [
+        ((), "e12", "nope", OperationError, "not a cell"),
+        ((), "v2", "v3", OperationError, "dimension mismatch"),
+        ((("v1", "e12"),), "e12", "v3", OperationError, "matched, not critical"),
+        (
+            (("v1", "e12"), ("v2", "e23"), ("v3", "e13")),
+            "e14",
+            "v4",
+            CyclicFieldError,
+            "closed X-path",
+        ),
+    ],
+    ids=["not-a-cell", "dimension-mismatch", "matched-cell", "cyclic-field"],
+)
+def test_path_query_refuses_when_called(pairs, source, target, error, message):
+    """x_paths refuses a bad query at the call, before any path is read."""
+    V = VectorField(support.tetra(), frozenset(pairs))
+    with pytest.raises(error, match=message):
+        x_paths(V, source, target)
+
+
 def test_paths_are_deterministic():
     V = VectorField(support.tetra(), frozenset({("v1", "e12")}))
     assert list(x_paths(V, "e13", "v2")) == list(x_paths(V, "e13", "v2"))
