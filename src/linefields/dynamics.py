@@ -16,9 +16,11 @@ path as the walk of its rank in such a count; none recurses, so path
 length is bounded by memory, not by recursion depth.
 
 Each field builds its topological graph once and keeps it.  The graph
-holds no walks: a separatrix keeps its start and rank, and its `path` is
-walked again from the ends table each time it is read, so the graph costs
-O(cells + separatrices) however long its paths are.
+holds no walks: a separatrix keeps its start cell and rank, and its `path`
+is walked again each time it is read, choosing at each branch cell by the
+walk counts of that cell's successors (the only counts a graph keeps, so a
+line field's graph keeps none).  The graph costs O(cells + separatrices)
+however long its paths are.
 
 The corridor tracer builds nothing per call.  It reads each face's count
 and the sibling of an unmatched occurrence from the field's `_unmatched`
@@ -28,7 +30,6 @@ positions, and each crossing from the complex's `opposite` slot pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -75,30 +76,36 @@ class Separatrix:
     `occurrence` names the boundary occurrence of the path's first cell on
     the source cell (a walk position, or an endpoint slot for vector
     fields), so parallel separatrices stay distinct.  `path` is the LPath
-    or XPath witness.  A separatrix of a field's graph builds its path each
-    time it is read and keeps none.  Separatrices compare and hash by
-    (source, target, occurrence, path).
+    or XPath witness.  A separatrix of a field's graph keeps the `start`
+    cell of its walk and the walk's `rank` among the walks from there (both
+    None on a separatrix made from a path), builds its path each time it
+    is read and keeps none.  Separatrices compare and hash by (source,
+    target, occurrence, path).
     """
 
-    __slots__ = ("source", "target", "occurrence", "_witness", "_walk")
+    __slots__ = ("source", "target", "occurrence", "start", "rank", "_witness", "_walks")
 
     def __init__(self, source: str, target: str, occurrence: int, path: object):
         self.source = source
         self.target = target
         self.occurrence = occurrence
+        self.start = self.rank = self._walks = None
         self._witness = path
-        self._walk = None
 
     @classmethod
-    def _walked(cls, source: str, target: str, occurrence: int, walk) -> Separatrix:
-        """A separatrix whose path is `walk()`."""
+    def _walked(cls, source: str, target: str, occurrence: int, walks, start, rank) -> Separatrix:
+        """A separatrix whose path is the walk of rank `rank` from `start`;
+        `walks` is its graph's (steps, ways, make), as _nth_walk reads them."""
         sep = cls(source, target, occurrence, None)
-        sep._walk = walk
+        sep.start, sep.rank, sep._walks = start, rank, walks
         return sep
 
     @property
     def path(self):
-        return self._witness if self._walk is None else self._walk()
+        if self._walks is None:
+            return self._witness
+        steps, ways, make = self._walks
+        return _nth_walk(steps, ways, self.start, self.rank, make)
 
     def _fields(self) -> tuple:
         return (self.source, self.target, self.occurrence, self.path)
@@ -253,20 +260,29 @@ def _count_walks(steps, roots, target) -> dict:
     return _fold_walks(steps, roots, {target: 1}, 0, sum)
 
 
+def _branch(out, ways, k):
+    """The step of `out`, a branch cell's steps, whose block of counted
+    walks holds the k-th (blocks in step order, sized by `ways`), and the
+    walk's rank within that block."""
+    for step in out:
+        if k < ways[step[1]]:
+            break
+        k -= ways[step[1]]
+    return step, k
+
+
 def _nth_walk(steps, ways, start, k, make):
     """`make(cells, labels)` of the k-th walk from `start`, in step order,
     among those `ways` counts (a walk count per cell, as _count_walks
-    gives): at each branch it takes the step whose block of counted walks
-    holds the k-th, so it costs the walk's length."""
+    gives; only branch cells' successors are read): at each branch it
+    takes the step _branch picks, so it costs the walk's length."""
     cells, labels = [start], []
     out = steps.get(start, ())
     while out:
-        label, nxt = out[0]
-        if len(out) > 1:
-            for label, nxt in out:
-                if k < ways[nxt]:
-                    break
-                k -= ways[nxt]
+        if len(out) == 1:
+            ((label, nxt),) = out
+        else:
+            (label, nxt), k = _branch(out, ways, k)
         cells.append(nxt)
         labels.append(label)
         out = steps.get(nxt, ())
@@ -326,17 +342,20 @@ def _build_graph(field) -> TopologicalGraph:
     over the steps from every exit finds, for each cell, the critical ends
     of its walks in walk order (one per cell on a line field), so the graph
     costs O(cells + separatrices); each separatrix walks its path only when
-    it is read."""
+    it is read.  The graph keeps the walk count of each branch cell's
+    successors, all _nth_walk reads."""
     crit = field.doubled_critical()
-    steps, make = field._steps, field._path
+    steps = field._steps
     exits = [(source, key, start) for source in sorted(crit) for key, start in field._exits(source)]
     starts = (start for _s, _k, start in exits)
     ends = _fold_walks(
         steps, starts, {c: (c,) for c in crit}, (), lambda parts: tuple(chain.from_iterable(parts))
     )
-    ways = {c: len(targets) for c, targets in ends.items()}
+    branches = (steps[c] for c in ends if len(steps.get(c, ())) > 1)
+    ways = {nxt: len(ends[nxt]) for out in branches for _label, nxt in out}
+    walks = (steps, ways, field._path)
     edges = tuple(
-        Separatrix._walked(source, target, key, partial(_nth_walk, steps, ways, start, k, make))
+        Separatrix._walked(source, target, key, walks, start, k)
         for source, key, start in exits
         for k, target in enumerate(ends[start])
     )

@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .dynamics import Separatrix, TopologicalGraph
+from .dynamics import Separatrix, TopologicalGraph, _branch
 from .errors import ParseError
 from .linefield import LineField
 from .surface import SurfaceComplex, occ_text
@@ -269,27 +269,6 @@ def _critical_json(field) -> list[dict]:
     ]
 
 
-def _crossing_json(crossing) -> dict:
-    return {"edge": crossing.edge, "depart": crossing.depart, "arrive": crossing.arrive}
-
-
-def _separatrix_json(s) -> dict:
-    return {"source": s.source, "target": s.target, "occurrence": s.occurrence, **s.path.json()}
-
-
-def _corridor_json(c) -> dict:
-    return {
-        "start": c.start,
-        "end": c.end,
-        "interior": c.interior,
-        "crossings": [_crossing_json(x) for x in c.crossings],
-    }
-
-
-def _closed_corridor_json(c) -> dict:
-    return {"faces": c.faces, "crossings": [_crossing_json(x) for x in c.crossings]}
-
-
 _string = json.encoder.encode_basestring_ascii
 
 
@@ -316,25 +295,173 @@ def _dump(value, pad: str) -> str:
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
+# A list inside a report entry (a path's cells or steps, a corridor's faces
+# or crossings) holds its items on lines indented by 8 and separated by
+# _ITEM.
+_ITEM = ",\n        "
+
+
+def _items(texts: list[str]) -> str:
+    """The list of encoded `texts` inside a report entry."""
+    return "[\n        " + _ITEM.join(texts) + "\n      ]" if texts else "[]"
+
+
+def _pair_text(pair, pad: str) -> str:
+    """A (cell id, int) pair as a JSON list on a line indented by `pad`."""
+    cell, number = pair
+    return f"[\n{pad}  {_string(cell)},\n{pad}  {number}\n{pad}]"
+
+
+def _label_text(label) -> str:
+    """A path step's label as a list item inside a report entry: an edge id,
+    or a (cell, key) witness."""
+    return _string(label) if type(label) is str else _pair_text(label, "        ")
+
+
+def _runs(steps, ways, starts) -> dict:
+    """The run table of one report, over the cells with exactly one step
+    on the walks from `starts` that `ways` counts (at a branch cell, only
+    successors with a counted walk are followed).
+
+    Each such cell points to its one successor, and the field is acyclic,
+    so these cells form a forest; heavy-path decomposition (Sleator and
+    Tarjan, 1983) splits it into runs, and a walk towards a root passes
+    O(log cells) of them.  Each cell on a run of two or more maps to
+    (cells text, labels text, its offset in each, the cell after the run):
+    a run's encoded cell ids and encoded step labels, each joined by
+    _ITEM, so a slice from a cell's offset to the end is that stretch of
+    the report's path lists.
+    """
+    order = []  # every cell after its successor
+    seen = set()
+    todo = list(starts)
+    while todo:
+        cell = todo.pop()
+        chain = []
+        while cell not in seen:
+            seen.add(cell)
+            out = steps.get(cell, ())
+            if len(out) != 1:
+                todo += [nxt for _label, nxt in out if ways[nxt]]
+                break
+            chain.append(cell)
+            cell = out[0][1]
+        order += reversed(chain)
+    size = dict.fromkeys(order, 1)
+    heavy = {}  # each cell's predecessor with the largest subtree
+    for cell in reversed(order):
+        nxt = steps[cell][0][1]
+        if nxt in size:
+            size[nxt] += size[cell]
+            light = heavy.get(nxt)
+            if light is None or size[cell] > size[light]:
+                heavy[nxt] = cell
+    table = {}
+    for top in order:
+        after = steps[top][0][1]
+        if heavy.get(after) == top or top not in heavy:
+            continue  # inside a run, or a run of one cell
+        run = [top]
+        while run[-1] in heavy:
+            run.append(heavy[run[-1]])
+        run.reverse()
+        cells = list(map(_string, run))
+        labels = [_label_text(steps[cell][0][0]) for cell in run]
+        cells_text, labels_text = _ITEM.join(cells), _ITEM.join(labels)
+        at_cell = at_label = 0
+        for cell, cell_text, label_text in zip(run, cells, labels):
+            table[cell] = (cells_text, labels_text, at_cell, at_label, after)
+            at_cell += len(cell_text) + len(_ITEM)
+            at_label += len(label_text) + len(_ITEM)
+    return table
+
+
+def _walk_texts(steps, ways, runs, cell, k) -> tuple[list[str], list[str]]:
+    """The encoded cells and labels of the k-th walk from `cell`, as
+    _nth_walk picks it: one slice of `runs` per run the walk passes, and
+    one encoded cell (and label) at each other cell."""
+    cells, labels = [], []
+    while True:
+        run = runs.get(cell)
+        if run is not None:
+            cells_text, labels_text, at_cell, at_label, cell = run
+            cells.append(cells_text[at_cell:])
+            labels.append(labels_text[at_label:])
+            continue
+        cells.append(_string(cell))
+        out = steps.get(cell)
+        if not out:
+            return cells, labels
+        if len(out) == 1:
+            ((label, cell),) = out
+        else:
+            (label, cell), k = _branch(out, ways, k)
+        labels.append(_label_text(label))
+
+
+def _separatrix_texts(field, graph):
+    """Each separatrix's report entry, its path lists written from one run
+    table built for the whole graph."""
+    if not graph.edges:
+        return
+    steps, ways, _make = graph.edges[0]._walks
+    cells_key, steps_key = map(_string, field._path_keys)
+    runs = _runs(steps, ways, [sep.start for sep in graph.edges])
+    for sep in graph.edges:
+        cells, labels = _walk_texts(steps, ways, runs, sep.start, sep.rank)
+        yield (
+            f'{{\n      "source": {_string(sep.source)},\n      "target": {_string(sep.target)},'
+            f'\n      "occurrence": {sep.occurrence},\n      {cells_key}: {_items(cells)},'
+            f'\n      {steps_key}: {_items(labels)}\n    }}'
+        )
+
+
+def _crossings_text(crossings) -> str:
+    return _items([
+        f'{{\n          "edge": {_string(x.edge)},'
+        f'\n          "depart": {_pair_text(x.depart, "          ")},'
+        f'\n          "arrive": {_pair_text(x.arrive, "          ")}\n        }}'
+        for x in crossings
+    ])
+
+
+def _corridor_text(c) -> str:
+    return (
+        f'{{\n      "start": {_string(c.start)},\n      "end": {_string(c.end)},'
+        f'\n      "interior": {_items(list(map(_string, c.interior)))},'
+        f'\n      "crossings": {_crossings_text(c.crossings)}\n    }}'
+    )
+
+
+def _closed_corridor_text(c) -> str:
+    return (
+        f'{{\n      "faces": {_items(list(map(_string, c.faces)))},'
+        f'\n      "crossings": {_crossings_text(c.crossings)}\n    }}'
+    )
+
+
 def write_report(field, fp) -> None:
     """Write report_json's text to `fp`: the complex, then each list of the
     report one entry at a time, so no separatrix path is held longer than
-    it takes to write it.  A cyclic field is refused before the first
+    it takes to write it.  A separatrix's path lists are copied from
+    slices of a run table built once per report, so the report's Python
+    work is O(cells + separatrices x log cells), plus one step per branch
+    cell on a printed X-path.  A cyclic field is refused before the first
     byte."""
     graph = field.graph()
     corridors, closed = field.corridors()
     fp.write('{\n  "complex": ' + _dump(_complex_json(field.complex), "  "))
     for key, entries in (
-        ("matching", sorted(field.matching)),
-        ("critical", _critical_json(field)),
-        ("separatrices", map(_separatrix_json, graph.edges)),
-        ("corridors", map(_corridor_json, corridors)),
-        ("closed_corridors", map(_closed_corridor_json, closed)),
+        ("matching", (_dump(pair, "    ") for pair in sorted(field.matching))),
+        ("critical", (_dump(entry, "    ") for entry in _critical_json(field))),
+        ("separatrices", _separatrix_texts(field, graph)),
+        ("corridors", map(_corridor_text, corridors)),
+        ("closed_corridors", map(_closed_corridor_text, closed)),
     ):
         fp.write(f',\n  "{key}": ')
         opening = "[\n    "
         for entry in entries:
-            fp.write(opening + _dump(entry, "    "))
+            fp.write(opening + entry)
             opening = ",\n    "
         fp.write("[]" if opening == "[\n    " else "\n  ]")
     fp.write("\n}\n")

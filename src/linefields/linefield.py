@@ -72,9 +72,10 @@ class LineField:
     def count_paths(self, source: str, target: str) -> int:
         return len(l_paths(self, source, target))
 
-    # ---- hooks of topological_graph and _require_acyclic ----
+    # ---- hooks of topological_graph, _require_acyclic and the JSON report ----
 
     _path = LPath
+    _path_keys = ("vertices", "edges")  # the keys of LPath.json
     _cyclic_text = "line field has a closed path through "
 
     def _exits(self, cell: str) -> list[tuple[int, str]]:

@@ -99,9 +99,10 @@ class VectorField:
     def count_paths(self, source: str, target: str) -> int:
         return count_x_paths(self, source, target)
 
-    # ---- hooks of topological_graph and _require_acyclic ----
+    # ---- hooks of topological_graph, _require_acyclic and the JSON report ----
 
     _cyclic_text = "vector field has a closed X-path through "
+    _path_keys = ("cells", "witnesses")  # the keys of XPath.json
 
     def _exits(self, cell: str) -> list[tuple[int, str]]:
         """(occurrence key, boundary cell) pairs of an edge or face, in

@@ -1,0 +1,125 @@
+"""Scaling gate on executed lines: the library's Python work per layer must
+grow at most linearly in the cell count.
+
+    PYTHONPATH=src python tests/scale_lines.py
+
+For each field family below, at 24x24 and 48x48 (four times the cells), it
+emits the field's file and counts the `line` events that `sys.settrace`
+reports in `src/linefields/` while each layer runs: parse_document, then
+problems(), closed_path(), graph(), corridors(), report_json and
+graph_dot on the parsed field, in that order, as the CLI runs them.  A
+layer fails when its exponent, log(lines ratio) / log(cells ratio), is
+over 1.05.
+
+A count of executed lines repeats exactly and does not depend on the host,
+so the gate needs one run per point.  It cannot see work inside a C
+builtin: a `sorted`, a `str.join` or an `in` on a list counts as one line.
+The families are long-chain fields, whose separatrix paths total far more
+cells than the complex has: the snake line field on a grid torus, spanning
+tree line fields on grid tori and Klein bottles, and the snake tree-cotree
+vector field.  It runs under PYTHONHASHSEED=0 (re-executing itself when
+another seed is set), so set iteration order cannot move a count.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import random
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+PACKAGE = str(HERE.parent / "src" / "linefields")
+sys.path.insert(0, str(HERE))
+sys.path.insert(0, str(HERE.parent / "src"))
+
+import support  # noqa: E402
+from linefields import (  # noqa: E402
+    LineField,
+    VectorField,
+    emit_line_field,
+    emit_vector_field,
+    graph_dot,
+    parse_document,
+    report_json,
+)
+
+SIZES = (24, 48)
+BAR = 1.05
+
+FAMILIES = {
+    "snake line field, torus": lambda n: support.serpentine_line_field(n, n),
+    "spanning tree, torus": lambda n: support.forest_field(support.grid_torus(n, n), random.Random(n), 1.0),
+    "spanning tree, Klein": lambda n: support.forest_field(support.grid_klein(n, n), random.Random(n), 1.0),
+    "snake tree-cotree, torus": lambda n: support.serpentine_torus(n, n)[0],
+}
+
+
+class LineCounter:
+    """Counts `line` events in the package's own frames while a call runs."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def _local(self, frame, event, arg):
+        if event == "line":
+            self.lines += 1
+        return self._local
+
+    def _call(self, frame, event, arg):
+        return self._local if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    def count(self, call):
+        """(lines executed in the package, result) of `call()`."""
+        self.lines = 0
+        sys.settrace(self._call)
+        try:
+            result = call()
+        finally:
+            sys.settrace(None)
+        return self.lines, result
+
+
+def layer_lines(field) -> tuple[int, dict[str, int]]:
+    """The complex's cell count and each layer's line count, each layer
+    run on a field freshly parsed from `field`'s file."""
+    emit = emit_vector_field if isinstance(field, VectorField) else emit_line_field
+    text = emit(field)
+    counter = LineCounter()
+    lines = {}
+    lines["parse_document"], doc = counter.count(lambda: parse_document(text))
+    S = doc.complex
+    parsed = VectorField(S, doc.vmatch) if doc.vmatch else LineField(S, doc.match)
+    for name, call in (
+        ("problems", parsed.problems),
+        ("closed_path", parsed.closed_path),
+        ("graph", parsed.graph),
+        ("corridors", parsed.corridors),
+        ("report_json", lambda: report_json(parsed)),
+        ("graph_dot", lambda: graph_dot(parsed)),
+    ):
+        lines[name], _result = counter.count(call)
+    return len(S.vertices) + len(S.edges) + len(S.faces), lines
+
+
+def main() -> int:
+    failures = []
+    print(f"{'family':<26} {'layer':<15} {SIZES[0]}x{SIZES[0]:<8} {SIZES[1]}x{SIZES[1]:<8} exponent")
+    for family, build in FAMILIES.items():
+        (small, lo), (large, hi) = (layer_lines(build(n)) for n in SIZES)
+        for layer in lo:
+            exponent = math.log(hi[layer] / lo[layer]) / math.log(large / small)
+            print(f"{family:<26} {layer:<15} {lo[layer]:>10} {hi[layer]:>10} {exponent:8.3f}")
+            if exponent > BAR:
+                failures.append(f"{family}: {layer} grows with exponent {exponent:.3f} > {BAR}")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
+    sys.exit(main())

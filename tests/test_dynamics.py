@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -119,8 +120,9 @@ def test_graph_drops_chains_touching_the_walk():
 
 def test_graph_is_built_once_and_holds_no_paths(monkeypatch):
     """On the snake field of a 24x24 torus, one chain through all 576
-    vertices: DOT walks no separatrix path, and ms_decomposition and the
-    JSON report share one graph, whose paths the report walks once each."""
+    vertices: neither DOT nor the JSON report builds a separatrix path,
+    the report still prints the whole chain, and ms_decomposition and the
+    report share one graph."""
     built, graphs = [], []
 
     def make_path(cells, steps):
@@ -141,15 +143,28 @@ def test_graph_is_built_once_and_holds_no_paths(monkeypatch):
     graphs.clear()
     L = support.serpentine_line_field(24, 24)
     report = ms_decomposition(L)
-    report_json(L)
+    text = report_json(L)
     assert len(graphs) == 1 and L.graph() is report.graph
-    assert len(built) == len(report.graph.edges)
-    assert max(map(len, built)) == len(L.complex.vertices)
+    assert built == []
+    longest = max((s["vertices"] for s in json.loads(text)["separatrices"]), key=len)
+    assert sorted(longest) == sorted(L.complex.vertices)
     graphs.clear()
     V, _head = support.serpentine_torus(6, 6)
     topological_graph(V)
     report_json(V)
     assert len(graphs) == 1
+
+
+def test_graph_keeps_walk_counts_only_after_branch_cells():
+    """A line field's steps never branch, so its graph keeps no walk count;
+    a vector field's graph keeps counts only for successors of branch
+    cells, the only cells where a separatrix's rank picks a step."""
+    graph = topological_graph(support.serpentine_line_field(8, 8))
+    assert graph.edges and all(sep._walks[1] == {} for sep in graph.edges)
+    V, _head = support.serpentine_torus(6, 6)
+    ways = topological_graph(V).edges[0]._walks[1]
+    after_branch = {nxt for out in V._steps.values() if len(out) > 1 for _label, nxt in out}
+    assert ways and ways.keys() <= after_branch
 
 
 # ---- corridors -----------------------------------------------------------

@@ -381,7 +381,10 @@ def reference_report(field) -> dict:
 
 def report_fields():
     """Random-corpus fields of both kinds, forest and tree-cotree fields on
-    6x6 grids, the golden fields and the escaped-id field."""
+    6x6 grids, the golden fields and the escaped-id field, and long-suffix
+    fields: spanning trees on 16x16 grids (long shared suffixes, many
+    branching subtrees), a tree-cotree field over one of them, and the
+    snake line and vector fields."""
     rng = random.Random(1401)
     fields = [parse_line_field(ESCAPED_IDS)]
     for S in support.random_corpus(1402, 30):
@@ -395,6 +398,11 @@ def report_fields():
         pairs = support.tree_cotree(S, dict(forest.matching))
         if pairs is not None:
             fields.append(VectorField(S, pairs))
+    torus, klein = support.grid_torus(16, 16), support.grid_klein(16, 16)
+    fields.append(support.forest_field(torus, rng, 1.0))
+    tree = support.forest_field(klein, rng, 1.0)
+    fields += [tree, VectorField(klein, support.tree_cotree(klein, dict(tree.matching)))]
+    fields += [support.serpentine_line_field(12, 12), support.serpentine_torus(8, 8)[0]]
     fields += [LineField(S) for _stem, S in golden_pairs()]
     for path in sorted((GOLD / "fields").glob("*.txt")):
         doc = parse_document(path.read_text())
