@@ -253,15 +253,6 @@ def graph_dot(field) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _complex_json(S: SurfaceComplex) -> dict:
-    return {
-        "name": S.name,
-        "vertices": sorted(S.vertices),
-        "edges": {e: list(S.edges[e]) for e in sorted(S.edges)},
-        "faces": {f: [occ_text(o) for o in S.faces[f]] for f in sorted(S.faces)},
-    }
-
-
 def _critical_json(field) -> list[dict]:
     S, crit = field.complex, field.doubled_critical()
     return [
@@ -271,39 +262,34 @@ def _critical_json(field) -> list[dict]:
 
 _string = json.encoder.encode_basestring_ascii
 
-
-def _dump(value, pad: str) -> str:
-    """`value`, made of str, int, list, tuple and dict, as json.dumps(...,
-    indent=2) writes it on a line indented by `pad`.  An array of strings
-    is joined in one call."""
-    kind = type(value)
-    if kind is str:
-        return _string(value)
-    if kind is int:
-        return int.__repr__(value)
-    if not value:
-        return "{}" if kind is dict else "[]"
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if kind is dict:
-        body = sep.join(f"{_string(k)}: {_dump(v, inner)}" for k, v in value.items())
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if set(map(type, value)) == {str}:
-        body = sep.join(map(_string, value))
-    else:
-        body = sep.join(_dump(v, inner) for v in value)
-    return "[\n" + inner + body + "\n" + pad + "]"
-
-
 # A list inside a report entry (a path's cells or steps, a corridor's faces
-# or crossings) holds its items on lines indented by 8 and separated by
-# _ITEM.
+# or crossings, an edge's ends or a face's walk) holds its items on lines
+# indented by 8 and separated by _ITEM.
 _ITEM = ",\n        "
 
 
-def _items(texts: list[str]) -> str:
-    """The list of encoded `texts` inside a report entry."""
-    return "[\n        " + _ITEM.join(texts) + "\n      ]" if texts else "[]"
+def _items(texts: list[str], pad: str = "      ", brackets: str = "[]") -> str:
+    """The list (or object) of encoded `texts`, as json.dumps(..., indent=2)
+    writes it on a line indented by `pad`; by default a list inside a
+    report entry."""
+    if not texts:
+        return brackets
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(texts) + f"\n{pad}{brackets[1]}"
+
+
+def _complex_text(S: SurfaceComplex) -> str:
+    """The report's complex, as json.dumps(..., indent=2) writes it."""
+    vertices = list(map(_string, sorted(S.vertices)))
+    edges = [f"{_string(e)}: {_items(list(map(_string, S.edges[e])))}" for e in sorted(S.edges)]
+    faces = [
+        f"{_string(f)}: {_items([_string(occ_text(o)) for o in S.faces[f]])}"
+        for f in sorted(S.faces)
+    ]
+    return (
+        f'{{\n    "name": {_string(S.name)},\n    "vertices": {_items(vertices, "    ")},'
+        f'\n    "edges": {_items(edges, "    ", "{}")},'
+        f'\n    "faces": {_items(faces, "    ", "{}")}\n  }}'
+    )
 
 
 def _pair_text(pair, pad: str) -> str:
@@ -450,10 +436,19 @@ def write_report(field, fp) -> None:
     byte."""
     graph = field.graph()
     corridors, closed = field.corridors()
-    fp.write('{\n  "complex": ' + _dump(_complex_json(field.complex), "  "))
+    S, crit = field.complex, field.doubled_critical()
+    matching = (
+        f"[\n      {_string(a)},\n      {_string(b)}\n    ]" for a, b in sorted(field.matching)
+    )
+    critical = (
+        f'{{\n      "cell": {_string(c)},\n      "dim": {S.dim_of(c)},'
+        f'\n      "doubled_index": {crit[c]}\n    }}'
+        for c in sorted(crit)
+    )
+    fp.write('{\n  "complex": ' + _complex_text(S))
     for key, entries in (
-        ("matching", (_dump(pair, "    ") for pair in sorted(field.matching))),
-        ("critical", (_dump(entry, "    ") for entry in _critical_json(field))),
+        ("matching", matching),
+        ("critical", critical),
         ("separatrices", _separatrix_texts(field, graph)),
         ("corridors", map(_corridor_text, corridors)),
         ("closed_corridors", map(_closed_corridor_text, closed)),

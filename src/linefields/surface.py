@@ -9,7 +9,7 @@ combination of occurrence signs is accepted as long as the walks chain.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -210,54 +210,60 @@ class SurfaceComplex:
         Checks that every edge occurs exactly twice among the boundary
         walks, that each walk chains head-to-tail, and that the incidence
         structure is connected.
+
+        Connectivity is counted on the 1-skeleton, which is exact: an edge
+        lies in the component of its two ends, and where a walk chains,
+        consecutive occurrences share a vertex, so its face already lies in
+        the component of its edges.  Only a break can make a face join
+        components that its edges do not, so each break adds a link between
+        the two vertices it separates.  A face with an empty walk is a
+        component of its own.
         """
         problems = []
-        counts = Counter(e for walk in self.faces.values() for _s, e in walk)
-        for e in sorted(self.edges):
+        edges, faces = self.edges, self.faces
+        counts = Counter([e for walk in faces.values() for _s, e in walk])
+        for e in sorted(edges):
             c = counts.get(e, 0)
             if c != 2:
                 problems.append(f"edge {e} occurs {c} time(s) in boundary walks, expected 2")
-        for f in sorted(self.faces):
-            walk = self.faces[f]
-            for i in range(len(walk)):
-                here = self.occ_target(walk[i])
-                there = self.occ_source(walk[(i + 1) % len(walk)])
+        links: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for tail, head in edges.values():
+            links[tail].append(head)
+            links[head].append(tail)
+        components = 0
+        for f in sorted(faces):
+            walk = faces[f]
+            if not walk:
+                components += 1
+                continue
+            s, e = walk[0]
+            here = edges[e][s > 0]  # the end of walk[0]: head of +e, tail of -e
+            for i, (s, e) in enumerate(walk[1:] + walk[:1]):
+                there, after = edges[e]
+                if s < 0:
+                    there, after = after, there
                 if here != there:
                     problems.append(
                         f"face {f} breaks between positions {i} and {(i + 1) % len(walk)}:"
                         f" {here} != {there}"
                     )
-        n_components = self._incidence_components()
-        if n_components > 1:
-            problems.append(f"incidence structure is disconnected ({n_components} components)")
-        return problems
-
-    def _incidence_components(self) -> int:
-        adjacency: dict[str, set[str]] = {cell: set() for cell, _d in self.cells()}
-        for e, (tail, head) in self.edges.items():
-            adjacency[e].add(tail)
-            adjacency[e].add(head)
-            adjacency[tail].add(e)
-            adjacency[head].add(e)
-        for f, walk in self.faces.items():
-            for _s, e in walk:
-                adjacency[f].add(e)
-                adjacency[e].add(f)
+                    links[here].append(there)
+                    links[there].append(here)
+                here = after
         seen: set[str] = set()
-        components = 0
-        for start in adjacency:
-            if start in seen:
-                continue
-            components += 1
-            queue = deque([start])
-            seen.add(start)
-            while queue:
-                cur = queue.popleft()
-                for nxt in adjacency[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-        return components
+        for start in links:
+            if start not in seen:
+                components += 1
+                seen.add(start)
+                todo = [start]
+                while todo:
+                    for nxt in links[todo.pop()]:
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            todo.append(nxt)
+        if components > 1:
+            problems.append(f"incidence structure is disconnected ({components} components)")
+        return problems
 
     # ---- vertex links ----------------------------------------------------
 

@@ -8,8 +8,12 @@ emits the field's file and counts the `line` events that `sys.settrace`
 reports in `src/linefields/` while each layer runs: parse_document, then
 problems(), closed_path(), graph(), corridors(), report_json and
 graph_dot on the parsed field, in that order, as the CLI runs them.  A
-layer fails when its exponent, log(lines ratio) / log(cells ratio), is
-over 1.05.
+line field then goes through homotopy_core and one merge_critical_faces
+move (the first pair of critical faces in sorted order that a corridor
+joins and the move accepts; no family here has a cancel_vertex_face move,
+since each has one critical vertex and no path to reverse), and a vector
+field through dvf_to_dlf and dlf_to_dvf on that image.  A layer fails when
+its exponent, log(lines ratio) / log(cells ratio), is over 1.05.
 
 A count of executed lines repeats exactly and does not depend on the host,
 so the gate needs one run per point.  It cannot see work inside a C
@@ -39,12 +43,18 @@ import support  # noqa: E402
 from linefields import (  # noqa: E402
     LineField,
     VectorField,
+    corridors_from,
+    dlf_to_dvf,
+    dvf_to_dlf,
     emit_line_field,
     emit_vector_field,
     graph_dot,
+    homotopy_core,
+    merge_critical_faces,
     parse_document,
     report_json,
 )
+from linefields.errors import OperationError  # noqa: E402
 
 SIZES = (24, 48)
 BAR = 1.05
@@ -82,9 +92,25 @@ class LineCounter:
         return self.lines, result
 
 
+def merge_pair(L: LineField) -> tuple[str, str]:
+    """The first critical faces f, g, in sorted order, that a corridor from
+    f joins and merge_critical_faces accepts."""
+    for f in sorted(c for c in L.doubled_critical() if c in L.complex.faces):
+        for corridor in corridors_from(L, f):
+            try:
+                merge_critical_faces(L, f, corridor.end)
+            except OperationError:
+                continue
+            return f, corridor.end
+    raise AssertionError(f"{L.complex.name}: no critical faces to merge")
+
+
 def layer_lines(field) -> tuple[int, dict[str, int]]:
-    """The complex's cell count and each layer's line count, each layer
-    run on a field freshly parsed from `field`'s file."""
+    """The complex's cell count and each layer's line count.  The analysis
+    layers run in order on one field parsed from `field`'s file.  On a
+    line field, the homotopy core and then one merge of critical faces run
+    on a second parsed field; a vector field's image under dvf_to_dlf goes
+    back through dlf_to_dvf."""
     emit = emit_vector_field if isinstance(field, VectorField) else emit_line_field
     text = emit(field)
     counter = LineCounter()
@@ -101,17 +127,27 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
         ("graph_dot", lambda: graph_dot(parsed)),
     ):
         lines[name], _result = counter.count(call)
+    if isinstance(parsed, LineField):
+        fresh = LineField(parse_document(text).complex, doc.match)
+        lines["homotopy_core"], _core = counter.count(lambda: homotopy_core(fresh))
+        f, g = merge_pair(parsed)
+        lines["merge_critical_faces"], _merged = counter.count(
+            lambda: merge_critical_faces(fresh, f, g)
+        )
+    else:
+        lines["dvf_to_dlf"], image = counter.count(lambda: dvf_to_dlf(parsed))
+        lines["dlf_to_dvf"], _factors = counter.count(lambda: dlf_to_dvf(image))
     return len(S.vertices) + len(S.edges) + len(S.faces), lines
 
 
 def main() -> int:
     failures = []
-    print(f"{'family':<26} {'layer':<15} {SIZES[0]}x{SIZES[0]:<8} {SIZES[1]}x{SIZES[1]:<8} exponent")
+    print(f"{'family':<26} {'layer':<20} {SIZES[0]}x{SIZES[0]:<8} {SIZES[1]}x{SIZES[1]:<8} exponent")
     for family, build in FAMILIES.items():
         (small, lo), (large, hi) = (layer_lines(build(n)) for n in SIZES)
         for layer in lo:
             exponent = math.log(hi[layer] / lo[layer]) / math.log(large / small)
-            print(f"{family:<26} {layer:<15} {lo[layer]:>10} {hi[layer]:>10} {exponent:8.3f}")
+            print(f"{family:<26} {layer:<20} {lo[layer]:>10} {hi[layer]:>10} {exponent:8.3f}")
             if exponent > BAR:
                 failures.append(f"{family}: {layer} grows with exponent {exponent:.3f} > {BAR}")
     for failure in failures:

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter, deque
 
 import pytest
 
@@ -193,6 +194,118 @@ def test_validate_agrees_with_independent_check():
         variants.append(disjoint_union(S, suffixed(support.slit_sphere(), "_z")))
         for T in variants:
             assert (T.validate() == []) == support.is_closed_surface(T), T.faces
+
+
+def _reference_validate(S):
+    """validate() as written before it counted components on the 1-skeleton:
+    the chain check through occ_source/occ_target, then a breadth-first
+    search over the incidence graph of all vertices, edges and faces."""
+    problems = []
+    counts = Counter(e for walk in S.faces.values() for _s, e in walk)
+    for e in sorted(S.edges):
+        c = counts.get(e, 0)
+        if c != 2:
+            problems.append(f"edge {e} occurs {c} time(s) in boundary walks, expected 2")
+    for f in sorted(S.faces):
+        walk = S.faces[f]
+        for i in range(len(walk)):
+            here = S.occ_target(walk[i])
+            there = S.occ_source(walk[(i + 1) % len(walk)])
+            if here != there:
+                problems.append(
+                    f"face {f} breaks between positions {i} and {(i + 1) % len(walk)}:"
+                    f" {here} != {there}"
+                )
+    adjacency = {cell: set() for cell, _d in S.cells()}
+    for e, (tail, head) in S.edges.items():
+        adjacency[e].add(tail)
+        adjacency[e].add(head)
+        adjacency[tail].add(e)
+        adjacency[head].add(e)
+    for f, walk in S.faces.items():
+        for _s, e in walk:
+            adjacency[f].add(e)
+            adjacency[e].add(f)
+    seen = set()
+    components = 0
+    for start in adjacency:
+        if start in seen:
+            continue
+        components += 1
+        queue = deque([start])
+        seen.add(start)
+        while queue:
+            cur = queue.popleft()
+            for nxt in adjacency[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    if components > 1:
+        problems.append(f"incidence structure is disconnected ({components} components)")
+    return problems
+
+
+def _mutated(S, rng, n_moves):
+    """S after n_moves random moves that break the closed-surface conditions:
+    drop a face, empty a walk, drop an occurrence, add an isolated vertex,
+    add an edge between new vertices, add a face of random occurrences."""
+    vertices, edges, faces = set(S.vertices), dict(S.edges), dict(S.faces)
+    for k in range(n_moves):
+        move = rng.randrange(6)
+        if move < 3 and faces:
+            f = rng.choice(sorted(faces))
+            if move == 0:
+                del faces[f]
+            elif move == 1:
+                faces[f] = ()
+            elif faces[f]:
+                i = rng.randrange(len(faces[f]))
+                faces[f] = faces[f][:i] + faces[f][i + 1 :]
+        elif move == 3:
+            vertices.add(f"iso{k}")
+        elif move == 4:
+            vertices |= {f"t{k}", f"h{k}"}
+            edges[f"new{k}"] = (f"t{k}", f"h{k}")
+        elif edges:
+            faces[f"rand{k}"] = tuple(
+                (rng.choice((1, -1)), rng.choice(sorted(edges))) for _ in range(rng.randint(1, 4))
+            )
+    return SurfaceComplex(frozenset(vertices), edges, faces, name=S.name)
+
+
+def test_validate_matches_incidence_graph_reference():
+    """validate() gives the exact problem list of the incidence-graph count
+    on mutated corpus complexes, single and in disjoint unions."""
+    rng = random.Random(20261018)
+    corpus = support.random_corpus(seed=18, count=60)
+    many_parts = broken = empty = 0
+    for i, S in enumerate(corpus):
+        other = corpus[(i * 7 + 3) % len(corpus)]
+        for base in (S, disjoint_union(S, suffixed(other, "_u"))):
+            for n_moves in (1, 2, 3, 5, 8):
+                T = _mutated(base, rng, n_moves)
+                expected = _reference_validate(T)
+                assert T.validate() == expected, (T.edges, T.faces)
+                parts = re.search(r"\((\d+) components\)$", expected[-1]) if expected else None
+                many_parts += parts is not None and int(parts.group(1)) >= 3
+                broken += any(" breaks between " in m for m in expected)
+                empty += any(not walk for walk in T.faces.values())
+    assert many_parts >= 100 and broken >= 100 and empty >= 20, (many_parts, broken, empty)
+
+
+def test_broken_face_alone_joins_two_surfaces():
+    """A face whose walk breaks between two disjoint spheres is the only
+    thing joining them: its breaks are reported, and no disconnection."""
+    A, B = support.slit_sphere(), suffixed(support.slit_sphere(), "_z")
+    S = disjoint_union(A, B)
+    assert S.validate() == ["incidence structure is disconnected (2 components)"]
+    joined = SurfaceComplex(S.vertices, S.edges, {**S.faces, "joint": w("+e +e_z")})
+    assert joined.validate() == [
+        "edge e occurs 3 time(s) in boundary walks, expected 2",
+        "edge e_z occurs 3 time(s) in boundary walks, expected 2",
+        "face joint breaks between positions 0 and 1: w != u_z",
+        "face joint breaks between positions 1 and 0: w_z != u",
+    ]
 
 
 # ---- counting ------------------------------------------------------------
