@@ -21,8 +21,9 @@ from pathlib import Path
 
 from .errors import CyclicFieldError, InvalidComplexError, OperationError, ParseError
 from .formats import (
-    _critical_json,
+    _critical_entries,
     _half_text,
+    _items,
     emit_complex,
     emit_line_field,
     emit_vector_field,
@@ -79,7 +80,7 @@ def _cmd_euler(field, args) -> int:
 
 
 def _cmd_critical(field, args) -> int:
-    print(json.dumps(_critical_json(field), indent=2))
+    print(_items(list(_critical_entries(field, "  ")), ""))
     return 0
 
 

@@ -7,8 +7,10 @@ boundary occurrence and tunnel through faces with exactly two unmatched
 occurrences until they reach a critical face again.  Corridors that never
 touch a critical face close up into cycles and mark periodic behaviour.
 
-Both field kinds build their step table `{cell: ((label, next), ...)}`
-once, as `_steps`, and share one path engine: `_find_cycle` finds a
+Both field kinds subclass `_Field`, which holds the complex, the matching
+looked up both ways and the protocol methods that read a field's cached
+verdicts.  Each kind builds its step table `{cell: ((label, next), ...)}`
+once, as `_steps`, and both share one path engine: `_find_cycle` finds a
 closed-path witness, `_fold_walks` folds a value over all walks from a
 cell in one memoised post-order pass, which counts walks (`_count_walks`)
 and finds where separatrices end, and `_nth_walk` builds every listed
@@ -30,6 +32,7 @@ positions, and each crossing from the complex's `opposite` slot pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -37,6 +40,7 @@ from .errors import CyclicFieldError, OperationError
 
 if TYPE_CHECKING:
     from .linefield import LineField
+    from .surface import SurfaceComplex
 
 
 class _PathView:
@@ -205,19 +209,6 @@ def _find_cycle(roots, steps):
     return None
 
 
-def _chain(start, steps, stop=None):
-    """The walk from `start` on a relation with at most one step per cell
-    (a line field's), as (cells, labels), up to `stop` or the first cell
-    with no step."""
-    cells, labels = [start], []
-    cell = start
-    while cell != stop and cell in steps:
-        ((label, cell),) = steps[cell]
-        cells.append(cell)
-        labels.append(label)
-    return tuple(cells), tuple(labels)
-
-
 def _fold_walks(steps, roots, leaves, other, join) -> dict:
     """A value for every cell reachable from `roots`: at a cell with no
     steps its value in `leaves`, or `other` when it has none there; at a
@@ -307,13 +298,17 @@ def _require_acyclic(field):
 
 def l_paths(L: LineField, source: str, target: str) -> list[LPath]:
     """All L-paths from source to target; at most one exists, the trivial
-    path counting when source == target."""
+    path counting when source == target.  A line field never branches, so
+    it is the one walk from `source`, cut at `target`."""
     _require_acyclic(L)
     for v in (source, target):
         if v not in L.complex.vertices:
             raise OperationError(f"{v} is not a vertex of the complex")
-    cells, edges = _chain(source, L._steps, target)
-    return [LPath(cells, edges)] if cells[-1] == target else []
+    path = _nth_walk(L._steps, {}, source, 0, LPath)
+    if target not in path.vertices:
+        return []
+    k = path.vertices.index(target)
+    return [LPath(path.vertices[: k + 1], path.edges[:k])]
 
 
 # ---- topological graph ----------------------------------------------------
@@ -360,6 +355,50 @@ def _build_graph(field) -> TopologicalGraph:
         for k, target in enumerate(ends[start])
     )
     return TopologicalGraph(tuple(sorted(crit)), edges)
+
+
+@dataclass(frozen=True)
+class _Field:
+    """The body LineField and VectorField share: a complex, a set of
+    (lower, upper) pairs looked up both ways, and the field protocol
+    methods that only read a subclass's cached verdicts.
+
+    A subclass supplies `_pair_problems` (the matching's violations),
+    `_critical`, `_closed`, `_steps` and `_exits`, and the hooks `_path`,
+    `_path_keys` and `_cyclic_text`.  The matching never changes after
+    construction, so every table is built once, on first use.  Subclasses
+    are dataclasses too, so that __init__ calls their __post_init__.
+    """
+
+    complex: SurfaceComplex
+    matching: frozenset[tuple[str, str]] = frozenset()
+
+    def problems(self) -> list[str]:
+        """Structural violations of the complex, then of the matching."""
+        return self.complex.validate() + self._pair_problems
+
+    def doubled_critical(self) -> dict[str, int]:
+        """The critical cells with twice their index, computed once per
+        field; callers only read it."""
+        return self._critical
+
+    def closed_path(self):
+        """A closed path witness, or None when the field is acyclic."""
+        return self._closed
+
+    graph = topological_graph
+
+    @cached_property
+    def _graph(self) -> TopologicalGraph:
+        return _build_graph(self)
+
+    @cached_property
+    def _upper_of(self) -> dict[str, str]:
+        return dict(self.matching)
+
+    @cached_property
+    def _lower_of(self) -> dict[str, str]:
+        return {up: lo for lo, up in self.matching}
 
 
 # ---- corridors ------------------------------------------------------------

@@ -140,17 +140,11 @@ def emit_complex(S: SurfaceComplex) -> str:
 
 
 def emit_line_field(L: LineField) -> str:
-    out = emit_complex(L.complex)
-    for v, e in sorted(L.matching):
-        out += f"match {v} {e}\n"
-    return out
+    return emit_complex(L.complex) + "".join(f"match {v} {e}\n" for v, e in sorted(L.matching))
 
 
 def emit_vector_field(V: VectorField) -> str:
-    out = emit_complex(V.complex)
-    for lo, up in sorted(V.matching):
-        out += f"vmatch {lo} {up}\n"
-    return out
+    return emit_complex(V.complex) + "".join(f"vmatch {lo} {up}\n" for lo, up in sorted(V.matching))
 
 
 # ---- OFF import -----------------------------------------------------------
@@ -253,13 +247,6 @@ def graph_dot(field) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _critical_json(field) -> list[dict]:
-    S, crit = field.complex, field.doubled_critical()
-    return [
-        {"cell": c, "dim": S.dim_of(c), "doubled_index": crit[c]} for c in sorted(crit)
-    ]
-
-
 _string = json.encoder.encode_basestring_ascii
 
 # A list inside a report entry (a path's cells or steps, a corridor's faces
@@ -289,6 +276,17 @@ def _complex_text(S: SurfaceComplex) -> str:
         f'{{\n    "name": {_string(S.name)},\n    "vertices": {_items(vertices, "    ")},'
         f'\n    "edges": {_items(edges, "    ", "{}")},'
         f'\n    "faces": {_items(faces, "    ", "{}")}\n  }}'
+    )
+
+
+def _critical_entries(field, pad: str):
+    """Each critical cell's entry, as json.dumps(..., indent=2) writes it
+    on a line indented by `pad`."""
+    S, crit = field.complex, field.doubled_critical()
+    return (
+        f'{{\n{pad}  "cell": {_string(c)},\n{pad}  "dim": {S.dim_of(c)},'
+        f'\n{pad}  "doubled_index": {crit[c]}\n{pad}}}'
+        for c in sorted(crit)
     )
 
 
@@ -436,19 +434,13 @@ def write_report(field, fp) -> None:
     byte."""
     graph = field.graph()
     corridors, closed = field.corridors()
-    S, crit = field.complex, field.doubled_critical()
     matching = (
         f"[\n      {_string(a)},\n      {_string(b)}\n    ]" for a, b in sorted(field.matching)
     )
-    critical = (
-        f'{{\n      "cell": {_string(c)},\n      "dim": {S.dim_of(c)},'
-        f'\n      "doubled_index": {crit[c]}\n    }}'
-        for c in sorted(crit)
-    )
-    fp.write('{\n  "complex": ' + _complex_text(S))
+    fp.write('{\n  "complex": ' + _complex_text(field.complex))
     for key, entries in (
         ("matching", matching),
-        ("critical", critical),
+        ("critical", _critical_entries(field, "    ")),
         ("separatrices", _separatrix_texts(field, graph)),
         ("corridors", map(_corridor_text, corridors)),
         ("closed_corridors", map(_closed_corridor_text, closed)),

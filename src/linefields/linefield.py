@@ -9,8 +9,9 @@ characteristic.
 
 LineField and VectorField share one field protocol: problems(),
 doubled_critical(), closed_path(), graph(), corridors(), paths(a, b) and
-count_paths(a, b).  The CLI and the formats module reach the algorithms
-only through these methods.
+count_paths(a, b).  The first four, and the matching's lookup maps, are
+implemented once on their shared base, dynamics._Field.  The CLI and the
+formats module reach the algorithms only through these methods.
 """
 
 from __future__ import annotations
@@ -18,51 +19,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import dynamics
-from .dynamics import LPath, _all_corridors, _find_cycle, l_paths, topological_graph
-from .surface import SurfaceComplex
+from .dynamics import LPath, _all_corridors, _Field, _find_cycle, l_paths
 
 
 @dataclass(frozen=True)
-class LineField:
-    """A complex plus a set of (vertex, edge) pairs.
+class LineField(_Field):
+    """A complex plus a set of (vertex, edge) pairs: `_upper_of` maps a
+    matched vertex to its edge, `_lower_of` an edge to its vertex.
 
     Construction does not check the pairing conditions; see
     validate_line_field.  Operations elsewhere assume a clean report.
     """
 
-    complex: SurfaceComplex
-    matching: frozenset[tuple[str, str]] = frozenset()
-
     def __post_init__(self):
         object.__setattr__(self, "matching", frozenset((v, e) for v, e in self.matching))
 
     def matched_vertices(self) -> frozenset[str]:
-        return frozenset(self._edge_of)
+        return frozenset(self._upper_of)
 
     def matched_edges(self) -> frozenset[str]:
-        return frozenset(self._vertex_of)
+        return frozenset(self._lower_of)
 
     def edge_matched_to(self, vertex: str) -> str | None:
-        return self._edge_of.get(vertex)
+        return self._upper_of.get(vertex)
 
     def vertex_matched_to(self, edge: str) -> str | None:
-        return self._vertex_of.get(edge)
+        return self._lower_of.get(edge)
 
-    # ---- field protocol, shared with VectorField ----
+    # ---- field protocol, the part a line field does its own way ----
 
-    def problems(self) -> list[str]:
-        """Structural violations of the complex, then of the matching."""
-        return self.complex.validate() + validate_line_field(self)
-
-    def doubled_critical(self) -> dict[str, int]:
-        """critical_cells, computed once per field; callers only read it."""
-        return self._critical
-
-    def closed_path(self) -> LPath | None:
-        return dynamics.closed_l_path(self)
-
-    graph = topological_graph
     paths = l_paths
 
     def corridors(self):
@@ -81,16 +66,9 @@ class LineField:
     def _exits(self, cell: str) -> list[tuple[int, str]]:
         return [(i, self.complex.corner_vertex(cell, i)) for i in self._unmatched.get(cell, ())]
 
-    # The matching never changes after construction, so each lookup table
-    # is built once, on first use.
-
     @cached_property
-    def _edge_of(self) -> dict[str, str]:
-        return {v: e for v, e in self.matching}
-
-    @cached_property
-    def _vertex_of(self) -> dict[str, str]:
-        return {e: v for v, e in self.matching}
+    def _pair_problems(self) -> list[str]:
+        return validate_line_field(self)
 
     @cached_property
     def _steps(self) -> dict[str, tuple[tuple[str, str], ...]]:
@@ -105,7 +83,7 @@ class LineField:
     @cached_property
     def _unmatched(self) -> dict[str, tuple[int, ...]]:
         """Each face's walk positions holding an unmatched edge."""
-        matched = self._vertex_of
+        matched = self._lower_of
         return {
             f: tuple(i for i, (_s, e) in enumerate(walk) if e not in matched)
             for f, walk in self.complex.faces.items()
@@ -123,10 +101,6 @@ class LineField:
         ring, edges = cycle[0][:-1], cycle[1]
         m = ring.index(min(ring))
         return LPath(ring[m:] + ring[: m + 1], edges[m:] + edges[:m])
-
-    @cached_property
-    def _graph(self):
-        return dynamics._build_graph(self)
 
     @cached_property
     def _corridors(self):
@@ -169,8 +143,8 @@ def critical_cells(L: LineField) -> dict[str, int]:
     occurrences scores 2 - c, recorded only when c != 2.  Edges never
     appear.  Only the critical cells are sorted, vertices before faces.
     """
-    edge_of, unmatched = L._edge_of, L._unmatched
-    out = {v: 2 for v in sorted(v for v in L.complex.vertices if v not in edge_of)}
+    matched, unmatched = L._upper_of, L._unmatched
+    out = {v: 2 for v in sorted(v for v in L.complex.vertices if v not in matched)}
     for f in sorted(f for f, at in unmatched.items() if len(at) != 2):
         out[f] = 2 - len(unmatched[f])
     return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotInImageError
-from .linefield import LineField, validate_line_field
+from .linefield import LineField
 from .surface import (
     SurfaceComplex, _canonical_rotation, _merged_walk, _split_walk, fresh_id
 )
@@ -188,7 +188,7 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
     identifiers, and refusals the messages, that deleting them one at a
     time with delete_edge_merge_faces would give.
     """
-    if validate_line_field(L):
+    if L._pair_problems:  # validate_line_field, cached on the field
         raise NotInImageError("not a valid line field")
     T = L.complex
     edges = dict(T.edges)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .dynamics import _chain, _count_walks, _require_acyclic, corridors_from
+from .dynamics import LPath, _count_walks, _nth_walk, _require_acyclic, corridors_from
 from .errors import (
     CancellationError,
     DegenerateOperationError,
@@ -114,7 +114,7 @@ def homotopy_core(L: LineField) -> CoreResult:
     """
     _require_acyclic(L)
     S = L.complex
-    matched = L._vertex_of
+    matched = L._lower_of
     contracted = L.matching
     degenerate = None
     doomed = [f for f, at in L._unmatched.items() if not at]
@@ -293,7 +293,7 @@ def cancel_vertex_face(
         raise OperationError(f"{v} is not a vertex of the complex")
     if f not in S.faces:
         raise OperationError(f"{f} is not a face of the complex")
-    if v in L._edge_of:
+    if v in L._upper_of:
         raise OperationError(f"{v} is matched, not critical")
     c = len(L._unmatched[f])
     if c < 3:
@@ -312,8 +312,8 @@ def cancel_vertex_face(
             f"cancellation needs a unique path from {f} to {v}; found {len(hits)}"
         )
     p = hits[0]
-    cells, edges = _chain(corners[p], L._steps)
-    u1 = cells[0]
+    path = _nth_walk(L._steps, {}, corners[p], 0, LPath)
+    u1 = path.vertices[0]
     q = None
     for k in range(1, n):
         cand = (p + k) % n
@@ -336,9 +336,9 @@ def cancel_vertex_face(
     part_off = fresh_id(f"{f}_0", taken)
     T = split_face(S, f, p, q, diag, part_entry, part_off)
     pairs = set(L.matching)
-    for i, e_i in enumerate(edges):
-        pairs.discard((cells[i], e_i))
-        pairs.add((cells[i + 1], e_i))
+    for i, e_i in enumerate(path.edges):
+        pairs.discard((path.vertices[i], e_i))
+        pairs.add((path.vertices[i + 1], e_i))
     pairs.add((u1, diag))
     mapping = {cid: cid for cid, _d in S.cells()}
     mapping[f] = part_entry

@@ -7,8 +7,10 @@ record which boundary occurrence each step uses so parallel paths stay
 distinct.  Cancellation reverses the unique path joining two critical
 cells.
 
-VectorField has the field protocol of LineField (see linefield.py); the
-CLI and the formats module use only those methods.
+VectorField has the field protocol of LineField, and shares its body,
+dynamics._Field: the complex, the matching's lookup maps `_upper_of` and
+`_lower_of`, and problems(), doubled_critical(), closed_path() and
+graph().  The CLI and the formats module use only those methods.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from . import dynamics
 from .dynamics import (
+    _Field,
     _PathView,
     _count_walks,
     _find_cycle,
@@ -26,7 +28,6 @@ from .dynamics import (
     topological_graph,
 )
 from .errors import CancellationError, OperationError
-from .surface import SurfaceComplex
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,9 @@ class XPath(_PathView):
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_Field):
     """A complex plus pairs (lower, upper); construction reorders each pair
     by dimension but checks nothing else, see validate_vector_field."""
-
-    complex: SurfaceComplex
-    matching: frozenset[tuple[str, str]] = frozenset()
 
     def __post_init__(self):
         # Cell ids are unique across kinds, so membership gives dimensions.
@@ -74,20 +72,7 @@ class VectorField:
     def lower_of(self, upper: str) -> str | None:
         return self._lower_of.get(upper)
 
-    # ---- field protocol (see linefield.py) ----
-
-    def problems(self) -> list[str]:
-        return self.complex.validate() + validate_vector_field(self)
-
-    def doubled_critical(self) -> dict[str, int]:
-        """Critical cells with twice their index, as line fields keep it;
-        computed once per field, and callers only read it."""
-        return self._critical
-
-    def closed_path(self) -> XPath | None:
-        return closed_x_path(self)
-
-    graph = topological_graph
+    # ---- field protocol, the part a vector field does its own way ----
 
     def corridors(self) -> tuple[tuple, tuple]:
         """Cell matchings have no corridors."""
@@ -120,16 +105,9 @@ class VectorField:
         dim_of = self.complex.dim_of
         return lambda cells, witnesses: XPath(dim_of(cells[0]), cells, witnesses)
 
-    # The matching never changes after construction, so each lookup table
-    # is built once, on first use.
-
     @cached_property
-    def _upper_of(self) -> dict[str, str]:
-        return {lo: up for lo, up in self.matching}
-
-    @cached_property
-    def _lower_of(self) -> dict[str, str]:
-        return {up: lo for lo, up in self.matching}
+    def _pair_problems(self) -> list[str]:
+        return validate_vector_field(self)
 
     @cached_property
     def _steps(self) -> dict[str, tuple[tuple[tuple[str, int], str], ...]]:
@@ -151,10 +129,6 @@ class VectorField:
         dim_of = self.complex.dim_of
         cycle = _find_cycle(sorted(self._steps, key=lambda c: (dim_of(c), c)), self._steps)
         return None if cycle is None else self._path(*cycle)
-
-    @cached_property
-    def _graph(self):
-        return dynamics._build_graph(self)
 
 
 def validate_vector_field(V: VectorField) -> list[str]:

@@ -1,5 +1,8 @@
 """Combinatorial isomorphism testing for complexes and fields on them.
 
+A test helper, not part of the package: the tests compare complexes and
+fields up to renaming with it.
+
 The encoding fixes choices an isomorphism must be free to undo: each edge
 has an arbitrary direction (so edges map together with a sign), and each
 boundary walk an arbitrary starting point and direction (so faces align up
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import InvalidComplexError
+from linefields.errors import InvalidComplexError
 
 
 def _propagate(S1, S2, f0, start, pinned):

@@ -13,6 +13,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from isomorphism import line_fields_isomorphic
 import support
 
 from linefields import (
@@ -32,7 +33,6 @@ from linefields import (
     emit_complex,
     homotopy_core,
     l_paths,
-    line_fields_isomorphic,
     merge_critical_faces,
     parse_complex,
     radial_decomposition,

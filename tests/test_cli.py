@@ -2,19 +2,21 @@
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from isomorphism import line_fields_isomorphic
 import support
 
 from linefields import (
     LineField,
     VectorField,
     critical_cells,
+    dvf_to_dlf,
     emit_complex,
     emit_line_field,
     emit_vector_field,
-    line_fields_isomorphic,
     parse_complex,
     parse_graph_json,
     parse_line_field,
@@ -350,6 +352,25 @@ def test_from_dvf_to_dvf_round_trip(tmp_path):
     ]
     strip = {f"w_{v}": v for v in V.complex.vertices}
     assert any(line_fields_isomorphic(A, V, vertex_map=strip) for A in factors)
+
+
+def test_to_dvf_validates_the_line_field_once(tmp_path, monkeypatch, capsys):
+    # main checks the field with problems(); dlf_to_dvf reads that verdict.
+    # Every module of the package that binds the function gets the wrapper.
+    from linefields import linefield
+
+    calls = []
+    original = linefield.validate_line_field
+    for name, module in list(sys.modules.items()):
+        if name.startswith("linefields") and vars(module).get("validate_line_field") is original:
+            monkeypatch.setattr(
+                module, "validate_line_field", lambda L: calls.append(L) or original(L)
+            )
+    V = VectorField(support.tetra(), frozenset({("v1", "e12"), ("e23", "f123")}))
+    path = write(tmp_path, "image.txt", emit_line_field(dvf_to_dlf(V)))
+    assert main(["to-dvf", path]) == 0
+    assert capsys.readouterr().out.startswith("surface ")
+    assert len(calls) == 1
 
 
 def test_to_dvf_not_in_image_exit_2(tmp_path, capsys):

@@ -303,7 +303,6 @@ PUBLIC = [
     "cancel_vertex_face",
     "closed_l_path",
     "closed_x_path",
-    "complexes_isomorphic",
     "corridors_from",
     "count_x_paths",
     "critical_cells",
@@ -319,9 +318,7 @@ PUBLIC = [
     "graph_dot",
     "homotopy_core",
     "is_radial",
-    "isomorphisms",
     "l_paths",
-    "line_fields_isomorphic",
     "merge_critical_faces",
     "ms_decomposition",
     "occ_text",
@@ -342,15 +339,19 @@ PUBLIC = [
 ]
 
 # Other names for a public name, one-line expressions of the field protocol,
-# and helpers only the tests call (kept in tests/support.py).
+# and helpers only the tests call (kept in tests/support.py and
+# tests/isomorphism.py).
 REMOVED = [
     "HasseDiagram",
     "collapse_noncritical_face",
+    "complexes_isomorphic",
     "contract_matched_pair",
     "euler_sum",
     "euler_sum_dvf",
     "is_acyclic",
     "is_acyclic_dvf",
+    "isomorphisms",
+    "line_fields_isomorphic",
     "occ_reversed",
     "scan_closed_corridors",
     "subdivide_edge",

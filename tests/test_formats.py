@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from isomorphism import complexes_isomorphic
 import support
 
 from linefields import (
@@ -12,7 +13,6 @@ from linefields import (
     LineField,
     ParseError,
     VectorField,
-    complexes_isomorphic,
     critical_cells,
     critical_cells_dvf,
     emit_complex,

@@ -4,16 +4,16 @@ import random
 from itertools import permutations
 from types import SimpleNamespace
 
+import isomorphism
 import pytest
 import support
-from support import corners
-from linefields import isomorphism
-from linefields.errors import InvalidComplexError
-from linefields.isomorphism import (
+from isomorphism import (
     complexes_isomorphic,
     isomorphisms,
     line_fields_isomorphic,
 )
+from support import corners
+from linefields.errors import InvalidComplexError
 from linefields.surface import SurfaceComplex, _canonical_rotation, reversed_walk
 
 

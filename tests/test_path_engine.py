@@ -65,24 +65,22 @@ def test_serpentine_paths_need_no_recursion(tmp_path, capsys):
 def test_one_acyclicity_check_per_operation(monkeypatch):
     calls = []
 
-    def counting(check):
-        def wrapper(field):
-            calls.append(check.__name__)
-            return check(field)
+    check = dynamics._Field.closed_path
 
-        return wrapper
+    def wrapper(field):
+        calls.append(type(field).__name__)
+        return check(field)
 
-    monkeypatch.setattr(dynamics, "closed_l_path", counting(dynamics.closed_l_path))
-    monkeypatch.setattr(vectorfield, "closed_x_path", counting(vectorfield.closed_x_path))
+    monkeypatch.setattr(dynamics._Field, "closed_path", wrapper)
     rng = random.Random(4)
     S = support.grid_torus(4, 4)
     ms_decomposition(support.forest_field(S, rng, 0.7))
-    assert calls == ["closed_l_path"]
+    assert calls == ["LineField"]
     calls.clear()
     V = VectorField(support.tetra(), frozenset({("v1", "e12")}))
     out = cancel_dvf(V, "e13", "v2")
     assert out.matching == frozenset({("v2", "e12"), ("v1", "e13")})
-    assert calls == ["closed_x_path"]
+    assert calls == ["VectorField"]
 
 
 def test_one_cycle_search_per_field(monkeypatch):
@@ -171,9 +169,9 @@ def test_cancel_vertex_face_walks_one_chain(monkeypatch):
     and walks only the chain it reverses, not one chain per corner."""
     S = support.subdivide_edge(support.tetra(), "e34", "m", "e34a", "e34b")
     L = LineField(S, frozenset({("v3", "e34a")}))
-    chains = counting_walks(monkeypatch, simplify, "_chain")
+    chains = counting_walks(monkeypatch, simplify, "_nth_walk")
     out, _corr = cancel_vertex_face(L, "m", "f123")
-    assert chains == [(("v3", "m"), ("e34a",))]
+    assert chains == [LPath(("v3", "m"), ("e34a",))]
     assert out.matching == frozenset({("m", "e34a"), ("v3", "d_f123")})
 
 

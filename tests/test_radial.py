@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from isomorphism import complexes_isomorphic, line_fields_isomorphic
 import support
 from support import hasse_diagram
 from linefields import (
@@ -11,7 +12,6 @@ from linefields import (
     OperationError,
     SurfaceComplex,
     VectorField,
-    complexes_isomorphic,
     critical_cells_dvf,
     delete_edge_merge_faces,
     dlf_to_dvf,
@@ -21,7 +21,6 @@ from linefields import (
     emit_vector_field,
     fresh_id,
     is_radial,
-    line_fields_isomorphic,
     radial_decomposition,
     split_face,
     validate_line_field,

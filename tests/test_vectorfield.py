@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from isomorphism import line_fields_isomorphic
 import support
 from linefields import (
     CancellationError,
@@ -15,7 +16,6 @@ from linefields import (
     count_x_paths,
     critical_cells_dvf,
     dualize,
-    line_fields_isomorphic,
     topological_graph,
     validate_vector_field,
     x_paths,
