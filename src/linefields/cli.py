@@ -6,7 +6,9 @@ reader, prints each problem the field's `problems()` finds to stderr and
 exits 1 before the handler runs (an OFF mesh is read as a field with no
 matching, so its problems are the complex's).  A handler gets the valid
 input and only computes and writes.  The argument parser is built once per
-process, when the module is imported.  Exit status 0 means success, 1 a
+process, when the module is imported.  The simplification moves and the
+radial bridge load on first use, in the handlers that run them, so a call
+imports only what its subcommand needs.  Exit status 0 means success, 1 a
 parse or validation failure, 2 an operation whose precondition failed
 (cyclic field, missing path, mesh that is not in the image of the bridge,
 and so on).
@@ -35,8 +37,6 @@ from .formats import (
     write_report,
 )
 from .linefield import LineField
-from .radial import dlf_to_dvf, dvf_to_dlf
-from .simplify import cancel_vertex_face, homotopy_core, merge_critical_faces
 from .vectorfield import VectorField
 
 
@@ -124,6 +124,7 @@ def _emit_result(field: LineField, correspondence, args) -> None:
 
 
 def _cmd_simplify(L, args) -> int:
+    from .simplify import homotopy_core
     result = homotopy_core(L)
     _emit_result(result.field, result.correspondence, args)
     if result.degenerate_face is not None:
@@ -140,6 +141,7 @@ def _cancel_flags(args) -> None:
 
 
 def _cmd_cancel(L, args) -> int:
+    from .simplify import cancel_vertex_face, merge_critical_faces
     if args.faces is not None:
         field, correspondence = merge_critical_faces(L, args.faces[0], args.faces[1])
     else:
@@ -149,11 +151,13 @@ def _cmd_cancel(L, args) -> int:
 
 
 def _cmd_from_dvf(V, args) -> int:
+    from .radial import dvf_to_dlf
     _write(emit_line_field(dvf_to_dlf(V)), args.out)
     return 0
 
 
 def _cmd_to_dvf(L, args) -> int:
+    from .radial import dlf_to_dvf
     primal, dual = dlf_to_dvf(L)
     _write(emit_vector_field(primal), args.out)
     if args.dual_out is not None:

@@ -31,19 +31,13 @@ positions, and each crossing from the complex's `opposite` slot pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING
 
-from .errors import CyclicFieldError, OperationError
-
-if TYPE_CHECKING:
-    from .linefield import LineField
-    from .surface import SurfaceComplex
+from .errors import CyclicFieldError, OperationError, _Record
 
 
-class _PathView:
+class _PathView(_Record):
     """The view LPath and XPath share: the `cells` a path visits, the
     `steps` taken between them, and json(), its keys in the JSON report."""
 
@@ -54,7 +48,6 @@ class _PathView:
         return len(self.cells) > 1 and self.cells[0] == self.cells[-1]
 
 
-@dataclass(frozen=True)
 class LPath(_PathView):
     """Vertices v1..vk with witness edges e1..e(k-1); {vi, ei} is matched
     and v(i+1) is the other endpoint of ei (vi itself for a loop)."""
@@ -126,8 +119,7 @@ class Separatrix:
         return "Separatrix(source=%r, target=%r, occurrence=%r, path=%r)" % self._fields()
 
 
-@dataclass(frozen=True)
-class TopologicalGraph:
+class TopologicalGraph(_Record):
     """Multigraph on the critical cells; edges are separatrices."""
 
     vertices: tuple[str, ...]
@@ -137,8 +129,7 @@ class TopologicalGraph:
         return sum(1 for s in self.edges if s.source == source and s.target == target)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(_Record):
     """One step of a corridor: leave through `depart`, an unmatched (face,
     position) occurrence of `edge`, and enter at the edge's other
     occurrence `arrive`."""
@@ -148,16 +139,14 @@ class Crossing:
     arrive: tuple[str, int]
 
 
-@dataclass(frozen=True)
-class Corridor:
+class Corridor(_Record):
     start: str
     end: str
     crossings: tuple[Crossing, ...]
     interior: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ClosedCorridor:
+class ClosedCorridor(_Record):
     """A corridor cycle through faces with two unmatched occurrences,
     touching no critical face."""
 
@@ -165,8 +154,7 @@ class ClosedCorridor:
     crossings: tuple[Crossing, ...]
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(_Record):
     field: LineField
     graph: TopologicalGraph
     corridors: tuple[Corridor, ...]
@@ -357,8 +345,7 @@ def _build_graph(field) -> TopologicalGraph:
     return TopologicalGraph(tuple(sorted(crit)), edges)
 
 
-@dataclass(frozen=True)
-class _Field:
+class _Field(_Record):
     """The body LineField and VectorField share: a complex, a set of
     (lower, upper) pairs looked up both ways, and the field protocol
     methods that only read a subclass's cached verdicts.
@@ -366,8 +353,8 @@ class _Field:
     A subclass supplies `_pair_problems` (the matching's violations),
     `_critical`, `_closed`, `_steps` and `_exits`, and the hooks `_path`,
     `_path_keys` and `_cyclic_text`.  The matching never changes after
-    construction, so every table is built once, on first use.  Subclasses
-    are dataclasses too, so that __init__ calls their __post_init__.
+    construction, so every table is built once, on first use.
+    _Record.__init__ calls a subclass's __post_init__.
     """
 
     complex: SurfaceComplex

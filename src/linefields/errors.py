@@ -1,10 +1,92 @@
-"""Exception types shared across the package.
+"""Exception types and the value-record base shared across the package.
 
 Construction-time referential problems raise InvalidComplexError; structural
 surface conditions are reported by validate() instead of raised.  Operation
 preconditions raise OperationError subclasses so the CLI can map them to
 exit code 2.
+
+Every module imports this one, so `_Record`, the frozen-record base of the
+package's value classes, lives here too.  Defining a record class compiles
+no code, which keeps the package quick to import.
 """
+
+from operator import attrgetter
+
+_MISSING = object()
+# Stores a field.  Writing to `self.__dict__` would replace the instance's
+# inline attribute values by a dict and slow every later attribute read.
+_setattr = object.__setattr__
+
+
+class _Record:
+    """A frozen value record.
+
+    The fields are the names annotated on the class and its bases, in
+    order; a class attribute of the same name is that field's default.
+    __init__ takes the fields positionally or by keyword, then calls the
+    class's __post_init__ when it has one, which may replace a field's
+    value with object.__setattr__.  Assigning or deleting an attribute
+    raises AttributeError.  Two records are equal when they are of the
+    same class and their `_compared` fields (all fields unless the class
+    names fewer) are equal; they hash by the same fields and print as
+    `Name(field=value, ...)`, every field shown.
+    """
+
+    _fields = _compared = ()
+    _post_init = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = {}
+        for base in reversed(cls.__mro__):
+            names.update(dict.fromkeys(vars(base).get("__annotations__", ())))
+        cls._fields = tuple(names)
+        if "_compared" not in vars(cls):
+            cls._compared = cls._fields
+        compared = cls._compared  # attrgetter of one name gives no tuple
+        cls._key = staticmethod(attrgetter(*compared) if len(compared) > 1
+                                else lambda r: tuple(getattr(r, n) for n in compared))
+        cls._post_init = getattr(cls, "__post_init__", None) is not None
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        if self._post_init:
+            self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        """The field values of a call that does not pass each field
+        positionally; TypeError for a missing, unknown or repeated one."""
+        names = cls._fields
+        given = dict(zip(names, args))
+        values = [kwargs.get(n, given.get(n, getattr(cls, n, _MISSING))) for n in names]
+        if (len(args) > len(names) or given.keys() & kwargs or kwargs.keys() - set(names)
+                or any(v is _MISSING for v in values)):
+            raise TypeError(f"{cls.__name__}({', '.join(names)}) does not take"
+                            f" {len(args)} positional arguments and keywords {sorted(kwargs)}")
+        return values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class ParseError(ValueError):

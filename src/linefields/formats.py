@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
 
 from .dynamics import Separatrix, TopologicalGraph, _branch
-from .errors import ParseError
+from .errors import ParseError, _Record
 from .linefield import LineField
 from .surface import SurfaceComplex, occ_text
 from .vectorfield import VectorField
@@ -32,8 +31,7 @@ _DIRECTIVES = {
 }
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(_Record):
     """One parsed file: a complex plus whichever matching lines it had."""
 
     complex: SurfaceComplex

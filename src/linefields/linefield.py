@@ -16,13 +16,11 @@ formats module reach the algorithms only through these methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .dynamics import LPath, _all_corridors, _Field, _find_cycle, l_paths
 
 
-@dataclass(frozen=True)
 class LineField(_Field):
     """A complex plus a set of (vertex, edge) pairs: `_upper_of` maps a
     matched vertex to its edge, `_lower_of` an edge to its vertex.

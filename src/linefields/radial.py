@@ -17,9 +17,7 @@ a fresh_id suffix when the name is taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NotInImageError
+from .errors import NotInImageError, _Record
 from .linefield import LineField
 from .surface import (
     SurfaceComplex, _canonical_rotation, _merged_walk, _split_walk, fresh_id
@@ -27,8 +25,7 @@ from .surface import (
 from .vectorfield import VectorField
 
 
-@dataclass(frozen=True)
-class RadialComplex:
+class RadialComplex(_Record):
     """A quadrangulation together with its cell bookkeeping.
 
     vertex_origin maps each radial vertex to the vertex or face it stands

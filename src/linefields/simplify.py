@@ -12,13 +12,13 @@ new field together with a cell correspondence.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .dynamics import LPath, _count_walks, _nth_walk, _require_acyclic, corridors_from
 from .errors import (
     CancellationError,
     DegenerateOperationError,
     OperationError,
+    _Record,
 )
 from .linefield import LineField
 from .surface import (
@@ -30,8 +30,7 @@ from .surface import (
 )
 
 
-@dataclass(frozen=True)
-class CellCorrespondence:
+class CellCorrespondence(_Record):
     """Total map from the cells of the original complex into the result.
 
     Vertices map to the vertex they were merged into; deleted edges and
@@ -48,8 +47,7 @@ class CellCorrespondence:
         return tuple(sorted(c for c, img in self.mapping.items() if img == cell))
 
 
-@dataclass(frozen=True)
-class CoreResult:
+class CoreResult(_Record):
     """Outcome of homotopy_core; degenerate_face is set when simplification
     stopped at a non-critical face it cannot remove."""
 

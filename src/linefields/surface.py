@@ -10,10 +10,9 @@ combination of occurrence signs is accepted as long as the walks chain.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import DegenerateOperationError, InvalidComplexError
+from .errors import DegenerateOperationError, InvalidComplexError, _Record
 
 # An occurrence is (sign, edge_id) with sign +1 or -1.
 Occurrence = tuple[int, str]
@@ -80,14 +79,14 @@ def fresh_id(base: str, taken) -> str:
     return f"{base}_{n}"
 
 
-@dataclass(frozen=True)
-class SurfaceComplex:
+class SurfaceComplex(_Record):
     """Immutable complex; walks are canonically rotated at construction."""
 
     vertices: frozenset[str]
     edges: dict[str, tuple[str, str]]
     faces: dict[str, tuple[Occurrence, ...]]
-    name: str = field(default="surface", compare=False)
+    name: str = "surface"
+    _compared = ("vertices", "edges", "faces")
 
     def __post_init__(self):
         vertices = frozenset(self.vertices)
@@ -442,7 +441,7 @@ def split_face(
     edges[diag_id] = (S.corner_vertex(face, p), S.corner_vertex(face, q))
     faces = {g: w for g, w in S.faces.items() if g != face}
     faces[face_a_id], faces[face_b_id] = _split_walk(walk, p, q, diag_id)
-    return replace(S, edges=edges, faces=faces)
+    return SurfaceComplex(S.vertices, edges, faces, name=S.name)
 
 
 def delete_edge_merge_faces(S: SurfaceComplex, edge: str, merged_id: str) -> SurfaceComplex:
@@ -464,4 +463,4 @@ def delete_edge_merge_faces(S: SurfaceComplex, edge: str, merged_id: str) -> Sur
     edges = {e: ep for e, ep in S.edges.items() if e != edge}
     faces = {g: w for g, w in S.faces.items() if g not in (f1, f2)}
     faces[merged_id] = merged
-    return replace(S, edges=edges, faces=faces)
+    return SurfaceComplex(S.vertices, edges, faces, name=S.name)

@@ -15,7 +15,6 @@ graph().  The CLI and the formats module use only those methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .dynamics import (
@@ -30,7 +29,6 @@ from .dynamics import (
 from .errors import CancellationError, OperationError
 
 
-@dataclass(frozen=True)
 class XPath(_PathView):
     """Cells s1..sk of one dimension with witnesses (t1, key1)..; {si, ti}
     is matched and s(i+1) occurs on the boundary of ti at the keyed slot
@@ -48,7 +46,6 @@ class XPath(_PathView):
         return {"cells": list(self.cells), "witnesses": [list(w) for w in self.witnesses]}
 
 
-@dataclass(frozen=True)
 class VectorField(_Field):
     """A complex plus pairs (lower, upper); construction reorders each pair
     by dimension but checks nothing else, see validate_vector_field."""

@@ -10,7 +10,7 @@ import random
 import sys
 from collections import Counter, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from linefields import LineField, VectorField
 from linefields.errors import DegenerateOperationError, OperationError
@@ -78,7 +78,7 @@ def subdivide_edge(
             else:
                 w.extend([(-1, edge_b_id), (-1, edge_a_id)])
         faces[f] = tuple(w)
-    return replace(S, vertices=S.vertices | {vertex_id}, edges=edges, faces=faces)
+    return SurfaceComplex(S.vertices | {vertex_id}, edges, faces, name=S.name)
 
 
 def corners(S: SurfaceComplex) -> list[tuple[str, str, int]]:
@@ -152,7 +152,7 @@ def contract_matched_pair(
         for eid, (t, h) in S.edges.items()
         if eid != e
     }
-    T = replace(S, vertices=S.vertices - {v}, edges=edges, faces=faces)
+    T = SurfaceComplex(S.vertices - {v}, edges, faces, name=S.name)
     mapping = {c: c for c, _d in S.cells()}
     mapping[v] = keep
     mapping[e] = keep

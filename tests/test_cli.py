@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -471,3 +473,27 @@ def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
     assert main(["euler", path, "--dvf"]) == 0
     assert built == []
     assert capsys.readouterr().out == "OK\nchi=2 index_sum=2 OK\n"
+
+
+# Start-up: no dataclass or typing machinery, and the radial bridge and the
+# simplification moves only for the subcommands that run them.
+START_PROBE = """
+import sys
+banned = ("dataclasses", "inspect", "typing", "linefields.radial", "linefields.simplify")
+import linefields.cli
+print(*[m for m in banned if m in sys.modules])
+status = linefields.cli.main(["from-dvf", *sys.argv[1:]])
+print(status, *[m for m in banned if m in sys.modules])
+"""
+
+
+def test_cli_start_loads_only_what_it_runs(tmp_path):
+    # A fresh interpreter under -S, so that `site` preloads nothing.
+    V = VectorField(support.tetra(), frozenset({("v1", "e12"), ("e23", "f123")}))
+    path = write(tmp_path, "dvf.txt", emit_vector_field(V))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", START_PROBE, path, "-o", str(tmp_path / "out.txt")],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines() == ["", "0 linefields.radial"]

@@ -362,11 +362,21 @@ REMOVED = [
 
 
 def test_every_public_name_is_exported():
+    # The package binds a name on its first access, so walk dir() with
+    # getattr rather than reading the namespace as it stands.
     names = {
         n
-        for n, value in vars(linefields).items()
-        if not n.startswith("_") and not isinstance(value, ModuleType)
+        for n in dir(linefields)
+        if not n.startswith("_") and not isinstance(getattr(linefields, n), ModuleType)
     }
     assert names == set(linefields.__all__)
     assert sorted(linefields.__all__) == PUBLIC
     assert [n for n in REMOVED if hasattr(linefields, n)] == []
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from linefields import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == linefields.__all__
+    assert all(namespace[n] is getattr(linefields, n) for n in namespace)
