@@ -1,9 +1,8 @@
 """Discrete line fields and vector fields on CW decompositions of surfaces.
 
-Importing the package imports none of its modules (PEP 562): the first
-access of a public name imports the module that defines it, and the name is
-kept in the package namespace from then on.  `_MODULES` is the one table of
-public names by module; submodules resolve as attributes too.
+Importing the package imports none of its modules (PEP 562): a public name,
+listed by module in `_MODULES`, imports its module on first access and stays
+bound; submodules resolve as attributes too.
 """
 
 __version__ = "0.1.0"

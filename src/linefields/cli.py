@@ -5,13 +5,11 @@ That policy lives in `main`: it reads the input file with the subcommand's
 reader, prints each problem the field's `problems()` finds to stderr and
 exits 1 before the handler runs (an OFF mesh is read as a field with no
 matching, so its problems are the complex's).  A handler gets the valid
-input and only computes and writes.  The argument parser is built once per
-process, when the module is imported.  The simplification moves and the
-radial bridge load on first use, in the handlers that run them, so a call
-imports only what its subcommand needs.  Exit status 0 means success, 1 a
-parse or validation failure, 2 an operation whose precondition failed
-(cyclic field, missing path, mesh that is not in the image of the bridge,
-and so on).
+input and only computes and writes.  The argument parser is built at
+import; the simplification moves and the radial bridge load on first use,
+in the handlers that run them.  Exit status 0 means success, 1 a parse or
+validation failure, 2 an operation whose precondition failed (cyclic
+field, missing path, mesh not in the image of the bridge, and so on).
 """
 
 from __future__ import annotations

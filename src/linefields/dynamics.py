@@ -352,9 +352,8 @@ class _Field(_Record):
 
     A subclass supplies `_pair_problems` (the matching's violations),
     `_critical`, `_closed`, `_steps` and `_exits`, and the hooks `_path`,
-    `_path_keys` and `_cyclic_text`.  The matching never changes after
-    construction, so every table is built once, on first use.
-    _Record.__init__ calls a subclass's __post_init__.
+    `_path_keys` and `_cyclic_text`, and may define __post_init__, which
+    _Record.__init__ calls.  Every table is built once, on first use.
     """
 
     complex: SurfaceComplex

@@ -5,9 +5,8 @@ surface conditions are reported by validate() instead of raised.  Operation
 preconditions raise OperationError subclasses so the CLI can map them to
 exit code 2.
 
-Every module imports this one, so `_Record`, the frozen-record base of the
-package's value classes, lives here too.  Defining a record class compiles
-no code, which keeps the package quick to import.
+`_Record`, the frozen-record base of the value classes, lives here because
+every module imports this one; defining a record class compiles no code.
 """
 
 from operator import attrgetter
@@ -18,55 +17,75 @@ _MISSING = object()
 _setattr = object.__setattr__
 
 
+class _FieldTable:
+    """A record class's `__dataclass_fields__`, read by dataclasses.replace,
+    fields and asdict; built on a first read with the dataclasses module the
+    reader imported, so importing the package loads none of it."""
+
+    tables = {}
+
+    def __get__(self, record, cls):
+        if cls not in self.tables:
+            import dataclasses as dc
+            self.tables[cls] = dc.make_dataclass(cls.__name__, [
+                (n, object, dc.field(default=getattr(cls, n, dc.MISSING), compare=n in cls._compared))
+                for n in cls._fields]).__dataclass_fields__
+        return self.tables[cls]
+
+
 class _Record:
     """A frozen value record.
 
-    The fields are the names annotated on the class and its bases, in
-    order; a class attribute of the same name is that field's default.
-    __init__ takes the fields positionally or by keyword, then calls the
-    class's __post_init__ when it has one, which may replace a field's
-    value with object.__setattr__.  Assigning or deleting an attribute
-    raises AttributeError.  Two records are equal when they are of the
-    same class and their `_compared` fields (all fields unless the class
-    names fewer) are equal; they hash by the same fields and print as
-    `Name(field=value, ...)`, every field shown.
+    The fields are the names annotated on the class and its bases, in order;
+    a class attribute of the same name is that field's default.  __init__
+    takes them positionally or by keyword, then calls the class's
+    __post_init__, if any, which may set a field with object.__setattr__.
+    Assigning or deleting an attribute raises AttributeError.  Records of
+    one class compare and hash by their `_compared` fields (all unless the
+    class names fewer) and print as `Name(field=value, ...)`.
     """
 
     _fields = _compared = ()
-    _post_init = False
+    __dataclass_fields__ = _FieldTable()
 
     def __init_subclass__(cls, **kwargs):
+        """Records the fields and gives the class its __init__, __eq__ and
+        __hash__, closures over its field names and compared-fields key."""
         super().__init_subclass__(**kwargs)
         names = {}
         for base in reversed(cls.__mro__):
             names.update(dict.fromkeys(vars(base).get("__annotations__", ())))
-        cls._fields = tuple(names)
+        names = cls._fields = tuple(names)
         if "_compared" not in vars(cls):
-            cls._compared = cls._fields
+            cls._compared = names
         compared = cls._compared  # attrgetter of one name gives no tuple
-        cls._key = staticmethod(attrgetter(*compared) if len(compared) > 1
-                                else lambda r: tuple(getattr(r, n) for n in compared))
-        cls._post_init = getattr(cls, "__post_init__", None) is not None
+        key = (attrgetter(*compared) if len(compared) > 1
+               else lambda r: tuple(getattr(r, n) for n in compared))
+        post = getattr(cls, "__post_init__", None) is not None
 
-    def __init__(self, *args, **kwargs):
-        names = self._fields
-        if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
-        for name, value in zip(names, args):
-            _setattr(self, name, value)
-        if self._post_init:
-            self.__post_init__()
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != len(names):
+                args = cls._bind(args, kwargs)
+            for name, value in zip(names, args):
+                _setattr(self, name, value)
+            if post:
+                self.__post_init__()
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return key(self) == key(other)
+
+        cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, lambda self: hash(key(self))
 
     @classmethod
     def _bind(cls, args, kwargs) -> list:
         """The field values of a call that does not pass each field
         positionally; TypeError for a missing, unknown or repeated one."""
-        names = cls._fields
-        given = dict(zip(names, args))
-        values = [kwargs.get(n, given.get(n, getattr(cls, n, _MISSING))) for n in names]
-        if (len(args) > len(names) or given.keys() & kwargs or kwargs.keys() - set(names)
-                or any(v is _MISSING for v in values)):
-            raise TypeError(f"{cls.__name__}({', '.join(names)}) does not take"
+        values = [*args, *(kwargs.pop(n) if n in kwargs else getattr(cls, n, _MISSING)
+                           for n in cls._fields[len(args):])]
+        if kwargs or len(values) != len(cls._fields) or any(v is _MISSING for v in values):
+            raise TypeError(f"{cls.__name__}({', '.join(cls._fields)}) does not take"
                             f" {len(args)} positional arguments and keywords {sorted(kwargs)}")
         return values
 
@@ -75,14 +94,6 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) == self._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
 
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)

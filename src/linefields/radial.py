@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from .errors import NotInImageError, _Record
 from .linefield import LineField
-from .surface import (
-    SurfaceComplex, _canonical_rotation, _merged_walk, _split_walk, fresh_id
-)
+from .surface import SurfaceComplex, _canonical_rotation, _merged_walk, _split_walk, fresh_id
 from .vectorfield import VectorField
 
 

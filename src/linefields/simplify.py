@@ -14,20 +14,9 @@ from __future__ import annotations
 import heapq
 
 from .dynamics import LPath, _count_walks, _nth_walk, _require_acyclic, corridors_from
-from .errors import (
-    CancellationError,
-    DegenerateOperationError,
-    OperationError,
-    _Record,
-)
+from .errors import CancellationError, DegenerateOperationError, OperationError, _Record
 from .linefield import LineField
-from .surface import (
-    SurfaceComplex,
-    _merged_walk,
-    fresh_id,
-    reversed_walk,
-    split_face,
-)
+from .surface import SurfaceComplex, _merged_walk, fresh_id, reversed_walk, split_face
 
 
 class CellCorrespondence(_Record):

@@ -225,3 +225,36 @@ def test_surface_complexes_differing_in_name_are_equal():
     assert LineField(S) == LineField(T)
     with pytest.raises(TypeError):
         hash(S)
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_dataclasses_functions_apply_to_records(cls):
+    """dataclasses.fields, asdict and replace read a record's field table
+    as they read its twin's, and replace builds through the constructor."""
+    spec, records = SAMPLES[cls]
+    r, other = records[0], records[1]
+    t = twin_of(cls, spec)(*values_of(r, spec))
+    assert dataclasses.is_dataclass(r) and dataclasses.is_dataclass(cls)
+    assert [(f.name, f.default, f.compare) for f in dataclasses.fields(r)] == spec
+    assert dataclasses.asdict(r) == dataclasses.asdict(t)
+    assert repr(dataclasses.replace(r)) == repr(r)
+    for name, _d, _c in spec:
+        given = {**{n: getattr(r, n) for n, _d, _c in spec}, name: getattr(other, name)}
+        try:
+            expected = repr(cls(**given))
+        except Exception as exc:  # e.g. a matching that names cells of another complex
+            with pytest.raises(type(exc)):
+                dataclasses.replace(r, **{name: getattr(other, name)})
+        else:
+            assert repr(dataclasses.replace(r, **{name: getattr(other, name)})) == expected
+
+
+def test_replace_as_the_benchmark_self_test_uses_it():
+    S = support.tetra()
+    f = min(S.faces)
+    (sign, e), *rest = S.faces[f]
+    flipped = dataclasses.replace(S, faces={**S.faces, f: ((-sign, e), *rest)})
+    assert flipped.name == S.name and flipped != S
+    assert flipped == SurfaceComplex(S.vertices, S.edges, flipped.faces)
+    graph = ms_decomposition(acyclic(S)).graph
+    assert dataclasses.replace(graph, edges=graph.edges[1:]).edges == graph.edges[1:]
