@@ -100,7 +100,8 @@ def parse_document(text: str) -> Document:
             pairs.setdefault(keyword, []).append((cid, tokens[2]))
     if name is None:
         raise ParseError("missing surface line")
-    S = SurfaceComplex(frozenset(vertices), edges, faces, name=name)
+    # Each line's checks refuse all that the constructor would.
+    S = SurfaceComplex._from_checked(frozenset(vertices), edges, faces, name)
     return Document(S, frozenset(pairs.get("match", ())), frozenset(pairs.get("vmatch", ())))
 
 

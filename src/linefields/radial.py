@@ -93,7 +93,7 @@ def _radial_classes(S: SurfaceComplex):
         )
         if a1 != b0 or b1 != c0 or c1 != d0 or d1 != a0:
             return None
-    if any(len(occs) != 2 for occs in S.occurrence_index.values()):
+    if S._darts.unpaired:  # some edge does not occur exactly twice
         return None
     if not S.vertices:
         return frozenset(), frozenset()
@@ -115,8 +115,8 @@ def _radial_classes(S: SurfaceComplex):
                 return None
     if len(color) != len(S.vertices):
         return None
-    if S._pinched_vertex() is not None:
-        return None
+    if any(len(cycles) != 1 for cycles in S._darts.cycles.values()):
+        return None  # a pinched vertex
     first = frozenset(v for v, c in color.items() if c == 0)
     return first, S.vertices - first
 
@@ -163,8 +163,8 @@ def dvf_to_dlf(V: VectorField) -> LineField:
         edges[diag] = (anchor, corners[(k + 2) % 4])
         faces[half_a], faces[half_b] = _split_walk(walk, k, (k + 2) % 4, diag)
         pairs.append((anchor, diag))
-    image = SurfaceComplex(
-        frozenset(vertex.values()), edges, faces, name=f"radial_{S.name}"
+    image = SurfaceComplex._from_checked(
+        frozenset(vertex.values()), edges, faces, f"radial_{S.name}"
     )
     return LineField(image, frozenset(pairs))
 
@@ -210,7 +210,7 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
         del edges[d]
         merged_into[f1] = merged_into[f2] = qid
         merged_quad[d] = qid
-    T = SurfaceComplex(T.vertices, edges, faces, name=T.name)
+    T = SurfaceComplex._from_checked(T.vertices, edges, faces, T.name)
     classes = _radial_classes(T)
     if classes is None:
         raise NotInImageError("unmatched edges do not form a radial refinement")
@@ -225,20 +225,22 @@ def _factors(R, first, second, matching, merged_quad):
     corners, tail at corner k (0 or 1, as corners alternate), and between
     its second-class corners, tail at corner 1 - k.  Each vertex becomes a
     face of the other class's complex whose walk follows its link cycle,
-    oriented +1 exactly when the crossing starts at the edge's tail.
+    oriented +1 exactly when the crossing starts at the edge's tail.  On
+    quadrilaterals, dart d is position d & 3 of face order[d >> 2].
     """
-    tail_first: dict[str, int] = {}
+    order = R._darts.order
+    tail_first: list[int] = []  # per face index
     edges_first: dict[str, tuple[str, str]] = {}
     edges_second: dict[str, tuple[str, str]] = {}
     ends = R.edges
-    for z in sorted(R.faces):
+    for z in order:
         c = [ends[e][0] if s > 0 else ends[e][1] for s, e in R.faces[z]]
         k = 0 if c[0] in first else 1
-        tail_first[z] = k
+        tail_first.append(k)
         edges_first[z] = (c[k], c[k + 2])
         edges_second[z] = (c[1 - k], c[3 - k])
 
-    link = R.vertex_link_cycles()
+    link = R._darts.cycles
     faces_first: dict[str, tuple] = {}
     faces_second: dict[str, tuple] = {}
     for u in sorted(R.vertices):
@@ -246,13 +248,15 @@ def _factors(R, first, second, matching, merged_quad):
         # u is a face of the other class's complex.
         flip, faces = (1, faces_second) if u in first else (0, faces_first)
         walk = []
-        for z, pos, side in cycle:
-            source = (pos - 1) % 4 if side == "in" else (pos + 1) % 4
-            walk.append((1 if source == tail_first[z] ^ flip else -1, z))
+        for s in cycle:
+            d = s >> 1
+            source = (d + 1) & 3 if s & 1 else (d - 1) & 3
+            walk.append((1 if source == tail_first[d >> 2] ^ flip else -1, order[d >> 2]))
         faces[u] = tuple(walk)
 
     pairs = frozenset((v, merged_quad[d]) for v, d in matching)
+    build = SurfaceComplex._from_checked
     return (
-        VectorField(SurfaceComplex(first, edges_first, faces_first, name=f"{R.name}_a"), pairs),
-        VectorField(SurfaceComplex(second, edges_second, faces_second, name=f"{R.name}_b"), pairs),
+        VectorField(build(first, edges_first, faces_first, f"{R.name}_a"), pairs),
+        VectorField(build(second, edges_second, faces_second, f"{R.name}_b"), pairs),
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from types import SimpleNamespace
 
 from .errors import DegenerateOperationError, InvalidComplexError, _Record
 
@@ -30,15 +31,15 @@ def reversed_walk(walk: tuple[Occurrence, ...]) -> tuple[Occurrence, ...]:
     return tuple((-sign, e) for sign, e in reversed(walk))
 
 
-def _canonical_rotation(walk: tuple[Occurrence, ...]) -> tuple[Occurrence, ...]:
+def _canonical_rotation(walk) -> tuple[Occurrence, ...]:
     # Rotate to start at the lexicographically least rotation of the
     # signed-occurrence texts so corner positions are reproducible.
-    k = _least_rotation([occ_text(o) for o in walk])
-    return walk[k:] + walk[:k]
+    return _rotated(walk, ["+" + e if s > 0 else "-" + e for s, e in walk])
 
 
-def _least_rotation(keys: list[str]) -> int:
-    """Start of a lexicographically least rotation of `keys`, in O(len(keys)).
+def _rotated(walk, keys: list[str]) -> tuple[Occurrence, ...]:
+    """`walk` as a tuple that starts at a lexicographically least rotation
+    of `keys`, the texts of its occurrences, found in O(len(keys)).
 
     When the least key occurs once, the rotation starts there.  Otherwise
     K. S. Booth, Lexicographically least circular substrings, IPL 10 (1980):
@@ -46,27 +47,27 @@ def _least_rotation(keys: list[str]) -> int:
     moves the candidate start k forward whenever a smaller key shows up.
     """
     if not keys:
-        return 0
+        return ()
     least = min(keys)
-    if keys.count(least) == 1:
-        return keys.index(least)
-    doubled = keys + keys
-    fail = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        key = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and key != doubled[k + i + 1]:
-            if key < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if key != doubled[k + i + 1]:
-            if key < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
+    k = keys.index(least)
+    if keys.count(least) > 1:
+        doubled = keys + keys
+        fail = [-1] * len(doubled)
+        k = 0
+        for j in range(1, len(doubled)):
+            key = doubled[j]
+            i = fail[j - k - 1]
+            while i != -1 and key != doubled[k + i + 1]:
+                if key < doubled[k + i + 1]:
+                    k = j - i - 1
+                i = fail[i]
+            if key != doubled[k + i + 1]:
+                if key < doubled[k]:
+                    k = j
+                fail[j - k] = -1
+            else:
+                fail[j - k] = i + 1
+    return tuple(walk[k:] + walk[:k])
 
 
 def fresh_id(base: str, taken) -> str:
@@ -121,10 +122,20 @@ class SurfaceComplex(_Record):
                 else:
                     raise InvalidComplexError(f"face {f} has occurrence with sign {sign}")
                 w.append((sign, e))
-            k = _least_rotation(keys)
-            faces[f] = tuple(w[k:] + w[:k])
+            faces[f] = _rotated(w, keys)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "faces", faces)
+
+    @classmethod
+    def _from_checked(cls, vertices: frozenset[str], edges, faces, name: str) -> "SurfaceComplex":
+        """A complex from cells that pass __post_init__'s checks, in tuples and
+        a frozenset, as the parser and the radial bridge build them.  It only
+        rotates the walks; `edges` is kept, not copied."""
+        S = cls.__new__(cls)
+        faces = {f: _canonical_rotation(walk) for f, walk in faces.items()}
+        for field, value in zip(cls._fields, (vertices, edges, faces, name)):
+            object.__setattr__(S, field, value)
+        return S
 
     # ---- basic accessors -------------------------------------------------
 
@@ -264,53 +275,61 @@ class SurfaceComplex(_Record):
             problems.append(f"incidence structure is disconnected ({components} components)")
         return problems
 
-    # ---- vertex links ----------------------------------------------------
+    # ---- darts and vertex links -----------------------------------------
 
     @cached_property
-    def _link_cycles(self) -> dict[str, tuple[tuple[Slot, ...], ...]]:
-        # An occurrence leaves the corner at its source through an "out"
-        # slot and enters the next corner through an "in" slot; the two
-        # occurrences of an edge put each of its ends in two slots, which
-        # partner each other.  step maps a slot to partner(flip(slot)).
-        faces = self.faces
-        step: dict[Slot, Slot] = {}
+    def _darts(self) -> SimpleNamespace:
+        """The dart table: the walks' occurrences numbered face by face in
+        sorted face order, dart d being position[d] of face order[face[d]].
+        Its corner's slots 2d ("in") and 2d + 1 ("out") run in (face,
+        position, side) order; partner pairs the two slots of each edge end,
+        and cycles holds each vertex's link cycles as slot lists.  Unless
+        every edge occurs twice, only `unpaired` is set, naming the least
+        edge that does not."""
+        faces, edges = self.faces, self.edges
+        order = sorted(faces)
+        face, position = [], []  # per dart
+        ends = {e: [] for e in edges}  # per edge, per occurrence: (tail slot, head slot)
+        for i, f in enumerate(order):
+            d, n = len(face), len(faces[f])
+            face += [i] * n
+            position += range(n)
+            for p, (s, e) in enumerate(faces[f]):
+                out, into = 2 * (d + p) + 1, 2 * (d + (p + 1) % n)
+                ends[e].append((out, into) if s > 0 else (into, out))
+        partner = [-1] * (2 * len(face))
         # Per edge end: its vertex and its two slots, least first.  A cycle
         # from the least slot passes both, so the other never starts one.
-        starts: list[tuple[str, Slot, Slot]] = []
-        for e in sorted(self.edges):
-            occs = self.occurrence_index[e]
-            if len(occs) != 2:
-                raise InvalidComplexError(
-                    f"vertex links need every edge twice: edge {e} occurs {len(occs)} time(s)"
-                )
-            ends = []
-            for f, p in occs:
-                q = (p + 1) % len(faces[f])
-                # (tail slot, head slot, and the other slot of each corner)
-                if faces[f][p][0] > 0:
-                    ends.append(((f, p, "out"), (f, q, "in"), (f, p, "in"), (f, q, "out")))
-                else:
-                    ends.append(((f, q, "in"), (f, p, "out"), (f, q, "out"), (f, p, "in")))
-            (a0, a1, fa0, fa1), (b0, b1, fb0, fb1) = ends
-            step[fa0], step[fb0], step[fa1], step[fb1] = b0, a0, b1, a1
-            tail, head = self.edges[e]
+        starts = []
+        for e in sorted(edges):
+            if len(ends[e]) != 2:
+                return SimpleNamespace(unpaired=f"edge {e} occurs {len(ends[e])} time(s)")
+            (a0, a1), (b0, b1) = ends[e]
+            partner[a0], partner[b0], partner[a1], partner[b1] = b0, a0, b1, a1
+            tail, head = edges[e]
             starts.append((tail, a0, b0) if a0 < b0 else (tail, b0, a0))
             starts.append((head, a1, b1) if a1 < b1 else (head, b1, a1))
-        cycles: dict[str, list[tuple[Slot, ...]]] = {v: [] for v in self.vertices}
-        seen: set[Slot] = set()
+        cycles: dict[str, list[list[int]]] = {v: [] for v in self.vertices}
+        seen = bytearray(len(partner))
         for vertex, first, other in starts:
-            if first in seen or other in seen:
-                continue
-            cycle = []
-            slot = first
-            while True:
-                slot = step[slot]
-                seen.add(slot)
-                cycle.append(slot)
-                if slot == first:
-                    break
-            cycles[vertex].append(tuple(cycle))
-        return {v: tuple(cs) for v, cs in cycles.items()}
+            if not (seen[first] or seen[other]):
+                cycle = [partner[first ^ 1]]
+                while cycle[-1] != first:
+                    cycle.append(partner[cycle[-1] ^ 1])
+                for slot in cycle:
+                    seen[slot] = 1
+                cycles[vertex].append(cycle)
+        return SimpleNamespace(order=order, face=face, position=position, partner=partner,
+                               cycles=cycles, unpaired=None)
+
+    @cached_property
+    def _slot_cycles(self) -> dict[str, tuple[tuple[Slot, ...], ...]]:
+        darts = self._darts
+        if darts.unpaired:
+            raise InvalidComplexError(f"vertex links need every edge twice: {darts.unpaired}")
+        order, face, position, side = darts.order, darts.face, darts.position, ("in", "out")
+        return {v: tuple(tuple((order[face[s >> 1]], position[s >> 1], side[s & 1]) for s in c)
+                         for c in cs) for v, cs in darts.cycles.items()}
 
     def vertex_link_cycles(self) -> dict[str, tuple[tuple[Slot, ...], ...]]:
         """The cyclic fan of edge ends and corners around each vertex.
@@ -325,16 +344,10 @@ class SurfaceComplex(_Record):
         Returns, per vertex, its cycles; a cycle is the tuple of
         (face, position, side) slots it leaves corners through.  Cycles
         start at the least unused slot of the edge ends in sorted order.
-        Built once per complex; raises InvalidComplexError unless every
-        edge occurs exactly twice.
+        A view of the dart table's int cycles, decoded on the first call;
+        raises InvalidComplexError unless every edge occurs exactly twice.
         """
-        return self._link_cycles
-
-    def _pinched_vertex(self) -> str | None:
-        """The least vertex whose link is not a single cycle (see
-        vertex_link_cycles), or None when every vertex is a surface point."""
-        links = self.vertex_link_cycles()
-        return min((v for v, cycles in links.items() if len(cycles) != 1), default=None)
+        return self._slot_cycles
 
     # ---- dual ------------------------------------------------------------
 
@@ -350,28 +363,26 @@ class SurfaceComplex(_Record):
         if problems:
             raise InvalidComplexError(f"cannot dualize: {problems[0]}")
         dual_edges = {e: (occs[0][0], occs[1][0]) for e, occs in self.occurrence_index.items()}
-        dual_faces = {}
-        links = self.vertex_link_cycles()
-        pinched = self._pinched_vertex()
+        faces, darts = self.faces, self._darts
+        pinched = min((v for v, cycles in darts.cycles.items() if len(cycles) != 1), default=None)
         if pinched is not None:
             raise InvalidComplexError(
-                f"cannot dualize: link of vertex {pinched} has {len(links[pinched])} cycles"
+                f"cannot dualize: link of vertex {pinched} has {len(darts.cycles[pinched])} cycles"
             )
+        order, face, position = darts.order, darts.face, darts.position
+
+        def crossed(slot: int) -> int:  # the dart of the edge end in `slot`
+            d, p = slot >> 1, position[slot >> 1]
+            return d if slot & 1 else d - p + (p - 1) % len(faces[order[face[d]]])
+
+        dual_faces = {}
         for v in sorted(self.vertices):
-            walk = []
-            for f, i, side in links[v][0]:
-                # The step crosses edge e from its other occurrence to
-                # the occurrence at position p of face f.
-                p = (i - 1) % len(self.faces[f]) if side == "in" else i
-                e = self.faces[f][p][1]
-                walk.append((1 if (f, p) == self.occurrence_index[e][1] else -1, e))
-            dual_faces[v] = tuple(walk)
-        return SurfaceComplex(
-            vertices=frozenset(self.faces),
-            edges=dual_edges,
-            faces=dual_faces,
-            name=self.name + "_dual",
-        )
+            # Each step crosses an edge, into the dart of the slot it reaches;
+            # the sign says whether that is the edge's second dart.
+            darts_in = [(crossed(s), crossed(darts.partner[s])) for s in darts.cycles[v][0]]
+            dual_faces[v] = tuple((1 if d > other else -1, faces[order[face[d]]][position[d]][1])
+                                  for d, other in darts_in)
+        return SurfaceComplex(frozenset(self.faces), dual_edges, dual_faces, self.name + "_dual")
 
 
 # ---- walk surgery --------------------------------------------------------

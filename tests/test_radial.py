@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -223,62 +224,78 @@ def test_round_trip_worked():
 
 
 def test_factoring_builds_one_link_index(monkeypatch):
-    """The radial check and both factors read the links of one complex,
-    which builds them once: every call returns the same object."""
+    """The radial check and both factors read the dart links of the merged
+    complex, which builds them once: every read returns the same object.
+    Nothing builds the slot-tuple view of vertex_link_cycles()."""
     L = dvf_to_dlf(VectorField(support.grid_torus(3, 3), frozenset({("v00", "h00")})))
-    original = SurfaceComplex.vertex_link_cycles
-    calls = []
+    original = SurfaceComplex.__dict__["_darts"]
+    built, reads = [], []
 
-    def recording(self):
-        links = original(self)
-        calls.append(links)
-        return links
+    def build(self):
+        built.append(self.name)
+        return original.func(self)
 
-    monkeypatch.setattr(SurfaceComplex, "vertex_link_cycles", recording)
+    darts = cached_property(build)
+    darts.__set_name__(SurfaceComplex, "_darts")
+
+    def read(self):
+        table = darts.__get__(self, SurfaceComplex)
+        reads.append(table.cycles)
+        return table
+
+    monkeypatch.setattr(SurfaceComplex, "_darts", property(read))
+    monkeypatch.setattr(SurfaceComplex, "_slot_cycles", property(lambda self: pytest.fail()))
     dlf_to_dvf(L)
-    assert calls and len({id(links) for links in calls}) == 1
+    # The merged complex keeps the image's name; the image builds no table.
+    assert built == [L.complex.name] and "_darts" not in vars(L.complex)
+    assert len(reads) >= 2 and len({id(links) for links in reads}) == 1
+
+
+def record_constructions(monkeypatch):
+    """Lists the names of the complexes built through _from_checked, through
+    the checking constructor (__post_init__) and of those validate() runs on."""
+    calls = {"_from_checked": [], "__post_init__": [], "validate": []}
+    from_checked = SurfaceComplex._from_checked
+
+    def checked(cls, vertices, edges, faces, name):
+        calls["_from_checked"].append(name)
+        return from_checked(vertices, edges, faces, name)
+
+    monkeypatch.setattr(SurfaceComplex, "_from_checked", classmethod(checked))
+    for method in ("__post_init__", "validate"):
+        def wrapper(self, original=getattr(SurfaceComplex, method), method=method):
+            calls[method].append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(SurfaceComplex, method, wrapper)
+    return calls
 
 
 def test_image_builds_one_complex(monkeypatch):
     """dvf_to_dlf splits the quadrilaterals on plain maps and constructs
-    only the image, not the bare refinement first."""
+    only the image, not the bare refinement first, from cells it has
+    checked: no constructor check and no validate() runs."""
     V = VectorField(support.grid_torus(3, 3), frozenset({("v00", "h00"), ("v11", "h11")}))
-    original = SurfaceComplex.__post_init__
-    calls = []
-
-    def recording(self):
-        calls.append(self.name)
-        original(self)
-
-    monkeypatch.setattr(SurfaceComplex, "__post_init__", recording)
+    calls = record_constructions(monkeypatch)
     dvf_to_dlf(V)
-    assert len(calls) == 1
+    assert calls == {"_from_checked": [f"radial_{V.complex.name}"], "__post_init__": [],
+                     "validate": []}
 
 
 def test_factoring_builds_three_complexes_without_validate(monkeypatch):
     """dlf_to_dvf constructs the complex left after deleting the diagonals
-    and the two factors, and checks radiality without validate()."""
+    and the two factors, each once from cells it has checked, and checks
+    radiality without validate()."""
     L = dvf_to_dlf(
         VectorField(support.grid_torus(3, 3), frozenset({("v00", "h00"), ("v11", "h11")}))
     )
-    built, checked = [], []
-
-    def recording(name):
-        original = getattr(SurfaceComplex, name)
-
-        def wrapper(self):
-            (built if name == "__post_init__" else checked).append(self.name)
-            return original(self)
-
-        monkeypatch.setattr(SurfaceComplex, name, wrapper)
-
-    # validate() counts components itself; no other method does.
-    for name in ("__post_init__", "validate"):
-        recording(name)
+    calls = record_constructions(monkeypatch)
     dlf_to_dvf(L)
     T = L.complex.name
-    assert built == [T, f"{T}_a", f"{T}_b"]
-    assert checked == []
+    assert calls["_from_checked"] == [T, f"{T}_a", f"{T}_b"]
+    assert calls["__post_init__"] == []
+    # validate() counts components itself; no other method does.
+    assert calls["validate"] == []
 
 
 def prefixed_ids_sphere():

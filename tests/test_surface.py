@@ -3,11 +3,14 @@
 import random
 import re
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 
 import support
+import test_radial
 from support import corners, disjoint_union, hasse_diagram, subdivide_edge, suffixed, w
+from linefields import VectorField, dlf_to_dvf, dvf_to_dlf, emit_complex, parse_document
 from linefields.errors import DegenerateOperationError, InvalidComplexError
 from linefields.radial import radial_decomposition
 from linefields.surface import (
@@ -113,6 +116,42 @@ def test_least_rotation_matches_full_comparison():
         # The constructor builds the rotation keys in its own pass.
         S = SurfaceComplex(frozenset({"v"}), loops, {"F": walk})
         assert S.faces["F"] == reference_rotation(walk)
+
+
+def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
+    """_from_checked skips the constructor's checks, so every call the package
+    makes must hand it cells that the checking constructor accepts and builds
+    into the same complex: the same walks, each at the same rotation, in the
+    same order, and the same name.  The calls are the parser's, on the golden
+    inputs and on each corpus complex's text, and both bridge directions'."""
+    from_checked = SurfaceComplex._from_checked
+    names = []
+
+    def both(cls, vertices, edges, faces, name):
+        S = from_checked(vertices, edges, faces, name)
+        try:
+            T = SurfaceComplex(vertices, edges, faces, name=name)
+        except InvalidComplexError as exc:
+            pytest.fail(f"{name}: the constructor refuses the cells: {exc}")
+        assert S == T and S.name == T.name, name
+        assert list(S.faces.items()) == list(T.faces.items()), name
+        assert list(S.edges.items()) == list(T.edges.items()), name
+        names.append(name)
+        return S
+
+    monkeypatch.setattr(SurfaceComplex, "_from_checked", classmethod(both))
+    golden = sorted((Path(__file__).parent / "golden" / "fields").glob("*.txt"))
+    for path in golden:
+        parse_document(path.read_text())
+    corpus = test_radial.differential_corpus()
+    rng = random.Random(825)
+    for S in corpus:
+        assert parse_document(emit_complex(S)).complex == S
+        V = VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
+        dlf_to_dvf(dvf_to_dlf(V))
+    # One parse per file; per corpus complex a parse, the image, the merged
+    # complex and the two factors.
+    assert len(golden) == 5 and len(names) == len(golden) + 5 * len(corpus)
 
 
 def test_occurrence_endpoints():
