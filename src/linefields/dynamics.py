@@ -26,7 +26,8 @@ however long its paths are.
 
 The corridor tracer builds nothing per call.  It reads each face's count
 and the sibling of an unmatched occurrence from the field's `_unmatched`
-positions, and each crossing from the complex's `opposite` slot pairing.
+positions, and each crossing from the two slots of its edge in the
+complex's `occurrence_index`.
 """
 
 from __future__ import annotations
@@ -399,9 +400,11 @@ def _trace_corridor(L: LineField, start_occ, visited):
     faces = []
     cur = start_occ
     while True:
-        arrive = S.opposite[cur]
+        edge = S.faces[cur[0]][cur[1]][1]
+        a, b = S.occurrence_index[edge]
+        arrive = b if a == cur else a
         visited.update((cur, arrive))
-        crossings.append(Crossing(S.faces[cur[0]][cur[1]][1], cur, arrive))
+        crossings.append(Crossing(edge, cur, arrive))
         g, q = arrive
         at = L._unmatched[g]
         if len(at) != 2:

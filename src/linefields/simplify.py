@@ -221,9 +221,9 @@ def _corridor_walk(S: SurfaceComplex, corridor, merged_id: str) -> tuple:
     forward or backward relative to the start face: a crossing whose two
     occurrences carry the same sign, read that way, flips the next face.
     The walk leaves the start face across the first crossing, jumps to the
-    opposite slot at every crossing occurrence it meets, and stops back at
-    the start slot.  delete_edge_merge_faces keeps the walk of the face
-    first in sorted order forward, so every deletion that flips a face
+    other slot of the edge at every crossing occurrence it meets, and stops
+    back at the start slot.  delete_edge_merge_faces keeps the walk of the
+    face first in sorted order forward, so every deletion that flips a face
     sorting before the merged one, judged in the merged walk's own
     direction, reverses the merged walk.  Interior faces keep two
     occurrences, so only the last deletion can leave an empty walk, which
@@ -243,7 +243,8 @@ def _corridor_walk(S: SurfaceComplex, corridor, merged_id: str) -> tuple:
     merged = []
     f, i = start
     while True:
-        f, i = S.opposite[(f, i)]
+        a, b = S.occurrence_index[S.faces[f][i][1]]
+        f, i = b if a == (f, i) else a
         walk, d = S.faces[f], turn[f]
         i = (i + d) % len(walk)
         while walk[i][1] not in gone:

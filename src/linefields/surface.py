@@ -188,21 +188,6 @@ class SurfaceComplex(_Record):
                 slots[e].append((f, i))
         return {e: tuple(occs) for e, occs in slots.items()}
 
-    @cached_property
-    def opposite(self) -> dict[tuple[str, int], tuple[str, int]]:
-        """Each (face, position) slot mapped to the other slot of its edge.
-
-        The slot pairing of a combinatorial map, read once from
-        occurrence_index; an edge that does not occur exactly twice has no
-        entry.
-        """
-        pairs = {}
-        for occs in self.occurrence_index.values():
-            if len(occs) == 2:
-                a, b = occs
-                pairs[a], pairs[b] = b, a
-        return pairs
-
     # The package reads occurrence_index; this list copy stays because
     # perfbench/jobs.py times surface.edge_occurrences by name.
     def edge_occurrences(self, edge: str) -> list[tuple[str, int]]:
@@ -322,15 +307,6 @@ class SurfaceComplex(_Record):
         return SimpleNamespace(order=order, face=face, position=position, partner=partner,
                                cycles=cycles, unpaired=None)
 
-    @cached_property
-    def _slot_cycles(self) -> dict[str, tuple[tuple[Slot, ...], ...]]:
-        darts = self._darts
-        if darts.unpaired:
-            raise InvalidComplexError(f"vertex links need every edge twice: {darts.unpaired}")
-        order, face, position, side = darts.order, darts.face, darts.position, ("in", "out")
-        return {v: tuple(tuple((order[face[s >> 1]], position[s >> 1], side[s & 1]) for s in c)
-                         for c in cs) for v, cs in darts.cycles.items()}
-
     def vertex_link_cycles(self) -> dict[str, tuple[tuple[Slot, ...], ...]]:
         """The cyclic fan of edge ends and corners around each vertex.
 
@@ -344,10 +320,15 @@ class SurfaceComplex(_Record):
         Returns, per vertex, its cycles; a cycle is the tuple of
         (face, position, side) slots it leaves corners through.  Cycles
         start at the least unused slot of the edge ends in sorted order.
-        A view of the dart table's int cycles, decoded on the first call;
-        raises InvalidComplexError unless every edge occurs exactly twice.
+        Decodes the dart table's int cycles on each call; raises
+        InvalidComplexError unless every edge occurs exactly twice.
         """
-        return self._slot_cycles
+        darts = self._darts
+        if darts.unpaired:
+            raise InvalidComplexError(f"vertex links need every edge twice: {darts.unpaired}")
+        order, face, position, side = darts.order, darts.face, darts.position, ("in", "out")
+        return {v: tuple(tuple((order[face[s >> 1]], position[s >> 1], side[s & 1]) for s in c)
+                         for c in cs) for v, cs in darts.cycles.items()}
 
     # ---- dual ------------------------------------------------------------
 

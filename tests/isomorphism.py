@@ -57,8 +57,10 @@ def _propagate(S1, S2, f0, start, pinned):
             # fixes the alignment of the face holding it.  A face reached
             # again with another alignment fails a slot check when it is
             # processed, or the face map is not injective.
-            fo, po = S1.opposite[(f, p)]
-            go, qo = S2.opposite[(g, q)]
+            a, b = S1.occurrence_index[e]
+            fo, po = b if a == (f, p) else a
+            a, b = S2.occurrence_index[e2]
+            go, qo = b if a == (g, q) else a
             if fo not in align:
                 do = sign * S1.faces[fo][po][0] * S2.faces[go][qo][0]
                 align[fo] = (go, (qo - do * po) % len(S1.faces[fo]), do)
@@ -84,8 +86,9 @@ def _orientable(S):
     consistent = True
     while work:
         f = work.pop()
-        for p, (s, _e) in enumerate(S.faces[f]):
-            g, q = S.opposite[(f, p)]
+        for p, (s, e) in enumerate(S.faces[f]):
+            a, b = S.occurrence_index[e]
+            g, q = b if a == (f, p) else a
             d = -direction[f] * s * S.faces[g][q][0]
             if g not in direction:
                 direction[g] = d

@@ -12,9 +12,10 @@ line field then goes through homotopy_core and one merge_critical_faces
 move (the first pair of critical faces in sorted order that a corridor
 joins and the move accepts; no family here has a cancel_vertex_face move,
 since each has one critical vertex and no path to reverse), and a vector
-field through dvf_to_dlf, emit_line_field on that image, dlf_to_dvf on it
-and emit_vector_field on both factors together.  A layer fails when
-its exponent, log(lines ratio) / log(cells ratio), is over 1.05.
+field through dvf_to_dlf, emit_line_field and vertex_link_cycles() on
+that image, dlf_to_dvf on it and emit_vector_field on both factors
+together.  A layer fails when its exponent, log(lines ratio) / log(cells
+ratio), is over 1.05.
 
 A count of executed lines repeats exactly and does not depend on the host,
 so the gate needs one run per point.  It cannot see work inside a C
@@ -111,7 +112,8 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
     layers run in order on one field parsed from `field`'s file.  On a
     line field, the homotopy core and then one merge of critical faces run
     on a second parsed field; a vector field's image under dvf_to_dlf is
-    emitted and goes back through dlf_to_dvf, and both factors are emitted."""
+    emitted, its link cycles are decoded, it goes back through dlf_to_dvf,
+    and both factors are emitted."""
     emit = emit_vector_field if isinstance(field, VectorField) else emit_line_field
     text = emit(field)
     counter = LineCounter()
@@ -138,6 +140,7 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
     else:
         lines["dvf_to_dlf"], image = counter.count(lambda: dvf_to_dlf(parsed))
         lines["emit_line_field"], _text = counter.count(lambda: emit_line_field(image))
+        lines["vertex_link_cycles"], _links = counter.count(image.complex.vertex_link_cycles)
         lines["dlf_to_dvf"], factors = counter.count(lambda: dlf_to_dvf(image))
         lines["emit_vector_field"], _texts = counter.count(
             lambda: [emit_vector_field(X) for X in factors]

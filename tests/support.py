@@ -182,7 +182,8 @@ def collapse_noncritical_face(
             f"face {f} repeats {ea} twice; collapsing needs two distinct edges"
         )
     gone = min(ea, eb)
-    neighbor, _q = S.opposite[(f, [ea, eb].index(gone))]
+    a, b = S.occurrence_index[gone]
+    neighbor, _q = b if a == (f, [ea, eb].index(gone)) else a
     T = delete_edge_merge_faces(S, gone, neighbor)
     mapping = {c: c for c, _d in S.cells()}
     mapping[f] = neighbor

@@ -179,6 +179,12 @@ def test_paths_dvf_count_and_cap(tmp_path, capsys):
     with pytest.raises(SystemExit) as exited:
         main(["paths", path, "--dvf", "--from", "f123", "--to", "e12", "--max", "-1"])
     assert exited.value.code == 2 and "--max" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exited:
+        main(["paths", path, "--dvf", "--from", "f123", "--to", "e12", "--max", "abc"])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "linefields paths: error: argument --max: expected a whole number of paths, got 'abc'"
+    )
 
 
 def test_paths_bad_query_exit_2(tmp_path, capsys):

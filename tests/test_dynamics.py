@@ -109,6 +109,12 @@ def test_graph_of_two_pair_field():
     assert graph.multiplicity("f134", "v3") == 2
 
 
+def test_separatrix_equality_with_other_types():
+    sep = Separatrix("f123", "v3", 2, LPath(("v3",), ()))
+    assert sep.__eq__(("f123", "v3", 2, LPath(("v3",), ()))) is NotImplemented
+    assert sep != ("f123", "v3", 2, LPath(("v3",), ())) and sep != "f123"
+
+
 def test_graph_drops_chains_touching_the_walk():
     # Both corner chains of f123 use edges on its own walk; only the v3
     # corner survives.

@@ -175,11 +175,15 @@ def outcome(call):
 def test_one_tracer_matches_reference_scan():
     closed_total = 0
     decomposed_with_closed = 0
+    # Crossings of an edge whose two occurrences lie on one face.
+    one_face = 0
     for L in LINES:
         want_open, want_closed = reference_corridors(L)
         assert list(L.corridors()[1]) == want_closed
         assert L.corridors() == (tuple(want_open), tuple(want_closed))
         closed_total += len(want_closed)
+        one_face += sum(c.depart[0] == c.arrive[0]
+                        for corridor in want_open + want_closed for c in corridor.crossings)
         counts, _partner, _sibling, _positions = corridor_maps(L)
         for f in sorted(f for f in L.complex.faces if counts[f] != 2):
             assert corridors_from(L, f) == [c for c in want_open if c.start == f]
@@ -188,7 +192,7 @@ def test_one_tracer_matches_reference_scan():
             assert report.corridors == tuple(want_open)
             assert report.closed_corridors == tuple(want_closed)
             decomposed_with_closed += bool(want_closed)
-    assert closed_total > 0 and decomposed_with_closed > 0
+    assert closed_total > 0 and decomposed_with_closed > 0 and one_face > 0
 
 
 def test_line_field_methods_equal_functions():

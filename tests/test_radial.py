@@ -226,7 +226,7 @@ def test_round_trip_worked():
 def test_factoring_builds_one_link_index(monkeypatch):
     """The radial check and both factors read the dart links of the merged
     complex, which builds them once: every read returns the same object.
-    Nothing builds the slot-tuple view of vertex_link_cycles()."""
+    Nothing calls vertex_link_cycles(), which decodes them to slot tuples."""
     L = dvf_to_dlf(VectorField(support.grid_torus(3, 3), frozenset({("v00", "h00")})))
     original = SurfaceComplex.__dict__["_darts"]
     built, reads = [], []
@@ -244,7 +244,7 @@ def test_factoring_builds_one_link_index(monkeypatch):
         return table
 
     monkeypatch.setattr(SurfaceComplex, "_darts", property(read))
-    monkeypatch.setattr(SurfaceComplex, "_slot_cycles", property(lambda self: pytest.fail()))
+    monkeypatch.setattr(SurfaceComplex, "vertex_link_cycles", lambda self: pytest.fail())
     dlf_to_dvf(L)
     # The merged complex keeps the image's name; the image builds no table.
     assert built == [L.complex.name] and "_darts" not in vars(L.complex)
@@ -561,8 +561,7 @@ def test_is_radial_matches_reference():
 
 
 def test_edge_slots_agree_with_edge_occurrences():
-    # The cached index against a scan of every walk for each edge, and the
-    # slot pairing against the index.
+    # The cached index against a scan of every walk for each edge.
     for S in differential_corpus():
         for e in S.edges:
             scan = [
@@ -573,18 +572,15 @@ def test_edge_slots_agree_with_edge_occurrences():
             ]
             assert S.occurrence_index[e] == tuple(scan)
             assert S.edge_occurrences(e) == scan
-            a, b = scan
-            assert S.opposite[a] == b and S.opposite[b] == a
         assert S.occurrence_index.keys() == S.edges.keys()
-        assert all(S.opposite[slot] != slot for slot in S.opposite)
-        assert len(S.opposite) == 2 * len(S.edges)
-    # Edge a occurs once and has no entry; b occurs twice on one face.
+    # Edge a occurs once; b occurs twice on one face.
     S = SurfaceComplex(
         vertices=frozenset({"v"}),
         edges={"a": ("v", "v"), "b": ("v", "v")},
         faces={"F": ((1, "a"), (1, "b"), (1, "b"))},
     )
-    assert S.opposite == {("F", 1): ("F", 2), ("F", 2): ("F", 1)}
+    assert S.occurrence_index == {"a": (("F", 0),), "b": (("F", 1), ("F", 2))}
+    assert S.edge_occurrences("b") == [("F", 1), ("F", 2)]
 
 
 def test_bridge_matches_move_by_move_on_random_fields():

@@ -389,6 +389,12 @@ def test_cancel_rejects_multiple_witnesses():
         cancel_vertex_face(LineField(support.torus_one()), "v", "F")
 
 
+def test_cancel_rejects_unknown_vertex():
+    with pytest.raises(OperationError) as raised:
+        cancel_vertex_face(two_pair_tetra(), "nope", "f134")
+    assert str(raised.value) == "nope is not a vertex of the complex"
+
+
 def test_cancel_rejects_unreachable_vertex():
     S = subdivide_edge(support.tetra(), "e34", "m", "e34a", "e34b")
     L = LineField(S, frozenset({("v3", "e34a")}))

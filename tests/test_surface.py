@@ -684,6 +684,30 @@ def test_delete_edge_refuses_empty_result():
         delete_edge_merge_faces(support.disk_sphere(), "e", "m")
 
 
+@pytest.mark.parametrize(
+    "move, message",
+    [
+        (lambda: split_face(support.tetra(), "f134", 1, 1, "d", "fa", "fb"),
+         "cannot split face f134 at positions 1, 1"),
+        # a occurs once
+        (lambda: delete_edge_merge_faces(SurfaceComplex(
+            vertices=frozenset({"v"}), edges={"a": ("v", "v"), "b": ("v", "v")},
+            faces={"F": w("+a +b +b")}), "a", "m"),
+         "edge a occurs 1 time(s), expected 2"),
+    ],
+    ids=["split-at-one-corner", "edge-occurs-once"],
+)
+def test_surgery_refusal_messages(move, message):
+    with pytest.raises(DegenerateOperationError, match=f"^{re.escape(message)}$"):
+        move()
+
+
+def test_dim_of_unknown_cell():
+    with pytest.raises(KeyError) as raised:
+        support.tetra().dim_of("nope")
+    assert str(raised.value) == "'nope'"
+
+
 def test_subdivide_edge_tetra():
     S = support.tetra()
     T = subdivide_edge(S, "e12", "m", "p", "q")

@@ -123,6 +123,8 @@ def test_validate_reports_unknown_cell():
     assert validate_vector_field(V) == [
         "pair (x, e12) references unknown cell x"
     ]
+    V = VectorField(support.tetra(), frozenset({("v1", "x")}))
+    assert validate_vector_field(V) == ["pair (v1, x) references unknown cell x"]
 
 
 def test_validate_accepts_loop_pair():
