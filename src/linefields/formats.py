@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import io
 import json
+from operator import itemgetter
 
 from .dynamics import Separatrix, TopologicalGraph, _branch
 from .errors import ParseError, _Record
 from .linefield import LineField
-from .surface import SurfaceComplex, occ_text
+from .surface import SurfaceComplex, _rotated, occ_text
 from .vectorfield import VectorField
 
 # Each directive's section rank, token count and refusal of a line with
@@ -41,21 +42,23 @@ class Document(_Record):
 
 def _rows(text: str):
     """(line number, tokens) of each non-blank line, its `#` comment cut off."""
-    for num, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            yield num, tokens
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] if "#" in raw else raw for raw in lines]
+    return filter(itemgetter(1), enumerate(map(str.split, lines), 1))
 
 
 def parse_document(text: str) -> Document:
     """A native file's complex and matching lines.  Each line is refused at
-    the first of the checks below that fails, in the order written."""
+    the first of the checks below that fails, in the order written.  Ids
+    reuse their declared objects, and each walk is rotated as it is read."""
     name = None
-    vertices: set[str] = set()
+    cells: dict[str, str] = {}  # each declared id: itself
+    vertices: dict[str, str] = {}
     edges: dict[str, tuple[str, str]] = {}
     faces: dict[str, tuple] = {}
     pairs: dict[str, list[tuple[str, str]]] = {}  # the file's matching keyword: its pairs
-    seen: set[str] = set()
+    table = None  # each occurrence text, "+e" or "-e": its occurrence
     rank = -1
     for num, tokens in _rows(text):
         keyword = tokens[0]
@@ -75,29 +78,33 @@ def parse_document(text: str) -> Document:
             raise ParseError(usage, line=num)
         cid = tokens[1]
         if 0 < section < 4:  # a cell: vertex, edge or face
-            if cid in seen:
+            if cid in cells:
                 raise ParseError(f"duplicate id {cid}", line=num)
-            seen.add(cid)
+            cells[cid] = cid
         if keyword == "surface":
             name = cid
         elif keyword == "vertex":
-            vertices.add(cid)
+            vertices[cid] = cid
         elif keyword == "edge":
             for v in tokens[2:]:
                 if v not in vertices:
                     raise ParseError(f"edge {cid} references unknown vertex {v}", line=num)
-            edges[cid] = (tokens[2], tokens[3])
+            edges[cid] = (vertices[tokens[2]], vertices[tokens[3]])
         elif keyword == "face":
-            walk = []
-            for tok in tokens[3:]:
-                if len(tok) < 2 or tok[0] not in "+-":
-                    raise ParseError(f"occurrence {tok} needs a +/- sign", line=num)
-                if tok[1:] not in edges:
-                    raise ParseError(f"walk references unknown edge {tok[1:]}", line=num)
-                walk.append((1 if tok[0] == "+" else -1, tok[1:]))
-            faces[cid] = tuple(walk)
+            if table is None:  # the edge section is over
+                table = {t + e: (s, e) for e in edges for t, s in (("+", 1), ("-", -1))}
+            keys = tokens[3:]
+            walk = [*map(table.get, keys)]
+            if None in walk:
+                for tok in keys:
+                    if len(tok) < 2 or tok[0] not in "+-":
+                        raise ParseError(f"occurrence {tok} needs a +/- sign", line=num)
+                    if tok[1:] not in edges:
+                        raise ParseError(f"walk references unknown edge {tok[1:]}", line=num)
+            faces[cid] = _rotated(walk, keys)
         else:
-            pairs.setdefault(keyword, []).append((cid, tokens[2]))
+            upper = tokens[2]
+            pairs.setdefault(keyword, []).append((cells.get(cid, cid), cells.get(upper, upper)))
     if name is None:
         raise ParseError("missing surface line")
     # Each line's checks refuse all that the constructor would.
@@ -127,15 +134,14 @@ def parse_vector_field(text: str) -> VectorField:
 
 
 def emit_complex(S: SurfaceComplex) -> str:
-    lines = [f"surface {S.name}"]
-    for v in sorted(S.vertices):
-        lines.append(f"vertex {v}")
-    for e in sorted(S.edges):
-        tail, head = S.edges[e]
-        lines.append(f"edge {e} {tail} {head}")
-    for f in sorted(S.faces):
-        lines.append(f"face {f} walk " + " ".join(occ_text(o) for o in S.faces[f]))
-    return "\n".join(lines) + "\n"
+    edges, faces = S.edges, S.faces
+    return "".join([
+        f"surface {S.name}\n",
+        *[f"vertex {v}\n" for v in sorted(S.vertices)],
+        *[f"edge {e} {edges[e][0]} {edges[e][1]}\n" for e in sorted(edges)],
+        *[f"face {f} walk {' '.join(['+' + e if s > 0 else '-' + e for s, e in faces[f]])}\n"
+          for f in sorted(faces)],
+    ])
 
 
 def emit_line_field(L: LineField) -> str:

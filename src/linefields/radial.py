@@ -46,7 +46,8 @@ def _radial_cells(S: SurfaceComplex):
     The quadrilateral of an edge strings together the four corner edges
     flanking the edge's two walk occurrences.  When the occurrences carry
     opposite signs the two flanks chain head-to-tail; when they carry the
-    same sign the second flank is traversed the other way around.
+    same sign the second flank is traversed the other way around.  Signs
+    run +, -, +, -, so the lesser flank first is the canonical rotation.
     """
     vertex = {cell: f"w_{cell}" for cell in sorted(S.vertices) + sorted(S.faces)}
     edges: dict[str, tuple[str, str]] = {}
@@ -58,10 +59,8 @@ def _radial_cells(S: SurfaceComplex):
         (f1, i1), (f2, i2) = S.occurrence_index[e]
         s1, s2 = f"r_{f1}_{i1}", f"r_{f1}_{(i1 + 1) % len(S.faces[f1])}"
         s3, s4 = f"r_{f2}_{i2}", f"r_{f2}_{(i2 + 1) % len(S.faces[f2])}"
-        if S.faces[f1][i1][0] != S.faces[f2][i2][0]:
-            quads[f"q_{e}"] = ((1, s1), (-1, s2), (1, s3), (-1, s4))
-        else:
-            quads[f"q_{e}"] = ((1, s1), (-1, s2), (1, s4), (-1, s3))
+        a, b = sorted([(s1, s2), (s3, s4) if S.faces[f1][i1][0] != S.faces[f2][i2][0] else (s4, s3)])
+        quads[f"q_{e}"] = ((1, a[0]), (-1, a[1]), (1, b[0]), (-1, b[1]))
     return vertex, edges, quads
 
 
@@ -150,7 +149,7 @@ def dvf_to_dlf(V: VectorField) -> LineField:
         anchor = vertex[other]
         # Number the corners as the built complex will: a loop, or an edge
         # twice on one face, puts the anchor at two corners.
-        walk = _canonical_rotation(faces.pop(quad))
+        walk = faces.pop(quad)
         corners = [edges[r][0] if s > 0 else edges[r][1] for s, r in walk]
         k = corners.index(anchor)
         diag = fresh_id(f"d_{e}", taken)
@@ -161,7 +160,8 @@ def dvf_to_dlf(V: VectorField) -> LineField:
         taken.add(half_b)
         taken.remove(quad)
         edges[diag] = (anchor, corners[(k + 2) % 4])
-        faces[half_a], faces[half_b] = _split_walk(walk, k, (k + 2) % 4, diag)
+        halves = _split_walk(walk, k, (k + 2) % 4, diag)
+        faces[half_a], faces[half_b] = map(_canonical_rotation, halves)
         pairs.append((anchor, diag))
     image = SurfaceComplex._from_checked(
         frozenset(vertex.values()), edges, faces, f"radial_{S.name}"
@@ -193,20 +193,23 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
     # read from T stay valid on every face not in here.
     merged_into: dict[str, str] = {}
     merged_quad: dict[str, str] = {}
+    slots = {d: [] for _v, d in L.matching}  # each diagonal's slots, as in occurrence_index
+    for f in sorted(T.faces):
+        for i, (_s, e) in enumerate(T.faces[f]):
+            if e in slots:
+                slots[e].append((f, i))
     for _v, d in sorted(L.matching, key=lambda pair: pair[1]):
-        occs = T.occurrence_index[d]
+        occs = slots[d]
         live = [merged_into.get(f, f) for f, _i in occs]
         if len(occs) != 2 or live[0] == live[1]:
             raise NotInImageError(f"matched edge {d} is not a face diagonal")
         if any(len(faces[f]) != 3 for f in live):
-            raise NotInImageError(
-                f"matched edge {d} does not split a quadrilateral"
-            )
+            raise NotInImageError(f"matched edge {d} does not split a quadrilateral")
         (f1, p1), (f2, p2) = occs
         qid = fresh_id(f"m_{d}", taken)
         taken.difference_update((d, f1, f2))
         taken.add(qid)
-        faces[qid] = _merged_walk(faces.pop(f1), p1, faces.pop(f2), p2)
+        faces[qid] = _canonical_rotation(_merged_walk(faces.pop(f1), p1, faces.pop(f2), p2))
         del edges[d]
         merged_into[f1] = merged_into[f2] = qid
         merged_quad[d] = qid
@@ -252,7 +255,7 @@ def _factors(R, first, second, matching, merged_quad):
             d = s >> 1
             source = (d + 1) & 3 if s & 1 else (d - 1) & 3
             walk.append((1 if source == tail_first[d >> 2] ^ flip else -1, order[d >> 2]))
-        faces[u] = tuple(walk)
+        faces[u] = _canonical_rotation(walk)
 
     pairs = frozenset((v, merged_quad[d]) for v, d in matching)
     build = SurfaceComplex._from_checked

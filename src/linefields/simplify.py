@@ -16,7 +16,8 @@ import heapq
 from .dynamics import LPath, _count_walks, _nth_walk, _require_acyclic, corridors_from
 from .errors import CancellationError, DegenerateOperationError, OperationError, _Record
 from .linefield import LineField
-from .surface import SurfaceComplex, _merged_walk, fresh_id, reversed_walk, split_face
+from .surface import (SurfaceComplex, _canonical_rotation, _merged_walk, fresh_id,
+                      reversed_walk, split_face)
 
 
 class CellCorrespondence(_Record):
@@ -123,13 +124,13 @@ def homotopy_core(L: LineField) -> CoreResult:
         for e, (tail, head) in S.edges.items()
         if e not in matched
     }
-    walks = {
-        f: tuple(occ for occ in walk if occ[1] not in matched)
-        for f, walk in S.faces.items()
-    }
+    walks = {}
+    for f, walk in S.faces.items():
+        kept = tuple(occ for occ in walk if occ[1] not in matched)
+        walks[f] = walk if len(kept) == len(walk) else _canonical_rotation(kept)
     if degenerate is None:
         degenerate = _collapse_bigons(S, edges, walks, parent)
-    T = SurfaceComplex(S.vertices - parent.keys(), edges, walks, name=S.name)
+    T = SurfaceComplex._from_checked(S.vertices.difference(parent), edges, walks, S.name)
     mapping = {c: _root(parent, c) for c, _d in S.cells()}
     return CoreResult(
         LineField(T, L.matching - contracted), CellCorrespondence(mapping), degenerate
@@ -154,14 +155,14 @@ def _collapse_bigons(S, edges, walks, parent) -> str | None:
             continue
         i = 0 if walk[0][1] < walk[1][1] else 1
         gone = walk[i][1]
-        roots = [_root(parent, h) for h, _p in S.occurrence_index[gone]]
-        g = roots[1] if roots[0] == f else roots[0]
+        a, b = (_root(parent, h) for h, _p in S.occurrence_index[gone])
+        g = b if a == f else a
         j = next(k for k, (_s, e) in enumerate(walks[g]) if e == gone)
         if f < g:
             merged = _merged_walk(walk, i, walks[g], j)
         else:
             merged = _merged_walk(walks[g], j, walk, i)
-        walks[g] = merged
+        walks[g] = _canonical_rotation(merged)
         del walks[f], edges[gone]
         parent[f] = parent[gone] = g
     return next((f for f in bigons if f in walks), None)
@@ -203,8 +204,8 @@ def merge_critical_faces(
     absorbed = {f, g, *corridor.interior, *(c.edge for c in corridor.crossings)}
     edges = {e: ends for e, ends in S.edges.items() if e not in absorbed}
     faces = {h: walk for h, walk in S.faces.items() if h not in absorbed}
-    faces[merged_id] = _corridor_walk(S, corridor, merged_id)
-    T = SurfaceComplex(S.vertices, edges, faces, name=S.name)
+    faces[merged_id] = _canonical_rotation(_corridor_walk(S, corridor, merged_id))
+    T = SurfaceComplex._from_checked(S.vertices, edges, faces, S.name)
     problems = T.validate()
     if problems:
         raise DegenerateOperationError(
@@ -316,7 +317,7 @@ def cancel_vertex_face(
         raise DegenerateOperationError(
             f"every admissible diagonal of {f} is a loop at {u1}"
         )
-    taken = {cid for cid, _d in S.cells()}
+    taken = {*S.vertices, *S.edges, *S.faces}
     diag = fresh_id(f"d_{f}", taken)
     taken.add(diag)
     part_entry = fresh_id(f"{f}_1", taken)

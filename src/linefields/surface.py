@@ -128,11 +128,10 @@ class SurfaceComplex(_Record):
 
     @classmethod
     def _from_checked(cls, vertices: frozenset[str], edges, faces, name: str) -> "SurfaceComplex":
-        """A complex from cells that pass __post_init__'s checks, in tuples and
-        a frozenset, as the parser and the radial bridge build them.  It only
-        rotates the walks; `edges` is kept, not copied."""
+        """A complex from cells that already pass __post_init__'s checks, in
+        a frozenset and tuples, with every walk at its canonical rotation;
+        each caller rotates only the walks it made.  Nothing is copied."""
         S = cls.__new__(cls)
-        faces = {f: _canonical_rotation(walk) for f, walk in faces.items()}
         for field, value in zip(cls._fields, (vertices, edges, faces, name)):
             object.__setattr__(S, field, value)
         return S

@@ -8,10 +8,11 @@ emits the field's file and counts the `line` events that `sys.settrace`
 reports in `src/linefields/` while each layer runs: parse_document, then
 problems(), closed_path(), graph(), corridors(), report_json and
 graph_dot on the parsed field, in that order, as the CLI runs them.  A
-line field then goes through homotopy_core and one merge_critical_faces
-move (the first pair of critical faces in sorted order that a corridor
-joins and the move accepts; no family here has a cancel_vertex_face move,
-since each has one critical vertex and no path to reverse), and a vector
+line field is then emitted with emit_line_field and goes through
+homotopy_core and one merge_critical_faces move (the first pair of
+critical faces in sorted order that a corridor joins and the move
+accepts; no family here has a cancel_vertex_face move, since each has one
+critical vertex and no path to reverse), and a vector
 field through dvf_to_dlf, emit_line_field and vertex_link_cycles() on
 that image, dlf_to_dvf on it and emit_vector_field on both factors
 together.  A layer fails when its exponent, log(lines ratio) / log(cells
@@ -109,9 +110,9 @@ def merge_pair(L: LineField) -> tuple[str, str]:
 
 def layer_lines(field) -> tuple[int, dict[str, int]]:
     """The complex's cell count and each layer's line count.  The analysis
-    layers run in order on one field parsed from `field`'s file.  On a
-    line field, the homotopy core and then one merge of critical faces run
-    on a second parsed field; a vector field's image under dvf_to_dlf is
+    layers run in order on one field parsed from `field`'s file.  A line
+    field is emitted, and the homotopy core and then one merge of critical
+    faces run on a second parsed field; a vector field's image under dvf_to_dlf is
     emitted, its link cycles are decoded, it goes back through dlf_to_dvf,
     and both factors are emitted."""
     emit = emit_vector_field if isinstance(field, VectorField) else emit_line_field
@@ -131,6 +132,7 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
     ):
         lines[name], _result = counter.count(call)
     if isinstance(parsed, LineField):
+        lines["emit_line_field"], _text = counter.count(lambda: emit_line_field(parsed))
         fresh = LineField(parse_document(text).complex, doc.match)
         lines["homotopy_core"], _core = counter.count(lambda: homotopy_core(fresh))
         f, g = merge_pair(parsed)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,8 @@ from linefields import (
     report_json,
     topological_graph,
 )
+from linefields.formats import Document
+from linefields.surface import SurfaceComplex
 
 GOLD = Path(__file__).parent / "golden"
 
@@ -130,6 +133,208 @@ def test_parse_error_line_attribute():
     with pytest.raises(ParseError) as err:
         parse_document("surface s\nnope\n")
     assert err.value.line == 2
+
+
+# ---- the parser against a frozen copy of its earlier form ------------------
+
+_REFERENCE_DIRECTIVES = {
+    "surface": (0, 2, "surface line needs exactly one name"),
+    "vertex": (1, 2, "vertex line needs exactly one id"),
+    "edge": (2, 4, "edge line needs id, tail, head"),
+    "face": (3, 0, "face line needs id, walk keyword, occurrences"),
+    "match": (4, 3, "match line needs vertex and edge"),
+    "vmatch": (4, 3, "vmatch line needs lower and upper cell"),
+}
+
+
+def _reference_parse(text):
+    """parse_document as it was before it shared ids and rotated walks as it
+    read them: a per-token loop reads each walk in file order, and the
+    checking constructor rotates every walk at the end."""
+    name = None
+    vertices, edges, faces, pairs, seen = set(), {}, {}, {}, set()
+    rank = -1
+    for num, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        keyword = tokens[0]
+        if keyword not in _REFERENCE_DIRECTIVES:
+            raise ParseError(f"unknown directive {keyword}", line=num)
+        section, count, usage = _REFERENCE_DIRECTIVES[keyword]
+        if section < rank:
+            raise ParseError(f"{keyword} line out of section order", line=num)
+        rank = section
+        if keyword == "surface" and name is not None:
+            raise ParseError("second surface line", line=num)
+        if keyword == "vertex" and name is None:
+            raise ParseError("vertex line before the surface line", line=num)
+        if section == 4 and pairs and keyword not in pairs:
+            raise ParseError(f"{keyword} line in a {next(iter(pairs))} file", line=num)
+        if (len(tokens) != count) if count else (len(tokens) < 4 or tokens[2] != "walk"):
+            raise ParseError(usage, line=num)
+        cid = tokens[1]
+        if 0 < section < 4:
+            if cid in seen:
+                raise ParseError(f"duplicate id {cid}", line=num)
+            seen.add(cid)
+        if keyword == "surface":
+            name = cid
+        elif keyword == "vertex":
+            vertices.add(cid)
+        elif keyword == "edge":
+            for v in tokens[2:]:
+                if v not in vertices:
+                    raise ParseError(f"edge {cid} references unknown vertex {v}", line=num)
+            edges[cid] = (tokens[2], tokens[3])
+        elif keyword == "face":
+            walk = []
+            for tok in tokens[3:]:
+                if len(tok) < 2 or tok[0] not in "+-":
+                    raise ParseError(f"occurrence {tok} needs a +/- sign", line=num)
+                if tok[1:] not in edges:
+                    raise ParseError(f"walk references unknown edge {tok[1:]}", line=num)
+                walk.append((1 if tok[0] == "+" else -1, tok[1:]))
+            faces[cid] = tuple(walk)
+        else:
+            pairs.setdefault(keyword, []).append((cid, tokens[2]))
+    if name is None:
+        raise ParseError("missing surface line")
+    S = SurfaceComplex(frozenset(vertices), edges, faces, name=name)
+    return Document(S, frozenset(pairs.get("match", ())), frozenset(pairs.get("vmatch", ())))
+
+
+# Every refusal parse_document can give, without its "line N: " prefix.
+_REFUSALS = [
+    r"unknown directive \S+",
+    r"\S+ line out of section order",
+    r"second surface line",
+    r"vertex line before the surface line",
+    r"v?match line in a v?match file",
+    r"surface line needs exactly one name",
+    r"vertex line needs exactly one id",
+    r"edge line needs id, tail, head",
+    r"face line needs id, walk keyword, occurrences",
+    r"match line needs vertex and edge",
+    r"vmatch line needs lower and upper cell",
+    r"duplicate id \S+",
+    r"edge \S+ references unknown vertex \S+",
+    r"occurrence \S+ needs a \+/- sign",
+    r"walk references unknown edge \S+",
+    r"missing surface line",
+]
+
+_JUNK = ["x", "+", "-", "+zz", "-x", "walk", "#", "surface", "vertex", "edge", "face",
+         "match", "vmatch"]
+
+
+def _mutant(text, rng):
+    """`text` after one to three seeded line edits: delete, duplicate, swap
+    or truncate lines; add a comment line or a trailing comment; replace,
+    delete or insert a token; flip or strip a sign, or switch a matching
+    keyword to the other kind; rotate a walk."""
+    lines = text.splitlines()
+    words = text.split()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            lines.append(rng.choice(_JUNK))
+            continue
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split()
+        op = rng.randrange(11)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 3:
+            del lines[rng.randrange(i + 1):]  # keep a prefix, maybe empty
+        elif op == 4:
+            lines.insert(i, "# " + rng.choice(words))
+        elif op == 5:
+            lines[i] += " #" + rng.choice(words)
+        elif tokens:
+            k = rng.randrange(len(tokens))
+            tok = tokens[k]
+            if op == 6:
+                tokens[k] = rng.choice(rng.choice((_JUNK, words)))
+            elif op == 7:
+                del tokens[k]
+            elif op == 8:
+                tokens.insert(k, rng.choice(rng.choice((_JUNK, words))))
+            elif op == 9 and tok in ("match", "vmatch"):
+                tokens[k] = "vmatch" if tok == "match" else "match"
+            elif op == 9:
+                sign = "+" if tok[:1] == "-" else "-"
+                tokens[k] = tok[1:] if rng.random() < 0.3 else sign + tok[1:]
+            elif len(tokens) > 4:
+                r = rng.randrange(1, len(tokens) - 3)
+                tokens[3:] = tokens[3 + r:] + tokens[3:3 + r]
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(parse, text):
+    """A parse's refusal (message and line), or its document with the
+    walks, the edges and the name in the order and form they were built."""
+    try:
+        doc = parse(text)
+    except ParseError as exc:
+        return ("refused", str(exc), exc.line)
+    S = doc.complex
+    assert type(S.vertices) is frozenset
+    return (doc, S.name, list(S.edges.items()), list(S.faces.items()))
+
+
+def test_parser_matches_reference_on_mutated_lines():
+    """parse_document and _reference_parse agree on 2 400 seeded mutants of
+    the golden inputs and the corpus texts (complexes, line fields and
+    vector fields): the same document, walks in the same order and rotation
+    and the same name, or the same ParseError at the same line.  Every
+    refusal is reached."""
+    rng = random.Random(823)
+    texts = [path.read_text() for path in sorted((GOLD / "fields").glob("*.txt"))]
+    for S in support.random_corpus(822, 30, max_moves=4) + [b() for b in support.all_seed_builders()]:
+        texts.append(emit_complex(S))
+        texts.append(emit_line_field(LineField(S, support.sample_matching(support.line_field_pairs(S), rng))))
+        texts.append(emit_vector_field(VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))))
+    hits = dict.fromkeys(_REFUSALS, 0)
+    parsed = 0
+    for k in range(2400):
+        text = _mutant(rng.choice(texts), rng)
+        got = _parse_outcome(parse_document, text)
+        assert got == _parse_outcome(_reference_parse, text), text
+        if got[0] == "refused":
+            message = got[1].split(": ", 1)[1] if got[2] is not None else got[1]
+            (pattern,) = [p for p in _REFUSALS if re.fullmatch(p, message)]
+            hits[pattern] += 1
+        else:
+            parsed += 1
+    assert all(hits.values()), [p for p, n in hits.items() if not n]
+    assert parsed >= 200
+
+
+def test_parsed_ids_are_the_declared_objects():
+    """Each reference to a cell id is the object of its declaration: every
+    edge end is an element of the vertex set, every walk's edge id a key of
+    the edge map, and every matched cell the declared cell, by identity."""
+    rng = random.Random(826)
+    texts = [path.read_text() for path in sorted((GOLD / "fields").glob("*.txt"))]
+    for S in (support.grid_torus(4, 5), support.grid_klein(5, 4)):
+        texts.append(emit_line_field(support.forest_field(S, rng, 0.8)))
+        texts.append(emit_vector_field(support.serpentine_torus(4, 4)[0]))
+    for text in texts:
+        doc = parse_document(text)
+        S = doc.complex
+        vertex = {v: v for v in S.vertices}
+        edge = {e: e for e in S.edges}
+        cell = {**vertex, **edge, **{f: f for f in S.faces}}
+        assert all(t is vertex[t] and h is vertex[h] for t, h in S.edges.values())
+        assert all(e is edge[e] for walk in S.faces.values() for _s, e in walk)
+        assert all(a is cell[a] and b is cell[b] for a, b in doc.match | doc.vmatch)
+        assert doc.match | doc.vmatch
 
 
 # ---- OFF import -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Construction, validation, duality, and walk surgery on surface complexes."""
 
+import itertools
 import random
 import re
 from collections import Counter, deque
@@ -9,9 +10,19 @@ import pytest
 
 import support
 import test_radial
+import test_simplify
 from support import corners, disjoint_union, hasse_diagram, subdivide_edge, suffixed, w
-from linefields import VectorField, dlf_to_dvf, dvf_to_dlf, emit_complex, parse_document
-from linefields.errors import DegenerateOperationError, InvalidComplexError
+from linefields import (
+    LineField,
+    VectorField,
+    dlf_to_dvf,
+    dvf_to_dlf,
+    emit_complex,
+    homotopy_core,
+    merge_critical_faces,
+    parse_document,
+)
+from linefields.errors import DegenerateOperationError, InvalidComplexError, OperationError
 from linefields.radial import radial_decomposition
 from linefields.surface import (
     SurfaceComplex,
@@ -119,11 +130,16 @@ def test_least_rotation_matches_full_comparison():
 
 
 def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
-    """_from_checked skips the constructor's checks, so every call the package
-    makes must hand it cells that the checking constructor accepts and builds
-    into the same complex: the same walks, each at the same rotation, in the
-    same order, and the same name.  The calls are the parser's, on the golden
-    inputs and on each corpus complex's text, and both bridge directions'."""
+    """_from_checked skips the constructor's checks and its rotation, so every
+    call the package makes must hand it cells that the checking constructor
+    accepts and builds into the same complex: the same walks, each at the
+    same rotation, in the same order, and the same name.  Its vertices must
+    be a frozenset, as the constructor makes them (a complex is not hashable,
+    as its edges and faces are dicts, but its vertex set is).  The calls are the
+    parser's, on the golden inputs and on each corpus complex's text, both
+    bridge directions', and the simplify rebuilds: homotopy_core and
+    merge_critical_faces on the corpus and forest-field grids of
+    test_simplify.differential_fields."""
     from_checked = SurfaceComplex._from_checked
     names = []
 
@@ -136,6 +152,7 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
         assert S == T and S.name == T.name, name
         assert list(S.faces.items()) == list(T.faces.items()), name
         assert list(S.edges.items()) == list(T.edges.items()), name
+        assert type(S.vertices) is frozenset and hash(S.vertices) == hash(T.vertices), name
         names.append(name)
         return S
 
@@ -147,11 +164,49 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
     rng = random.Random(825)
     for S in corpus:
         assert parse_document(emit_complex(S)).complex == S
+        assert parse_document(walks_from_second_occurrence(emit_complex(S))).complex == S
         V = VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
         dlf_to_dvf(dvf_to_dlf(V))
-    # One parse per file; per corpus complex a parse, the image, the merged
-    # complex and the two factors.
-    assert len(golden) == 5 and len(names) == len(golden) + 5 * len(corpus)
+    # One parse per file; per corpus complex two parses, the image, the
+    # merged complex and the two factors.
+    assert len(golden) == 5 and len(names) == len(golden) + 6 * len(corpus)
+    del names[:]
+    # One build per core, and one per merge that gets as far as its
+    # validate() check: those that return, and those that it refuses.  On
+    # the square sphere, contracting a leaves F's walk +z +c +b, whose
+    # canonical start is +b.
+    square = SurfaceComplex(
+        frozenset("pqrs"),
+        {"a": ("p", "q"), "z": ("q", "r"), "c": ("r", "s"), "b": ("s", "p")},
+        {"F": w("+a +z +c +b"), "G": w("-b -c -z -a")},
+    )
+    fields = [LineField(square, frozenset({("p", "a")}))] + test_simplify.differential_fields()
+    builds = 0
+    for L in fields:
+        homotopy_core(L)
+        faces = [f for f in sorted(L.doubled_critical()) if f in L.complex.faces][:6]
+        for f, g in itertools.permutations(faces, 2):
+            try:
+                merge_critical_faces(L, f, g)
+            except DegenerateOperationError as exc:
+                builds += "breaks the complex" in str(exc)
+            except OperationError:
+                pass
+            else:
+                builds += 1
+    assert builds >= 400 and len(names) == len(fields) + builds
+
+
+def walks_from_second_occurrence(text):
+    """`text` with each walk of two or more occurrences written from its
+    second one, so that the parser has to rotate the walks back."""
+    lines = []
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens[0] == "face" and len(tokens) > 4:
+            tokens[3:] = tokens[4:] + tokens[3:4]
+        lines.append(" ".join(tokens))
+    return "\n".join(lines) + "\n"
 
 
 def test_occurrence_endpoints():
