@@ -9,8 +9,10 @@ touch a critical face close up into cycles and mark periodic behaviour.
 
 Both field kinds subclass `_Field`, which holds the complex, the matching
 looked up both ways and the protocol methods that read a field's cached
-verdicts.  Each kind builds its step table `{cell: ((label, next), ...)}`
-once, as `_steps`, and both share one path engine: `_find_cycle` finds a
+verdicts.  Each kind supplies `_scan`, one pass over its sorted matching
+that finds the matching's violations, builds its step table
+`{cell: ((label, next), ...)}` (`_steps`) and lists the roots of the
+closed-path search.  Both share one path engine: `_find_cycle` finds a
 closed-path witness, `_fold_walks` folds a value over all walks from a
 cell in one memoised post-order pass, which counts walks (`_count_walks`)
 and finds where separatrices end, and `_nth_walk` builds every listed
@@ -351,10 +353,12 @@ class _Field(_Record):
     (lower, upper) pairs looked up both ways, and the field protocol
     methods that only read a subclass's cached verdicts.
 
-    A subclass supplies `_pair_problems` (the matching's violations),
-    `_critical`, `_closed`, `_steps` and `_exits`, and the hooks `_path`,
-    `_path_keys` and `_cyclic_text`, and may define __post_init__, which
-    _Record.__init__ calls.  Every table is built once, on first use.
+    A subclass supplies `_scan`, one pass over the sorted matching that
+    returns (the matching's violations, the step table, the roots of the
+    closed-path search), and `_critical` and `_exits`, and the hooks
+    `_path`, `_path_keys` and `_cyclic_text`; it may override `_witness`
+    and define __post_init__, which _Record.__init__ calls.  Every table is
+    built once, on first use.
     """
 
     complex: SurfaceComplex
@@ -374,6 +378,19 @@ class _Field(_Record):
         return self._closed
 
     graph = topological_graph
+
+    _pair_problems = property(lambda self: self._scan[0])
+    _steps = property(lambda self: self._scan[1])
+
+    def _witness(self, cells, labels):
+        """The closed path of a cycle `_find_cycle` found."""
+        return self._path(cells, labels)
+
+    @cached_property
+    def _closed(self):
+        _problems, steps, roots = self._scan
+        cycle = _find_cycle(roots, steps)
+        return None if cycle is None else self._witness(*cycle)
 
     @cached_property
     def _graph(self) -> TopologicalGraph:

@@ -10,15 +10,19 @@ characteristic.
 LineField and VectorField share one field protocol: problems(),
 doubled_critical(), closed_path(), graph(), corridors(), paths(a, b) and
 count_paths(a, b).  The first four, and the matching's lookup maps, are
-implemented once on their shared base, dynamics._Field.  The CLI and the
-formats module reach the algorithms only through these methods.
+implemented once on their shared base, dynamics._Field; a field kind
+supplies `_scan`, one pass over its sorted matching that yields the
+matching's violations, its step table and the roots of the closed-path
+search.  The CLI and the formats module reach the algorithms only through
+these methods.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 
-from .dynamics import LPath, _all_corridors, _Field, _find_cycle, l_paths
+from .dynamics import LPath, _all_corridors, _Field, l_paths
 
 
 class LineField(_Field):
@@ -65,18 +69,34 @@ class LineField(_Field):
         return [(i, self.complex.corner_vertex(cell, i)) for i in self._unmatched.get(cell, ())]
 
     @cached_property
-    def _pair_problems(self) -> list[str]:
-        return validate_line_field(self)
-
-    @cached_property
-    def _steps(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """The L-step relation, vertex -> ((edge, next),): a matched vertex
-        steps across its edge to the other endpoint; a loop steps to itself."""
-        steps = {}
-        for v, e in self.matching:
-            tail, head = self.complex.edges[e]
-            steps[v] = ((e, head if v == tail else tail),)
-        return steps
+    def _scan(self) -> tuple[list[str], dict, dict]:
+        """One pass over the sorted matching: its violations (see
+        validate_line_field); the L-step relation of its valid pairs, vertex
+        -> ((edge, next),), in which a matched vertex steps across its edge
+        to the other endpoint and a loop steps to itself; and the search
+        roots, the steps' keys, which the pass adds in sorted order."""
+        vertices, edges = self.complex.vertices, self.complex.edges
+        problems, steps = [], {}
+        for v, e in sorted(self.matching):
+            if v not in vertices:
+                problems.append(f"pair ({v}, {e}) references unknown vertex {v}")
+            elif e not in edges:
+                problems.append(f"pair ({v}, {e}) references unknown edge {e}")
+            else:
+                tail, head = edges[e]
+                if v == tail:
+                    steps[v] = ((e, head),)
+                elif v == head:
+                    steps[v] = ((e, tail),)
+                else:
+                    problems.append(f"pair ({v}, {e}): {v} is not an endpoint of {e}")
+        n = len(self.matching)
+        if len(self._upper_of) < n or len(self._lower_of) < n:
+            for kind, cells in zip(("vertex", "edge"), zip(*self.matching)):
+                for c, m in sorted(Counter(cells).items()):
+                    if m > 1:
+                        problems.append(f"{kind} {c} appears in {m} pairs")
+        return problems, steps, steps
 
     @cached_property
     def _unmatched(self) -> dict[str, tuple[int, ...]]:
@@ -91,12 +111,9 @@ class LineField(_Field):
     def _critical(self) -> dict[str, int]:
         return critical_cells(self)
 
-    @cached_property
-    def _closed(self) -> LPath | None:
-        cycle = _find_cycle(sorted(self._steps), self._steps)
-        if cycle is None:
-            return None
-        ring, edges = cycle[0][:-1], cycle[1]
+    def _witness(self, cells, edges) -> LPath:
+        """The closed L-path, rotated to start at its least vertex."""
+        ring = cells[:-1]
         m = ring.index(min(ring))
         return LPath(ring[m:] + ring[: m + 1], edges[m:] + edges[:m])
 
@@ -109,29 +126,9 @@ def validate_line_field(L: LineField) -> list[str]:
     """Violations of the matching conditions; empty when L is a line field.
 
     Every pair must join a vertex to an edge it is an endpoint of, and no
-    vertex or edge may be used by two pairs.
+    vertex or edge may be used by two pairs.  The field's scan finds them.
     """
-    S = L.complex
-    problems = []
-    for v, e in sorted(L.matching):
-        if v not in S.vertices:
-            problems.append(f"pair ({v}, {e}) references unknown vertex {v}")
-        elif e not in S.edges:
-            problems.append(f"pair ({v}, {e}) references unknown edge {e}")
-        elif v not in S.edges[e]:
-            problems.append(f"pair ({v}, {e}): {v} is not an endpoint of {e}")
-    used_v: dict[str, int] = {}
-    used_e: dict[str, int] = {}
-    for v, e in L.matching:
-        used_v[v] = used_v.get(v, 0) + 1
-        used_e[e] = used_e.get(e, 0) + 1
-    for v in sorted(used_v):
-        if used_v[v] > 1:
-            problems.append(f"vertex {v} appears in {used_v[v]} pairs")
-    for e in sorted(used_e):
-        if used_e[e] > 1:
-            problems.append(f"edge {e} appears in {used_e[e]} pairs")
-    return problems
+    return list(L._pair_problems)
 
 
 def critical_cells(L: LineField) -> dict[str, int]:

@@ -16,8 +16,8 @@ import heapq
 from .dynamics import LPath, _count_walks, _nth_walk, _require_acyclic, corridors_from
 from .errors import CancellationError, DegenerateOperationError, OperationError, _Record
 from .linefield import LineField
-from .surface import (SurfaceComplex, _canonical_rotation, _merged_walk, fresh_id,
-                      reversed_walk, split_face)
+from .surface import (SurfaceComplex, _canonical_rotation, _merged_walk, _split_walk, fresh_id,
+                      reversed_walk)
 
 
 class CellCorrespondence(_Record):
@@ -323,7 +323,12 @@ def cancel_vertex_face(
     part_entry = fresh_id(f"{f}_1", taken)
     taken.add(part_entry)
     part_off = fresh_id(f"{f}_0", taken)
-    T = split_face(S, f, p, q, diag, part_entry, part_off)
+    # split_face(S, f, p, q, diag, part_entry, part_off), rebuilding only f.
+    edges = {**S.edges, diag: (corners[p], corners[q])}
+    faces = {g: w for g, w in S.faces.items() if g != f}
+    halves = _split_walk(S.faces[f], p, q, diag)
+    faces[part_entry], faces[part_off] = map(_canonical_rotation, halves)
+    T = SurfaceComplex._from_checked(S.vertices, edges, faces, S.name)
     pairs = set(L.matching)
     for i, e_i in enumerate(path.edges):
         pairs.discard((path.vertices[i], e_i))

@@ -10,18 +10,21 @@ cells.
 VectorField has the field protocol of LineField, and shares its body,
 dynamics._Field: the complex, the matching's lookup maps `_upper_of` and
 `_lower_of`, and problems(), doubled_critical(), closed_path() and
-graph().  The CLI and the formats module use only those methods.
+graph().  It supplies `_scan`, one pass over its sorted matching that
+yields the matching's violations, its step table and the roots of the
+closed-path search.  The CLI and the formats module use only those
+methods.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property, partial
 
 from .dynamics import (
     _Field,
     _PathView,
     _count_walks,
-    _find_cycle,
     _nth_walk,
     _require_acyclic,
     topological_graph,
@@ -103,59 +106,60 @@ class VectorField(_Field):
         return lambda cells, witnesses: XPath(dim_of(cells[0]), cells, witnesses)
 
     @cached_property
-    def _pair_problems(self) -> list[str]:
-        return validate_vector_field(self)
-
-    @cached_property
-    def _steps(self) -> dict[str, tuple[tuple[tuple[str, int], str], ...]]:
-        """The X-path step relation: a cell matched upward steps to every
-        other cell on its partner's boundary, as ((witness, key), next)."""
-        return {
-            lo: tuple(((up, key), c) for key, c in self._exits(up) if c != lo)
-            for lo, up in self.matching
-        }
+    def _scan(self) -> tuple[list[str], dict, list[str]]:
+        """One pass over the sorted matching: its violations (see
+        validate_vector_field); the X-path step relation of its valid
+        pairs, in which a cell matched upward steps to every other cell on
+        its partner's boundary, as ((witness, key), next), in `_exits`
+        order; and the search roots, the matched vertices and then the
+        matched edges, in order.  Steps stay within one dimension, so one
+        search from the roots finds a cycle of either."""
+        S = self.complex
+        vertices, edges, faces = S.vertices, S.edges, S.faces
+        problems, steps, low_vertices, low_edges = [], {}, [], []
+        for lo, up in sorted(self.matching):
+            if up in edges and lo in vertices:
+                tail, head = edges[up]
+                if lo == tail:
+                    steps[lo] = () if head == lo else (((up, 1), head),)
+                elif lo == head:
+                    steps[lo] = (((up, 0), tail),)
+                else:
+                    problems.append(f"pair ({lo}, {up}): {lo} is not an endpoint of {up}")
+                    continue
+                low_vertices.append(lo)
+            elif up in faces and lo in edges:
+                walk = faces[up]
+                out = tuple([((up, i), e) for i, (_s, e) in enumerate(walk) if e != lo])
+                if len(out) == len(walk):
+                    problems.append(f"pair ({lo}, {up}): {lo} is not on the boundary walk of {up}")
+                    continue
+                steps[lo] = out
+                low_edges.append(lo)
+            elif not S.has_cell(lo):
+                problems.append(f"pair ({lo}, {up}) references unknown cell {lo}")
+            elif not S.has_cell(up):
+                problems.append(f"pair ({lo}, {up}) references unknown cell {up}")
+            else:
+                gap = S.dim_of(up) - S.dim_of(lo)
+                problems.append(f"pair ({lo}, {up}): dimensions differ by {gap}")
+        upper, lower, n = self._upper_of, self._lower_of, len(self.matching)
+        if len(upper) < n or len(lower) < n or not upper.keys().isdisjoint(lower):
+            for c, m in sorted(Counter(c for pair in self.matching for c in pair).items()):
+                if m > 1:
+                    problems.append(f"cell {c} appears in {m} pairs")
+        return problems, steps, low_vertices + low_edges
 
     @cached_property
     def _critical(self) -> dict[str, int]:
         return {c: 2 * i for c, i in critical_cells_dvf(self).items()}
 
-    @cached_property
-    def _closed(self) -> XPath | None:
-        # Steps stay within one dimension, so one search from the matched
-        # vertices, then the matched edges, finds a cycle of either.
-        dim_of = self.complex.dim_of
-        cycle = _find_cycle(sorted(self._steps, key=lambda c: (dim_of(c), c)), self._steps)
-        return None if cycle is None else self._path(*cycle)
-
 
 def validate_vector_field(V: VectorField) -> list[str]:
     """Violations of the matching conditions; empty when V is a discrete
-    vector field: pairs incident and one dimension apart, no cell reused."""
-    S = V.complex
-    problems = []
-    for lo, up in sorted(V.matching):
-        if not S.has_cell(lo):
-            problems.append(f"pair ({lo}, {up}) references unknown cell {lo}")
-            continue
-        if not S.has_cell(up):
-            problems.append(f"pair ({lo}, {up}) references unknown cell {up}")
-            continue
-        dlo, dup = S.dim_of(lo), S.dim_of(up)
-        if dup - dlo != 1:
-            problems.append(f"pair ({lo}, {up}): dimensions differ by {dup - dlo}")
-            continue
-        if dlo == 0 and lo not in S.edges[up]:
-            problems.append(f"pair ({lo}, {up}): {lo} is not an endpoint of {up}")
-        if dlo == 1 and all(e != lo for _s, e in S.faces[up]):
-            problems.append(f"pair ({lo}, {up}): {lo} is not on the boundary walk of {up}")
-    used: dict[str, int] = {}
-    for pair in V.matching:
-        for c in pair:
-            used[c] = used.get(c, 0) + 1
-    for c in sorted(used):
-        if used[c] > 1:
-            problems.append(f"cell {c} appears in {used[c]} pairs")
-    return problems
+    vector field: pairs incident and one dimension apart, no cell reused.
+    The field's scan finds them."""
+    return list(V._pair_problems)
 
 
 def critical_cells_dvf(V: VectorField) -> dict[str, int]:

@@ -9,24 +9,27 @@ reports in `src/linefields/` while each layer runs: parse_document, then
 problems(), closed_path(), graph(), corridors(), report_json and
 graph_dot on the parsed field, in that order, as the CLI runs them.  A
 line field is then emitted with emit_line_field and goes through
-homotopy_core and one merge_critical_faces move (the first pair of
-critical faces in sorted order that a corridor joins and the move
-accepts; no family here has a cancel_vertex_face move, since each has one
-critical vertex and no path to reverse), and a vector
+homotopy_core, one merge_critical_faces move (the first pair of critical
+faces in sorted order that a corridor joins and the move accepts) and,
+where the field has one, one cancel_vertex_face move (the first critical
+face and vertex in sorted order that the move accepts), and a vector
 field through dvf_to_dlf, emit_line_field and vertex_link_cycles() on
 that image, dlf_to_dvf on it and emit_vector_field on both factors
 together.  A layer fails when its exponent, log(lines ratio) / log(cells
-ratio), is over 1.05.
+ratio), is over 1.05, or when it runs at one size only.
 
 A count of executed lines repeats exactly and does not depend on the host,
 so the gate needs one run per point.  It cannot see work inside a C
 builtin: a `sorted`, a `str.join` or an `in` on a list counts as one line.
-The families are long-chain fields, whose separatrix paths total far more
-cells than the complex has: the snake line field on a grid torus, spanning
-tree line fields on grid tori and Klein bottles, and the snake tree-cotree
-vector field.  It runs under PYTHONHASHSEED=0 (re-executing itself when
-another seed is set), so set iteration order cannot move a count.
-Standard library only.
+Most families are long-chain fields, whose separatrix paths total far
+more cells than the complex has: the snake line field on a grid torus,
+spanning tree line fields on grid tori and Klein bottles, and the snake
+tree-cotree vector field.  Each of those has one critical vertex, which
+every chain reaches, so none admits a cancellation; the last family, a
+forest line field on a grid torus that keeps each of its tree's pairs
+with probability 0.8, has many critical vertices and does.  It runs under
+PYTHONHASHSEED=0 (re-executing itself when another seed is set), so set
+iteration order cannot move a count.  Standard library only.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import support  # noqa: E402
 from linefields import (  # noqa: E402
     LineField,
     VectorField,
+    cancel_vertex_face,
     corridors_from,
     dlf_to_dvf,
     dvf_to_dlf,
@@ -67,6 +71,7 @@ FAMILIES = {
     "spanning tree, torus": lambda n: support.forest_field(support.grid_torus(n, n), random.Random(n), 1.0),
     "spanning tree, Klein": lambda n: support.forest_field(support.grid_klein(n, n), random.Random(n), 1.0),
     "snake tree-cotree, torus": lambda n: support.serpentine_torus(n, n)[0],
+    "forest, torus": lambda n: support.forest_field(support.grid_torus(n, n), random.Random(n), 0.8),
 }
 
 
@@ -108,13 +113,29 @@ def merge_pair(L: LineField) -> tuple[str, str]:
     raise AssertionError(f"{L.complex.name}: no critical faces to merge")
 
 
+def cancel_pair(L: LineField) -> tuple[str, str] | None:
+    """The first critical vertex v and face f, by face and then vertex in
+    sorted order, that cancel_vertex_face(L, v, f) accepts, or None."""
+    crit = L.doubled_critical()
+    vertices = [v for v in crit if v in L.complex.vertices]
+    for f in sorted(f for f in crit if f in L.complex.faces and crit[f] < 0):
+        for v in vertices:
+            try:
+                cancel_vertex_face(L, v, f)
+            except OperationError:
+                continue
+            return v, f
+    return None
+
+
 def layer_lines(field) -> tuple[int, dict[str, int]]:
     """The complex's cell count and each layer's line count.  The analysis
     layers run in order on one field parsed from `field`'s file.  A line
-    field is emitted, and the homotopy core and then one merge of critical
-    faces run on a second parsed field; a vector field's image under dvf_to_dlf is
-    emitted, its link cycles are decoded, it goes back through dlf_to_dvf,
-    and both factors are emitted."""
+    field is emitted, and the homotopy core, one merge of critical faces
+    and, if it has one, one cancellation run on a second parsed field; a
+    vector field's image under dvf_to_dlf is emitted, its link cycles are
+    decoded, it goes back through dlf_to_dvf, and both factors are
+    emitted."""
     emit = emit_vector_field if isinstance(field, VectorField) else emit_line_field
     text = emit(field)
     counter = LineCounter()
@@ -139,6 +160,11 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
         lines["merge_critical_faces"], _merged = counter.count(
             lambda: merge_critical_faces(fresh, f, g)
         )
+        pair = cancel_pair(parsed)
+        if pair is not None:
+            lines["cancel_vertex_face"], _cancelled = counter.count(
+                lambda: cancel_vertex_face(fresh, *pair)
+            )
     else:
         lines["dvf_to_dlf"], image = counter.count(lambda: dvf_to_dlf(parsed))
         lines["emit_line_field"], _text = counter.count(lambda: emit_line_field(image))
@@ -155,7 +181,9 @@ def main() -> int:
     print(f"{'family':<26} {'layer':<20} {SIZES[0]}x{SIZES[0]:<8} {SIZES[1]}x{SIZES[1]:<8} exponent")
     for family, build in FAMILIES.items():
         (small, lo), (large, hi) = (layer_lines(build(n)) for n in SIZES)
-        for layer in lo:
+        if lo.keys() != hi.keys():
+            failures.append(f"{family}: layers {sorted(lo.keys() ^ hi.keys())} ran at one size only")
+        for layer in [layer for layer in lo if layer in hi]:
             exponent = math.log(hi[layer] / lo[layer]) / math.log(large / small)
             print(f"{family:<26} {layer:<20} {lo[layer]:>10} {hi[layer]:>10} {exponent:8.3f}")
             if exponent > BAR:

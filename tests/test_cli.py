@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -362,23 +363,40 @@ def test_from_dvf_to_dvf_round_trip(tmp_path):
     assert any(line_fields_isomorphic(A, V, vertex_map=strip) for A in factors)
 
 
+def count_scans(monkeypatch, cls):
+    """The fields of class `cls` whose `_scan`, the one pass over the
+    matching, runs from now on, one entry per run."""
+    calls = []
+    scan = cls.__dict__["_scan"].func
+    counted = cached_property(lambda field: calls.append(field) or scan(field))
+    counted.__set_name__(cls, "_scan")
+    monkeypatch.setattr(cls, "_scan", counted)
+    return calls
+
+
 def test_to_dvf_validates_the_line_field_once(tmp_path, monkeypatch, capsys):
     # main checks the field with problems(); dlf_to_dvf reads that verdict.
-    # Every module of the package that binds the function gets the wrapper.
-    from linefields import linefield
-
-    calls = []
-    original = linefield.validate_line_field
-    for name, module in list(sys.modules.items()):
-        if name.startswith("linefields") and vars(module).get("validate_line_field") is original:
-            monkeypatch.setattr(
-                module, "validate_line_field", lambda L: calls.append(L) or original(L)
-            )
     V = VectorField(support.tetra(), frozenset({("v1", "e12"), ("e23", "f123")}))
     path = write(tmp_path, "image.txt", emit_line_field(dvf_to_dlf(V)))
+    calls = count_scans(monkeypatch, LineField)
     assert main(["to-dvf", path]) == 0
     assert capsys.readouterr().out.startswith("surface ")
     assert len(calls) == 1
+
+
+def test_one_scan_per_field(monkeypatch):
+    """problems(), validate_*_field, closed_path() and graph() all read the
+    one scan of the matching that each field keeps."""
+    from linefields import validate_line_field, validate_vector_field
+
+    L = LineField(support.tetra(), frozenset({("v1", "e12"), ("v3", "e34")}))
+    V = VectorField(support.tetra(), frozenset({("v1", "e12"), ("e23", "f123")}))
+    for field, validate in ((L, validate_line_field), (V, validate_vector_field)):
+        calls = count_scans(monkeypatch, type(field))
+        assert field.problems() == [] and validate(field) == []
+        assert field.closed_path() is None
+        assert field.graph().vertices
+        assert calls == [field]
 
 
 def test_to_dvf_not_in_image_exit_2(tmp_path, capsys):

@@ -30,7 +30,7 @@ from linefields import (
     topological_graph,
     x_paths,
 )
-from linefields import dynamics, linefield, simplify, vectorfield
+from linefields import dynamics, simplify, vectorfield
 from linefields.cli import main
 
 # ---- a gradient path through every vertex ---------------------------------
@@ -85,32 +85,27 @@ def test_one_acyclicity_check_per_operation(monkeypatch):
 
 def test_one_cycle_search_per_field(monkeypatch):
     """A field keeps its closed-path verdict: a graph and ten path counts
-    search the step relation once."""
+    search the step relation once.  Both kinds search in dynamics._Field."""
     calls = []
+    original = dynamics._find_cycle
 
-    def counting(module):
-        original = module._find_cycle
+    def wrapper(roots, steps):
+        calls.append(steps)
+        return original(roots, steps)
 
-        def wrapper(roots, steps):
-            calls.append(module.__name__)
-            return original(roots, steps)
-
-        monkeypatch.setattr(module, "_find_cycle", wrapper)
-
-    counting(vectorfield)
+    monkeypatch.setattr(dynamics, "_find_cycle", wrapper)
     V, head = support.serpentine_torus(4, 4)
     (root,) = [c for c in V.doubled_critical() if c in V.complex.vertices]
     V.graph()
     assert [V.count_paths(head, root) for _ in range(10)] == [2] * 10
-    assert calls == ["linefields.vectorfield"]
+    assert len(calls) == 1 and calls[0] is V._steps
     calls.clear()
-    counting(linefield)
     L = support.forest_field(support.grid_torus(4, 4), random.Random(4), 0.7)
     vertices = sorted(L.complex.vertices)
     L.graph()
     for a, b in zip(vertices[:10], vertices[1:]):
         L.count_paths(a, b)
-    assert calls == ["linefields.linefield"]
+    assert len(calls) == 1 and calls[0] is L._steps
 
 
 # ---- path queries list no dead walks --------------------------------------

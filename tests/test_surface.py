@@ -15,6 +15,7 @@ from support import corners, disjoint_union, hasse_diagram, subdivide_edge, suff
 from linefields import (
     LineField,
     VectorField,
+    cancel_vertex_face,
     dlf_to_dvf,
     dvf_to_dlf,
     emit_complex,
@@ -137,9 +138,9 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
     be a frozenset, as the constructor makes them (a complex is not hashable,
     as its edges and faces are dicts, but its vertex set is).  The calls are the
     parser's, on the golden inputs and on each corpus complex's text, both
-    bridge directions', and the simplify rebuilds: homotopy_core and
-    merge_critical_faces on the corpus and forest-field grids of
-    test_simplify.differential_fields."""
+    bridge directions', and the simplify rebuilds: homotopy_core,
+    merge_critical_faces and cancel_vertex_face on the corpus and
+    forest-field grids of test_simplify.differential_fields."""
     from_checked = SurfaceComplex._from_checked
     names = []
 
@@ -181,7 +182,7 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
         {"F": w("+a +z +c +b"), "G": w("-b -c -z -a")},
     )
     fields = [LineField(square, frozenset({("p", "a")}))] + test_simplify.differential_fields()
-    builds = 0
+    builds = cancels = 0
     for L in fields:
         homotopy_core(L)
         faces = [f for f in sorted(L.doubled_critical()) if f in L.complex.faces][:6]
@@ -194,7 +195,17 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
                 pass
             else:
                 builds += 1
-    assert builds >= 400 and len(names) == len(fields) + builds
+        # One build per cancellation, as each refusal comes before it.
+        crit = L.doubled_critical()
+        negative = [f for f in sorted(crit) if f in L.complex.faces and crit[f] < 0][:6]
+        for f, v in itertools.product(negative, [v for v in crit if v in L.complex.vertices]):
+            try:
+                cancel_vertex_face(L, v, f)
+            except OperationError:
+                continue
+            cancels += 1
+    assert builds >= 400 and cancels >= 300
+    assert len(names) == len(fields) + builds + cancels
 
 
 def walks_from_second_occurrence(text):
