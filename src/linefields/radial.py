@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import NotInImageError, _Record
 from .linefield import LineField
-from .surface import SurfaceComplex, _canonical_rotation, _merged_walk, _split_walk, fresh_id
+from .surface import SurfaceComplex, _canonical_rotation, _fresh_ids, _merge_cells, _split_cells
 from .vectorfield import VectorField
 
 
@@ -149,19 +149,10 @@ def dvf_to_dlf(V: VectorField) -> LineField:
         anchor = vertex[other]
         # Number the corners as the built complex will: a loop, or an edge
         # twice on one face, puts the anchor at two corners.
-        walk = faces.pop(quad)
-        corners = [edges[r][0] if s > 0 else edges[r][1] for s, r in walk]
-        k = corners.index(anchor)
-        diag = fresh_id(f"d_{e}", taken)
-        taken.add(diag)
-        half_a = fresh_id(f"{quad}_0", taken)
-        taken.add(half_a)
-        half_b = fresh_id(f"{quad}_1", taken)
-        taken.add(half_b)
+        k = [edges[r][s < 0] for s, r in faces[quad]].index(anchor)
+        diag, half_a, half_b = _fresh_ids(taken, f"d_{e}", f"{quad}_0", f"{quad}_1")
         taken.remove(quad)
-        edges[diag] = (anchor, corners[(k + 2) % 4])
-        halves = _split_walk(walk, k, (k + 2) % 4, diag)
-        faces[half_a], faces[half_b] = map(_canonical_rotation, halves)
+        _split_cells(edges, faces, quad, k, k + 2, diag, half_a, half_b)
         pairs.append((anchor, diag))
     image = SurfaceComplex._from_checked(
         frozenset(vertex.values()), edges, faces, f"radial_{S.name}"
@@ -205,13 +196,10 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
             raise NotInImageError(f"matched edge {d} is not a face diagonal")
         if any(len(faces[f]) != 3 for f in live):
             raise NotInImageError(f"matched edge {d} does not split a quadrilateral")
-        (f1, p1), (f2, p2) = occs
-        qid = fresh_id(f"m_{d}", taken)
-        taken.difference_update((d, f1, f2))
-        taken.add(qid)
-        faces[qid] = _canonical_rotation(_merged_walk(faces.pop(f1), p1, faces.pop(f2), p2))
-        del edges[d]
-        merged_into[f1] = merged_into[f2] = qid
+        (qid,) = _fresh_ids(taken, f"m_{d}")
+        taken.difference_update((d, *live))
+        _merge_cells(edges, faces, d, occs, qid)
+        merged_into[live[0]] = merged_into[live[1]] = qid
         merged_quad[d] = qid
     T = SurfaceComplex._from_checked(T.vertices, edges, faces, T.name)
     classes = _radial_classes(T)

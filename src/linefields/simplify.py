@@ -12,12 +12,13 @@ new field together with a cell correspondence.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 
 from .dynamics import LPath, _count_walks, _nth_walk, _require_acyclic, corridors_from
 from .errors import CancellationError, DegenerateOperationError, OperationError, _Record
 from .linefield import LineField
-from .surface import (SurfaceComplex, _canonical_rotation, _merged_walk, _split_walk, fresh_id,
-                      reversed_walk)
+from .surface import (SurfaceComplex, _canonical_rotation, _fresh_ids, _merge_cells, _split_cells,
+                      fresh_id, reversed_walk)
 
 
 class CellCorrespondence(_Record):
@@ -131,7 +132,7 @@ def homotopy_core(L: LineField) -> CoreResult:
     if degenerate is None:
         degenerate = _collapse_bigons(S, edges, walks, parent)
     T = SurfaceComplex._from_checked(S.vertices.difference(parent), edges, walks, S.name)
-    mapping = {c: _root(parent, c) for c, _d in S.cells()}
+    mapping = {c: _root(parent, c) for c in chain(S.vertices, S.edges, S.faces)}
     return CoreResult(
         LineField(T, L.matching - contracted), CellCorrespondence(mapping), degenerate
     )
@@ -141,9 +142,9 @@ def _collapse_bigons(S, edges, walks, parent) -> str | None:
     """Collapse every removable bigon of an unmatched field in place.
 
     Each collapse deletes the bigon's smaller edge and merges the bigon
-    into the edge's other face g with _merged_walk, in sorted face order
-    as delete_edge_merge_faces does.  Contraction moves no occurrence to
-    another face, so g is the root of whichever face of the edge's two
+    into the edge's other face g, which keeps its id, with _merge_cells,
+    the merge of delete_edge_merge_faces.  Contraction moves no occurrence
+    to another face, so g is the root of whichever face of the edge's two
     slots in S does not resolve to the bigon; one scan of g's walk finds
     the edge.  Absorbed cells go into `parent`.  Returns the least bigon
     left, which repeats one edge and is degenerate, or None.
@@ -158,12 +159,7 @@ def _collapse_bigons(S, edges, walks, parent) -> str | None:
         a, b = (_root(parent, h) for h, _p in S.occurrence_index[gone])
         g = b if a == f else a
         j = next(k for k, (_s, e) in enumerate(walks[g]) if e == gone)
-        if f < g:
-            merged = _merged_walk(walk, i, walks[g], j)
-        else:
-            merged = _merged_walk(walks[g], j, walk, i)
-        walks[g] = _canonical_rotation(merged)
-        del walks[f], edges[gone]
+        _merge_cells(edges, walks, gone, ((f, i), (g, j)), g)
         parent[f] = parent[gone] = g
     return next((f for f in bigons if f in walks), None)
 
@@ -211,7 +207,7 @@ def merge_critical_faces(
         raise DegenerateOperationError(
             f"merging {f} and {g} breaks the complex: {problems[0]}"
         )
-    mapping = {c: merged_id if c in absorbed else c for c, _d in S.cells()}
+    mapping = {c: merged_id if c in absorbed else c for c in chain(S.vertices, S.edges, S.faces)}
     return LineField(T, L.matching), CellCorrespondence(mapping)
 
 
@@ -317,23 +313,16 @@ def cancel_vertex_face(
         raise DegenerateOperationError(
             f"every admissible diagonal of {f} is a loop at {u1}"
         )
-    taken = {*S.vertices, *S.edges, *S.faces}
-    diag = fresh_id(f"d_{f}", taken)
-    taken.add(diag)
-    part_entry = fresh_id(f"{f}_1", taken)
-    taken.add(part_entry)
-    part_off = fresh_id(f"{f}_0", taken)
-    # split_face(S, f, p, q, diag, part_entry, part_off), rebuilding only f.
-    edges = {**S.edges, diag: (corners[p], corners[q])}
-    faces = {g: w for g, w in S.faces.items() if g != f}
-    halves = _split_walk(S.faces[f], p, q, diag)
-    faces[part_entry], faces[part_off] = map(_canonical_rotation, halves)
+    diag, part_entry, part_off = _fresh_ids({*S.vertices, *S.edges, *S.faces},
+                                            f"d_{f}", f"{f}_1", f"{f}_0")
+    edges, faces = dict(S.edges), dict(S.faces)
+    _split_cells(edges, faces, f, p, q, diag, part_entry, part_off)
     T = SurfaceComplex._from_checked(S.vertices, edges, faces, S.name)
     pairs = set(L.matching)
     for i, e_i in enumerate(path.edges):
         pairs.discard((path.vertices[i], e_i))
         pairs.add((path.vertices[i + 1], e_i))
     pairs.add((u1, diag))
-    mapping = {cid: cid for cid, _d in S.cells()}
+    mapping = {c: c for c in chain(S.vertices, S.edges, S.faces)}
     mapping[f] = part_entry
     return LineField(T, frozenset(pairs)), CellCorrespondence(mapping)

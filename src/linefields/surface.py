@@ -365,74 +365,82 @@ class SurfaceComplex(_Record):
         return SurfaceComplex(frozenset(self.faces), dual_edges, dual_faces, self.name + "_dual")
 
 
-# ---- walk surgery --------------------------------------------------------
+# ---- face surgery --------------------------------------------------------
 #
-# _split_walk and _merged_walk hold the walk arithmetic of the two surgery
-# moves on plain walks, so that a caller applying many moves can edit cell
-# dicts in place and construct one complex at the end.
+# _split_cells and _merge_cells are the package's one copy of the two
+# surgery moves.  They edit plain cell dicts in place and leave each walk
+# they make at its canonical rotation, so a caller applying many moves
+# builds one complex at the end with SurfaceComplex._from_checked.
 
 
-def _split_walk(
-    walk: tuple[Occurrence, ...], p: int, q: int, diag_id: str
-) -> tuple[tuple[Occurrence, ...], tuple[Occurrence, ...]]:
-    """The two walks of a face split by a diagonal from corner p to corner q.
+def _fresh_ids(taken: set, *bases: str) -> list[str]:
+    """fresh_id of each base in turn, each id added to `taken` as it is picked."""
+    ids = []
+    for base in bases:
+        ids.append(fresh_id(base, taken))
+        taken.add(ids[-1])
+    return ids
 
-    The first takes positions p..q-1 followed by the diagonal traversed
-    backwards; the second takes positions q..p-1 followed by the diagonal
-    forwards.
-    """
+
+def _split_cells(edges, faces, face: str, p: int, q: int, diag: str, a: str, b: str) -> None:
+    """Split `face` by a new edge `diag` from its corner-p vertex (tail) to
+    its corner-q vertex (head).  Face `a` takes positions p..q-1 followed by
+    the diagonal traversed backwards; face `b` takes positions q..p-1
+    followed by the diagonal forwards."""
+    walk = faces.pop(face)
     n = len(walk)
-    part_a = tuple(walk[(p + k) % n] for k in range((q - p) % n)) + ((-1, diag_id),)
-    part_b = tuple(walk[(q + k) % n] for k in range((p - q) % n)) + ((1, diag_id),)
-    return part_a, part_b
+    p, q = p % n, q % n
+    (sp, ep), (sq, eq) = walk[p], walk[q]
+    edges[diag] = (edges[ep][sp < 0], edges[eq][sq < 0])
+    walk = walk[p:] + walk[:p]
+    faces[a] = _canonical_rotation(walk[: (q - p) % n] + ((-1, diag),))
+    faces[b] = _canonical_rotation(walk[(q - p) % n :] + ((1, diag),))
 
 
-def _merged_walk(
-    wa: tuple[Occurrence, ...],
-    p1: int,
-    wb: tuple[Occurrence, ...],
-    p2: int,
-) -> tuple[Occurrence, ...]:
-    """The walk left when the edge at wa[p1] and wb[p2] is deleted.
-
-    The rest of wb replaces the occurrence in wa, reversed when both
-    occurrences carry the same sign, so the merged walk runs through the
-    edge's endpoints the way wa did.  For a loop this keeps the vertex
-    link one cycle.  Raises DegenerateOperationError when nothing is left.
-    """
-    rest_b = wb[p2 + 1 :] + wb[:p2]
-    middle = reversed_walk(rest_b) if wa[p1][0] == wb[p2][0] else rest_b
-    merged = wa[:p1] + middle + wa[p1 + 1 :]
+def _merge_cells(edges, faces, edge: str, slots, merged_id: str) -> None:
+    """Delete `edge` and merge the faces of its two (face, position) slots
+    into `merged_id`.  The rest of the face later in sorted order replaces
+    the occurrence in the first, reversed when both occurrences carry the
+    same sign, so the merged walk runs through the edge's endpoints the way
+    the first face did; for a loop this keeps the vertex link one cycle.
+    Raises DegenerateOperationError, editing nothing, when nothing is left."""
+    (f1, p1), (f2, p2) = sorted(slots)
+    wa, wb = faces[f1], faces[f2]
+    rest = wb[p2 + 1 :] + wb[:p2]
+    if wa[p1][0] == wb[p2][0]:
+        rest = reversed_walk(rest)
+    merged = wa[:p1] + rest + wa[p1 + 1 :]
     if not merged:
-        raise DegenerateOperationError(
-            f"deleting {wa[p1][1]} would leave a face with an empty boundary"
-        )
-    return merged
+        raise DegenerateOperationError(f"deleting {edge} would leave a face with an empty boundary")
+    del edges[edge], faces[f1], faces[f2]
+    faces[merged_id] = _canonical_rotation(merged)
 
 
-def split_face(
-    S: SurfaceComplex,
-    face: str,
-    p: int,
-    q: int,
-    diag_id: str,
-    face_a_id: str,
-    face_b_id: str,
-) -> SurfaceComplex:
+def _surgery_result(S: SurfaceComplex, edges, faces, gone, *new: str) -> SurfaceComplex:
+    """The complex of a public surgery move on S, refusing a new id that
+    repeats another or names a cell of S outside `gone`, the cells the move
+    removes."""
+    for i, x in enumerate(new):
+        if x in new[:i] or (x not in gone and S.has_cell(x)):
+            raise InvalidComplexError(f"identifier {x!r} used for more than one cell")
+    return SurfaceComplex._from_checked(S.vertices, edges, faces, S.name)
+
+
+def split_face(S: SurfaceComplex, face: str, p: int, q: int, diag_id: str, face_a_id: str,
+               face_b_id: str) -> SurfaceComplex:
     """Split `face` by a new edge between its corners at positions p and q.
 
     The diagonal runs from the corner-p vertex (tail) to the corner-q vertex
     (head).  Face A takes positions p..q-1 followed by the diagonal traversed
     backwards; face B takes positions q..p-1 followed by the diagonal forwards.
+    Raises InvalidComplexError when a new id repeats another or names a kept cell.
     """
     walk = S.faces[face]
     if len(walk) < 2 or p == q:
         raise DegenerateOperationError(f"cannot split face {face} at positions {p}, {q}")
-    edges = dict(S.edges)
-    edges[diag_id] = (S.corner_vertex(face, p), S.corner_vertex(face, q))
-    faces = {g: w for g, w in S.faces.items() if g != face}
-    faces[face_a_id], faces[face_b_id] = _split_walk(walk, p, q, diag_id)
-    return SurfaceComplex(S.vertices, edges, faces, name=S.name)
+    edges, faces = dict(S.edges), dict(S.faces)
+    _split_cells(edges, faces, face, p, q, diag_id, face_a_id, face_b_id)
+    return _surgery_result(S, edges, faces, (face,), diag_id, face_a_id, face_b_id)
 
 
 def delete_edge_merge_faces(S: SurfaceComplex, edge: str, merged_id: str) -> SurfaceComplex:
@@ -440,18 +448,17 @@ def delete_edge_merge_faces(S: SurfaceComplex, edge: str, merged_id: str) -> Sur
 
     Raises DegenerateOperationError when both occurrences lie on one face
     (deleting would split it or change the Euler characteristic) or when the
-    merged boundary walk would be empty.
+    merged boundary walk would be empty, and InvalidComplexError when
+    merged_id names a cell the result keeps.
     """
     occs = S.occurrence_index.get(edge, ())
     if len(occs) != 2:
         raise DegenerateOperationError(f"edge {edge} occurs {len(occs)} time(s), expected 2")
-    (f1, p1), (f2, p2) = occs
+    (f1, _p1), (f2, _p2) = occs
     if f1 == f2:
         raise DegenerateOperationError(
             f"both occurrences of {edge} lie on face {f1}; deletion would not merge two faces"
         )
-    merged = _merged_walk(S.faces[f1], p1, S.faces[f2], p2)
-    edges = {e: ep for e, ep in S.edges.items() if e != edge}
-    faces = {g: w for g, w in S.faces.items() if g not in (f1, f2)}
-    faces[merged_id] = merged
-    return SurfaceComplex(S.vertices, edges, faces, name=S.name)
+    edges, faces = dict(S.edges), dict(S.faces)
+    _merge_cells(edges, faces, edge, occs, merged_id)
+    return _surgery_result(S, edges, faces, (edge, f1, f2), merged_id)

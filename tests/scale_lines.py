@@ -7,8 +7,10 @@ For each field family below, at 24x24 and 48x48 (four times the cells), it
 emits the field's file and counts the `line` events that `sys.settrace`
 reports in `src/linefields/` while each layer runs: parse_document, then
 problems(), closed_path(), graph(), corridors(), report_json and
-graph_dot on the parsed field, in that order, as the CLI runs them.  A
-line field is then emitted with emit_line_field and goes through
+graph_dot on the parsed field, in that order, as the CLI runs them, then
+split_face on the parsed complex's first face in sorted order, between
+corners 0 and 2, and delete_edge_merge_faces on its first edge in sorted
+order that lies on two faces.  A line field is then emitted with emit_line_field and goes through
 homotopy_core, one merge_critical_faces move (the first pair of critical
 faces in sorted order that a corridor joins and the move accepts) and,
 where the field has one, one cancel_vertex_face move (the first critical
@@ -51,6 +53,7 @@ from linefields import (  # noqa: E402
     VectorField,
     cancel_vertex_face,
     corridors_from,
+    delete_edge_merge_faces,
     dlf_to_dvf,
     dvf_to_dlf,
     emit_line_field,
@@ -60,6 +63,7 @@ from linefields import (  # noqa: E402
     merge_critical_faces,
     parse_document,
     report_json,
+    split_face,
 )
 from linefields.errors import OperationError  # noqa: E402
 
@@ -130,7 +134,8 @@ def cancel_pair(L: LineField) -> tuple[str, str] | None:
 
 def layer_lines(field) -> tuple[int, dict[str, int]]:
     """The complex's cell count and each layer's line count.  The analysis
-    layers run in order on one field parsed from `field`'s file.  A line
+    layers and the two surgery moves run in order on one field parsed from
+    `field`'s file.  A line
     field is emitted, and the homotopy core, one merge of critical faces
     and, if it has one, one cancellation run on a second parsed field; a
     vector field's image under dvf_to_dlf is emitted, its link cycles are
@@ -152,6 +157,14 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
         ("graph_dot", lambda: graph_dot(parsed)),
     ):
         lines[name], _result = counter.count(call)
+    face = min(S.faces)
+    edge = min(e for e, slots in S.occurrence_index.items() if slots[0][0] != slots[1][0])
+    lines["split_face"], _split = counter.count(
+        lambda: split_face(S, face, 0, 2, "probe_d", "probe_a", "probe_b")
+    )
+    lines["delete_edge_merge_faces"], _merged = counter.count(
+        lambda: delete_edge_merge_faces(S, edge, "probe_m")
+    )
     if isinstance(parsed, LineField):
         lines["emit_line_field"], _text = counter.count(lambda: emit_line_field(parsed))
         fresh = LineField(parse_document(text).complex, doc.match)
@@ -178,14 +191,14 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
 
 def main() -> int:
     failures = []
-    print(f"{'family':<26} {'layer':<20} {SIZES[0]}x{SIZES[0]:<8} {SIZES[1]}x{SIZES[1]:<8} exponent")
+    print(f"{'family':<26} {'layer':<24} {SIZES[0]}x{SIZES[0]:<8} {SIZES[1]}x{SIZES[1]:<8} exponent")
     for family, build in FAMILIES.items():
         (small, lo), (large, hi) = (layer_lines(build(n)) for n in SIZES)
         if lo.keys() != hi.keys():
             failures.append(f"{family}: layers {sorted(lo.keys() ^ hi.keys())} ran at one size only")
         for layer in [layer for layer in lo if layer in hi]:
             exponent = math.log(hi[layer] / lo[layer]) / math.log(large / small)
-            print(f"{family:<26} {layer:<20} {lo[layer]:>10} {hi[layer]:>10} {exponent:8.3f}")
+            print(f"{family:<26} {layer:<24} {lo[layer]:>10} {hi[layer]:>10} {exponent:8.3f}")
             if exponent > BAR:
                 failures.append(f"{family}: {layer} grows with exponent {exponent:.3f} > {BAR}")
     for failure in failures:

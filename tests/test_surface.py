@@ -28,9 +28,13 @@ from linefields.radial import radial_decomposition
 from linefields.surface import (
     SurfaceComplex,
     _canonical_rotation,
+    _fresh_ids,
+    _merge_cells,
+    _split_cells,
     delete_edge_merge_faces,
     fresh_id,
     occ_text,
+    reversed_walk,
     split_face,
 )
 
@@ -138,9 +142,11 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
     be a frozenset, as the constructor makes them (a complex is not hashable,
     as its edges and faces are dicts, but its vertex set is).  The calls are the
     parser's, on the golden inputs and on each corpus complex's text, both
-    bridge directions', and the simplify rebuilds: homotopy_core,
-    merge_critical_faces and cancel_vertex_face on the corpus and
-    forest-field grids of test_simplify.differential_fields."""
+    bridge directions', split_face and delete_edge_merge_faces on every
+    face and edge of each corpus complex (and in building the corpus), and
+    the simplify rebuilds: homotopy_core, merge_critical_faces and
+    cancel_vertex_face on the corpus and forest-field grids of
+    test_simplify.differential_fields."""
     from_checked = SurfaceComplex._from_checked
     names = []
 
@@ -158,20 +164,34 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
         return S
 
     monkeypatch.setattr(SurfaceComplex, "_from_checked", classmethod(both))
+    # The corpus grows by split_face, so building it is checked too.
+    corpus = test_radial.differential_corpus()
+    del names[:]
     golden = sorted((Path(__file__).parent / "golden" / "fields").glob("*.txt"))
     for path in golden:
         parse_document(path.read_text())
-    corpus = test_radial.differential_corpus()
     rng = random.Random(825)
+    surgeries = 0
     for S in corpus:
         assert parse_document(emit_complex(S)).complex == S
         assert parse_document(walks_from_second_occurrence(emit_complex(S))).complex == S
         V = VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
         dlf_to_dvf(dvf_to_dlf(V))
+        taken = {c for c, _d in S.cells()}
+        for f, walk in S.faces.items():
+            if len(walk) >= 2:
+                split_face(S, f, 0, len(walk) // 2, *_fresh_ids(taken, "d", "a", "b"))
+                surgeries += 1
+        for e in S.edges:
+            try:
+                delete_edge_merge_faces(S, e, fresh_id("m", taken))
+            except DegenerateOperationError:
+                continue
+            surgeries += 1
     # One parse per file; per corpus complex two parses, the image, the
-    # merged complex and the two factors.
-    assert len(golden) == 5 and len(names) == len(golden) + 6 * len(corpus)
-    del names[:]
+    # merged complex and the two factors; one per surgery that returns.
+    assert len(golden) == 5 and surgeries >= 250
+    assert len(names) == len(golden) + 6 * len(corpus) + surgeries
     # One build per core, and one per merge that gets as far as its
     # validate() check: those that return, and those that it refuses.  On
     # the square sphere, contracting a leaves F's walk +z +c +b, whose
@@ -182,6 +202,7 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
         {"F": w("+a +z +c +b"), "G": w("-b -c -z -a")},
     )
     fields = [LineField(square, frozenset({("p", "a")}))] + test_simplify.differential_fields()
+    del names[:]
     builds = cancels = 0
     for L in fields:
         homotopy_core(L)
@@ -766,6 +787,122 @@ def test_delete_edge_refuses_empty_result():
 def test_surgery_refusal_messages(move, message):
     with pytest.raises(DegenerateOperationError, match=f"^{re.escape(message)}$"):
         move()
+
+
+@pytest.mark.parametrize(
+    "move, taken",
+    [
+        (lambda S: split_face(S, "q00", 0, 2, "dnew", "q11", "bnew"), "q11"),
+        (lambda S: split_face(S, "q00", 0, 2, "h00", "anew", "bnew"), "h00"),
+        (lambda S: split_face(S, "q00", 0, 2, "v00", "anew", "bnew"), "v00"),
+        (lambda S: split_face(S, "q00", 0, 2, "dnew", "half", "half"), "half"),
+        (lambda S: delete_edge_merge_faces(S, "h00", "q11"), "q11"),
+        (lambda S: delete_edge_merge_faces(S, "h00", "h01"), "h01"),
+    ],
+    ids=["split-half-names-face", "split-diagonal-names-edge", "split-diagonal-names-vertex",
+         "split-halves-share-id", "merge-names-face", "merge-names-edge"],
+)
+def test_surgery_refuses_taken_identifiers(move, taken):
+    """A new id that repeats another new id, or names a cell the result
+    keeps, is refused with the constructor's message instead of silently
+    replacing that cell."""
+    message = f"identifier {taken!r} used for more than one cell"
+    with pytest.raises(InvalidComplexError, match=f"^{re.escape(message)}$"):
+        move(support.grid_torus(3, 3))
+
+
+def test_surgery_reuses_the_ids_it_frees():
+    """The face being split, and the merged faces and the deleted edge,
+    leave the result, so their ids may name a new cell."""
+    S = support.grid_torus(3, 3)
+    for ids in (("q00", "a", "b"), ("d", "q00", "b"), ("d", "a", "q00")):
+        T = split_face(S, "q00", 0, 2, *ids)
+        assert T.validate() == [] and set(ids) <= set(T.edges) | set(T.faces)
+    for merged_id in ("h00", "q00", "q20"):
+        T = delete_edge_merge_faces(S, "h00", merged_id)
+        assert T.validate() == [] and merged_id in T.faces and "h00" not in T.edges
+
+
+# Frozen copies of the walk arithmetic that split_face and
+# delete_edge_merge_faces used before the kernels, each building its
+# complex through the checking constructor.
+
+
+def reference_split(S, face, p, q, diag, a, b):
+    walk, n = S.faces[face], len(S.faces[face])
+    edges = {**S.edges, diag: (S.corner_vertex(face, p), S.corner_vertex(face, q))}
+    faces = {g: walk for g, walk in S.faces.items() if g != face}
+    faces[a] = tuple(walk[(p + k) % n] for k in range((q - p) % n)) + ((-1, diag),)
+    faces[b] = tuple(walk[(q + k) % n] for k in range((p - q) % n)) + ((1, diag),)
+    return SurfaceComplex(S.vertices, edges, faces, name=S.name)
+
+
+def reference_merge(S, edge, merged_id):
+    (f1, p1), (f2, p2) = S.occurrence_index[edge]
+    wa, wb = S.faces[f1], S.faces[f2]
+    rest_b = wb[p2 + 1 :] + wb[:p2]
+    middle = reversed_walk(rest_b) if wa[p1][0] == wb[p2][0] else rest_b
+    merged = wa[:p1] + middle + wa[p1 + 1 :]
+    if not merged:
+        raise DegenerateOperationError(f"deleting {edge} would leave a face with an empty boundary")
+    edges = {e: ends for e, ends in S.edges.items() if e != edge}
+    faces = {g: walk for g, walk in S.faces.items() if g not in (f1, f2)}
+    faces[merged_id] = merged
+    return SurfaceComplex(S.vertices, edges, faces, name=S.name)
+
+
+def test_surgery_kernels_match_reference():
+    """_split_cells and _merge_cells, built with _from_checked, give the
+    reference moves' complexes, down to each walk's rotation and the order
+    of the cell dicts, on the random corpus, the one-vertex complexes with
+    their loops, and a projective plane whose loop occurs with the same sign
+    on two faces.  Every corner pair of every face is split, with positions
+    also given past the walk's length, and every edge on two faces is
+    deleted, its slots handed over in either order."""
+    same_sign = SurfaceComplex(frozenset({"v"}), {"a": ("v", "v"), "b": ("v", "v")},
+                               {"F1": w("+a +b"), "F2": w("+a -b")})
+    cases = support.random_corpus(841, 40) + [b() for b in support.all_seed_builders()]
+    seen = Counter()
+
+    def same(T, R):
+        assert T == R and list(T.edges.items()) == list(R.edges.items())
+        assert list(T.faces.items()) == list(R.faces.items())
+
+    for S in cases + [same_sign]:
+        taken = {c for c, _d in S.cells()}
+        for f, walk in S.faces.items():
+            n = len(walk)
+            seen["twice on one face, same sign"] += len({o for o in walk if walk.count(o) > 1})
+            for p, q in itertools.permutations(range(n), 2):
+                ids = _fresh_ids(set(taken), "d", "a", "b")
+                if (p + q) % 3 == 0:
+                    ids[1] = f  # the split face's id is free for a half
+                for pq in ((p, q), (p + n, q - n)):
+                    edges, faces = dict(S.edges), dict(S.faces)
+                    _split_cells(edges, faces, f, *pq, *ids)
+                    same(SurfaceComplex._from_checked(S.vertices, edges, faces, S.name),
+                         reference_split(S, f, p, q, *ids))
+                seen["split"] += 1
+        for e, slots in S.occurrence_index.items():
+            if len({f for f, _p in slots}) != 2:
+                continue
+            (f1, p1), (f2, p2) = slots
+            seen["same sign on two faces"] += S.faces[f1][p1][0] == S.faces[f2][p2][0]
+            seen["loop"] += S.is_loop(e)
+            try:
+                R = reference_merge(S, e, "m")
+            except DegenerateOperationError as exc:
+                for order in (slots, slots[::-1]):
+                    with pytest.raises(DegenerateOperationError, match=f"^{re.escape(str(exc))}$"):
+                        _merge_cells(dict(S.edges), dict(S.faces), e, order, "m")
+                seen["empty"] += 1
+                continue
+            for order in (slots, slots[::-1]):
+                edges, faces = dict(S.edges), dict(S.faces)
+                _merge_cells(edges, faces, e, order, "m")
+                same(SurfaceComplex._from_checked(S.vertices, edges, faces, S.name), R)
+            seen["merge"] += 1
+    assert min(seen.values()) >= 1 and seen["split"] >= 500 and seen["merge"] >= 100, seen
 
 
 def test_dim_of_unknown_cell():
