@@ -448,18 +448,30 @@ def corridors_from(L: LineField, face: str) -> list[Corridor]:
 
 
 def _all_corridors(L: LineField) -> tuple[tuple[Corridor, ...], tuple[ClosedCorridor, ...]]:
-    """Every corridor, traced from each unmatched occurrence of each
-    critical face in face order, and every closed corridor, traced from the
-    least occurrence no earlier trace passed.  Needs no acyclicity."""
+    """Every corridor, one from each unmatched occurrence of each critical
+    face in face order, and every closed corridor, traced from the least
+    occurrence no earlier trace passed.  Needs no acyclicity.
+
+    A corridor is traced only from whichever of its two end occurrences
+    comes first; at the other end its reverse is read off the stored
+    trace, since tracing is deterministic and reversible.  A reverse passes
+    the occurrences its trace did, so `visited` is complete either way."""
     positions = L._unmatched
     faces = sorted(positions)
     visited: set[tuple[str, int]] = set()
-    corridors = tuple(
-        _trace_corridor(L, (f, i), visited)
-        for f in faces
-        if len(positions[f]) != 2
-        for i in positions[f]
-    )
+    traced: dict[tuple[str, int], Corridor] = {}  # each traced corridor's end occurrence: it
+    corridors = []
+    for f in faces:
+        if len(positions[f]) != 2:
+            for i in positions[f]:
+                corr = traced.pop((f, i), None)
+                if corr is not None:
+                    back = tuple(Crossing(c.edge, c.arrive, c.depart) for c in reversed(corr.crossings))
+                    corr = Corridor(corr.end, corr.start, back, corr.interior[::-1])
+                else:
+                    corr = _trace_corridor(L, (f, i), visited)
+                    traced[corr.crossings[-1].arrive] = corr
+                corridors.append(corr)
     # The membership test runs after every earlier trace has filled
     # `visited`, so each cycle is traced once.
     closed = tuple(
@@ -469,28 +481,25 @@ def _all_corridors(L: LineField) -> tuple[tuple[Corridor, ...], tuple[ClosedCorr
         for i in positions[f]
         if (f, i) not in visited
     )
-    return corridors, closed
+    return tuple(corridors), closed
 
 
 def ms_decomposition(L: LineField) -> DecompositionReport:
     """Topological graph, all corridors, and closed corridors of the field.
 
-    Each undirected corridor is traced once from each end; `regions` counts
-    them up to direction.  Closed corridors are flagged as periodic
-    components.
+    The corridors come in reverse pairs, one from each end, and no
+    corridor is its own reverse: a trace never leaves a face through the
+    occurrence it arrived by.  So `regions`, the corridors counted up to
+    direction, is half their number.  Closed corridors are flagged as
+    periodic components.
     """
     graph = L.graph()  # refuses a cyclic field
     corridors, closed = L.corridors()
-    undirected = set()
-    for corr in corridors:
-        key = tuple((c.depart, c.arrive) for c in corr.crossings)
-        rkey = tuple((c.arrive, c.depart) for c in reversed(corr.crossings))
-        undirected.add(min(key, rkey))
     return DecompositionReport(
         field=L,
         graph=graph,
         corridors=corridors,
         closed_corridors=closed,
-        regions=len(undirected),
+        regions=len(corridors) // 2,
         flags=("periodic component",) if closed else (),
     )

@@ -50,61 +50,69 @@ def _rows(text: str):
 
 def parse_document(text: str) -> Document:
     """A native file's complex and matching lines.  Each line is refused at
-    the first of the checks below that fails, in the order written.  Ids
-    reuse their declared objects, and each walk is rotated as it is read."""
+    the first of the checks below that fails, in the order written.  The
+    directive checks run on the first line of each run of lines with one
+    directive, and on every surface line; each line of a run repeats only
+    its token count, duplicate-id and reference checks.  Ids reuse their
+    declared objects, and each walk is rotated as it is read."""
     name = None
     cells: dict[str, str] = {}  # each declared id: itself
     vertices: dict[str, str] = {}
     edges: dict[str, tuple[str, str]] = {}
     faces: dict[str, tuple] = {}
     pairs: dict[str, list[tuple[str, str]]] = {}  # the file's matching keyword: its pairs
-    table = None  # each occurrence text, "+e" or "-e": its occurrence
     rank = -1
+    run = None  # the directive of the current run; None after a surface line
     for num, tokens in _rows(text):
         keyword = tokens[0]
-        if keyword not in _DIRECTIVES:
-            raise ParseError(f"unknown directive {keyword}", line=num)
-        section, count, usage = _DIRECTIVES[keyword]
-        if section < rank:
-            raise ParseError(f"{keyword} line out of section order", line=num)
-        rank = section
-        if keyword == "surface" and name is not None:
-            raise ParseError("second surface line", line=num)
-        if keyword == "vertex" and name is None:
-            raise ParseError("vertex line before the surface line", line=num)
-        if section == 4 and pairs and keyword not in pairs:
-            raise ParseError(f"{keyword} line in a {next(iter(pairs))} file", line=num)
+        if keyword != run:
+            if keyword not in _DIRECTIVES:
+                raise ParseError(f"unknown directive {keyword}", line=num)
+            section, count, usage = _DIRECTIVES[keyword]
+            if section < rank:
+                raise ParseError(f"{keyword} line out of section order", line=num)
+            rank = section
+            if keyword == "surface" and name is not None:
+                raise ParseError("second surface line", line=num)
+            if keyword == "vertex" and name is None:
+                raise ParseError("vertex line before the surface line", line=num)
+            if section == 4:
+                if pairs and keyword not in pairs:
+                    raise ParseError(f"{keyword} line in a {next(iter(pairs))} file", line=num)
+                matched = pairs.setdefault(keyword, [])
+            elif section == 3:  # the edge section is over
+                table = {t + e: (s, e) for e in edges for t, s in (("+", 1), ("-", -1))}
+            run = keyword if section else None
         if (len(tokens) != count) if count else (len(tokens) < 4 or tokens[2] != "walk"):
             raise ParseError(usage, line=num)
         cid = tokens[1]
-        if 0 < section < 4:  # a cell: vertex, edge or face
+        if section == 4:
+            upper = tokens[2]
+            matched.append((cells.get(cid, cid), cells.get(upper, upper)))
+        elif section:  # a cell: vertex, edge or face
             if cid in cells:
                 raise ParseError(f"duplicate id {cid}", line=num)
             cells[cid] = cid
-        if keyword == "surface":
-            name = cid
-        elif keyword == "vertex":
-            vertices[cid] = cid
-        elif keyword == "edge":
-            for v in tokens[2:]:
-                if v not in vertices:
-                    raise ParseError(f"edge {cid} references unknown vertex {v}", line=num)
-            edges[cid] = (vertices[tokens[2]], vertices[tokens[3]])
-        elif keyword == "face":
-            if table is None:  # the edge section is over
-                table = {t + e: (s, e) for e in edges for t, s in (("+", 1), ("-", -1))}
-            keys = tokens[3:]
-            walk = [*map(table.get, keys)]
-            if None in walk:
-                for tok in keys:
-                    if len(tok) < 2 or tok[0] not in "+-":
-                        raise ParseError(f"occurrence {tok} needs a +/- sign", line=num)
-                    if tok[1:] not in edges:
-                        raise ParseError(f"walk references unknown edge {tok[1:]}", line=num)
-            faces[cid] = _rotated(walk, keys)
+            if section == 1:
+                vertices[cid] = cid
+            elif section == 2:
+                tail, head = tokens[2], tokens[3]
+                if tail not in vertices or head not in vertices:
+                    unknown = head if tail in vertices else tail
+                    raise ParseError(f"edge {cid} references unknown vertex {unknown}", line=num)
+                edges[cid] = (vertices[tail], vertices[head])
+            else:
+                keys = tokens[3:]
+                walk = [*map(table.get, keys)]
+                if None in walk:
+                    for tok in keys:
+                        if len(tok) < 2 or tok[0] not in "+-":
+                            raise ParseError(f"occurrence {tok} needs a +/- sign", line=num)
+                        if tok[1:] not in edges:
+                            raise ParseError(f"walk references unknown edge {tok[1:]}", line=num)
+                faces[cid] = _rotated(walk, keys)
         else:
-            upper = tokens[2]
-            pairs.setdefault(keyword, []).append((cells.get(cid, cid), cells.get(upper, upper)))
+            name = cid
     if name is None:
         raise ParseError("missing surface line")
     # Each line's checks refuse all that the constructor would.

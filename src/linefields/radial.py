@@ -141,7 +141,7 @@ def dvf_to_dlf(V: VectorField) -> LineField:
     """
     S = V.complex
     vertex, edges, faces = _radial_cells(S)
-    taken = {*vertex.values(), *edges, *faces}
+    radial_vertices = frozenset(vertex.values())
     pairs = []
     for lo, up in sorted(V.matching):
         e, other = (lo, up) if lo in S.edges else (up, lo)
@@ -150,13 +150,11 @@ def dvf_to_dlf(V: VectorField) -> LineField:
         # Number the corners as the built complex will: a loop, or an edge
         # twice on one face, puts the anchor at two corners.
         k = [edges[r][s < 0] for s, r in faces[quad]].index(anchor)
-        diag, half_a, half_b = _fresh_ids(taken, f"d_{e}", f"{quad}_0", f"{quad}_1")
-        taken.remove(quad)
+        diag, half_a, half_b = _fresh_ids(radial_vertices, edges, faces,
+                                          f"d_{e}", f"{quad}_0", f"{quad}_1")
         _split_cells(edges, faces, quad, k, k + 2, diag, half_a, half_b)
         pairs.append((anchor, diag))
-    image = SurfaceComplex._from_checked(
-        frozenset(vertex.values()), edges, faces, f"radial_{S.name}"
-    )
+    image = SurfaceComplex._from_checked(radial_vertices, edges, faces, f"radial_{S.name}")
     return LineField(image, frozenset(pairs))
 
 
@@ -179,7 +177,6 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
     T = L.complex
     edges = dict(T.edges)
     faces = dict(T.faces)
-    taken = {*T.vertices, *T.edges, *T.faces}
     # Each face already merged, mapped to the face that replaced it; slots
     # read from T stay valid on every face not in here.
     merged_into: dict[str, str] = {}
@@ -196,8 +193,7 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
             raise NotInImageError(f"matched edge {d} is not a face diagonal")
         if any(len(faces[f]) != 3 for f in live):
             raise NotInImageError(f"matched edge {d} does not split a quadrilateral")
-        (qid,) = _fresh_ids(taken, f"m_{d}")
-        taken.difference_update((d, *live))
+        (qid,) = _fresh_ids(T.vertices, edges, faces, f"m_{d}")
         _merge_cells(edges, faces, d, occs, qid)
         merged_into[live[0]] = merged_into[live[1]] = qid
         merged_quad[d] = qid

@@ -18,7 +18,7 @@ from .dynamics import LPath, _count_walks, _nth_walk, _require_acyclic, corridor
 from .errors import CancellationError, DegenerateOperationError, OperationError, _Record
 from .linefield import LineField
 from .surface import (SurfaceComplex, _canonical_rotation, _fresh_ids, _merge_cells, _split_cells,
-                      fresh_id, reversed_walk)
+                      reversed_walk)
 
 
 class CellCorrespondence(_Record):
@@ -196,7 +196,7 @@ def merge_critical_faces(
             f"merging needs a unique corridor from {f} to {g}; found {len(hits)}"
         )
     corridor = hits[0]
-    merged_id = fresh_id(f"m_{f}_{g}", S.vertices | S.edges.keys() | S.faces.keys())
+    (merged_id,) = _fresh_ids(S.vertices, S.edges, S.faces, f"m_{f}_{g}")
     absorbed = {f, g, *corridor.interior, *(c.edge for c in corridor.crossings)}
     edges = {e: ends for e, ends in S.edges.items() if e not in absorbed}
     faces = {h: walk for h, walk in S.faces.items() if h not in absorbed}
@@ -313,8 +313,7 @@ def cancel_vertex_face(
         raise DegenerateOperationError(
             f"every admissible diagonal of {f} is a loop at {u1}"
         )
-    diag, part_entry, part_off = _fresh_ids({*S.vertices, *S.edges, *S.faces},
-                                            f"d_{f}", f"{f}_1", f"{f}_0")
+    diag, part_entry, part_off = _fresh_ids(S.vertices, S.edges, S.faces, f"d_{f}", f"{f}_1", f"{f}_0")
     edges, faces = dict(S.edges), dict(S.faces)
     _split_cells(edges, faces, f, p, q, diag, part_entry, part_off)
     T = SurfaceComplex._from_checked(S.vertices, edges, faces, S.name)

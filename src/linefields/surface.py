@@ -72,12 +72,20 @@ def _rotated(walk, keys: list[str]) -> tuple[Occurrence, ...]:
 
 def fresh_id(base: str, taken) -> str:
     """A cell identifier not already in `taken`, derived from `base`."""
-    if base not in taken:
-        return base
-    n = 2
-    while f"{base}_{n}" in taken:
-        n += 1
-    return f"{base}_{n}"
+    return _fresh_ids(taken, (), (), base)[0]
+
+
+def _fresh_ids(vertices, edges, faces, *bases: str) -> list[str]:
+    """An id for each base in turn: the base, or the base with the least
+    suffix _2, _3, ... that frees it from the three cell containers, read
+    in place as a move edits them, and from the ids picked before it."""
+    ids: list[str] = []
+    for base in bases:
+        x, n = base, 2
+        while x in vertices or x in edges or x in faces or x in ids:
+            x, n = f"{base}_{n}", n + 1
+        ids.append(x)
+    return ids
 
 
 class SurfaceComplex(_Record):
@@ -371,15 +379,6 @@ class SurfaceComplex(_Record):
 # surgery moves.  They edit plain cell dicts in place and leave each walk
 # they make at its canonical rotation, so a caller applying many moves
 # builds one complex at the end with SurfaceComplex._from_checked.
-
-
-def _fresh_ids(taken: set, *bases: str) -> list[str]:
-    """fresh_id of each base in turn, each id added to `taken` as it is picked."""
-    ids = []
-    for base in bases:
-        ids.append(fresh_id(base, taken))
-        taken.add(ids[-1])
-    return ids
 
 
 def _split_cells(edges, faces, face: str, p: int, q: int, diag: str, a: str, b: str) -> None:

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -392,3 +393,103 @@ def test_loop_free_fields_agree_with_vector_field_cycles():
         assert (L.closed_path() is None) == (
             VectorField(L.complex, L.matching).closed_path() is None
         )
+
+
+# ---- corridors against the two-way tracer ---------------------------------
+
+
+def _reference_trace(L, start_occ, visited):
+    """dynamics._trace_corridor as it was when every corridor was traced
+    from both of its ends."""
+    S = L.complex
+    crossings, faces, cur = [], [], start_occ
+    while True:
+        edge = S.faces[cur[0]][cur[1]][1]
+        a, b = S.occurrence_index[edge]
+        arrive = b if a == cur else a
+        visited.update((cur, arrive))
+        crossings.append(Crossing(edge, cur, arrive))
+        g, q = arrive
+        at = L._unmatched[g]
+        if len(at) != 2:
+            return dynamics.Corridor(start_occ[0], g, tuple(crossings), tuple(faces))
+        faces.append(g)
+        cur = (g, at[1] if at[0] == q else at[0])
+        if cur == start_occ:
+            return dynamics.ClosedCorridor(tuple(faces), tuple(crossings))
+
+
+def _reference_corridors(L):
+    """The two-way _all_corridors: a trace from every unmatched occurrence
+    of every critical face, then the closed corridors; and `regions` as the
+    set of each corridor's crossing key or its reverse's, whichever is less."""
+    positions = L._unmatched
+    faces = sorted(positions)
+    visited = set()
+    corridors = tuple(
+        _reference_trace(L, (f, i), visited)
+        for f in faces if len(positions[f]) != 2 for i in positions[f]
+    )
+    closed = tuple(
+        _reference_trace(L, (f, i), visited)
+        for f in faces if len(positions[f]) == 2 for i in positions[f] if (f, i) not in visited
+    )
+    undirected = set()
+    for corr in corridors:
+        key = tuple((c.depart, c.arrive) for c in corr.crossings)
+        rkey = tuple((c.arrive, c.depart) for c in reversed(corr.crossings))
+        undirected.add(min(key, rkey))
+    return corridors, closed, len(undirected)
+
+
+def _tree_field(S, rng, depth_first):
+    """A spanning-tree line field from a seeded root, each non-root vertex
+    matched to the edge towards its parent: a breadth-first tree, or a
+    depth-first one over shuffled neighbours."""
+    adjacent = {v: [] for v in S.vertices}
+    for e, (t, h) in sorted(S.edges.items()):
+        adjacent[t].append((e, h))
+        adjacent[h].append((e, t))
+    root = rng.choice(sorted(S.vertices))
+    pairs, seen, todo = set(), {root}, [root]
+    while todo:
+        u = todo.pop() if depth_first else todo.pop(0)
+        for e, x in rng.sample(adjacent[u], len(adjacent[u])) if depth_first else adjacent[u]:
+            if x not in seen:
+                seen.add(x)
+                pairs.add((x, e))
+                todo.append(x)
+    return LineField(S, frozenset(pairs))
+
+
+def test_corridors_match_the_two_way_tracer():
+    """Tracing each corridor once, from its first end, gives the corridors,
+    in the same order and as the same records, and the closed corridors of
+    tracing from both ends, and `regions` is the old count up to direction.
+    Each corridor's reverse is listed exactly once, and none is its own."""
+    from test_simplify import differential_fields
+
+    rng = random.Random(841)
+    fields = differential_fields()
+    for S in support.random_corpus(842, 40, max_moves=4):
+        fields += [LineField(S, support.sample_matching(support.line_field_pairs(S), rng, keep))
+                   for keep in (0.3, 0.7)]
+    for make in (support.grid_torus, support.grid_klein):
+        for rows, cols in ((3, 4), (6, 6), (9, 7)):
+            S = make(rows, cols)
+            fields += [_tree_field(S, rng, False), _tree_field(S, rng, True),
+                       support.forest_field(S, rng, 0.7)]
+    acyclic = 0
+    for L in fields:
+        want, want_closed, want_regions = _reference_corridors(L)
+        got, got_closed = dynamics._all_corridors(L)
+        assert got == want and got_closed == want_closed
+        assert len(got) // 2 == want_regions
+        if L.closed_path() is None:
+            assert ms_decomposition(L).regions == want_regions
+            acyclic += 1
+        keys = Counter(tuple((c.depart, c.arrive) for c in corr.crossings) for corr in got)
+        for key in keys:
+            back = tuple((b, a) for a, b in reversed(key))
+            assert back != key and keys[back] == 1
+    assert acyclic >= 200

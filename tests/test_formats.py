@@ -316,6 +316,50 @@ def test_parser_matches_reference_on_mutated_lines():
     assert parsed >= 200
 
 
+def test_parser_matches_reference_at_run_boundaries():
+    """parse_document checks each directive once per run of lines with one
+    directive.  It agrees with _reference_parse, which checks every line,
+    on 900 seeded edits that start or break a run: a line of another
+    directive inserted inside a run, a second surface line directly after
+    the first, and a matching line of the other kind inserted inside a run
+    of match or vmatch lines.  Each edit is refused at its line, or for
+    the first, at the line after it."""
+    rng = random.Random(827)
+    texts = [path.read_text() for path in sorted((GOLD / "fields").glob("*.txt"))]
+    for S in support.random_corpus(828, 20, max_moves=4) + [b() for b in support.all_seed_builders()]:
+        texts.append(emit_line_field(LineField(S, support.sample_matching(support.line_field_pairs(S), rng))))
+        texts.append(emit_vector_field(VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))))
+    hits = dict.fromkeys(("inside a run", "second surface", "other matching"), 0)
+    for k in range(900):
+        lines = rng.choice(texts).splitlines()
+        keys = [line.split()[0] for line in lines]
+        # Positions between two lines of one directive, and of one matching kind.
+        inside = [i for i in range(1, len(lines)) if keys[i - 1] == keys[i]]
+        matching = [i for i in inside if keys[i] in ("match", "vmatch")]
+        edit = ("inside a run", "second surface", "other matching")[k % 3]
+        if edit == "inside a run" and inside:
+            i = rng.choice(inside)
+            line = rng.choice([x for x, key in zip(lines, keys) if key != keys[i]])
+            expect = (i + 1, i + 2)
+        elif edit == "second surface":
+            i = keys.index("surface") + 1
+            line = rng.choice([lines[i - 1], "surface other"])
+            expect = (i + 1,)
+        elif edit == "other matching" and matching:
+            i = rng.choice(matching)
+            line = f"{'vmatch' if keys[i] == 'match' else 'match'} {rng.choice(lines[i].split()[1:])} x"
+            expect = (i + 1,)
+        else:
+            continue
+        lines.insert(i, line)
+        text = "\n".join(lines) + "\n"
+        got = _parse_outcome(parse_document, text)
+        assert got == _parse_outcome(_reference_parse, text), text
+        assert got[0] == "refused" and got[2] in expect, (got, text)
+        hits[edit] += 1
+    assert min(hits.values()) >= 150, hits
+
+
 def test_parsed_ids_are_the_declared_objects():
     """Each reference to a cell id is the object of its declaration: every
     edge end is an element of the vertex set, every walk's edge id a key of

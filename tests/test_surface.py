@@ -180,7 +180,7 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
         taken = {c for c, _d in S.cells()}
         for f, walk in S.faces.items():
             if len(walk) >= 2:
-                split_face(S, f, 0, len(walk) // 2, *_fresh_ids(taken, "d", "a", "b"))
+                split_face(S, f, 0, len(walk) // 2, *_fresh_ids(taken, (), (), "d", "a", "b"))
                 surgeries += 1
         for e in S.edges:
             try:
@@ -869,12 +869,11 @@ def test_surgery_kernels_match_reference():
         assert list(T.faces.items()) == list(R.faces.items())
 
     for S in cases + [same_sign]:
-        taken = {c for c, _d in S.cells()}
         for f, walk in S.faces.items():
             n = len(walk)
             seen["twice on one face, same sign"] += len({o for o in walk if walk.count(o) > 1})
             for p, q in itertools.permutations(range(n), 2):
-                ids = _fresh_ids(set(taken), "d", "a", "b")
+                ids = _fresh_ids(S.vertices, S.edges, S.faces, "d", "a", "b")
                 if (p + q) % 3 == 0:
                     ids[1] = f  # the split face's id is free for a half
                 for pq in ((p, q), (p + n, q - n)):
@@ -941,3 +940,7 @@ def test_fresh_id():
     assert fresh_id("x", set()) == "x"
     assert fresh_id("x", {"x"}) == "x_2"
     assert fresh_id("x", {"x", "x_2", "x_3"}) == "x_4"
+    # _fresh_ids reads the cell containers in place and avoids its own picks.
+    vertices, edges, faces = frozenset({"x"}), {"x_2": ("x", "x")}, {"y_2": ()}
+    assert _fresh_ids(vertices, edges, faces, "x", "x", "y", "x_3") == ["x_3", "x_4", "y", "x_3_2"]
+    assert vertices == {"x"} and list(edges) == ["x_2"] and list(faces) == ["y_2"]
