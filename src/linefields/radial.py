@@ -17,7 +17,7 @@ a fresh_id suffix when the name is taken.
 
 from __future__ import annotations
 
-from .errors import NotInImageError, _Record
+from .errors import InvalidComplexError, NotInImageError, OperationError, _Record
 from .linefield import LineField
 from .surface import SurfaceComplex, _canonical_rotation, _fresh_ids, _merge_cells, _split_cells
 from .vectorfield import VectorField
@@ -36,30 +36,40 @@ class RadialComplex(_Record):
 
 
 def _radial_cells(S: SurfaceComplex):
-    """The radial refinement of S as plain maps.
+    """The radial refinement of S as plain maps, from one pass over the
+    walks in sorted face order.
 
     Returns the radial vertex w_<cell> of each vertex and face, the corner
     edges r_<face>_<position> from the corner's vertex to its face, and the
     quadrilaterals q_<edge>.  Cell ids are distinct and positions hold no
-    "_", so no two ids collide.
+    "_", so no two ids collide.  Raises InvalidComplexError, naming the
+    least edge, unless every edge occurs exactly twice.
 
     The quadrilateral of an edge strings together the four corner edges
-    flanking the edge's two walk occurrences.  When the occurrences carry
-    opposite signs the two flanks chain head-to-tail; when they carry the
-    same sign the second flank is traversed the other way around.  Signs
-    run +, -, +, -, so the lesser flank first is the canonical rotation.
+    flanking the edge's two walk occurrences, which the pass lists per
+    edge as (sign, corner edge before, corner edge after).  When the
+    occurrences carry opposite signs the two flanks chain head-to-tail;
+    when they carry the same sign the second flank is traversed the other
+    way around.  Signs run +, -, +, -, so the lesser flank first is the
+    canonical rotation.
     """
-    vertex = {cell: f"w_{cell}" for cell in sorted(S.vertices) + sorted(S.faces)}
+    ends, walks = S.edges, S.faces
+    vertex = {cell: f"w_{cell}" for cell in sorted(S.vertices) + sorted(walks)}
     edges: dict[str, tuple[str, str]] = {}
-    for f in sorted(S.faces):
-        for i in range(len(S.faces[f])):
-            edges[f"r_{f}_{i}"] = (vertex[S.corner_vertex(f, i)], vertex[f])
+    flanks: dict[str, list] = {e: [] for e in ends}
+    for f in sorted(walks):
+        walk, w_f = walks[f], vertex[f]
+        names = [f"r_{f}_{i}" for i in range(len(walk))]
+        for (s, e), r, after in zip(walk, names, names[1:] + names[:1]):
+            edges[r] = (vertex[ends[e][s < 0]], w_f)
+            flanks[e].append((s, r, after))
     quads: dict[str, tuple] = {}
-    for e in sorted(S.edges):
-        (f1, i1), (f2, i2) = S.occurrence_index[e]
-        s1, s2 = f"r_{f1}_{i1}", f"r_{f1}_{(i1 + 1) % len(S.faces[f1])}"
-        s3, s4 = f"r_{f2}_{i2}", f"r_{f2}_{(i2 + 1) % len(S.faces[f2])}"
-        a, b = sorted([(s1, s2), (s3, s4) if S.faces[f1][i1][0] != S.faces[f2][i2][0] else (s4, s3)])
+    for e in sorted(ends):
+        if len(flanks[e]) != 2:
+            raise InvalidComplexError(
+                f"edge {e} occurs {len(flanks[e])} time(s) in boundary walks, expected 2")
+        (s1, r1, t1), (s2, r2, t2) = flanks[e]
+        a, b = sorted([(r1, t1), (r2, t2) if s1 != s2 else (t2, r2)])
         quads[f"q_{e}"] = ((1, a[0]), (-1, a[1]), (1, b[0]), (-1, b[1]))
     return vertex, edges, quads
 
@@ -74,7 +84,8 @@ def radial_decomposition(S: SurfaceComplex) -> RadialComplex:
 
 
 def _radial_classes(S: SurfaceComplex):
-    """The two vertex classes of S when S is a radial refinement, else None.
+    """The two vertex classes of S and each quadrilateral's four corners,
+    read during the chain check, when S is a radial refinement, else None.
 
     S must be a closed surface of quadrilaterals whose 1-skeleton is
     connected and two-coloured, with one link cycle at every vertex, so
@@ -84,7 +95,8 @@ def _radial_classes(S: SurfaceComplex):
     least vertex comes first, so the primal/dual labeling is deterministic.
     """
     edges = S.edges
-    for walk in S.faces.values():
+    corners: dict[str, tuple[str, str, str, str]] = {}
+    for f, walk in S.faces.items():
         if len(walk) != 4:
             return None
         (a0, a1), (b0, b1), (c0, c1), (d0, d1) = (
@@ -92,10 +104,11 @@ def _radial_classes(S: SurfaceComplex):
         )
         if a1 != b0 or b1 != c0 or c1 != d0 or d1 != a0:
             return None
+        corners[f] = (a0, b0, c0, d0)
     if S._darts.unpaired:  # some edge does not occur exactly twice
         return None
     if not S.vertices:
-        return frozenset(), frozenset()
+        return frozenset(), frozenset(), corners
     adj: dict[str, list[str]] = {v: [] for v in S.vertices}
     for tail, head in edges.values():
         adj[tail].append(head)
@@ -117,7 +130,7 @@ def _radial_classes(S: SurfaceComplex):
     if any(len(cycles) != 1 for cycles in S._darts.cycles.values()):
         return None  # a pinched vertex
     first = frozenset(v for v, c in color.items() if c == 0)
-    return first, S.vertices - first
+    return first, S.vertices - first, corners
 
 
 def is_radial(S: SurfaceComplex) -> bool:
@@ -138,18 +151,24 @@ def dvf_to_dlf(V: VectorField) -> LineField:
     splits never interfere.  All splits edit the maps of _radial_cells and
     one complex is built at the end; identifiers are the ones that
     splitting pair by pair, in sorted order with split_face, would choose.
+    Refuses an invalid field before any work, with OperationError, and a
+    complex that _radial_cells refuses.
     """
+    if V._pair_problems:  # validate_vector_field, cached on the field
+        raise OperationError(f"not a valid vector field: {V._pair_problems[0]}")
     S = V.complex
     vertex, edges, faces = _radial_cells(S)
     radial_vertices = frozenset(vertex.values())
     pairs = []
     for lo, up in sorted(V.matching):
-        e, other = (lo, up) if lo in S.edges else (up, lo)
+        # Corners 0 and 2 of q_<e> stand on the ends of e, corners 1 and 3
+        # on its faces.  The anchor is the first corner on the other cell:
+        # a loop, or an edge twice on one face, puts it at two corners.
+        e, other, k = (lo, up, 1) if lo in S.edges else (up, lo, 0)
         quad = f"q_{e}"
         anchor = vertex[other]
-        # Number the corners as the built complex will: a loop, or an edge
-        # twice on one face, puts the anchor at two corners.
-        k = [edges[r][s < 0] for s, r in faces[quad]].index(anchor)
+        if edges[faces[quad][k][1]][k] != anchor:  # +r starts at its tail, -r at its head
+            k += 2
         diag, half_a, half_b = _fresh_ids(radial_vertices, edges, faces,
                                           f"d_{e}", f"{quad}_0", f"{quad}_1")
         _split_cells(edges, faces, quad, k, k + 2, diag, half_a, half_b)
@@ -181,9 +200,9 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
     # read from T stay valid on every face not in here.
     merged_into: dict[str, str] = {}
     merged_quad: dict[str, str] = {}
-    slots = {d: [] for _v, d in L.matching}  # each diagonal's slots, as in occurrence_index
-    for f in sorted(T.faces):
-        for i, (_s, e) in enumerate(T.faces[f]):
+    slots = {d: [] for _v, d in L.matching}  # each diagonal's (face, position) slots
+    for f, walk in T.faces.items():  # in dict order: _merge_cells sorts the two
+        for i, (_s, e) in enumerate(walk):
             if e in slots:
                 slots[e].append((f, i))
     for _v, d in sorted(L.matching, key=lambda pair: pair[1]):
@@ -191,7 +210,7 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
         live = [merged_into.get(f, f) for f, _i in occs]
         if len(occs) != 2 or live[0] == live[1]:
             raise NotInImageError(f"matched edge {d} is not a face diagonal")
-        if any(len(faces[f]) != 3 for f in live):
+        if len(faces[live[0]]) != 3 or len(faces[live[1]]) != 3:
             raise NotInImageError(f"matched edge {d} does not split a quadrilateral")
         (qid,) = _fresh_ids(T.vertices, edges, faces, f"m_{d}")
         _merge_cells(edges, faces, d, occs, qid)
@@ -204,13 +223,14 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
     return _factors(T, *classes, L.matching, merged_quad)
 
 
-def _factors(R, first, second, matching, merged_quad):
+def _factors(R, first, second, corners, matching, merged_quad):
     """Collapse a radial refinement onto the complexes of its two vertex
     classes, first then second.
 
     Each quadrilateral becomes an edge of both: between its two first-class
     corners, tail at corner k (0 or 1, as corners alternate), and between
-    its second-class corners, tail at corner 1 - k.  Each vertex becomes a
+    its second-class corners, tail at corner 1 - k; `corners` holds each
+    quadrilateral's four, from _radial_classes.  Each vertex becomes a
     face of the other class's complex whose walk follows its link cycle,
     oriented +1 exactly when the crossing starts at the edge's tail.  On
     quadrilaterals, dart d is position d & 3 of face order[d >> 2].
@@ -219,9 +239,8 @@ def _factors(R, first, second, matching, merged_quad):
     tail_first: list[int] = []  # per face index
     edges_first: dict[str, tuple[str, str]] = {}
     edges_second: dict[str, tuple[str, str]] = {}
-    ends = R.edges
     for z in order:
-        c = [ends[e][0] if s > 0 else ends[e][1] for s, e in R.faces[z]]
+        c = corners[z]
         k = 0 if c[0] in first else 1
         tail_first.append(k)
         edges_first[z] = (c[k], c[k + 2])

@@ -32,8 +32,18 @@ def reversed_walk(walk: tuple[Occurrence, ...]) -> tuple[Occurrence, ...]:
 
 
 def _canonical_rotation(walk) -> tuple[Occurrence, ...]:
-    # Rotate to start at the lexicographically least rotation of the
-    # signed-occurrence texts so corner positions are reproducible.
+    """`walk` (a tuple or list) as a tuple at the least rotation of its
+    occurrence texts, so corner positions are reproducible.  "+" sorts
+    before "-", so the least text is +e for the least positive e, or -e
+    for the least e when none is positive; the walk starts there when it
+    occurs once, and otherwise _rotated builds the texts and decides."""
+    if not walk:
+        return ()
+    positive = [e for s, e in walk if s > 0]
+    least = (1, min(positive)) if positive else min(walk)
+    if walk.count(least) == 1:
+        k = walk.index(least)
+        return tuple(walk[k:] + walk[:k])
     return _rotated(walk, ["+" + e if s > 0 else "-" + e for s, e in walk])
 
 

@@ -8,6 +8,7 @@ from isomorphism import complexes_isomorphic, line_fields_isomorphic
 import support
 from support import hasse_diagram
 from linefields import (
+    InvalidComplexError,
     LineField,
     NotInImageError,
     OperationError,
@@ -25,6 +26,7 @@ from linefields import (
     radial_decomposition,
     split_face,
     validate_line_field,
+    validate_vector_field,
 )
 
 
@@ -210,6 +212,36 @@ def test_factoring_rejects_invalid_matching():
     broken = LineField(L.complex, L.matching | {("w_v1", "r_f123_0")})
     with pytest.raises(NotInImageError):
         dlf_to_dvf(broken)
+
+
+def test_image_refuses_invalid_vector_fields():
+    # Refused before any work, with the field's first violation; the corner
+    # pick would otherwise misplace a diagonal without a word.
+    S = support.grid_torus(3, 3)
+    cases = [
+        {("v02", "h00")},  # v02 is not an endpoint of h00
+        {("h00", "q01")},  # h00 is not on the walk of q01
+        {("nope", "h00")},  # an unknown cell
+        {("v00", "h00"), ("h00", "q00")},  # h00 in two pairs
+    ]
+    for matching in cases:
+        V = VectorField(S, frozenset(matching))
+        (problem, *_rest) = validate_vector_field(V)
+        with pytest.raises(OperationError) as caught:
+            dvf_to_dlf(V)
+        assert str(caught.value) == f"not a valid vector field: {problem}"
+
+
+def test_refinement_refuses_edges_not_occurring_twice():
+    S = support.grid_torus(3, 3)
+    walks = {f: walk for f, walk in S.faces.items() if f != "q11"}
+    T = SurfaceComplex(S.vertices, S.edges, walks, name="holed")
+    message = "edge h11 occurs 1 time(s) in boundary walks, expected 2"
+    assert T.validate()[0] == message
+    for refine in (radial_decomposition, lambda X: dvf_to_dlf(VectorField(X))):
+        with pytest.raises(InvalidComplexError) as caught:
+            refine(T)
+        assert str(caught.value) == message
 
 
 def test_round_trip_worked():
@@ -597,6 +629,25 @@ def test_bridge_matches_move_by_move_on_random_fields():
             V = VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
             assert_same_image(V)
             assert assert_same_factors(dvf_to_dlf(V))[0] is None
+
+
+def test_anchor_corner_on_doubled_occurrences():
+    """The anchor is the first corner of q_<e> on the other cell: corner 0
+    or 2 for a vertex, 1 or 3 for a face.  A loop puts its vertex at
+    corners 0 and 2, an edge twice on one face puts the face at 1 and 3."""
+    cases = [
+        (support.proj_plane(), ("v", "a"), (0, 2)),  # a loop
+        (support.proj_plane(), ("a", "F"), (1, 3)),  # a twice on F, one sign
+        (support.slit_sphere(), ("e", "F"), (1, 3)),  # e twice on F, both signs
+        (support.slit_sphere(), ("u", "e"), (0,)),
+        (support.slit_sphere(), ("w", "e"), (2,)),
+    ]
+    for S, pair, at in cases:
+        e, other = (pair[1], pair[0]) if pair[0] in S.vertices else pair
+        T = radial_decomposition(S).complex
+        corners = [T.corner_vertex(f"q_{e}", i) for i in range(4)]
+        assert tuple(i for i, c in enumerate(corners) if c == f"w_{other}") == at
+        assert_same_image(VectorField(S, frozenset({pair})))
 
 
 def refusal_after_merge(L, message):

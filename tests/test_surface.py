@@ -30,6 +30,7 @@ from linefields.surface import (
     _canonical_rotation,
     _fresh_ids,
     _merge_cells,
+    _rotated,
     _split_cells,
     delete_edge_merge_faces,
     fresh_id,
@@ -132,6 +133,30 @@ def test_least_rotation_matches_full_comparison():
         # The constructor builds the rotation keys in its own pass.
         S = SurfaceComplex(frozenset({"v"}), loops, {"F": walk})
         assert S.faces["F"] == reference_rotation(walk)
+
+
+def test_canonical_rotation_matches_rotation_by_texts():
+    """_canonical_rotation picks the least occurrence without building its
+    text; it must rotate as _rotated does over the texts themselves, for
+    tuples and lists alike, including on the ties that reach Booth's scan."""
+    rng = random.Random(847)
+    ids = ["a", "a_2", "a_10", "ab", "b", "b_2", "r_F_0", "r_F_1"]  # a is a prefix of a_2 and ab
+    walks = [(), w("-a"), w("-ab -a_2 -a"), w("+a_2 -a +ab"), w("+a -a +a -a")]
+    for _ in range(600):
+        length = rng.randrange(1, 9)
+        walks.append(random_walk(rng, ids[: rng.randrange(2, len(ids) + 1)], length))
+        walks.append(tuple((-1, e) for _s, e in random_walk(rng, ids, length)))
+        walks.append(random_walk(rng, ids[:3], rng.randrange(1, 4)) * rng.randrange(2, 4))
+    booth = negative = 0
+    for walk in walks:
+        texts = [occ_text(o) for o in walk]
+        booth += bool(texts) and texts.count(min(texts)) > 1
+        negative += bool(walk) and all(s < 0 for s, _e in walk)
+        want = _rotated(list(walk), texts)
+        for given in (walk, list(walk)):
+            got = _canonical_rotation(given)
+            assert got == want and type(got) is tuple
+    assert booth >= 400 and negative >= 500
 
 
 def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
