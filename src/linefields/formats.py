@@ -16,7 +16,7 @@ from operator import itemgetter
 from .dynamics import Separatrix, TopologicalGraph, _branch
 from .errors import ParseError, _Record
 from .linefield import LineField
-from .surface import SurfaceComplex, _rotated, occ_text
+from .surface import SurfaceComplex, _canonical_rotation, _rotated, occ_text
 from .vectorfield import VectorField
 
 # Each directive's section rank, token count and refusal of a line with
@@ -168,7 +168,7 @@ def parse_off(text: str) -> SurfaceComplex:
     Triangles are oriented as listed; edges are identified by unordered
     vertex pair.  A pair on three triangles is a hard error, but a pair on
     only one is left for validation to report, so near-miss meshes still
-    parse.
+    parse.  Its ids are distinct and its indices range-checked: no constructor check.
     """
     rows = list(_rows(text))
     if not rows:
@@ -219,8 +219,8 @@ def parse_off(text: str) -> SurfaceComplex:
                 )
             uses[eid] += 1
             walk.append((1 if edges[eid] == (f"v{a}", f"v{b}") else -1, eid))
-        faces[f"f{k}"] = tuple(walk)
-    return SurfaceComplex(frozenset(vertices), edges, faces, name="off_import")
+        faces[f"f{k}"] = _canonical_rotation(walk)
+    return SurfaceComplex._from_checked(frozenset(vertices), edges, faces, "off_import")
 
 
 # ---- DOT and JSON export --------------------------------------------------

@@ -42,8 +42,8 @@ def _radial_cells(S: SurfaceComplex):
     Returns the radial vertex w_<cell> of each vertex and face, the corner
     edges r_<face>_<position> from the corner's vertex to its face, and the
     quadrilaterals q_<edge>.  Cell ids are distinct and positions hold no
-    "_", so no two ids collide.  Raises InvalidComplexError, naming the
-    least edge, unless every edge occurs exactly twice.
+    "_", so no two ids collide.  Raises InvalidComplexError with the first
+    problem of S.validate(), the complex's cached verdict, if it has one.
 
     The quadrilateral of an edge strings together the four corner edges
     flanking the edge's two walk occurrences, which the pass lists per
@@ -53,6 +53,8 @@ def _radial_cells(S: SurfaceComplex):
     way around.  Signs run +, -, +, -, so the lesser flank first is the
     canonical rotation.
     """
+    if S._problems:  # validate(), cached on the complex
+        raise InvalidComplexError(S._problems[0])
     ends, walks = S.edges, S.faces
     vertex = {cell: f"w_{cell}" for cell in sorted(S.vertices) + sorted(walks)}
     edges: dict[str, tuple[str, str]] = {}
@@ -65,9 +67,6 @@ def _radial_cells(S: SurfaceComplex):
             flanks[e].append((s, r, after))
     quads: dict[str, tuple] = {}
     for e in sorted(ends):
-        if len(flanks[e]) != 2:
-            raise InvalidComplexError(
-                f"edge {e} occurs {len(flanks[e])} time(s) in boundary walks, expected 2")
         (s1, r1, t1), (s2, r2, t2) = flanks[e]
         a, b = sorted([(r1, t1), (r2, t2) if s1 != s2 else (t2, r2)])
         quads[f"q_{e}"] = ((1, a[0]), (-1, a[1]), (1, b[0]), (-1, b[1]))
@@ -75,9 +74,9 @@ def _radial_cells(S: SurfaceComplex):
 
 
 def radial_decomposition(S: SurfaceComplex) -> RadialComplex:
-    """Refine S into one quadrilateral per edge (see _radial_cells)."""
+    """Refine S into one quadrilateral per edge if S.validate() is empty (see _radial_cells)."""
     vertex, edges, quads = _radial_cells(S)
-    R = SurfaceComplex(frozenset(vertex.values()), edges, quads, name=f"radial_{S.name}")
+    R = SurfaceComplex._from_checked(frozenset(vertex.values()), edges, quads, f"radial_{S.name}")
     return RadialComplex(
         R, {w: cell for cell, w in vertex.items()}, {f"q_{e}": e for e in S.edges}
     )
@@ -151,8 +150,8 @@ def dvf_to_dlf(V: VectorField) -> LineField:
     splits never interfere.  All splits edit the maps of _radial_cells and
     one complex is built at the end; identifiers are the ones that
     splitting pair by pair, in sorted order with split_face, would choose.
-    Refuses an invalid field before any work, with OperationError, and a
-    complex that _radial_cells refuses.
+    Refuses an invalid field before any work, with OperationError, then a
+    complex with a validate() problem, as _radial_cells does.
     """
     if V._pair_problems:  # validate_vector_field, cached on the field
         raise OperationError(f"not a valid vector field: {V._pair_problems[0]}")

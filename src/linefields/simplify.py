@@ -271,7 +271,7 @@ def cancel_vertex_face(
     including chains that revisit f's own boundary edges.  Counting only
     graph separatrices would admit reversals that close a cycle through an
     excluded chain.  One memoised pass finds which corners' chains reach
-    v, and only the one path reversed is built.
+    v, and only the one path reversed is built; the diagonal search reads f once.
     """
     S = L.complex
     if v not in S.vertices:
@@ -286,8 +286,9 @@ def cancel_vertex_face(
             f"face {f} has doubled index {2 - c}; cancellation needs a negative index"
         )
     _require_acyclic(L)
-    n = len(S.faces[f])
-    corners = [S.corner_vertex(f, pos) for pos in range(n)]
+    walk, matched = S.faces[f], L._lower_of
+    n = len(walk)
+    corners = [S.edges[e][s < 0] for s, e in walk]
     reaches = _count_walks(L._steps, corners, v)
     hits = [pos for pos, u in enumerate(corners) if reaches[u]]
     if not hits:
@@ -298,17 +299,16 @@ def cancel_vertex_face(
         )
     p = hits[0]
     path = _nth_walk(L._steps, {}, corners[p], 0, LPath)
-    u1 = path.vertices[0]
-    q = None
+    u1, q = corners[p], None
+    count = c - (walk[p][1] not in matched)  # unmatched in cand, ..., p - 1 (mod n)
     for k in range(1, n):
         cand = (p + k) % n
-        # Unmatched positions among cand, cand + 1, ..., p - 1 (mod n).
-        count = sum(1 for i in L._unmatched[f] if (i - cand) % n < (p - cand) % n)
         if count < 2:
             break
-        if count == 2 and S.corner_vertex(f, cand) != u1:
+        if count == 2 and corners[cand] != u1:
             q = cand
             break
+        count -= walk[cand][1] not in matched
     if q is None:
         raise DegenerateOperationError(
             f"every admissible diagonal of {f} is a loop at {u1}"

@@ -217,7 +217,12 @@ class SurfaceComplex(_Record):
         return len(self.vertices) - len(self.edges) + len(self.faces)
 
     def validate(self) -> list[str]:
-        """Violations of the closed-surface conditions; empty when clean.
+        """Violations of the closed-surface conditions, a fresh list; empty when clean."""
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        """The verdict validate() copies, computed once: a complex never changes.
 
         Checks that every edge occurs exactly twice among the boundary
         walks, that each walk chains head-to-tail, and that the incidence
@@ -275,7 +280,7 @@ class SurfaceComplex(_Record):
                             todo.append(nxt)
         if components > 1:
             problems.append(f"incidence structure is disconnected ({components} components)")
-        return problems
+        return tuple(problems)
 
     # ---- darts and vertex links -----------------------------------------
 
@@ -355,7 +360,7 @@ class SurfaceComplex(_Record):
 
         Requires a complex that passes validate() with one link cycle at
         every vertex; a vertex pinching two umbrellas together has no dual
-        in this encoding.
+        in this encoding.  Its cells pass the constructor's checks by construction.
         """
         problems = self.validate()
         if problems:
@@ -378,9 +383,10 @@ class SurfaceComplex(_Record):
             # Each step crosses an edge, into the dart of the slot it reaches;
             # the sign says whether that is the edge's second dart.
             darts_in = [(crossed(s), crossed(darts.partner[s])) for s in darts.cycles[v][0]]
-            dual_faces[v] = tuple((1 if d > other else -1, faces[order[face[d]]][position[d]][1])
-                                  for d, other in darts_in)
-        return SurfaceComplex(frozenset(self.faces), dual_edges, dual_faces, self.name + "_dual")
+            walk = [(1 if d > other else -1, faces[order[face[d]]][position[d]][1])
+                    for d, other in darts_in]
+            dual_faces[v] = _canonical_rotation(walk)
+        return self._from_checked(frozenset(faces), dual_edges, dual_faces, f"{self.name}_dual")
 
 
 # ---- face surgery --------------------------------------------------------

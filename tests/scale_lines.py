@@ -3,7 +3,8 @@ grow at most linearly in the cell count.
 
     PYTHONPATH=src python tests/scale_lines.py
 
-For each field family below, at 24x24 and 48x48 (four times the cells), it
+For each field family below, at 24x24 and 48x48 (four times the cells,
+and for the cone 24*24 and 48*48 sides), it
 emits the field's file and counts the `line` events that `sys.settrace`
 reports in `src/linefields/` while each layer runs: parse_document, then
 problems(), closed_path(), graph(), corridors(), report_json and
@@ -27,9 +28,12 @@ Most families are long-chain fields, whose separatrix paths total far
 more cells than the complex has: the snake line field on a grid torus,
 spanning tree line fields on grid tori and Klein bottles, and the snake
 tree-cotree vector field.  Each of those has one critical vertex, which
-every chain reaches, so none admits a cancellation; the last family, a
-forest line field on a grid torus that keeps each of its tree's pairs
-with probability 0.8, has many critical vertices and does.  It runs under
+every chain reaches, so none admits a cancellation; a forest line field
+on a grid torus that keeps each of its tree's pairs with probability 0.8
+has many critical vertices and does.  The last family leaves the grids'
+faces of length 4 and vertices of degree 4: a cone sphere (wheel) whose
+one face has 24*24 or 48*48 sides, all joined to an apex, with the line
+field {(u0, s0)}; its cancellation splits that face.  It runs under
 PYTHONHASHSEED=0 (re-executing itself when another seed is set), so set
 iteration order cannot move a count.  Standard library only.
 """
@@ -76,6 +80,7 @@ FAMILIES = {
     "spanning tree, Klein": lambda n: support.forest_field(support.grid_klein(n, n), random.Random(n), 1.0),
     "snake tree-cotree, torus": lambda n: support.serpentine_torus(n, n)[0],
     "forest, torus": lambda n: support.forest_field(support.grid_torus(n, n), random.Random(n), 0.8),
+    "cone, n*n sides": lambda n: LineField(support.cone_sphere(n * n), frozenset({("u0", "s0")})),
 }
 
 

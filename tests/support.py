@@ -284,6 +284,18 @@ def theta_sphere():
     )
 
 
+def cone_sphere(n):
+    """A sphere of one n-gon face f, with rim vertices u<i> and rim edges
+    r<i> from u<i> to u<i+1>, and n triangles t<i> on spokes s<i> from u<i>
+    to the apex v: a wheel, whose apex has degree n."""
+    vertices = frozenset({"v", *(f"u{i}" for i in range(n))})
+    edges = {f"r{i}": (f"u{i}", f"u{(i + 1) % n}") for i in range(n)}
+    edges.update({f"s{i}": (f"u{i}", "v") for i in range(n)})
+    faces = {"f": w(" ".join(f"+r{i}" for i in range(n)))}
+    faces.update({f"t{i}": w(f"-r{i} +s{i} -s{(i + 1) % n}") for i in range(n)})
+    return SurfaceComplex(vertices, edges, faces, name=f"cone{n}")
+
+
 def grid_torus(rows, cols):
     """Torus cut into a rows-by-cols grid of square faces.
 

@@ -244,6 +244,25 @@ def test_refinement_refuses_edges_not_occurring_twice():
         assert str(caught.value) == message
 
 
+def test_refinement_refuses_what_validate_refuses():
+    """The bridge refuses every complex that validate() does, with its first
+    problem: walks that do not chain although every edge occurs twice, and
+    a disconnected complex.  dvf_to_dlf refuses an invalid field first."""
+    bigons = SurfaceComplex(frozenset("uv"), {"a": ("u", "v"), "b": ("u", "v")},
+                            {"F": support.w("+a +b"), "G": support.w("-a -b")}, name="broken")
+    tetra = support.tetra()
+    apart = support.disjoint_union(tetra, support.suffixed(tetra, "_z"))
+    for S, message in ((bigons, "face F breaks between positions 0 and 1: v != u"),
+                       (apart, "incidence structure is disconnected (2 components)")):
+        assert S.validate()[0] == message
+        for refine in (radial_decomposition, lambda X: dvf_to_dlf(VectorField(X))):
+            with pytest.raises(InvalidComplexError) as caught:
+                refine(S)
+            assert str(caught.value) == message
+    with pytest.raises(OperationError, match="^not a valid vector field: "):
+        dvf_to_dlf(VectorField(bigons, frozenset({("nope", "a")})))
+
+
 def test_round_trip_worked():
     S = support.tetra()
     V = VectorField(S, frozenset({("v1", "e12")}))
@@ -303,15 +322,34 @@ def record_constructions(monkeypatch):
     return calls
 
 
+def record_verdicts(monkeypatch):
+    """Lists the complexes whose closed-surface verdict (the cached
+    SurfaceComplex._problems that validate() copies) is computed."""
+    computed = []
+    compute = SurfaceComplex.__dict__["_problems"].func
+
+    def counted(self):
+        computed.append(self)
+        return compute(self)
+
+    verdict = cached_property(counted)
+    verdict.__set_name__(SurfaceComplex, "_problems")
+    monkeypatch.setattr(SurfaceComplex, "_problems", verdict)
+    return computed
+
+
 def test_image_builds_one_complex(monkeypatch):
     """dvf_to_dlf splits the quadrilaterals on plain maps and constructs
     only the image, not the bare refinement first, from cells it has
-    checked: no constructor check and no validate() runs."""
+    checked: no constructor check runs.  On a complex validated first, as
+    the CLI validates it, the bridge reads the verdict and computes none."""
     V = VectorField(support.grid_torus(3, 3), frozenset({("v00", "h00"), ("v11", "h11")}))
+    assert V.complex.validate() == []
     calls = record_constructions(monkeypatch)
+    verdicts = record_verdicts(monkeypatch)
     dvf_to_dlf(V)
-    assert calls == {"_from_checked": [f"radial_{V.complex.name}"], "__post_init__": [],
-                     "validate": []}
+    assert calls["_from_checked"] == [f"radial_{V.complex.name}"]
+    assert calls["__post_init__"] == [] and verdicts == []
 
 
 def test_factoring_builds_three_complexes_without_validate(monkeypatch):

@@ -24,6 +24,8 @@ from linefields import (
     topological_graph,
     validate_line_field,
 )
+from linefields.dynamics import LPath, _count_walks, _nth_walk, _require_acyclic
+from linefields.surface import _fresh_ids
 
 
 def two_pair_tetra():
@@ -458,6 +460,94 @@ def test_cancel_invariants_on_random_fields():
                 assert after.get(part_entry, 0) == crit[f] + 2
                 assert len(after) == len(crit) - (2 if crit[f] == -2 else 1)
     assert applied >= 5
+
+
+def reference_cancel(L, v, f):
+    """cancel_vertex_face as it stood with its quadratic diagonal search:
+    every candidate corner recounts the face's unmatched positions up to
+    the path's corner and reads its vertex with corner_vertex."""
+    S = L.complex
+    if v not in S.vertices:
+        raise OperationError(f"{v} is not a vertex of the complex")
+    if f not in S.faces:
+        raise OperationError(f"{f} is not a face of the complex")
+    if v in L._upper_of:
+        raise OperationError(f"{v} is matched, not critical")
+    c = len(L._unmatched[f])
+    if c < 3:
+        raise OperationError(
+            f"face {f} has doubled index {2 - c}; cancellation needs a negative index"
+        )
+    _require_acyclic(L)
+    n = len(S.faces[f])
+    corners = [S.corner_vertex(f, pos) for pos in range(n)]
+    reaches = _count_walks(L._steps, corners, v)
+    hits = [pos for pos, u in enumerate(corners) if reaches[u]]
+    if not hits:
+        raise CancellationError(f"no path from {f} to {v}")
+    if len(hits) > 1:
+        raise CancellationError(
+            f"cancellation needs a unique path from {f} to {v}; found {len(hits)}"
+        )
+    p = hits[0]
+    path = _nth_walk(L._steps, {}, corners[p], 0, LPath)
+    u1 = path.vertices[0]
+    q = None
+    for k in range(1, n):
+        cand = (p + k) % n
+        count = sum(1 for i in L._unmatched[f] if (i - cand) % n < (p - cand) % n)
+        if count < 2:
+            break
+        if count == 2 and S.corner_vertex(f, cand) != u1:
+            q = cand
+            break
+    if q is None:
+        raise DegenerateOperationError(f"every admissible diagonal of {f} is a loop at {u1}")
+    diag, part_entry, part_off = _fresh_ids(S.vertices, S.edges, S.faces,
+                                            f"d_{f}", f"{f}_1", f"{f}_0")
+    T = split_face(S, f, p, q, diag, part_entry, part_off)
+    pairs = set(L.matching)
+    for i, e_i in enumerate(path.edges):
+        pairs.discard((path.vertices[i], e_i))
+        pairs.add((path.vertices[i + 1], e_i))
+    pairs.add((u1, diag))
+    mapping = {c: c for c, _d in S.cells()}
+    mapping[f] = part_entry
+    return LineField(T, frozenset(pairs)), CellCorrespondence(mapping)
+
+
+def cancel_outcome(cancel, L, v, f):
+    """(output text, sorted mapping), or (exception type, message)."""
+    try:
+        out, corr = cancel(L, v, f)
+    except OperationError as exc:
+        return type(exc), str(exc)
+    return emit_line_field(out), sorted(corr.mapping.items())
+
+
+def test_cancel_matches_reference_search():
+    """The one-pass diagonal search picks the diagonal the quadratic one
+    picked, or refuses alike, against each critical vertex: on the negative
+    faces of sparse random fields, on the n-gon of cones of 5, 10, ..., 60
+    sides with the spoke s0 matched, and on the torus of one face, where
+    every diagonal is a loop."""
+    rng = random.Random(841)
+    cases = [(LineField(support.torus_one()), "F")]
+    for S in support.random_corpus(842, 120, max_moves=4):
+        L = LineField(S, support.sample_matching(support.line_field_pairs(S), rng, keep=0.2))
+        if L.closed_path() is None:
+            crit = L.doubled_critical()
+            cases += [(L, f) for f in crit if f in S.faces and crit[f] < 0]
+    cases += [(LineField(support.cone_sphere(n), frozenset({("u0", "s0")})), "f")
+              for n in range(5, 61, 5)]
+    calls = split = 0
+    for L, f in cases:
+        for v in [c for c in L.doubled_critical() if c in L.complex.vertices]:
+            want = cancel_outcome(reference_cancel, L, v, f)
+            assert cancel_outcome(cancel_vertex_face, L, v, f) == want, (L.complex.name, v, f)
+            calls += 1
+            split += type(want[0]) is str
+    assert calls >= 600 and split >= 500
 
 
 # ---- differential check against the move-by-move core --------------------

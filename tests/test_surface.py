@@ -22,6 +22,7 @@ from linefields import (
     homotopy_core,
     merge_critical_faces,
     parse_document,
+    parse_off,
 )
 from linefields.errors import DegenerateOperationError, InvalidComplexError, OperationError
 from linefields.radial import radial_decomposition
@@ -166,8 +167,10 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
     same rotation, in the same order, and the same name.  Its vertices must
     be a frozenset, as the constructor makes them (a complex is not hashable,
     as its edges and faces are dicts, but its vertex set is).  The calls are the
-    parser's, on the golden inputs and on each corpus complex's text, both
-    bridge directions', split_face and delete_edge_merge_faces on every
+    parser's, on the golden inputs and on each corpus complex's text, the OFF
+    importer's, on the golden icosahedron and an open mesh, both bridge
+    directions', radial_decomposition and dual() (where it dualizes) on each
+    corpus complex, split_face and delete_edge_merge_faces on every
     face and edge of each corpus complex (and in building the corpus), and
     the simplify rebuilds: homotopy_core, merge_critical_faces and
     cancel_vertex_face on the corpus and forest-field grids of
@@ -195,13 +198,22 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
     golden = sorted((Path(__file__).parent / "golden" / "fields").glob("*.txt"))
     for path in golden:
         parse_document(path.read_text())
+    parse_off((Path(__file__).parent / "golden" / "icosahedron.off").read_text())
+    parse_off(support.OPEN_OFF)
     rng = random.Random(825)
-    surgeries = 0
+    surgeries = duals = 0
     for S in corpus:
         assert parse_document(emit_complex(S)).complex == S
         assert parse_document(walks_from_second_occurrence(emit_complex(S))).complex == S
         V = VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
         dlf_to_dvf(dvf_to_dlf(V))
+        radial_decomposition(S)
+        try:
+            S.dual()
+        except InvalidComplexError:
+            pass
+        else:
+            duals += 1
         taken = {c for c, _d in S.cells()}
         for f, walk in S.faces.items():
             if len(walk) >= 2:
@@ -214,9 +226,10 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
                 continue
             surgeries += 1
     # One parse per file; per corpus complex two parses, the image, the
-    # merged complex and the two factors; one per surgery that returns.
-    assert len(golden) == 5 and surgeries >= 250
-    assert len(names) == len(golden) + 6 * len(corpus) + surgeries
+    # merged complex, the two factors and the refinement; one per dual and
+    # per surgery that returns.
+    assert len(golden) == 5 and surgeries >= 250 and duals >= 45
+    assert len(names) == len(golden) + 2 + 7 * len(corpus) + duals + surgeries
     # One build per core, and one per merge that gets as far as its
     # validate() check: those that return, and those that it refuses.  On
     # the square sphere, contracting a leaves F's walk +z +c +b, whose
@@ -277,6 +290,34 @@ def test_occurrence_endpoints():
 
 
 # ---- validation ----------------------------------------------------------
+
+
+def test_validate_computes_one_verdict_per_complex(monkeypatch):
+    """validate(), problems(), dual() and dvf_to_dlf read one verdict per
+    complex, computed on the first read.  Each validate() call returns a
+    fresh list, so a caller that extends or clears it changes no later
+    result."""
+    verdicts = test_radial.record_verdicts(monkeypatch)
+    S = support.tetra()
+    V = VectorField(S, frozenset({("v1", "e12")}))
+    problems = S.validate()
+    problems += ["a caller's own problem"]
+    assert S.validate() == [] and S.validate() is not S.validate()
+    assert V.problems() == [] and LineField(S, frozenset()).problems() == []
+    S.dual()
+    dvf_to_dlf(V)
+    assert len(verdicts) == 1 and verdicts[0] is S
+    T = support.tetra_without_face()
+    want = T.validate()
+    assert want
+    T.validate().clear()
+    for read in (T.validate, VectorField(T, frozenset()).problems):
+        assert read() == want
+    with pytest.raises(InvalidComplexError, match="^cannot dualize: "):
+        T.dual()
+    with pytest.raises(InvalidComplexError):
+        dvf_to_dlf(VectorField(T, frozenset()))
+    assert len(verdicts) == 2 and verdicts[1] is T
 
 
 def test_named_complexes_are_valid():
