@@ -281,7 +281,8 @@ def closed_l_path(L: LineField) -> LPath | None:
 
 
 def _require_acyclic(field):
-    """Raise CyclicFieldError, witnessed by its closed path, for a cyclic field of either kind."""
+    """Refuse an unsound field at its door, then a cyclic one with CyclicFieldError."""
+    field._require_valid()
     closed = field.closed_path()
     if closed is not None:
         raise CyclicFieldError(field._cyclic_text + closed.cells[0], witness=closed)
@@ -356,9 +357,9 @@ class _Field(_Record):
     A subclass supplies `_scan`, one pass over the sorted matching that
     returns (the matching's violations, the step table, the roots of the
     closed-path search), and `_critical` and `_exits`, and the hooks
-    `_path`, `_path_keys` and `_cyclic_text`; it may override `_witness`
-    and define __post_init__, which _Record.__init__ calls.  Every table is
-    built once, on first use.
+    `_path`, `_path_keys`, `_kind` and `_cyclic_text`; it may override
+    `_witness` and define __post_init__, which _Record.__init__ calls.
+    Every table is built once, on first use.
     """
 
     complex: SurfaceComplex
@@ -376,6 +377,13 @@ class _Field(_Record):
     def closed_path(self):
         """A closed path witness, or None when the field is acyclic."""
         return self._closed
+
+    def _require_valid(self):
+        """The field door: OperationError with the matching's first
+        violation, then the complex door; both read cached verdicts."""
+        if self._pair_problems:
+            raise OperationError(f"not a valid {self._kind}: {self._pair_problems[0]}")
+        self.complex._require_valid()
 
     graph = topological_graph
 
@@ -438,9 +446,11 @@ def corridors_from(L: LineField, face: str) -> list[Corridor]:
     Each trace crosses to the other occurrence of its edge and keeps
     tunnelling through count-2 faces via their other unmatched occurrence;
     it always terminates on a critical face, possibly the starting one.
+    Refuses an unknown face, then an unsound complex; it takes any matching.
     """
     if face not in L.complex.faces:
         raise OperationError(f"{face} is not a face of the complex")
+    L.complex._require_valid()
     positions = L._unmatched[face]
     if len(positions) == 2:
         raise OperationError(f"face {face} is not critical")
@@ -450,12 +460,14 @@ def corridors_from(L: LineField, face: str) -> list[Corridor]:
 def _all_corridors(L: LineField) -> tuple[tuple[Corridor, ...], tuple[ClosedCorridor, ...]]:
     """Every corridor, one from each unmatched occurrence of each critical
     face in face order, and every closed corridor, traced from the least
-    occurrence no earlier trace passed.  Needs no acyclicity.
+    occurrence no earlier trace passed.  Needs no acyclicity and takes any
+    matching, but refuses an unsound complex at its door.
 
     A corridor is traced only from whichever of its two end occurrences
     comes first; at the other end its reverse is read off the stored
     trace, since tracing is deterministic and reversible.  A reverse passes
     the occurrences its trace did, so `visited` is complete either way."""
+    L.complex._require_valid()
     positions = L._unmatched
     faces = sorted(positions)
     visited: set[tuple[str, int]] = set()

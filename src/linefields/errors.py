@@ -1,9 +1,9 @@
 """Exception types and the value-record base shared across the package.
 
-Construction-time referential problems raise InvalidComplexError; structural
-surface conditions are reported by validate() instead of raised.  Operation
-preconditions raise OperationError subclasses so the CLI can map them to
-exit code 2.
+Construction-time referential problems raise InvalidComplexError, as does
+every operation that walks a complex validate() faults, with its first
+problem.  Operation preconditions raise OperationError subclasses so the CLI
+can map them to exit code 2.
 
 `_Record`, the frozen-record base of the value classes, lives here because
 every module imports this one; defining a record class compiles no code.
@@ -111,7 +111,7 @@ class ParseError(ValueError):
 
 
 class InvalidComplexError(ValueError):
-    """A cell reference does not resolve, or identifiers collide."""
+    """A cell reference does not resolve, identifiers collide, or a walked complex is unsound."""
 
 
 class OperationError(RuntimeError):
@@ -134,8 +134,7 @@ class CancellationError(OperationError):
 
 
 class DegenerateOperationError(OperationError):
-    """The operation would produce a state the encoding cannot represent
-    (empty face boundary, disconnected complex, loop diagonal)."""
+    """The move would leave a state the encoding cannot represent, such as an empty walk."""
 
 
 class NotInImageError(OperationError):

@@ -30,7 +30,7 @@ class LineField(_Field):
     matched vertex to its edge, `_lower_of` an edge to its vertex.
 
     Construction does not check the pairing conditions; see
-    validate_line_field.  Operations elsewhere assume a clean report.
+    validate_line_field.  Operations that walk it refuse an invalid one.
     """
 
     def __post_init__(self):
@@ -59,10 +59,11 @@ class LineField(_Field):
     def count_paths(self, source: str, target: str) -> int:
         return len(l_paths(self, source, target))
 
-    # ---- hooks of topological_graph, _require_acyclic and the JSON report ----
+    # ---- hooks of topological_graph, the field door and the JSON report ----
 
     _path = LPath
     _path_keys = ("vertices", "edges")  # the keys of LPath.json
+    _kind = "line field"
     _cyclic_text = "line field has a closed path through "
 
     def _exits(self, cell: str) -> list[tuple[int, str]]:

@@ -17,7 +17,7 @@ a fresh_id suffix when the name is taken.
 
 from __future__ import annotations
 
-from .errors import InvalidComplexError, NotInImageError, OperationError, _Record
+from .errors import NotInImageError, _Record
 from .linefield import LineField
 from .surface import SurfaceComplex, _canonical_rotation, _fresh_ids, _merge_cells, _split_cells
 from .vectorfield import VectorField
@@ -42,8 +42,8 @@ def _radial_cells(S: SurfaceComplex):
     Returns the radial vertex w_<cell> of each vertex and face, the corner
     edges r_<face>_<position> from the corner's vertex to its face, and the
     quadrilaterals q_<edge>.  Cell ids are distinct and positions hold no
-    "_", so no two ids collide.  Raises InvalidComplexError with the first
-    problem of S.validate(), the complex's cached verdict, if it has one.
+    "_", so no two ids collide.  Refuses at the complex door, with
+    InvalidComplexError carrying the first problem of S.validate().
 
     The quadrilateral of an edge strings together the four corner edges
     flanking the edge's two walk occurrences, which the pass lists per
@@ -53,8 +53,7 @@ def _radial_cells(S: SurfaceComplex):
     way around.  Signs run +, -, +, -, so the lesser flank first is the
     canonical rotation.
     """
-    if S._problems:  # validate(), cached on the complex
-        raise InvalidComplexError(S._problems[0])
+    S._require_valid()
     ends, walks = S.edges, S.faces
     vertex = {cell: f"w_{cell}" for cell in sorted(S.vertices) + sorted(walks)}
     edges: dict[str, tuple[str, str]] = {}
@@ -150,11 +149,9 @@ def dvf_to_dlf(V: VectorField) -> LineField:
     splits never interfere.  All splits edit the maps of _radial_cells and
     one complex is built at the end; identifiers are the ones that
     splitting pair by pair, in sorted order with split_face, would choose.
-    Refuses an invalid field before any work, with OperationError, then a
-    complex with a validate() problem, as _radial_cells does.
+    Refuses an unsound field before any work, at the field door.
     """
-    if V._pair_problems:  # validate_vector_field, cached on the field
-        raise OperationError(f"not a valid vector field: {V._pair_problems[0]}")
+    V._require_valid()
     S = V.complex
     vertex, edges, faces = _radial_cells(S)
     radial_vertices = frozenset(vertex.values())

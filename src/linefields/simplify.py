@@ -177,7 +177,11 @@ def merge_critical_faces(
     inputs'.  The matching is untouched, so acyclicity is preserved.  The
     merged walk is the one that deleting the crossings one at a time with
     delete_edge_merge_faces would leave, built in one pass (see
-    _corridor_walk), and the result must pass validate().
+    _corridor_walk).  An unsound field is refused at the field door.  The
+    result needs no check: the corridor's faces (f and g critical, interior
+    faces of count 2, a reversible trace) and crossings are distinct, so each
+    deletion merges two faces, keeping every edge twice, every walk chaining
+    and the complex connected; _corridor_walk refuses an empty walk.
     """
     S = L.complex
     for x in (f, g):
@@ -188,6 +192,7 @@ def merge_critical_faces(
     for x in (f, g):
         if len(L._unmatched[x]) == 2:
             raise OperationError(f"face {x} is not critical")
+    L._require_valid()
     hits = [c for c in corridors_from(L, f) if c.end == g]
     if not hits:
         raise CancellationError(f"no corridor from {f} to {g}")
@@ -202,11 +207,6 @@ def merge_critical_faces(
     faces = {h: walk for h, walk in S.faces.items() if h not in absorbed}
     faces[merged_id] = _canonical_rotation(_corridor_walk(S, corridor, merged_id))
     T = SurfaceComplex._from_checked(S.vertices, edges, faces, S.name)
-    problems = T.validate()
-    if problems:
-        raise DegenerateOperationError(
-            f"merging {f} and {g} breaks the complex: {problems[0]}"
-        )
     mapping = {c: merged_id if c in absorbed else c for c in chain(S.vertices, S.edges, S.faces)}
     return LineField(T, L.matching), CellCorrespondence(mapping)
 
@@ -271,7 +271,10 @@ def cancel_vertex_face(
     including chains that revisit f's own boundary edges.  Counting only
     graph separatrices would admit reversals that close a cycle through an
     excluded chain.  One memoised pass finds which corners' chains reach
-    v, and only the one path reversed is built; the diagonal search reads f once.
+    v, and only the one path reversed is built.  The diagonal runs from the
+    hit corner p to the first q after it with two unmatched occurrences in
+    q..p-1; no other corner is at u1 (it would be a hit), so it is no loop.
+    An unsound field is refused at the field door.
     """
     S = L.complex
     if v not in S.vertices:
@@ -299,20 +302,11 @@ def cancel_vertex_face(
         )
     p = hits[0]
     path = _nth_walk(L._steps, {}, corners[p], 0, LPath)
-    u1, q = corners[p], None
-    count = c - (walk[p][1] not in matched)  # unmatched in cand, ..., p - 1 (mod n)
-    for k in range(1, n):
-        cand = (p + k) % n
-        if count < 2:
-            break
-        if count == 2 and corners[cand] != u1:
-            q = cand
-            break
-        count -= walk[cand][1] not in matched
-    if q is None:
-        raise DegenerateOperationError(
-            f"every admissible diagonal of {f} is a loop at {u1}"
-        )
+    u1, q = corners[p], (p + 1) % n
+    count = c - (walk[p][1] not in matched)  # unmatched in q, ..., p - 1 (mod n)
+    while count > 2:
+        count -= walk[q][1] not in matched
+        q = (q + 1) % n
     diag, part_entry, part_off = _fresh_ids(S.vertices, S.edges, S.faces, f"d_{f}", f"{f}_1", f"{f}_0")
     edges, faces = dict(S.edges), dict(S.faces)
     _split_cells(edges, faces, f, p, q, diag, part_entry, part_off)

@@ -176,17 +176,9 @@ class SurfaceComplex(_Record):
         for f in sorted(self.faces):
             yield f, 2
 
-    def is_loop(self, edge: str) -> bool:
-        tail, head = self.edges[edge]
-        return tail == head
-
     def occ_source(self, occ: Occurrence) -> str:
         tail, head = self.edges[occ[1]]
         return tail if occ[0] > 0 else head
-
-    def occ_target(self, occ: Occurrence) -> str:
-        tail, head = self.edges[occ[1]]
-        return head if occ[0] > 0 else tail
 
     def corner_vertex(self, face: str, position: int) -> str:
         walk = self.faces[face]
@@ -219,6 +211,11 @@ class SurfaceComplex(_Record):
     def validate(self) -> list[str]:
         """Violations of the closed-surface conditions, a fresh list; empty when clean."""
         return list(self._problems)
+
+    def _require_valid(self) -> None:
+        """The complex door: InvalidComplexError with the verdict's first problem."""
+        if self._problems:
+            raise InvalidComplexError(self._problems[0])
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -362,9 +359,8 @@ class SurfaceComplex(_Record):
         every vertex; a vertex pinching two umbrellas together has no dual
         in this encoding.  Its cells pass the constructor's checks by construction.
         """
-        problems = self.validate()
-        if problems:
-            raise InvalidComplexError(f"cannot dualize: {problems[0]}")
+        if self._problems:
+            raise InvalidComplexError(f"cannot dualize: {self._problems[0]}")
         dual_edges = {e: (occs[0][0], occs[1][0]) for e, occs in self.occurrence_index.items()}
         faces, darts = self.faces, self._darts
         pinched = min((v for v, cycles in darts.cycles.items() if len(cycles) != 1), default=None)

@@ -84,8 +84,9 @@ class VectorField(_Field):
     def count_paths(self, source: str, target: str) -> int:
         return count_x_paths(self, source, target)
 
-    # ---- hooks of topological_graph, _require_acyclic and the JSON report ----
+    # ---- hooks of topological_graph, the field door and the JSON report ----
 
+    _kind = "vector field"
     _cyclic_text = "vector field has a closed X-path through "
     _path_keys = ("cells", "witnesses")  # the keys of XPath.json
 

@@ -45,6 +45,18 @@ def recursion_limit(depth):
         sys.setrecursionlimit(old)
 
 
+def is_loop(S, edge):
+    """Whether `edge` of S starts and ends at one vertex."""
+    tail, head = S.edges[edge]
+    return tail == head
+
+
+def occ_target(S, occ):
+    """The vertex an occurrence of S ends at: the head of +e, the tail of -e."""
+    tail, head = S.edges[occ[1]]
+    return head if occ[0] > 0 else tail
+
+
 def is_rotation(walk, other):
     """Equality of closed walks irrespective of starting position."""
     return len(walk) == len(other) and any(

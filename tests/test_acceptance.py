@@ -222,7 +222,7 @@ def test_criterion_6_cancellation_soundness():
                     try:
                         out, _corr = merge_critical_faces(L, f, g)
                     except DegenerateOperationError:
-                        continue  # merged walk would break the complex
+                        continue  # the merged walk would be empty
                     assert out.complex.validate() == []
                     assert validate_line_field(out) == []
                     assert out.closed_path() is None
@@ -247,10 +247,7 @@ def test_criterion_6_cancellation_soundness():
                 for v in (c for c in crit if c in S.vertices):
                     if hits.get(v, 0) != 1:
                         continue
-                    try:
-                        out, _corr = cancel_vertex_face(L, v, f)
-                    except DegenerateOperationError:
-                        continue  # every admissible diagonal was a loop
+                    out, _corr = cancel_vertex_face(L, v, f)
                     assert out.complex.validate() == []
                     assert validate_line_field(out) == []
                     assert out.closed_path() is None

@@ -248,7 +248,7 @@ def _shapes(field):
         shapes.add("loop pair")
     if not field._pair_problems:
         for lo, up in matching:
-            if up in S.edges and S.is_loop(up):
+            if up in S.edges and support.is_loop(S, up):
                 shapes.add("vertex on a loop")
             if up in S.faces and sum(e == lo for _s, e in S.faces[up]) > 1:
                 shapes.add("edge twice on its face")

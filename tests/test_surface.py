@@ -230,8 +230,8 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
     # per surgery that returns.
     assert len(golden) == 5 and surgeries >= 250 and duals >= 45
     assert len(names) == len(golden) + 2 + 7 * len(corpus) + duals + surgeries
-    # One build per core, and one per merge that gets as far as its
-    # validate() check: those that return, and those that it refuses.  On
+    # One build per core, and one per merge that returns: the merge builds
+    # after its last refusal and does not validate the result.  On
     # the square sphere, contracting a leaves F's walk +z +c +b, whose
     # canonical start is +b.
     square = SurfaceComplex(
@@ -248,8 +248,6 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
         for f, g in itertools.permutations(faces, 2):
             try:
                 merge_critical_faces(L, f, g)
-            except DegenerateOperationError as exc:
-                builds += "breaks the complex" in str(exc)
             except OperationError:
                 pass
             else:
@@ -282,11 +280,11 @@ def walks_from_second_occurrence(text):
 def test_occurrence_endpoints():
     S = support.tetra()
     assert S.occ_source((1, "e12")) == "v1"
-    assert S.occ_target((1, "e12")) == "v2"
+    assert support.occ_target(S, (1, "e12")) == "v2"
     assert S.occ_source((-1, "e12")) == "v2"
-    assert S.occ_target((-1, "e12")) == "v1"
-    assert S.is_loop("e12") is False
-    assert support.torus_one().is_loop("a") is True
+    assert support.occ_target(S, (-1, "e12")) == "v1"
+    assert support.is_loop(S, "e12") is False
+    assert support.is_loop(support.torus_one(), "a") is True
 
 
 # ---- validation ----------------------------------------------------------
@@ -401,7 +399,7 @@ def _reference_validate(S):
     for f in sorted(S.faces):
         walk = S.faces[f]
         for i in range(len(walk)):
-            here = S.occ_target(walk[i])
+            here = support.occ_target(S, walk[i])
             there = S.occ_source(walk[(i + 1) % len(walk)])
             if here != there:
                 problems.append(
@@ -953,7 +951,7 @@ def test_surgery_kernels_match_reference():
                 continue
             (f1, p1), (f2, p2) = slots
             seen["same sign on two faces"] += S.faces[f1][p1][0] == S.faces[f2][p2][0]
-            seen["loop"] += S.is_loop(e)
+            seen["loop"] += support.is_loop(S, e)
             try:
                 R = reference_merge(S, e, "m")
             except DegenerateOperationError as exc:
