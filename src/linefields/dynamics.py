@@ -291,11 +291,12 @@ def _require_acyclic(field):
 def l_paths(L: LineField, source: str, target: str) -> list[LPath]:
     """All L-paths from source to target; at most one exists, the trivial
     path counting when source == target.  A line field never branches, so
-    it is the one walk from `source`, cut at `target`."""
-    _require_acyclic(L)
+    it is the one walk from `source`, cut at `target`.  The arguments are
+    checked before the door, as every walking operation checks them."""
     for v in (source, target):
         if v not in L.complex.vertices:
             raise OperationError(f"{v} is not a vertex of the complex")
+    _require_acyclic(L)
     path = _nth_walk(L._steps, {}, source, 0, LPath)
     if target not in path.vertices:
         return []

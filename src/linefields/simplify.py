@@ -17,8 +17,8 @@ from itertools import chain
 from .dynamics import LPath, _count_walks, _nth_walk, _require_acyclic, corridors_from
 from .errors import CancellationError, DegenerateOperationError, OperationError, _Record
 from .linefield import LineField
-from .surface import (SurfaceComplex, _canonical_rotation, _fresh_ids, _merge_cells, _split_cells,
-                      reversed_walk)
+from .surface import (SurfaceComplex, _canonical_rotation, _collapse_cells, _fresh_ids,
+                      _split_cells, reversed_walk)
 
 
 class CellCorrespondence(_Record):
@@ -99,7 +99,9 @@ def homotopy_core(L: LineField) -> CoreResult:
     degenerate face.  Otherwise, as a collapse keeps every walk's length,
     no bigon becomes removable later and one pass over the bigons in
     sorted order suffices; the least bigon left, which repeats one edge,
-    is the degenerate face.
+    is the degenerate face.  Each collapse substitutes one occurrence by
+    position (_collapse_bigons), so the core costs time linear in the
+    walks, even where one face absorbs thousands of bigons.
     """
     _require_acyclic(L)
     S = L.complex
@@ -130,7 +132,7 @@ def homotopy_core(L: LineField) -> CoreResult:
         kept = tuple(occ for occ in walk if occ[1] not in matched)
         walks[f] = walk if len(kept) == len(walk) else _canonical_rotation(kept)
     if degenerate is None:
-        degenerate = _collapse_bigons(S, edges, walks, parent)
+        degenerate = _collapse_bigons(edges, walks, parent)
     T = SurfaceComplex._from_checked(S.vertices.difference(parent), edges, walks, S.name)
     mapping = {c: _root(parent, c) for c in chain(S.vertices, S.edges, S.faces)}
     return CoreResult(
@@ -138,29 +140,18 @@ def homotopy_core(L: LineField) -> CoreResult:
     )
 
 
-def _collapse_bigons(S, edges, walks, parent) -> str | None:
-    """Collapse every removable bigon of an unmatched field in place.
-
-    Each collapse deletes the bigon's smaller edge and merges the bigon
-    into the edge's other face g, which keeps its id, with _merge_cells,
-    the merge of delete_edge_merge_faces.  Contraction moves no occurrence
-    to another face, so g is the root of whichever face of the edge's two
-    slots in S does not resolve to the bigon; one scan of g's walk finds
-    the edge.  Absorbed cells go into `parent`.  Returns the least bigon
-    left, which repeats one edge and is degenerate, or None.
+def _collapse_bigons(edges, walks, parent) -> str | None:
+    """Collapse every removable bigon of an unmatched field in place, in
+    sorted order, with surface._collapse_cells: each deletes the bigon's
+    lesser edge and merges the bigon into the edge's other face, which
+    keeps its id, as delete_edge_merge_faces would, substituting by
+    position and rotating each touched walk once at the end, so the
+    collapses cost one pass over the walks.  Absorbed cells go into
+    `parent`.  Returns the least bigon left, which repeats one edge and is
+    degenerate, or None.
     """
     bigons = sorted(f for f, walk in walks.items() if len(walk) == 2)
-    for f in bigons:
-        walk = walks[f]
-        if walk[0][1] == walk[1][1]:
-            continue
-        i = 0 if walk[0][1] < walk[1][1] else 1
-        gone = walk[i][1]
-        a, b = (_root(parent, h) for h, _p in S.occurrence_index[gone])
-        g = b if a == f else a
-        j = next(k for k, (_s, e) in enumerate(walks[g]) if e == gone)
-        _merge_cells(edges, walks, gone, ((f, i), (g, j)), g)
-        parent[f] = parent[gone] = g
+    parent.update(_collapse_cells(edges, walks, bigons))
     return next((f for f in bigons if f in walks), None)
 
 

@@ -9,8 +9,10 @@ combination of occurrence signs is accepted as long as the walks chain.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
+from itertools import accumulate
 from types import SimpleNamespace
 
 from .errors import DegenerateOperationError, InvalidComplexError, _Record
@@ -35,16 +37,27 @@ def _canonical_rotation(walk) -> tuple[Occurrence, ...]:
     """`walk` (a tuple or list) as a tuple at the least rotation of its
     occurrence texts, so corner positions are reproducible.  "+" sorts
     before "-", so the least text is +e for the least positive e, or -e
-    for the least e when none is positive; the walk starts there when it
-    occurs once, and otherwise _rotated builds the texts and decides."""
+    for the least e when none is positive.  One loop finds its first
+    occurrence k and whether it occurs again; if not, the walk starts at
+    k, and a tuple that already does is returned as it is.  A repeated
+    least occurrence goes to _rotated, which builds the texts and decides."""
     if not walk:
         return ()
-    positive = [e for s, e in walk if s > 0]
-    least = (1, min(positive)) if positive else min(walk)
-    if walk.count(least) == 1:
-        k = walk.index(least)
-        return tuple(walk[k:] + walk[:k])
-    return _rotated(walk, ["+" + e if s > 0 else "-" + e for s, e in walk])
+    k = i = 0
+    least_sign, least = walk[0]
+    repeated = False
+    for s, e in walk:
+        if s == least_sign:
+            if e < least:
+                k, least, repeated = i, e, False
+            elif e == least and i != k:
+                repeated = True
+        elif s > least_sign:
+            k, least_sign, least, repeated = i, s, e, False
+        i += 1
+    if repeated:
+        return _rotated(walk, ["+" + e if s > 0 else "-" + e for s, e in walk])
+    return tuple(walk[k:] + walk[:k]) if k else tuple(walk)  # tuple(a tuple) is that tuple
 
 
 def _rotated(walk, keys: list[str]) -> tuple[Occurrence, ...]:
@@ -284,24 +297,28 @@ class SurfaceComplex(_Record):
     @cached_property
     def _darts(self) -> SimpleNamespace:
         """The dart table: the walks' occurrences numbered face by face in
-        sorted face order, dart d being position[d] of face order[face[d]].
-        Its corner's slots 2d ("in") and 2d + 1 ("out") run in (face,
-        position, side) order; partner pairs the two slots of each edge end,
-        and cycles holds each vertex's link cycles as slot lists.  Unless
-        every edge occurs twice, only `unpaired` is set, naming the least
-        edge that does not."""
+        sorted face order, so dart d lies on the face of `order` whose first
+        dart is the last one at most d (see _dart_faces).  Its corner's slots
+        2d ("in") and 2d + 1 ("out") run in (face, position, side) order;
+        partner pairs the two slots of each edge end, and cycles holds each
+        vertex's link cycles as slot lists.  Unless every edge occurs
+        twice, only `unpaired` is set, naming the least edge that does not."""
         faces, edges = self.faces, self.edges
         order = sorted(faces)
-        face, position = [], []  # per dart
         ends = {e: [] for e in edges}  # per edge, per occurrence: (tail slot, head slot)
-        for i, f in enumerate(order):
-            d, n = len(face), len(faces[f])
-            face += [i] * n
-            position += range(n)
-            for p, (s, e) in enumerate(faces[f]):
-                out, into = 2 * (d + p) + 1, 2 * (d + (p + 1) % n)
+        d = 0  # the face's first dart
+        for f in order:
+            walk = faces[f]
+            base, last = 2 * d, 2 * (d + len(walk)) - 1  # first in slot, last out slot
+            out = base + 1
+            for s, e in walk:
+                # An occurrence leaves its corner's out slot and enters the
+                # next corner's in slot; the last enters the first corner.
+                into = out + 1 if out != last else base
                 ends[e].append((out, into) if s > 0 else (into, out))
-        partner = [-1] * (2 * len(face))
+                out += 2
+            d += len(walk)
+        partner = [-1] * (2 * d)
         # Per edge end: its vertex and its two slots, least first.  A cycle
         # from the least slot passes both, so the other never starts one.
         starts = []
@@ -317,14 +334,23 @@ class SurfaceComplex(_Record):
         seen = bytearray(len(partner))
         for vertex, first, other in starts:
             if not (seen[first] or seen[other]):
-                cycle = [partner[first ^ 1]]
-                while cycle[-1] != first:
-                    cycle.append(partner[cycle[-1] ^ 1])
-                for slot in cycle:
+                slot = partner[first ^ 1]
+                cycle = [slot]
+                seen[slot] = 1
+                while slot != first:
+                    slot = partner[slot ^ 1]
+                    cycle.append(slot)
                     seen[slot] = 1
                 cycles[vertex].append(cycle)
-        return SimpleNamespace(order=order, face=face, position=position, partner=partner,
-                               cycles=cycles, unpaired=None)
+        return SimpleNamespace(order=order, partner=partner, cycles=cycles, unpaired=None)
+
+    def _dart_faces(self) -> list[int]:
+        """The first dart of each face of the dart table's order, then the
+        dart count: dart d lies on face i = bisect_right(firsts, d) - 1, at
+        position d - firsts[i].  Built on each call for the two readers
+        that decode darts, vertex_link_cycles() and dual()."""
+        faces = self.faces
+        return [0, *accumulate(len(faces[f]) for f in self._darts.order)]
 
     def vertex_link_cycles(self) -> dict[str, tuple[tuple[Slot, ...], ...]]:
         """The cyclic fan of edge ends and corners around each vertex.
@@ -339,15 +365,21 @@ class SurfaceComplex(_Record):
         Returns, per vertex, its cycles; a cycle is the tuple of
         (face, position, side) slots it leaves corners through.  Cycles
         start at the least unused slot of the edge ends in sorted order.
-        Decodes the dart table's int cycles on each call; raises
+        Decodes the dart table's int cycles on each call, each dart
+        through the faces' first darts (_dart_faces); raises
         InvalidComplexError unless every edge occurs exactly twice.
         """
         darts = self._darts
         if darts.unpaired:
             raise InvalidComplexError(f"vertex links need every edge twice: {darts.unpaired}")
-        order, face, position, side = darts.order, darts.face, darts.position, ("in", "out")
-        return {v: tuple(tuple((order[face[s >> 1]], position[s >> 1], side[s & 1]) for s in c)
-                         for c in cs) for v, cs in darts.cycles.items()}
+        order, firsts, side = darts.order, self._dart_faces(), ("in", "out")
+
+        def slot(s: int) -> Slot:
+            d = s >> 1
+            i = bisect_right(firsts, d) - 1
+            return order[i], d - firsts[i], side[s & 1]
+
+        return {v: tuple(tuple(map(slot, c)) for c in cs) for v, cs in darts.cycles.items()}
 
     # ---- dual ------------------------------------------------------------
 
@@ -357,7 +389,9 @@ class SurfaceComplex(_Record):
 
         Requires a complex that passes validate() with one link cycle at
         every vertex; a vertex pinching two umbrellas together has no dual
-        in this encoding.  Its cells pass the constructor's checks by construction.
+        in this encoding.  Its cells pass the constructor's checks by
+        construction.  Each dart is decoded through the faces' first darts
+        (_dart_faces), and each dart's edge read from one flat list.
         """
         if self._problems:
             raise InvalidComplexError(f"cannot dualize: {self._problems[0]}")
@@ -368,28 +402,33 @@ class SurfaceComplex(_Record):
             raise InvalidComplexError(
                 f"cannot dualize: link of vertex {pinched} has {len(darts.cycles[pinched])} cycles"
             )
-        order, face, position = darts.order, darts.face, darts.position
+        firsts = self._dart_faces()
+        edge = [e for f in darts.order for _s, e in faces[f]]  # per dart
 
         def crossed(slot: int) -> int:  # the dart of the edge end in `slot`
-            d, p = slot >> 1, position[slot >> 1]
-            return d if slot & 1 else d - p + (p - 1) % len(faces[order[face[d]]])
+            d = slot >> 1
+            if slot & 1:
+                return d
+            i = bisect_right(firsts, d) - 1
+            return d - 1 if d > firsts[i] else firsts[i + 1] - 1
 
         dual_faces = {}
         for v in sorted(self.vertices):
             # Each step crosses an edge, into the dart of the slot it reaches;
             # the sign says whether that is the edge's second dart.
-            darts_in = [(crossed(s), crossed(darts.partner[s])) for s in darts.cycles[v][0]]
-            walk = [(1 if d > other else -1, faces[order[face[d]]][position[d]][1])
-                    for d, other in darts_in]
+            walk = []
+            for s in darts.cycles[v][0]:
+                d, other = crossed(s), crossed(darts.partner[s])
+                walk.append((1 if d > other else -1, edge[d]))
             dual_faces[v] = _canonical_rotation(walk)
         return self._from_checked(frozenset(faces), dual_edges, dual_faces, f"{self.name}_dual")
 
 
 # ---- face surgery --------------------------------------------------------
 #
-# _split_cells and _merge_cells are the package's one copy of the two
-# surgery moves.  They edit plain cell dicts in place and leave each walk
-# they make at its canonical rotation, so a caller applying many moves
+# _split_cells, _merge_cells and _collapse_cells are the package's one copy
+# of the surgery moves.  They edit plain cell dicts in place and leave each
+# walk they make at its canonical rotation, so a caller applying many moves
 # builds one complex at the end with SurfaceComplex._from_checked.
 
 
@@ -409,13 +448,16 @@ def _split_cells(edges, faces, face: str, p: int, q: int, diag: str, a: str, b: 
 
 
 def _merge_cells(edges, faces, edge: str, slots, merged_id: str) -> None:
-    """Delete `edge` and merge the faces of its two (face, position) slots
-    into `merged_id`.  The rest of the face later in sorted order replaces
-    the occurrence in the first, reversed when both occurrences carry the
-    same sign, so the merged walk runs through the edge's endpoints the way
-    the first face did; for a loop this keeps the vertex link one cycle.
+    """Delete `edge` and merge the faces of its two (face, position) slots,
+    which lie on two faces, into `merged_id`.  The rest of the face later
+    in sorted order (one comparison orders the slots) replaces the
+    occurrence in the first, reversed when both occurrences carry the same
+    sign, so the merged walk runs through the edge's endpoints the way the
+    first face did; for a loop this keeps the vertex link one cycle.
     Raises DegenerateOperationError, editing nothing, when nothing is left."""
-    (f1, p1), (f2, p2) = sorted(slots)
+    (f1, p1), (f2, p2) = slots
+    if f2 < f1:
+        f1, p1, f2, p2 = f2, p2, f1, p1
     wa, wb = faces[f1], faces[f2]
     rest = wb[p2 + 1 :] + wb[:p2]
     if wa[p1][0] == wb[p2][0]:
@@ -425,6 +467,51 @@ def _merge_cells(edges, faces, edge: str, slots, merged_id: str) -> None:
         raise DegenerateOperationError(f"deleting {edge} would leave a face with an empty boundary")
     del edges[edge], faces[f1], faces[f2]
     faces[merged_id] = _canonical_rotation(merged)
+
+
+def _collapse_cells(edges, faces, bigons) -> dict[str, str]:
+    """Collapse each bigon of `bigons` in turn, as _merge_cells would: delete
+    its lesser edge and merge it into that edge's other face g, which keeps
+    its id.  A bigon that repeats one edge when its turn comes is left.
+    Returns each deleted bigon and edge mapped to the face that absorbed it.
+
+    A collapse keeps every walk's length: g gets the bigon's other
+    occurrence o at the deleted edge's position, or -o when the edge's two
+    occurrences carry the same sign, and then, if the bigon sorts before
+    g, g's walk is reversed.  So slots stay put: one map from each bigon
+    edge to its (face, position) slots, updated as o moves, finds every g
+    without a scan.  A touched walk becomes a list with a direction in
+    `turn` (-1 once reversed), is written in place, and is reversed and
+    rotated once at the end.
+    """
+    slots: dict[str, list[tuple[str, int]]] = {e: [] for f in bigons for _s, e in faces[f]}
+    for f, walk in faces.items():
+        for i, (_s, e) in enumerate(walk):
+            if e in slots:
+                slots[e].append((f, i))
+    turn: dict[str, int] = {}
+    absorbed: dict[str, str] = {}
+    for f in bigons:
+        x, y = faces[f]
+        if x[1] == y[1]:
+            continue
+        (s, gone), (t, o) = (x, y) if x[1] < y[1] else (y, x)
+        a, b = slots[gone]
+        g, j = b if a[0] == f else a
+        if g not in turn:
+            faces[g], turn[g] = list(faces[g]), 1
+        walk, tf, tg = faces[g], turn.get(f, 1), turn[g]
+        same = s * tf == walk[j][0] * tg  # signs as each walk reads now
+        walk[j] = ((-t if same else t) * tf * tg, o)
+        if same and f < g:
+            turn[g] = -tg
+        slots[o] = [(g, j) if h == f else (h, q) for h, q in slots[o]]
+        del edges[gone], faces[f]
+        absorbed[f] = absorbed[gone] = g
+    for g, t in turn.items():
+        if g in faces:
+            faces[g] = _canonical_rotation(reversed_walk(faces[g]) if t < 0 else faces[g])
+    return absorbed
 
 
 def _surgery_result(S: SurfaceComplex, edges, faces, gone, *new: str) -> SurfaceComplex:

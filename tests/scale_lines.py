@@ -4,7 +4,7 @@ grow at most linearly in the cell count.
     PYTHONPATH=src python tests/scale_lines.py
 
 For each field family below, at 24x24 and 48x48 (four times the cells,
-and for the cone 24*24 and 48*48 sides), it
+and for the cone 24*24 and 48*48 sides, for the pillow as many bigons), it
 emits the field's file and counts the `line` events that `sys.settrace`
 reports in `src/linefields/` while each layer runs: parse_document, then
 problems(), closed_path(), graph(), corridors(), report_json and
@@ -12,9 +12,10 @@ graph_dot on the parsed field, in that order, as the CLI runs them, then
 split_face on the parsed complex's first face in sorted order, between
 corners 0 and 2, and delete_edge_merge_faces on its first edge in sorted
 order that lies on two faces.  A line field is then emitted with emit_line_field and goes through
-homotopy_core, one merge_critical_faces move (the first pair of critical
-faces in sorted order that a corridor joins and the move accepts) and,
-where the field has one, one cancel_vertex_face move (the first critical
+homotopy_core and, where the field has one, one merge_critical_faces
+move (the first pair of critical faces in sorted order that a corridor
+joins and the move accepts; the pillow's n-gons are joined by n corridors,
+so it has none) and one cancel_vertex_face move (the first critical
 face and vertex in sorted order that the move accepts), and a vector
 field through dvf_to_dlf, emit_line_field and vertex_link_cycles() on
 that image, dlf_to_dvf on it and emit_vector_field on both factors
@@ -33,7 +34,11 @@ on a grid torus that keeps each of its tree's pairs with probability 0.8
 has many critical vertices and does.  The last family leaves the grids'
 faces of length 4 and vertices of degree 4: a cone sphere (wheel) whose
 one face has 24*24 or 48*48 sides, all joined to an apex, with the line
-field {(u0, s0)}; its cancellation splits that face.  It runs under
+field {(u0, s0)}; its cancellation splits that face.  The pillow
+(support.pillow) is two n-gons with a bigon on every edge, 24*24 or 48*48
+of them, and the empty line field: homotopy_core collapses every bigon
+into one n-gon, so a collapse that rewrites the absorbing walk once per
+bigon is quadratic there.  It runs under
 PYTHONHASHSEED=0 (re-executing itself when another seed is set), so set
 iteration order cannot move a count.  Standard library only.
 """
@@ -44,6 +49,7 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -81,6 +87,7 @@ FAMILIES = {
     "snake tree-cotree, torus": lambda n: support.serpentine_torus(n, n)[0],
     "forest, torus": lambda n: support.forest_field(support.grid_torus(n, n), random.Random(n), 0.8),
     "cone, n*n sides": lambda n: LineField(support.cone_sphere(n * n), frozenset({("u0", "s0")})),
+    "pillow, n*n bigons": lambda n: LineField(support.pillow(n * n)),
 }
 
 
@@ -109,17 +116,22 @@ class LineCounter:
         return self.lines, result
 
 
-def merge_pair(L: LineField) -> tuple[str, str]:
+def merge_pair(L: LineField) -> tuple[str, str] | None:
     """The first critical faces f, g, in sorted order, that a corridor from
-    f joins and merge_critical_faces accepts."""
+    f joins and merge_critical_faces accepts, or None.  The move needs a
+    unique corridor, so an end reached twice is not tried."""
     for f in sorted(c for c in L.doubled_critical() if c in L.complex.faces):
-        for corridor in corridors_from(L, f):
+        corridors = corridors_from(L, f)
+        reached = Counter(corridor.end for corridor in corridors)
+        for corridor in corridors:
+            if reached[corridor.end] > 1:
+                continue
             try:
                 merge_critical_faces(L, f, corridor.end)
             except OperationError:
                 continue
             return f, corridor.end
-    raise AssertionError(f"{L.complex.name}: no critical faces to merge")
+    return None
 
 
 def cancel_pair(L: LineField) -> tuple[str, str] | None:
@@ -140,12 +152,11 @@ def cancel_pair(L: LineField) -> tuple[str, str] | None:
 def layer_lines(field) -> tuple[int, dict[str, int]]:
     """The complex's cell count and each layer's line count.  The analysis
     layers and the two surgery moves run in order on one field parsed from
-    `field`'s file.  A line
-    field is emitted, and the homotopy core, one merge of critical faces
-    and, if it has one, one cancellation run on a second parsed field; a
-    vector field's image under dvf_to_dlf is emitted, its link cycles are
-    decoded, it goes back through dlf_to_dvf, and both factors are
-    emitted."""
+    `field`'s file.  A line field is emitted, and the homotopy core and,
+    where it has them, one merge of critical faces and one cancellation run
+    on a second parsed field; a vector field's image under dvf_to_dlf is
+    emitted, its link cycles are decoded, it goes back through dlf_to_dvf,
+    and both factors are emitted."""
     emit = emit_vector_field if isinstance(field, VectorField) else emit_line_field
     text = emit(field)
     counter = LineCounter()
@@ -174,10 +185,11 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
         lines["emit_line_field"], _text = counter.count(lambda: emit_line_field(parsed))
         fresh = LineField(parse_document(text).complex, doc.match)
         lines["homotopy_core"], _core = counter.count(lambda: homotopy_core(fresh))
-        f, g = merge_pair(parsed)
-        lines["merge_critical_faces"], _merged = counter.count(
-            lambda: merge_critical_faces(fresh, f, g)
-        )
+        faces = merge_pair(parsed)
+        if faces is not None:
+            lines["merge_critical_faces"], _merged = counter.count(
+                lambda: merge_critical_faces(fresh, *faces)
+            )
         pair = cancel_pair(parsed)
         if pair is not None:
             lines["cancel_vertex_face"], _cancelled = counter.count(

@@ -308,6 +308,18 @@ def cone_sphere(n):
     return SurfaceComplex(vertices, edges, faces, name=f"cone{n}")
 
 
+def pillow(n):
+    """A sphere of two n-gons with a bigon on every edge: rim vertices u<i>,
+    edges a<i> and b<i> from u<i> to u<i+1>, the n-gon top on the a<i>, the
+    n-gon bottom on the b<i> backwards, and the bigon g<i> on +b<i> -a<i>."""
+    vertices = frozenset(f"u{i}" for i in range(n))
+    edges = {f"{x}{i}": (f"u{i}", f"u{(i + 1) % n}") for x in "ab" for i in range(n)}
+    faces = {"top": w(" ".join(f"+a{i}" for i in range(n))),
+             "bottom": w(" ".join(f"-b{i}" for i in reversed(range(n))))}
+    faces.update({f"g{i}": w(f"+b{i} -a{i}") for i in range(n)})
+    return SurfaceComplex(vertices, edges, faces, name=f"pillow{n}")
+
+
 def grid_torus(rows, cols):
     """Torus cut into a rows-by-cols grid of square faces.
 

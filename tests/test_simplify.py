@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,12 +21,13 @@ from linefields import (
     fresh_id,
     homotopy_core,
     merge_critical_faces,
+    simplify,
     split_face,
     topological_graph,
     validate_line_field,
 )
 from linefields.dynamics import LPath, _count_walks, _nth_walk, _require_acyclic
-from linefields.surface import _fresh_ids
+from linefields.surface import _fresh_ids, _merge_cells, reversed_walk
 
 
 def two_pair_tetra():
@@ -785,6 +787,90 @@ def test_merge_matches_move_by_move_when_merged_face_sorts_last():
         "merge through interior faces",
         "merged face sorts last, its rest reversed",
     }
+
+
+# ---- the bigon collapse against its frozen reference ----------------------
+
+
+def reference_collapse(S, edges, walks, parent, seen):
+    """_collapse_bigons as it stood before the collapse kernel: one
+    _merge_cells per bigon, which re-slices and re-rotates the absorbing
+    walk, found by a scan for the deleted edge.  Adds to `seen` the shape
+    of each collapse."""
+    bigons = sorted(f for f, walk in walks.items() if len(walk) == 2)
+    for f in bigons:
+        walk = walks[f]
+        if walk[0][1] == walk[1][1]:
+            continue
+        i = 0 if walk[0][1] < walk[1][1] else 1
+        gone = walk[i][1]
+        a, b = (simplify._root(parent, h) for h, _p in S.occurrence_index[gone])
+        g = b if a == f else a
+        j = next(k for k, (_s, e) in enumerate(walks[g]) if e == gone)
+        same = walk[i][0] == walks[g][j][0]
+        seen["same sign" if same else "opposite signs"] += 1
+        seen["bigon sorts first" if f < g else "bigon sorts last"] += 1
+        seen["same sign, bigon sorts first"] += same and f < g
+        seen["into a bigon"] += len(walks[g]) == 2
+        _merge_cells(edges, walks, gone, ((f, i), (g, j)), g)
+        parent[f] = parent[gone] = g
+    return next((f for f in bigons if f in walks), None)
+
+
+def stacked_pillow(rng, bigons):
+    """A sphere like support.pillow, with the bigons stacked in random
+    numbers on random sides: side i of the two rim polygons carries edges
+    c<i>_0, ..., c<i>_m from u<i> to u<i+1>, the top face takes the first,
+    the bottom face the last, and a bigon lies between each two in turn.
+    Every face's walk runs either way, and cell ids are shuffled, so the
+    deleted edges mix same-sign and opposite-sign occurrences and bigons
+    sort before and after the faces that absorb them."""
+    k = rng.randrange(1, bigons + 1)
+    stack = [1] * k
+    for _ in range(bigons - k):
+        stack[rng.randrange(k)] += 1
+    ends = {(i, j): (f"u{i}", f"u{(i + 1) % k}") for i in range(k) for j in range(stack[i] + 1)}
+    edge_ids = [f"e{x:03d}" for x in rng.sample(range(1000), len(ends))]
+    name = dict(zip(ends, edge_ids))
+    walks = [[(1, name[i, 0]) for i in range(k)],
+             [(-1, name[i, stack[i]]) for i in reversed(range(k))]]
+    walks += [[(1, name[i, j + 1]), (-1, name[i, j])] for i in range(k) for j in range(stack[i])]
+    face_ids = [f"f{x:03d}" for x in rng.sample(range(1000), len(walks))]
+    faces = {f: tuple(walk) if rng.random() < 0.5 else reversed_walk(walk)
+             for f, walk in zip(face_ids, walks)}
+    edges = {name[key]: uv for key, uv in ends.items()}
+    return SurfaceComplex(frozenset(f"u{i}" for i in range(k)), edges, faces,
+                          name=f"pillow{bigons}")
+
+
+def test_collapse_matches_reference(monkeypatch):
+    """homotopy_core's collapse, one substitution by position per bigon and
+    one rotation per touched walk, builds the cores that one _merge_cells
+    per bigon built: on the differential fields, on a random corpus with
+    empty and sparse matchings, and on pillows of 1 to 40 bigons, plain
+    and stacked, empty and sparsely matched."""
+    rng = random.Random(871)
+    fields = differential_fields()
+    for S in support.random_corpus(872, 120, max_moves=4):
+        fields += [LineField(S), LineField(S, support.sample_matching(
+            support.line_field_pairs(S), rng, keep=0.3))]
+    for n in range(1, 41):
+        for S in (support.pillow(n), stacked_pillow(rng, n)):
+            fields += [LineField(S), LineField(S, support.sample_matching(
+                support.line_field_pairs(S), rng, keep=0.2))]
+    seen = Counter()
+    compared = 0
+    for L in fields:
+        if L.closed_path() is not None:
+            continue
+        got = core_outcome(homotopy_core(L))
+        with monkeypatch.context() as patch:
+            patch.setattr(simplify, "_collapse_bigons", lambda edges, walks, parent:
+                          reference_collapse(L.complex, edges, walks, parent, seen))
+            want = core_outcome(homotopy_core(L))
+        assert got == want, L.complex.name
+        compared += 1
+    assert compared >= 450 and min(seen.values()) >= 200, (compared, seen)
 
 
 # ---- no surgery pinches a vertex ------------------------------------------

@@ -4,9 +4,10 @@ Each walking operation refuses an unsound field from the cached verdicts:
 an invalid matching with OperationError("not a valid <kind>: <first
 violation>"), checked first, then a complex that validate() faults with
 InvalidComplexError(<first problem>).  Corridors read only which edges are
-matched, so they refuse the complex alone.  The readouts (problems(),
-doubled_critical(), closed_path(), is_radial, dlf_to_dvf) answer on any
-input.
+matched, so they refuse the complex alone.  An operation that takes cells
+checks them first, so a bad argument is refused alike on any input.  The
+readouts (problems(), doubled_critical(), closed_path(), is_radial,
+dlf_to_dvf) answer on any input.
 """
 
 import io
@@ -140,7 +141,10 @@ def test_unsound_complex_is_refused_by_line_field_operations(op):
     checked = 0
     for name, L in _unsound_line_fields():
         if name == "bigons" and op == "cancel_vertex_face":
-            continue  # no bigon has a negative index, so the arguments are refused first
+            # No bigon has a negative index, and arguments are refused first.
+            _refused(lambda L: cancel_vertex_face(L, "v", "F"), L, OperationError,
+                     "face F has doubled index 1; cancellation needs a negative index")
+            continue
         assert L.problems() == L.complex.validate() != []
         _refused(operation, L, InvalidComplexError, L.complex.validate()[0])
         checked += 1
@@ -168,6 +172,29 @@ def test_invalid_vector_matching_is_refused(op):
         V = VectorField(support.tetra(), frozenset(pairs))
         problem = V.problems()[0]
         _refused(VECTOR_OPERATIONS[op], V, OperationError, f"not a valid vector field: {problem}")
+
+
+# Operations that take cells check them before the door, on any input.
+ARGUMENT_REFUSALS = {
+    "LineField.count_paths": (lambda S: LineField(S).count_paths("nope", "v1"),
+                              "nope is not a vertex of the complex"),
+    "LineField.paths": (lambda S: LineField(S).paths("v1", "nope"),
+                        "nope is not a vertex of the complex"),
+    "VectorField.count_paths": (lambda S: VectorField(S).count_paths("nope", "v1"),
+                                "nope is not a cell of the complex"),
+    "merge_critical_faces": (lambda S: merge_critical_faces(LineField(S), "nope", "f123"),
+                             "nope is not a face of the complex"),
+    "cancel_vertex_face": (lambda S: cancel_vertex_face(LineField(S), "nope", "f123"),
+                           "nope is not a vertex of the complex"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(ARGUMENT_REFUSALS))
+def test_arguments_are_refused_before_the_door(op):
+    call, message = ARGUMENT_REFUSALS[op]
+    S = support.tetra_without_face()
+    assert S.validate()
+    _refused(call, S, OperationError, message)
 
 
 def test_matching_is_refused_before_the_complex():
