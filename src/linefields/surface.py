@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import accumulate
 from types import SimpleNamespace
 
-from .errors import DegenerateOperationError, InvalidComplexError, _Record
+from .errors import DegenerateOperationError, InvalidComplexError, OperationError, _Record
 
 # An occurrence is (sign, edge_id) with sign +1 or -1.
 Occurrence = tuple[int, str]
@@ -531,10 +531,14 @@ def split_face(S: SurfaceComplex, face: str, p: int, q: int, diag_id: str, face_
     The diagonal runs from the corner-p vertex (tail) to the corner-q vertex
     (head).  Face A takes positions p..q-1 followed by the diagonal traversed
     backwards; face B takes positions q..p-1 followed by the diagonal forwards.
-    Raises InvalidComplexError when a new id repeats another or names a kept cell.
+    Raises OperationError for an unknown face, DegenerateOperationError
+    unless p and q are two distinct positions of its walk, and
+    InvalidComplexError when a new id repeats another or names a kept cell.
     """
-    walk = S.faces[face]
-    if len(walk) < 2 or p == q:
+    if face not in S.faces:
+        raise OperationError(f"{face} is not a face of the complex")
+    n = len(S.faces[face])
+    if p == q or not (0 <= p < n and 0 <= q < n):
         raise DegenerateOperationError(f"cannot split face {face} at positions {p}, {q}")
     edges, faces = dict(S.edges), dict(S.faces)
     _split_cells(edges, faces, face, p, q, diag_id, face_a_id, face_b_id)

@@ -4,14 +4,15 @@ grow at most linearly in the cell count.
     PYTHONPATH=src python tests/scale_lines.py
 
 For each field family below, at 24x24 and 48x48 (four times the cells,
-and for the cone 24*24 and 48*48 sides, for the pillow as many bigons), it
-emits the field's file and counts the `line` events that `sys.settrace`
+and for the cone and the one-face polygon 24*24 and 48*48 sides, for the
+pillow as many bigons), it emits the field's file and counts the `line` events that `sys.settrace`
 reports in `src/linefields/` while each layer runs: parse_document, then
 problems(), closed_path(), graph(), corridors(), report_json and
 graph_dot on the parsed field, in that order, as the CLI runs them, then
 split_face on the parsed complex's first face in sorted order, between
 corners 0 and 2, and delete_edge_merge_faces on its first edge in sorted
-order that lies on two faces.  A line field is then emitted with emit_line_field and goes through
+order that lies on two faces, where one does.  A line field is then
+emitted with emit_line_field and goes through
 homotopy_core and, where the field has one, one merge_critical_faces
 move (the first pair of critical faces in sorted order that a corridor
 joins and the move accepts; the pillow's n-gons are joined by n corridors,
@@ -38,7 +39,11 @@ field {(u0, s0)}; its cancellation splits that face.  The pillow
 (support.pillow) is two n-gons with a bigon on every edge, 24*24 or 48*48
 of them, and the empty line field: homotopy_core collapses every bigon
 into one n-gon, so a collapse that rewrites the absorbing walk once per
-bigon is quadratic there.  It runs under
+bigon is quadratic there.  The one-face polygon (support.one_face) is the
+surface of genus g as a single 4g-gon of 24*24 or 48*48 sides on one
+vertex, with the empty line field: one face, of length linear in the
+cells, and one vertex whose degree is; no edge lies on two faces, so it
+runs no delete_edge_merge_faces.  It runs under
 PYTHONHASHSEED=0 (re-executing itself when another seed is set), so set
 iteration order cannot move a count.  Standard library only.
 """
@@ -88,6 +93,7 @@ FAMILIES = {
     "forest, torus": lambda n: support.forest_field(support.grid_torus(n, n), random.Random(n), 0.8),
     "cone, n*n sides": lambda n: LineField(support.cone_sphere(n * n), frozenset({("u0", "s0")})),
     "pillow, n*n bigons": lambda n: LineField(support.pillow(n * n)),
+    "one face, n*n sides": lambda n: LineField(support.one_face(n * n // 4)),
 }
 
 
@@ -174,13 +180,15 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
     ):
         lines[name], _result = counter.count(call)
     face = min(S.faces)
-    edge = min(e for e, slots in S.occurrence_index.items() if slots[0][0] != slots[1][0])
     lines["split_face"], _split = counter.count(
         lambda: split_face(S, face, 0, 2, "probe_d", "probe_a", "probe_b")
     )
-    lines["delete_edge_merge_faces"], _merged = counter.count(
-        lambda: delete_edge_merge_faces(S, edge, "probe_m")
-    )
+    edge = min((e for e, slots in S.occurrence_index.items() if slots[0][0] != slots[1][0]),
+               default=None)
+    if edge is not None:
+        lines["delete_edge_merge_faces"], _merged = counter.count(
+            lambda: delete_edge_merge_faces(S, edge, "probe_m")
+        )
     if isinstance(parsed, LineField):
         lines["emit_line_field"], _text = counter.count(lambda: emit_line_field(parsed))
         fresh = LineField(parse_document(text).complex, doc.match)

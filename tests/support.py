@@ -13,15 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from linefields import LineField, VectorField
-from linefields.errors import DegenerateOperationError, OperationError
-from linefields.simplify import CellCorrespondence
-from linefields.surface import (
-    Occurrence,
-    SurfaceComplex,
-    delete_edge_merge_faces,
-    fresh_id,
-    split_face,
-)
+from linefields.surface import Occurrence, SurfaceComplex, fresh_id, split_face
 
 
 def w(text):
@@ -65,10 +57,6 @@ def is_rotation(walk, other):
 
 
 # ---- primitives only the tests use -----------------------------------------
-#
-# contract_matched_pair and collapse_noncritical_face apply one move of
-# homotopy_core at a time: the move-by-move reference its one-pass result is
-# compared against.
 
 
 def subdivide_edge(
@@ -133,74 +121,6 @@ def hasse_diagram(S: SurfaceComplex) -> HasseDiagram:
             incidences[(e, f)] += 1
     dims = {cell: d for cell, d in S.cells()}
     return HasseDiagram(dims=dims, incidences=dict(incidences))
-
-
-def contract_matched_pair(
-    L: LineField, v: str, e: str
-) -> tuple[LineField, CellCorrespondence]:
-    """Contract the matched edge e, merging v into its other endpoint.
-
-    The occurrences of e disappear from all walks; every other pair stays
-    matched and valid.  A face whose walk consists of e alone cannot
-    survive the contraction and raises DegenerateOperationError.
-    """
-    S = L.complex
-    if (v, e) not in L.matching:
-        raise OperationError(f"({v}, {e}) is not a matched pair")
-    tail, head = S.edges[e]
-    if tail == head:
-        raise OperationError(f"cannot contract the matched loop {e}")
-    keep = head if v == tail else tail
-    faces = {}
-    for f, walk in S.faces.items():
-        trimmed = tuple(occ for occ in walk if occ[1] != e)
-        if not trimmed:
-            raise DegenerateOperationError(
-                f"contracting {e} would leave face {f} with an empty boundary"
-            )
-        faces[f] = trimmed
-    edges = {
-        eid: (keep if t == v else t, keep if h == v else h)
-        for eid, (t, h) in S.edges.items()
-        if eid != e
-    }
-    T = SurfaceComplex(S.vertices - {v}, edges, faces, name=S.name)
-    mapping = {c: c for c, _d in S.cells()}
-    mapping[v] = keep
-    mapping[e] = keep
-    return LineField(T, L.matching - {(v, e)}), CellCorrespondence(mapping)
-
-
-def collapse_noncritical_face(
-    L: LineField, f: str
-) -> tuple[LineField, CellCorrespondence]:
-    """Remove a two-sided face by deleting the smaller of its two edges.
-
-    Applicable once the matching is empty, so a non-critical face is
-    exactly a walk of length two.  The deleted edge's other face absorbs f
-    and keeps its identifier.
-    """
-    S = L.complex
-    if L.matching:
-        raise OperationError("matched pairs remain; contract them before collapsing")
-    if f not in S.faces:
-        raise OperationError(f"{f} is not a face of the complex")
-    walk = S.faces[f]
-    if len(walk) != 2:
-        raise OperationError(f"face {f} is critical")
-    ea, eb = walk[0][1], walk[1][1]
-    if ea == eb:
-        raise DegenerateOperationError(
-            f"face {f} repeats {ea} twice; collapsing needs two distinct edges"
-        )
-    gone = min(ea, eb)
-    a, b = S.occurrence_index[gone]
-    neighbor, _q = b if a == (f, [ea, eb].index(gone)) else a
-    T = delete_edge_merge_faces(S, gone, neighbor)
-    mapping = {c: c for c, _d in S.cells()}
-    mapping[f] = neighbor
-    mapping[gone] = neighbor
-    return LineField(T, frozenset()), CellCorrespondence(mapping)
 
 
 # ---- named complexes -----------------------------------------------------
@@ -318,6 +238,18 @@ def pillow(n):
              "bottom": w(" ".join(f"-b{i}" for i in reversed(range(n))))}
     faces.update({f"g{i}": w(f"+b{i} -a{i}") for i in range(n)})
     return SurfaceComplex(vertices, edges, faces, name=f"pillow{n}")
+
+
+def one_face(g):
+    """The orientable surface of genus g as one 4g-gon: one vertex v, loops
+    a<i> and b<i>, and the face F walking +a0 +b0 -a0 -b0 +a1 ... -b<g-1>."""
+    loops = [(f"a{i}", f"b{i}") for i in range(g)]
+    return SurfaceComplex(
+        vertices=frozenset({"v"}),
+        edges={e: ("v", "v") for pair in loops for e in pair},
+        faces={"F": w(" ".join(f"+{a} +{b} -{a} -{b}" for a, b in loops))},
+        name=f"one_face{g}",
+    )
 
 
 def grid_torus(rows, cols):

@@ -5,7 +5,6 @@ verdict per criterion.  Tolerances are exact throughout; every compared
 value is an integer.
 """
 
-import json
 import random
 import time
 from collections import Counter
@@ -14,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from isomorphism import line_fields_isomorphic
+import model
 import support
 
 from linefields import (
@@ -264,29 +264,6 @@ def test_criterion_6_cancellation_soundness():
     print(f"criterion 6: PASS ({merges} merges, {cancels} cancels)")
 
 
-def brute_x_witnesses(V, upper, lower):
-    """Per-occurrence path count by plain recursion over the matching."""
-    S = V.complex
-    up_of = dict(V.matching)
-    low_dim = S.dim_of(lower)
-
-    def ways(cell):
-        t = up_of.get(cell)
-        if t is None:
-            return 1 if cell == lower else 0
-        if low_dim == 0:
-            nexts = [w for w in S.edges[t] if w != cell]
-        else:
-            nexts = [e for _s, e in S.faces[t] if e != cell]
-        return sum(ways(n) for n in nexts)
-
-    if low_dim == 0:
-        starts = list(S.edges[upper])
-    else:
-        starts = [e for _s, e in S.faces[upper]]
-    return sum(ways(c) for c in starts)
-
-
 def test_criterion_7_forman_cancellation():
     rng = random.Random(919)
     done = rejected = 0
@@ -308,7 +285,7 @@ def test_criterion_7_forman_cancellation():
                 for lower in sorted(crit):
                     if S.dim_of(lower) != du - 1:
                         continue
-                    witnesses = brute_x_witnesses(V, upper, lower)
+                    witnesses = len(model.x_paths(model.field_of(V), upper, lower, per_slot=True))
                     if witnesses == 1:
                         out = cancel_dvf(V, upper, lower)
                         assert closed_x_path(out) is None
@@ -348,50 +325,6 @@ def matchings_up_to(pairs, limit):
     return rec(0)
 
 
-def brute_l_path(L, source, target):
-    """Follow the matching from `source`; return the walk to `target` or None."""
-    S = L.complex
-    step = dict(L.matching)
-    vertices, edges = [source], []
-    while vertices[-1] != target:
-        u = vertices[-1]
-        if u not in step:
-            return None
-        tail, head = S.edges[step[u]]
-        edges.append(step[u])
-        vertices.append(head if u == tail else tail)
-    return tuple(vertices), tuple(edges)
-
-
-def brute_x_paths(V, source, target):
-    """Depth-first enumeration of (cells, witness cells) sequences."""
-    S = V.complex
-    up_of = dict(V.matching)
-    low_dim = S.dim_of(target)
-    found = []
-
-    def rec(cell, cells, wits):
-        t = up_of.get(cell)
-        if t is None:
-            if cell == target:
-                found.append((tuple(cells), tuple(wits)))
-            return
-        if low_dim == 0:
-            nexts = [w for w in S.edges[t] if w != cell]
-        else:
-            nexts = [e for _s, e in S.faces[t] if e != cell]
-        for n in nexts:
-            rec(n, cells + [n], wits + [t])
-
-    if low_dim == 0:
-        starts = list(dict.fromkeys(S.edges[source]))
-    else:
-        starts = list(dict.fromkeys(e for _s, e in S.faces[source]))
-    for c in starts:
-        rec(c, [c], [])
-    return sorted(found)
-
-
 def test_criterion_8_path_oracles():
     line_checked = x_checked = 0
     for build in support.all_seed_builders():
@@ -401,10 +334,11 @@ def test_criterion_8_path_oracles():
             L = LineField(S, matching)
             if L.closed_path() is not None:
                 continue
+            data = model.field_of(L)
             for source in sorted(S.vertices):
                 for target in sorted(S.vertices):
                     got = l_paths(L, source, target)
-                    want = brute_l_path(L, source, target)
+                    want = model.l_path(data, source, target)
                     if want is None:
                         assert got == []
                     else:
@@ -415,17 +349,15 @@ def test_criterion_8_path_oracles():
             V = VectorField(S, matching)
             if closed_x_path(V) is not None:
                 continue
+            data = model.field_of(V)
             crit = critical_cells_dvf(V)
             uppers = [c for c in sorted(crit) if S.dim_of(c) > 0]
             for upper in uppers:
                 for lower in sorted(crit):
                     if S.dim_of(lower) != S.dim_of(upper) - 1:
                         continue
-                    got = sorted(
-                        (p.cells, tuple(w[0] for w in p.witnesses))
-                        for p in x_paths(V, upper, lower)
-                    )
-                    assert got == brute_x_paths(V, upper, lower)
+                    got = [(p.cells, p.witnesses) for p in x_paths(V, upper, lower)]
+                    assert got == model.x_paths(data, upper, lower)
                     x_checked += 1
     assert line_checked >= 1000 and x_checked >= 1000
     print(f"criterion 8: PASS ({line_checked} l-path, {x_checked} x-path queries)")

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import model
 import support
 from linefields import (
     Crossing,
@@ -395,51 +396,7 @@ def test_loop_free_fields_agree_with_vector_field_cycles():
         )
 
 
-# ---- corridors against the two-way tracer ---------------------------------
-
-
-def _reference_trace(L, start_occ, visited):
-    """dynamics._trace_corridor as it was when every corridor was traced
-    from both of its ends."""
-    S = L.complex
-    crossings, faces, cur = [], [], start_occ
-    while True:
-        edge = S.faces[cur[0]][cur[1]][1]
-        a, b = S.occurrence_index[edge]
-        arrive = b if a == cur else a
-        visited.update((cur, arrive))
-        crossings.append(Crossing(edge, cur, arrive))
-        g, q = arrive
-        at = L._unmatched[g]
-        if len(at) != 2:
-            return dynamics.Corridor(start_occ[0], g, tuple(crossings), tuple(faces))
-        faces.append(g)
-        cur = (g, at[1] if at[0] == q else at[0])
-        if cur == start_occ:
-            return dynamics.ClosedCorridor(tuple(faces), tuple(crossings))
-
-
-def _reference_corridors(L):
-    """The two-way _all_corridors: a trace from every unmatched occurrence
-    of every critical face, then the closed corridors; and `regions` as the
-    set of each corridor's crossing key or its reverse's, whichever is less."""
-    positions = L._unmatched
-    faces = sorted(positions)
-    visited = set()
-    corridors = tuple(
-        _reference_trace(L, (f, i), visited)
-        for f in faces if len(positions[f]) != 2 for i in positions[f]
-    )
-    closed = tuple(
-        _reference_trace(L, (f, i), visited)
-        for f in faces if len(positions[f]) == 2 for i in positions[f] if (f, i) not in visited
-    )
-    undirected = set()
-    for corr in corridors:
-        key = tuple((c.depart, c.arrive) for c in corr.crossings)
-        rkey = tuple((c.arrive, c.depart) for c in reversed(corr.crossings))
-        undirected.add(min(key, rkey))
-    return corridors, closed, len(undirected)
+# ---- corridors against the model -----------------------------------------
 
 
 def _tree_field(S, rng, depth_first):
@@ -463,10 +420,10 @@ def _tree_field(S, rng, depth_first):
 
 
 def test_corridors_match_the_two_way_tracer():
-    """Tracing each corridor once, from its first end, gives the corridors,
-    in the same order and as the same records, and the closed corridors of
-    tracing from both ends, and `regions` is the old count up to direction.
-    Each corridor's reverse is listed exactly once, and none is its own."""
+    """Tracing each corridor once, from its first end, gives the model's
+    corridors, traced from both ends, in the same order, and its closed
+    corridors, and `regions` is the model's count up to direction.  Each
+    corridor's reverse is listed exactly once, and none is its own."""
     from test_simplify import differential_fields
 
     rng = random.Random(841)
@@ -481,9 +438,11 @@ def test_corridors_match_the_two_way_tracer():
                        support.forest_field(S, rng, 0.7)]
     acyclic = 0
     for L in fields:
-        want, want_closed, want_regions = _reference_corridors(L)
+        want, want_closed = model.corridors(model.field_of(L))
+        want_regions = model.regions(want)
         got, got_closed = dynamics._all_corridors(L)
-        assert got == want and got_closed == want_closed
+        assert [model.corridor_of(c) for c in got] == want
+        assert [model.corridor_of(c) for c in got_closed] == want_closed
         assert len(got) // 2 == want_regions
         if L.closed_path() is None:
             assert ms_decomposition(L).regions == want_regions

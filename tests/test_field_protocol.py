@@ -1,12 +1,9 @@
-"""The field protocol and the one corridor tracer, against what they replaced.
+"""The field protocol and the one corridor tracer.
 
 LineField and VectorField reach the algorithms through the same methods;
 each method must equal the module function it stands for.  Open and closed
-corridors come from one tracer; `reference_corridors` is a copy of the
-earlier scan, an open-corridor trace followed by a separate cycle
-collection, kept here to compare against.  It builds its own partner,
-sibling and count maps from the walks and the matching, so it shares no
-index with the tracer.
+corridors come from one tracer, compared against the reference model's
+corridors (tests/model.py), which shares no index with the tracer.
 """
 
 import random
@@ -15,11 +12,9 @@ from types import ModuleType
 import pytest
 
 import linefields
+import model
 import support
 from linefields import (
-    ClosedCorridor,
-    Corridor,
-    Crossing,
     CyclicFieldError,
     LineField,
     OperationError,
@@ -36,80 +31,6 @@ from linefields import (
     validate_vector_field,
     x_paths,
 )
-from test_path_engine import old_chain, old_graph_dvf
-
-
-def corridor_maps(L):
-    """Per-face unmatched counts, the partner map pairing the two
-    occurrences of each unmatched edge, the sibling map pairing the two
-    unmatched occurrences of each count-2 face, and each face's unmatched
-    positions, read off the walks and the matching alone."""
-    S = L.complex
-    matched = {e for _v, e in L.matching}
-    positions = {
-        f: [i for i, (_s, e) in enumerate(S.faces[f]) if e not in matched]
-        for f in sorted(S.faces)
-    }
-    slots = {}
-    for f, at in positions.items():
-        for i in at:
-            slots.setdefault(S.faces[f][i][1], []).append((f, i))
-    partner = {}
-    for a, b in slots.values():
-        partner[a], partner[b] = b, a
-    sibling = {}
-    for f, at in positions.items():
-        if len(at) == 2:
-            a, b = (f, at[0]), (f, at[1])
-            sibling[a], sibling[b] = b, a
-    counts = {f: len(at) for f, at in positions.items()}
-    return counts, partner, sibling, positions
-
-
-def reference_corridors(L):
-    """(corridors, closed corridors) as the two separate loops found them."""
-    S = L.complex
-    counts, partner, sibling, positions = corridor_maps(L)
-    visited = set()
-    corridors = []
-    for f in sorted(S.faces):
-        if counts[f] == 2:
-            continue
-        for i in positions[f]:
-            crossings, interior = [], []
-            cur = (f, i)
-            while True:
-                visited.add(cur)
-                arrive = partner[cur]
-                visited.add(arrive)
-                crossings.append(Crossing(S.faces[cur[0]][cur[1]][1], cur, arrive))
-                g = arrive[0]
-                if counts[g] != 2:
-                    corridors.append(Corridor(f, g, tuple(crossings), tuple(interior)))
-                    break
-                interior.append(g)
-                cur = sibling[arrive]
-    closed = []
-    for f in sorted(S.faces):
-        if counts[f] != 2:
-            continue
-        for i in positions[f]:
-            start = (f, i)
-            if start in visited:
-                continue
-            crossings, faces = [], []
-            cur = start
-            while True:
-                visited.add(cur)
-                arrive = partner[cur]
-                visited.add(arrive)
-                crossings.append(Crossing(S.faces[cur[0]][cur[1]][1], cur, arrive))
-                faces.append(arrive[0])
-                cur = sibling[arrive]
-                if cur == start:
-                    break
-            closed.append(ClosedCorridor(tuple(faces), tuple(crossings)))
-    return corridors, closed
 
 
 def fields():
@@ -144,25 +65,6 @@ def fields():
 LINES, VECTORS = fields()
 
 
-def old_graph(L):
-    """Every separatrix of an acyclic line field as (source, target,
-    occurrence, path), from `old_chain`: one walk from the corner of each
-    unmatched occurrence on a critical face's walk, kept when it ends at a
-    critical vertex."""
-    S = L.complex
-    matched = {e for _v, e in L.matching}
-    vertices = S.vertices - {v for v, _e in L.matching}
-    faces = [f for f in sorted(S.faces) if sum(e not in matched for _s, e in S.faces[f]) != 2]
-    edges = []
-    for f in faces:
-        for i, (sign, e) in enumerate(S.faces[f]):
-            if e not in matched:
-                path = old_chain(L, S.edges[e][0 if sign > 0 else 1])
-                if path.vertices[-1] in vertices:
-                    edges.append((f, path.vertices[-1], i, path))
-    return sorted(vertices | set(faces)), edges
-
-
 def outcome(call):
     """What call() returns, or the type and message of the OperationError
     it raises, so refusals are compared too."""
@@ -178,19 +80,23 @@ def test_one_tracer_matches_reference_scan():
     # Crossings of an edge whose two occurrences lie on one face.
     one_face = 0
     for L in LINES:
-        want_open, want_closed = reference_corridors(L)
-        assert list(L.corridors()[1]) == want_closed
-        assert L.corridors() == (tuple(want_open), tuple(want_closed))
+        want_open, want_closed = model.corridors(model.field_of(L))
+        got_open, got_closed = L.corridors()
+        assert type(got_open) is tuple and type(got_closed) is tuple
+        assert [model.corridor_of(c) for c in got_open] == want_open
+        assert [model.corridor_of(c) for c in got_closed] == want_closed
         closed_total += len(want_closed)
-        one_face += sum(c.depart[0] == c.arrive[0]
-                        for corridor in want_open + want_closed for c in corridor.crossings)
-        counts, _partner, _sibling, _positions = corridor_maps(L)
+        one_face += sum(depart[0] == arrive[0] for corridor in want_open
+                        for _e, depart, arrive in corridor[2])
+        one_face += sum(depart[0] == arrive[0] for corridor in want_closed
+                        for _e, depart, arrive in corridor[1])
+        counts = {f: len(at) for f, at in model.unmatched(model.field_of(L)).items()}
         for f in sorted(f for f in L.complex.faces if counts[f] != 2):
-            assert corridors_from(L, f) == [c for c in want_open if c.start == f]
+            assert corridors_from(L, f) == [c for c in got_open if c.start == f]
         if closed_l_path(L) is None:
             report = ms_decomposition(L)
-            assert report.corridors == tuple(want_open)
-            assert report.closed_corridors == tuple(want_closed)
+            assert report.corridors == got_open
+            assert report.closed_corridors == got_closed
             decomposed_with_closed += bool(want_closed)
     assert closed_total > 0 and decomposed_with_closed > 0 and one_face > 0
 
@@ -205,8 +111,11 @@ def test_line_field_methods_equal_functions():
         assert L.closed_path() == closed_l_path(L)
         if L.closed_path() is None:
             graph = L.graph()
-            got = [(s.source, s.target, s.occurrence, s.path) for s in graph.edges]
-            assert (list(graph.vertices), got) == old_graph(L)
+            got = [(s.source, s.target, s.occurrence, (s.path.vertices, s.path.edges))
+                   for s in graph.edges]
+            data = model.field_of(L)
+            assert list(graph.vertices) == sorted(model.critical(data, "line"))
+            assert got == model.separatrices(data, "line")
         vertices = sorted(L.complex.vertices)
         for a, b in zip(vertices, vertices[1:] + vertices[:1]):
             assert outcome(lambda: L.paths(a, b)) == outcome(lambda: l_paths(L, a, b))
@@ -226,8 +135,9 @@ def test_vector_field_methods_equal_functions():
         assert V.closed_path() == closed_x_path(V)
         assert V.corridors() == ((), ())
         if V.closed_path() is None:
-            got = [(s.source, s.target, s.occurrence, s.path) for s in V.graph().edges]
-            assert got == old_graph_dvf(V)
+            got = [(s.source, s.target, s.occurrence, (s.path.cells, s.path.witnesses))
+                   for s in V.graph().edges]
+            assert got == model.separatrices(model.field_of(V), "vector")
         S = V.complex
         for upper in sorted(c for c in crit if S.dim_of(c) > 0)[:4]:
             for lower in sorted(c for c in crit if S.dim_of(c) == S.dim_of(upper) - 1)[:3]:

@@ -1,12 +1,12 @@
-"""The one scan of a field's matching against frozen copies of what it
-replaced.
+"""The one scan of a field's matching against the reference model.
 
 Each field kind reads its matching once, in sorted order, in `_scan`: that
 pass finds the pairing violations, builds the step table and lists the
-roots of the closed-path search.  The copies below are the separate
-passes the scan replaced: both validate functions, both step builders and
-both root orders.  On the random corpus and on seeded invalid mutants the
-violations must be the same list, and on every field that passes
+roots of the closed-path search.  The model (tests/model.py) finds each
+of these from the definitions: the violations of both field kinds, both
+step relations, the root order and the closed-path witness of a
+depth-first search.  On the random corpus and on seeded invalid mutants
+the violations must be the same list, and on every field that passes
 validation the steps, the roots and the closed-path witness must be the
 same.
 """
@@ -18,129 +18,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import model
 import support
 
 from linefields import LineField, VectorField, validate_line_field, validate_vector_field
-from linefields.dynamics import LPath, _find_cycle
+from linefields.dynamics import LPath
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# ---- frozen copies of the passes the scan replaced -----------------------
-
-
-def _reference_validate_line_field(L):
-    S = L.complex
-    problems = []
-    for v, e in sorted(L.matching):
-        if v not in S.vertices:
-            problems.append(f"pair ({v}, {e}) references unknown vertex {v}")
-        elif e not in S.edges:
-            problems.append(f"pair ({v}, {e}) references unknown edge {e}")
-        elif v not in S.edges[e]:
-            problems.append(f"pair ({v}, {e}): {v} is not an endpoint of {e}")
-    used_v = {}
-    used_e = {}
-    for v, e in L.matching:
-        used_v[v] = used_v.get(v, 0) + 1
-        used_e[e] = used_e.get(e, 0) + 1
-    for v in sorted(used_v):
-        if used_v[v] > 1:
-            problems.append(f"vertex {v} appears in {used_v[v]} pairs")
-    for e in sorted(used_e):
-        if used_e[e] > 1:
-            problems.append(f"edge {e} appears in {used_e[e]} pairs")
-    return problems
-
-
-def _reference_line_steps(L):
-    steps = {}
-    for v, e in L.matching:
-        tail, head = L.complex.edges[e]
-        steps[v] = ((e, head if v == tail else tail),)
-    return steps
-
-
-def _reference_line_roots(L, steps):
-    return sorted(steps)
-
-
-def _reference_line_closed(L, steps):
-    cycle = _find_cycle(sorted(steps), steps)
-    if cycle is None:
-        return None
-    ring, edges = cycle[0][:-1], cycle[1]
-    m = ring.index(min(ring))
-    return LPath(ring[m:] + ring[: m + 1], edges[m:] + edges[:m])
-
-
-def _reference_validate_vector_field(V):
-    S = V.complex
-    problems = []
-    for lo, up in sorted(V.matching):
-        if not S.has_cell(lo):
-            problems.append(f"pair ({lo}, {up}) references unknown cell {lo}")
-            continue
-        if not S.has_cell(up):
-            problems.append(f"pair ({lo}, {up}) references unknown cell {up}")
-            continue
-        dlo, dup = S.dim_of(lo), S.dim_of(up)
-        if dup - dlo != 1:
-            problems.append(f"pair ({lo}, {up}): dimensions differ by {dup - dlo}")
-            continue
-        if dlo == 0 and lo not in S.edges[up]:
-            problems.append(f"pair ({lo}, {up}): {lo} is not an endpoint of {up}")
-        if dlo == 1 and all(e != lo for _s, e in S.faces[up]):
-            problems.append(f"pair ({lo}, {up}): {lo} is not on the boundary walk of {up}")
-    used = {}
-    for pair in V.matching:
-        for c in pair:
-            used[c] = used.get(c, 0) + 1
-    for c in sorted(used):
-        if used[c] > 1:
-            problems.append(f"cell {c} appears in {used[c]} pairs")
-    return problems
-
-
-def _reference_exits(S, cell):
-    if cell in S.edges:
-        tail, head = S.edges[cell]
-        return [(0, tail), (1, head)]
-    return [(i, e) for i, (_s, e) in enumerate(S.faces.get(cell, ()))]
-
-
-def _reference_vector_steps(V):
-    return {
-        lo: tuple(((up, key), c) for key, c in _reference_exits(V.complex, up) if c != lo)
-        for lo, up in V.matching
-    }
-
-
-def _reference_vector_roots(V, steps):
-    dim_of = V.complex.dim_of
-    return sorted(steps, key=lambda c: (dim_of(c), c))
-
-
-def _reference_vector_closed(V, steps):
-    cycle = _find_cycle(_reference_vector_roots(V, steps), steps)
-    return None if cycle is None else V._path(*cycle)
-
-
+# Per kind: the package's validate function, then the model's validate
+# function, step relation and closed path, and the witness of a path.
 KINDS = {
-    LineField: (
-        validate_line_field,
-        _reference_validate_line_field,
-        _reference_line_steps,
-        _reference_line_roots,
-        _reference_line_closed,
-    ),
-    VectorField: (
-        validate_vector_field,
-        _reference_validate_vector_field,
-        _reference_vector_steps,
-        _reference_vector_roots,
-        _reference_vector_closed,
-    ),
+    LineField: (validate_line_field, model.validate_line_field, model.line_steps,
+                model.closed_line_path, lambda field, path: LPath(*path)),
+    VectorField: (validate_vector_field, model.validate_vector_field, model.vector_steps,
+                  model.closed_vector_path, lambda field, path: field._path(*path)),
 }
 
 
@@ -264,8 +157,9 @@ def test_scan_matches_the_passes_it_replaced():
     shapes = set()
     valid = 0
     for field in scan_fields():
-        validate, reference, steps_of, roots_of, closed_of = KINDS[type(field)]
-        problems = reference(field)
+        validate, validate_model, steps_of, closed_of, witness = KINDS[type(field)]
+        data = model.field_of(field)
+        problems = validate_model(data)
         assert validate(field) == problems, field
         for message in problems:
             (pattern,) = [p for p in _MESSAGES if re.fullmatch(p, message)]
@@ -276,10 +170,11 @@ def test_scan_matches_the_passes_it_replaced():
         if problems:
             continue
         valid += 1
-        steps = steps_of(field)
+        steps = steps_of(data)
         assert field._steps == steps
-        assert list(field._scan[2]) == roots_of(field, steps)
-        assert closed == closed_of(field, steps)
+        assert list(field._scan[2]) == model.roots(data, steps)
+        path = closed_of(data)
+        assert closed == (None if path is None else witness(field, path))
     assert all(hits.values()), [p for p, n in hits.items() if not n]
     assert shapes == {
         "reused as lower",

@@ -2,16 +2,16 @@
 
 A serpentine field whose gradient path is longer than the recursion limit
 must run through every path query and the CLI.  A differential check
-compares the engine with test-only copies of the recursive traversals it
-replaced: the same paths in the same order, the same counts, the same
-closed-path witnesses.
+compares the engine with the reference model's recursive traversals
+(tests/model.py): the same paths in the same order, the same counts, the
+same closed-path witnesses.
 """
 
 import json
 import random
 import sys
-from functools import lru_cache
 
+import model
 import support
 from linefields import (
     LineField,
@@ -170,155 +170,6 @@ def test_cancel_vertex_face_walks_one_chain(monkeypatch):
     assert out.matching == frozenset({("m", "e34a"), ("v3", "d_f123")})
 
 
-# ---- the recursive traversals the engine replaced (test-only copies) ------
-
-
-def old_step_options(V, cell, dim):
-    upper = V.upper_of(cell)
-    if upper is None:
-        return []
-    if dim == 0:
-        tail, head = V.complex.edges[upper]
-        return [(upper, slot, v) for slot, v in ((0, tail), (1, head)) if v != cell]
-    return [(upper, i, e) for i, (_s, e) in enumerate(V.complex.faces[upper]) if e != cell]
-
-
-def old_complete_paths(V, dim, cell):
-    if V.upper_of(cell) is None:
-        yield XPath(dim, (cell,), ())
-        return
-    for tau, key, nxt in old_step_options(V, cell, dim):
-        for tail_path in old_complete_paths(V, dim, nxt):
-            yield XPath(
-                dim, (cell,) + tail_path.cells, ((tau, key),) + tail_path.witnesses
-            )
-
-
-def old_path_counter(V, dim, target):
-    @lru_cache(maxsize=None)
-    def ways(cell):
-        if V.upper_of(cell) is None:
-            return 1 if cell == target else 0
-        return sum(ways(nxt) for _t, _k, nxt in old_step_options(V, cell, dim))
-
-    return ways
-
-
-def old_closed_x_path(V):
-    for p in (0, 1):
-        lowers = sorted(lo for lo, _up in V.matching if V.complex.dim_of(lo) == p)
-        color = {}
-        for root in lowers:
-            if color.get(root):
-                continue
-            color[root] = 1
-            stack = [(root, iter(old_step_options(V, root, p)))]
-            steps = []
-            while stack:
-                node, options = stack[-1]
-                advanced = False
-                for tau, key, nxt in options:
-                    state = color.get(nxt)
-                    if state == 1:
-                        cells = [n for n, _o in stack]
-                        k = cells.index(nxt)
-                        return XPath(
-                            p, tuple(cells[k:]) + (nxt,), tuple(steps[k:]) + ((tau, key),)
-                        )
-                    if state is None:
-                        color[nxt] = 1
-                        stack.append((nxt, iter(old_step_options(V, nxt, p))))
-                        steps.append((tau, key))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-                    if steps:
-                        steps.pop()
-    return None
-
-
-def old_step_maps(L):
-    step, witness = {}, {}
-    for v, e in L.matching:
-        tail, head = L.complex.edges[e]
-        step[v] = head if v == tail else tail
-        witness[v] = e
-    return step, witness
-
-
-def old_closed_l_path(L):
-    step, witness = old_step_maps(L)
-    done = set()
-    for start in sorted(step):
-        if start in done:
-            continue
-        chain = [start]
-        on_chain = {start}
-        while True:
-            nxt = step.get(chain[-1])
-            if nxt is None or nxt in done:
-                break
-            if nxt in on_chain:
-                cycle = chain[chain.index(nxt) :]
-                m = cycle.index(min(cycle))
-                cycle = cycle[m:] + cycle[:m]
-                cycle.append(cycle[0])
-                return LPath(tuple(cycle), tuple(witness[v] for v in cycle[:-1]))
-            chain.append(nxt)
-            on_chain.add(nxt)
-        done.update(chain)
-    return None
-
-
-def old_chain(L, start):
-    step, witness = old_step_maps(L)
-    cells, edges = [start], []
-    while cells[-1] in step:
-        edges.append(witness[cells[-1]])
-        cells.append(step[cells[-1]])
-    return LPath(tuple(cells), tuple(edges))
-
-
-def start_cells(S, cell):
-    ends = S.edges[cell] if cell in S.edges else [e for _s, e in S.faces[cell]]
-    return list(dict.fromkeys(ends))
-
-
-def boundary(S, cell):
-    if cell in S.edges:
-        return list(enumerate(S.edges[cell]))
-    return [(i, e) for i, (_s, e) in enumerate(S.faces[cell])]
-
-
-def old_graph_dvf(V):
-    S = V.complex
-    crit = critical_cells_dvf(V)
-    edges = []
-    for upper in sorted(c for c in crit if S.dim_of(c) > 0):
-        for key, cell in boundary(S, upper):
-            for path in old_complete_paths(V, S.dim_of(upper) - 1, cell):
-                if path.cells[-1] in crit:
-                    edges.append((upper, path.cells[-1], key, path))
-    return edges
-
-
-def old_x_paths(V, source, target):
-    dim = V.complex.dim_of(target)
-    return [
-        path
-        for start in start_cells(V.complex, source)
-        for path in old_complete_paths(V, dim, start)
-        if path.cells[-1] == target
-    ]
-
-
-def old_count(V, source, target):
-    ways = old_path_counter(V, V.complex.dim_of(target), target)
-    return sum(ways(c) for c in start_cells(V.complex, source))
-
-
 # ---- differential check ---------------------------------------------------
 
 
@@ -368,38 +219,39 @@ def test_engine_matches_recursive_traversals():
     answered = 0
     with support.recursion_limit(20000):
         for L in lines:
+            data = model.field_of(L)
             closed = closed_l_path(L)
-            assert closed == old_closed_l_path(L)
+            want = model.closed_line_path(data)
+            assert closed == (None if want is None else LPath(*want))
             if closed is not None:
                 cyclic["line"] += 1
                 continue
             graph = topological_graph(L)
             for sep in graph.edges:
                 start = sep.path.vertices[0]
-                assert sep.path == old_chain(L, start)
+                assert (sep.path.vertices, sep.path.edges) == model.chain(data, start)
             if len(L.complex.vertices) <= 30:
                 for source in sorted(L.complex.vertices):
-                    chain = old_chain(L, source)
                     for target in sorted(L.complex.vertices):
-                        want = []
-                        if target in chain.vertices:
-                            k = chain.vertices.index(target)
-                            want = [LPath(chain.vertices[: k + 1], chain.edges[:k])]
+                        path = model.l_path(data, source, target)
+                        want = [] if path is None else [LPath(*path)]
                         assert l_paths(L, source, target) == want
         for V in vectors:
+            data = model.field_of(V)
             closed = closed_x_path(V)
-            assert closed == old_closed_x_path(V)
+            want = model.closed_vector_path(data)
+            assert closed == (None if want is None else V._path(*want))
             if closed is not None:
                 cyclic[closed.dimension] += 1
                 continue
             graph = topological_graph(V)
-            got = [(s.source, s.target, s.occurrence, s.path) for s in graph.edges]
-            assert got == old_graph_dvf(V)
+            got = [(s.source, s.target, s.occurrence, (s.path.cells, s.path.witnesses))
+                   for s in graph.edges]
+            assert got == model.separatrices(data, "vector")
             for upper, lower in queries(V, graph):
-                found = list(x_paths(V, upper, lower))
-                assert found == old_x_paths(V, upper, lower)
-                assert count_x_paths(V, upper, lower) == old_count(V, upper, lower)
+                found = [(p.cells, p.witnesses) for p in x_paths(V, upper, lower)]
+                assert found == model.x_paths(data, upper, lower)
+                assert count_x_paths(V, upper, lower) == len(model.x_paths(data, upper, lower))
                 answered += len(found) > 0
     assert min(cyclic.values()) >= 5
     assert answered >= 100
-

@@ -5,6 +5,7 @@ from functools import cached_property
 import pytest
 
 from isomorphism import complexes_isomorphic, line_fields_isomorphic
+import model
 import support
 from support import hasse_diagram
 from linefields import (
@@ -19,13 +20,8 @@ from linefields import (
     dlf_to_dvf,
     dualize,
     dvf_to_dlf,
-    emit_line_field,
-    emit_vector_field,
-    fresh_id,
     is_radial,
     radial_decomposition,
-    split_face,
-    validate_line_field,
     validate_vector_field,
 )
 
@@ -453,140 +449,22 @@ def test_image_ignores_dualization():
 
 # ---- differential check against the move-by-move bridge ------------------
 #
-# The reference applies one split_face or delete_edge_merge_faces per pair,
-# building a complex after every move, and recomputes the taken names from
-# the live cells each time; it then checks radiality with validate(), a
-# two-colouring and the link cycles, and builds each factor in its own
-# pass.  The library's bridge must emit the same text and refuse with the
-# same exception and message.
-
-
-def reference_dvf_to_dlf(V):
-    S = V.complex
-    R = radial_decomposition(S)
-    T = R.complex
-    quad_of = {e: q for q, e in R.face_origin.items()}
-    vertex_of = {c: w for w, c in R.vertex_origin.items()}
-    pairs = []
-    for lo, up in sorted(V.matching):
-        e, other = (lo, up) if lo in S.edges else (up, lo)
-        quad = quad_of[e]
-        anchor = vertex_of[other]
-        k = min(i for i in range(4) if T.corner_vertex(quad, i) == anchor)
-        taken = {cid for cid, _d in T.cells()}
-        diag = fresh_id(f"d_{e}", taken)
-        taken.add(diag)
-        half_a = fresh_id(f"{quad}_0", taken)
-        taken.add(half_a)
-        half_b = fresh_id(f"{quad}_1", taken)
-        T = split_face(T, quad, k, (k + 2) % 4, diag, half_a, half_b)
-        pairs.append((anchor, diag))
-    return LineField(T, frozenset(pairs))
-
-
-def reference_dlf_to_dvf(L):
-    if validate_line_field(L):
-        raise NotInImageError("not a valid line field")
-    T = L.complex
-    merged_quad = {}
-    for _v, d in sorted(L.matching, key=lambda pair: pair[1]):
-        occs = T.edge_occurrences(d)
-        if len(occs) != 2 or occs[0][0] == occs[1][0]:
-            raise NotInImageError(f"matched edge {d} is not a face diagonal")
-        if any(len(T.faces[f]) != 3 for f, _i in occs):
-            raise NotInImageError(f"matched edge {d} does not split a quadrilateral")
-        taken = {cid for cid, _dim in T.cells()}
-        qid = fresh_id(f"m_{d}", taken)
-        T = delete_edge_merge_faces(T, d, qid)
-        merged_quad[d] = qid
-    if not reference_is_radial(T):
-        raise NotInImageError("unmatched edges do not form a radial refinement")
-    first, second = reference_bipartition(T)
-    return (
-        reference_factor(T, first, second, L.matching, merged_quad, f"{T.name}_a"),
-        reference_factor(T, second, first, L.matching, merged_quad, f"{T.name}_b"),
-    )
-
-
-def reference_bipartition(S):
-    """Two-colour the 1-skeleton; None when an odd cycle obstructs.  The
-    class holding the least vertex comes first."""
-    adj = {v: [] for v in S.vertices}
-    for tail, head in S.edges.values():
-        adj[tail].append(head)
-        adj[head].append(tail)
-    color = {}
-    for start in sorted(S.vertices):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for x in adj[u]:
-                if x not in color:
-                    color[x] = 1 - color[u]
-                    stack.append(x)
-                elif color[x] == color[u]:
-                    return None
-    first = frozenset(v for v, c in color.items() if c == 0)
-    return first, frozenset(S.vertices - first)
-
-
-def reference_is_radial(S):
-    """A closed surface of bipartite quadrilaterals with one link cycle at
-    every vertex."""
-    if S.validate():
-        return False
-    if any(len(walk) != 4 for walk in S.faces.values()):
-        return False
-    if reference_bipartition(S) is None:
-        return False
-    return all(len(cycles) == 1 for cycles in S.vertex_link_cycles().values())
-
-
-def reference_factor(R, kept, opposite, matching, merged_quad, name):
-    """Collapse a radial refinement onto the complex of one vertex class:
-    quadrilaterals become edges between their kept corners, and each
-    opposite-class vertex a face following its link cycle."""
-    tail_corner = {}
-    edges = {}
-    for z in sorted(R.faces):
-        k = 0 if R.corner_vertex(z, 0) in kept else 1
-        tail_corner[z] = k
-        edges[z] = (R.corner_vertex(z, k), R.corner_vertex(z, (k + 2) % 4))
-    link = R.vertex_link_cycles()
-    faces = {}
-    for u in sorted(opposite):
-        (cycle,) = link[u]
-        walk = []
-        for z, pos, side in cycle:
-            source = (pos - 1) % 4 if side == "in" else (pos + 1) % 4
-            walk.append((1 if source == tail_corner[z] else -1, z))
-        faces[u] = tuple(walk)
-    S = SurfaceComplex(frozenset(kept), edges, faces, name=name)
-    return VectorField(S, frozenset((v, merged_quad[d]) for v, d in matching))
-
-
-def outcome(bridge, field):
-    """(None, emitted text) for a bridge's result, or (class, message) for
-    what it raised."""
-    try:
-        result = bridge(field)
-    except OperationError as exc:
-        return type(exc), str(exc)
-    if isinstance(result, LineField):
-        return None, emit_line_field(result)
-    return None, tuple(emit_vector_field(X) for X in result)
+# The model (tests/model.py) builds the radial refinement from its
+# definition and applies one split or one edge deletion per pair, picking
+# each new name against the live cells; it then checks radiality with its
+# own validate, a two-colouring and its link cycles, and reads each factor
+# off its own link cycles.  The library's bridge must give the same fields
+# and refuse with the same exception and message.
 
 
 def assert_same_image(V):
-    assert outcome(dvf_to_dlf, V) == outcome(reference_dvf_to_dlf, V)
+    got = model.outcome(lambda: model.field_of(dvf_to_dlf(V)), OperationError)
+    assert got == model.outcome(lambda: model.dvf_to_dlf(model.field_of(V)))
 
 
 def assert_same_factors(L):
-    got = outcome(dlf_to_dvf, L)
-    assert got == outcome(reference_dlf_to_dvf, L)
+    got = model.outcome(lambda: tuple(map(model.field_of, dlf_to_dvf(L))), OperationError)
+    assert got == model.outcome(lambda: model.dlf_to_dvf(model.field_of(L)))
     return got
 
 
@@ -625,7 +503,7 @@ def test_is_radial_matches_reference():
     verdicts = Counter()
     for T in cases:
         verdict = is_radial(T)
-        assert verdict == reference_is_radial(T), T.name
+        assert verdict == model.is_radial(model.complex_of(T)), T.name
         verdicts[verdict] += 1
     assert verdicts[True] and verdicts[False]
 
@@ -666,7 +544,7 @@ def test_bridge_matches_move_by_move_on_random_fields():
         for _ in range(4):
             V = VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
             assert_same_image(V)
-            assert assert_same_factors(dvf_to_dlf(V))[0] is None
+            assert assert_same_factors(dvf_to_dlf(V))[0] == "ok"
 
 
 def test_anchor_corner_on_doubled_occurrences():
@@ -719,7 +597,7 @@ def test_factoring_matches_move_by_move_on_adversarial_fields():
             cases.append(LineField(image.complex, image.matching | {rng.choice(free)}))
         for L in cases:
             got = assert_same_factors(L)
-            if got[0] is None:
+            if got[0] == "ok":
                 kinds["factored"] += 1
                 continue
             message = got[1]
@@ -783,7 +661,7 @@ def test_bridge_identifier_collisions_match_move_by_move():
     # q_a renamed m_d_a_0 is merged away by d_a, freeing that name for d_a_0.
     X = renamed(L, {"w_f2": "m_d_a", "q_a_1": "m_d_a_0"})
     assert {"d_a", "d_a_0"} <= set(X.complex.edges)
-    assert assert_same_factors(X)[0] is None
+    assert assert_same_factors(X)[0] == "ok"
     A, _B = dlf_to_dvf(X)
     assert {"m_d_a_2", "m_d_a_0"} <= set(A.complex.edges)
 

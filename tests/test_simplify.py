@@ -3,31 +3,24 @@ from collections import Counter
 
 import pytest
 
+import model
 import support
-from support import collapse_noncritical_face, contract_matched_pair, subdivide_edge
+from support import subdivide_edge
 from linefields import (
     CancellationError,
-    CellCorrespondence,
-    CoreResult,
     DegenerateOperationError,
     LineField,
     OperationError,
     SurfaceComplex,
     cancel_vertex_face,
-    corridors_from,
     critical_cells,
-    delete_edge_merge_faces,
-    emit_line_field,
-    fresh_id,
     homotopy_core,
     merge_critical_faces,
-    simplify,
     split_face,
     topological_graph,
     validate_line_field,
 )
-from linefields.dynamics import LPath, _count_walks, _nth_walk, _require_acyclic
-from linefields.surface import _fresh_ids, _merge_cells, reversed_walk
+from linefields.surface import reversed_walk
 
 
 def two_pair_tetra():
@@ -41,11 +34,42 @@ def graph_multiplicities(graph):
     return counts
 
 
-# ---- contraction ---------------------------------------------------------
+# ---- the model's contraction and collapse ---------------------------------
+#
+# The reference model (tests/model.py) applies one move of the homotopy core
+# at a time: the move-by-move core the library's one-pass core is compared
+# against below.  These tests pin its two moves on worked examples.
+
+
+def package_field(field):
+    """A model field as a LineField, to check with the package's invariants."""
+    S = field.complex
+    return LineField(SurfaceComplex(S.vertices, S.edges, S.faces, S.name), field.matching)
+
+
+def preimages(mapping, cell):
+    return tuple(sorted(c for c, image in mapping.items() if image == cell))
+
+
+def contract(L, v, e):
+    out, mapping = model.contract(model.field_of(L), v, e)
+    return package_field(out), mapping
+
+
+def collapse(L, f):
+    out, mapping = model.collapse(model.field_of(L), f)
+    return package_field(out), mapping
+
+
+def refusal(call):
+    """(exception class name, message) of a model move's refusal."""
+    got = model.outcome(call)
+    assert got[0] != "ok", got
+    return got
 
 
 def test_contract_merges_vertex_into_partner():
-    out, corr = contract_matched_pair(two_pair_tetra(), "v1", "e12")
+    out, mapping = contract(two_pair_tetra(), "v1", "e12")
     S = out.complex
     assert S.vertices == frozenset({"v2", "v3", "v4"})
     assert sorted(S.edges) == ["e13", "e14", "e23", "e24", "e34"]
@@ -54,15 +78,15 @@ def test_contract_merges_vertex_into_partner():
     assert len(S.faces) == 4
     assert support.is_rotation(S.faces["f123"], support.w("+e23 -e13"))
     assert out.matching == frozenset({("v2", "e23")})
-    assert corr.image_of("v1") == "v2"
-    assert corr.image_of("e12") == "v2"
-    assert corr.image_of("f123") == "f123"
-    assert corr.preimages("v2") == ("e12", "v1", "v2")
+    assert mapping["v1"] == "v2"
+    assert mapping["e12"] == "v2"
+    assert mapping["f123"] == "f123"
+    assert preimages(mapping, "v2") == ("e12", "v1", "v2")
 
 
 def test_contract_chain_reaches_empty_matching():
-    mid, _ = contract_matched_pair(two_pair_tetra(), "v1", "e12")
-    out, _ = contract_matched_pair(mid, "v2", "e23")
+    mid, _ = contract(two_pair_tetra(), "v1", "e12")
+    out, _ = contract(mid, "v2", "e23")
     S = out.complex
     assert len(S.vertices) == 2 and len(S.edges) == 4 and len(S.faces) == 4
     assert out.matching == frozenset()
@@ -71,69 +95,66 @@ def test_contract_chain_reaches_empty_matching():
 
 def test_contract_preserves_invariants():
     L = two_pair_tetra()
-    out, corr = contract_matched_pair(L, "v2", "e23")
+    out, mapping = contract(L, "v2", "e23")
     assert out.complex.validate() == []
     assert validate_line_field(out) == []
     assert out.complex.euler_characteristic() == L.complex.euler_characteristic()
     assert sum(out.doubled_critical().values()) == sum(L.doubled_critical().values())
     before = critical_cells(L)
     after = critical_cells(out)
-    assert {corr.image_of(c): i for c, i in before.items()} == after
+    assert {mapping[c]: i for c, i in before.items()} == after
 
 
 def test_contract_rejects_unmatched_pair():
-    with pytest.raises(OperationError, match="not a matched pair"):
-        contract_matched_pair(two_pair_tetra(), "v3", "e34")
+    kind, message = refusal(lambda: contract(two_pair_tetra(), "v3", "e34"))
+    assert kind == "OperationError" and "not a matched pair" in message
 
 
 def test_contract_rejects_matched_loop():
     L = LineField(support.torus_one(), frozenset({("v", "a")}))
-    with pytest.raises(OperationError, match="loop"):
-        contract_matched_pair(L, "v", "a")
+    kind, message = refusal(lambda: contract(L, "v", "a"))
+    assert kind == "OperationError" and "loop" in message
 
 
 def test_contract_rejects_vanishing_face():
     L = LineField(support.slit_sphere(), frozenset({("u", "e")}))
-    with pytest.raises(DegenerateOperationError, match="empty boundary"):
-        contract_matched_pair(L, "u", "e")
-
-
-# ---- face collapse -------------------------------------------------------
+    kind, message = refusal(lambda: contract(L, "u", "e"))
+    assert kind == "DegenerateOperationError" and "empty boundary" in message
 
 
 def collapsed_tetra_state():
-    mid, _ = contract_matched_pair(two_pair_tetra(), "v1", "e12")
-    out, _ = contract_matched_pair(mid, "v2", "e23")
+    mid, _ = contract(two_pair_tetra(), "v1", "e12")
+    out, _ = contract(mid, "v2", "e23")
     return out
 
 
 def test_collapse_removes_face_and_edge():
     L = collapsed_tetra_state()
-    out, corr = collapse_noncritical_face(L, "f124")
+    out, mapping = collapse(L, "f124")
     S = out.complex
     assert "f124" not in S.faces and "e14" not in S.edges
     assert support.is_rotation(S.faces["f134"], support.w("+e13 +e34 -e24"))
-    assert corr.image_of("f124") == "f134"
-    assert corr.image_of("e14") == "f134"
+    assert mapping["f124"] == "f134"
+    assert mapping["e14"] == "f134"
     assert S.validate() == []
     assert sum(out.doubled_critical().values()) == sum(L.doubled_critical().values())
 
 
 def test_collapse_requires_empty_matching():
-    with pytest.raises(OperationError, match="matched pairs remain"):
-        collapse_noncritical_face(two_pair_tetra(), "f124")
+    kind, message = refusal(lambda: collapse(two_pair_tetra(), "f124"))
+    assert kind == "OperationError" and "matched pairs remain" in message
 
 
 def test_collapse_rejects_critical_face():
     L = collapsed_tetra_state()
-    with pytest.raises(OperationError, match="critical"):
-        collapse_noncritical_face(L, "f134")
+    kind, message = refusal(lambda: collapse(L, "f134"))
+    assert kind == "OperationError" and "critical" in message
 
 
 def test_collapse_rejects_repeated_edge():
     L = LineField(support.slit_sphere())
-    with pytest.raises(DegenerateOperationError, match="repeats e twice"):
-        collapse_noncritical_face(L, "F")
+    kind, message = refusal(lambda: collapse(L, "F"))
+    assert kind == "DegenerateOperationError" and "repeats e twice" in message
 
 
 # ---- homotopy core -------------------------------------------------------
@@ -464,75 +485,25 @@ def test_cancel_invariants_on_random_fields():
     assert applied >= 5
 
 
-def reference_cancel(L, v, f):
-    """cancel_vertex_face as it stood with its quadratic diagonal search:
-    every candidate corner recounts the face's unmatched positions up to
-    the path's corner and reads its vertex with corner_vertex."""
-    S = L.complex
-    if v not in S.vertices:
-        raise OperationError(f"{v} is not a vertex of the complex")
-    if f not in S.faces:
-        raise OperationError(f"{f} is not a face of the complex")
-    if v in L._upper_of:
-        raise OperationError(f"{v} is matched, not critical")
-    c = len(L._unmatched[f])
-    if c < 3:
-        raise OperationError(
-            f"face {f} has doubled index {2 - c}; cancellation needs a negative index"
-        )
-    _require_acyclic(L)
-    n = len(S.faces[f])
-    corners = [S.corner_vertex(f, pos) for pos in range(n)]
-    reaches = _count_walks(L._steps, corners, v)
-    hits = [pos for pos, u in enumerate(corners) if reaches[u]]
-    if not hits:
-        raise CancellationError(f"no path from {f} to {v}")
-    if len(hits) > 1:
-        raise CancellationError(
-            f"cancellation needs a unique path from {f} to {v}; found {len(hits)}"
-        )
-    p = hits[0]
-    path = _nth_walk(L._steps, {}, corners[p], 0, LPath)
-    u1 = path.vertices[0]
-    q = None
-    for k in range(1, n):
-        cand = (p + k) % n
-        count = sum(1 for i in L._unmatched[f] if (i - cand) % n < (p - cand) % n)
-        if count < 2:
-            break
-        if count == 2 and S.corner_vertex(f, cand) != u1:
-            q = cand
-            break
-    if q is None:
-        raise DegenerateOperationError(f"every admissible diagonal of {f} is a loop at {u1}")
-    diag, part_entry, part_off = _fresh_ids(S.vertices, S.edges, S.faces,
-                                            f"d_{f}", f"{f}_1", f"{f}_0")
-    T = split_face(S, f, p, q, diag, part_entry, part_off)
-    pairs = set(L.matching)
-    for i, e_i in enumerate(path.edges):
-        pairs.discard((path.vertices[i], e_i))
-        pairs.add((path.vertices[i + 1], e_i))
-    pairs.add((u1, diag))
-    mapping = {c: c for c, _d in S.cells()}
-    mapping[f] = part_entry
-    return LineField(T, frozenset(pairs)), CellCorrespondence(mapping)
+def moved(result):
+    """A move's (field, correspondence) as the model writes it."""
+    field, corr = result
+    return model.field_of(field), corr.mapping
 
 
-def cancel_outcome(cancel, L, v, f):
-    """(output text, sorted mapping), or (exception type, message)."""
-    try:
-        out, corr = cancel(L, v, f)
-    except OperationError as exc:
-        return type(exc), str(exc)
-    return emit_line_field(out), sorted(corr.mapping.items())
+def cancel_outcome(L, v, f):
+    """cancel_vertex_face's and the model's outcomes: ("ok", (field,
+    mapping)), or (exception class name, message)."""
+    got = model.outcome(lambda: moved(cancel_vertex_face(L, v, f)), OperationError)
+    return got, model.outcome(lambda: model.cancel(model.field_of(L), v, f))
 
 
 def test_cancel_matches_reference_search():
-    """The one-pass diagonal search picks the diagonal the quadratic one
-    picked, or refuses alike, against each critical vertex: on the negative
-    faces of sparse random fields, on the n-gon of cones of 5, 10, ..., 60
-    sides with the spoke s0 matched, and on the torus of one face, where
-    every diagonal is a loop."""
+    """The one-pass diagonal search picks the diagonal the model's
+    quadratic search picks, or refuses alike, against each critical
+    vertex: on the negative faces of sparse random fields, on the n-gon of
+    cones of 5, 10, ..., 60 sides with the spoke s0 matched, and on the
+    torus of one face, where every diagonal is a loop."""
     rng = random.Random(841)
     cases = [(LineField(support.torus_one()), "F")]
     for S in support.random_corpus(842, 120, max_moves=4):
@@ -545,143 +516,38 @@ def test_cancel_matches_reference_search():
     calls = split = 0
     for L, f in cases:
         for v in [c for c in L.doubled_critical() if c in L.complex.vertices]:
-            want = cancel_outcome(reference_cancel, L, v, f)
-            assert cancel_outcome(cancel_vertex_face, L, v, f) == want, (L.complex.name, v, f)
+            got, want = cancel_outcome(L, v, f)
+            assert got == want, (L.complex.name, v, f)
             calls += 1
-            split += type(want[0]) is str
+            split += want[0] == "ok"
     assert calls >= 600 and split >= 500
 
 
 # ---- differential check against the move-by-move core --------------------
 #
-# The reference applies one contract_matched_pair, collapse_noncritical_face
-# or delete_edge_merge_faces per move, building a complex and composing the
-# correspondence after every move.  The library's one-pass core and merge
-# must emit the same text and mapping, stop at the same degenerate face,
-# and refuse with the same exception and message.
+# The model applies one contraction, collapse or edge deletion per move,
+# building new cells and composing the correspondence after every move.
+# The library's one-pass core and merge must give the same field and
+# mapping, stop at the same degenerate face, and refuse with the same
+# exception and message.
 
 
-def reference_contraction_order(L):
-    S = L.complex
-    partner = dict(L.matching)
-    remaining = set(partner)
-    order = []
-    while remaining:
-        ready = []
-        for v in remaining:
-            tail, head = S.edges[partner[v]]
-            if (head if v == tail else tail) not in remaining:
-                ready.append(v)
-        v = min(ready)
-        order.append((v, partner[v]))
-        remaining.discard(v)
-    return order
+def core_outcome(L, notes):
+    """homotopy_core's and the model's (field, mapping, degenerate face)."""
+    core = homotopy_core(L)
+    got = (model.field_of(core.field), core.correspondence.mapping, core.degenerate_face)
+    return got, model.core(model.field_of(L), notes)
 
 
-def reference_core(L, branches):
-    """The move-by-move homotopy core; adds to `branches` how it stopped."""
-    assert L.closed_path() is None
-    cur = L
-    mapping = {c: c for c, _d in L.complex.cells()}
-    for v, e in reference_contraction_order(L):
-        try:
-            cur, step = contract_matched_pair(cur, v, e)
-        except DegenerateOperationError:
-            bad = min(
-                fc
-                for fc, walk in cur.complex.faces.items()
-                if all(ee == e for _s, ee in walk)
-            )
-            branches.add("degenerate contraction")
-            return CoreResult(cur, CellCorrespondence(mapping), degenerate_face=bad)
-        mapping = {c: step.mapping[img] for c, img in mapping.items()}
-    first_removable = None
-    while True:
-        faces = cur.complex.faces
-        bigons = [fc for fc in sorted(faces) if len(faces[fc]) == 2]
-        removable = [fc for fc in bigons if faces[fc][0][1] != faces[fc][1][1]]
-        if first_removable is None:
-            first_removable = set(removable)
-        if not removable:
-            bad = bigons[0] if bigons else None
-            if bad is not None:
-                branches.add(
-                    "bigon degenerated by a collapse"
-                    if bad in first_removable
-                    else "degenerate bigon from the start"
-                )
-            return CoreResult(cur, CellCorrespondence(mapping), degenerate_face=bad)
-        bigon = faces[removable[0]]
-        gone = min(bigon[0][1], bigon[1][1])
-        cur, step = collapse_noncritical_face(cur, removable[0])
-        if step.mapping[gone] not in {fc for fc, _i in L.complex.occurrence_index[gone]}:
-            branches.add("collapse into a face that absorbed a bigon")
-        mapping = {c: step.mapping[img] for c, img in mapping.items()}
+def merge_outcome(L, data, f, g, notes):
+    """closed_merge's and the model's outcomes, as cancel_outcome's; `data`
+    is model.field_of(L)."""
+    got = model.outcome(lambda: moved(closed_merge(L, f, g)), OperationError)
+    return got, model.outcome(lambda: model.merge(data, f, g, notes))
 
 
-def reference_merge(L, f, g, branches):
-    """The move-by-move merge_critical_faces; adds to `branches` the shape
-    of each corridor it merges along."""
-    S = L.complex
-    for x in (f, g):
-        if x not in S.faces:
-            raise OperationError(f"{x} is not a face of the complex")
-    if f == g:
-        raise OperationError("cannot merge a face with itself")
-    crit = critical_cells(L)
-    for x in (f, g):
-        if x not in crit:
-            raise OperationError(f"face {x} is not critical")
-    hits = [c for c in corridors_from(L, f) if c.end == g]
-    if not hits:
-        raise CancellationError(f"no corridor from {f} to {g}")
-    if len(hits) > 1:
-        raise CancellationError(
-            f"merging needs a unique corridor from {f} to {g}; found {len(hits)}"
-        )
-    corridor = hits[0]
-    if corridor.interior:
-        branches.add("merge through interior faces")
-    merged_id = fresh_id(f"m_{f}_{g}", {c for c, _d in S.cells()})
-    T = S
-    for crossing in corridor.crossings:
-        (f1, p1), (f2, p2) = T.edge_occurrences(crossing.edge)
-        if merged_id in (f1, f2):
-            other = f2 if f1 == merged_id else f1
-            if merged_id < other:
-                branches.add("merged face sorts first")
-                if T.faces[f1][p1][0] == T.faces[f2][p2][0]:
-                    branches.add("merged face sorts first, rest reversed")
-            elif T.faces[f1][p1][0] == T.faces[f2][p2][0]:
-                branches.add("merged face sorts last, its rest reversed")
-        T = delete_edge_merge_faces(T, crossing.edge, merged_id)
-    problems = T.validate()
-    if problems:
-        raise DegenerateOperationError(
-            f"merging {f} and {g} breaks the complex: {problems[0]}"
-        )
-    mapping = {c: c for c, _d in S.cells()}
-    for cell in (f, g, *corridor.interior):
-        mapping[cell] = merged_id
-    for crossing in corridor.crossings:
-        mapping[crossing.edge] = merged_id
-    return LineField(T, L.matching), CellCorrespondence(mapping)
-
-
-def core_outcome(core):
-    return (
-        emit_line_field(core.field),
-        core.correspondence.mapping,
-        core.degenerate_face,
-    )
-
-
-def merge_outcome(merge, L, f, g):
-    try:
-        field, corr = merge(L, f, g)
-    except OperationError as exc:
-        return type(exc), str(exc)
-    return emit_line_field(field), corr.mapping
+def taken(notes):
+    return {note for note, n in notes.items() if n}
 
 
 def closed_merge(L, f, g):
@@ -729,10 +595,11 @@ def differential_fields():
 
 
 def test_core_matches_move_by_move():
-    branches = set()
+    notes = Counter()
     for L in differential_fields():
-        assert core_outcome(homotopy_core(L)) == core_outcome(reference_core(L, branches))
-    assert branches == {
+        got, want = core_outcome(L, notes)
+        assert got == want
+    assert taken(notes) >= {
         "degenerate contraction",
         "degenerate bigon from the start",
         "bigon degenerated by a collapse",
@@ -741,21 +608,19 @@ def test_core_matches_move_by_move():
 
 
 def test_merge_matches_move_by_move():
-    branches = set()
+    notes = Counter()
     merged = 0
     for L in differential_fields():
         crit = critical_cells(L)
         faces = [f for f in sorted(crit) if f in L.complex.faces][:12]
+        data = model.field_of(L)
         for f in faces:
             for g in faces:
-                got = merge_outcome(closed_merge, L, f, g)
-                want = merge_outcome(
-                    lambda *args: reference_merge(*args, branches), L, f, g
-                )
+                got, want = merge_outcome(L, data, f, g, notes)
                 assert got == want
-                merged += got[0] is not CancellationError
+                merged += got[0] != "CancellationError"
     assert merged >= 50
-    assert branches == {
+    assert taken(notes) == {
         "merge through interior faces",
         "merged face sorts first",
         "merged face sorts first, rest reversed",
@@ -767,54 +632,27 @@ def test_merge_matches_move_by_move_when_merged_face_sorts_last():
     # second crossing on, delete_edge_merge_faces keeps the other face's
     # walk forward, and a same-sign crossing reverses the merged rest.
     rng = random.Random(834)
-    branches = set()
+    notes = Counter()
     merged = 0
     for rows, cols in ((3, 4), (5, 5), (6, 7)):
         S = faces_renamed(support.grid_klein(rows, cols), "a")
         for keep in (1.0, 0.9, 0.6):
             L = support.forest_field(S, rng, keep)
             faces = [f for f in sorted(critical_cells(L)) if f in S.faces][:12]
+            data = model.field_of(L)
             for f in faces:
                 for g in faces:
-                    got = merge_outcome(closed_merge, L, f, g)
-                    want = merge_outcome(
-                        lambda *args: reference_merge(*args, branches), L, f, g
-                    )
+                    got, want = merge_outcome(L, data, f, g, notes)
                     assert got == want
-                    merged += got[0] is not CancellationError
+                    merged += got[0] != "CancellationError"
     assert merged >= 50
-    assert branches == {
+    assert taken(notes) == {
         "merge through interior faces",
         "merged face sorts last, its rest reversed",
     }
 
 
-# ---- the bigon collapse against its frozen reference ----------------------
-
-
-def reference_collapse(S, edges, walks, parent, seen):
-    """_collapse_bigons as it stood before the collapse kernel: one
-    _merge_cells per bigon, which re-slices and re-rotates the absorbing
-    walk, found by a scan for the deleted edge.  Adds to `seen` the shape
-    of each collapse."""
-    bigons = sorted(f for f, walk in walks.items() if len(walk) == 2)
-    for f in bigons:
-        walk = walks[f]
-        if walk[0][1] == walk[1][1]:
-            continue
-        i = 0 if walk[0][1] < walk[1][1] else 1
-        gone = walk[i][1]
-        a, b = (simplify._root(parent, h) for h, _p in S.occurrence_index[gone])
-        g = b if a == f else a
-        j = next(k for k, (_s, e) in enumerate(walks[g]) if e == gone)
-        same = walk[i][0] == walks[g][j][0]
-        seen["same sign" if same else "opposite signs"] += 1
-        seen["bigon sorts first" if f < g else "bigon sorts last"] += 1
-        seen["same sign, bigon sorts first"] += same and f < g
-        seen["into a bigon"] += len(walks[g]) == 2
-        _merge_cells(edges, walks, gone, ((f, i), (g, j)), g)
-        parent[f] = parent[gone] = g
-    return next((f for f in bigons if f in walks), None)
+# ---- the bigon collapse against the model ---------------------------------
 
 
 def stacked_pillow(rng, bigons):
@@ -843,10 +681,10 @@ def stacked_pillow(rng, bigons):
                           name=f"pillow{bigons}")
 
 
-def test_collapse_matches_reference(monkeypatch):
+def test_collapse_matches_reference():
     """homotopy_core's collapse, one substitution by position per bigon and
-    one rotation per touched walk, builds the cores that one _merge_cells
-    per bigon built: on the differential fields, on a random corpus with
+    one rotation per touched walk, builds the cores of the model's one
+    collapse per move: on the differential fields, on a random corpus with
     empty and sparse matchings, and on pillows of 1 to 40 bigons, plain
     and stacked, empty and sparsely matched."""
     rng = random.Random(871)
@@ -863,14 +701,12 @@ def test_collapse_matches_reference(monkeypatch):
     for L in fields:
         if L.closed_path() is not None:
             continue
-        got = core_outcome(homotopy_core(L))
-        with monkeypatch.context() as patch:
-            patch.setattr(simplify, "_collapse_bigons", lambda edges, walks, parent:
-                          reference_collapse(L.complex, edges, walks, parent, seen))
-            want = core_outcome(homotopy_core(L))
+        got, want = core_outcome(L, seen)
         assert got == want, L.complex.name
         compared += 1
-    assert compared >= 450 and min(seen.values()) >= 200, (compared, seen)
+    shapes = ("same sign", "opposite signs", "bigon sorts first", "bigon sorts last",
+              "same sign, bigon sorts first", "into a bigon")
+    assert compared >= 450 and min(seen[shape] for shape in shapes) >= 200, (compared, seen)
 
 
 # ---- no surgery pinches a vertex ------------------------------------------

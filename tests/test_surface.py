@@ -3,11 +3,12 @@
 import itertools
 import random
 import re
-from collections import Counter, deque
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import model
 import support
 import test_radial
 import test_simplify
@@ -36,7 +37,6 @@ from linefields.surface import (
     delete_edge_merge_faces,
     fresh_id,
     occ_text,
-    reversed_walk,
     split_face,
 )
 
@@ -105,16 +105,6 @@ def test_walks_canonically_rotated():
     assert S == support.torus_one()
 
 
-def reference_rotation(walk):
-    """The least rotation by comparing every rotation in full, O(k^2)."""
-    if len(walk) < 2:
-        return walk
-    keys = [occ_text(o) for o in walk]
-    n = len(walk)
-    best = min(range(n), key=lambda i: (keys[i], [keys[(i + j) % n] for j in range(n)]))
-    return walk[best:] + walk[:best]
-
-
 def random_walk(rng, edges, length):
     return tuple((rng.choice((1, -1)), rng.choice(edges)) for _ in range(length))
 
@@ -130,10 +120,10 @@ def test_least_rotation_matches_full_comparison():
         walks.append(random_walk(rng, "abc", rng.randrange(13)))
     loops = {e: ("v", "v") for e in "abc"}
     for walk in walks:
-        assert _canonical_rotation(walk) == reference_rotation(walk)
+        assert _canonical_rotation(walk) == model.rotation(walk)
         # The constructor builds the rotation keys in its own pass.
         S = SurfaceComplex(frozenset({"v"}), loops, {"F": walk})
-        assert S.faces["F"] == reference_rotation(walk)
+        assert S.faces["F"] == model.rotation(walk)
 
 
 def test_canonical_rotation_matches_rotation_by_texts():
@@ -386,55 +376,6 @@ def test_validate_agrees_with_independent_check():
             assert (T.validate() == []) == support.is_closed_surface(T), T.faces
 
 
-def _reference_validate(S):
-    """validate() as written before it counted components on the 1-skeleton:
-    the chain check through occ_source/occ_target, then a breadth-first
-    search over the incidence graph of all vertices, edges and faces."""
-    problems = []
-    counts = Counter(e for walk in S.faces.values() for _s, e in walk)
-    for e in sorted(S.edges):
-        c = counts.get(e, 0)
-        if c != 2:
-            problems.append(f"edge {e} occurs {c} time(s) in boundary walks, expected 2")
-    for f in sorted(S.faces):
-        walk = S.faces[f]
-        for i in range(len(walk)):
-            here = support.occ_target(S, walk[i])
-            there = S.occ_source(walk[(i + 1) % len(walk)])
-            if here != there:
-                problems.append(
-                    f"face {f} breaks between positions {i} and {(i + 1) % len(walk)}:"
-                    f" {here} != {there}"
-                )
-    adjacency = {cell: set() for cell, _d in S.cells()}
-    for e, (tail, head) in S.edges.items():
-        adjacency[e].add(tail)
-        adjacency[e].add(head)
-        adjacency[tail].add(e)
-        adjacency[head].add(e)
-    for f, walk in S.faces.items():
-        for _s, e in walk:
-            adjacency[f].add(e)
-            adjacency[e].add(f)
-    seen = set()
-    components = 0
-    for start in adjacency:
-        if start in seen:
-            continue
-        components += 1
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            cur = queue.popleft()
-            for nxt in adjacency[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    if components > 1:
-        problems.append(f"incidence structure is disconnected ({components} components)")
-    return problems
-
-
 def _mutated(S, rng, n_moves):
     """S after n_moves random moves that break the closed-surface conditions:
     drop a face, empty a walk, drop an occurrence, add an isolated vertex,
@@ -464,8 +405,9 @@ def _mutated(S, rng, n_moves):
 
 
 def test_validate_matches_incidence_graph_reference():
-    """validate() gives the exact problem list of the incidence-graph count
-    on mutated corpus complexes, single and in disjoint unions."""
+    """validate() gives the model's exact problem list, its components
+    counted on the incidence graph of all cells, on mutated corpus
+    complexes, single and in disjoint unions."""
     rng = random.Random(20261018)
     corpus = support.random_corpus(seed=18, count=60)
     many_parts = broken = empty = 0
@@ -474,7 +416,7 @@ def test_validate_matches_incidence_graph_reference():
         for base in (S, disjoint_union(S, suffixed(other, "_u"))):
             for n_moves in (1, 2, 3, 5, 8):
                 T = _mutated(base, rng, n_moves)
-                expected = _reference_validate(T)
+                expected = model.validate(model.complex_of(T))
                 assert T.validate() == expected, (T.edges, T.faces)
                 parts = re.search(r"\((\d+) components\)$", expected[-1]) if expected else None
                 many_parts += parts is not None and int(parts.group(1)) >= 3
@@ -606,83 +548,7 @@ def test_link_cycles_need_every_edge_twice():
         S.vertex_link_cycles()
 
 
-# ---- differential check against the per-step link walk ------------------
-#
-# A copy of the earlier vertex_link_cycles: it walks the edge ends with one
-# dict per step, sorting each end's slots to pick the next departure.  The
-# cached slot-partner index must give the same cycles, in the same order.
-
-
-def _reference_link_cycles(S):
-    end_slots = {}
-    for e in S.edges:
-        end_slots[(e, 0)] = []
-        end_slots[(e, 1)] = []
-    corner_of = {}
-    for f in sorted(S.faces):
-        walk = S.faces[f]
-        n = len(walk)
-        for i in range(n):
-            prev = walk[(i - 1) % n]
-            cur = walk[i]
-            in_end = (prev[1], 1 if prev[0] > 0 else 0)
-            out_end = (cur[1], 0 if cur[0] > 0 else 1)
-            corner_of[(f, i)] = (in_end, out_end)
-            end_slots[in_end].append((f, i, "in"))
-            end_slots[out_end].append((f, i, "out"))
-
-    def slot_occ(f, i, side):
-        n = len(S.faces[f])
-        return (f, (i - 1) % n) if side == "in" else (f, i)
-
-    cycles_by_vertex = {v: [] for v in S.vertices}
-    consumed = set()
-    for end in sorted(end_slots):
-        for first in sorted(end_slots[end]):
-            if (end, first) in consumed:
-                continue
-            cycle = []
-            cur_end, depart = end, first
-            while True:
-                consumed.add((cur_end, depart))
-                f, i, side = depart
-                other_side = "out" if side == "in" else "in"
-                in_end, out_end = corner_of[(f, i)]
-                nxt_end = out_end if other_side == "out" else in_end
-                arrive = (f, i, other_side)
-                consumed.add((nxt_end, arrive))
-                nxt_depart = None
-                for slot in sorted(end_slots[nxt_end]):
-                    if (nxt_end, slot) not in consumed:
-                        nxt_depart = slot
-                        break
-                cycle.append({"end": nxt_end, "occ_in": slot_occ(*arrive)})
-                if nxt_depart is None:
-                    break
-                cycle[-1]["occ_out"] = slot_occ(*nxt_depart)
-                cycle[-1]["corner"] = (nxt_depart[0], nxt_depart[1])
-                cycle[-1]["corner_side"] = nxt_depart[2]
-                cur_end, depart = nxt_end, nxt_depart
-            cycle[-1]["occ_out"] = slot_occ(*first)
-            cycle[-1]["corner"] = (first[0], first[1])
-            cycle[-1]["corner_side"] = first[2]
-            cycles_by_vertex[S.edges[end[0]][end[1]]].append(cycle)
-    return cycles_by_vertex
-
-
-def _reference_step(S, step):
-    """A (face, position, side) step in the reference's dict form."""
-    f, i, side = step
-    p = (i - 1) % len(S.faces[f]) if side == "in" else i
-    sign, e = S.faces[f][p]
-    (other,) = [occ for occ in S.occurrence_index[e] if occ != (f, p)]
-    return {
-        "end": (e, 0 if (sign > 0) == (side == "out") else 1),
-        "occ_in": other,
-        "occ_out": (f, p),
-        "corner": (f, i),
-        "corner_side": side,
-    }
+# ---- link cycles against the model's corner walk ---------------------------
 
 
 def test_link_cycles_match_reference_walk():
@@ -695,12 +561,11 @@ def test_link_cycles_match_reference_walk():
     steps = 0
     for S in inputs:
         got = S.vertex_link_cycles()
-        want = _reference_link_cycles(S)
+        want = model.link_cycles(model.complex_of(S))
         assert set(got) == set(want) == S.vertices, S.name
         for v in sorted(S.vertices):
-            cycles = [[_reference_step(S, step) for step in cycle] for cycle in got[v]]
-            assert cycles == want[v], (S.name, v)
-            steps += sum(map(len, cycles))
+            assert got[v] == want[v], (S.name, v)
+            steps += sum(map(len, got[v]))
     assert len(inputs) == 122 and steps >= 5000
 
 
@@ -887,40 +752,12 @@ def test_surgery_reuses_the_ids_it_frees():
         assert T.validate() == [] and merged_id in T.faces and "h00" not in T.edges
 
 
-# Frozen copies of the walk arithmetic that split_face and
-# delete_edge_merge_faces used before the kernels, each building its
-# complex through the checking constructor.
-
-
-def reference_split(S, face, p, q, diag, a, b):
-    walk, n = S.faces[face], len(S.faces[face])
-    edges = {**S.edges, diag: (S.corner_vertex(face, p), S.corner_vertex(face, q))}
-    faces = {g: walk for g, walk in S.faces.items() if g != face}
-    faces[a] = tuple(walk[(p + k) % n] for k in range((q - p) % n)) + ((-1, diag),)
-    faces[b] = tuple(walk[(q + k) % n] for k in range((p - q) % n)) + ((1, diag),)
-    return SurfaceComplex(S.vertices, edges, faces, name=S.name)
-
-
-def reference_merge(S, edge, merged_id):
-    (f1, p1), (f2, p2) = S.occurrence_index[edge]
-    wa, wb = S.faces[f1], S.faces[f2]
-    rest_b = wb[p2 + 1 :] + wb[:p2]
-    middle = reversed_walk(rest_b) if wa[p1][0] == wb[p2][0] else rest_b
-    merged = wa[:p1] + middle + wa[p1 + 1 :]
-    if not merged:
-        raise DegenerateOperationError(f"deleting {edge} would leave a face with an empty boundary")
-    edges = {e: ends for e, ends in S.edges.items() if e != edge}
-    faces = {g: walk for g, walk in S.faces.items() if g not in (f1, f2)}
-    faces[merged_id] = merged
-    return SurfaceComplex(S.vertices, edges, faces, name=S.name)
-
-
 def test_surgery_kernels_match_reference():
     """_split_cells and _merge_cells, built with _from_checked, give the
-    reference moves' complexes, down to each walk's rotation and the order
-    of the cell dicts, on the random corpus, the one-vertex complexes with
-    their loops, and a projective plane whose loop occurs with the same sign
-    on two faces.  Every corner pair of every face is split, with positions
+    model's split_face and delete_edge, down to each walk's rotation and
+    the order of the cell dicts, on the random corpus, the one-vertex
+    complexes with their loops, and a projective plane whose loop occurs
+    with the same sign on two faces.  Every corner pair of every face is split, with positions
     also given past the walk's length, and every edge on two faces is
     deleted, its slots handed over in either order."""
     same_sign = SurfaceComplex(frozenset({"v"}), {"a": ("v", "v"), "b": ("v", "v")},
@@ -929,10 +766,11 @@ def test_surgery_kernels_match_reference():
     seen = Counter()
 
     def same(T, R):
-        assert T == R and list(T.edges.items()) == list(R.edges.items())
+        assert model.complex_of(T) == R and list(T.edges.items()) == list(R.edges.items())
         assert list(T.faces.items()) == list(R.faces.items())
 
     for S in cases + [same_sign]:
+        C = model.complex_of(S)
         for f, walk in S.faces.items():
             n = len(walk)
             seen["twice on one face, same sign"] += len({o for o in walk if walk.count(o) > 1})
@@ -944,7 +782,7 @@ def test_surgery_kernels_match_reference():
                     edges, faces = dict(S.edges), dict(S.faces)
                     _split_cells(edges, faces, f, *pq, *ids)
                     same(SurfaceComplex._from_checked(S.vertices, edges, faces, S.name),
-                         reference_split(S, f, p, q, *ids))
+                         model.split_face(C, f, p, q, *ids))
                 seen["split"] += 1
         for e, slots in S.occurrence_index.items():
             if len({f for f, _p in slots}) != 2:
@@ -953,8 +791,8 @@ def test_surgery_kernels_match_reference():
             seen["same sign on two faces"] += S.faces[f1][p1][0] == S.faces[f2][p2][0]
             seen["loop"] += support.is_loop(S, e)
             try:
-                R = reference_merge(S, e, "m")
-            except DegenerateOperationError as exc:
+                R = model.delete_edge(C, e, "m")
+            except model.Refused as exc:
                 for order in (slots, slots[::-1]):
                     with pytest.raises(DegenerateOperationError, match=f"^{re.escape(str(exc))}$"):
                         _merge_cells(dict(S.edges), dict(S.faces), e, order, "m")

@@ -17,6 +17,7 @@ import pytest
 import support
 from support import w
 from linefields import (
+    DegenerateOperationError,
     InvalidComplexError,
     LineField,
     NotInImageError,
@@ -34,6 +35,7 @@ from linefields import (
     merge_critical_faces,
     ms_decomposition,
     report_json,
+    split_face,
 )
 from linefields.formats import write_report
 
@@ -195,6 +197,23 @@ def test_arguments_are_refused_before_the_door(op):
     S = support.tetra_without_face()
     assert S.validate()
     _refused(call, S, OperationError, message)
+
+
+# split_face refuses a face the complex lacks, and positions that are not
+# two distinct positions of the face's walk, with the messages of the moves.
+SPLIT_REFUSALS = {
+    "unknown face": (("nope", 0, 1), OperationError, "nope is not a face of the complex"),
+    "position past the walk": (("f123", 0, 3), DegenerateOperationError,
+                               "cannot split face f123 at positions 0, 3"),
+    "negative position": (("f123", -1, 1), DegenerateOperationError,
+                          "cannot split face f123 at positions -1, 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_REFUSALS))
+def test_split_face_refuses_bad_arguments(case):
+    (face, p, q), kind, message = SPLIT_REFUSALS[case]
+    _refused(lambda S: split_face(S, face, p, q, "d", "fa", "fb"), support.tetra(), kind, message)
 
 
 def test_matching_is_refused_before_the_complex():

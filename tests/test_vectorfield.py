@@ -3,6 +3,7 @@ import random
 import pytest
 
 from isomorphism import line_fields_isomorphic
+import model
 import support
 from linefields import (
     CancellationError,
@@ -359,38 +360,7 @@ def test_dual_path_counts_match_on_random_fields():
                 checked += 1
 
 
-# ---- comparison against a direct search ----------------------------------
-
-
-def brute_x_paths(V, source, target):
-    """Plain recursive enumeration, sharing no code with the library."""
-    S = V.complex
-    upper = dict(V.matching)
-
-    def boundary(cell):
-        if cell in S.edges:
-            return list(S.edges[cell])
-        return [e for _s, e in S.faces[cell]]
-
-    starts = []
-    for c in boundary(source):
-        if c not in starts:
-            starts.append(c)
-    out = []
-
-    def walk(chain):
-        cur = chain[-1]
-        if cur not in upper:
-            if cur == target:
-                out.append(tuple(chain))
-            return
-        for nxt in boundary(upper[cur]):
-            if nxt != cur:
-                walk(chain + [nxt])
-
-    for c in starts:
-        walk([c])
-    return out
+# ---- comparison against the model's enumeration -----------------------------
 
 
 def test_paths_agree_with_direct_search_on_seed_complexes():
@@ -410,9 +380,8 @@ def test_paths_agree_with_direct_search_on_seed_complexes():
                     found = list(x_paths(V, source, target))
                     for path in found:
                         assert_valid_xpath(V, path)
-                    assert sorted(p.cells for p in found) == sorted(
-                        brute_x_paths(V, source, target)
-                    )
+                    assert [(p.cells, p.witnesses) for p in found] == model.x_paths(
+                        model.field_of(V), source, target)
                     assert count_x_paths(V, source, target) == len(found)
 
 
