@@ -26,10 +26,11 @@ walk counts of that cell's successors (the only counts a graph keeps, so a
 line field's graph keeps none).  The graph costs O(cells + separatrices)
 however long its paths are.
 
-The corridor tracer builds nothing per call.  It reads each face's count
-and the sibling of an unmatched occurrence from the field's `_unmatched`
-positions, and each crossing from the two slots of its edge in the
-complex's `occurrence_index`.
+The corridor tracer reads each face's count and the sibling of an
+unmatched occurrence from the field's `_unmatched` positions, and each
+crossing from the two slots of its edge in the complex's
+`occurrence_index`.  It keeps each corridor in the field's table, so
+corridors_from, corridors() and the face merge read one trace.
 """
 
 from __future__ import annotations
@@ -417,10 +418,20 @@ class _Field(_Record):
 # ---- corridors ------------------------------------------------------------
 
 
-def _trace_corridor(L: LineField, start_occ, visited):
-    """Cross from `start_occ` and tunnel through count-2 faces, adding each
-    occurrence passed to `visited`: a Corridor when a face with another
-    count is reached, a ClosedCorridor when the trace is back at its start."""
+def _trace_corridor(L: LineField, start_occ):
+    """Cross from `start_occ` and tunnel through count-2 faces: a Corridor
+    when a face with another count is reached, a ClosedCorridor when the
+    trace is back at its start.  A corridor is traced once per field and
+    kept in its table (`_traced`) under both end occurrences; at the other
+    end its reverse is read off the trace on first use, since tracing is
+    deterministic and reversible."""
+    table = L._traced
+    corr = table.get(start_occ)
+    if corr is not None:
+        if corr.crossings[0].depart != start_occ:
+            back = tuple(Crossing(c.edge, c.arrive, c.depart) for c in reversed(corr.crossings))
+            corr = table[start_occ] = Corridor(corr.end, corr.start, back, corr.interior[::-1])
+        return corr
     S = L.complex
     crossings = []
     faces = []
@@ -429,12 +440,13 @@ def _trace_corridor(L: LineField, start_occ, visited):
         edge = S.faces[cur[0]][cur[1]][1]
         a, b = S.occurrence_index[edge]
         arrive = b if a == cur else a
-        visited.update((cur, arrive))
         crossings.append(Crossing(edge, cur, arrive))
         g, q = arrive
         at = L._unmatched[g]
         if len(at) != 2:
-            return Corridor(start_occ[0], g, tuple(crossings), tuple(faces))
+            corr = Corridor(start_occ[0], g, tuple(crossings), tuple(faces))
+            table[start_occ] = table[arrive] = corr
+            return corr
         faces.append(g)
         cur = (g, at[1] if at[0] == q else at[0])
         if cur == start_occ:
@@ -444,9 +456,10 @@ def _trace_corridor(L: LineField, start_occ, visited):
 def corridors_from(L: LineField, face: str) -> list[Corridor]:
     """One corridor per unmatched occurrence on the walk of a critical face.
 
-    Each trace crosses to the other occurrence of its edge and keeps
+    Each corridor crosses to the other occurrence of its edge and keeps
     tunnelling through count-2 faces via their other unmatched occurrence;
-    it always terminates on a critical face, possibly the starting one.
+    it always ends on a critical face, possibly the starting one.  They
+    are read from the field's table, which traces each corridor once.
     Refuses an unknown face, then an unsound complex; it takes any matching.
     """
     if face not in L.complex.faces:
@@ -455,46 +468,29 @@ def corridors_from(L: LineField, face: str) -> list[Corridor]:
     positions = L._unmatched[face]
     if len(positions) == 2:
         raise OperationError(f"face {face} is not critical")
-    return [_trace_corridor(L, (face, i), set()) for i in positions]
+    return [_trace_corridor(L, (face, i)) for i in positions]
 
 
 def _all_corridors(L: LineField) -> tuple[tuple[Corridor, ...], tuple[ClosedCorridor, ...]]:
     """Every corridor, one from each unmatched occurrence of each critical
-    face in face order, and every closed corridor, traced from the least
-    occurrence no earlier trace passed.  Needs no acyclicity and takes any
-    matching, but refuses an unsound complex at its door.
-
-    A corridor is traced only from whichever of its two end occurrences
-    comes first; at the other end its reverse is read off the stored
-    trace, since tracing is deterministic and reversible.  A reverse passes
-    the occurrences its trace did, so `visited` is complete either way."""
+    face in face order, and every closed corridor, traced from the first
+    unmatched position of each count-2 face that no corridor and no earlier
+    closed corridor passes: a trace passes both unmatched occurrences of
+    each count-2 face it enters.  Needs no acyclicity and takes any
+    matching, but refuses an unsound complex at its door."""
     L.complex._require_valid()
     positions = L._unmatched
     faces = sorted(positions)
-    visited: set[tuple[str, int]] = set()
-    traced: dict[tuple[str, int], Corridor] = {}  # each traced corridor's end occurrence: it
-    corridors = []
-    for f in faces:
-        if len(positions[f]) != 2:
-            for i in positions[f]:
-                corr = traced.pop((f, i), None)
-                if corr is not None:
-                    back = tuple(Crossing(c.edge, c.arrive, c.depart) for c in reversed(corr.crossings))
-                    corr = Corridor(corr.end, corr.start, back, corr.interior[::-1])
-                else:
-                    corr = _trace_corridor(L, (f, i), visited)
-                    traced[corr.crossings[-1].arrive] = corr
-                corridors.append(corr)
-    # The membership test runs after every earlier trace has filled
-    # `visited`, so each cycle is traced once.
-    closed = tuple(
-        _trace_corridor(L, (f, i), visited)
-        for f in faces
-        if len(positions[f]) == 2
-        for i in positions[f]
-        if (f, i) not in visited
+    corridors = tuple(
+        _trace_corridor(L, (f, i)) for f in faces if len(positions[f]) != 2 for i in positions[f]
     )
-    return tuple(corridors), closed
+    passed = set(chain.from_iterable(c.interior for c in corridors))
+    closed = []
+    for f in faces:
+        if len(positions[f]) == 2 and f not in passed:
+            closed.append(_trace_corridor(L, (f, positions[f][0])))
+            passed.update(closed[-1].faces)
+    return corridors, tuple(closed)
 
 
 def ms_decomposition(L: LineField) -> DecompositionReport:

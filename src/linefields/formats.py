@@ -16,7 +16,7 @@ from operator import itemgetter
 from .dynamics import Separatrix, TopologicalGraph, _branch
 from .errors import ParseError, _Record
 from .linefield import LineField
-from .surface import SurfaceComplex, _canonical_rotation, _rotated, occ_text
+from .surface import SurfaceComplex, _canonical_rotation, occ_text
 from .vectorfield import VectorField
 
 # Each directive's section rank, token count and refusal of a line with
@@ -110,7 +110,7 @@ def parse_document(text: str) -> Document:
                             raise ParseError(f"occurrence {tok} needs a +/- sign", line=num)
                         if tok[1:] not in edges:
                             raise ParseError(f"walk references unknown edge {tok[1:]}", line=num)
-                faces[cid] = _rotated(walk, keys)
+                faces[cid] = _canonical_rotation(walk)
         else:
             name = cid
     if name is None:

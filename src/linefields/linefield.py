@@ -74,7 +74,8 @@ class LineField(_Field):
         """One pass over the sorted matching: its violations (see
         validate_line_field); the L-step relation of its valid pairs, vertex
         -> ((edge, next),), in which a matched vertex steps across its edge
-        to the other endpoint and a loop steps to itself; and the search
+        to the other endpoint and a loop steps to itself, and a vertex in
+        several pairs steps by the last in sorted order; and the search
         roots, the steps' keys, which the pass adds in sorted order."""
         vertices, edges = self.complex.vertices, self.complex.edges
         problems, steps = [], {}
@@ -121,6 +122,9 @@ class LineField(_Field):
     @cached_property
     def _corridors(self):
         return _all_corridors(self)
+
+    # Each end occurrence of a traced corridor: the corridor leaving it.
+    _traced = cached_property(lambda self: {})
 
 
 def validate_line_field(L: LineField) -> list[str]:

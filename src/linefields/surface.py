@@ -40,7 +40,7 @@ def _canonical_rotation(walk) -> tuple[Occurrence, ...]:
     for the least e when none is positive.  One loop finds its first
     occurrence k and whether it occurs again; if not, the walk starts at
     k, and a tuple that already does is returned as it is.  A repeated
-    least occurrence goes to _rotated, which builds the texts and decides."""
+    least occurrence goes to _rotated, Booth's scan over the texts."""
     if not walk:
         return ()
     k = i = 0
@@ -62,34 +62,27 @@ def _canonical_rotation(walk) -> tuple[Occurrence, ...]:
 
 def _rotated(walk, keys: list[str]) -> tuple[Occurrence, ...]:
     """`walk` as a tuple that starts at a lexicographically least rotation
-    of `keys`, the texts of its occurrences, found in O(len(keys)).
-
-    When the least key occurs once, the rotation starts there.  Otherwise
+    of `keys`, the texts of its occurrences, found in O(len(keys)) by
     K. S. Booth, Lexicographically least circular substrings, IPL 10 (1980):
     a failure function over the doubled sequence, as in Knuth-Morris-Pratt,
     moves the candidate start k forward whenever a smaller key shows up.
     """
-    if not keys:
-        return ()
-    least = min(keys)
-    k = keys.index(least)
-    if keys.count(least) > 1:
-        doubled = keys + keys
-        fail = [-1] * len(doubled)
-        k = 0
-        for j in range(1, len(doubled)):
-            key = doubled[j]
-            i = fail[j - k - 1]
-            while i != -1 and key != doubled[k + i + 1]:
-                if key < doubled[k + i + 1]:
-                    k = j - i - 1
-                i = fail[i]
-            if key != doubled[k + i + 1]:
-                if key < doubled[k]:
-                    k = j
-                fail[j - k] = -1
-            else:
-                fail[j - k] = i + 1
+    doubled = keys + keys
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        key = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and key != doubled[k + i + 1]:
+            if key < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if key != doubled[k + i + 1]:
+            if key < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
     return tuple(walk[k:] + walk[:k])
 
 
@@ -140,20 +133,14 @@ class SurfaceComplex(_Record):
             edges[e] = (tail, head)
         faces = {}
         for f, walk in self.faces.items():
-            # One pass checks each occurrence and builds its rotation key.
             w = []
-            keys = []
             for sign, e in walk:
                 if e not in edges:
                     raise InvalidComplexError(f"face {f} references unknown edge {e}")
-                if sign == 1:
-                    keys.append("+" + e)
-                elif sign == -1:
-                    keys.append("-" + e)
-                else:
+                if sign != 1 and sign != -1:
                     raise InvalidComplexError(f"face {f} has occurrence with sign {sign}")
                 w.append((sign, e))
-            faces[f] = _rotated(w, keys)
+            faces[f] = _canonical_rotation(w)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "faces", faces)
 

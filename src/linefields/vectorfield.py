@@ -112,9 +112,10 @@ class VectorField(_Field):
         validate_vector_field); the X-path step relation of its valid
         pairs, in which a cell matched upward steps to every other cell on
         its partner's boundary, as ((witness, key), next), in `_exits`
-        order; and the search roots, the matched vertices and then the
-        matched edges, in order.  Steps stay within one dimension, so one
-        search from the roots finds a cycle of either."""
+        order, and a cell lower in several pairs steps by the last in
+        sorted order; and the search roots, the matched vertices and then
+        the matched edges, in order.  Steps stay within one dimension, so
+        one search from the roots finds a cycle of either."""
         S = self.complex
         vertices, edges, faces = S.vertices, S.edges, S.faces
         problems, steps, low_vertices, low_edges = [], {}, [], []

@@ -367,21 +367,24 @@ def boundary(C: Complex, cell: str) -> list:
 
 
 def line_steps(field: Field) -> dict:
-    """v -> ((e, w),) for each pair (v, e) of a valid line field, w the
-    other end of e (v itself on a loop)."""
+    """v -> ((e, w),) for each pair (v, e) of a line field whose pairs are
+    each valid, w the other end of e (v itself on a loop); the pairs are
+    read in sorted order, so a vertex in several pairs steps by the last."""
     steps = {}
-    for v, e in field.matching:
+    for v, e in sorted(field.matching):
         tail, head = field.complex.edges[e]
         steps[v] = ((e, head if v == tail else tail),)
     return steps
 
 
 def vector_steps(field: Field) -> dict:
-    """lo -> (((up, key), c), ...) for each pair (lo, up) of a valid vector
-    field: an X-step to every other cell c on the boundary of up."""
+    """lo -> (((up, key), c), ...) for each pair (lo, up) of a vector field
+    whose pairs are each valid: an X-step to every other cell c on the
+    boundary of up; the pairs are read in sorted order, so a cell that is
+    lower in several pairs steps by the last."""
     C = field.complex
     return {lo: tuple(((up, key), c) for key, c in boundary(C, up) if c != lo)
-            for lo, up in field.matching}
+            for lo, up in sorted(field.matching)}
 
 
 def roots(field: Field, steps: dict) -> list:

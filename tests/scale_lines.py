@@ -54,7 +54,6 @@ import math
 import os
 import random
 import sys
-from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -124,19 +123,15 @@ class LineCounter:
 
 def merge_pair(L: LineField) -> tuple[str, str] | None:
     """The first critical faces f, g, in sorted order, that a corridor from
-    f joins and merge_critical_faces accepts, or None.  The move needs a
-    unique corridor, so an end reached twice is not tried."""
+    f joins and merge_critical_faces accepts, or None; each end is tried
+    once."""
     for f in sorted(c for c in L.doubled_critical() if c in L.complex.faces):
-        corridors = corridors_from(L, f)
-        reached = Counter(corridor.end for corridor in corridors)
-        for corridor in corridors:
-            if reached[corridor.end] > 1:
-                continue
+        for g in dict.fromkeys(corridor.end for corridor in corridors_from(L, f)):
             try:
-                merge_critical_faces(L, f, corridor.end)
+                merge_critical_faces(L, f, g)
             except OperationError:
                 continue
-            return f, corridor.end
+            return f, g
     return None
 
 

@@ -240,6 +240,17 @@ def pillow(n):
     return SurfaceComplex(vertices, edges, faces, name=f"pillow{n}")
 
 
+def bigon_chain(k):
+    """A sphere on one vertex v with loops a0..a<k>: the one-sided disks
+    f on +a0 and g on -a<k>, joined by the bigons h<i> on -a<i> +a<i+1>.
+    With no matching, the one corridor from f to g passes every bigon, and
+    deleting its crossings leaves an empty walk."""
+    edges = {f"a{i}": ("v", "v") for i in range(k + 1)}
+    faces = {"f": w("+a0"), "g": w(f"-a{k}")}
+    faces.update({f"h{i}": w(f"-a{i} +a{i + 1}") for i in range(k)})
+    return SurfaceComplex(frozenset({"v"}), edges, faces, name=f"bigon_chain{k}")
+
+
 def one_face(g):
     """The orientable surface of genus g as one 4g-gon: one vertex v, loops
     a<i> and b<i>, and the face F walking +a0 +b0 -a0 -b0 +a1 ... -b<g-1>."""

@@ -7,6 +7,7 @@ import pytest
 import model
 import support
 from linefields import (
+    CancellationError,
     Crossing,
     CyclicFieldError,
     LineField,
@@ -18,6 +19,7 @@ from linefields import (
     critical_cells,
     graph_dot,
     l_paths,
+    merge_critical_faces,
     ms_decomposition,
     report_json,
     topological_graph,
@@ -235,6 +237,41 @@ def test_fully_matched_face_has_no_corridors():
     L = LineField(support.theta_sphere(), frozenset({("u", "a"), ("w", "b")}))
     assert len(L._unmatched["fab"]) == 0
     assert corridors_from(L, "fab") == []
+
+
+class _CountedReads(dict):
+    """A dict that counts its subscript reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_each_corridor_is_traced_once():
+    """corridors_from, the face merge and corridors() read one table: on a
+    pillow, merging `top` with the end of each of its n corridors, then
+    listing every corridor and those from `top` again, crosses each of the
+    n corridors' 2n edges once, where tracing on every call would cross
+    them n + 3 times.  The table takes no part in equality or repr."""
+    n = 6
+    S = support.pillow(n)
+    L = LineField(S)
+    assert L.problems() == []
+    fresh = LineField(S)
+    S.__dict__["occurrence_index"] = index = _CountedReads(S.occurrence_index)
+    ends = [c.end for c in corridors_from(L, "top")]
+    assert ends == ["bottom"] * n
+    for g in ends:
+        with pytest.raises(CancellationError, match=f"found {n}"):
+            merge_critical_faces(L, "top", g)
+    assert "_corridors" not in vars(L)  # the merge reads only the corridors from top
+    corridors, closed = L.corridors()
+    assert corridors_from(L, "top") == list(corridors[n:])
+    assert len(corridors) == 2 * n and closed == ()
+    assert index.reads == sum(len(c.crossings) for c in corridors[n:]) == 2 * n
+    assert L == fresh and repr(L) == repr(fresh)
 
 
 # ---- closed corridors and the decomposition ------------------------------

@@ -575,6 +575,9 @@ def differential_fields():
         LineField(support.theta_sphere(), frozenset({("u", "a")})),
         LineField(support.disk_sphere()),
     ]
+    # The one corridor of a bigon chain empties the merged walk at its last
+    # crossing.
+    fields += [LineField(support.bigon_chain(k)) for k in range(1, 5)]
     corpus = support.random_corpus(832, 60, max_moves=4)
     for S in corpus + [faces_renamed(S, "z") for S in corpus]:
         for keep in (0.3, 0.7):
