@@ -16,7 +16,7 @@ from operator import itemgetter
 from .dynamics import Separatrix, TopologicalGraph, _branch
 from .errors import ParseError, _Record
 from .linefield import LineField
-from .surface import SurfaceComplex, _canonical_rotation, occ_text
+from .surface import SurfaceComplex, _canonical_rotation
 from .vectorfield import VectorField
 
 # Each directive's section rank, token count and refusal of a line with
@@ -282,7 +282,7 @@ def _complex_text(S: SurfaceComplex) -> str:
     vertices = list(map(_string, sorted(S.vertices)))
     edges = [f"{_string(e)}: {_items(list(map(_string, S.edges[e])))}" for e in sorted(S.edges)]
     faces = [
-        f"{_string(f)}: {_items([_string(occ_text(o)) for o in S.faces[f]])}"
+        f"{_string(f)}: {_items([_string('+' + e if s > 0 else '-' + e) for s, e in S.faces[f]])}"
         for f in sorted(S.faces)
     ]
     return (

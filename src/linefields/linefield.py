@@ -105,7 +105,7 @@ class LineField(_Field):
         """Each face's walk positions holding an unmatched edge."""
         matched = self._lower_of
         return {
-            f: tuple(i for i, (_s, e) in enumerate(walk) if e not in matched)
+            f: tuple([i for i, (_s, e) in enumerate(walk) if e not in matched])
             for f, walk in self.complex.faces.items()
         }
 
@@ -125,6 +125,8 @@ class LineField(_Field):
 
     # Each end occurrence of a traced corridor: the corridor leaving it.
     _traced = cached_property(lambda self: {})
+    # Each face merged from: its corridors, as a list per end face.
+    _ends = cached_property(lambda self: {})
 
 
 def validate_line_field(L: LineField) -> list[str]:

@@ -12,7 +12,6 @@ new field together with a cell correspondence.
 from __future__ import annotations
 
 import heapq
-from itertools import chain
 
 from .dynamics import LPath, _count_walks, _nth_walk, _require_acyclic, corridors_from
 from .errors import CancellationError, DegenerateOperationError, OperationError, _Record
@@ -71,15 +70,14 @@ def _contraction_order(L: LineField) -> list[tuple[str, str]]:
     return order
 
 
-def _root(parent: dict[str, str], cell: str) -> str:
-    """The cell that finally absorbed `cell`, compressing the path to it."""
-    path = []
-    while cell in parent:
-        path.append(cell)
-        cell = parent[cell]
-    for c in path:
-        parent[c] = cell
-    return cell
+def _to_roots(parent: dict[str, str]) -> None:
+    """Point every cell of `parent` at the cell that finally absorbed it, in
+    one pass that compresses each chain the first time it is walked."""
+    for c, r in parent.items():
+        while r in parent:
+            r = parent[r]
+        while parent[c] != r:
+            parent[c], c = r, parent[c]
 
 
 def homotopy_core(L: LineField) -> CoreResult:
@@ -100,8 +98,10 @@ def homotopy_core(L: LineField) -> CoreResult:
     no bigon becomes removable later and one pass over the bigons in
     sorted order suffices; the least bigon left, which repeats one edge,
     is the degenerate face.  Each collapse substitutes one occurrence by
-    position (_collapse_bigons), so the core costs time linear in the
-    walks, even where one face absorbs thousands of bigons.
+    position (surface._collapse_cells), so the core costs time linear in
+    the walks, even where one face absorbs thousands of bigons.  Every
+    contracted or absorbed cell is pointed at its final root once
+    (_to_roots), so edge ends and the correspondence are plain lookups.
     """
     _require_acyclic(L)
     S = L.complex
@@ -122,37 +122,26 @@ def homotopy_core(L: LineField) -> CoreResult:
     for v, e in contracted:
         tail, head = S.edges[e]
         parent[v] = parent[e] = head if v == tail else tail
-    edges = {
-        e: (_root(parent, tail), _root(parent, head))
-        for e, (tail, head) in S.edges.items()
-        if e not in matched
-    }
+    _to_roots(parent)
+    root = parent.get
+    edges = {e: (root(t, t), root(h, h)) for e, (t, h) in S.edges.items() if e not in matched}
     walks = {}
     for f, walk in S.faces.items():
-        kept = tuple(occ for occ in walk if occ[1] not in matched)
+        kept = [occ for occ in walk if occ[1] not in matched]
         walks[f] = walk if len(kept) == len(walk) else _canonical_rotation(kept)
     if degenerate is None:
-        degenerate = _collapse_bigons(edges, walks, parent)
+        bigons = sorted([f for f, walk in walks.items() if len(walk) == 2])
+        absorbed = _collapse_cells(edges, walks, bigons)
+        _to_roots(absorbed)  # a face that absorbed a bigon may be absorbed in turn
+        parent.update(absorbed)
+        degenerate = next((f for f in bigons if f in walks), None)
     T = SurfaceComplex._from_checked(S.vertices.difference(parent), edges, walks, S.name)
-    mapping = {c: _root(parent, c) for c in chain(S.vertices, S.edges, S.faces)}
+    cells = (*S.vertices, *S.edges, *S.faces)
+    mapping = dict(zip(cells, cells))
+    mapping.update(parent)
     return CoreResult(
         LineField(T, L.matching - contracted), CellCorrespondence(mapping), degenerate
     )
-
-
-def _collapse_bigons(edges, walks, parent) -> str | None:
-    """Collapse every removable bigon of an unmatched field in place, in
-    sorted order, with surface._collapse_cells: each deletes the bigon's
-    lesser edge and merges the bigon into the edge's other face, which
-    keeps its id, as delete_edge_merge_faces would, substituting by
-    position and rotating each touched walk once at the end, so the
-    collapses cost one pass over the walks.  Absorbed cells go into
-    `parent`.  Returns the least bigon left, which repeats one edge and is
-    degenerate, or None.
-    """
-    bigons = sorted(f for f, walk in walks.items() if len(walk) == 2)
-    parent.update(_collapse_cells(edges, walks, bigons))
-    return next((f for f in bigons if f in walks), None)
 
 
 # ---- cancellation --------------------------------------------------------
@@ -184,7 +173,12 @@ def merge_critical_faces(
         if len(L._unmatched[x]) == 2:
             raise OperationError(f"face {x} is not critical")
     L._require_valid()
-    hits = [c for c in corridors_from(L, f) if c.end == g]
+    ends = L._ends.get(f)
+    if ends is None:
+        ends = L._ends[f] = {}
+        for c in corridors_from(L, f):
+            ends.setdefault(c.end, []).append(c)
+    hits = ends.get(g, [])
     if not hits:
         raise CancellationError(f"no corridor from {f} to {g}")
     if len(hits) > 1:
@@ -198,7 +192,9 @@ def merge_critical_faces(
     faces = {h: walk for h, walk in S.faces.items() if h not in absorbed}
     faces[merged_id] = _canonical_rotation(_corridor_walk(S, corridor, merged_id))
     T = SurfaceComplex._from_checked(S.vertices, edges, faces, S.name)
-    mapping = {c: merged_id if c in absorbed else c for c in chain(S.vertices, S.edges, S.faces)}
+    cells = (*S.vertices, *S.edges, *S.faces)
+    mapping = dict(zip(cells, cells))
+    mapping.update(dict.fromkeys(absorbed, merged_id))
     return LineField(T, L.matching), CellCorrespondence(mapping)
 
 
@@ -307,6 +303,7 @@ def cancel_vertex_face(
         pairs.discard((path.vertices[i], e_i))
         pairs.add((path.vertices[i + 1], e_i))
     pairs.add((u1, diag))
-    mapping = {c: c for c in chain(S.vertices, S.edges, S.faces)}
+    cells = (*S.vertices, *S.edges, *S.faces)
+    mapping = dict(zip(cells, cells))
     mapping[f] = part_entry
     return LineField(T, frozenset(pairs)), CellCorrespondence(mapping)

@@ -492,7 +492,8 @@ def _collapse_cells(edges, faces, bigons) -> dict[str, str]:
         walk[j] = ((-t if same else t) * tf * tg, o)
         if same and f < g:
             turn[g] = -tg
-        slots[o] = [(g, j) if h == f else (h, q) for h, q in slots[o]]
+        moved = slots[o]
+        moved[moved[1][0] == f] = (g, j)  # o's slot on f, first or second
         del edges[gone], faces[f]
         absorbed[f] = absorbed[gone] = g
     for g, t in turn.items():

@@ -627,10 +627,12 @@ def core(field: Field, notes: Counter | None = None):
     (field, cell map, degenerate face): the degenerate face is the least
     face a contraction would empty, where contraction stops, or else the
     least bigon left.  Counts in `notes` the branches taken and the shape
-    of each collapse."""
+    of each collapse, and each contraction whose vertex's other end is
+    matched too."""
     notes = Counter() if notes is None else notes
     cur, first_slots = field, slot_map(field.complex)
     mapping = identity(field.complex)
+    matched = {v for v, _e in field.matching}
     for v, e in contraction_order(field):
         try:
             cur, step = contract(cur, v, e)
@@ -638,6 +640,9 @@ def core(field: Field, notes: Counter | None = None):
             notes["degenerate contraction"] += 1
             bad = min(f for f, walk in cur.complex.faces.items() if {x for _s, x in walk} == {e})
             return cur, mapping, bad
+        # v's other end is contracted too: v maps down a chain of two or more pairs.
+        tail, head = field.complex.edges[e]
+        notes["contraction onto a matched vertex"] += (head if v == tail else tail) in matched
         mapping = {c: step[img] for c, img in mapping.items()}
     removable_first = None
     while True:

@@ -25,7 +25,7 @@ from linefields import (
     topological_graph,
     validate_line_field,
 )
-from linefields import dynamics
+from linefields import dynamics, simplify
 
 
 def two_pair_tetra():
@@ -249,12 +249,13 @@ class _CountedReads(dict):
         return super().__getitem__(key)
 
 
-def test_each_corridor_is_traced_once():
+def test_each_corridor_is_traced_once(monkeypatch):
     """corridors_from, the face merge and corridors() read one table: on a
     pillow, merging `top` with the end of each of its n corridors, then
     listing every corridor and those from `top` again, crosses each of the
     n corridors' 2n edges once, where tracing on every call would cross
-    them n + 3 times.  The table takes no part in equality or repr."""
+    them n + 3 times.  The merges list the corridors from `top` once and
+    then read them by end.  The tables take no part in equality or repr."""
     n = 6
     S = support.pillow(n)
     L = LineField(S)
@@ -263,9 +264,14 @@ def test_each_corridor_is_traced_once():
     S.__dict__["occurrence_index"] = index = _CountedReads(S.occurrence_index)
     ends = [c.end for c in corridors_from(L, "top")]
     assert ends == ["bottom"] * n
+    listed = []
+    monkeypatch.setattr(
+        simplify, "corridors_from", lambda L, f: listed.append(f) or corridors_from(L, f)
+    )
     for g in ends:
         with pytest.raises(CancellationError, match=f"found {n}"):
             merge_critical_faces(L, "top", g)
+    assert listed == ["top"]
     assert "_corridors" not in vars(L)  # the merge reads only the corridors from top
     corridors, closed = L.corridors()
     assert corridors_from(L, "top") == list(corridors[n:])

@@ -603,10 +603,12 @@ def test_core_matches_move_by_move():
         got, want = core_outcome(L, notes)
         assert got == want
     assert taken(notes) >= {
+        "contraction onto a matched vertex",
         "degenerate contraction",
         "degenerate bigon from the start",
         "bigon degenerated by a collapse",
         "collapse into a face that absorbed a bigon",
+        "into a bigon",
     }
 
 
