@@ -12,12 +12,13 @@ looked up both ways and the protocol methods that read a field's cached
 verdicts.  Each kind supplies `_scan`, one pass over its sorted matching
 that finds the matching's violations, builds its step table
 `{cell: ((label, next), ...)}` (`_steps`) and lists the roots of the
-closed-path search.  Both share one path engine: `_find_cycle` finds a
-closed-path witness, `_fold_walks` folds a value over all walks from a
-cell in one memoised post-order pass, which counts walks (`_count_walks`)
-and finds where separatrices end, and `_nth_walk` builds every listed
-path as the walk of its rank in such a count; none recurses, so path
-length is bounded by memory, not by recursion depth.
+closed-path search.  Both share one path engine: `_search`, one
+depth-first search, finds the first closed walk and, given a fold, folds
+a value over all walks from each cell as it finishes the cell, which
+counts walks (`_count_walks`) and finds where separatrices end; and
+`_nth_walk` builds every listed path as the walk of its rank in such a
+count.  Neither recurses, so path length is bounded by memory, not by
+recursion depth.
 
 Each field builds its topological graph once and keeps it.  The graph
 holds no walks: a separatrix keeps its start cell and rank, and its `path`
@@ -170,77 +171,63 @@ class DecompositionReport(_Record):
 # ---- path engine ----------------------------------------------------------
 
 
-def _find_cycle(roots, steps):
-    """The first closed walk a depth-first search from `roots`, in order,
-    runs into: (cells, labels) from the re-entered cell back to itself,
-    or None when the relation is acyclic on everything reachable."""
-    state: dict = {}  # 1 while on the current walk, 2 once finished
+_OPEN = object()  # the search's mark of a cell on the current walk
+
+
+def _search(roots, steps, fold=None):
+    """One iterative depth-first search from `roots`, in order: (values,
+    cycle).  `cycle` is the first closed walk it runs into, as (cells,
+    labels) from the re-entered cell back to itself, or None when the
+    relation is acyclic on everything reachable; `values` then holds a
+    value for every cell reached, given as the search finishes it.  With
+    fold=None that value is a mark.  With fold=(leaves, other, join) it is
+    at a cell with no steps its value in `leaves`, or `other` when it has
+    none there; at a cell with one step its successor's value, shared (the
+    walks from it are the successor's); else `join` of the list of its
+    successors' values in step order; no value may be None."""
+    values: dict = {}  # _OPEN while on the current walk, then the cell's value
+    if fold is not None:
+        leaves, other, join = fold
     for root in roots:
-        if root in state:
+        if root in values:
             continue
-        state[root] = 1
-        cells, labels = [root], []
+        values[root] = _OPEN
+        walk = [(None, root)]  # the current walk's steps, each (label, cell)
         stack = [iter(steps.get(root, ()))]
         while stack:
             step = next(stack[-1], None)
             if step is None:
-                state[cells.pop()] = 2
-                del labels[-1:]
+                c = walk.pop()[1]
+                if fold is None:
+                    values[c] = True
+                else:
+                    out = steps.get(c)
+                    if not out:
+                        values[c] = leaves.get(c, other)
+                    elif len(out) == 1:
+                        values[c] = values[out[0][1]]
+                    else:
+                        values[c] = join([values[nxt] for _label, nxt in out])
                 stack.pop()
                 continue
-            label, nxt = step
-            seen = state.get(nxt)
-            if seen == 1:
-                k = cells.index(nxt)
-                return tuple(cells[k:]) + (nxt,), tuple(labels[k:]) + (label,)
+            nxt = step[1]
+            seen = values.get(nxt)
+            if seen is _OPEN:
+                k = [c for _label, c in walk].index(nxt)
+                loop = walk[k + 1:] + [step]
+                cells = (nxt,) + tuple(c for _label, c in loop)
+                return values, (cells, tuple(label for label, _c in loop))
             if seen is None:
-                state[nxt] = 1
-                cells.append(nxt)
-                labels.append(label)
+                values[nxt] = _OPEN
+                walk.append(step)
                 stack.append(iter(steps.get(nxt, ())))
-    return None
-
-
-def _fold_walks(steps, roots, leaves, other, join) -> dict:
-    """A value for every cell reachable from `roots`: at a cell with no
-    steps its value in `leaves`, or `other` when it has none there; at a
-    cell with one step its successor's value, shared (the walks from it
-    are the successor's); else `join` of the list of its successors'
-    values in step order.  One iterative post-order pass; the relation
-    must be acyclic."""
-    memo: dict = {}
-    for root in roots:
-        if root in memo:
-            continue
-        stack = [root]
-        while stack:
-            c = stack[-1]
-            if c in memo:
-                stack.pop()
-                continue
-            out = steps.get(c)
-            if not out:
-                memo[c] = leaves.get(c, other)
-            elif len(out) == 1:
-                nxt = out[0][1]
-                if nxt not in memo:
-                    stack.append(nxt)
-                    continue
-                memo[c] = memo[nxt]
-            else:
-                todo = [nxt for _label, nxt in out if nxt not in memo]
-                if todo:
-                    stack += todo
-                    continue
-                memo[c] = join([memo[nxt] for _label, nxt in out])
-            stack.pop()
-    return memo
+    return values, None
 
 
 def _count_walks(steps, roots, target) -> dict:
     """How many maximal walks from each cell reachable from `roots` end at
     `target`."""
-    return _fold_walks(steps, roots, {target: 1}, 0, sum)
+    return _search(roots, steps, ({target: 1}, 0, sum))[0]
 
 
 def _branch(out, ways, k):
@@ -326,31 +313,6 @@ def topological_graph(field) -> TopologicalGraph:
     return field._graph
 
 
-def _build_graph(field) -> TopologicalGraph:
-    """topological_graph without the acyclicity check.  One post-order pass
-    over the steps from every exit finds, for each cell, the critical ends
-    of its walks in walk order (one per cell on a line field), so the graph
-    costs O(cells + separatrices); each separatrix walks its path only when
-    it is read.  The graph keeps the walk count of each branch cell's
-    successors, all _nth_walk reads."""
-    crit = field.doubled_critical()
-    steps = field._steps
-    exits = [(source, key, start) for source in sorted(crit) for key, start in field._exits(source)]
-    starts = (start for _s, _k, start in exits)
-    ends = _fold_walks(
-        steps, starts, {c: (c,) for c in crit}, (), lambda parts: tuple(chain.from_iterable(parts))
-    )
-    branches = (steps[c] for c in ends if len(steps.get(c, ())) > 1)
-    ways = {nxt: len(ends[nxt]) for out in branches for _label, nxt in out}
-    walks = (steps, ways, field._path)
-    edges = tuple(
-        Separatrix._walked(source, target, key, walks, start, k)
-        for source, key, start in exits
-        for k, target in enumerate(ends[start])
-    )
-    return TopologicalGraph(tuple(sorted(crit)), edges)
-
-
 class _Field(_Record):
     """The body LineField and VectorField share: a complex, a set of
     (lower, upper) pairs looked up both ways, and the field protocol
@@ -393,18 +355,38 @@ class _Field(_Record):
     _steps = property(lambda self: self._scan[1])
 
     def _witness(self, cells, labels):
-        """The closed path of a cycle `_find_cycle` found."""
+        """The closed path of a cycle `_search` found."""
         return self._path(cells, labels)
 
     @cached_property
     def _closed(self):
         _problems, steps, roots = self._scan
-        cycle = _find_cycle(roots, steps)
+        cycle = _search(roots, steps)[1]
         return None if cycle is None else self._witness(*cycle)
 
     @cached_property
     def _graph(self) -> TopologicalGraph:
-        return _build_graph(self)
+        """topological_graph without the acyclicity check.  One search over
+        the steps from every exit folds, for each cell, the critical ends
+        of its walks in walk order (one per cell on a line field), so the
+        graph costs O(cells + separatrices); each separatrix walks its path
+        only when it is read.  The graph keeps the walk count of each
+        branch cell's successors, all _nth_walk reads."""
+        crit = self.doubled_critical()
+        steps = self._steps
+        exits = [(src, key, start) for src in sorted(crit) for key, start in self._exits(src)]
+        starts = (start for _s, _k, start in exits)
+        fold = ({c: (c,) for c in crit}, (), lambda parts: tuple(chain.from_iterable(parts)))
+        ends = _search(starts, steps, fold)[0]
+        branches = (steps[c] for c in ends if len(steps.get(c, ())) > 1)
+        ways = {nxt: len(ends[nxt]) for out in branches for _label, nxt in out}
+        walks = (steps, ways, self._path)
+        edges = tuple(
+            Separatrix._walked(source, target, key, walks, start, k)
+            for source, key, start in exits
+            for k, target in enumerate(ends[start])
+        )
+        return TopologicalGraph(tuple(sorted(crit)), edges)
 
     @cached_property
     def _upper_of(self) -> dict[str, str]:

@@ -285,11 +285,12 @@ class SurfaceComplex(_Record):
     def _darts(self) -> SimpleNamespace:
         """The dart table: the walks' occurrences numbered face by face in
         sorted face order, so dart d lies on the face of `order` whose first
-        dart is the last one at most d (see _dart_faces).  Its corner's slots
-        2d ("in") and 2d + 1 ("out") run in (face, position, side) order;
-        partner pairs the two slots of each edge end, and cycles holds each
-        vertex's link cycles as slot lists.  Unless every edge occurs
-        twice, only `unpaired` is set, naming the least edge that does not."""
+        dart is the last one at most d (as vertex_link_cycles decodes it).
+        Its corner's slots 2d ("in") and 2d + 1 ("out") run in (face,
+        position, side) order; partner pairs the two slots of each edge
+        end, and cycles holds each vertex's link cycles as slot lists.
+        Unless every edge occurs twice, only `unpaired` is set, naming the
+        least edge that does not."""
         faces, edges = self.faces, self.edges
         order = sorted(faces)
         ends = {e: [] for e in edges}  # per edge, per occurrence: (tail slot, head slot)
@@ -331,14 +332,6 @@ class SurfaceComplex(_Record):
                 cycles[vertex].append(cycle)
         return SimpleNamespace(order=order, partner=partner, cycles=cycles, unpaired=None)
 
-    def _dart_faces(self) -> list[int]:
-        """The first dart of each face of the dart table's order, then the
-        dart count: dart d lies on face i = bisect_right(firsts, d) - 1, at
-        position d - firsts[i].  Built on each call for the two readers
-        that decode darts, vertex_link_cycles() and dual()."""
-        faces = self.faces
-        return [0, *accumulate(len(faces[f]) for f in self._darts.order)]
-
     def vertex_link_cycles(self) -> dict[str, tuple[tuple[Slot, ...], ...]]:
         """The cyclic fan of edge ends and corners around each vertex.
 
@@ -352,14 +345,15 @@ class SurfaceComplex(_Record):
         Returns, per vertex, its cycles; a cycle is the tuple of
         (face, position, side) slots it leaves corners through.  Cycles
         start at the least unused slot of the edge ends in sorted order.
-        Decodes the dart table's int cycles on each call, each dart
-        through the faces' first darts (_dart_faces); raises
-        InvalidComplexError unless every edge occurs exactly twice.
+        Decodes the dart table's int cycles on each call, each dart by
+        bisecting the faces' first darts (`firsts`, built on each call);
+        raises InvalidComplexError unless every edge occurs exactly twice.
         """
         darts = self._darts
         if darts.unpaired:
             raise InvalidComplexError(f"vertex links need every edge twice: {darts.unpaired}")
-        order, firsts, side = darts.order, self._dart_faces(), ("in", "out")
+        faces, order, side = self.faces, darts.order, ("in", "out")
+        firsts = [0, *accumulate(len(faces[f]) for f in order)]
 
         def slot(s: int) -> Slot:
             d = s >> 1
@@ -377,36 +371,30 @@ class SurfaceComplex(_Record):
         Requires a complex that passes validate() with one link cycle at
         every vertex; a vertex pinching two umbrellas together has no dual
         in this encoding.  Its cells pass the constructor's checks by
-        construction.  Each dart is decoded through the faces' first darts
-        (_dart_faces), and each dart's edge read from one flat list.
+        construction.  Each face walks its vertex's link cycle, as
+        vertex_link_cycles() decodes it.
         """
         if self._problems:
             raise InvalidComplexError(f"cannot dualize: {self._problems[0]}")
-        dual_edges = {e: (occs[0][0], occs[1][0]) for e, occs in self.occurrence_index.items()}
-        faces, darts = self.faces, self._darts
-        pinched = min((v for v, cycles in darts.cycles.items() if len(cycles) != 1), default=None)
+        index, faces = self.occurrence_index, self.faces
+        dual_edges = {e: (occs[0][0], occs[1][0]) for e, occs in index.items()}
+        links = self.vertex_link_cycles()
+        pinched = min((v for v, cycles in links.items() if len(cycles) != 1), default=None)
         if pinched is not None:
             raise InvalidComplexError(
-                f"cannot dualize: link of vertex {pinched} has {len(darts.cycles[pinched])} cycles"
+                f"cannot dualize: link of vertex {pinched} has {len(links[pinched])} cycles"
             )
-        firsts = self._dart_faces()
-        edge = [e for f in darts.order for _s, e in faces[f]]  # per dart
-
-        def crossed(slot: int) -> int:  # the dart of the edge end in `slot`
-            d = slot >> 1
-            if slot & 1:
-                return d
-            i = bisect_right(firsts, d) - 1
-            return d - 1 if d > firsts[i] else firsts[i + 1] - 1
-
         dual_faces = {}
         for v in sorted(self.vertices):
-            # Each step crosses an edge, into the dart of the slot it reaches;
-            # the sign says whether that is the edge's second dart.
+            # Each slot crosses an edge: an "out" slot the occurrence at its
+            # corner, an "in" slot the one before; the sign says whether
+            # that occurrence is the edge's second.
             walk = []
-            for s in darts.cycles[v][0]:
-                d, other = crossed(s), crossed(darts.partner[s])
-                walk.append((1 if d > other else -1, edge[d]))
+            for f, i, side in links[v][0]:
+                if side == "in":
+                    i = (i or len(faces[f])) - 1
+                e = faces[f][i][1]
+                walk.append((1 if index[e][1] == (f, i) else -1, e))
             dual_faces[v] = _canonical_rotation(walk)
         return self._from_checked(frozenset(faces), dual_edges, dual_faces, f"{self.name}_dual")
 

@@ -226,6 +226,36 @@ def link_cycles(C: Complex) -> dict:
     return {v: tuple(cs) for v, cs in cycles.items()}
 
 
+def dual(C: Complex) -> Complex:
+    """The dual complex: a vertex per face, an edge per edge from the face
+    of its first occurrence to the face of its second, and a face per
+    vertex walking its one link cycle.  Each slot the cycle records
+    crosses an edge occurrence, the one at its corner for an "out" slot
+    and the one before it for an "in" slot, forwards when that is the
+    edge's second occurrence.  Refuses a complex with a problem, then one
+    whose least vertex with other than one link cycle it names."""
+    problems = validate(C)
+    if problems:
+        raise Refused("InvalidComplexError", f"cannot dualize: {problems[0]}")
+    cycles = link_cycles(C)
+    for v in sorted(cycles):
+        if len(cycles[v]) != 1:
+            raise Refused("InvalidComplexError",
+                          f"cannot dualize: link of vertex {v} has {len(cycles[v])} cycles")
+    slots = {e: occurrences(C, e) for e in C.edges}
+    faces = {}
+    for v, (cycle,) in cycles.items():
+        walk = []
+        for f, i, side in cycle:
+            if side == "in":
+                i = (i - 1) % len(C.faces[f])
+            e = C.faces[f][i][1]
+            walk.append((1 if slots[e][1] == (f, i) else -1, e))
+        faces[v] = rotation(walk)
+    edges = {e: (first[0], second[0]) for e, (first, second) in slots.items()}
+    return Complex(frozenset(C.faces), edges, faces, f"{C.name}_dual")
+
+
 # ---- the surgery moves ------------------------------------------------------
 
 

@@ -11,9 +11,10 @@ problems(), closed_path(), graph(), corridors(), report_json and
 graph_dot on the parsed field, in that order, as the CLI runs them, then
 split_face on the parsed complex's first face in sorted order, between
 corners 0 and 2, and delete_edge_merge_faces on its first edge in sorted
-order that lies on two faces, where one does.  A line field is then
-emitted with emit_line_field and goes through
-homotopy_core and, where the field has one, one merge_critical_faces
+order that lies on two faces, where one does, and dual() on the parsed
+complex, where it has one.  A line field is then emitted with
+emit_line_field and goes through homotopy_core and, where the field has
+one, one merge_critical_faces
 move (the first pair of critical faces in sorted order that a corridor
 joins and the move accepts; the pillow's n-gons are joined by n corridors,
 so it has none) and one cancel_vertex_face move (the first critical
@@ -79,7 +80,7 @@ from linefields import (  # noqa: E402
     report_json,
     split_face,
 )
-from linefields.errors import OperationError  # noqa: E402
+from linefields.errors import InvalidComplexError, OperationError  # noqa: E402
 
 SIZES = (24, 48)
 BAR = 1.05
@@ -152,8 +153,8 @@ def cancel_pair(L: LineField) -> tuple[str, str] | None:
 
 def layer_lines(field) -> tuple[int, dict[str, int]]:
     """The complex's cell count and each layer's line count.  The analysis
-    layers and the two surgery moves run in order on one field parsed from
-    `field`'s file.  A line field is emitted, and the homotopy core and,
+    layers, the two surgery moves and the dual run in order on one field
+    parsed from `field`'s file.  A line field is emitted, and the homotopy core and,
     where it has them, one merge of critical faces and one cancellation run
     on a second parsed field; a vector field's image under dvf_to_dlf is
     emitted, its link cycles are decoded, it goes back through dlf_to_dvf,
@@ -184,6 +185,10 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
         lines["delete_edge_merge_faces"], _merged = counter.count(
             lambda: delete_edge_merge_faces(S, edge, "probe_m")
         )
+    try:
+        lines["dual"], _dual = counter.count(S.dual)
+    except InvalidComplexError:
+        pass  # a vertex with more than one link cycle: no dual
     if isinstance(parsed, LineField):
         lines["emit_line_field"], _text = counter.count(lambda: emit_line_field(parsed))
         fresh = LineField(parse_document(text).complex, doc.match)

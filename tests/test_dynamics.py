@@ -139,14 +139,15 @@ def test_graph_is_built_once_and_holds_no_paths(monkeypatch):
         built.append(cells)
         return LPath(cells, steps)
 
-    build_graph = dynamics._build_graph
+    search = dynamics._search
 
-    def counting_build(field):
-        graphs.append(field)
-        return build_graph(field)
+    def counting_search(roots, steps, fold=None):
+        if fold is not None:  # only the graph build folds here
+            graphs.append(steps)
+        return search(roots, steps, fold)
 
     monkeypatch.setattr(LineField, "_path", staticmethod(make_path))
-    monkeypatch.setattr(dynamics, "_build_graph", counting_build)
+    monkeypatch.setattr(dynamics, "_search", counting_search)
     L = support.serpentine_line_field(24, 24)
     graph_dot(L)
     assert built == [] and len(graphs) == 1

@@ -87,13 +87,14 @@ def test_one_cycle_search_per_field(monkeypatch):
     """A field keeps its closed-path verdict: a graph and ten path counts
     search the step relation once.  Both kinds search in dynamics._Field."""
     calls = []
-    original = dynamics._find_cycle
+    original = dynamics._search
 
-    def wrapper(roots, steps):
-        calls.append(steps)
-        return original(roots, steps)
+    def wrapper(roots, steps, fold=None):
+        if fold is None:
+            calls.append(steps)
+        return original(roots, steps, fold)
 
-    monkeypatch.setattr(dynamics, "_find_cycle", wrapper)
+    monkeypatch.setattr(dynamics, "_search", wrapper)
     V, head = support.serpentine_torus(4, 4)
     (root,) = [c for c in V.doubled_critical() if c in V.complex.vertices]
     V.graph()
@@ -138,7 +139,7 @@ def test_path_queries_list_no_dead_walks(monkeypatch):
     edges = sorted(c for c in crit if c in S.edges)
     walks = counting_walks(monkeypatch, vectorfield, "_nth_walk")
     starts = list(dict.fromkeys(e for _s, e in S.faces[face]))
-    walks_from = dynamics._fold_walks(V._steps, starts, {}, 1, sum)
+    walks_from = dynamics._search(starts, V._steps, ({}, 1, sum))[0]
     every_walk = sum(walks_from[start] for start in starts)
     for edge in edges:
         walks.clear()
@@ -255,3 +256,21 @@ def test_engine_matches_recursive_traversals():
                 answered += len(found) > 0
     assert min(cyclic.values()) >= 5
     assert answered >= 100
+
+
+def test_folding_search_finds_the_same_cycle():
+    """The search stops at its first closed walk whether or not it folds:
+    a walk count fold returns the cycle the plain search returns, on
+    cyclic fields too, and on acyclic ones reaches the same cells."""
+    lines, vectors = engine_fields()
+    cyclic = 0
+    for field in lines + vectors:
+        _problems, steps, roots = field._scan
+        marks, cycle = dynamics._search(roots, steps)
+        counts, folded = dynamics._search(roots, steps, ({}, 1, sum))
+        assert folded == cycle
+        if cycle is None:
+            assert counts.keys() == marks.keys()
+            assert all(type(n) is int and n >= 1 for n in counts.values())
+        cyclic += cycle is not None
+    assert 20 <= cyclic <= len(lines + vectors) - 20

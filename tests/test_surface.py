@@ -569,6 +569,22 @@ def test_link_cycles_match_reference_walk():
     assert len(inputs) == 122 and steps >= 5000
 
 
+def test_dual_matches_model():
+    """dual() against the model's walk of each vertex's link cycle, and the
+    same refusals: an unsound complex and a pinched vertex."""
+    inputs = support.random_corpus(seed=29, count=60)
+    inputs += [support.pillow(n) for n in (1, 2, 7)]
+    inputs += [support.cone_sphere(n) for n in (1, 3, 8)]
+    inputs += [support.one_face(g) for g in (1, 2, 4)]
+    inputs += [support.pinched_spheres(), support.tetra_without_face()]
+    kinds = Counter()
+    for S in inputs:
+        got = model.outcome(lambda: model.complex_of(S.dual()), InvalidComplexError)
+        assert got == model.outcome(lambda: model.dual(model.complex_of(S))), S.name
+        kinds[got[0]] += 1
+    assert kinds["ok"] >= 60 and kinds["InvalidComplexError"] >= 2
+
+
 def test_dual_of_invalid_complex_rejected():
     S = SurfaceComplex(
         vertices=frozenset({"v"}),
