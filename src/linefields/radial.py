@@ -81,39 +81,35 @@ def radial_decomposition(S: SurfaceComplex) -> RadialComplex:
     )
 
 
-def _radial_classes(S: SurfaceComplex):
-    """The two vertex classes of S and each quadrilateral's four corners,
-    read during the chain check, when S is a radial refinement, else None.
+def _factor(R: SurfaceComplex):
+    """The complexes of R's two vertex classes, the class holding the least
+    vertex first, when R is a radial refinement, else None.
 
-    S must be a closed surface of quadrilaterals whose 1-skeleton is
+    R must be a closed surface of quadrilaterals whose 1-skeleton is
     connected and two-coloured, with one link cycle at every vertex, so
     that pinched points are refused.  Every walk has four occurrences, so
     the incidence structure is connected exactly when the 1-skeleton is;
-    an isolated vertex is a component of its own.  The class holding the
-    least vertex comes first, so the primal/dual labeling is deterministic.
+    an isolated vertex is left uncoloured.  One pass reads the dart table
+    once and checks each condition where it builds from it.
+
+    Each quadrilateral becomes an edge of both complexes: between its two
+    corners of the first class, tail at corner k (0 or 1, as corners
+    alternate), and between its other two, tail at corner 1 - k.  Each
+    vertex becomes a face of the other class's complex whose walk follows
+    its link cycle, oriented +1 exactly when the crossing starts at the
+    edge's tail.  On quadrilaterals, dart d is position d & 3 of face
+    order[d >> 2].
     """
-    edges = S.edges
-    corners: dict[str, tuple[str, str, str, str]] = {}
-    for f, walk in S.faces.items():
-        if len(walk) != 4:
-            return None
-        (a0, a1), (b0, b1), (c0, c1), (d0, d1) = (
-            edges[e] if s > 0 else edges[e][::-1] for s, e in walk
-        )
-        if a1 != b0 or b1 != c0 or c1 != d0 or d1 != a0:
-            return None
-        corners[f] = (a0, b0, c0, d0)
-    if S._darts.unpaired:  # some edge does not occur exactly twice
+    darts = R._darts
+    if darts.unpaired:  # some edge does not occur exactly twice
         return None
-    if not S.vertices:
-        return frozenset(), frozenset(), corners
-    adj: dict[str, list[str]] = {v: [] for v in S.vertices}
+    edges, faces, vertices = R.edges, R.faces, R.vertices
+    adj: dict[str, list[str]] = {v: [] for v in vertices}
     for tail, head in edges.values():
         adj[tail].append(head)
         adj[head].append(tail)
-    start = min(S.vertices)
-    color = {start: 0}
-    stack = [start]
+    stack = [min(vertices)] if vertices else []
+    color = dict.fromkeys(stack, 0)
     while stack:
         u = stack.pop()
         c = 1 - color[u]
@@ -123,21 +119,55 @@ def _radial_classes(S: SurfaceComplex):
                 stack.append(x)
             elif color[x] != c:
                 return None
-    if len(color) != len(S.vertices):
+    if len(color) != len(vertices):
         return None
-    if any(len(cycles) != 1 for cycles in S._darts.cycles.values()):
-        return None  # a pinched vertex
-    first = frozenset(v for v, c in color.items() if c == 0)
-    return first, S.vertices - first, corners
+    # Per class, first then second: its complex's edges and faces.
+    factor_edges: tuple[dict, dict] = ({}, {})
+    factor_faces: tuple[dict, dict] = ({}, {})
+    order = darts.order
+    tail_first: list[int] = []  # per face index: k, the colour of corner 0
+    for z in order:
+        walk = faces[z]
+        if len(walk) != 4:
+            return None
+        (a0, a1), (b0, b1), (c0, c1), (d0, d1) = (
+            edges[e] if s > 0 else edges[e][::-1] for s, e in walk
+        )
+        if a1 != b0 or b1 != c0 or c1 != d0 or d1 != a0:
+            return None
+        k = color[a0]
+        tail_first.append(k)
+        factor_edges[k][z], factor_edges[1 - k][z] = (a0, c0), (b0, d0)
+    link = darts.cycles
+    for u in sorted(vertices):
+        if len(link[u]) != 1:
+            return None  # a pinched vertex
+        # u is a face of the other class's complex, whose tails sit at
+        # corners k ^ flip.
+        flip = 1 - color[u]
+        walk = []
+        for s in link[u][0]:
+            d = s >> 1
+            source = (d + 1) & 3 if s & 1 else (d - 1) & 3
+            walk.append((1 if source == tail_first[d >> 2] ^ flip else -1, order[d >> 2]))
+        factor_faces[flip][u] = _canonical_rotation(walk)
+    first = frozenset(v for v, c in color.items() if not c)
+    build = SurfaceComplex._from_checked
+    return (
+        build(first, factor_edges[0], factor_faces[0], f"{R.name}_a"),
+        build(vertices - first, factor_edges[1], factor_faces[1], f"{R.name}_b"),
+    )
 
 
 def is_radial(S: SurfaceComplex) -> bool:
     """Whether S is the radial refinement of some complex.
 
     Checks the bipartite quadrilateral characterization, plus a single
-    link cycle at every vertex so that pinched points are refused.
+    link cycle at every vertex so that pinched points are refused.  The
+    check is the factoring's pass (_factor), so it builds the two factor
+    complexes and drops them.
     """
-    return _radial_classes(S) is not None
+    return _factor(S) is not None
 
 
 def dvf_to_dlf(V: VectorField) -> LineField:
@@ -212,53 +242,8 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
         _merge_cells(edges, faces, d, occs, qid)
         merged_into[live[0]] = merged_into[live[1]] = qid
         merged_quad[d] = qid
-    T = SurfaceComplex._from_checked(T.vertices, edges, faces, T.name)
-    classes = _radial_classes(T)
-    if classes is None:
+    factors = _factor(SurfaceComplex._from_checked(T.vertices, edges, faces, T.name))
+    if factors is None:
         raise NotInImageError("unmatched edges do not form a radial refinement")
-    return _factors(T, *classes, L.matching, merged_quad)
-
-
-def _factors(R, first, second, corners, matching, merged_quad):
-    """Collapse a radial refinement onto the complexes of its two vertex
-    classes, first then second.
-
-    Each quadrilateral becomes an edge of both: between its two first-class
-    corners, tail at corner k (0 or 1, as corners alternate), and between
-    its second-class corners, tail at corner 1 - k; `corners` holds each
-    quadrilateral's four, from _radial_classes.  Each vertex becomes a
-    face of the other class's complex whose walk follows its link cycle,
-    oriented +1 exactly when the crossing starts at the edge's tail.  On
-    quadrilaterals, dart d is position d & 3 of face order[d >> 2].
-    """
-    order = R._darts.order
-    tail_first: list[int] = []  # per face index
-    edges_first: dict[str, tuple[str, str]] = {}
-    edges_second: dict[str, tuple[str, str]] = {}
-    for z in order:
-        c = corners[z]
-        k = 0 if c[0] in first else 1
-        tail_first.append(k)
-        edges_first[z] = (c[k], c[k + 2])
-        edges_second[z] = (c[1 - k], c[3 - k])
-
-    link = R._darts.cycles
-    faces_first: dict[str, tuple] = {}
-    faces_second: dict[str, tuple] = {}
-    for u in sorted(R.vertices):
-        (cycle,) = link[u]
-        # u is a face of the other class's complex.
-        flip, faces = (1, faces_second) if u in first else (0, faces_first)
-        walk = []
-        for s in cycle:
-            d = s >> 1
-            source = (d + 1) & 3 if s & 1 else (d - 1) & 3
-            walk.append((1 if source == tail_first[d >> 2] ^ flip else -1, order[d >> 2]))
-        faces[u] = _canonical_rotation(walk)
-
-    pairs = frozenset((v, merged_quad[d]) for v, d in matching)
-    build = SurfaceComplex._from_checked
-    return (
-        VectorField(build(first, edges_first, faces_first, f"{R.name}_a"), pairs),
-        VectorField(build(second, edges_second, faces_second, f"{R.name}_b"), pairs),
-    )
+    pairs = frozenset((v, merged_quad[d]) for v, d in L.matching)
+    return VectorField(factors[0], pairs), VectorField(factors[1], pairs)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate
 from types import SimpleNamespace
 
 from .errors import DegenerateOperationError, InvalidComplexError, OperationError, _Record
@@ -285,7 +284,7 @@ class SurfaceComplex(_Record):
     def _darts(self) -> SimpleNamespace:
         """The dart table: the walks' occurrences numbered face by face in
         sorted face order, so dart d lies on the face of `order` whose first
-        dart is the last one at most d (as vertex_link_cycles decodes it).
+        dart (in `firsts`) is the last one at most d, as _corners decodes it.
         Its corner's slots 2d ("in") and 2d + 1 ("out") run in (face,
         position, side) order; partner pairs the two slots of each edge
         end, and cycles holds each vertex's link cycles as slot lists.
@@ -293,10 +292,12 @@ class SurfaceComplex(_Record):
         least edge that does not."""
         faces, edges = self.faces, self.edges
         order = sorted(faces)
+        firsts = []  # per face of order, its first dart
         ends = {e: [] for e in edges}  # per edge, per occurrence: (tail slot, head slot)
         d = 0  # the face's first dart
         for f in order:
             walk = faces[f]
+            firsts.append(d)
             base, last = 2 * d, 2 * (d + len(walk)) - 1  # first in slot, last out slot
             out = base + 1
             for s, e in walk:
@@ -330,7 +331,9 @@ class SurfaceComplex(_Record):
                     cycle.append(slot)
                     seen[slot] = 1
                 cycles[vertex].append(cycle)
-        return SimpleNamespace(order=order, partner=partner, cycles=cycles, unpaired=None)
+        return SimpleNamespace(
+            order=order, firsts=firsts, partner=partner, cycles=cycles, unpaired=None
+        )
 
     def vertex_link_cycles(self) -> dict[str, tuple[tuple[Slot, ...], ...]]:
         """The cyclic fan of edge ends and corners around each vertex.
@@ -345,22 +348,14 @@ class SurfaceComplex(_Record):
         Returns, per vertex, its cycles; a cycle is the tuple of
         (face, position, side) slots it leaves corners through.  Cycles
         start at the least unused slot of the edge ends in sorted order.
-        Decodes the dart table's int cycles on each call, each dart by
-        bisecting the faces' first darts (`firsts`, built on each call);
-        raises InvalidComplexError unless every edge occurs exactly twice.
+        Decodes the dart table's int cycles on each call (_corners); raises
+        InvalidComplexError unless every edge occurs exactly twice.
         """
         darts = self._darts
         if darts.unpaired:
             raise InvalidComplexError(f"vertex links need every edge twice: {darts.unpaired}")
-        faces, order, side = self.faces, darts.order, ("in", "out")
-        firsts = [0, *accumulate(len(faces[f]) for f in order)]
-
-        def slot(s: int) -> Slot:
-            d = s >> 1
-            i = bisect_right(firsts, d) - 1
-            return order[i], d - firsts[i], side[s & 1]
-
-        return {v: tuple(tuple(map(slot, c)) for c in cs) for v, cs in darts.cycles.items()}
+        side = ("in", "out")
+        return {v: tuple(_corners(darts, c, side) for c in cs) for v, cs in darts.cycles.items()}
 
     # ---- dual ------------------------------------------------------------
 
@@ -371,14 +366,14 @@ class SurfaceComplex(_Record):
         Requires a complex that passes validate() with one link cycle at
         every vertex; a vertex pinching two umbrellas together has no dual
         in this encoding.  Its cells pass the constructor's checks by
-        construction.  Each face walks its vertex's link cycle, as
-        vertex_link_cycles() decodes it.
+        construction.  Each face walks its vertex's int link cycle, each
+        slot decoded by _corners to its corner and low bit.
         """
         if self._problems:
             raise InvalidComplexError(f"cannot dualize: {self._problems[0]}")
-        index, faces = self.occurrence_index, self.faces
+        index, faces, darts = self.occurrence_index, self.faces, self._darts
         dual_edges = {e: (occs[0][0], occs[1][0]) for e, occs in index.items()}
-        links = self.vertex_link_cycles()
+        links = darts.cycles
         pinched = min((v for v, cycles in links.items() if len(cycles) != 1), default=None)
         if pinched is not None:
             raise InvalidComplexError(
@@ -386,17 +381,29 @@ class SurfaceComplex(_Record):
             )
         dual_faces = {}
         for v in sorted(self.vertices):
-            # Each slot crosses an edge: an "out" slot the occurrence at its
-            # corner, an "in" slot the one before; the sign says whether
-            # that occurrence is the edge's second.
+            # Each slot crosses an edge: an "out" slot (low bit 1) the
+            # occurrence at its corner, an "in" slot the one before; the
+            # sign says whether that occurrence is the edge's second.
             walk = []
-            for f, i, side in links[v][0]:
-                if side == "in":
+            for f, i, out in _corners(darts, links[v][0], (0, 1)):
+                if not out:
                     i = (i or len(faces[f])) - 1
                 e = faces[f][i][1]
                 walk.append((1 if index[e][1] == (f, i) else -1, e))
             dual_faces[v] = _canonical_rotation(walk)
         return self._from_checked(frozenset(faces), dual_edges, dual_faces, f"{self.name}_dual")
+
+
+def _corners(darts: SimpleNamespace, cycle: list[int], side: tuple) -> tuple[tuple, ...]:
+    """The one decode of dart-table slots: each slot of `cycle` as (face,
+    position, side[low bit]), its face found by bisecting `firsts`."""
+    order, firsts = darts.order, darts.firsts
+    corners = []
+    for s in cycle:
+        d = s >> 1
+        i = bisect_right(firsts, d) - 1
+        corners.append((order[i], d - firsts[i], side[s & 1]))
+    return tuple(corners)
 
 
 # ---- face surgery --------------------------------------------------------

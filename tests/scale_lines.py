@@ -11,8 +11,10 @@ problems(), closed_path(), graph(), corridors(), report_json and
 graph_dot on the parsed field, in that order, as the CLI runs them, then
 split_face on the parsed complex's first face in sorted order, between
 corners 0 and 2, and delete_edge_merge_faces on its first edge in sorted
-order that lies on two faces, where one does, and dual() on the parsed
-complex, where it has one.  A line field is then emitted with
+order that lies on two faces, where one does, dual() on the parsed
+complex, where it has one, and is_radial on the parsed complex's radial
+refinement (radial_decomposition, not counted), which builds and drops
+the two factor complexes.  A line field is then emitted with
 emit_line_field and goes through homotopy_core and, where the field has
 one, one merge_critical_faces
 move (the first pair of critical faces in sorted order that a corridor
@@ -75,8 +77,10 @@ from linefields import (  # noqa: E402
     emit_vector_field,
     graph_dot,
     homotopy_core,
+    is_radial,
     merge_critical_faces,
     parse_document,
+    radial_decomposition,
     report_json,
     split_face,
 )
@@ -153,10 +157,11 @@ def cancel_pair(L: LineField) -> tuple[str, str] | None:
 
 def layer_lines(field) -> tuple[int, dict[str, int]]:
     """The complex's cell count and each layer's line count.  The analysis
-    layers, the two surgery moves and the dual run in order on one field
-    parsed from `field`'s file.  A line field is emitted, and the homotopy core and,
-    where it has them, one merge of critical faces and one cancellation run
-    on a second parsed field; a vector field's image under dvf_to_dlf is
+    layers, the two surgery moves, the dual and the radial check of the
+    refinement run in order on one field parsed from `field`'s file.  A
+    line field is emitted, and the homotopy core and, where it has them,
+    one merge of critical faces and one cancellation run on a second
+    parsed field; a vector field's image under dvf_to_dlf is
     emitted, its link cycles are decoded, it goes back through dlf_to_dvf,
     and both factors are emitted."""
     emit = emit_vector_field if isinstance(field, VectorField) else emit_line_field
@@ -189,6 +194,8 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
         lines["dual"], _dual = counter.count(S.dual)
     except InvalidComplexError:
         pass  # a vertex with more than one link cycle: no dual
+    R = radial_decomposition(S).complex
+    lines["is_radial"], _radial = counter.count(lambda: is_radial(R))
     if isinstance(parsed, LineField):
         lines["emit_line_field"], _text = counter.count(lambda: emit_line_field(parsed))
         fresh = LineField(parse_document(text).complex, doc.match)
