@@ -21,8 +21,8 @@ _MODULES = {
                "radial_decomposition"),
     "simplify": ("CellCorrespondence", "CoreResult", "cancel_vertex_face", "homotopy_core",
                  "merge_critical_faces"),
-    "surface": ("SurfaceComplex", "delete_edge_merge_faces", "fresh_id", "occ_text",
-                "reversed_walk", "split_face"),
+    "surface": ("SurfaceComplex", "delete_edge_merge_faces", "fresh_id", "reversed_walk",
+                "split_face"),
     "vectorfield": ("VectorField", "XPath", "cancel_dvf", "closed_x_path", "count_x_paths",
                     "critical_cells_dvf", "dualize", "validate_vector_field", "x_paths"),
 }

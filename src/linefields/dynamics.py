@@ -262,12 +262,6 @@ def _nth_walk(steps, ways, start, k, make):
 # ---- L-paths --------------------------------------------------------------
 
 
-def closed_l_path(L: LineField) -> LPath | None:
-    """A closed L-path, rotated to start at its least vertex, or None.
-    The field searches once and keeps the verdict."""
-    return L._closed
-
-
 def _require_acyclic(field):
     """Refuse an unsound field at its door, then a cyclic one with CyclicFieldError."""
     field._require_valid()
@@ -339,7 +333,9 @@ class _Field(_Record):
         return self._critical
 
     def closed_path(self):
-        """A closed path witness, or None when the field is acyclic."""
+        """A closed path witness, or None when the field is acyclic: an
+        L-path rotated to start at its least vertex, or an X-path in either
+        dimension.  The field searches once and keeps the verdict."""
         return self._closed
 
     def _require_valid(self):
@@ -395,6 +391,9 @@ class _Field(_Record):
     @cached_property
     def _lower_of(self) -> dict[str, str]:
         return {up: lo for lo, up in self.matching}
+
+
+closed_l_path = _Field.closed_path
 
 
 # ---- corridors ------------------------------------------------------------

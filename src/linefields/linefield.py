@@ -119,9 +119,7 @@ class LineField(_Field):
         m = ring.index(min(ring))
         return LPath(ring[m:] + ring[: m + 1], edges[m:] + edges[:m])
 
-    @cached_property
-    def _corridors(self):
-        return _all_corridors(self)
+    _corridors = cached_property(_all_corridors)
 
     # Each end occurrence of a traced corridor: the corridor leaving it.
     _traced = cached_property(lambda self: {})

@@ -23,11 +23,6 @@ Occurrence = tuple[int, str]
 Slot = tuple[str, int, str]
 
 
-def occ_text(occ: Occurrence) -> str:
-    sign, edge = occ
-    return ("+" if sign > 0 else "-") + edge
-
-
 def reversed_walk(walk: tuple[Occurrence, ...]) -> tuple[Occurrence, ...]:
     return tuple((-sign, e) for sign, e in reversed(walk))
 
@@ -156,6 +151,7 @@ class SurfaceComplex(_Record):
     # ---- basic accessors -------------------------------------------------
 
     def dim_of(self, cell: str) -> int:
+        """0, 1 or 2; a mapping-style lookup: KeyError for an unknown id."""
         if cell in self.vertices:
             return 0
         if cell in self.edges:
@@ -176,10 +172,13 @@ class SurfaceComplex(_Record):
             yield f, 2
 
     def occ_source(self, occ: Occurrence) -> str:
+        """The vertex `occ` leaves; KeyError for an unknown edge id."""
         tail, head = self.edges[occ[1]]
         return tail if occ[0] > 0 else head
 
     def corner_vertex(self, face: str, position: int) -> str:
+        """The vertex `face`'s walk leaves at `position`, taken modulo the
+        walk's length; KeyError for an unknown face id."""
         walk = self.faces[face]
         return self.occ_source(walk[position % len(walk)])
 

@@ -49,6 +49,49 @@ class XPath(_PathView):
         return {"cells": list(self.cells), "witnesses": [list(w) for w in self.witnesses]}
 
 
+# ---- X-paths --------------------------------------------------------------
+
+
+def _x_query(V: VectorField, source: str, target: str) -> tuple[int, list[str], dict]:
+    """An X-path query's dimension, start cells (those on the boundary of
+    `source`, each once) and _count_walks table to `target`; refuses a
+    cell that is unknown or matched, a dimension mismatch, a cyclic field."""
+    S = V.complex
+    for c in (source, target):
+        if not S.has_cell(c):
+            raise OperationError(f"{c} is not a cell of the complex")
+    d_source, d_target = S.dim_of(source), S.dim_of(target)
+    if d_source != d_target + 1:
+        raise OperationError(
+            f"dimension mismatch: {source} has dimension {d_source},"
+            f" {target} has dimension {d_target}"
+        )
+    for c in (source, target):
+        if c in V._upper_of or c in V._lower_of:
+            raise OperationError(f"{c} is matched, not critical")
+    _require_acyclic(V)
+    starts = list(dict.fromkeys(c for _key, c in V._exits(source)))
+    return d_target, starts, _count_walks(V._steps, starts, target)
+
+
+def x_paths(V: VectorField, source: str, target: str):
+    """All X-paths starting at a cell incident to the critical cell
+    `source` and ending at the critical cell `target`, lazily, in
+    deterministic order: each start cell's walks by rank.  Trivial
+    one-cell paths count.  A bad query is refused at the call."""
+    p, starts, ways = _x_query(V, source, target)
+    make = partial(XPath, p)
+    return (
+        _nth_walk(V._steps, ways, start, k, make) for start in starts for k in range(ways[start])
+    )
+
+
+def count_x_paths(V: VectorField, source: str, target: str) -> int:
+    """Number of X-paths x_paths would yield, without enumerating them."""
+    _p, starts, ways = _x_query(V, source, target)
+    return sum(ways[c] for c in starts)
+
+
 class VectorField(_Field):
     """A complex plus pairs (lower, upper); construction reorders each pair
     by dimension but checks nothing else, see validate_vector_field."""
@@ -78,11 +121,8 @@ class VectorField(_Field):
         """Cell matchings have no corridors."""
         return (), ()
 
-    def paths(self, source: str, target: str):
-        return x_paths(self, source, target)
-
-    def count_paths(self, source: str, target: str) -> int:
-        return count_x_paths(self, source, target)
+    paths = x_paths
+    count_paths = count_x_paths
 
     # ---- hooks of topological_graph, the field door and the JSON report ----
 
@@ -175,58 +215,10 @@ def critical_cells_dvf(V: VectorField) -> dict[str, int]:
     return out
 
 
-# ---- X-paths --------------------------------------------------------------
-
-
-def closed_x_path(V: VectorField) -> XPath | None:
-    """A closed X-path in either dimension, or None when the step relation
-    is acyclic.  The field searches once and keeps the verdict."""
-    return V._closed
-
-
-def _x_query(V: VectorField, source: str, target: str) -> tuple[int, list[str], dict]:
-    """An X-path query's dimension, start cells (those on the boundary of
-    `source`, each once) and _count_walks table to `target`; refuses a
-    cell that is unknown or matched, a dimension mismatch, a cyclic field."""
-    S = V.complex
-    for c in (source, target):
-        if not S.has_cell(c):
-            raise OperationError(f"{c} is not a cell of the complex")
-    d_source, d_target = S.dim_of(source), S.dim_of(target)
-    if d_source != d_target + 1:
-        raise OperationError(
-            f"dimension mismatch: {source} has dimension {d_source},"
-            f" {target} has dimension {d_target}"
-        )
-    for c in (source, target):
-        if c in V._upper_of or c in V._lower_of:
-            raise OperationError(f"{c} is matched, not critical")
-    _require_acyclic(V)
-    starts = list(dict.fromkeys(c for _key, c in V._exits(source)))
-    return d_target, starts, _count_walks(V._steps, starts, target)
-
-
-def x_paths(V: VectorField, source: str, target: str):
-    """All X-paths starting at a cell incident to the critical cell
-    `source` and ending at the critical cell `target`, lazily, in
-    deterministic order: each start cell's walks by rank.  Trivial
-    one-cell paths count.  A bad query is refused at the call."""
-    p, starts, ways = _x_query(V, source, target)
-    make = partial(XPath, p)
-    return (
-        _nth_walk(V._steps, ways, start, k, make) for start in starts for k in range(ways[start])
-    )
-
-
-def count_x_paths(V: VectorField, source: str, target: str) -> int:
-    """Number of X-paths x_paths would yield, without enumerating them."""
-    _p, starts, ways = _x_query(V, source, target)
-    return sum(ways[c] for c in starts)
-
-
 # ---- topological graph and cancellation -----------------------------------
 
 
+closed_x_path = VectorField.closed_path
 # Not exported: perfbench/jobs.py times vectorfield.topological_graph_dvf
 # under this name.
 topological_graph_dvf = topological_graph

@@ -6,7 +6,10 @@ corridors come from one tracer, compared against the reference model's
 corridors (tests/model.py), which shares no index with the tracer.
 """
 
+import ast
+import importlib
 import random
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -99,6 +102,15 @@ def test_one_tracer_matches_reference_scan():
             assert report.closed_corridors == got_closed
             decomposed_with_closed += bool(want_closed)
     assert closed_total > 0 and decomposed_with_closed > 0 and one_face > 0
+
+
+def test_protocol_methods_are_the_functions():
+    """Each field operation has one body: the public functions of the
+    protocol's methods are those methods, not wrappers around them."""
+    assert closed_l_path is closed_x_path is LineField.closed_path is VectorField.closed_path
+    assert LineField.paths is l_paths
+    assert VectorField.paths is x_paths
+    assert VectorField.count_paths is count_x_paths
 
 
 def test_line_field_methods_equal_functions():
@@ -235,7 +247,6 @@ PUBLIC = [
     "l_paths",
     "merge_critical_faces",
     "ms_decomposition",
-    "occ_text",
     "parse_complex",
     "parse_document",
     "parse_graph_json",
@@ -267,6 +278,7 @@ REMOVED = [
     "isomorphisms",
     "line_fields_isomorphic",
     "occ_reversed",
+    "occ_text",
     "scan_closed_corridors",
     "subdivide_edge",
     "topological_graph_dvf",
@@ -294,3 +306,31 @@ def test_star_import_binds_exactly_all():
     del namespace["__builtins__"]
     assert sorted(namespace) == linefields.__all__
     assert all(namespace[n] is getattr(linefields, n) for n in namespace)
+
+
+def test_every_package_name_perfbench_reads_exists():
+    """perfbench/ is frozen with the benchmark, so a removal from the
+    package that would break it fails here: every name a perfbench file
+    imports from the package resolves, and so does every attribute it reads
+    on an imported package module."""
+    missing, read = [], 0
+    for path in sorted((Path(__file__).parent.parent / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("linefields"):
+                package = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = getattr(package, alias.name, None)
+                    if value is None:
+                        missing.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+                    elif isinstance(value, ModuleType):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                read += 1
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert missing == []
+    assert read >= 30

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from isomorphism import complexes_isomorphic
+import model
 import support
 
 from linefields import (
@@ -20,7 +21,6 @@ from linefields import (
     emit_line_field,
     emit_vector_field,
     graph_dot,
-    occ_text,
     parse_complex,
     parse_document,
     parse_graph_json,
@@ -610,7 +610,7 @@ def reference_report(field) -> dict:
             "name": S.name,
             "vertices": sorted(S.vertices),
             "edges": {e: list(S.edges[e]) for e in sorted(S.edges)},
-            "faces": {f: [occ_text(o) for o in S.faces[f]] for f in sorted(S.faces)},
+            "faces": {f: [model.text(o) for o in S.faces[f]] for f in sorted(S.faces)},
         },
         "matching": [list(p) for p in sorted(field.matching)],
         "critical": [

@@ -36,7 +36,6 @@ from linefields.surface import (
     _split_cells,
     delete_edge_merge_faces,
     fresh_id,
-    occ_text,
     split_face,
 )
 
@@ -140,7 +139,7 @@ def test_canonical_rotation_matches_rotation_by_texts():
         walks.append(random_walk(rng, ids[:3], rng.randrange(1, 4)) * rng.randrange(2, 4))
     booth = negative = 0
     for walk in walks:
-        texts = [occ_text(o) for o in walk]
+        texts = [model.text(o) for o in walk]
         booth += bool(texts) and texts.count(min(texts)) > 1
         negative += bool(walk) and all(s < 0 for s, _e in walk)
         want = _rotated(list(walk), texts)
