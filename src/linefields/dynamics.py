@@ -314,10 +314,10 @@ class _Field(_Record):
 
     A subclass supplies `_scan`, one pass over the sorted matching that
     returns (the matching's violations, the step table, the roots of the
-    closed-path search), and `_critical` and `_exits`, and the hooks
-    `_path`, `_path_keys`, `_kind` and `_cyclic_text`; it may override
-    `_witness` and define __post_init__, which _Record.__init__ calls.
-    Every table is built once, on first use.
+    closed-path search), `_critical`, `_corridors` and `_exits`, and the
+    hooks `_path`, `_path_keys`, `_kind` and `_cyclic_text`; it may
+    override `_witness` and define __post_init__, which _Record.__init__
+    calls.  Every table is built once, on first use.
     """
 
     complex: SurfaceComplex
@@ -337,6 +337,20 @@ class _Field(_Record):
         L-path rotated to start at its least vertex, or an X-path in either
         dimension.  The field searches once and keeps the verdict."""
         return self._closed
+
+    def corridors(self):
+        """(corridors, closed corridors), traced once per field; a vector
+        field, a cell matching, has none."""
+        return self._corridors
+
+    def upper_of(self, lower: str) -> str | None:
+        return self._upper_of.get(lower)
+
+    def lower_of(self, upper: str) -> str | None:
+        return self._lower_of.get(upper)
+
+    def matched_cells(self) -> frozenset[str]:
+        return frozenset(self._upper_of.keys() | self._lower_of.keys())
 
     def _require_valid(self):
         """The field door: OperationError with the matching's first

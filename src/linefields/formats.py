@@ -190,8 +190,7 @@ def parse_off(text: str) -> SurfaceComplex:
     pos += n_vertices  # coordinates are ignored
     vertices = [f"v{i}" for i in range(n_vertices)]
     edges: dict[str, tuple[str, str]] = {}
-    edge_by_pair: dict[tuple[int, int], str] = {}
-    uses: dict[str, int] = {}
+    by_pair: dict[tuple[int, int], list] = {}  # per vertex pair: [edge id, tail, uses]
     faces: dict[str, tuple] = {}
     for k in range(n_faces):
         num, tokens = rows[pos + k]
@@ -207,18 +206,17 @@ def parse_off(text: str) -> SurfaceComplex:
         walk = []
         for a, b in zip(indices, indices[1:] + indices[:1]):
             pair = (min(a, b), max(a, b))
-            if pair not in edge_by_pair:
-                eid = f"e{a}_{b}"
-                edge_by_pair[pair] = eid
-                edges[eid] = (f"v{a}", f"v{b}")
-                uses[eid] = 0
-            eid = edge_by_pair[pair]
-            if uses[eid] == 2:
+            entry = by_pair.get(pair)
+            if entry is None:
+                entry = by_pair[pair] = [f"e{a}_{b}", a, 0]
+                edges[entry[0]] = (f"v{a}", f"v{b}")
+            eid, tail, used = entry
+            if used == 2:
                 raise ParseError(
                     f"edge between v{pair[0]} and v{pair[1]} lies on three faces", line=num
                 )
-            uses[eid] += 1
-            walk.append((1 if edges[eid] == (f"v{a}", f"v{b}") else -1, eid))
+            entry[2] = used + 1
+            walk.append((1 if tail == a else -1, eid))
         faces[f"f{k}"] = _canonical_rotation(walk)
     return SurfaceComplex._from_checked(frozenset(vertices), edges, faces, "off_import")
 

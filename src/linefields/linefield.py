@@ -9,7 +9,7 @@ characteristic.
 
 LineField and VectorField share one field protocol: problems(),
 doubled_critical(), closed_path(), graph(), corridors(), paths(a, b) and
-count_paths(a, b).  The first four, and the matching's lookup maps, are
+count_paths(a, b).  The first five, and the matching's lookups, are
 implemented once on their shared base, dynamics._Field; a field kind
 supplies `_scan`, one pass over its sorted matching that yields the
 matching's violations, its step table and the roots of the closed-path
@@ -26,8 +26,9 @@ from .dynamics import LPath, _all_corridors, _Field, l_paths
 
 
 class LineField(_Field):
-    """A complex plus a set of (vertex, edge) pairs: `_upper_of` maps a
-    matched vertex to its edge, `_lower_of` an edge to its vertex.
+    """A complex plus a set of (vertex, edge) pairs: `edge_matched_to`
+    (upper_of) gives a matched vertex's edge, `vertex_matched_to`
+    (lower_of) an edge's vertex.
 
     Construction does not check the pairing conditions; see
     validate_line_field.  Operations that walk it refuse an invalid one.
@@ -42,19 +43,12 @@ class LineField(_Field):
     def matched_edges(self) -> frozenset[str]:
         return frozenset(self._lower_of)
 
-    def edge_matched_to(self, vertex: str) -> str | None:
-        return self._upper_of.get(vertex)
-
-    def vertex_matched_to(self, edge: str) -> str | None:
-        return self._lower_of.get(edge)
+    edge_matched_to = _Field.upper_of
+    vertex_matched_to = _Field.lower_of
 
     # ---- field protocol, the part a line field does its own way ----
 
     paths = l_paths
-
-    def corridors(self):
-        """(corridors, closed corridors), traced once per field."""
-        return self._corridors
 
     def count_paths(self, source: str, target: str) -> int:
         return len(l_paths(self, source, target))

@@ -225,13 +225,13 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
     # Each face already merged, mapped to the face that replaced it; slots
     # read from T stay valid on every face not in here.
     merged_into: dict[str, str] = {}
-    merged_quad: dict[str, str] = {}
+    pairs = []  # each (vertex, quadrilateral its diagonal merged into)
     slots = {d: [] for _v, d in L.matching}  # each diagonal's (face, position) slots
     for f, walk in T.faces.items():  # in dict order: _merge_cells sorts the two
         for i, (_s, e) in enumerate(walk):
             if e in slots:
                 slots[e].append((f, i))
-    for _v, d in sorted(L.matching, key=lambda pair: pair[1]):
+    for v, d in sorted(L.matching, key=lambda pair: pair[1]):
         occs = slots[d]
         live = [merged_into.get(f, f) for f, _i in occs]
         if len(occs) != 2 or live[0] == live[1]:
@@ -241,9 +241,8 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
         (qid,) = _fresh_ids(T.vertices, edges, faces, f"m_{d}")
         _merge_cells(edges, faces, d, occs, qid)
         merged_into[live[0]] = merged_into[live[1]] = qid
-        merged_quad[d] = qid
+        pairs.append((v, qid))
     factors = _factor(SurfaceComplex._from_checked(T.vertices, edges, faces, T.name))
     if factors is None:
         raise NotInImageError("unmatched edges do not form a radial refinement")
-    pairs = frozenset((v, merged_quad[d]) for v, d in L.matching)
     return VectorField(factors[0], pairs), VectorField(factors[1], pairs)

@@ -31,6 +31,7 @@ class CellCorrespondence(_Record):
     mapping: dict[str, str]
 
     def image_of(self, cell: str) -> str:
+        """The image of `cell`; a mapping-style lookup: KeyError for an unknown cell."""
         return self.mapping[cell]
 
     def preimages(self, cell: str) -> tuple[str, ...]:
@@ -44,6 +45,15 @@ class CoreResult(_Record):
     field: LineField
     correspondence: CellCorrespondence
     degenerate_face: str | None = None
+
+
+def _moved(S, T, matching, moved) -> tuple[LineField, CellCorrespondence]:
+    """A move's result: LineField(T, matching), and the correspondence that
+    is the identity on every cell of S, in cell order, updated with `moved`."""
+    cells = (*S.vertices, *S.edges, *S.faces)
+    mapping = dict(zip(cells, cells))
+    mapping.update(moved)
+    return LineField(T, matching), CellCorrespondence(mapping)
 
 
 # ---- homotopy core -------------------------------------------------------
@@ -112,7 +122,7 @@ def homotopy_core(L: LineField) -> CoreResult:
     if doomed and matched:
         order = _contraction_order(L)
         rank = {e: i for i, (_v, e) in enumerate(order)}
-        emptied = {f: max((rank[e] for _s, e in S.faces[f]), default=0) for f in doomed}
+        emptied = {f: max(rank[e] for _s, e in S.faces[f]) for f in doomed}
         stop = min(emptied.values())
         degenerate = min(f for f in doomed if emptied[f] == stop)
         contracted = frozenset(order[:stop])
@@ -136,12 +146,7 @@ def homotopy_core(L: LineField) -> CoreResult:
         parent.update(absorbed)
         degenerate = next((f for f in bigons if f in walks), None)
     T = SurfaceComplex._from_checked(S.vertices.difference(parent), edges, walks, S.name)
-    cells = (*S.vertices, *S.edges, *S.faces)
-    mapping = dict(zip(cells, cells))
-    mapping.update(parent)
-    return CoreResult(
-        LineField(T, L.matching - contracted), CellCorrespondence(mapping), degenerate
-    )
+    return CoreResult(*_moved(S, T, L.matching - contracted, parent), degenerate)
 
 
 # ---- cancellation --------------------------------------------------------
@@ -192,10 +197,7 @@ def merge_critical_faces(
     faces = {h: walk for h, walk in S.faces.items() if h not in absorbed}
     faces[merged_id] = _canonical_rotation(_corridor_walk(S, corridor, merged_id))
     T = SurfaceComplex._from_checked(S.vertices, edges, faces, S.name)
-    cells = (*S.vertices, *S.edges, *S.faces)
-    mapping = dict(zip(cells, cells))
-    mapping.update(dict.fromkeys(absorbed, merged_id))
-    return LineField(T, L.matching), CellCorrespondence(mapping)
+    return _moved(S, T, L.matching, dict.fromkeys(absorbed, merged_id))
 
 
 def _corridor_walk(S: SurfaceComplex, corridor, merged_id: str) -> tuple:
@@ -303,7 +305,4 @@ def cancel_vertex_face(
         pairs.discard((path.vertices[i], e_i))
         pairs.add((path.vertices[i + 1], e_i))
     pairs.add((u1, diag))
-    cells = (*S.vertices, *S.edges, *S.faces)
-    mapping = dict(zip(cells, cells))
-    mapping[f] = part_entry
-    return LineField(T, frozenset(pairs)), CellCorrespondence(mapping)
+    return _moved(S, T, frozenset(pairs), {f: part_entry})

@@ -127,6 +127,8 @@ class SurfaceComplex(_Record):
             edges[e] = (tail, head)
         faces = {}
         for f, walk in self.faces.items():
+            if not walk:
+                raise InvalidComplexError(f"face {f} has an empty walk")
             w = []
             for sign, e in walk:
                 if e not in edges:
@@ -228,8 +230,7 @@ class SurfaceComplex(_Record):
         consecutive occurrences share a vertex, so its face already lies in
         the component of its edges.  Only a break can make a face join
         components that its edges do not, so each break adds a link between
-        the two vertices it separates.  A face with an empty walk is a
-        component of its own.
+        the two vertices it separates.
         """
         problems = []
         edges, faces = self.edges, self.faces
@@ -245,9 +246,6 @@ class SurfaceComplex(_Record):
         components = 0
         for f in sorted(faces):
             walk = faces[f]
-            if not walk:
-                components += 1
-                continue
             s, e = walk[0]
             here = edges[e][s > 0]  # the end of walk[0]: head of +e, tail of -e
             for i, (s, e) in enumerate(walk[1:] + walk[:1]):

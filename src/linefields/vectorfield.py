@@ -8,12 +8,12 @@ distinct.  Cancellation reverses the unique path joining two critical
 cells.
 
 VectorField has the field protocol of LineField, and shares its body,
-dynamics._Field: the complex, the matching's lookup maps `_upper_of` and
-`_lower_of`, and problems(), doubled_critical(), closed_path() and
-graph().  It supplies `_scan`, one pass over its sorted matching that
-yields the matching's violations, its step table and the roots of the
-closed-path search.  The CLI and the formats module use only those
-methods.
+dynamics._Field: the complex, the matching's lookups upper_of, lower_of
+and matched_cells, and problems(), doubled_critical(), closed_path(),
+graph() and corridors().  It supplies `_scan`, one pass over its sorted
+matching that yields the matching's violations, its step table and the
+roots of the closed-path search.  The CLI and the formats module use
+only those methods.
 """
 
 from __future__ import annotations
@@ -106,21 +106,9 @@ class VectorField(_Field):
             pairs.append((a, b))
         object.__setattr__(self, "matching", frozenset(pairs))
 
-    def matched_cells(self) -> frozenset[str]:
-        return frozenset(self._upper_of.keys() | self._lower_of.keys())
-
-    def upper_of(self, lower: str) -> str | None:
-        return self._upper_of.get(lower)
-
-    def lower_of(self, upper: str) -> str | None:
-        return self._lower_of.get(upper)
-
     # ---- field protocol, the part a vector field does its own way ----
 
-    def corridors(self) -> tuple[tuple, tuple]:
-        """Cell matchings have no corridors."""
-        return (), ()
-
+    _corridors = ((), ())  # cell matchings have no corridors
     paths = x_paths
     count_paths = count_x_paths
 

@@ -111,6 +111,10 @@ def test_protocol_methods_are_the_functions():
     assert LineField.paths is l_paths
     assert VectorField.paths is x_paths
     assert VectorField.count_paths is count_x_paths
+    assert LineField.edge_matched_to is VectorField.upper_of
+    assert LineField.vertex_matched_to is VectorField.lower_of
+    assert LineField.corridors is VectorField.corridors
+    assert VectorField(support.tetra()).corridors() == ((), ())
 
 
 def test_line_field_methods_equal_functions():

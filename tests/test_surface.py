@@ -74,6 +74,8 @@ def test_identifier_collision_rejected():
         ({"x"}, {"e": ("x", "x")}, {"x": w("+e")}, "identifier 'x' used for more than one cell"),
         # an unknown edge with a bad sign: the edge is reported
         ({"v"}, {"e": ("v", "v")}, {"F": ((1, "e"), (2, "z"))}, "face F references unknown edge z"),
+        # a face with no occurrence, refused as the parser refuses its line
+        (set(), {}, {"f": ()}, "face f has an empty walk"),
     ],
 )
 def test_constructor_refusal_messages(vertices, edges, faces, message):
@@ -120,6 +122,10 @@ def test_least_rotation_matches_full_comparison():
     loops = {e: ("v", "v") for e in "abc"}
     for walk in walks:
         assert _canonical_rotation(walk) == model.rotation(walk)
+        if not walk:
+            with pytest.raises(InvalidComplexError, match="^face F has an empty walk$"):
+                SurfaceComplex(frozenset({"v"}), loops, {"F": walk})
+            continue
         # The constructor builds the rotation keys in its own pass.
         S = SurfaceComplex(frozenset({"v"}), loops, {"F": walk})
         assert S.faces["F"] == model.rotation(walk)
@@ -376,9 +382,10 @@ def test_validate_agrees_with_independent_check():
 
 
 def _mutated(S, rng, n_moves):
-    """S after n_moves random moves that break the closed-surface conditions:
-    drop a face, empty a walk, drop an occurrence, add an isolated vertex,
-    add an edge between new vertices, add a face of random occurrences."""
+    """The cells of S after n_moves random moves that break the
+    closed-surface conditions: drop a face, empty a walk, drop an
+    occurrence, add an isolated vertex, add an edge between new vertices,
+    add a face of random occurrences."""
     vertices, edges, faces = set(S.vertices), dict(S.edges), dict(S.faces)
     for k in range(n_moves):
         move = rng.randrange(6)
@@ -400,13 +407,14 @@ def _mutated(S, rng, n_moves):
             faces[f"rand{k}"] = tuple(
                 (rng.choice((1, -1)), rng.choice(sorted(edges))) for _ in range(rng.randint(1, 4))
             )
-    return SurfaceComplex(frozenset(vertices), edges, faces, name=S.name)
+    return frozenset(vertices), edges, faces
 
 
 def test_validate_matches_incidence_graph_reference():
     """validate() gives the model's exact problem list, its components
     counted on the incidence graph of all cells, on mutated corpus
-    complexes, single and in disjoint unions."""
+    complexes, single and in disjoint unions; a mutant with an empty walk
+    is refused at construction."""
     rng = random.Random(20261018)
     corpus = support.random_corpus(seed=18, count=60)
     many_parts = broken = empty = 0
@@ -414,13 +422,20 @@ def test_validate_matches_incidence_graph_reference():
         other = corpus[(i * 7 + 3) % len(corpus)]
         for base in (S, disjoint_union(S, suffixed(other, "_u"))):
             for n_moves in (1, 2, 3, 5, 8):
-                T = _mutated(base, rng, n_moves)
+                vertices, edges, faces = _mutated(base, rng, n_moves)
+                hollow = [f for f, walk in faces.items() if not walk]
+                if hollow:
+                    message = f"^face {re.escape(hollow[0])} has an empty walk$"
+                    with pytest.raises(InvalidComplexError, match=message):
+                        SurfaceComplex(vertices, edges, faces, name=base.name)
+                    empty += 1
+                    continue
+                T = SurfaceComplex(vertices, edges, faces, name=base.name)
                 expected = model.validate(model.complex_of(T))
                 assert T.validate() == expected, (T.edges, T.faces)
                 parts = re.search(r"\((\d+) components\)$", expected[-1]) if expected else None
                 many_parts += parts is not None and int(parts.group(1)) >= 3
                 broken += any(" breaks between " in m for m in expected)
-                empty += any(not walk for walk in T.faces.values())
     assert many_parts >= 100 and broken >= 100 and empty >= 20, (many_parts, broken, empty)
 
 
