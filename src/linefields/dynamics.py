@@ -42,20 +42,11 @@ from itertools import chain
 from .errors import CyclicFieldError, OperationError, _Record
 
 
-class _PathView(_Record):
-    """The view LPath and XPath share: the `cells` a path visits, the
-    `steps` taken between them, and json(), its keys in the JSON report."""
-
-    def is_trivial(self) -> bool:
-        return not self.steps
-
-    def is_closed(self) -> bool:
-        return len(self.cells) > 1 and self.cells[0] == self.cells[-1]
-
-
-class LPath(_PathView):
+class LPath(_Record):
     """Vertices v1..vk with witness edges e1..e(k-1); {vi, ei} is matched
-    and v(i+1) is the other endpoint of ei (vi itself for a loop)."""
+    and v(i+1) is the other endpoint of ei (vi itself for a loop).  Like an
+    XPath, it names the `cells` it visits and the `steps` taken between
+    them."""
 
     vertices: tuple[str, ...]
     edges: tuple[str, ...]
@@ -67,9 +58,6 @@ class LPath(_PathView):
     @property
     def steps(self) -> tuple[str, ...]:
         return self.edges
-
-    def json(self) -> dict:
-        return {"vertices": list(self.vertices), "edges": list(self.edges)}
 
 
 class Separatrix:

@@ -26,9 +26,8 @@ from .dynamics import LPath, _all_corridors, _Field, l_paths
 
 
 class LineField(_Field):
-    """A complex plus a set of (vertex, edge) pairs: `edge_matched_to`
-    (upper_of) gives a matched vertex's edge, `vertex_matched_to`
-    (lower_of) an edge's vertex.
+    """A complex plus a set of (vertex, edge) pairs: upper_of gives a
+    matched vertex's edge, lower_of an edge's vertex.
 
     Construction does not check the pairing conditions; see
     validate_line_field.  Operations that walk it refuse an invalid one.
@@ -36,15 +35,6 @@ class LineField(_Field):
 
     def __post_init__(self):
         object.__setattr__(self, "matching", frozenset((v, e) for v, e in self.matching))
-
-    def matched_vertices(self) -> frozenset[str]:
-        return frozenset(self._upper_of)
-
-    def matched_edges(self) -> frozenset[str]:
-        return frozenset(self._lower_of)
-
-    edge_matched_to = _Field.upper_of
-    vertex_matched_to = _Field.lower_of
 
     # ---- field protocol, the part a line field does its own way ----
 
@@ -56,7 +46,7 @@ class LineField(_Field):
     # ---- hooks of topological_graph, the field door and the JSON report ----
 
     _path = LPath
-    _path_keys = ("vertices", "edges")  # the keys of LPath.json
+    _path_keys = ("vertices", "edges")  # the JSON report's path keys
     _kind = "line field"
     _cyclic_text = "line field has a closed path through "
 

@@ -101,14 +101,14 @@ def _factor(R: SurfaceComplex):
     order[d >> 2].
     """
     darts = R._darts
-    if darts.unpaired:  # some edge does not occur exactly twice
-        return None
     edges, faces, vertices = R.edges, R.faces, R.vertices
+    if darts.unpaired or not vertices:  # an edge not occurring twice, or no vertex
+        return None
     adj: dict[str, list[str]] = {v: [] for v in vertices}
     for tail, head in edges.values():
         adj[tail].append(head)
         adj[head].append(tail)
-    stack = [min(vertices)] if vertices else []
+    stack = [min(vertices)]
     color = dict.fromkeys(stack, 0)
     while stack:
         u = stack.pop()

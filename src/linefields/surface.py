@@ -165,14 +165,6 @@ class SurfaceComplex(_Record):
     def has_cell(self, cell: str) -> bool:
         return cell in self.vertices or cell in self.edges or cell in self.faces
 
-    def cells(self):
-        for v in sorted(self.vertices):
-            yield v, 0
-        for e in sorted(self.edges):
-            yield e, 1
-        for f in sorted(self.faces):
-            yield f, 2
-
     def occ_source(self, occ: Occurrence) -> str:
         """The vertex `occ` leaves; KeyError for an unknown edge id."""
         tail, head = self.edges[occ[1]]
@@ -222,8 +214,8 @@ class SurfaceComplex(_Record):
         """The verdict validate() copies, computed once: a complex never changes.
 
         Checks that every edge occurs exactly twice among the boundary
-        walks, that each walk chains head-to-tail, and that the incidence
-        structure is connected.
+        walks, that each walk chains head-to-tail, that the incidence
+        structure is connected, and that there is a face.
 
         Connectivity is counted on the 1-skeleton, which is exact: an edge
         lies in the component of its two ends, and where a walk chains,
@@ -273,6 +265,8 @@ class SurfaceComplex(_Record):
                             todo.append(nxt)
         if components > 1:
             problems.append(f"incidence structure is disconnected ({components} components)")
+        if not faces:
+            problems.append("complex has no face")
         return tuple(problems)
 
     # ---- darts and vertex links -----------------------------------------

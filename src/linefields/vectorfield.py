@@ -23,16 +23,15 @@ from functools import cached_property, partial
 
 from .dynamics import (
     _Field,
-    _PathView,
     _count_walks,
     _nth_walk,
     _require_acyclic,
     topological_graph,
 )
-from .errors import CancellationError, OperationError
+from .errors import CancellationError, OperationError, _Record
 
 
-class XPath(_PathView):
+class XPath(_Record):
     """Cells s1..sk of one dimension with witnesses (t1, key1)..; {si, ti}
     is matched and s(i+1) occurs on the boundary of ti at the keyed slot
     (endpoint slot for edges, walk position for faces)."""
@@ -44,9 +43,6 @@ class XPath(_PathView):
     @property
     def steps(self) -> tuple[str, ...]:
         return tuple(t for t, _key in self.witnesses)
-
-    def json(self) -> dict:
-        return {"cells": list(self.cells), "witnesses": [list(w) for w in self.witnesses]}
 
 
 # ---- X-paths --------------------------------------------------------------
@@ -116,7 +112,7 @@ class VectorField(_Field):
 
     _kind = "vector field"
     _cyclic_text = "vector field has a closed X-path through "
-    _path_keys = ("cells", "witnesses")  # the keys of XPath.json
+    _path_keys = ("cells", "witnesses")  # the JSON report's path keys
 
     def _exits(self, cell: str) -> list[tuple[int, str]]:
         """(occurrence key, boundary cell) pairs of an edge or face, in

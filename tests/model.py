@@ -146,8 +146,8 @@ def fresh(C: Complex, *bases: str) -> list:
 def validate(C: Complex) -> list:
     """The problems that keep C from being a closed surface, in the
     package's words: an edge not occurring twice, a walk that does not
-    chain, and more than one component of the incidence graph of all
-    cells."""
+    chain, more than one component of the incidence graph of all cells,
+    and no face at all."""
     problems = []
     counts = Counter(e for walk in C.faces.values() for _s, e in walk)
     for e in sorted(C.edges):
@@ -183,6 +183,8 @@ def validate(C: Complex) -> list:
                     todo.append(nxt)
     if components > 1:
         problems.append(f"incidence structure is disconnected ({components} components)")
+    if not C.faces:
+        problems.append("complex has no face")
     return problems
 
 

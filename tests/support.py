@@ -81,6 +81,11 @@ def subdivide_edge(
     return SurfaceComplex(S.vertices | {vertex_id}, edges, faces, name=S.name)
 
 
+def cells(S: SurfaceComplex) -> list[tuple[str, int]]:
+    """(cell, dimension) pairs: the vertices, edges and faces, each sorted."""
+    return [(c, d) for d, group in enumerate((S.vertices, S.edges, S.faces)) for c in sorted(group)]
+
+
 def corners(S: SurfaceComplex) -> list[tuple[str, str, int]]:
     """All (vertex, face, walk-position) triples; 2|E| of them when valid."""
     out = []
@@ -119,7 +124,7 @@ def hasse_diagram(S: SurfaceComplex) -> HasseDiagram:
     for f in S.faces:
         for _s, e in S.faces[f]:
             incidences[(e, f)] += 1
-    dims = {cell: d for cell, d in S.cells()}
+    dims = dict(cells(S))
     return HasseDiagram(dims=dims, incidences=dict(incidences))
 
 
@@ -380,7 +385,7 @@ def is_closed_surface(S):
             t2, h2 = S.edges[e2]
             if (h1 if s1 == 1 else t1) != (t2 if s2 == 1 else h2):
                 return False
-    parent = {c: c for c, _d in S.cells()}
+    parent = {c: c for c, _d in cells(S)}
 
     def find(x):
         while parent[x] != x:
@@ -397,7 +402,7 @@ def is_closed_surface(S):
     for f, walk in S.faces.items():
         for _s, e in walk:
             union(f, e)
-    return len({find(c) for c, _d in S.cells()}) == 1
+    return len({find(c) for c, _d in cells(S)}) == 1
 
 
 # ---- random corpus -------------------------------------------------------

@@ -128,7 +128,7 @@ def _queries(text):
         return [], []
     S = doc.complex
     field = VectorField(S, doc.vmatch) if doc.vmatch else LineField(S, doc.match)
-    cells = sorted(c for c, _d in S.cells())
+    cells = sorted(c for c, _d in support.cells(S))
     if not field.problems():
         cells = sorted(field.doubled_critical())
     pairs = [(a, b) for a in cells for b in cells

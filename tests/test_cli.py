@@ -61,6 +61,16 @@ def test_validate_reports_matching_problems(tmp_path, capsys):
     assert "endpoint" in capsys.readouterr().err
 
 
+def test_complex_without_face_exit_1(tmp_path, capsys):
+    empty = write(tmp_path, "empty.txt", "surface x\n")
+    vertex = write(tmp_path, "vertex.txt", "surface x\nvertex v\n")
+    off = write(tmp_path, "empty.off", "OFF\n0 0 0\n")
+    for argv in (["validate", empty], ["euler", empty], ["euler", vertex], ["import-off", off]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "complex has no face\n"), argv
+
+
 def test_parse_error_exit_1(tmp_path, capsys):
     path = write(tmp_path, "broken.txt", "surface s\nwhat\n")
     assert main(["validate", path]) == 1
@@ -282,7 +292,7 @@ def test_simplify_two_pair_tetra(tmp_path, capsys):
     assert (len(S.vertices), len(S.edges), len(S.faces)) == (2, 2, 2)
     mapping = json.loads(Path(table).read_text())
     assert len(mapping) == 14
-    assert set(mapping.values()) <= set(c for c, _d in S.cells())
+    assert set(mapping.values()) <= set(c for c, _d in support.cells(S))
 
 
 def test_simplify_degenerate_partial_exit_2(tmp_path, capsys):

@@ -39,7 +39,7 @@ def test_matched_loop_closes_immediately():
     L = LineField(support.torus_one(), frozenset({("v", "a")}))
     closed = closed_l_path(L)
     assert closed == LPath(("v", "v"), ("a",))
-    assert closed.is_closed()
+    assert len(closed.cells) > 1 and closed.cells[0] == closed.cells[-1]
     assert L.closed_path() is not None
 
 
@@ -96,7 +96,7 @@ def test_graph_of_empty_field_on_tetrahedron():
     assert len(graph.vertices) == 8
     assert len(graph.edges) == 12
     for sep in graph.edges:
-        assert sep.path.is_trivial()
+        assert not sep.path.steps
     assert graph.multiplicity("f123", "v1") == 1
     assert graph.multiplicity("f123", "v4") == 0
 
@@ -368,7 +368,7 @@ def test_separatrices_are_sound_on_random_fields():
         crit = critical_cells(L)
         graph = topological_graph(L)
         assert graph.vertices == tuple(sorted(crit))
-        matched = L.matched_edges()
+        matched = {e for _v, e in L.matching}
         for sep in graph.edges:
             assert sep.source in S.faces and sep.source in crit
             assert sep.target in S.vertices and sep.target in crit
@@ -376,7 +376,7 @@ def test_separatrices_are_sound_on_random_fields():
             path = sep.path
             assert path.vertices[0] == S.corner_vertex(sep.source, sep.occurrence)
             assert path.vertices[-1] == sep.target
-            assert path.vertices[-1] not in L.matched_vertices()
+            assert L.upper_of(path.vertices[-1]) is None
             for i, e in enumerate(path.edges):
                 assert (path.vertices[i], e) in L.matching
                 tail, head = S.edges[e]
@@ -389,7 +389,7 @@ def test_separatrices_are_sound_on_random_fields():
 def test_corridors_are_sound_on_random_fields():
     for L in sampled_line_fields(703, 704, 8):
         S = L.complex
-        matched = L.matched_edges()
+        matched = {e for _v, e in L.matching}
         counts = {f: len(L._unmatched[f]) for f in S.faces}
         for f in sorted(S.faces):
             if counts[f] == 2:
@@ -432,7 +432,7 @@ def test_loop_free_fields_agree_with_vector_field_cycles():
     for L in sampled_line_fields(707, 708, 10):
         if any(
             L.complex.edges[e][0] == L.complex.edges[e][1]
-            for e in L.matched_edges()
+            for _v, e in L.matching
         ):
             continue
         assert (L.closed_path() is None) == (

@@ -17,11 +17,15 @@ import pytest
 import linefields
 import model
 import support
+from linefields import dynamics
 from linefields import (
     CyclicFieldError,
     LineField,
+    LPath,
     OperationError,
+    SurfaceComplex,
     VectorField,
+    XPath,
     closed_l_path,
     closed_x_path,
     corridors_from,
@@ -111,8 +115,6 @@ def test_protocol_methods_are_the_functions():
     assert LineField.paths is l_paths
     assert VectorField.paths is x_paths
     assert VectorField.count_paths is count_x_paths
-    assert LineField.edge_matched_to is VectorField.upper_of
-    assert LineField.vertex_matched_to is VectorField.lower_of
     assert LineField.corridors is VectorField.corridors
     assert VectorField(support.tetra()).corridors() == ((), ())
 
@@ -170,26 +172,20 @@ def test_vector_field_methods_equal_functions():
 def test_path_view_of_both_kinds():
     seen = {"line": 0, "vector": 0}
     for field in LINES + VECTORS:
-        # Critical cells come by dimension, then id, as cells() lists them.
+        # Critical cells come by dimension, then id, as support.cells lists them.
         crit = field.doubled_critical()
-        assert list(crit) == [c for c, _d in field.complex.cells() if c in crit]
+        assert list(crit) == [c for c, _d in support.cells(field.complex) if c in crit]
         if field.problems() or field.closed_path() is not None:
             continue
         for sep in field.graph().edges:
             path = sep.path
             if isinstance(field, LineField):
                 assert (path.cells, path.steps) == (path.vertices, path.edges)
-                assert path.json() == {"vertices": list(path.vertices), "edges": list(path.edges)}
                 seen["line"] += 1
             else:
                 assert path.steps == tuple(t for t, _key in path.witnesses)
-                assert path.json() == {
-                    "cells": list(path.cells),
-                    "witnesses": [list(w) for w in path.witnesses],
-                }
                 seen["vector"] += 1
-            assert path.is_trivial() == (len(path.cells) == 1)
-            assert path.is_closed() == (len(path.cells) > 1 and path.cells[0] == path.cells[-1])
+            assert len(path.cells) == len(path.steps) + 1
     assert seen["line"] > 0 and seen["vector"] > 0
 
 
@@ -302,6 +298,28 @@ def test_every_public_name_is_exported():
     assert names == set(linefields.__all__)
     assert sorted(linefields.__all__) == PUBLIC
     assert [n for n in REMOVED if hasattr(linefields, n)] == []
+
+
+# Methods that restated another or that only the tests called (cells() is
+# support.cells in tests/support.py), and the path base class they kept.
+REMOVED_METHODS = [
+    (LPath, "is_trivial"),
+    (LPath, "is_closed"),
+    (LPath, "json"),
+    (XPath, "is_trivial"),
+    (XPath, "is_closed"),
+    (XPath, "json"),
+    (LineField, "matched_vertices"),
+    (LineField, "matched_edges"),
+    (LineField, "edge_matched_to"),
+    (LineField, "vertex_matched_to"),
+    (SurfaceComplex, "cells"),
+]
+
+
+def test_removed_methods_stay_gone():
+    assert [(c.__name__, n) for c, n in REMOVED_METHODS if hasattr(c, n)] == []
+    assert not hasattr(dynamics, "_PathView")
 
 
 def test_star_import_binds_exactly_all():

@@ -605,6 +605,11 @@ def reference_report(field) -> dict:
     def crossings(c):
         return [{"edge": x.edge, "depart": list(x.depart), "arrive": list(x.arrive)} for x in c.crossings]
 
+    def path_keys(p):
+        if isinstance(field, LineField):
+            return {"vertices": list(p.vertices), "edges": list(p.edges)}
+        return {"cells": list(p.cells), "witnesses": [list(w) for w in p.witnesses]}
+
     return {
         "complex": {
             "name": S.name,
@@ -617,7 +622,7 @@ def reference_report(field) -> dict:
             {"cell": c, "dim": S.dim_of(c), "doubled_index": crit[c]} for c in sorted(crit)
         ],
         "separatrices": [
-            {"source": s.source, "target": s.target, "occurrence": s.occurrence, **s.path.json()}
+            {"source": s.source, "target": s.target, "occurrence": s.occurrence, **path_keys(s.path)}
             for s in topological_graph(field).edges
         ],
         "corridors": [

@@ -209,6 +209,9 @@ def test_invalid_disconnected_or_pinched_input_rejected():
     pinched = support.pinched_spheres()
     with pytest.raises(InvalidComplexError, match="not joined through edges"):
         complexes_isomorphic(pinched, pinched)
+    lone_vertex = SurfaceComplex(vertices=frozenset({"v"}), edges={}, faces={})
+    with pytest.raises(InvalidComplexError, match="complex has no face"):
+        complexes_isomorphic(lone_vertex, lone_vertex)
 
 
 # ---- differential check against the backtracking search ------------------
@@ -366,10 +369,9 @@ def test_propagation_matches_backtracking_search():
     pinched_monogon = SurfaceComplex(
         vertices=frozenset({"v"}), edges={"a": ("v", "v")}, faces={"F": support.w("+a -a")}
     )
-    lone_vertex = SurfaceComplex(vertices=frozenset({"v"}), edges={}, faces={})
     inputs = [build() for build in support.all_seed_builders()]
     inputs += support.random_corpus(seed=17, count=40, max_moves=3)
-    inputs += [pinched_monogon, lone_vertex]
+    inputs += [pinched_monogon]
     pairs = results = 0
     for S in inputs:
         targets = [S, shuffled(S, rng)]

@@ -97,7 +97,7 @@ def test_edges_never_critical_and_vertices_track_matching():
         L = LineField(S, support.sample_matching(pairs, rng))
         crit = critical_cells(L)
         assert not any(c in S.edges for c in crit)
-        assert {c for c in crit if c in S.vertices} == S.vertices - L.matched_vertices()
+        assert {c for c in crit if c in S.vertices} == S.vertices - {v for v, _e in L.matching}
 
 
 def test_doubled_sum_is_twice_euler_characteristic():
@@ -124,11 +124,9 @@ def test_adding_a_pair_preserves_the_sum():
     for S in support.random_corpus(seed=404, count=20):
         pairs = support.line_field_pairs(S)
         L = LineField(S, support.sample_matching(pairs, rng, keep=0.3))
-        free = [
-            (v, e)
-            for v, e in pairs
-            if v not in L.matched_vertices() and e not in L.matched_edges()
-        ]
+        matched_vertices = {v for v, _e in L.matching}
+        matched_edges = {e for _v, e in L.matching}
+        free = [(v, e) for v, e in pairs if v not in matched_vertices and e not in matched_edges]
         for v, e in free:
             extended = LineField(S, L.matching | {(v, e)})
             assert sum(extended.doubled_critical().values()) == sum(L.doubled_critical().values())
@@ -140,13 +138,9 @@ def test_matching_lookups_agree_with_pairs():
         L = LineField(S, support.sample_matching(support.line_field_pairs(S), rng))
         for v in S.vertices:
             want = [e for u, e in L.matching if u == v]
-            assert L.edge_matched_to(v) == (want[0] if want else None)
+            assert L.upper_of(v) == (want[0] if want else None)
         for e in S.edges:
             want = [v for v, f in L.matching if f == e]
-            assert L.vertex_matched_to(e) == (want[0] if want else None)
-        # The cached sets are frozen, and caching leaves equality alone.
-        assert L.matched_vertices() == frozenset(v for v, _e in L.matching)
-        assert L.matched_edges() == frozenset(e for _v, e in L.matching)
-        assert isinstance(L.matched_vertices(), frozenset)
-        assert isinstance(L.matched_edges(), frozenset)
+            assert L.lower_of(e) == (want[0] if want else None)
+        # The cached lookups leave equality alone.
         assert L == LineField(S, L.matching)

@@ -588,10 +588,12 @@ def test_factoring_matches_move_by_move_on_adversarial_fields():
             for _ in range(3):
                 pairs = support.line_field_pairs(T)
                 cases.append(LineField(T, support.sample_matching(pairs, rng)))
+        matched_vertices = {v for v, _e in image.matching}
+        matched_edges = {e for _v, e in image.matching}
         free = [
             (v, e)
             for v, e in support.line_field_pairs(image.complex)
-            if v not in image.matched_vertices() and e not in image.matched_edges()
+            if v not in matched_vertices and e not in matched_edges
         ]
         if free:
             cases.append(LineField(image.complex, image.matching | {rng.choice(free)}))

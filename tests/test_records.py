@@ -32,7 +32,7 @@ from linefields import (
     parse_document,
     radial_decomposition,
 )
-from linefields.dynamics import _Field, _PathView
+from linefields.dynamics import _Field
 from linefields.errors import _Record
 
 MISSING = dataclasses.MISSING
@@ -132,7 +132,7 @@ def record_classes():
         for sub in todo.pop().__subclasses__():
             found.add(sub)
             todo.append(sub)
-    return found - {_PathView}  # LPath's and XPath's shared base, no fields
+    return found
 
 
 def twin_of(cls, spec):

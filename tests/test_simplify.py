@@ -208,7 +208,7 @@ def test_core_fixed_points():
         core = homotopy_core(L)
         assert core.degenerate_face is None
         assert core.field == L
-        assert core.correspondence.mapping == {c: c for c, _d in L.complex.cells()}
+        assert core.correspondence.mapping == {c: c for c, _d in support.cells(L.complex)}
 
 
 def test_core_flags_degenerate_bigon():
@@ -246,8 +246,8 @@ def test_core_is_idempotent_and_sound_on_random_fields():
         assert out.complex.euler_characteristic() == S.euler_characteristic()
         assert sum(out.doubled_critical().values()) == sum(L.doubled_critical().values())
         corr = core.correspondence
-        cells_after = dict(out.complex.cells())
-        for cell, _d in S.cells():
+        cells_after = dict(support.cells(out.complex))
+        for cell, _d in support.cells(S):
             assert corr.image_of(cell) in cells_after
         before = critical_cells(L)
         after = critical_cells(out)

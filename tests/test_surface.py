@@ -209,7 +209,7 @@ def test_from_checked_builds_what_the_constructor_builds(monkeypatch):
             pass
         else:
             duals += 1
-        taken = {c for c, _d in S.cells()}
+        taken = {c for c, _d in support.cells(S)}
         for f, walk in S.faces.items():
             if len(walk) >= 2:
                 split_face(S, f, 0, len(walk) // 2, *_fresh_ids(taken, (), (), "d", "a", "b"))

@@ -38,7 +38,7 @@ def assert_valid_xpath(V, path):
         else:
             assert S.faces[tau][key][1] == nxt
     if path.witnesses:
-        assert V.upper_of(path.cells[-1]) is None or path.is_closed()
+        assert V.upper_of(path.cells[-1]) is None or path.cells[0] == path.cells[-1]
 
 
 # ---- matching basics -----------------------------------------------------
@@ -56,7 +56,7 @@ def test_matching_lookups_agree_with_pairs():
     rng = random.Random(406)
     for S in support.random_corpus(seed=406, count=20):
         V = VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng))
-        for cell, _d in S.cells():
+        for cell, _d in support.cells(S):
             up = [u for lo, u in V.matching if lo == cell]
             lo = [lo for lo, u in V.matching if u == cell]
             assert V.upper_of(cell) == (up[0] if up else None)
@@ -144,7 +144,7 @@ def test_vertex_cycle_is_detected():
     closed = closed_x_path(V)
     assert closed is not None
     assert closed.dimension == 0
-    assert closed.is_closed()
+    assert len(closed.cells) > 1 and closed.cells[0] == closed.cells[-1]
     assert closed.cells == ("v1", "v2", "v3", "v1")
     assert_valid_xpath(V, closed)
     assert V.closed_path() is not None
@@ -179,7 +179,8 @@ def test_cyclic_field_error_carries_witness():
     )
     with pytest.raises(CyclicFieldError) as info:
         list(x_paths(V, "e14", "v4"))
-    assert info.value.witness.is_closed()
+    witness = info.value.witness
+    assert len(witness.cells) > 1 and witness.cells[0] == witness.cells[-1]
 
 
 # ---- path queries --------------------------------------------------------
@@ -199,7 +200,7 @@ def test_trivial_path_to_incident_vertex():
     V = VectorField(support.tetra(), frozenset({("v1", "e12")}))
     found = list(x_paths(V, "e13", "v3"))
     assert len(found) == 1
-    assert found[0].is_trivial()
+    assert not found[0].steps
     assert found[0].cells == ("v3",)
     assert count_x_paths(V, "e13", "v3") == 1
 
@@ -269,7 +270,7 @@ def test_topological_graph_of_empty_field_on_tetrahedron():
     assert graph.multiplicity("f123", "e12") == 1
     assert graph.multiplicity("f123", "e14") == 0
     for sep in graph.edges:
-        assert sep.path.is_trivial()
+        assert not sep.path.steps
         assert sep.target == sep.path.cells[0]
 
 
