@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 
-from .errors import CyclicFieldError, OperationError, _Record
+from .errors import CyclicFieldError, OperationError, _Record, _setattr
 
 
 class LPath(_Record):
@@ -60,7 +60,7 @@ class LPath(_Record):
         return self.edges
 
 
-class Separatrix:
+class Separatrix(_Record):
     """One edge of the topological graph, from `source` down to `target`.
 
     `occurrence` names the boundary occurrence of the path's first cell on
@@ -69,47 +69,35 @@ class Separatrix:
     or XPath witness.  A separatrix of a field's graph keeps the `start`
     cell of its walk and the walk's `rank` among the walks from there (both
     None on a separatrix made from a path), builds its path each time it
-    is read and keeps none.  Separatrices compare and hash by (source,
-    target, occurrence, path).
+    is read and keeps none.
     """
 
-    __slots__ = ("source", "target", "occurrence", "start", "rank", "_witness", "_walks")
+    source: str
+    target: str
+    occurrence: int
+    path: object
 
-    def __init__(self, source: str, target: str, occurrence: int, path: object):
-        self.source = source
-        self.target = target
-        self.occurrence = occurrence
-        self.start = self.rank = self._walks = None
-        self._witness = path
+    start = rank = None
 
     @classmethod
     def _walked(cls, source: str, target: str, occurrence: int, walks, start, rank) -> Separatrix:
         """A separatrix whose path is the walk of rank `rank` from `start`;
         `walks` is its graph's (steps, ways, make), as _nth_walk reads them."""
-        sep = cls(source, target, occurrence, None)
-        sep.start, sep.rank, sep._walks = start, rank, walks
+        sep = cls.__new__(cls)
+        _setattr(sep, "source", source)
+        _setattr(sep, "target", target)
+        _setattr(sep, "occurrence", occurrence)
+        _setattr(sep, "start", start)
+        _setattr(sep, "rank", rank)
+        _setattr(sep, "_walks", walks)
         return sep
 
-    @property
-    def path(self):
-        if self._walks is None:
-            return self._witness
+    def __getattr__(self, name):
+        """The path of a graph's separatrix, which it does not store."""
+        if name != "path":
+            raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
         steps, ways, make = self._walks
         return _nth_walk(steps, ways, self.start, self.rank, make)
-
-    def _fields(self) -> tuple:
-        return (self.source, self.target, self.occurrence, self.path)
-
-    def __eq__(self, other):
-        if other.__class__ is not Separatrix:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "Separatrix(source=%r, target=%r, occurrence=%r, path=%r)" % self._fields()
 
 
 class TopologicalGraph(_Record):

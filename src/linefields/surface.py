@@ -35,8 +35,6 @@ def _canonical_rotation(walk) -> tuple[Occurrence, ...]:
     occurrence k and whether it occurs again; if not, the walk starts at
     k, and a tuple that already does is returned as it is.  A repeated
     least occurrence goes to _rotated, Booth's scan over the texts."""
-    if not walk:
-        return ()
     k = i = 0
     least_sign, least = walk[0]
     repeated = False
@@ -277,10 +275,9 @@ class SurfaceComplex(_Record):
         sorted face order, so dart d lies on the face of `order` whose first
         dart (in `firsts`) is the last one at most d, as _corners decodes it.
         Its corner's slots 2d ("in") and 2d + 1 ("out") run in (face,
-        position, side) order; partner pairs the two slots of each edge
-        end, and cycles holds each vertex's link cycles as slot lists.
-        Unless every edge occurs twice, only `unpaired` is set, naming the
-        least edge that does not."""
+        position, side) order, and cycles holds each vertex's link cycles
+        as slot lists.  Unless every edge occurs twice, only `unpaired` is
+        set, naming the least edge that does not."""
         faces, edges = self.faces, self.edges
         order = sorted(faces)
         firsts = []  # per face of order, its first dart
@@ -322,9 +319,7 @@ class SurfaceComplex(_Record):
                     cycle.append(slot)
                     seen[slot] = 1
                 cycles[vertex].append(cycle)
-        return SimpleNamespace(
-            order=order, firsts=firsts, partner=partner, cycles=cycles, unpaired=None
-        )
+        return SimpleNamespace(order=order, firsts=firsts, cycles=cycles, unpaired=None)
 
     def vertex_link_cycles(self) -> dict[str, tuple[tuple[Slot, ...], ...]]:
         """The cyclic fan of edge ends and corners around each vertex.

@@ -373,6 +373,8 @@ def all_seed_builders():
 
 def is_closed_surface(S):
     """Closed-surface test written separately from the library's validate."""
+    if not S.faces:
+        return False
     flat = sorted(e for walk in S.faces.values() for _s, e in walk)
     if flat != sorted(list(S.edges) + list(S.edges)):
         return False

@@ -115,6 +115,36 @@ def inputs():
         ("order.txt", tetra + "vertex v5\n"),
         ("no_surface.txt", tetra.split("\n", 1)[1]),
     ]
+    # Comment lines, one input per refusal the inputs above do not reach,
+    # and the two fields that the extra calls in calls() name.
+    off = "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+    files += [
+        ("comments.txt", "# a tetrahedron\n" + tetra.replace("vertex v1\n", "vertex v1  # v\n")),
+        ("second_surface.txt", "surface again\n" + tetra),
+        ("token_count.txt", tetra.replace("vertex v4", "vertex v4 v5")),
+        ("duplicate_id.txt", tetra.replace("edge e34", "edge v4")),
+        ("edge_unknown_vertex.txt", tetra.replace("edge e34 v3 v4", "edge e34 v3 v9")),
+        ("unsigned.txt", tetra.replace("walk +e12", "walk e12")),
+        ("walk_unknown_edge.txt", tetra.replace("walk +e12", "walk +e99")),
+        ("bad_face.off", off + "x 0 1 2\n"),
+        ("quad.off", off + "4 0 1 2 3\n"),
+        ("out_of_range.off", off + "3 0 1 7\n"),
+        ("broken_walk.txt", "surface b\nvertex u\nvertex x\nedge e u x\nedge g u x\n"
+                            "face F walk +e +g\nface G walk -e -g\n"),
+        ("disconnected.txt", "surface d\nvertex v\nvertex w\nedge a v v\nedge b v v\nedge c w w\n"
+                             "edge d w w\nface F walk +a +b -a -b\nface G walk +c +d -c -d\n"),
+        ("faceless.txt", "surface x\nvertex v\n"),
+        ("match_unknown_edge.txt", tetra + "match v1 e99\n"),
+        ("vmatch_not_endpoint.txt", tetra + "vmatch v1 e23\n"),
+        ("vmatch_off_boundary.txt", tetra + "vmatch e12 f134\n"),
+        ("vmatch_unknown_lower.txt", tetra + "vmatch x9 f123\n"),
+        ("vmatch_unknown_upper.txt", tetra + "vmatch v1 x9\n"),
+        ("vmatch_twice.txt", tetra + "vmatch v1 e12\nvmatch v1 e13\n"),
+        ("chained.txt", "surface t\nvertex u\nvertex w\nvertex x\nedge a u w\nedge b w x\n"
+                        "face F walk +a +b -b -a\nmatch u a\nmatch w b\n"),
+        ("vfield.txt", tetra + "vmatch v1 e12\n"),
+        ("lfield.txt", tetra + "match v1 e12\n"),
+    ]
     return files
 
 
@@ -176,6 +206,16 @@ def calls(files):
         for move in rng.sample(moves, min(3, len(moves))) or [["--faces", "f123", "f134"]]:
             out.append(["cancel", name, *move, "-o", "out.txt", "--map", "map.json"])
         out.append(["cancel", name, "--faces", "a", "b", "--vertex", "v", "-o", "out.txt"])
+    # Refusals of a query or move the per-file calls do not make, and the
+    # JSON report on stdout.
+    out += [
+        ["ms-graph", "seed0.txt", "--format", "json"],
+        ["paths", "vfield.txt", "--from", "e12", "--to", "v3", "--dvf"],
+        ["cancel", "seed0.txt", "--faces", "f123", "f123"],
+        ["cancel", "seed0.txt", "--vertex", "v9", "--face", "f123"],
+        ["cancel", "seed0.txt", "--vertex", "v1", "--face", "f9"],
+        ["cancel", "lfield.txt", "--vertex", "v1", "--face", "f123"],
+    ]
     return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
 

@@ -7,11 +7,14 @@ are what the record's were when the class was a frozen dataclass.
 """
 
 import dataclasses
+import importlib
+import pkgutil
 import random
 
 import pytest
 import support
 
+import linefields
 from linefields import (
     CellCorrespondence,
     ClosedCorridor,
@@ -23,6 +26,7 @@ from linefields import (
     LineField,
     LPath,
     RadialComplex,
+    Separatrix,
     SurfaceComplex,
     TopologicalGraph,
     VectorField,
@@ -77,6 +81,14 @@ def samples():
              ("witnesses", MISSING, True)],
             [XPath(0, ("v1", "v2"), (("e12", 1),)), XPath(1, ("e12",), ()),
              XPath(0, ("v1", "v2"), (("e12", 0),))],
+        ),
+        Separatrix: (
+            [("source", MISSING, True), ("target", MISSING, True),
+             ("occurrence", MISSING, True), ("path", MISSING, True)],
+            # Two walked from a graph, one made from a path and one as
+            # parse_graph_json makes it, with no path.
+            [*ms_decomposition(L).graph.edges[:2],
+             Separatrix("f123", "v3", 2, LPath(("v3",), ())), Separatrix("f134", "v4", 2, None)],
         ),
         TopologicalGraph: (
             [("vertices", MISSING, True), ("edges", MISSING, True)],
@@ -216,6 +228,20 @@ def test_record_defaults(cls):
         if default is not MISSING:
             assert getattr(built, name) == default
             assert getattr(twin_of(cls, spec)(*required), name) == default
+
+
+def test_hand_written_value_classes_are_records():
+    """A package class that defines its own equality or hash is a record,
+    so one implementation compares, hashes, prints and freezes them all."""
+    hand_written = []
+    for info in pkgutil.iter_modules(linefields.__path__):
+        module = importlib.import_module(f"linefields.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and {"__eq__", "__hash__"} & vars(cls).keys()
+                    and not issubclass(cls, _Record)):
+                hand_written.append(cls.__qualname__)
+    assert hand_written == []
 
 
 def test_surface_complexes_differing_in_name_are_equal():

@@ -8,6 +8,7 @@ import support
 from support import subdivide_edge
 from linefields import (
     CancellationError,
+    CellCorrespondence,
     DegenerateOperationError,
     LineField,
     OperationError,
@@ -47,10 +48,6 @@ def package_field(field):
     return LineField(SurfaceComplex(S.vertices, S.edges, S.faces, S.name), field.matching)
 
 
-def preimages(mapping, cell):
-    return tuple(sorted(c for c, image in mapping.items() if image == cell))
-
-
 def contract(L, v, e):
     out, mapping = model.contract(model.field_of(L), v, e)
     return package_field(out), mapping
@@ -81,7 +78,7 @@ def test_contract_merges_vertex_into_partner():
     assert mapping["v1"] == "v2"
     assert mapping["e12"] == "v2"
     assert mapping["f123"] == "f123"
-    assert preimages(mapping, "v2") == ("e12", "v1", "v2")
+    assert CellCorrespondence(mapping).preimages("v2") == ("e12", "v1", "v2")
 
 
 def test_contract_chain_reaches_empty_matching():
@@ -283,6 +280,7 @@ def test_merge_deletes_corridor_edge():
     assert corr.image_of("f123") == "m_f123_f134"
     assert corr.image_of("f134") == "m_f123_f134"
     assert corr.image_of("e13") == "m_f123_f134"
+    assert corr.preimages("m_f123_f134") == ("e13", "f123", "f134")
 
 
 def test_merge_through_interior_faces():

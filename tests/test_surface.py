@@ -112,23 +112,22 @@ def random_walk(rng, edges, length):
 
 def test_least_rotation_matches_full_comparison():
     rng = random.Random(841)
-    walks = [(), w("+a"), w("-a"), w("+a +a"), w("-b +a"), w("+a -b +a -b")]
+    walks = [w("+a"), w("-a"), w("+a +a"), w("-b +a"), w("+a -b +a -b")]
     for _ in range(400):
         # Two edges and a few repeats make ties, and so Booth's slow path,
         # common.
         block = random_walk(rng, "ab", rng.randrange(1, 5))
         walks.append(block * rng.randrange(1, 4))
-        walks.append(random_walk(rng, "abc", rng.randrange(13)))
+        walks.append(random_walk(rng, "abc", rng.randrange(1, 13)))
     loops = {e: ("v", "v") for e in "abc"}
     for walk in walks:
         assert _canonical_rotation(walk) == model.rotation(walk)
-        if not walk:
-            with pytest.raises(InvalidComplexError, match="^face F has an empty walk$"):
-                SurfaceComplex(frozenset({"v"}), loops, {"F": walk})
-            continue
         # The constructor builds the rotation keys in its own pass.
         S = SurfaceComplex(frozenset({"v"}), loops, {"F": walk})
         assert S.faces["F"] == model.rotation(walk)
+    # An empty walk never reaches the rotation: the constructor refuses it.
+    with pytest.raises(InvalidComplexError, match="^face F has an empty walk$"):
+        SurfaceComplex(frozenset({"v"}), loops, {"F": ()})
 
 
 def test_canonical_rotation_matches_rotation_by_texts():
@@ -137,7 +136,7 @@ def test_canonical_rotation_matches_rotation_by_texts():
     tuples and lists alike, including on the ties that reach Booth's scan."""
     rng = random.Random(847)
     ids = ["a", "a_2", "a_10", "ab", "b", "b_2", "r_F_0", "r_F_1"]  # a is a prefix of a_2 and ab
-    walks = [(), w("-a"), w("-ab -a_2 -a"), w("+a_2 -a +ab"), w("+a -a +a -a")]
+    walks = [w("-a"), w("-ab -a_2 -a"), w("+a_2 -a +ab"), w("+a -a +a -a")]
     for _ in range(600):
         length = rng.randrange(1, 9)
         walks.append(random_walk(rng, ids[: rng.randrange(2, len(ids) + 1)], length))
@@ -146,8 +145,8 @@ def test_canonical_rotation_matches_rotation_by_texts():
     booth = negative = 0
     for walk in walks:
         texts = [model.text(o) for o in walk]
-        booth += bool(texts) and texts.count(min(texts)) > 1
-        negative += bool(walk) and all(s < 0 for s, _e in walk)
+        booth += texts.count(min(texts)) > 1
+        negative += all(s < 0 for s, _e in walk)
         want = _rotated(list(walk), texts)
         for given in (walk, list(walk)):
             got = _canonical_rotation(given)
@@ -349,8 +348,10 @@ def test_validate_agrees_with_independent_check():
     """validate() passes exactly when the separately written test passes."""
     rng = random.Random(20260822)
     corpus = support.random_corpus(seed=1, count=40)
+    # A lone vertex and the empty complex: no face, so neither is a surface.
+    variants = [SurfaceComplex(frozenset({"v"}), {}, {}), SurfaceComplex(frozenset(), {}, {})]
     for S in corpus:
-        variants = [S]
+        variants.append(S)
         f = rng.choice(sorted(S.faces))
         variants.append(
             SurfaceComplex(
@@ -377,8 +378,8 @@ def test_validate_agrees_with_independent_check():
             )
         )
         variants.append(disjoint_union(S, suffixed(support.slit_sphere(), "_z")))
-        for T in variants:
-            assert (T.validate() == []) == support.is_closed_surface(T), T.faces
+    for T in variants:
+        assert (T.validate() == []) == support.is_closed_surface(T), T.faces
 
 
 def _mutated(S, rng, n_moves):
