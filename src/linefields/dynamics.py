@@ -21,17 +21,20 @@ count.  Neither recurses, so path length is bounded by memory, not by
 recursion depth.
 
 Each field builds its topological graph once and keeps it.  The graph
-holds no walks: a separatrix keeps its start cell and rank, and its `path`
-is walked again each time it is read, choosing at each branch cell by the
-walk counts of that cell's successors (the only counts a graph keeps, so a
-line field's graph keeps none).  The graph costs O(cells + separatrices)
-however long its paths are.
+holds no walks: it keeps a row (source, target, occurrence, start, rank)
+per separatrix and builds its `edges` from them on first read; a
+separatrix's `path` is walked again each time it is read, choosing at each
+branch cell by the walk counts of that cell's successors (the only counts
+a graph keeps, so a line field's graph keeps none).  The graph costs
+O(cells + separatrices) however long its paths are.
 
 The corridor tracer reads each face's count and the sibling of an
 unmatched occurrence from the field's `_unmatched` positions, and each
 crossing from the two slots of its edge in the complex's
-`occurrence_index`.  It keeps each corridor in the field's table, so
-corridors_from, corridors() and the face merge read one trace.
+`occurrence_index`.  It keeps each corridor in the field's table as its
+crossed edges and flat slots, so corridors_from, corridors() and the face
+merge read one trace; `crossings` is built on first read.  The writers in
+formats.py read the graph's rows and these traces, not the records.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 
-from .errors import CyclicFieldError, OperationError, _Record, _setattr
+from .errors import CyclicFieldError, OperationError, _OnRead, _Record
 
 
 class LPath(_Record):
@@ -60,6 +63,12 @@ class LPath(_Record):
         return self.edges
 
 
+def _walk(sep):
+    """A graph separatrix's path; `_walks` is its graph's (steps, ways, make)."""
+    steps, ways, make = sep._walks
+    return _nth_walk(steps, ways, sep.start, sep.rank, make)
+
+
 class Separatrix(_Record):
     """One edge of the topological graph, from `source` down to `target`.
 
@@ -68,43 +77,32 @@ class Separatrix(_Record):
     fields), so parallel separatrices stay distinct.  `path` is the LPath
     or XPath witness.  A separatrix of a field's graph keeps the `start`
     cell of its walk and the walk's `rank` among the walks from there (both
-    None on a separatrix made from a path), builds its path each time it
-    is read and keeps none.
+    None on a separatrix made from a path), walks its path on each read
+    and keeps none.
     """
 
     source: str
     target: str
     occurrence: int
-    path: object
+    path: object = _OnRead(_walk, keep=False)
 
     start = rank = None
+    _trace = ("source", "target", "occurrence", "start", "rank", "_walks")
 
-    @classmethod
-    def _walked(cls, source: str, target: str, occurrence: int, walks, start, rank) -> Separatrix:
-        """A separatrix whose path is the walk of rank `rank` from `start`;
-        `walks` is its graph's (steps, ways, make), as _nth_walk reads them."""
-        sep = cls.__new__(cls)
-        _setattr(sep, "source", source)
-        _setattr(sep, "target", target)
-        _setattr(sep, "occurrence", occurrence)
-        _setattr(sep, "start", start)
-        _setattr(sep, "rank", rank)
-        _setattr(sep, "_walks", walks)
-        return sep
 
-    def __getattr__(self, name):
-        """The path of a graph's separatrix, which it does not store."""
-        if name != "path":
-            raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
-        steps, ways, make = self._walks
-        return _nth_walk(steps, ways, self.start, self.rank, make)
+def _separatrices(graph):
+    """A field's graph's separatrices, one per row of its trace."""
+    walks = graph._walks
+    return tuple(Separatrix._traced(*row, walks) for row in graph._rows)
 
 
 class TopologicalGraph(_Record):
-    """Multigraph on the critical cells; edges are separatrices."""
+    """Multigraph on the critical cells; edges are separatrices, which a
+    field's graph builds from its rows on first read."""
 
     vertices: tuple[str, ...]
-    edges: tuple[Separatrix, ...]
+    edges: tuple[Separatrix, ...] = _OnRead(_separatrices)
+    _trace = ("vertices", "_rows", "_walks")
 
     def multiplicity(self, source: str, target: str) -> int:
         return sum(1 for s in self.edges if s.source == source and s.target == target)
@@ -120,11 +118,18 @@ class Crossing(_Record):
     arrive: tuple[str, int]
 
 
+def _crossings(corridor):
+    """A traced corridor's crossings, from its edges and flat slots."""
+    slots = iter(corridor._slots)
+    return tuple(map(Crossing, corridor._edges, slots, slots))
+
+
 class Corridor(_Record):
     start: str
     end: str
-    crossings: tuple[Crossing, ...]
+    crossings: tuple[Crossing, ...] = _OnRead(_crossings)
     interior: tuple[str, ...]
+    _trace = ("start", "end", "interior", "_edges", "_slots")
 
 
 class ClosedCorridor(_Record):
@@ -132,7 +137,8 @@ class ClosedCorridor(_Record):
     touching no critical face."""
 
     faces: tuple[str, ...]
-    crossings: tuple[Crossing, ...]
+    crossings: tuple[Crossing, ...] = _OnRead(_crossings)
+    _trace = ("faces", "_edges", "_slots")
 
 
 class DecompositionReport(_Record):
@@ -366,13 +372,12 @@ class _Field(_Record):
         ends = _search(starts, steps, fold)[0]
         branches = (steps[c] for c in ends if len(steps.get(c, ())) > 1)
         ways = {nxt: len(ends[nxt]) for out in branches for _label, nxt in out}
-        walks = (steps, ways, self._path)
-        edges = tuple(
-            Separatrix._walked(source, target, key, walks, start, k)
+        rows = tuple(
+            (source, target, key, start, k)
             for source, key, start in exits
             for k, target in enumerate(ends[start])
         )
-        return TopologicalGraph(tuple(sorted(crit)), edges)
+        return TopologicalGraph._traced(tuple(sorted(crit)), rows, (steps, ways, self._path))
 
     @cached_property
     def _upper_of(self) -> dict[str, str]:
@@ -394,34 +399,34 @@ def _trace_corridor(L: LineField, start_occ):
     when a face with another count is reached, a ClosedCorridor when the
     trace is back at its start.  A corridor is traced once per field and
     kept in its table (`_traced`) under both end occurrences; at the other
-    end its reverse is read off the trace on first use, since tracing is
-    deterministic and reversible."""
+    end its reverse, both tuples of its trace reversed, is made on first
+    use, since tracing is deterministic and reversible."""
     table = L._traced
     corr = table.get(start_occ)
     if corr is not None:
-        if corr.crossings[0].depart != start_occ:
-            back = tuple(Crossing(c.edge, c.arrive, c.depart) for c in reversed(corr.crossings))
-            corr = table[start_occ] = Corridor(corr.end, corr.start, back, corr.interior[::-1])
+        if corr._slots[0] != start_occ:
+            corr = table[start_occ] = Corridor._traced(
+                corr.end, corr.start, corr.interior[::-1], corr._edges[::-1], corr._slots[::-1])
         return corr
-    S = L.complex
-    crossings = []
-    faces = []
+    walks, index, unmatched = L.complex.faces, L.complex.occurrence_index, L._unmatched
+    edges, slots, faces = [], [], []  # slots: depart, arrive, depart, arrive, ...
     cur = start_occ
     while True:
-        edge = S.faces[cur[0]][cur[1]][1]
-        a, b = S.occurrence_index[edge]
+        edge = walks[cur[0]][cur[1]][1]
+        a, b = index[edge]
         arrive = b if a == cur else a
-        crossings.append(Crossing(edge, cur, arrive))
+        edges.append(edge)
+        slots += cur, arrive
         g, q = arrive
-        at = L._unmatched[g]
+        at = unmatched[g]
         if len(at) != 2:
-            corr = Corridor(start_occ[0], g, tuple(crossings), tuple(faces))
+            corr = Corridor._traced(start_occ[0], g, tuple(faces), tuple(edges), tuple(slots))
             table[start_occ] = table[arrive] = corr
             return corr
         faces.append(g)
         cur = (g, at[1] if at[0] == q else at[0])
         if cur == start_occ:
-            return ClosedCorridor(tuple(faces), tuple(crossings))
+            return ClosedCorridor._traced(tuple(faces), tuple(edges), tuple(slots))
 
 
 def corridors_from(L: LineField, face: str) -> list[Corridor]:

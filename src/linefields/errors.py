@@ -33,13 +33,36 @@ class _FieldTable:
         return self.tables[cls]
 
 
+class _OnRead:
+    """A class attribute naming an on-read field: a record made by
+    `_traced` stores its private trace, not the field, and the field is
+    `build(record)` on first read, kept in the record, or with keep=False
+    built again on every read.  A record made by __init__ stores the field,
+    so this never runs for it.  Read on the class it raises AttributeError,
+    so the field has no default."""
+
+    def __init__(self, build, keep=True):
+        self.build, self.keep = build, keep
+
+    def __set_name__(self, cls, name):
+        self.name = name
+
+    def __get__(self, record, cls):
+        if record is None:
+            raise AttributeError(f"{cls.__name__}.{self.name} is built on read")
+        value = self.build(record)
+        if self.keep:
+            _setattr(record, self.name, value)
+        return value
+
+
 class _Record:
     """A frozen value record.
 
     The fields are the names annotated on the class and its bases, in order;
-    a class attribute of the same name is that field's default.  __init__
-    takes them positionally or by keyword, then calls the class's
-    __post_init__, if any, which may set a field with object.__setattr__.
+    a class attribute of the same name, unless an `_OnRead`, is that field's
+    default.  __init__ takes them positionally or by keyword, then calls the
+    class's __post_init__, if any, which may set a field with object.__setattr__.
     Assigning or deleting an attribute raises AttributeError.  Records of
     one class compare and hash by their `_compared` fields (all unless the
     class names fewer) and print as `Name(field=value, ...)`.
@@ -88,6 +111,15 @@ class _Record:
             raise TypeError(f"{cls.__name__}({', '.join(cls._fields)}) does not take"
                             f" {len(args)} positional arguments and keywords {sorted(kwargs)}")
         return values
+
+    @classmethod
+    def _traced(cls, *values):
+        """A record holding `values` under the class's `_trace` names, its
+        stored fields and private trace, made without __init__."""
+        record = cls.__new__(cls)
+        for name, value in zip(cls._trace, values):
+            _setattr(record, name, value)
+        return record
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -252,8 +252,8 @@ def graph_dot(field) -> str:
         shape = _SHAPES[S.dim_of(cell)]
         label = _dot_string(f"{cell} (idx={_half_text(crit[cell])})")
         lines.append(f"  {node[cell]} [shape={shape}, label={label}];")
-    for sep in graph.edges:
-        lines.append(f"  {node[sep.source]} -> {node[sep.target]};")
+    for source, target, _key, _start, _rank in graph._rows:
+        lines.append(f"  {node[source]} -> {node[target]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -395,28 +395,29 @@ def _walk_texts(steps, ways, runs, cell, k) -> tuple[list[str], list[str]]:
 
 
 def _separatrix_texts(field, graph):
-    """Each separatrix's report entry, its path lists written from one run
-    table built for the whole graph."""
-    if not graph.edges:
-        return
-    steps, ways, _make = graph.edges[0]._walks
+    """Each separatrix's report entry, read from a row of the field's
+    graph, its path lists written from one run table built for the whole
+    graph."""
+    steps, ways, _make = graph._walks
     cells_key, steps_key = map(_string, field._path_keys)
-    runs = _runs(steps, ways, [sep.start for sep in graph.edges])
-    for sep in graph.edges:
-        cells, labels = _walk_texts(steps, ways, runs, sep.start, sep.rank)
+    runs = _runs(steps, ways, [row[3] for row in graph._rows])
+    for source, target, occurrence, start, rank in graph._rows:
+        cells, labels = _walk_texts(steps, ways, runs, start, rank)
         yield (
-            f'{{\n      "source": {_string(sep.source)},\n      "target": {_string(sep.target)},'
-            f'\n      "occurrence": {sep.occurrence},\n      {cells_key}: {_items(cells)},'
+            f'{{\n      "source": {_string(source)},\n      "target": {_string(target)},'
+            f'\n      "occurrence": {occurrence},\n      {cells_key}: {_items(cells)},'
             f'\n      {steps_key}: {_items(labels)}\n    }}'
         )
 
 
-def _crossings_text(crossings) -> str:
+def _crossings_text(c) -> str:
+    """A traced corridor's crossings, read from its edges and flat slots."""
+    slots = iter(c._slots)
     return _items([
-        f'{{\n          "edge": {_string(x.edge)},'
-        f'\n          "depart": {_pair_text(x.depart, "          ")},'
-        f'\n          "arrive": {_pair_text(x.arrive, "          ")}\n        }}'
-        for x in crossings
+        f'{{\n          "edge": {_string(edge)},'
+        f'\n          "depart": {_pair_text(depart, "          ")},'
+        f'\n          "arrive": {_pair_text(arrive, "          ")}\n        }}'
+        for edge, depart, arrive in zip(c._edges, slots, slots)
     ])
 
 
@@ -424,14 +425,14 @@ def _corridor_text(c) -> str:
     return (
         f'{{\n      "start": {_string(c.start)},\n      "end": {_string(c.end)},'
         f'\n      "interior": {_items(list(map(_string, c.interior)))},'
-        f'\n      "crossings": {_crossings_text(c.crossings)}\n    }}'
+        f'\n      "crossings": {_crossings_text(c)}\n    }}'
     )
 
 
 def _closed_corridor_text(c) -> str:
     return (
         f'{{\n      "faces": {_items(list(map(_string, c.faces)))},'
-        f'\n      "crossings": {_crossings_text(c.crossings)}\n    }}'
+        f'\n      "crossings": {_crossings_text(c)}\n    }}'
     )
 
 

@@ -39,9 +39,10 @@ ALLOWED = {
         "__init__.py:__getattr__",
         "cli.py:_build_parser",
         "cli.py:_build_parser.add",
+        "errors.py:_OnRead.__init__",
+        "errors.py:_OnRead.__set_name__",
     ),
     "record dunders, which no CLI call compares, hashes or prints": (
-        "dynamics.py:Separatrix.__getattr__",
         "errors.py:_Record.__delattr__",
         "errors.py:_Record.__init_subclass__.<lambda>#1",
         "errors.py:_Record.__init_subclass__.<lambda>#2",
@@ -54,6 +55,8 @@ ALLOWED = {
         "dynamics.py:_Field.lower_of",
         "dynamics.py:_Field.matched_cells",
         "dynamics.py:_Field.upper_of",
+        "dynamics.py:_separatrices",
+        "dynamics.py:_walk",
         "dynamics.py:ms_decomposition",
         "formats.py:parse_complex",
         "formats.py:report_json",

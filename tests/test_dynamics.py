@@ -8,12 +8,16 @@ import model
 import support
 from linefields import (
     CancellationError,
+    ClosedCorridor,
+    Corridor,
     Crossing,
     CyclicFieldError,
     LineField,
     LPath,
     OperationError,
     Separatrix,
+    TopologicalGraph,
+    VectorField,
     closed_l_path,
     corridors_from,
     critical_cells,
@@ -496,3 +500,93 @@ def test_corridors_match_the_two_way_tracer():
             back = tuple((b, a) for a, b in reversed(key))
             assert back != key and keys[back] == 1
     assert acyclic >= 200
+
+
+# ---- records built on read -----------------------------------------------
+
+
+def test_writers_build_no_crossing_and_no_separatrix(monkeypatch):
+    """ms_decomposition, graph_dot and report_json read the graph's rows
+    and the corridors' traces, so together they build no Crossing and no
+    Separatrix.  A corridor builds its crossings on first read and keeps
+    them; a graph separatrix walks its path on every read."""
+    built = Counter()
+
+    def counting(name, make):
+        def counted(*args, **kwargs):
+            built[name] += 1
+            return make(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(Crossing, "__init__", counting("Crossing", Crossing.__init__))
+    monkeypatch.setattr(Separatrix, "__init__", counting("Separatrix", Separatrix.__init__))
+    monkeypatch.setattr(Separatrix, "_traced", counting("Separatrix", Separatrix._traced))
+    monkeypatch.setattr(dynamics, "_nth_walk", counting("walk", dynamics._nth_walk))
+    L = support.forest_field(support.grid_torus(6, 6), random.Random(5), 0.8)
+    report = ms_decomposition(L)
+    graph_dot(L)
+    report_json(L)
+    assert report.corridors and report.graph._rows and built == Counter()
+    corridor = max(report.corridors, key=lambda c: len(c._edges))
+    assert corridor.crossings is corridor.crossings
+    assert built == Counter({"Crossing": len(corridor._edges)}) and len(corridor._edges) > 1
+    built.clear()
+    sep = report.graph.edges[0]
+    assert built == Counter({"Separatrix": len(report.graph._rows)})
+    assert sep.path == sep.path and built["walk"] == 2
+
+
+def _on_read_fields():
+    """(field, kind) pairs: line fields (sampled, cyclic ones too, and
+    forests) and vector fields on a random corpus, and forest and
+    tree-cotree fields on grid tori and Klein bottles."""
+    rng = random.Random(1811)
+    out = []
+    for S in support.random_corpus(1812, 80, max_moves=4):
+        out += [(LineField(S, support.sample_matching(support.line_field_pairs(S), rng)), "line"),
+                (support.forest_field(S, rng, rng.choice([0.5, 1.0])), "line"),
+                (VectorField(S, support.sample_matching(support.vector_field_pairs(S), rng)),
+                 "vector")]
+    for make in (support.grid_torus, support.grid_klein):
+        for rows, cols in ((3, 4), (6, 6)):
+            S = make(rows, cols)
+            forest = support.forest_field(S, rng, 0.7)
+            out += [(forest, "line"), (VectorField(S, support.tree_cotree(S, dict(forest.matching))),
+                                       "vector")]
+    return out
+
+
+def test_records_built_on_read_equal_constructed_ones():
+    """A record built on read equals, hashes and prints as the one its
+    public constructor makes from the same fields: each traced corridor
+    and closed corridor, each field's graph; the reverse of each corridor
+    holds its crossings reversed, depart and arrive swapped; and each
+    graph separatrix's path is the model's."""
+    graphs = 0
+    for X, kind in _on_read_fields():
+        corridors, closed = X.corridors()
+        for c in corridors:
+            seen = (c, hash(c), repr(c))
+            twin = Corridor(c.start, c.end, c.crossings, c.interior)
+            assert (twin, hash(twin), repr(twin)) == seen
+        for c in closed:
+            seen = (c, hash(c), repr(c))
+            twin = ClosedCorridor(c.faces, c.crossings)
+            assert (twin, hash(twin), repr(twin)) == seen
+        by_start = {c.crossings[0].depart: c for c in corridors}
+        for c in corridors:
+            back = by_start[c.crossings[-1].arrive]
+            assert (back.start, back.end, back.interior) == (c.end, c.start, c.interior[::-1])
+            assert back.crossings == tuple(
+                Crossing(x.edge, x.arrive, x.depart) for x in reversed(c.crossings))
+        if X.closed_path() is not None:
+            continue
+        g = X.graph()
+        twin = TopologicalGraph(g.vertices, g.edges)
+        assert (twin, hash(twin), repr(twin)) == (g, hash(g), repr(g))
+        keys = ("vertices", "edges") if kind == "line" else ("cells", "witnesses")
+        got = [(s.source, s.target, s.occurrence, tuple(getattr(s.path, k) for k in keys))
+               for s in g.edges]
+        assert got == model.separatrices(model.field_of(X), kind)
+        graphs += 1
+    assert graphs >= 40
