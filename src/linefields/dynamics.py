@@ -398,10 +398,10 @@ def _trace_corridor(L: LineField, start_occ):
     """Cross from `start_occ` and tunnel through count-2 faces: a Corridor
     when a face with another count is reached, a ClosedCorridor when the
     trace is back at its start.  A corridor is traced once per field and
-    kept in its table (`_traced`) under both end occurrences; at the other
-    end its reverse, both tuples of its trace reversed, is made on first
-    use, since tracing is deterministic and reversible."""
-    table = L._traced
+    kept in its table (`_corridor_table`) under both end occurrences; at
+    the other end its reverse, both tuples of its trace reversed, is made
+    on first use, since tracing is deterministic and reversible."""
+    table = L._corridor_table
     corr = table.get(start_occ)
     if corr is not None:
         if corr._slots[0] != start_occ:

@@ -106,7 +106,7 @@ class LineField(_Field):
     _corridors = cached_property(_all_corridors)
 
     # Each end occurrence of a traced corridor: the corridor leaving it.
-    _traced = cached_property(lambda self: {})
+    _corridor_table = cached_property(lambda self: {})
     # Each face merged from: its corridors, as a list per end face.
     _ends = cached_property(lambda self: {})
 

@@ -17,15 +17,12 @@ import pytest
 import linefields
 import model
 import support
-from linefields import dynamics
+from test_design import REMOVED
 from linefields import (
     CyclicFieldError,
     LineField,
-    LPath,
     OperationError,
-    SurfaceComplex,
     VectorField,
-    XPath,
     closed_l_path,
     closed_x_path,
     corridors_from,
@@ -263,30 +260,6 @@ PUBLIC = [
     "x_paths",
 ]
 
-# Other names for a public name, one-line expressions of the field protocol,
-# and helpers only the tests call (kept in tests/support.py and
-# tests/isomorphism.py).
-REMOVED = [
-    "HasseDiagram",
-    "collapse_noncritical_face",
-    "complexes_isomorphic",
-    "contract_matched_pair",
-    "euler_sum",
-    "euler_sum_dvf",
-    "is_acyclic",
-    "is_acyclic_dvf",
-    "isomorphisms",
-    "line_fields_isomorphic",
-    "occ_reversed",
-    "occ_text",
-    "scan_closed_corridors",
-    "subdivide_edge",
-    "topological_graph_dvf",
-    "unmatched_boundary_count",
-    "vector_fields_isomorphic",
-]
-
-
 def test_every_public_name_is_exported():
     # The package binds a name on its first access, so walk dir() with
     # getattr rather than reading the namespace as it stands.
@@ -297,29 +270,11 @@ def test_every_public_name_is_exported():
     }
     assert names == set(linefields.__all__)
     assert sorted(linefields.__all__) == PUBLIC
-    assert [n for n in REMOVED if hasattr(linefields, n)] == []
-
-
-# Methods that restated another or that only the tests called (cells() is
-# support.cells in tests/support.py), and the path base class they kept.
-REMOVED_METHODS = [
-    (LPath, "is_trivial"),
-    (LPath, "is_closed"),
-    (LPath, "json"),
-    (XPath, "is_trivial"),
-    (XPath, "is_closed"),
-    (XPath, "json"),
-    (LineField, "matched_vertices"),
-    (LineField, "matched_edges"),
-    (LineField, "edge_matched_to"),
-    (LineField, "vertex_matched_to"),
-    (SurfaceComplex, "cells"),
-]
 
 
 def test_removed_methods_stay_gone():
-    assert [(c.__name__, n) for c, n in REMOVED_METHODS if hasattr(c, n)] == []
-    assert not hasattr(dynamics, "_PathView")
+    assert [(owner, n) for owner, names in REMOVED.items() for n in names if hasattr(
+        linefields if owner == "linefields" else getattr(linefields, owner.removesuffix(".py")), n)] == []
 
 
 def test_star_import_binds_exactly_all():
