@@ -294,12 +294,13 @@ class _Field(_Record):
     (lower, upper) pairs looked up both ways, and the field protocol
     methods that only read a subclass's cached verdicts.
 
-    A subclass supplies `_scan`, one pass over the sorted matching that
-    returns (the matching's violations, the step table, the roots of the
-    closed-path search), `_critical`, `_corridors` and `_exits`, and the
-    hooks `_path`, `_path_keys`, `_kind` and `_cyclic_text`; it may
-    override `_witness` and define __post_init__, which _Record.__init__
-    calls.  Every table is built once, on first use.
+    It sorts the matching once, `_pairs`, which the scans, the writers and
+    the radial bridge read.  A subclass supplies `_scan`, one pass over
+    `_pairs` that returns (the matching's violations, the step table, the
+    roots of the closed-path search), `_critical`, `_corridors` and
+    `_exits`, and the hooks `_path`, `_path_keys`, `_kind` and
+    `_cyclic_text`; it may override `_witness` and define __post_init__,
+    which _Record.__init__ calls.  Every table is built once, on first use.
     """
 
     complex: SurfaceComplex
@@ -342,6 +343,7 @@ class _Field(_Record):
         self.complex._require_valid()
 
     graph = topological_graph
+    _pairs = cached_property(lambda self: tuple(sorted(self.matching)))
 
     _pair_problems = property(lambda self: self._scan[0])
     _steps = property(lambda self: self._scan[1])

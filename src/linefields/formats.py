@@ -153,11 +153,11 @@ def emit_complex(S: SurfaceComplex) -> str:
 
 
 def emit_line_field(L: LineField) -> str:
-    return emit_complex(L.complex) + "".join(f"match {v} {e}\n" for v, e in sorted(L.matching))
+    return emit_complex(L.complex) + "".join(f"match {v} {e}\n" for v, e in L._pairs)
 
 
 def emit_vector_field(V: VectorField) -> str:
-    return emit_complex(V.complex) + "".join(f"vmatch {lo} {up}\n" for lo, up in sorted(V.matching))
+    return emit_complex(V.complex) + "".join(f"vmatch {lo} {up}\n" for lo, up in V._pairs)
 
 
 # ---- OFF import -----------------------------------------------------------
@@ -447,7 +447,7 @@ def write_report(field, fp) -> None:
     graph = field.graph()
     corridors, closed = field.corridors()
     matching = (
-        f"[\n      {_string(a)},\n      {_string(b)}\n    ]" for a, b in sorted(field.matching)
+        f"[\n      {_string(a)},\n      {_string(b)}\n    ]" for a, b in field._pairs
     )
     fp.write('{\n  "complex": ' + _complex_text(field.complex))
     for key, entries in (

@@ -63,7 +63,7 @@ class LineField(_Field):
         roots, the steps' keys, which the pass adds in sorted order."""
         vertices, edges = self.complex.vertices, self.complex.edges
         problems, steps = [], {}
-        for v, e in sorted(self.matching):
+        for v, e in self._pairs:
             if v not in vertices:
                 problems.append(f"pair ({v}, {e}) references unknown vertex {v}")
             elif e not in edges:

@@ -17,6 +17,8 @@ a fresh_id suffix when the name is taken.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import NotInImageError, _Record
 from .linefield import LineField
 from .surface import SurfaceComplex, _canonical_rotation, _fresh_ids, _merge_cells, _split_cells
@@ -177,16 +179,16 @@ def dvf_to_dlf(V: VectorField) -> LineField:
     diagonal at the other cell's radial vertex and matches that vertex
     with the diagonal.  Pairs touch disjoint quadrilaterals, so the
     splits never interfere.  All splits edit the maps of _radial_cells and
-    one complex is built at the end; identifiers are the ones that
-    splitting pair by pair, in sorted order with split_face, would choose.
-    Refuses an unsound field before any work, at the field door.
+    one complex is built at the end; identifiers are the ones split_face,
+    splitting pair by pair in sorted order, would choose, a plain name
+    tried first.  Refuses an unsound field before any work, at its door.
     """
     V._require_valid()
     S = V.complex
     vertex, edges, faces = _radial_cells(S)
     radial_vertices = frozenset(vertex.values())
     pairs = []
-    for lo, up in sorted(V.matching):
+    for lo, up in V._pairs:
         # Corners 0 and 2 of q_<e> stand on the ends of e, corners 1 and 3
         # on its faces.  The anchor is the first corner on the other cell:
         # a loop, or an edge twice on one face, puts it at two corners.
@@ -195,8 +197,9 @@ def dvf_to_dlf(V: VectorField) -> LineField:
         anchor = vertex[other]
         if edges[faces[quad][k][1]][k] != anchor:  # +r starts at its tail, -r at its head
             k += 2
-        diag, half_a, half_b = _fresh_ids(radial_vertices, edges, faces,
-                                          f"d_{e}", f"{quad}_0", f"{quad}_1")
+        diag, half_a, half_b = names = f"d_{e}", f"{quad}_0", f"{quad}_1"
+        if diag in edges or half_a in faces or half_b in faces:  # only edges are d_, faces q_
+            diag, half_a, half_b = _fresh_ids(radial_vertices, edges, faces, *names)
         _split_cells(edges, faces, quad, k, k + 2, diag, half_a, half_b)
         pairs.append((anchor, diag))
     image = SurfaceComplex._from_checked(radial_vertices, edges, faces, f"radial_{S.name}")
@@ -214,13 +217,14 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
 
     The diagonals are deleted in sorted order on plain cell dicts and one
     complex is built before the radial check; merged faces get the
-    identifiers, and refusals the messages, that deleting them one at a
-    time with delete_edge_merge_faces would give.
+    identifiers, a plain m_<diagonal> tried first, and refusals the
+    messages, that deleting them one at a time with delete_edge_merge_faces
+    would give.
     """
     if L._pair_problems:  # validate_line_field, cached on the field
         raise NotInImageError("not a valid line field")
     T = L.complex
-    edges = dict(T.edges)
+    vertices, edges = T.vertices, dict(T.edges)
     faces = dict(T.faces)
     # Each face already merged, mapped to the face that replaced it; slots
     # read from T stay valid on every face not in here.
@@ -231,18 +235,22 @@ def dlf_to_dvf(L: LineField) -> tuple[VectorField, VectorField]:
         for i, (_s, e) in enumerate(walk):
             if e in slots:
                 slots[e].append((f, i))
-    for v, d in sorted(L.matching, key=lambda pair: pair[1]):
+    for v, d in sorted(L._pairs, key=itemgetter(1)):
         occs = slots[d]
-        live = [merged_into.get(f, f) for f, _i in occs]
-        if len(occs) != 2 or live[0] == live[1]:
+        if len(occs) == 2:
+            (f, _i), (g, _j) = occs
+            f, g = merged_into.get(f, f), merged_into.get(g, g)
+        if len(occs) != 2 or f == g:
             raise NotInImageError(f"matched edge {d} is not a face diagonal")
-        if len(faces[live[0]]) != 3 or len(faces[live[1]]) != 3:
+        if len(faces[f]) != 3 or len(faces[g]) != 3:
             raise NotInImageError(f"matched edge {d} does not split a quadrilateral")
-        (qid,) = _fresh_ids(T.vertices, edges, faces, f"m_{d}")
+        qid = f"m_{d}"
+        if qid in vertices or qid in edges or qid in faces:
+            (qid,) = _fresh_ids(vertices, edges, faces, qid)
         _merge_cells(edges, faces, d, occs, qid)
-        merged_into[live[0]] = merged_into[live[1]] = qid
+        merged_into[f] = merged_into[g] = qid
         pairs.append((v, qid))
-    factors = _factor(SurfaceComplex._from_checked(T.vertices, edges, faces, T.name))
+    factors = _factor(SurfaceComplex._from_checked(vertices, edges, faces, T.name))
     if factors is None:
         raise NotInImageError("unmatched edges do not form a radial refinement")
     return VectorField(factors[0], pairs), VectorField(factors[1], pairs)

@@ -143,7 +143,7 @@ class VectorField(_Field):
         S = self.complex
         vertices, edges, faces = S.vertices, S.edges, S.faces
         problems, steps, low_vertices, low_edges = [], {}, [], []
-        for lo, up in sorted(self.matching):
+        for lo, up in self._pairs:
             if up in edges and lo in vertices:
                 tail, head = edges[up]
                 if lo == tail:
@@ -171,7 +171,7 @@ class VectorField(_Field):
                 problems.append(f"pair ({lo}, {up}): dimensions differ by {gap}")
         upper, lower, n = self._upper_of, self._lower_of, len(self.matching)
         if len(upper) < n or len(lower) < n or not upper.keys().isdisjoint(lower):
-            for c, m in sorted(Counter(c for pair in self.matching for c in pair).items()):
+            for c, m in sorted(Counter(c for pair in self._pairs for c in pair).items()):
                 if m > 1:
                     problems.append(f"cell {c} appears in {m} pairs")
         return problems, steps, low_vertices + low_edges

@@ -1,12 +1,13 @@
-"""Reachability gate: every function in the package runs in some CLI call.
+"""Reachability gate: every function in the package runs in some sweep call.
 
 Runs the byte-identity sweep (tests/sweep.py) with `sys.setprofile` on only
-inside each `linefields.cli.main` call, so what the sweep runs to build its
-inputs does not count, and compares every digest as the sweep does.  Every
-function and lambda in src/linefields/ that no call runs must be on
-ALLOWED below, under the one reason it is kept; a listed function that a
-call does run, or that no longer exists, is a stale entry.  Either fails
-the run, as a digest that differs does.
+inside each `linefields.cli.main` call and each call of an operation in
+sweep.LIBRARY, so what the sweep runs to build its inputs does not count,
+and compares every digest as the sweep does.  Every function and lambda in
+src/linefields/ that no call runs must be on ALLOWED below, under the one
+reason it is kept; a listed function that a call does run, or that no
+longer exists, is a stale entry.  Either fails the run, as a digest that
+differs does.
 
     PYTHONPATH=src python tests/reach.py
 
@@ -61,8 +62,6 @@ ALLOWED = {
         "formats.py:parse_complex",
         "formats.py:report_json",
         "linefield.py:validate_line_field",
-        "radial.py:is_radial",
-        "radial.py:radial_decomposition",
         "simplify.py:CellCorrespondence.image_of",
         "simplify.py:CellCorrespondence.preimages",
         "surface.py:SurfaceComplex.__post_init__",
@@ -117,17 +116,18 @@ def functions():
 
 
 def profiled(main, ran):
-    """`main` with the profiler on for the length of each call, adding the
-    code object of every Python function it enters to `ran`."""
+    """`main`, a function of one argument, with the profiler on for the
+    length of each call, adding the code object of every Python function it
+    enters to `ran`."""
 
     def record(frame, event, _arg):
         if event == "call":
             ran.add(frame.f_code)
 
-    def call(argv):
+    def call(arg):
         sys.setprofile(record)
         try:
-            return main(argv)
+            return main(arg)
         finally:
             sys.setprofile(None)
 
@@ -152,6 +152,7 @@ def main() -> int:
     known = functions()
     ran = set()
     sweep.main = profiled(sweep.main, ran)
+    sweep.LIBRARY = {op: profiled(call, ran) for op, call in sweep.LIBRARY.items()}
     status = sweep.main_sweep([])
     unrun, missing, stale = verdict(known, ran)
     for name in missing:

@@ -21,10 +21,11 @@ move (the first pair of critical faces in sorted order that a corridor
 joins and the move accepts; the pillow's n-gons are joined by n corridors,
 so it has none) and one cancel_vertex_face move (the first critical
 face and vertex in sorted order that the move accepts), and a vector
-field through dvf_to_dlf, emit_line_field and vertex_link_cycles() on
-that image, dlf_to_dvf on it and emit_vector_field on both factors
-together.  A layer fails when its exponent, log(lines ratio) / log(cells
-ratio), is over 1.05, or when it runs at one size only.
+field through emit_vector_field ("emit_vector_field own"), dvf_to_dlf,
+emit_line_field and vertex_link_cycles() on that image, dlf_to_dvf on it
+and emit_vector_field on both factors together.  A layer fails when its
+exponent, log(lines ratio) / log(cells ratio), is over 1.05, or when it
+runs at one size only.
 
 A count of executed lines repeats exactly and does not depend on the host,
 so the gate needs one run per point.  It cannot see work inside a C
@@ -161,7 +162,7 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
     refinement run in order on one field parsed from `field`'s file.  A
     line field is emitted, and the homotopy core and, where it has them,
     one merge of critical faces and one cancellation run on a second
-    parsed field; a vector field's image under dvf_to_dlf is
+    parsed field; a vector field is emitted, its image under dvf_to_dlf is
     emitted, its link cycles are decoded, it goes back through dlf_to_dvf,
     and both factors are emitted."""
     emit = emit_vector_field if isinstance(field, VectorField) else emit_line_field
@@ -211,6 +212,7 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
                 lambda: cancel_vertex_face(fresh, *pair)
             )
     else:
+        lines["emit_vector_field own"], _text = counter.count(lambda: emit_vector_field(parsed))
         lines["dvf_to_dlf"], image = counter.count(lambda: dvf_to_dlf(parsed))
         lines["emit_line_field"], _text = counter.count(lambda: emit_line_field(image))
         lines["vertex_link_cycles"], _links = counter.count(image.complex.vertex_link_cycles)

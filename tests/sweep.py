@@ -1,4 +1,5 @@
-"""Byte-identity sweep of the command line.
+"""Byte-identity sweep of the command line, and of library operations no
+CLI call runs.
 
 Runs every subcommand, with its output-file flags, through
 `linefields.cli.main` in process, on deterministic inputs built with
@@ -9,6 +10,12 @@ temporary working directory on relative file names, so no temporary path
 reaches argv or a message.  Each call is hashed once: one SHA-256 over its
 argv, exit code, stdout, stderr and output files.  golden/sweep.sha256
 holds one line per call, `<digest>  <argv>`.
+
+After the CLI calls come the library's: each operation in LIBRARY, which
+no CLI call runs, on every distinct valid complex among the inputs, named
+by the first file that holds it.  Its line is `<digest>  <name>(<file>)`,
+over the name, the file and a canonical text of the result, or of the
+exception's class and message, that does not depend on the hash seed.
 
     PYTHONPATH=src python tests/sweep.py            # compare with the digest file
     PYTHONPATH=src python tests/sweep.py --write    # rewrite the digest file
@@ -44,12 +51,15 @@ from linefields import (  # noqa: E402
     emit_complex,
     emit_line_field,
     emit_vector_field,
+    is_radial,
     parse_document,
+    radial_decomposition,
 )
 from linefields.cli import main  # noqa: E402
 
 DIGESTS = HERE / "golden" / "sweep.sha256"
 OUTPUTS = ("out.txt", "map.json", "dual.txt")
+LIBRARY = {"is_radial": is_radial, "radial_decomposition": radial_decomposition}
 
 TETRA_OFF = "OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
 INVALID_OFF = {
@@ -219,6 +229,40 @@ def calls(files):
     return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
 
+def library_calls(files):
+    """(label, operation name, complex) of every library call, in a fixed
+    order: each operation on the first file of each distinct valid complex."""
+    complexes = {}
+    for name, text in files:
+        try:
+            S = parse_document(text).complex
+        except (ParseError, InvalidComplexError):
+            continue
+        if not S.validate():
+            complexes.setdefault(emit_complex(S), (name, S))
+    return [(f"{op}({name})", op, S) for name, S in complexes.values() for op in LIBRARY]
+
+
+def canonical(op, S):
+    """LIBRARY[op](S) as text: a verdict as itself, a refinement as its
+    complex's file and its sorted origin maps; an exception as its class
+    and message."""
+    try:
+        result = LIBRARY[op](S)
+    except Exception as exc:  # a refusal is recorded like a result
+        return f"raised {type(exc).__name__}: {exc}"
+    if op == "is_radial":
+        return str(result)
+    origins = sorted(result.vertex_origin.items()) + sorted(result.face_origin.items())
+    return emit_complex(result.complex) + "".join(f"origin {a} {b}\n" for a, b in origins)
+
+
+def run_library(calls):
+    """{label: digest} for the given library calls."""
+    return {label: hashlib.sha256(json.dumps([label, canonical(op, S)]).encode()).hexdigest()
+            for label, op, S in calls}
+
+
 @contextmanager
 def workdir(files):
     """A temporary working directory holding the inputs, entered for the body."""
@@ -274,7 +318,7 @@ def main_sweep(argv=None) -> int:
     args = parser.parse_args(argv)
     files = inputs()
     argvs = calls(files)
-    got = run(argvs, files)
+    got = run(argvs, files) | run_library(library_calls(files))
     if args.write:
         DIGESTS.write_text("".join(f"{h}  {label}\n" for label, h in got.items()))
         print(f"wrote {len(got)} digests to {DIGESTS}")

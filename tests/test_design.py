@@ -2,10 +2,10 @@
 
 A rule reads names, calls and literals, never comments or the text of a
 docstring, so rewording or reformatting code does not trip one.  CAUGHT holds
-code that each rule's old CI grep step failed on, which the rule fails on
-too.  REMOVED is the one list of what left the package: test_field_protocol.py
-checks at run time that none is back, and README's removed-names table names
-each public one.
+code that each rule fails on: for a rule that replaced a CI grep step, code
+that the step failed on.  REMOVED is the one list of what left the package:
+test_field_protocol.py checks at run time that none is back, and README's
+removed-names table names each public one.
 """
 
 import ast
@@ -53,6 +53,7 @@ PRIVATE = {n for owner, names in REMOVED.items() for n in names
 FIELD_BODY = {
     "problems", "doubled_critical", "closed_path", "graph", "_graph", "corridors", "upper_of",
     "lower_of", "_upper_of", "_lower_of", "matched_cells", "edge_matched_to", "vertex_matched_to",
+    "_pairs",
 }
 # The kept copies the model does not cover: the parser, the JSON report and
 # the isomorphism search.
@@ -172,6 +173,15 @@ def second_scan(tree):
     return sorts + keys + exits
 
 
+def sort_of_a_matching(tree):
+    """A sorted(...) call whose arguments name a matching, outside the
+    binding of _Field._pairs, the one sort each field keeps."""
+    pairs = {id(n) for c in classes(tree) if c.name == "_Field"
+             for s in bound(c, ("_pairs",)) for n in ast.walk(s)}
+    return [c for c in calls(tree, "sorted")
+            if id(c) not in pairs and any(naming(a, "matching") for a in c.args)]
+
+
 def other_slot_by_search(tree):
     """An occurrence_index read from where a call of next starts to the end
     of the call's last line; a read of .opposite or _slot_cycles."""
@@ -217,6 +227,7 @@ RULES = {
         PACKAGE, lambda t: [f for f in defs(t, "__getattr__") if f not in t.body]),
     "one_field_body": (FIELDS, field_body),
     "one_scan_per_field": (FIELDS, second_scan),
+    "one_sort_per_matching": (PACKAGE, sort_of_a_matching),
     "field_operations_are_the_functions": (
         PACKAGE, lambda t: [s for s in t.body if getattr(s, "name", "") in
                             ("closed_l_path", "closed_x_path", "occ_text")]),
@@ -248,7 +259,8 @@ def test_design_rule(rule):
     assert found == []
 
 
-# Code each rule's old grep step failed on: a case for each way it could.
+# Code each rule fails on, a case for each way it could: for a rule that
+# replaced a grep step, what the step failed on.
 CAUGHT = [
     ("no_field_kind_dispatch", "isinstance(x, int)"),
     ("no_field_kind_dispatch", "ok = x.hasattr(y)"),
@@ -268,6 +280,9 @@ CAUGHT = [
     ("one_scan_per_field", "order = sorted(self._steps.items())"),
     ("one_scan_per_field", "min(cells, sort_key=lambda c: c)"),
     ("one_scan_per_field", "exits = self._exits(c)"),
+    ("one_sort_per_matching", "for v, e in sorted(self.matching): pass"),
+    ("one_sort_per_matching", "order = sorted(L.matching, key=k)"),
+    ("one_sort_per_matching", "class A:\n    _pairs = property(lambda f: sorted(f.matching))"),
     ("field_operations_are_the_functions", "def closed_l_path(L): pass"),
     ("vector_field_paths_are_the_functions", "class A:\n    def count_paths(self): pass"),
     ("radial_bridge_reads_darts", 'sides = ("in", "out")'),

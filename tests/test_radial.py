@@ -24,6 +24,7 @@ from linefields import (
     radial_decomposition,
     validate_vector_field,
 )
+from linefields import radial
 
 
 def small_builders():
@@ -665,6 +666,34 @@ def test_bridge_identifier_collisions_match_move_by_move():
     assert {"d_a", "d_a_0"} <= set(X.complex.edges)
     assert assert_same_factors(X)[0] == "ok"
     A, _B = dlf_to_dvf(X)
+    assert {"m_d_a_2", "m_d_a_0"} <= set(A.complex.edges)
+
+
+def test_bridge_picks_a_suffix_only_for_a_taken_name(monkeypatch):
+    """Each new cell's plain name is tried first; radial._fresh_ids runs
+    only for a step one of whose plain names is taken, on that step's
+    names, so it picks the ids test_bridge_identifier_collisions_match_move_by_move
+    pins."""
+    bases, fresh_ids = [], radial._fresh_ids
+
+    def counted(vertices, edges, faces, *names):
+        bases.append(names)
+        return fresh_ids(vertices, edges, faces, *names)
+
+    monkeypatch.setattr(radial, "_fresh_ids", counted)
+    V = support.serpentine_torus(4, 4)[0]
+    factors = dlf_to_dvf(dvf_to_dlf(V))
+    assert any(complexes_isomorphic(X.complex, V.complex) for X in factors)
+    assert bases == []
+
+    S = collision_sphere()
+    live = dvf_to_dlf(VectorField(S, frozenset({("u", "a"), ("w", "a_0")})))
+    assert bases == [("d_a", "q_a_0", "q_a_1")]  # q_a_0 is live
+    assert {"q_a_0_2", "q_a_1", "q_a_0_0", "q_a_0_1"} <= set(live.complex.faces)
+    dead = dvf_to_dlf(VectorField(S, frozenset({("a_0", "f1"), ("u", "a")})))
+    assert len(bases) == 1 and len(dead.complex.faces["q_a_0"]) == 3
+    A, _B = dlf_to_dvf(renamed(live, {"w_f2": "m_d_a", "q_a_1": "m_d_a_0"}))
+    assert bases[1:] == [("m_d_a",)]  # d_a merges away the face m_d_a_0 first
     assert {"m_d_a_2", "m_d_a_0"} <= set(A.complex.edges)
 
 
