@@ -9,13 +9,12 @@ __version__ = "0.1.0"
 
 _MODULES = {
     "dynamics": ("ClosedCorridor", "Corridor", "Crossing", "DecompositionReport", "LPath",
-                 "Separatrix", "TopologicalGraph", "closed_l_path", "corridors_from", "l_paths",
-                 "ms_decomposition", "topological_graph"),
+                 "Separatrix", "TopologicalGraph", "corridors_from", "ms_decomposition"),
     "errors": ("CancellationError", "CyclicFieldError", "DegenerateOperationError",
                "InvalidComplexError", "NotInImageError", "OperationError", "ParseError"),
     "formats": ("Document", "emit_complex", "emit_line_field", "emit_vector_field", "graph_dot",
-                "parse_complex", "parse_document", "parse_graph_json", "parse_line_field",
-                "parse_off", "parse_vector_field", "report_json"),
+                "parse_complex", "parse_document", "parse_line_field", "parse_off",
+                "parse_vector_field", "report_json"),
     "linefield": ("LineField", "critical_cells", "validate_line_field"),
     "radial": ("RadialComplex", "dlf_to_dvf", "dvf_to_dlf", "is_radial",
                "radial_decomposition"),
@@ -23,8 +22,8 @@ _MODULES = {
                  "merge_critical_faces"),
     "surface": ("SurfaceComplex", "delete_edge_merge_faces", "fresh_id", "reversed_walk",
                 "split_face"),
-    "vectorfield": ("VectorField", "XPath", "cancel_dvf", "closed_x_path", "count_x_paths",
-                    "critical_cells_dvf", "dualize", "validate_vector_field", "x_paths"),
+    "vectorfield": ("VectorField", "XPath", "cancel_dvf", "critical_cells_dvf", "dualize",
+                    "validate_vector_field"),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}
 

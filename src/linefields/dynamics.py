@@ -9,8 +9,10 @@ touch a critical face close up into cycles and mark periodic behaviour.
 
 Both field kinds subclass `_Field`, which holds the complex, the matching
 looked up both ways and the protocol methods that read a field's cached
-verdicts.  Each kind supplies `_scan`, one pass over its sorted matching
-that finds the matching's violations, builds its step table
+verdicts, closed_path() and graph() among them; the path queries
+paths(a, b) and count_paths(a, b) are methods of each kind.  Each kind
+supplies `_scan`, one pass over its sorted matching that finds the
+matching's violations, builds its step table
 `{cell: ((label, next), ...)}` (`_steps`) and lists the roots of the
 closed-path search.  Both share one path engine: `_search`, one
 depth-first search, finds the first closed walk and, given a fold, folds
@@ -20,9 +22,9 @@ counts walks (`_count_walks`) and finds where separatrices end; and
 count.  Neither recurses, so path length is bounded by memory, not by
 recursion depth.
 
-Each field builds its topological graph once and keeps it.  The graph
-holds no walks: it keeps a row (source, target, occurrence, start, rank)
-per separatrix and builds its `edges` from them on first read; a
+Each field builds its topological graph, graph(), once and keeps it.  The
+graph holds no walks: it keeps a row (source, target, occurrence, start,
+rank) per separatrix and builds its `edges` from them on first read; a
 separatrix's `path` is walked again each time it is read, choosing at each
 branch cell by the walk counts of that cell's successors (the only counts
 a graph keeps, so a line field's graph keeps none).  The graph costs
@@ -241,7 +243,7 @@ def _nth_walk(steps, ways, start, k, make):
     return make(tuple(cells), tuple(labels))
 
 
-# ---- L-paths --------------------------------------------------------------
+# ---- the field body -------------------------------------------------------
 
 
 def _require_acyclic(field):
@@ -252,47 +254,12 @@ def _require_acyclic(field):
         raise CyclicFieldError(field._cyclic_text + closed.cells[0], witness=closed)
 
 
-def l_paths(L: LineField, source: str, target: str) -> list[LPath]:
-    """All L-paths from source to target; at most one exists, the trivial
-    path counting when source == target.  A line field never branches, so
-    it is the one walk from `source`, cut at `target`.  The arguments are
-    checked before the door, as every walking operation checks them."""
-    for v in (source, target):
-        if v not in L.complex.vertices:
-            raise OperationError(f"{v} is not a vertex of the complex")
-    _require_acyclic(L)
-    path = _nth_walk(L._steps, {}, source, 0, LPath)
-    if target not in path.vertices:
-        return []
-    k = path.vertices.index(target)
-    return [LPath(path.vertices[: k + 1], path.edges[:k])]
-
-
-# ---- topological graph ----------------------------------------------------
-
-
-def topological_graph(field) -> TopologicalGraph:
-    """Separatrices of a line or vector field: one per exit slot
-    `(key, start)` of a critical cell and maximal walk from `start` to a
-    critical cell, which is its witness.  The field builds the graph once
-    and keeps it.
-
-    A line field's exits are the unmatched occurrences on a critical
-    face's walk, from their corners.  Matched occurrences carry none:
-    simplification contracts them out of the walk, merging their corners
-    into neighbours, so counting them (or dropping anything else) would
-    break the graph-preservation property of homotopy_core; a critical face
-    emits exactly c.  A vector field's exits are the boundary occurrences
-    of a critical edge or face.
-    """
-    _require_acyclic(field)
-    return field._graph
-
-
 class _Field(_Record):
     """The body LineField and VectorField share: a complex, a set of
     (lower, upper) pairs looked up both ways, and the field protocol
-    methods that only read a subclass's cached verdicts.
+    methods that only read a subclass's cached verdicts: problems(),
+    doubled_critical(), closed_path(), graph() and corridors().  Each kind
+    defines the other two, paths(a, b) and count_paths(a, b), its own way.
 
     It sorts the matching once, `_pairs`, which the scans, the writers and
     the radial bridge read.  A subclass supplies `_scan`, one pass over
@@ -321,6 +288,22 @@ class _Field(_Record):
         dimension.  The field searches once and keeps the verdict."""
         return self._closed
 
+    def graph(self) -> TopologicalGraph:
+        """Separatrices of the field: one per exit slot `(key, start)` of a
+        critical cell and maximal walk from `start` to a critical cell,
+        which is its witness.  The field builds the graph once and keeps it.
+
+        A line field's exits are the unmatched occurrences on a critical
+        face's walk, from their corners.  Matched occurrences carry none:
+        simplification contracts them out of the walk, merging their corners
+        into neighbours, so counting them (or dropping anything else) would
+        break the graph-preservation property of homotopy_core; a critical
+        face emits exactly c.  A vector field's exits are the boundary
+        occurrences of a critical edge or face.
+        """
+        _require_acyclic(self)
+        return self._graph
+
     def corridors(self):
         """(corridors, closed corridors), traced once per field; a vector
         field, a cell matching, has none."""
@@ -342,7 +325,6 @@ class _Field(_Record):
             raise OperationError(f"not a valid {self._kind}: {self._pair_problems[0]}")
         self.complex._require_valid()
 
-    graph = topological_graph
     _pairs = cached_property(lambda self: tuple(sorted(self.matching)))
 
     _pair_problems = property(lambda self: self._scan[0])
@@ -360,7 +342,7 @@ class _Field(_Record):
 
     @cached_property
     def _graph(self) -> TopologicalGraph:
-        """topological_graph without the acyclicity check.  One search over
+        """graph() without the acyclicity check.  One search over
         the steps from every exit folds, for each cell, the critical ends
         of its walks in walk order (one per cell on a line field), so the
         graph costs O(cells + separatrices); each separatrix walks its path
@@ -390,6 +372,7 @@ class _Field(_Record):
         return {up: lo for lo, up in self.matching}
 
 
+# perfbench/jobs.py times dynamics.closed_l_path under this name.
 closed_l_path = _Field.closed_path
 
 

@@ -478,6 +478,7 @@ def report_json(field) -> str:
     return out.getvalue()
 
 
+# Not exported: perfbench/jobs.py hands it to its graph oracle.
 def parse_graph_json(text: str) -> TopologicalGraph:
     """Rebuild the multigraph recorded by report_json, witnesses dropped."""
     payload = json.loads(text)

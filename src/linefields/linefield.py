@@ -11,10 +11,11 @@ LineField and VectorField share one field protocol: problems(),
 doubled_critical(), closed_path(), graph(), corridors(), paths(a, b) and
 count_paths(a, b).  The first five, and the matching's lookups, are
 implemented once on their shared base, dynamics._Field; a field kind
-supplies `_scan`, one pass over its sorted matching that yields the
-matching's violations, its step table and the roots of the closed-path
-search.  The CLI and the formats module reach the algorithms only through
-these methods.
+defines the last two, LineField.paths here, and supplies `_scan`, one
+pass over its sorted matching that yields the matching's violations, its
+step table and the roots of the closed-path search.  The methods are the
+operations' one public spelling, and the CLI and the formats module reach
+the algorithms only through them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 
-from .dynamics import LPath, _all_corridors, _Field, l_paths
+from .dynamics import LPath, _all_corridors, _Field, _nth_walk, _require_acyclic
+from .errors import OperationError
 
 
 class LineField(_Field):
@@ -38,12 +40,26 @@ class LineField(_Field):
 
     # ---- field protocol, the part a line field does its own way ----
 
-    paths = l_paths
+    def paths(self, source: str, target: str) -> list[LPath]:
+        """All L-paths from source to target; at most one exists, the
+        trivial path counting when source == target.  A line field never
+        branches, so it is the one walk from `source`, cut at `target`.
+        The arguments are checked before the door, as every walking
+        operation checks them."""
+        for v in (source, target):
+            if v not in self.complex.vertices:
+                raise OperationError(f"{v} is not a vertex of the complex")
+        _require_acyclic(self)
+        path = _nth_walk(self._steps, {}, source, 0, LPath)
+        if target not in path.vertices:
+            return []
+        k = path.vertices.index(target)
+        return [LPath(path.vertices[: k + 1], path.edges[:k])]
 
     def count_paths(self, source: str, target: str) -> int:
-        return len(l_paths(self, source, target))
+        return len(self.paths(source, target))
 
-    # ---- hooks of topological_graph, the field door and the JSON report ----
+    # ---- hooks of graph(), the field door and the JSON report ----
 
     _path = LPath
     _path_keys = ("vertices", "edges")  # the JSON report's path keys

@@ -10,10 +10,11 @@ cells.
 VectorField has the field protocol of LineField, and shares its body,
 dynamics._Field: the complex, the matching's lookups upper_of, lower_of
 and matched_cells, and problems(), doubled_critical(), closed_path(),
-graph() and corridors().  It supplies `_scan`, one pass over its sorted
+graph() and corridors().  It defines the X-path queries paths(a, b) and
+count_paths(a, b), and supplies `_scan`, one pass over its sorted
 matching that yields the matching's violations, its step table and the
-roots of the closed-path search.  The CLI and the formats module use
-only those methods.
+roots of the closed-path search.  The methods are the operations' one
+public spelling, and the CLI and the formats module use only them.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property, partial
 
-from .dynamics import (
-    _Field,
-    _count_walks,
-    _nth_walk,
-    _require_acyclic,
-    topological_graph,
-)
+from .dynamics import _Field, _count_walks, _nth_walk, _require_acyclic
 from .errors import CancellationError, OperationError, _Record
 
 
@@ -70,24 +65,6 @@ def _x_query(V: VectorField, source: str, target: str) -> tuple[int, list[str], 
     return d_target, starts, _count_walks(V._steps, starts, target)
 
 
-def x_paths(V: VectorField, source: str, target: str):
-    """All X-paths starting at a cell incident to the critical cell
-    `source` and ending at the critical cell `target`, lazily, in
-    deterministic order: each start cell's walks by rank.  Trivial
-    one-cell paths count.  A bad query is refused at the call."""
-    p, starts, ways = _x_query(V, source, target)
-    make = partial(XPath, p)
-    return (
-        _nth_walk(V._steps, ways, start, k, make) for start in starts for k in range(ways[start])
-    )
-
-
-def count_x_paths(V: VectorField, source: str, target: str) -> int:
-    """Number of X-paths x_paths would yield, without enumerating them."""
-    _p, starts, ways = _x_query(V, source, target)
-    return sum(ways[c] for c in starts)
-
-
 class VectorField(_Field):
     """A complex plus pairs (lower, upper); construction reorders each pair
     by dimension but checks nothing else, see validate_vector_field."""
@@ -105,10 +82,26 @@ class VectorField(_Field):
     # ---- field protocol, the part a vector field does its own way ----
 
     _corridors = ((), ())  # cell matchings have no corridors
-    paths = x_paths
-    count_paths = count_x_paths
 
-    # ---- hooks of topological_graph, the field door and the JSON report ----
+    def paths(self, source: str, target: str):
+        """All X-paths starting at a cell incident to the critical cell
+        `source` and ending at the critical cell `target`, lazily, in
+        deterministic order: each start cell's walks by rank.  Trivial
+        one-cell paths count.  A bad query is refused at the call."""
+        p, starts, ways = _x_query(self, source, target)
+        make = partial(XPath, p)
+        return (
+            _nth_walk(self._steps, ways, start, k, make)
+            for start in starts
+            for k in range(ways[start])
+        )
+
+    def count_paths(self, source: str, target: str) -> int:
+        """Number of X-paths paths() would yield, without enumerating them."""
+        _p, starts, ways = _x_query(self, source, target)
+        return sum(ways[c] for c in starts)
+
+    # ---- hooks of graph(), the field door and the JSON report ----
 
     _kind = "vector field"
     _cyclic_text = "vector field has a closed X-path through "
@@ -199,13 +192,14 @@ def critical_cells_dvf(V: VectorField) -> dict[str, int]:
     return out
 
 
-# ---- topological graph and cancellation -----------------------------------
-
-
+# perfbench/jobs.py times vectorfield.closed_x_path, .count_x_paths and
+# .topological_graph_dvf under these names.
 closed_x_path = VectorField.closed_path
-# Not exported: perfbench/jobs.py times vectorfield.topological_graph_dvf
-# under this name.
-topological_graph_dvf = topological_graph
+count_x_paths = VectorField.count_paths
+topological_graph_dvf = VectorField.graph
+
+
+# ---- cancellation ---------------------------------------------------------
 
 
 def cancel_dvf(V: VectorField, upper: str, lower: str) -> VectorField:

@@ -65,8 +65,6 @@ ALLOWED = {
         "simplify.py:CellCorrespondence.image_of",
         "simplify.py:CellCorrespondence.preimages",
         "surface.py:SurfaceComplex.__post_init__",
-        "surface.py:SurfaceComplex.dual",
-        "surface.py:_corners",
         "surface.py:fresh_id",
         "surface.py:split_face",
         "vectorfield.py:cancel_dvf",

@@ -14,7 +14,11 @@ corners 0 and 2, and delete_edge_merge_faces on its first edge in sorted
 order that lies on two faces, where one does, dual() on the parsed
 complex, where it has one, and is_radial on the parsed complex's radial
 refinement (radial_decomposition, not counted), which builds and drops
-the two factor complexes.  A line field is then emitted with
+the two factor complexes.  Where the field has one critical vertex, a
+path query to it follows, on the parsed field: for a line field paths()
+from the least vertex unless that is the critical one (the snake's head,
+whose chain passes every vertex), for a vector field count_paths() from
+the least critical edge.  A line field is then emitted with
 emit_line_field and goes through homotopy_core and, where the field has
 one, one merge_critical_faces
 move (the first pair of critical faces in sorted order that a corridor
@@ -158,8 +162,9 @@ def cancel_pair(L: LineField) -> tuple[str, str] | None:
 
 def layer_lines(field) -> tuple[int, dict[str, int]]:
     """The complex's cell count and each layer's line count.  The analysis
-    layers, the two surgery moves, the dual and the radial check of the
-    refinement run in order on one field parsed from `field`'s file.  A
+    layers, the two surgery moves, the dual, the radial check of the
+    refinement and the path query run in order on one field parsed from
+    `field`'s file.  A
     line field is emitted, and the homotopy core and, where it has them,
     one merge of critical faces and one cancellation run on a second
     parsed field; a vector field is emitted, its image under dvf_to_dlf is
@@ -197,7 +202,11 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
         pass  # a vertex with more than one link cycle: no dual
     R = radial_decomposition(S).complex
     lines["is_radial"], _radial = counter.count(lambda: is_radial(R))
+    sinks = [c for c in parsed.doubled_critical() if c in S.vertices]
     if isinstance(parsed, LineField):
+        head = min(S.vertices)
+        if len(sinks) == 1 and sinks[0] != head:
+            lines["paths"], _path = counter.count(lambda: parsed.paths(head, sinks[0]))
         lines["emit_line_field"], _text = counter.count(lambda: emit_line_field(parsed))
         fresh = LineField(parse_document(text).complex, doc.match)
         lines["homotopy_core"], _core = counter.count(lambda: homotopy_core(fresh))
@@ -212,6 +221,9 @@ def layer_lines(field) -> tuple[int, dict[str, int]]:
                 lambda: cancel_vertex_face(fresh, *pair)
             )
     else:
+        if len(sinks) == 1:
+            edge = min(c for c in parsed.doubled_critical() if c in S.edges)
+            lines["count_paths"], _count = counter.count(lambda: parsed.count_paths(edge, sinks[0]))
         lines["emit_vector_field own"], _text = counter.count(lambda: emit_vector_field(parsed))
         lines["dvf_to_dlf"], image = counter.count(lambda: dvf_to_dlf(parsed))
         lines["emit_line_field"], _text = counter.count(lambda: emit_line_field(image))

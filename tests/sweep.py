@@ -46,6 +46,7 @@ from linefields import (  # noqa: E402
     LineField,
     OperationError,
     ParseError,
+    SurfaceComplex,
     VectorField,
     dvf_to_dlf,
     emit_complex,
@@ -59,7 +60,11 @@ from linefields.cli import main  # noqa: E402
 
 DIGESTS = HERE / "golden" / "sweep.sha256"
 OUTPUTS = ("out.txt", "map.json", "dual.txt")
-LIBRARY = {"is_radial": is_radial, "radial_decomposition": radial_decomposition}
+LIBRARY = {
+    "is_radial": is_radial,
+    "radial_decomposition": radial_decomposition,
+    "dual": SurfaceComplex.dual,
+}
 
 TETRA_OFF = "OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
 INVALID_OFF = {
@@ -244,15 +249,17 @@ def library_calls(files):
 
 
 def canonical(op, S):
-    """LIBRARY[op](S) as text: a verdict as itself, a refinement as its
-    complex's file and its sorted origin maps; an exception as its class
-    and message."""
+    """LIBRARY[op](S) as text: a verdict as itself, a complex as its file, a
+    refinement as its complex's file and its sorted origin maps; an
+    exception as its class and message."""
     try:
         result = LIBRARY[op](S)
     except Exception as exc:  # a refusal is recorded like a result
         return f"raised {type(exc).__name__}: {exc}"
     if op == "is_radial":
         return str(result)
+    if op == "dual":
+        return emit_complex(result)
     origins = sorted(result.vertex_origin.items()) + sorted(result.face_origin.items())
     return emit_complex(result.complex) + "".join(f"origin {a} {b}\n" for a, b in origins)
 

@@ -23,7 +23,6 @@ from linefields import (
     VectorField,
     cancel_dvf,
     cancel_vertex_face,
-    closed_x_path,
     corridors_from,
     critical_cells,
     critical_cells_dvf,
@@ -32,14 +31,11 @@ from linefields import (
     dvf_to_dlf,
     emit_complex,
     homotopy_core,
-    l_paths,
     merge_critical_faces,
     parse_complex,
     radial_decomposition,
-    topological_graph,
     validate_line_field,
     validate_vector_field,
-    x_paths,
 )
 from linefields.cli import main
 
@@ -133,9 +129,9 @@ def test_criterion_4_homotopy_theorem():
             corr = out.correspondence
             relabeled = Counter(
                 (corr.image_of(s.source), corr.image_of(s.target))
-                for s in topological_graph(L).edges
+                for s in L.graph().edges
             )
-            core_graph = graph_counter(topological_graph(out.field))
+            core_graph = graph_counter(out.field.graph())
             assert relabeled == core_graph
             R = radial_decomposition(out.field.complex)
             corners = Counter()
@@ -147,7 +143,7 @@ def test_criterion_4_homotopy_theorem():
     fix = homotopy_core(LineField(support.tetra(), frozenset({("v1", "e12"), ("v2", "e23")})))
     core = fix.field.complex
     assert (len(core.vertices), len(core.edges), len(core.faces)) == (2, 2, 2)
-    assert len(topological_graph(fix.field).edges) == 4
+    assert len(fix.field.graph().edges) == 4
     print(f"criterion 4: PASS ({complete} cores checked)")
 
 
@@ -275,7 +271,7 @@ def test_criterion_7_forman_cancellation():
         matchings |= {support.sample_matching(pairs, rng, keep=0.4) for _ in range(4)}
         for matching in matchings:
             V = VectorField(S, matching)
-            if closed_x_path(V) is not None:
+            if V.closed_path() is not None:
                 continue
             crit = critical_cells_dvf(V)
             for upper in sorted(crit):
@@ -288,7 +284,7 @@ def test_criterion_7_forman_cancellation():
                     witnesses = len(model.x_paths(model.field_of(V), upper, lower, per_slot=True))
                     if witnesses == 1:
                         out = cancel_dvf(V, upper, lower)
-                        assert closed_x_path(out) is None
+                        assert out.closed_path() is None
                         assert validate_vector_field(out) == []
                         assert sum(critical_cells_dvf(out).values()) == sum(
                             critical_cells_dvf(V).values()
@@ -337,7 +333,7 @@ def test_criterion_8_path_oracles():
             data = model.field_of(L)
             for source in sorted(S.vertices):
                 for target in sorted(S.vertices):
-                    got = l_paths(L, source, target)
+                    got = L.paths(source, target)
                     want = model.l_path(data, source, target)
                     if want is None:
                         assert got == []
@@ -347,7 +343,7 @@ def test_criterion_8_path_oracles():
                     line_checked += 1
         for matching in matchings_up_to(support.vector_field_pairs(S), 4):
             V = VectorField(S, matching)
-            if closed_x_path(V) is not None:
+            if V.closed_path() is not None:
                 continue
             data = model.field_of(V)
             crit = critical_cells_dvf(V)
@@ -356,7 +352,7 @@ def test_criterion_8_path_oracles():
                 for lower in sorted(crit):
                     if S.dim_of(lower) != S.dim_of(upper) - 1:
                         continue
-                    got = [(p.cells, p.witnesses) for p in x_paths(V, upper, lower)]
+                    got = [(p.cells, p.witnesses) for p in V.paths(upper, lower)]
                     assert got == model.x_paths(data, upper, lower)
                     x_checked += 1
     assert line_checked >= 1000 and x_checked >= 1000

@@ -21,12 +21,12 @@ from linefields import (
     emit_line_field,
     emit_vector_field,
     parse_complex,
-    parse_graph_json,
     parse_line_field,
     parse_off,
     parse_vector_field,
 )
 from linefields.cli import main
+from linefields.formats import parse_graph_json
 
 GOLD = Path(__file__).parent / "golden"
 

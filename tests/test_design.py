@@ -5,7 +5,8 @@ docstring, so rewording or reformatting code does not trip one.  CAUGHT holds
 code that each rule fails on: for a rule that replaced a CI grep step, code
 that the step failed on.  REMOVED is the one list of what left the package:
 test_field_protocol.py checks at run time that none is back, and README's
-removed-names table names each public one.
+removed-names table names each public one.  PERFBENCH_ONLY lists what the
+package keeps only for the frozen benchmark.
 """
 
 import ast
@@ -23,11 +24,12 @@ FIELDS = ("src/linefields/linefield.py", "src/linefields/vectorfield.py")
 # for a method, a module for a function or a local.
 REMOVED = {
     "linefields": (
-        "HasseDiagram", "collapse_noncritical_face", "complexes_isomorphic",
-        "contract_matched_pair", "euler_sum", "euler_sum_dvf", "is_acyclic",
-        "is_acyclic_dvf", "isomorphisms", "line_fields_isomorphic", "occ_reversed",
-        "occ_text", "scan_closed_corridors", "subdivide_edge", "topological_graph_dvf",
-        "unmatched_boundary_count", "vector_fields_isomorphic",
+        "HasseDiagram", "closed_l_path", "closed_x_path", "collapse_noncritical_face",
+        "complexes_isomorphic", "contract_matched_pair", "count_x_paths", "euler_sum",
+        "euler_sum_dvf", "is_acyclic", "is_acyclic_dvf", "isomorphisms", "l_paths",
+        "line_fields_isomorphic", "occ_reversed", "occ_text", "parse_graph_json",
+        "scan_closed_corridors", "subdivide_edge", "topological_graph", "topological_graph_dvf",
+        "unmatched_boundary_count", "vector_fields_isomorphic", "x_paths",
     ),
     "LPath": ("is_trivial", "is_closed", "json"),
     "XPath": ("is_trivial", "is_closed", "json"),
@@ -54,6 +56,19 @@ FIELD_BODY = {
     "problems", "doubled_critical", "closed_path", "graph", "_graph", "corridors", "upper_of",
     "lower_of", "_upper_of", "_lower_of", "matched_cells", "edge_matched_to", "vertex_matched_to",
     "_pairs",
+}
+# The second names of field operations, and a helper one replaced: no
+# package module defines a function by one of them.
+SECOND_NAMES = (
+    "closed_l_path", "closed_x_path", "l_paths", "x_paths", "count_x_paths", "topological_graph",
+    "occ_text",
+)
+# Names the package keeps only because the frozen perfbench/ reads them: each
+# has one binding in the package and no other use there, and a perfbench file
+# reads each.  The change that frees perfbench of them deletes by this list.
+PERFBENCH_ONLY = {
+    "closed_l_path", "closed_x_path", "count_x_paths", "topological_graph_dvf",
+    "parse_graph_json", "edge_occurrences",
 }
 # The kept copies the model does not cover: the parser, the JSON report and
 # the isomorphism search.
@@ -163,6 +178,24 @@ def field_body(tree):
     return defs(tree, *FIELD_BODY) + class_level + graphs
 
 
+def second_spelling(tree):
+    """A def by a second name of a field operation, or a def of paths or
+    count_paths outside the body of LineField or VectorField."""
+    kinds = {id(s) for c in classes(tree) if c.name in ("LineField", "VectorField") for s in c.body}
+    return defs(tree, *SECOND_NAMES) + [
+        f for f in defs(tree, "paths", "count_paths") if id(f) not in kinds]
+
+
+def binds(node):
+    """Whether a node of `identifiers` defines its name or assigns to it."""
+    return type(node) is ast.FunctionDef or type(getattr(node, "ctx", None)) is ast.Store
+
+
+def perfbench_only_read(tree):
+    """A use of a PERFBENCH_ONLY name other than a binding of it."""
+    return [n for n, i in identifiers(tree) if i in PERFBENCH_ONLY and not binds(n)]
+
+
 def second_scan(tree):
     """A sort of the steps, a lambda sort key, or a call of self._exits."""
     sorts = [c for c in calls(tree, "sorted") if any(naming(a, "_steps") for a in c.args)]
@@ -228,11 +261,8 @@ RULES = {
     "one_field_body": (FIELDS, field_body),
     "one_scan_per_field": (FIELDS, second_scan),
     "one_sort_per_matching": (PACKAGE, sort_of_a_matching),
-    "field_operations_are_the_functions": (
-        PACKAGE, lambda t: [s for s in t.body if getattr(s, "name", "") in
-                            ("closed_l_path", "closed_x_path", "occ_text")]),
-    "vector_field_paths_are_the_functions": (
-        ("src/linefields/vectorfield.py",), lambda t: defs(t, "paths", "count_paths")),
+    "one_def_per_field_operation": (PACKAGE, second_spelling),
+    "perfbench_only_names_are_only_bound": (PACKAGE, perfbench_only_read),
     "radial_bridge_reads_darts": (
         ("src/linefields/radial.py",),
         lambda t: [s for s in nodes(t) if type(s) is ast.Constant and s.value in ("in", "out")]
@@ -283,8 +313,15 @@ CAUGHT = [
     ("one_sort_per_matching", "for v, e in sorted(self.matching): pass"),
     ("one_sort_per_matching", "order = sorted(L.matching, key=k)"),
     ("one_sort_per_matching", "class A:\n    _pairs = property(lambda f: sorted(f.matching))"),
-    ("field_operations_are_the_functions", "def closed_l_path(L): pass"),
-    ("vector_field_paths_are_the_functions", "class A:\n    def count_paths(self): pass"),
+    ("one_def_per_field_operation", "def x_paths(V, a, b): pass"),
+    ("one_def_per_field_operation", "def topological_graph(field): pass"),
+    ("one_def_per_field_operation", "def closed_l_path(L): pass"),
+    ("one_def_per_field_operation", "def count_paths(V, a, b): pass"),
+    ("one_def_per_field_operation", "class A:\n    def count_paths(self, a, b): pass"),
+    ("perfbench_only_names_are_only_bound", "g = vectorfield.topological_graph_dvf(V)"),
+    ("perfbench_only_names_are_only_bound", "occs = S.edge_occurrences(e)"),
+    ("perfbench_only_names_are_only_bound", "from .formats import parse_graph_json"),
+    ("perfbench_only_names_are_only_bound", '_MODULES = {"dynamics": ("closed_l_path",)}'),
     ("radial_bridge_reads_darts", 'sides = ("in", "out")'),
     ("radial_bridge_reads_darts", "k = S.occurrence_index[e]"),
     ("radial_bridge_reads_darts", "v = S.corner_vertex(f, i)"),
@@ -312,6 +349,17 @@ CAUGHT = [
 @pytest.mark.parametrize("rule, code", CAUGHT)
 def test_rule_catches_what_its_grep_caught(rule, code):
     assert RULES[rule][1](ast.parse(code))
+
+
+def test_perfbench_only_names_are_bound_once_and_read_by_perfbench():
+    """The other half of perfbench_only_names_are_only_bound: across the
+    package each PERFBENCH_ONLY name is bound once, and a name that no
+    perfbench file reads any more is a stale entry, to be deleted."""
+    bound_at = [i for path in paths(PACKAGE) for n, i in identifiers(parsed(path))
+                if i in PERFBENCH_ONLY and binds(n)]
+    read = {i for path in paths(("perfbench/*.py",)) for _n, i in identifiers(parsed(path))}
+    assert sorted(bound_at) == sorted(PERFBENCH_ONLY)
+    assert sorted(PERFBENCH_ONLY - read) == []
 
 
 def test_one_read_of_an_input_file():

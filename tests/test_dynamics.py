@@ -18,15 +18,12 @@ from linefields import (
     Separatrix,
     TopologicalGraph,
     VectorField,
-    closed_l_path,
     corridors_from,
     critical_cells,
     graph_dot,
-    l_paths,
     merge_critical_faces,
     ms_decomposition,
     report_json,
-    topological_graph,
     validate_line_field,
 )
 from linefields import dynamics, simplify
@@ -41,7 +38,7 @@ def two_pair_tetra():
 
 def test_matched_loop_closes_immediately():
     L = LineField(support.torus_one(), frozenset({("v", "a")}))
-    closed = closed_l_path(L)
+    closed = L.closed_path()
     assert closed == LPath(("v", "v"), ("a",))
     assert len(closed.cells) > 1 and closed.cells[0] == closed.cells[-1]
     assert L.closed_path() is not None
@@ -52,11 +49,11 @@ def test_triangle_cycle_is_found_and_rotated():
         support.tetra(),
         frozenset({("v2", "e23"), ("v3", "e13"), ("v1", "e12")}),
     )
-    assert closed_l_path(L) == LPath(("v1", "v2", "v3", "v1"), ("e12", "e23", "e13"))
+    assert L.closed_path() == LPath(("v1", "v2", "v3", "v1"), ("e12", "e23", "e13"))
 
 
 def test_two_pair_field_is_acyclic():
-    assert closed_l_path(two_pair_tetra()) is None
+    assert two_pair_tetra().closed_path() is None
     assert two_pair_tetra().closed_path() is None
 
 
@@ -72,31 +69,31 @@ def test_cyclic_error_carries_witness():
 
 def test_chain_prefix_is_the_only_path():
     L = two_pair_tetra()
-    assert l_paths(L, "v1", "v3") == [LPath(("v1", "v2", "v3"), ("e12", "e23"))]
-    assert l_paths(L, "v2", "v3") == [LPath(("v2", "v3"), ("e23",))]
+    assert L.paths("v1", "v3") == [LPath(("v1", "v2", "v3"), ("e12", "e23"))]
+    assert L.paths("v2", "v3") == [LPath(("v2", "v3"), ("e23",))]
 
 
 def test_paths_do_not_run_backwards():
     L = two_pair_tetra()
-    assert l_paths(L, "v3", "v1") == []
-    assert l_paths(L, "v1", "v4") == []
+    assert L.paths("v3", "v1") == []
+    assert L.paths("v1", "v4") == []
 
 
 def test_trivial_path_exists():
     L = two_pair_tetra()
-    assert l_paths(L, "v1", "v1") == [LPath(("v1",), ())]
+    assert L.paths("v1", "v1") == [LPath(("v1",), ())]
 
 
 def test_path_query_rejects_unknown_vertex():
     with pytest.raises(OperationError, match="not a vertex"):
-        l_paths(two_pair_tetra(), "v1", "nope")
+        two_pair_tetra().paths("v1", "nope")
 
 
 # ---- topological graph ---------------------------------------------------
 
 
 def test_graph_of_empty_field_on_tetrahedron():
-    graph = topological_graph(LineField(support.tetra()))
+    graph = LineField(support.tetra()).graph()
     assert len(graph.vertices) == 8
     assert len(graph.edges) == 12
     for sep in graph.edges:
@@ -106,7 +103,7 @@ def test_graph_of_empty_field_on_tetrahedron():
 
 
 def test_graph_of_two_pair_field():
-    graph = topological_graph(two_pair_tetra())
+    graph = two_pair_tetra().graph()
     assert graph.vertices == ("f123", "f134", "v3", "v4")
     assert graph.edges == (
         Separatrix("f123", "v3", 2, LPath(("v3",), ())),
@@ -126,7 +123,7 @@ def test_separatrix_equality_with_other_types():
 def test_graph_drops_chains_touching_the_walk():
     # Both corner chains of f123 use edges on its own walk; only the v3
     # corner survives.
-    graph = topological_graph(two_pair_tetra())
+    graph = two_pair_tetra().graph()
     assert [s for s in graph.edges if s.source == "f123"] == [
         Separatrix("f123", "v3", 2, LPath(("v3",), ()))
     ]
@@ -165,7 +162,7 @@ def test_graph_is_built_once_and_holds_no_paths(monkeypatch):
     assert sorted(longest) == sorted(L.complex.vertices)
     graphs.clear()
     V, _head = support.serpentine_torus(6, 6)
-    topological_graph(V)
+    V.graph()
     report_json(V)
     assert len(graphs) == 1
 
@@ -174,10 +171,10 @@ def test_graph_keeps_walk_counts_only_after_branch_cells():
     """A line field's steps never branch, so its graph keeps no walk count;
     a vector field's graph keeps counts only for successors of branch
     cells, the only cells where a separatrix's rank picks a step."""
-    graph = topological_graph(support.serpentine_line_field(8, 8))
+    graph = support.serpentine_line_field(8, 8).graph()
     assert graph.edges and all(sep._walks[1] == {} for sep in graph.edges)
     V, _head = support.serpentine_torus(6, 6)
-    ways = topological_graph(V).edges[0]._walks[1]
+    ways = V.graph().edges[0]._walks[1]
     after_branch = {nxt for out in V._steps.values() if len(out) > 1 for _label, nxt in out}
     assert ways and ways.keys() <= after_branch
 
@@ -370,7 +367,7 @@ def test_separatrices_are_sound_on_random_fields():
             continue
         S = L.complex
         crit = critical_cells(L)
-        graph = topological_graph(L)
+        graph = L.graph()
         assert graph.vertices == tuple(sorted(crit))
         matched = {e for _v, e in L.matching}
         for sep in graph.edges:

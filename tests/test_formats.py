@@ -23,14 +23,12 @@ from linefields import (
     graph_dot,
     parse_complex,
     parse_document,
-    parse_graph_json,
     parse_line_field,
     parse_off,
     parse_vector_field,
     report_json,
-    topological_graph,
 )
-from linefields.formats import Document
+from linefields.formats import Document, parse_graph_json
 from linefields.surface import SurfaceComplex
 
 GOLD = Path(__file__).parent / "golden"
@@ -528,7 +526,7 @@ def test_dot_escapes_quotes_and_backslashes(match, escaped):
 
 def test_graph_json_reparse_line_field():
     L = LineField(support.tetra(), frozenset({("v1", "e12"), ("v2", "e23")}))
-    graph = topological_graph(L)
+    graph = L.graph()
     back = parse_graph_json(report_json(L))
     assert set(back.vertices) == set(critical_cells(L))
     for s in set((e.source, e.target) for e in graph.edges):
@@ -541,7 +539,7 @@ def test_graph_json_reparse_vector_field():
     assert payload["corridors"] == [] and payload["closed_corridors"] == []
     back = parse_graph_json(report_json(V))
     assert set(back.vertices) == set(critical_cells_dvf(V))
-    assert len(back.edges) == len(topological_graph(V).edges)
+    assert len(back.edges) == len(V.graph().edges)
 
 
 def test_json_closed_corridor_reported():
@@ -623,7 +621,7 @@ def reference_report(field) -> dict:
         ],
         "separatrices": [
             {"source": s.source, "target": s.target, "occurrence": s.occurrence, **path_keys(s.path)}
-            for s in topological_graph(field).edges
+            for s in field.graph().edges
         ],
         "corridors": [
             {"start": c.start, "end": c.end, "interior": list(c.interior), "crossings": crossings(c)}

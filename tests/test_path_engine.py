@@ -20,15 +20,9 @@ from linefields import (
     XPath,
     cancel_dvf,
     cancel_vertex_face,
-    closed_l_path,
-    closed_x_path,
-    count_x_paths,
     critical_cells_dvf,
     emit_vector_field,
-    l_paths,
     ms_decomposition,
-    topological_graph,
-    x_paths,
 )
 from linefields import dynamics, simplify, vectorfield
 from linefields.cli import main
@@ -43,13 +37,13 @@ def test_serpentine_paths_need_no_recursion(tmp_path, capsys):
     (root,) = [c for c in crit if S.dim_of(c) == 0]
     assert head in crit
 
-    graph = topological_graph(V)
+    graph = V.graph()
     longest = max(graph.edges, key=lambda s: len(s.path.cells))
     assert (longest.source, longest.target) == (head, root)
     assert len(longest.path.cells) == len(S.vertices) > sys.getrecursionlimit()
 
-    assert count_x_paths(V, head, root) == 2
-    found = list(x_paths(V, head, root))
+    assert V.count_paths(head, root) == 2
+    found = list(V.paths(head, root))
     assert len(found) == 2 and longest.path in found
 
     path = tmp_path / "serpentine.txt"
@@ -129,7 +123,7 @@ def counting_walks(monkeypatch, module, name):
 
 def test_path_queries_list_no_dead_walks(monkeypatch):
     """On a tree-cotree field most walks from a critical face end on a tree
-    edge; x_paths builds only walks that reach the target, and its first
+    edge; V.paths builds only walks that reach the target, and its first
     path costs one walk."""
     S = support.grid_torus(8, 8)
     forest = support.forest_field(S, random.Random(7), 1.0)
@@ -143,11 +137,11 @@ def test_path_queries_list_no_dead_walks(monkeypatch):
     every_walk = sum(walks_from[start] for start in starts)
     for edge in edges:
         walks.clear()
-        found = list(x_paths(V, face, edge))
-        assert found and len(walks) == len(found) == count_x_paths(V, face, edge)
+        found = list(V.paths(face, edge))
+        assert found and len(walks) == len(found) == V.count_paths(face, edge)
         assert every_walk > 4 * len(found)
         walks.clear()
-        next(x_paths(V, face, edge))
+        next(V.paths(face, edge))
         assert len(walks) == 1
 
 
@@ -221,13 +215,13 @@ def test_engine_matches_recursive_traversals():
     with support.recursion_limit(20000):
         for L in lines:
             data = model.field_of(L)
-            closed = closed_l_path(L)
+            closed = L.closed_path()
             want = model.closed_line_path(data)
             assert closed == (None if want is None else LPath(*want))
             if closed is not None:
                 cyclic["line"] += 1
                 continue
-            graph = topological_graph(L)
+            graph = L.graph()
             for sep in graph.edges:
                 start = sep.path.vertices[0]
                 assert (sep.path.vertices, sep.path.edges) == model.chain(data, start)
@@ -236,23 +230,23 @@ def test_engine_matches_recursive_traversals():
                     for target in sorted(L.complex.vertices):
                         path = model.l_path(data, source, target)
                         want = [] if path is None else [LPath(*path)]
-                        assert l_paths(L, source, target) == want
+                        assert L.paths(source, target) == want
         for V in vectors:
             data = model.field_of(V)
-            closed = closed_x_path(V)
+            closed = V.closed_path()
             want = model.closed_vector_path(data)
             assert closed == (None if want is None else V._path(*want))
             if closed is not None:
                 cyclic[closed.dimension] += 1
                 continue
-            graph = topological_graph(V)
+            graph = V.graph()
             got = [(s.source, s.target, s.occurrence, (s.path.cells, s.path.witnesses))
                    for s in graph.edges]
             assert got == model.separatrices(data, "vector")
             for upper, lower in queries(V, graph):
-                found = [(p.cells, p.witnesses) for p in x_paths(V, upper, lower)]
+                found = [(p.cells, p.witnesses) for p in V.paths(upper, lower)]
                 assert found == model.x_paths(data, upper, lower)
-                assert count_x_paths(V, upper, lower) == len(model.x_paths(data, upper, lower))
+                assert V.count_paths(upper, lower) == len(model.x_paths(data, upper, lower))
                 answered += len(found) > 0
     assert min(cyclic.values()) >= 5
     assert answered >= 100

@@ -18,7 +18,6 @@ from linefields import (
     homotopy_core,
     merge_critical_faces,
     split_face,
-    topological_graph,
     validate_line_field,
 )
 from linefields.surface import reversed_walk
@@ -192,8 +191,8 @@ def test_core_preserves_topological_graph():
     L = two_pair_tetra()
     core = homotopy_core(L)
     corr = core.correspondence
-    original = graph_multiplicities(topological_graph(L))
-    simplified = graph_multiplicities(topological_graph(core.field))
+    original = graph_multiplicities(L.graph())
+    simplified = graph_multiplicities(core.field.graph())
     assert {
         (corr.image_of(f), corr.image_of(v)): n for (f, v), n in original.items()
     } == simplified

@@ -12,14 +12,9 @@ from linefields import (
     OperationError,
     VectorField,
     cancel_dvf,
-    closed_l_path,
-    closed_x_path,
-    count_x_paths,
     critical_cells_dvf,
     dualize,
-    topological_graph,
     validate_vector_field,
-    x_paths,
 )
 
 
@@ -141,7 +136,7 @@ def test_vertex_cycle_is_detected():
         support.tetra(),
         frozenset({("v1", "e12"), ("v2", "e23"), ("v3", "e13")}),
     )
-    closed = closed_x_path(V)
+    closed = V.closed_path()
     assert closed is not None
     assert closed.dimension == 0
     assert len(closed.cells) > 1 and closed.cells[0] == closed.cells[-1]
@@ -156,7 +151,7 @@ def test_edge_cycle_is_detected():
         frozenset({("a", "fab"), ("b", "fbc"), ("c", "fca")}),
     )
     assert validate_vector_field(V) == []
-    closed = closed_x_path(V)
+    closed = V.closed_path()
     assert closed is not None
     assert closed.dimension == 1
     assert closed.cells == ("a", "b", "c", "a")
@@ -169,7 +164,7 @@ def test_matched_loop_is_acyclic_for_vector_fields():
     # field is cyclic.
     S = support.torus_one()
     assert VectorField(S, frozenset({("v", "a")})).closed_path() is None
-    assert closed_l_path(LineField(S, frozenset({("v", "a")}))) is not None
+    assert LineField(S, frozenset({("v", "a")})).closed_path() is not None
 
 
 def test_cyclic_field_error_carries_witness():
@@ -178,7 +173,7 @@ def test_cyclic_field_error_carries_witness():
         frozenset({("v1", "e12"), ("v2", "e23"), ("v3", "e13")}),
     )
     with pytest.raises(CyclicFieldError) as info:
-        list(x_paths(V, "e14", "v4"))
+        list(V.paths("e14", "v4"))
     witness = info.value.witness
     assert len(witness.cells) > 1 and witness.cells[0] == witness.cells[-1]
 
@@ -188,45 +183,45 @@ def test_cyclic_field_error_carries_witness():
 
 def test_single_path_through_matched_vertex():
     V = VectorField(support.tetra(), frozenset({("v1", "e12")}))
-    found = list(x_paths(V, "e13", "v2"))
+    found = list(V.paths("e13", "v2"))
     assert len(found) == 1
     assert found[0].cells == ("v1", "v2")
     assert found[0].witnesses == (("e12", 1),)
     assert_valid_xpath(V, found[0])
-    assert count_x_paths(V, "e13", "v2") == 1
+    assert V.count_paths("e13", "v2") == 1
 
 
 def test_trivial_path_to_incident_vertex():
     V = VectorField(support.tetra(), frozenset({("v1", "e12")}))
-    found = list(x_paths(V, "e13", "v3"))
+    found = list(V.paths("e13", "v3"))
     assert len(found) == 1
     assert not found[0].steps
     assert found[0].cells == ("v3",)
-    assert count_x_paths(V, "e13", "v3") == 1
+    assert V.count_paths("e13", "v3") == 1
 
 
 def test_no_path_to_far_vertex():
     V = VectorField(support.tetra())
-    assert list(x_paths(V, "e12", "v3")) == []
-    assert count_x_paths(V, "e12", "v3") == 0
+    assert list(V.paths("e12", "v3")) == []
+    assert V.count_paths("e12", "v3") == 0
 
 
 def test_path_query_rejects_matched_endpoint():
     V = VectorField(support.tetra(), frozenset({("v1", "e12")}))
     with pytest.raises(OperationError, match="matched, not critical"):
-        list(x_paths(V, "e12", "v3"))
+        list(V.paths("e12", "v3"))
 
 
 def test_path_query_rejects_dimension_mismatch():
     V = VectorField(support.tetra())
     with pytest.raises(OperationError, match="dimension mismatch"):
-        list(x_paths(V, "v2", "v3"))
+        list(V.paths("v2", "v3"))
 
 
 def test_path_query_rejects_unknown_cell():
     V = VectorField(support.tetra())
     with pytest.raises(OperationError, match="not a cell"):
-        count_x_paths(V, "e12", "nope")
+        V.count_paths("e12", "nope")
 
 
 @pytest.mark.parametrize(
@@ -246,15 +241,15 @@ def test_path_query_rejects_unknown_cell():
     ids=["not-a-cell", "dimension-mismatch", "matched-cell", "cyclic-field"],
 )
 def test_path_query_refuses_when_called(pairs, source, target, error, message):
-    """x_paths refuses a bad query at the call, before any path is read."""
+    """V.paths refuses a bad query at the call, before any path is read."""
     V = VectorField(support.tetra(), frozenset(pairs))
     with pytest.raises(error, match=message):
-        x_paths(V, source, target)
+        V.paths(source, target)
 
 
 def test_paths_are_deterministic():
     V = VectorField(support.tetra(), frozenset({("v1", "e12")}))
-    assert list(x_paths(V, "e13", "v2")) == list(x_paths(V, "e13", "v2"))
+    assert list(V.paths("e13", "v2")) == list(V.paths("e13", "v2"))
 
 
 # ---- topological graph ---------------------------------------------------
@@ -262,7 +257,7 @@ def test_paths_are_deterministic():
 
 def test_topological_graph_of_empty_field_on_tetrahedron():
     V = VectorField(support.tetra())
-    graph = topological_graph(V)
+    graph = V.graph()
     assert len(graph.vertices) == 14
     assert len(graph.edges) == 24
     assert graph.multiplicity("e12", "v1") == 1
@@ -276,7 +271,7 @@ def test_topological_graph_of_empty_field_on_tetrahedron():
 
 def test_topological_graph_counts_loop_occurrences_twice():
     V = VectorField(support.torus_one())
-    graph = topological_graph(V)
+    graph = V.graph()
     assert len(graph.edges) == 8
     assert graph.multiplicity("a", "v") == 2
     assert graph.multiplicity("F", "a") == 2
@@ -337,8 +332,8 @@ def test_dualize_twice_round_trips():
 def test_dual_path_counts_match():
     V = VectorField(support.tetra(), frozenset({("v1", "e12")}))
     W = dualize(V)
-    assert count_x_paths(V, "e13", "v2") == count_x_paths(W, "v2", "e13") == 1
-    assert count_x_paths(V, "f134", "e34") == count_x_paths(W, "e34", "f134")
+    assert V.count_paths("e13", "v2") == W.count_paths("v2", "e13") == 1
+    assert V.count_paths("f134", "e34") == W.count_paths("e34", "f134")
 
 
 def test_dual_path_counts_match_on_random_fields():
@@ -357,7 +352,7 @@ def test_dual_path_counts_match_on_random_fields():
             for lo in lowers:
                 if S.dim_of(up) != S.dim_of(lo) + 1 or checked >= 12:
                     continue
-                assert count_x_paths(V, up, lo) == count_x_paths(W, lo, up)
+                assert V.count_paths(up, lo) == W.count_paths(lo, up)
                 checked += 1
 
 
@@ -378,12 +373,12 @@ def test_paths_agree_with_direct_search_on_seed_complexes():
                 for target in crit:
                     if S.dim_of(source) != S.dim_of(target) + 1:
                         continue
-                    found = list(x_paths(V, source, target))
+                    found = list(V.paths(source, target))
                     for path in found:
                         assert_valid_xpath(V, path)
                     assert [(p.cells, p.witnesses) for p in found] == model.x_paths(
                         model.field_of(V), source, target)
-                    assert count_x_paths(V, source, target) == len(found)
+                    assert V.count_paths(source, target) == len(found)
 
 
 def test_graph_separatrices_are_sound_on_random_fields():
@@ -393,7 +388,7 @@ def test_graph_separatrices_are_sound_on_random_fields():
         if V.closed_path() is not None:
             continue
         crit = critical_cells_dvf(V)
-        graph = topological_graph(V)
+        graph = V.graph()
         assert graph.vertices == tuple(sorted(crit))
         for sep in graph.edges:
             assert sep.source in crit and sep.target in crit
