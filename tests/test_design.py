@@ -178,12 +178,11 @@ def field_body(tree):
     return defs(tree, *FIELD_BODY) + class_level + graphs
 
 
-def second_spelling(tree):
-    """A def by a second name of a field operation, or a def of paths or
-    count_paths outside the body of LineField or VectorField."""
+def paths_outside_a_field_kind(tree):
+    """A def of paths or count_paths outside the body of LineField or
+    VectorField."""
     kinds = {id(s) for c in classes(tree) if c.name in ("LineField", "VectorField") for s in c.body}
-    return defs(tree, *SECOND_NAMES) + [
-        f for f in defs(tree, "paths", "count_paths") if id(f) not in kinds]
+    return [f for f in defs(tree, "paths", "count_paths") if id(f) not in kinds]
 
 
 def binds(node):
@@ -261,7 +260,8 @@ RULES = {
     "one_field_body": (FIELDS, field_body),
     "one_scan_per_field": (FIELDS, second_scan),
     "one_sort_per_matching": (PACKAGE, sort_of_a_matching),
-    "one_def_per_field_operation": (PACKAGE, second_spelling),
+    "field_operations_are_the_functions": (PACKAGE, lambda t: defs(t, *SECOND_NAMES)),
+    "vector_field_paths_are_the_functions": (PACKAGE, paths_outside_a_field_kind),
     "perfbench_only_names_are_only_bound": (PACKAGE, perfbench_only_read),
     "radial_bridge_reads_darts": (
         ("src/linefields/radial.py",),
@@ -313,11 +313,11 @@ CAUGHT = [
     ("one_sort_per_matching", "for v, e in sorted(self.matching): pass"),
     ("one_sort_per_matching", "order = sorted(L.matching, key=k)"),
     ("one_sort_per_matching", "class A:\n    _pairs = property(lambda f: sorted(f.matching))"),
-    ("one_def_per_field_operation", "def x_paths(V, a, b): pass"),
-    ("one_def_per_field_operation", "def topological_graph(field): pass"),
-    ("one_def_per_field_operation", "def closed_l_path(L): pass"),
-    ("one_def_per_field_operation", "def count_paths(V, a, b): pass"),
-    ("one_def_per_field_operation", "class A:\n    def count_paths(self, a, b): pass"),
+    ("field_operations_are_the_functions", "def x_paths(V, a, b): pass"),
+    ("field_operations_are_the_functions", "def topological_graph(field): pass"),
+    ("field_operations_are_the_functions", "def closed_l_path(L): pass"),
+    ("vector_field_paths_are_the_functions", "def count_paths(V, a, b): pass"),
+    ("vector_field_paths_are_the_functions", "class A:\n    def count_paths(self, a, b): pass"),
     ("perfbench_only_names_are_only_bound", "g = vectorfield.topological_graph_dvf(V)"),
     ("perfbench_only_names_are_only_bound", "occs = S.edge_occurrences(e)"),
     ("perfbench_only_names_are_only_bound", "from .formats import parse_graph_json"),
